@@ -8,11 +8,9 @@ slice instead of the whole catalog.  This bench builds a corpus whose
 timestamps are correlated with its geo-tiles (the smart-city shape:
 districts are instrumented in waves, cameras in one area come online
 together), runs a pruning-friendly, temporal-heavy query mix through
-``execute_many`` at shard counts 1/2/4/8 on the **inline** pool
-(single-core: any speedup is pruning, not parallelism), and records
-the speedup curve.  The process pool is measured once at 4 shards for
-reference — on a one-core runner it pays fork + pickle for no
-parallel gain, so it is informational, not asserted.
+``execute_many`` at shard counts 1/2/4/8 (shards execute in the
+coordinator process, so any speedup is pruning, not parallelism), and
+records the speedup curve.
 
 ``results.speedup_at_4`` is gated as an absolute floor by
 ``tools/bench_compare.py`` (full runs only; smoke sizes drown the
@@ -133,17 +131,12 @@ def test_shard_scaling(benchmark, capsys, bench_record):
         serial_results = platform.execute_many(queries)  # warmup
         walls["serial"] = timed_batch()
         for n in SHARD_COUNTS:
-            platform.set_shards(n, pool="inline")
+            platform.set_shards(n)
             t0 = time.perf_counter()
             sharded_results = platform.execute_many(queries)  # partition + warmup
-            partition_walls[f"inline x{n}"] = time.perf_counter() - t0
+            partition_walls[f"shards x{n}"] = time.perf_counter() - t0
             assert sharded_results == serial_results, f"equivalence broke at {n}"
-            walls[f"inline x{n}"] = timed_batch()
-        platform.set_shards(4, pool="process")
-        t0 = time.perf_counter()
-        platform.execute_many(queries)
-        partition_walls["process x4"] = time.perf_counter() - t0
-        walls["process x4"] = timed_batch()
+            walls[f"shards x{n}"] = timed_batch()
         platform.set_shards(1)
         return walls, partition_walls
 
@@ -174,18 +167,17 @@ def test_shard_scaling(benchmark, capsys, bench_record):
     suffix = "" if PERF_ASSERTS else "_smoke"
     bench_record["results"] = {
         "serial_wall_s": round(serial_wall, 4),
-        f"speedup_at_2{suffix}": round(speedups["inline x2"], 3),
-        f"speedup_at_4{suffix}": round(speedups["inline x4"], 3),
-        f"speedup_at_8{suffix}": round(speedups["inline x8"], 3),
-        "process_speedup_at_4": round(speedups["process x4"], 3),
+        f"speedup_at_2{suffix}": round(speedups["shards x2"], 3),
+        f"speedup_at_4{suffix}": round(speedups["shards x4"], 3),
+        f"speedup_at_8{suffix}": round(speedups["shards x8"], 3),
     }
     if PERF_ASSERTS:
         # The ISSUE's acceptance floor: pruning alone must buy >1.8x at
         # 4 shards.  (tools/bench_compare.py re-checks this from the
         # recorded document, --skip-wall included: it is a same-run,
         # same-machine ratio.)
-        assert speedups["inline x4"] > 1.8, (
-            f"speedup at 4 shards {speedups['inline x4']:.2f}x <= 1.8x floor"
+        assert speedups["shards x4"] > 1.8, (
+            f"speedup at 4 shards {speedups['shards x4']:.2f}x <= 1.8x floor"
         )
         # More shards must not get slower than fewer on this workload.
-        assert speedups["inline x8"] > speedups["inline x2"] * 0.8
+        assert speedups["shards x8"] > speedups["shards x2"] * 0.8

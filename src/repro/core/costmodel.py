@@ -44,6 +44,7 @@ COST_MODEL: dict = {
             "repro.index.oriented_rtree.OrientedRTree.search_range",
             "repro.index.oriented_rtree.OrientedRTree.search_point",
             "repro.core.platform.TVDP._run_spatial",
+            "repro.shard.plans._run_spatial",
         ],
         "note": (
             "c = MBR candidates; refine is per-candidate FOV geometry, "
@@ -101,6 +102,7 @@ COST_MODEL: dict = {
         "dominant_counters": [],
         "hot_sites": [
             "repro.core.platform.TVDP._run_temporal",
+            "repro.shard.plans._run_temporal",
             "repro.db.table.Table.scan",
         ],
         "note": (

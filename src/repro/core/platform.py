@@ -94,14 +94,12 @@ class TVDP:
     shards:
         ``shards > 1`` turns on scale-out execution: the catalog is
         partitioned into geo-tile shards (see :mod:`repro.shard`) and
-        queries scatter-gather across them, with results exactly equal
-        to serial execution.  ``shards=1`` (the default) runs serial.
-    shard_pool:
-        Worker pool flavour for sharded execution: ``"process"`` (a
-        ``multiprocessing`` pool fed pickled shard handles) or
-        ``"inline"`` (in-process, for deterministic tests).
+        queries scatter-gather across them in this process, with
+        results exactly equal to serial execution.  ``shards=1`` (the
+        default) runs serial.
     shard_grid:
-        ``(rows, cols)`` of the geo-tile lattice shards are carved from.
+        ``(rows, cols)`` of the geo-tile lattice shards are carved
+        from: two positive ints.
     """
 
     def __init__(
@@ -109,11 +107,18 @@ class TVDP:
         reject_low_quality: bool = False,
         detect_near_duplicates: bool = False,
         shards: int = 1,
-        shard_pool: str = "process",
         shard_grid: tuple[int, int] = (8, 8),
     ) -> None:
         if shards < 1:
             raise TVDPError(f"shards must be >= 1, got {shards}")
+        if not (
+            isinstance(shard_grid, (tuple, list))
+            and len(shard_grid) == 2
+            and all(isinstance(n, int) and n > 0 for n in shard_grid)
+        ):
+            raise TVDPError(
+                f"shard_grid must be two positive ints (rows, cols), got {shard_grid!r}"
+            )
         self.db = Database.tvdp()
         self.catalog = ClassificationCatalog(self.db)
         self.annotations = AnnotationService(self.db, self.catalog)
@@ -121,7 +126,6 @@ class TVDP:
         self.reject_low_quality = reject_low_quality
         self.detect_near_duplicates = detect_near_duplicates
         self.shards = int(shards)
-        self.shard_pool = shard_pool
         self.shard_grid = shard_grid
         # One platform-wide writer lock: ingest, feature indexing, and
         # shard-router lifecycle mutate the in-memory maps under it.
@@ -447,21 +451,26 @@ class TVDP:
         """Execute a batch of queries.
 
         Sharded platforms fan the *whole batch* out in one scatter
-        round-trip per shard, amortising worker dispatch across the
-        batch; serial platforms just loop.
+        round per shard, so each shard is visited once per batch;
+        serial platforms just loop.
         """
-        if self.shards > 1:
+        if self.shards > 1 and queries:
             router = self._shard_router()
             with maybe_ledger_scope(
                 obs.usage(), principal=LOCAL_PRINCIPAL, operation="execute.batch"
             ):
-                with obs.span("query.batch", queries=len(queries)):
+                with obs.span("query.batch", queries=len(queries)) as sp:
                     routed = router.execute_many(list(queries))
             registry = obs.metrics()
+            hot = obs.hot_queries()
+            # The batch runs as one scatter round, so a query has no
+            # wall time of its own: each is booked an equal share.
+            share_ms = sp.duration_ms / len(queries)
             for query in queries:
                 registry.counter(
                     "platform.queries", {"family": query_family(query)}
                 ).inc()
+                hot.record(query_shape(query), share_ms)
             return [results for results, _ in routed]
         return [self.execute(query) for query in queries]
 
@@ -483,30 +492,23 @@ class TVDP:
                 self._router = ShardRouter(
                     self,
                     n_shards=self.shards,
-                    pool_kind=self.shard_pool,
                     grid=self.shard_grid,
                 )
             return self._router
 
-    def set_shards(self, shards: int, pool: str | None = None) -> None:
+    def set_shards(self, shards: int) -> None:
         """Re-shard the platform in place (``shards=1`` returns to
-        serial).  Existing worker pools are released."""
+        serial).  The existing partition is dropped."""
         if shards < 1:
             raise TVDPError(f"shards must be >= 1, got {shards}")
         self.close()
         self.shards = int(shards)
-        if pool is not None:
-            self.shard_pool = pool
 
     def close(self) -> None:
-        """Release scatter-gather worker processes (no-op when serial)."""
+        """Drop the shard partition (no-op when serial); the next
+        sharded query rebuilds it."""
         with self._lock:
-            router, self._router = self._router, None
-        # The router takes its own lock (and tears down worker pools)
-        # in close(); call it with the platform lock released so the
-        # two locks never nest in this direction.
-        if router is not None:
-            router.close()
+            self._router = None
 
     def shard_plan_preview(self, query: object) -> dict | None:
         """Shard-pruning annotation for EXPLAIN — ``shards_considered``

@@ -29,17 +29,6 @@ class Table:
         }
         self._indexes: dict[str, dict[object, set[int]]] = {}
 
-    def __getstate__(self) -> dict:
-        # Tables cross the shard boundary by pickle; locks are
-        # process-local and are recreated on the far side.
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._rows)

@@ -47,8 +47,6 @@ from repro.devtools.findings import (
 from repro.devtools.hotpath import DEFAULT_DATA_PLANE_ROOTS, check_hot_path
 from repro.devtools.layers import DEFAULT_LAYER_CONFIG, LayerConfig, check_layers
 from repro.devtools.lockorder import check_lock_order
-from repro.devtools.picklability import DEFAULT_PICKLE_ROOT_GLOBS, check_picklability
-from repro.devtools.processsafety import check_process_safety, render_manifest
 from repro.devtools.sarif import github_annotations, to_sarif
 from repro.devtools.threadescape import (
     DEFAULT_CONCURRENT_ROOTS,
@@ -70,8 +68,6 @@ ALL_RULES: tuple[str, ...] = (
     "exception-flow",
     "determinism",
     "dead-code",
-    "picklability",
-    "process-safety",
     "hot-path",
     "thread-escape",
     "atomicity",
@@ -84,8 +80,6 @@ WHOLE_PROGRAM_RULES: frozenset[str] = frozenset(
         "lock-order",
         "exception-flow",
         "dead-code",
-        "picklability",
-        "process-safety",
         "hot-path",
         "thread-escape",
         "atomicity",
@@ -109,8 +103,6 @@ PASSES: dict[str, tuple[str, ...]] = {
     "exception-flow": ("exception-flow",),
     "determinism": ("determinism",),
     "dead-code": ("dead-code",),
-    "picklability": ("picklability",),
-    "process-safety": ("process-safety",),
     "hot-path": ("hot-path",),
     "thread-escape": ("thread-escape",),
     "atomicity": ("atomicity",),
@@ -138,9 +130,6 @@ class CheckResult:
     by_rule: dict[str, int] = field(default_factory=dict)
     #: wall-clock seconds per pass (plus "collect" and "callgraph").
     timings: dict[str, float] = field(default_factory=dict)
-    #: shard-safety manifest computed by the process-safety pass
-    #: (None when that pass did not run).
-    manifest: dict | None = None
     #: concurrency manifest computed by the thread-escape pass
     #: (None when that pass did not run).
     concurrency_manifest: dict | None = None
@@ -182,9 +171,7 @@ def run_check(
     critical_globs: tuple[str, ...] = DEFAULT_CRITICAL_GLOBS,
     baseline: list[str] | None = None,
     select: tuple[str, ...] | None = None,
-    pickle_root_globs: tuple[str, ...] = DEFAULT_PICKLE_ROOT_GLOBS,
     data_plane_roots: tuple[str, ...] = DEFAULT_DATA_PLANE_ROOTS,
-    manifest_path: Path | None = None,
     concurrent_roots: tuple[str, ...] = DEFAULT_CONCURRENT_ROOTS,
     concurrency_manifest_path: Path | None = None,
 ) -> CheckResult:
@@ -193,11 +180,6 @@ def run_check(
     default_root, default_repo, _ = _default_paths()
     scan_root = root if root is not None else default_root
     base = repo_root if repo_root is not None else default_repo
-    manifest_file = (
-        manifest_path
-        if manifest_path is not None
-        else base / "tools" / "shard_safety_manifest.json"
-    )
     concurrency_file = (
         concurrency_manifest_path
         if concurrency_manifest_path is not None
@@ -264,52 +246,19 @@ def run_check(
                 "dead-code",
                 lambda: check_dead_code(whole_table, modules, repo_root=base),
             )
-    if "determinism" in selected:
-        timed("determinism", lambda: check_determinism(modules, scope_cache=scope_cache))
-    manifest: dict | None = None
-    if table is not None and graph is not None:
-        shard_table, shard_graph = table, graph
-        if "picklability" in selected:
-            timed(
-                "picklability",
-                lambda: check_picklability(
-                    modules, shard_table, pickle_root_globs, scope_cache
-                ),
-            )
-        if "process-safety" in selected:
-            started = time.perf_counter()
-            checked_in: dict | None = None
-            if manifest_file.exists():
-                try:
-                    checked_in = json.loads(manifest_file.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    checked_in = None
-            try:
-                manifest_rel = manifest_file.relative_to(base).as_posix()
-            except ValueError:
-                manifest_rel = manifest_file.as_posix()
-            safety_findings, manifest = check_process_safety(
-                modules,
-                shard_table,
-                shard_graph,
-                data_plane_roots,
-                checked_in=checked_in,
-                manifest_rel=manifest_rel,
-            )
-            findings.extend(safety_findings)
-            timings["process-safety"] = time.perf_counter() - started
         if "hot-path" in selected:
             timed(
                 "hot-path",
                 lambda: check_hot_path(
                     modules,
-                    shard_table,
-                    shard_graph,
+                    whole_table,
+                    whole_graph,
                     data_plane_roots,
                     scope_cache=scope_cache,
                 ),
             )
-
+    if "determinism" in selected:
+        timed("determinism", lambda: check_determinism(modules, scope_cache=scope_cache))
     concurrency_manifest: dict | None = None
     escape_analysis = None
     if table is not None and graph is not None:
@@ -374,7 +323,6 @@ def run_check(
         modules_scanned=len(modules),
         by_rule=by_rule,
         timings=timings,
-        manifest=manifest,
         concurrency_manifest=concurrency_manifest,
         stale_baseline=sorted(stale),
     )
@@ -458,7 +406,6 @@ def apply_changed_only(result: CheckResult, changed: frozenset[str]) -> CheckRes
         rules=result.rules,
         by_rule=result.by_rule,
         timings=result.timings,
-        manifest=result.manifest,
         concurrency_manifest=result.concurrency_manifest,
         stale_baseline=[],
     )
@@ -508,11 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list-passes",
         action="store_true",
         help="list pass names with their rule ids and exit",
-    )
-    parser.add_argument(
-        "--write-manifest",
-        action="store_true",
-        help="regenerate tools/shard_safety_manifest.json from the tree and exit 0",
     )
     parser.add_argument(
         "--write-concurrency-manifest",
@@ -565,8 +507,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         only_rules = tuple(rule for name in names for rule in PASSES[name])
         select = tuple(set(select) & set(only_rules)) if select else only_rules
-    if args.write_manifest:
-        select = PASSES["process-safety"]
     if args.write_concurrency_manifest:
         select = PASSES["thread-escape"]
     try:
@@ -580,18 +520,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
-    if args.write_manifest:
-        if result.manifest is None:
-            sys.stderr.write("error: process-safety pass did not run\n")
-            return 2
-        repo_base = args.repo_root if args.repo_root is not None else _default_paths()[1]
-        manifest_file = repo_base / "tools" / "shard_safety_manifest.json"
-        manifest_file.write_text(render_manifest(result.manifest), encoding="utf-8")
-        sys.stdout.write(
-            f"wrote {len(result.manifest['entries'])} classification(s) to "
-            f"{manifest_file}\n"
-        )
-        return 0
     if args.write_concurrency_manifest:
         if result.concurrency_manifest is None:
             sys.stderr.write("error: thread-escape pass did not run\n")

@@ -1,10 +1,10 @@
 """Hot-path cost pass: per-item work on the query execution paths.
 
-Shard workers will run the six query families at catalog scale, so
-per-item Python work inside their reachable closure is exactly what
-Spatialyze-style pruning and vectorisation must eliminate.  This pass
-walks the callgraph from the data-plane roots (default:
-``TVDP.execute``) and flags, inside that closure:
+The six query families run at catalog scale, so per-item Python work
+inside their reachable closure is exactly what Spatialyze-style pruning
+and vectorisation must eliminate.  This pass walks the callgraph from
+the data-plane roots (default: ``TVDP.execute``) and flags, inside that
+closure:
 
 * NumPy calls inside per-item loops (one vectorised call over the
   collection is the fix),
@@ -35,9 +35,17 @@ from typing import Iterator
 
 from repro.devtools.callgraph import CallGraph, ModuleInfo, SymbolTable, iter_functions
 from repro.devtools.findings import Finding, SourceModule, scope_of
-from repro.devtools.processsafety import DEFAULT_DATA_PLANE_ROOTS, expand_roots
 
 RULE = "hot-path"
+
+#: Qualname patterns whose reachable closure is "the data plane".
+#: ``execute`` dispatches the six families through a dict of bound
+#: methods — an indirect call the callgraph cannot follow — so the
+#: family runners are roots in their own right.
+DEFAULT_DATA_PLANE_ROOTS: tuple[str, ...] = (
+    "*.core.platform.TVDP.execute",
+    "*.core.platform.TVDP._run_*",
+)
 
 #: Where the cost model literal lives in a scanned tree.
 COST_MODEL_GLOB = "*/core/costmodel.py"
@@ -219,6 +227,17 @@ def _scan_findings(
                 )
             )
     return sorted(hits)
+
+
+def expand_roots(table: SymbolTable, patterns: tuple[str, ...]) -> tuple[str, ...]:
+    """Qualnames in ``table`` matching any root pattern, sorted."""
+    return tuple(
+        sorted(
+            qualname
+            for qualname in table.symbols
+            if any(fnmatch(qualname, pattern) for pattern in patterns)
+        )
+    )
 
 
 def check_hot_path(

@@ -395,7 +395,7 @@ _SET_MUTATORS = (
 def _guarded_container(base: type, mutators: tuple[str, ...]) -> type:
     """A ``base`` subclass whose mutating methods report to the coverage
     sanitizer before delegating; pickles/copies back to the plain
-    builtin so guarded values cross the shard boundary untouched."""
+    builtin."""
 
     def _make(name: str) -> Callable[..., Any]:
         original = getattr(base, name)

@@ -29,8 +29,6 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "exception-flow": "Exception escaping an entry point outside the taxonomy.",
     "determinism": "Nondeterminism (clock, RNG, set order) on a result path.",
     "dead-code": "Unreferenced public symbol.",
-    "picklability": "Shard-boundary object holds unpicklable state.",
-    "process-safety": "Unclassified module-global state reachable from the data plane.",
     "hot-path": "Per-item work on a query path outside the cost model.",
     "thread-escape": "Shared mutable state mutated without a consistent lock on a concurrent path.",
     "atomicity": "Check-then-act / read-modify-write gap on lock-guarded shared state.",

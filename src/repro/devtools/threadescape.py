@@ -63,7 +63,6 @@ DEFAULT_CONCURRENT_ROOTS: tuple[str, ...] = (
     "*.core.platform.TVDP._run_*",
     "*.shard.router.ShardRouter.execute",
     "*.shard.router.ShardRouter.execute_many",
-    "*.shard.executor._worker_batch",
     "*.shard.executor._run_batch",
     "*.edge.dispatch.dispatch_model",
     "*.edge.dispatch.dispatch_fleet",

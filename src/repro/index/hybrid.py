@@ -93,17 +93,6 @@ class VisualRTree:
         self._size = 0
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> dict:
-        """Pickle support for the shard boundary: every field but the
-        (process-local) lock crosses the wire."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def __len__(self) -> int:
         return self._size
 

@@ -44,17 +44,6 @@ class InvertedIndex:
         # call locked helpers (_idf) internally.
         self._lock = threading.RLock()
 
-    def __getstate__(self) -> dict:
-        """Pickle support for the shard boundary: every field but the
-        (process-local) lock crosses the wire."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._doc_lengths)

@@ -20,10 +20,7 @@ ledger is active.  On close, the charges roll up into a
 API key's label), **query shape** (``repro.core.queries.query_shape``),
 and **operation** (route or platform entry point).
 
-The table is thread-safe, mergeable (shard workers return their tables
-for coordinator :meth:`UsageTable.merge` — the strategy is registered
-in ``tools/shard_safety_manifest.json``), and picklable (the lock is
-dropped and recreated, like the index structures).  A configurable
+The table is thread-safe.  A configurable
 :class:`Budget` turns per-principal rolling spend into *would-shed*
 dry-run flags — the admission-control signal the serving arc will act
 on, surfaced at ``GET /debug/resources`` without actually shedding
@@ -78,10 +75,8 @@ class ResourceLedger:
 
     Owned by the single execution context that opened it (like an open
     :class:`~repro.obs.tracing.Span`), so ``add`` needs no lock; the
-    thread-safety boundary is :meth:`UsageTable.absorb`.  Plain data
-    throughout — a shard worker can pickle its ledger and ship it back
-    to the coordinator.  Slotted: one ledger is created per request, on
-    the serving hot path.
+    thread-safety boundary is :meth:`UsageTable.absorb`.  Slotted: one
+    ledger is created per request, on the serving hot path.
     """
 
     principal: str = LOCAL_PRINCIPAL
@@ -121,7 +116,7 @@ class ResourceLedger:
         return cost_of(self.charges)
 
     def snapshot(self) -> dict:
-        """JSON-compatible record of the ledger (picklable as-is)."""
+        """JSON-compatible record of the ledger."""
         return {
             "principal": self.principal,
             "operation": self.operation,
@@ -231,19 +226,6 @@ class Budget:
     window_s: float = 60.0
 
 
-def _merge_aggregate(target: dict, incoming: dict) -> None:
-    """Fold one aggregate row into another (charge-sum strategy)."""
-    target["count"] += incoming["count"]
-    target["cost"] += incoming["cost"]
-    for kind, amount in incoming["charges"].items():
-        target["charges"][kind] = target["charges"].get(kind, 0.0) + amount
-    if incoming["exemplar"] is not None and (
-        target["exemplar"] is None
-        or incoming["exemplar"]["cost"] > target["exemplar"]["cost"]
-    ):
-        target["exemplar"] = dict(incoming["exemplar"])
-
-
 class UsageTable:
     """Thread-safe roll-up of closed ledgers by principal/shape/operation.
 
@@ -255,8 +237,7 @@ class UsageTable:
     spike in the metrics can be followed straight to its trace tree.
 
     ``clock`` is injectable (seconds, monotone) for deterministic
-    rolling-window tests; shard merging uses :meth:`merge` with the
-    ``charge-sum`` strategy registered in the shard-safety manifest.
+    rolling-window tests.
     """
 
     #: Resolution of the default rolling window, in buckets.
@@ -289,24 +270,6 @@ class UsageTable:
         #: on the serving hot path.  Handles survive registry.reset().
         self._metric_handles: dict[str, dict] = {}
 
-    # -- pickling (locks cannot cross process boundaries) --------------------
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            state = dict(self.__dict__)
-        del state["_lock"]
-        # Handles to another process's registry/clock are meaningless.
-        state["_registry"] = None
-        state["_clock"] = None
-        state["_metric_handles"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        if self._clock is None:
-            self._clock = time.monotonic
-
     # -- configuration -------------------------------------------------------
 
     def set_budget(self, budget: Budget | None) -> None:
@@ -319,16 +282,6 @@ class UsageTable:
             return self._budget
 
     # -- ingestion -----------------------------------------------------------
-
-    @staticmethod
-    def _blank() -> dict:
-        return {"count": 0, "cost": 0.0, "charges": {}, "exemplar": None}
-
-    def _fold(self, table: dict, key: str, ledger_row: dict) -> None:
-        row = table.get(key)
-        if row is None:
-            row = table[key] = self._blank()
-        _merge_aggregate(row, ledger_row)
 
     @staticmethod
     def _fold_ledger(
@@ -458,31 +411,6 @@ class UsageTable:
             handles["rolling"].set(rolling)
             if shed:
                 handles["shed"].inc()
-
-    # -- shard merge ---------------------------------------------------------
-
-    def merge(self, other: "UsageTable") -> None:
-        """Coordinator merge: sum the other table's aggregates and
-        rolling spend into this one (``charge-sum`` strategy)."""
-        with other._lock:
-            theirs = (
-                {k: dict(v, charges=dict(v["charges"])) for k, v in t.items()}
-                for t in (other._by_principal, other._by_shape, other._by_operation)
-            )
-            their_principal, their_shape, their_operation = theirs
-            their_spend = {p: dict(b) for p, b in other._spend.items()}
-        with self._lock:
-            for table, incoming in (
-                (self._by_principal, their_principal),
-                (self._by_shape, their_shape),
-                (self._by_operation, their_operation),
-            ):
-                for key, row in incoming.items():
-                    self._fold(table, key, row)
-            for principal, buckets in their_spend.items():
-                mine = self._spend.setdefault(principal, {})
-                for bucket, cost in buckets.items():
-                    mine[bucket] = mine.get(bucket, 0.0) + cost
 
     # -- reporting -----------------------------------------------------------
 

@@ -213,36 +213,6 @@ class Histogram:
                 "p99": self.percentile(0.99),
             }
 
-    def state(self) -> dict:
-        """Mergeable value dump (bucket counts + moments), the unit the
-        scatter-gather coordinator ships back from shard workers."""
-        with self._lock:
-            return {
-                "buckets": list(self.buckets),
-                "bucket_counts": list(self.bucket_counts),
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min,
-                "max": self.max,
-            }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's :meth:`state` into this one
-        (bucket-wise sum; bounds must match)."""
-        if list(state["buckets"]) != list(self.buckets):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge mismatched buckets"
-            )
-        with self._lock:
-            self.bucket_counts = [
-                mine + theirs
-                for mine, theirs in zip(self.bucket_counts, state["bucket_counts"])
-            ]
-            self.count += state["count"]
-            self.sum += state["sum"]
-            self.min = min(self.min, state["min"])
-            self.max = max(self.max, state["max"])
-
     def _reset(self) -> None:
         with self._lock:
             self.bucket_counts = [0] * (len(self.buckets) + 1)
@@ -325,46 +295,6 @@ class MetricsRegistry:
         with self._lock:
             counters = list(self._counters.values())
         return {_flat_name(c.name, c.labels): c.value for c in counters}
-
-    def counter_records(self) -> list[dict]:
-        """Every non-zero counter as ``{name, labels, value}`` — the
-        wire format shard workers ship their registry deltas in (a
-        worker's registry starts from zero, so its cumulative values
-        *are* the delta the coordinator must merge)."""
-        with self._lock:
-            counters = list(self._counters.values())
-        return [
-            {"name": c.name, "labels": list(c.labels), "value": c.value}
-            for c in counters
-            if c.value
-        ]
-
-    def merge_counter_records(self, records: list[dict]) -> None:
-        """Add shipped :meth:`counter_records` into this registry."""
-        for record in records:
-            self.counter(record["name"], dict(record["labels"])).inc(record["value"])
-
-    def histogram_records(self) -> list[dict]:
-        """Every non-empty histogram as ``{name, labels, state}``."""
-        with self._lock:
-            histograms = list(self._histograms.values())
-        return [
-            {"name": h.name, "labels": list(h.labels), "state": h.state()}
-            for h in histograms
-            if h.count
-        ]
-
-    def merge_histogram_records(self, records: list[dict]) -> None:
-        """Bucket-sum shipped :meth:`histogram_records` into this
-        registry (creating histograms with the shipped bounds)."""
-        for record in records:
-            state = record["state"]
-            hist = self.histogram(
-                record["name"],
-                dict(record["labels"]),
-                buckets=tuple(state["buckets"]),
-            )
-            hist.merge_state(state)
 
     def snapshot(self) -> dict[str, dict]:
         """JSON-compatible dump of every metric's current value."""

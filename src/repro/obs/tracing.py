@@ -58,8 +58,7 @@ class TraceContext:
     """The W3C-style propagation payload: which trace, which parent.
 
     This is the *only* state that crosses a process/HTTP/device
-    boundary — a frozen two-field record, trivially picklable so shard
-    workers can continue a coordinator's trace.
+    boundary — a frozen two-field record.
     """
 
     trace_id: str

@@ -1,36 +1,22 @@
-"""Scatter-gather execution over shard worker pools.
+"""Scatter-gather execution over shard handles, in the coordinator.
 
-Two pool flavours share one protocol (``submit`` a batch of tasks for a
-shard, ``fetch`` the :class:`WorkerResult`):
-
-* :class:`ProcessShardPool` — a ``multiprocessing`` pool whose workers
-  are seeded with **pickled** shard handles (the pickle round-trip is
-  explicit even under fork, so the process boundary the picklability
-  pass guards is exercised on every run, not just on spawn platforms).
-  Workers ship back results *plus* their observability state — counter
-  records, histogram states, ledger charges — which the coordinator
-  merges with the manifest-declared strategies (Counter sum, Histogram
-  bucket-sum, ledger charge-sum).
-* :class:`InlineShardPool` — same protocol in-process, for
-  deterministic tests and for single-core machines where fork overhead
-  would swamp the work; counters land directly in the coordinator
-  registry, only charges travel in the result.
-
-:class:`ScatterGatherExecutor` drives the fan-out with retries
-(``repro.resilience.Retry`` at site ``shard.dispatch``): a worker death
-rebuilds the pool and resubmits; a shard that fails every attempt is
-reported in :attr:`GatherResult.failed` so the router can degrade to a
+Sharding here is a *pruning* structure: the router cuts fan-out with
+the planner statistics and :class:`ScatterGatherExecutor` runs what
+survives in-process, one shard batch at a time in ascending shard
+order.  Each dispatch is retried (``repro.resilience.Retry`` at site
+``shard.dispatch``); a shard that fails every attempt is reported in
+:attr:`GatherResult.failed` so the router can degrade to a
 ``partial=True`` answer instead of hanging or erroring.
+
+Every batch runs under its own ledger scope and its charges are
+replayed into the enclosing query ledger only once the batch has
+succeeded, so a retried attempt bills nothing for the work it threw
+away.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import os
-import pickle
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import RetryBudgetExceeded, ShardError
@@ -45,22 +31,17 @@ from repro.shard.plans import ShardTask, run_task
 _log = obs.get_logger("shard.executor")
 
 #: What a dispatch retry treats as transient: the usual transients plus
-#: a broken worker pool (rebuilt on resubmit) and typed shard failures.
-DISPATCH_RETRYABLE: tuple[type[BaseException], ...] = DEFAULT_TRANSIENT + (
-    concurrent.futures.BrokenExecutor,
-    ShardError,
-)
+#: typed shard failures.
+DISPATCH_RETRYABLE: tuple[type[BaseException], ...] = DEFAULT_TRANSIENT + (ShardError,)
 
 
 @dataclass(frozen=True)
 class WorkerResult:
-    """One shard batch's payloads plus the worker's shipped obs state."""
+    """One shard batch's payloads plus the ledger charges it ran up."""
 
     shard_id: int
     payloads: list
-    counters: list = field(default_factory=list)
-    histograms: list = field(default_factory=list)
-    charges: dict = field(default_factory=dict)
+    charges: dict
 
 
 @dataclass(frozen=True)
@@ -76,130 +57,17 @@ class GatherResult:
         return bool(self.failed)
 
 
-# Per-worker-process shard table, installed by the pool initializer.
-# Worker-local by construction: each pool process gets its own copy via
-# the pickled payload, and the coordinator never reads it.
-_worker_shards: dict[int, ShardHandle] = {}
-
-
-def _init_worker(payload: bytes) -> None:
-    """Pool initializer: unpickle the shard handles into this worker."""
-    _worker_shards.clear()  # devtools: allow[module-mutable-state] worker-local, set once by the pool initializer
-    _worker_shards.update(pickle.loads(payload))  # devtools: allow[module-mutable-state] worker-local, set once by the pool initializer
-
-
 def _run_batch(handle: ShardHandle, tasks: list[ShardTask]) -> WorkerResult:
-    """Run one shard's task batch under a fresh ledger; used by both
-    pool flavours (the process pool adds registry shipping on top)."""
+    """Run one shard's task batch under a fresh ledger."""
+    _faults.inject("shard.worker")
     payloads = []
-    with accounting.ledger_scope() as ledger:
-        for task in tasks:
-            payloads.append(run_task(handle, task))
+    with obs.span("shard.worker", shard=handle.shard_id, tasks=len(tasks)):
+        with accounting.ledger_scope() as ledger:
+            for task in tasks:
+                payloads.append(run_task(handle, task))
     return WorkerResult(
         shard_id=handle.shard_id, payloads=payloads, charges=dict(ledger.charges)
     )
-
-
-def _worker_batch(shard_id: int, tasks: list[ShardTask]) -> WorkerResult:
-    """Process-pool entry point: run a batch and ship obs deltas.
-
-    The worker registry is reset at batch start, so its cumulative
-    state at batch end *is* the delta this batch produced — no
-    before/after subtraction races.
-    """
-    handle = _worker_shards.get(shard_id)
-    if handle is None:
-        raise ShardError(f"worker holds no shard {shard_id}")
-    registry = obs.metrics()
-    obs.reset()
-    with obs.span("shard.worker", shard=shard_id, tasks=len(tasks)):
-        result = _run_batch(handle, tasks)
-    return WorkerResult(
-        shard_id=result.shard_id,
-        payloads=result.payloads,
-        counters=registry.counter_records(),
-        histograms=registry.histogram_records(),
-        charges=result.charges,
-    )
-
-
-class InlineShardPool:
-    """In-process pool: deterministic, fault-injectable, zero IPC."""
-
-    #: Counters/histograms land directly in the coordinator registry,
-    #: so :meth:`ScatterGatherExecutor.absorb` must not merge them twice.
-    shares_process = True
-
-    def __init__(self, shards: list[ShardHandle]) -> None:
-        self._shards = {handle.shard_id: handle for handle in shards}
-
-    def submit(self, shard_id: int, tasks: list[ShardTask]) -> tuple:
-        if shard_id not in self._shards:
-            raise ShardError(f"pool holds no shard {shard_id}")
-        return (shard_id, list(tasks))
-
-    def fetch(self, ticket: tuple, timeout_s: float) -> WorkerResult:
-        shard_id, tasks = ticket
-        _faults.inject("shard.worker")
-        with obs.span("shard.worker", shard=shard_id, tasks=len(tasks)):
-            return _run_batch(self._shards[shard_id], tasks)
-
-    def close(self) -> None:
-        """Nothing to release; present for protocol symmetry."""
-
-
-class ProcessShardPool:
-    """Worker processes primed with pickled shard handles.
-
-    The pool is built lazily and torn down whenever a fetch surfaces a
-    broken executor, so the next (retried) submit transparently rebuilds
-    it with fresh workers — worker death costs one retry, not the run.
-    """
-
-    shares_process = False
-
-    def __init__(self, shards: list[ShardHandle], max_workers: int | None = None) -> None:
-        if not shards:
-            raise ShardError("process pool needs at least one shard")
-        self._payload = pickle.dumps({h.shard_id: h for h in shards})
-        self._shard_ids = {h.shard_id for h in shards}
-        cpu = os.cpu_count() or 1
-        self._max_workers = max_workers or max(1, min(len(shards), cpu))
-        # Guards the lazy pool build and teardown: two concurrent
-        # submits must not each spawn a pool and leak one of them.
-        self._lock = threading.Lock()
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-
-    def _ensure(self) -> concurrent.futures.ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_init_worker,
-                    initargs=(self._payload,),
-                )
-            return self._pool
-
-    def submit(self, shard_id: int, tasks: list[ShardTask]):
-        if shard_id not in self._shard_ids:
-            raise ShardError(f"pool holds no shard {shard_id}")
-        return self._ensure().submit(_worker_batch, shard_id, list(tasks))
-
-    def fetch(self, future, timeout_s: float) -> WorkerResult:
-        try:
-            return future.result(timeout=timeout_s)
-        except concurrent.futures.BrokenExecutor:
-            # A dead worker poisons the whole executor; drop it so the
-            # retried submit builds a fresh one.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
 
 
 class ScatterGatherExecutor:
@@ -207,14 +75,12 @@ class ScatterGatherExecutor:
 
     def __init__(
         self,
-        pool,
+        shards: list[ShardHandle],
         max_attempts: int = 3,
-        timeout_s: float = 30.0,
         clock: Clock | None = None,
     ) -> None:
-        self._pool = pool
+        self._shards = {handle.shard_id: handle for handle in shards}
         self._max_attempts = max_attempts
-        self._timeout_s = timeout_s
         self._clock = clock
 
     def scatter(self, batches: dict) -> GatherResult:
@@ -231,8 +97,10 @@ class ScatterGatherExecutor:
 
             def attempt(shard_id: int = shard_id, tasks: list = tasks) -> WorkerResult:
                 _faults.inject("shard.dispatch", self._clock)
-                ticket = self._pool.submit(shard_id, tasks)
-                return self._pool.fetch(ticket, self._timeout_s)
+                handle = self._shards.get(shard_id)
+                if handle is None:
+                    raise ShardError(f"executor holds no shard {shard_id}")
+                return _run_batch(handle, tasks)
 
             retry = Retry(
                 max_attempts=self._max_attempts,
@@ -242,9 +110,8 @@ class ScatterGatherExecutor:
             )
             try:
                 # Deliberately blocking on the request path: the retry
-                # backoff is budget-bounded and fetch() carries its own
-                # timeout, so a handler can wait at most the dispatch
-                # budget, never indefinitely.
+                # backoff is budget-bounded, so a handler can wait at
+                # most the dispatch budget, never indefinitely.
                 results[shard_id] = retry.call(attempt)  # devtools: allow[blocking-in-handler]
             except DISPATCH_RETRYABLE + (RetryBudgetExceeded,) as exc:
                 _log.warning("shard %d failed all attempts: %s", shard_id, exc)
@@ -252,22 +119,10 @@ class ScatterGatherExecutor:
         return GatherResult(results=results, failed=tuple(failed))
 
     def absorb(self, gathered: GatherResult) -> None:
-        """Merge shipped worker obs state into this process.
-
-        Counter records sum into the coordinator registry and histogram
-        states bucket-sum (process pools only — inline workers already
-        wrote the registry directly); ledger charges replay through
-        :func:`repro.obs.accounting.charge` for both pool flavours, so
-        the enclosing query ledger bills shard work exactly once.
-        """
-        registry = obs.metrics()
+        """Replay the gathered batches' ledger charges through
+        :func:`repro.obs.accounting.charge`, so the enclosing query
+        ledger bills shard work exactly once."""
         for shard_id in sorted(gathered.results):
-            result = gathered.results[shard_id]
-            if not self._pool.shares_process:
-                registry.merge_counter_records(result.counters)
-                registry.merge_histogram_records(result.histograms)
-            for kind in sorted(result.charges):
-                accounting.charge(kind, result.charges[kind])
-
-    def close(self) -> None:
-        self._pool.close()
+            charges = gathered.results[shard_id].charges
+            for kind in sorted(charges):
+                accounting.charge(kind, charges[kind])

@@ -55,8 +55,8 @@ _SLICED_TABLES = (
 
 @dataclass
 class ShardHandle:
-    """One shard's database and index suite — the picklable unit that
-    crosses the worker-process boundary."""
+    """One shard's database and index suite — the unit the executor
+    runs per-shard plans against."""
 
     shard_id: int
     n_shards: int

@@ -1,8 +1,8 @@
 """Per-shard physical plans.
 
-A :class:`ShardTask` is the unit the coordinator ships to a worker: an
-op name plus a spec dict (query objects and resolved parameters —
-everything picklable).  :func:`run_task` executes one task against one
+A :class:`ShardTask` is the unit the coordinator runs against a shard:
+an op name plus a spec dict (query objects and resolved parameters).
+:func:`run_task` executes one task against one
 :class:`~repro.shard.partition.ShardHandle`, mirroring the platform's
 serial runners *exactly* over the shard's slice; the router merges the
 per-shard payloads back into the serial answer.
@@ -15,7 +15,6 @@ that is what keeps merged scores bit-identical.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,17 +86,6 @@ def _run_categorical(handle: ShardHandle, spec: dict) -> dict:
     return out
 
 
-def _run_probe(spec: dict) -> str:
-    """Chaos hook: die hard unless a flag file exists (then create it),
-    so a seeded worker-death scenario kills exactly one attempt."""
-    flag = spec.get("exit_unless")
-    if flag is not None and not os.path.exists(flag):
-        with open(flag, "w", encoding="utf-8") as handle_:
-            handle_.write("died-once")
-        os._exit(int(spec.get("exit_code", 23)))
-    return "ok"
-
-
 def run_task(handle: ShardHandle, task: ShardTask) -> object:
     """Execute one task against one shard; returns its payload."""
     spec = task.spec
@@ -124,6 +112,4 @@ def run_task(handle: ShardHandle, task: ShardTask) -> object:
         return handle.hybrid[spec["extractor"]].spatial_visual_knn(
             spec["region"], spec["vector"], spec["k"]
         )
-    if task.op == "probe":
-        return _run_probe(spec)
     raise ShardError(f"unknown shard op {task.op!r}")

@@ -1,7 +1,7 @@
 """Coordinator for sharded query execution.
 
-The router owns the shard handles, the planner statistics, and the
-worker pool.  For every query it
+The router owns the planner statistics and the executor that holds the
+shard handles and runs per-shard plans.  For every query it
 
 1. **prepares** a coordinator-side plan — validating exactly like the
    serial runners (same :class:`~repro.errors.QueryError` messages, in
@@ -49,11 +49,7 @@ from repro.index.inverted import tokenize
 from repro.index.ordering import tie_key
 from repro.obs.accounting import charge
 from repro.resilience.clock import Clock
-from repro.shard.executor import (
-    InlineShardPool,
-    ProcessShardPool,
-    ScatterGatherExecutor,
-)
+from repro.shard.executor import ScatterGatherExecutor
 from repro.shard.partition import partition_catalog
 from repro.shard.plans import ShardTask
 
@@ -90,31 +86,24 @@ class ShardRouter:
         self,
         platform: TVDP,
         n_shards: int,
-        pool_kind: str = "process",
         grid: tuple = (8, 8),
         region: BoundingBox | None = None,
         max_attempts: int = 3,
-        timeout_s: float = 30.0,
         clock: Clock | None = None,
     ) -> None:
         if n_shards < 2:
             raise TVDPError(f"router needs >= 2 shards, got {n_shards}")
-        if pool_kind not in ("process", "inline"):
-            raise TVDPError(f"unknown shard pool kind {pool_kind!r}")
         self._platform = platform
         self.n_shards = n_shards
-        self.pool_kind = pool_kind
         self.grid = grid
         self.region = region
         self.max_attempts = max_attempts
-        self.timeout_s = timeout_s
         self.clock = clock
-        # Partition lifecycle lock: _ensure()/close() rotate the shard
-        # set, stats, and worker pool together under it.  Execution
+        # Partition lifecycle lock: _ensure() rotates the stats and the
+        # executor (which holds the shards) under it.  Execution
         # paths work on the immutable snapshot _ensure() returns, so
         # the lock is never held across a scatter round-trip.
         self._lock = threading.RLock()
-        self._shards: list | None = None
         self._stats: list[ShardStats] = []
         self._executor: ScatterGatherExecutor | None = None
         self._fingerprint: tuple | None = None
@@ -138,70 +127,37 @@ class ShardRouter:
         The partition itself is built with the lock *released*: it is
         slow (index builds) and calls back into platform accessors that
         take the platform's own lock, so pinning this lock across it
-        would both stall readers and order the two locks inconsistently
-        with the platform's ``close()`` path.  A racing rebuild is
+        would both stall readers and nest the platform's lock inside
+        this one.  A racing rebuild is
         resolved at install time — first install wins, the loser's
-        fresh pool is discarded.
+        fresh partition is discarded.
         """
         fingerprint = self._current_fingerprint()
         with self._lock:
-            if (
-                self._shards is not None
-                and self._executor is not None
-                and fingerprint == self._fingerprint
-            ):
+            if self._executor is not None and fingerprint == self._fingerprint:
                 return self._stats, self._executor
         with obs.span("shard.partition", shards=self.n_shards):
             shards = partition_catalog(
                 self._platform, self.n_shards, grid=self.grid, region=self.region
             )
         stats = [handle.stats for handle in shards]
-        if self.pool_kind == "inline":
-            pool = InlineShardPool(shards)
-        else:
-            pool = ProcessShardPool(shards)
         executor = ScatterGatherExecutor(
-            pool,
-            max_attempts=self.max_attempts,
-            timeout_s=self.timeout_s,
-            clock=self.clock,
+            shards, max_attempts=self.max_attempts, clock=self.clock
         )
         with self._lock:
-            if (
-                self._shards is not None
-                and self._executor is not None
-                and fingerprint == self._fingerprint
-            ):
-                # Lost the install race: keep the winner's partition
-                # and tear down the one we just built.
-                stale = executor
+            if self._executor is not None and fingerprint == self._fingerprint:
+                # Lost the install race: keep the winner's partition.
                 stats, executor = self._stats, self._executor
             else:
-                stale = self._executor
-                self._shards = shards
                 self._stats = stats
                 self._executor = executor
                 self._fingerprint = fingerprint
                 _log.info(
-                    "partitioned %d images into %d shards (%s pool)",
+                    "partitioned %d images into %d shards",
                     sum(s.n_images for s in stats),
                     self.n_shards,
-                    self.pool_kind,
                 )
-        if stale is not None:
-            stale.close()
         return stats, executor
-
-    def close(self) -> None:
-        """Release the worker pool and drop the partition."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._shards = None
-            self._stats = []
-            self._fingerprint = None
-        # Pool shutdown can block on worker teardown; do it unlocked.
-        if executor is not None:
-            executor.close()
 
     def shard_stats(self) -> list[ShardStats]:
         """Current per-shard planner statistics (partitioning on demand)."""

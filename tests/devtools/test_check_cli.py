@@ -62,17 +62,8 @@ SEEDED = {
         "def handle():\n"
         "    raise RuntimeError('boom')\n"
     ),
-    "index/pickled.py": (  # picklability: lock with no getstate/setstate
+    "core/platform.py": (  # hot-path: sorted() inside a data-plane loop
         "import threading\n"
-        "\n"
-        "class Sharded:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-    ),
-    "core/platform.py": (  # process-safety: unclassified mutated global;
-        "import threading\n"  # hot-path: sorted() inside a data-plane loop
-        "\n"
-        "_STATS = {}\n"
         "\n"
         "\n"
         "class Store:\n"
@@ -94,7 +85,6 @@ SEEDED = {
         "        self.store = Store()\n"
         "\n"
         "    def execute(self, query):\n"
-        "        _STATS[query.name] = 1\n"
         "        self._seen[query.name] = 1\n"  # thread-escape: no lock
         "        self.store.put(query.name, self.store.size())\n"
         "        out = []\n"
@@ -209,20 +199,20 @@ class TestCli:
         out = capsys.readouterr().out
         for name in PASSES:
             assert f"{name}:" in out
-        assert "picklability" in out
+        assert "hot-path" in out
 
     def test_only_selects_pass_rules(self, seeded_tree, tmp_path, capsys):
         root, _, _ = seeded_tree
         rc = main(
             [
                 "--root", str(root), "--repo-root", str(tmp_path),
-                "--no-baseline", "--only", "picklability", "--json",
+                "--no-baseline", "--only", "hot-path", "--json",
             ]
         )
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
         fired = {f["rule"] for f in report["new_findings"]}
-        assert fired == {"picklability"}
+        assert fired == {"hot-path"}
 
     def test_unknown_only_exits_two(self, seeded_tree, tmp_path, capsys):
         root, _, _ = seeded_tree
@@ -267,30 +257,34 @@ class TestCli:
                 "core/platform.py": (
                     "import threading\n"
                     "\n"
-                    "_PLANNER_LOCK = threading.Lock()\n"
-                    "\n"
                     "class TVDP:\n"
+                    "    def __init__(self):\n"
+                    "        self._lock = threading.Lock()\n"
+                    "        self._seen = {}\n"
+                    "\n"
                     "    def execute(self, query):\n"
-                    "        with _PLANNER_LOCK:\n"
-                    "            return []\n"
+                    "        with self._lock:\n"
+                    "            self._seen[query] = 1\n"
+                    "        return True\n"
                 ),
             }
         )
         args = ["--root", str(root), "--repo-root", str(tmp_path)]
-        manifest_file = tmp_path / "tools" / "shard_safety_manifest.json"
+        manifest_file = tmp_path / "tools" / "concurrency_manifest.json"
         manifest_file.parent.mkdir()
 
-        # Without the manifest the pass gates; --write-manifest heals it.
-        rc = main([*args, "--no-baseline", "--only", "process-safety"])
+        # Without the manifest the pass gates; writing it heals the run.
+        rc = main([*args, "--no-baseline", "--only", "thread-escape"])
         assert rc == 1
         capsys.readouterr()
-        assert main([*args, "--write-manifest"]) == 0
+        assert main([*args, "--write-concurrency-manifest"]) == 0
         assert "wrote 1 classification(s)" in capsys.readouterr().out
         document = json.loads(manifest_file.read_text())
         assert document["schema"] == 1
         (entry,) = document["entries"]
-        assert entry["name"] == "_PLANNER_LOCK"
-        assert main([*args, "--no-baseline", "--only", "process-safety"]) == 0
+        assert entry["attr"] == "pkg.core.platform.TVDP._seen"
+        assert entry["classification"] == "lock-guarded"
+        assert main([*args, "--no-baseline", "--only", "thread-escape"]) == 0
 
 
 class TestBaselineRatchet:

