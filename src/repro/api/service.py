@@ -157,6 +157,8 @@ class TVDPService:
     def _body(self, request: Request) -> dict:
         if request.body is None:
             raise APIError(400, "request body required")
+        if not isinstance(request.body, dict):
+            raise APIError(400, "request body must be a JSON object")
         return request.body
 
     def _register_routes(self) -> None:
@@ -251,8 +253,13 @@ class TVDPService:
 
     # -- API 2: search --------------------------------------------------------------
 
-    def _parse_query(self, spec: dict) -> object:
+    def _parse_query(self, spec: object) -> object:
+        if not isinstance(spec, dict):
+            raise APIError(400, f"a query must be a JSON object, got {spec!r}")
         kind = spec.get("type")
+        # Nothing in this block executes the query, so a TypeError or
+        # ValueError here can only come from a field of the wrong shape
+        # (a list where a number goes, "x" for k, a string in a vector).
         try:
             if kind == "spatial":
                 region = (
@@ -306,7 +313,7 @@ class TVDPService:
                 return HybridQuery(
                     queries=tuple(self._parse_query(s) for s in spec["queries"])
                 )
-        except (KeyError, QueryError, TVDPError) as exc:
+        except (KeyError, TypeError, ValueError, TVDPError) as exc:
             raise APIError(400, f"bad query: {exc}") from exc
         raise APIError(400, f"unknown query type {kind!r}")
 

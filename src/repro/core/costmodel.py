@@ -97,18 +97,14 @@ COST_MODEL: dict = {
         "note": "postings_scanned is exactly the per-term loop trip count",
     },
     "temporal": {
-        "access_path": "images.sequential_scan",
-        "cost": "O(n) full-table predicate scan",
+        "access_path": "images.ordered_index[field]",
+        "cost": "O(log n + k) bisect into the sorted (timestamp, image_id) list",
         "dominant_counters": [],
-        "hot_sites": [
-            "repro.core.platform.TVDP._run_temporal",
-            "repro.shard.plans._run_temporal",
-            "repro.db.table.Table.scan",
-        ],
+        "hot_sites": [],
         "note": (
-            "known unindexed path: every image row is tested inside "
-            "Table.scan; a timestamp index is the obvious shard-local "
-            "optimisation"
+            "k = rows in the window; two bisects find its ends and only "
+            "those k keys are touched (rows_scanned is charged k), on "
+            "the platform and on every shard slice alike"
         ),
     },
     "hybrid": {

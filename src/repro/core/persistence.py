@@ -25,6 +25,7 @@ from repro.imaging.image import Image
 from repro.index.lsh import LSHIndex
 from repro.index.hybrid import VisualRTree
 from repro.core.platform import TVDP
+from repro.core.queries import TEMPORAL_FIELDS
 
 _DB_FILE = "db.json"
 _BLOBS_FILE = "blobs.npz"
@@ -73,6 +74,10 @@ def load_platform(directory: str | Path) -> TVDP:
                 platform._blobs[int(key)] = Image.from_uint8(blobs[key])
 
         images = platform.db.table("images")
+        # Snapshots written before the time indexes existed do not list
+        # them; like every platform index they are derived from rows.
+        for column in TEMPORAL_FIELDS:
+            images.create_ordered_index(column)
         for row in images.all_rows():
             image_id = row["image_id"]
             if image_id in platform._blobs:

@@ -258,7 +258,7 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
     if isinstance(query, TemporalQuery):
         return QueryPlan(
             "temporal",
-            "images.sequential_scan",
+            f"images.ordered_index[{query.field}]",
             {"field": query.field, "start": query.start, "end": query.end},
             cost=cost_annotation("temporal"),
         )

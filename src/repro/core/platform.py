@@ -638,12 +638,10 @@ class TVDP:
         )
 
     def _run_temporal(self, query: TemporalQuery) -> list[QueryResult]:
-        lo = query.start if query.start is not None else -np.inf
-        hi = query.end if query.end is not None else np.inf
-        rows = self.db.table("images").scan(
-            lambda row: lo <= row[query.field] <= hi
+        image_ids = self.db.table("images").keys_in_range(
+            query.field, query.start, query.end
         )
-        return [QueryResult(image_id=i) for i in sorted(row["image_id"] for row in rows)]
+        return [QueryResult(image_id=i) for i in sorted(image_ids)]
 
     def _run_hybrid(self, query: HybridQuery) -> list[QueryResult]:
         # Spatial-visual pairs get the dedicated Visual R*-tree path.

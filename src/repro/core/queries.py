@@ -8,6 +8,7 @@ against its indexes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,18 @@ from repro.errors import QueryError
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.imaging.image import Image
 from repro.index.ordering import tie_key
+
+
+def _require_number(name: str, value: object) -> None:
+    """Reject a non-``None`` query parameter that is not a real number:
+    NaN compares false with everything, so it has no place in a window
+    or under ``bisect``, and a string fails only deep inside execution."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise QueryError(f"{name} must be a number, got {value!r}")
+    if value != value:
+        raise QueryError(f"{name} must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,8 @@ class SpatialQuery:
             raise QueryError(
                 "SpatialQuery needs either a region or a point+radius, not both"
             )
+        for name in ("radius_m", "direction_deg", "direction_tolerance_deg"):
+            _require_number(name, getattr(self, name))
         if self.radius_m is not None and self.radius_m < 0:
             raise QueryError(f"radius must be >= 0, got {self.radius_m}")
         if self.mode not in ("camera", "scene"):
@@ -83,6 +98,7 @@ class VisualQuery:
             raise QueryError("VisualQuery needs exactly one of example or vector")
         if self.k < 1:
             raise QueryError(f"k must be >= 1, got {self.k}")
+        _require_number("max_distance", self.max_distance)
         if self.max_distance is not None and self.max_distance < 0:
             raise QueryError(f"max_distance must be >= 0, got {self.max_distance}")
 
@@ -118,13 +134,21 @@ class TextualQuery:
     def __post_init__(self) -> None:
         if self.match not in ("any", "all"):
             raise QueryError(f"match must be 'any' or 'all', got {self.match!r}")
+        if not isinstance(self.text, str):
+            raise QueryError(f"text must be a string, got {self.text!r}")
         if not self.text.strip():
             raise QueryError("TextualQuery needs non-empty text")
 
 
+#: The ``images`` columns a :class:`TemporalQuery` may range over; each
+#: carries an ordered index (``Database.tvdp``).
+TEMPORAL_FIELDS = ("timestamp_capturing", "timestamp_uploading")
+
+
 @dataclass(frozen=True)
 class TemporalQuery:
-    """Find images captured (or uploaded) in a time window."""
+    """Find images captured (or uploaded) in a time window, both ends
+    inclusive; ``None`` leaves an end open."""
 
     start: float | None = None
     end: float | None = None
@@ -133,9 +157,11 @@ class TemporalQuery:
     def __post_init__(self) -> None:
         if self.start is None and self.end is None:
             raise QueryError("TemporalQuery needs start and/or end")
+        for name in ("start", "end"):
+            _require_number(name, getattr(self, name))
         if self.start is not None and self.end is not None and self.start > self.end:
             raise QueryError(f"start {self.start} is after end {self.end}")
-        if self.field not in ("timestamp_capturing", "timestamp_uploading"):
+        if self.field not in TEMPORAL_FIELDS:
             raise QueryError(f"unknown temporal field {self.field!r}")
 
 

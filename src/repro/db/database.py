@@ -23,7 +23,8 @@ class Database:
     @classmethod
     def tvdp(cls) -> "Database":
         """A database with the paper's Fig. 2 schema, with hash indexes
-        on the hot foreign keys."""
+        on the hot foreign keys and ordered indexes on the two image
+        timestamps (the temporal query family's access path)."""
         db = cls(tvdp_schema())
         db.table("image_visual_features").create_index("image_id")
         db.table("image_visual_features").create_index("extractor_name")
@@ -32,6 +33,8 @@ class Database:
         db.table("image_manual_keywords").create_index("image_id")
         db.table("image_fov").create_index("image_id")
         db.table("images").create_index("video_id")
+        db.table("images").create_ordered_index("timestamp_capturing")
+        db.table("images").create_ordered_index("timestamp_uploading")
         return db
 
     # -- schema ---------------------------------------------------------------

@@ -102,6 +102,7 @@ def dump_database(
                 "schema": _schema_to_dict(table.schema),
                 "rows": table.all_rows(),
                 "indexes": sorted(table._indexes),
+                "ordered_indexes": sorted(table._ordered),
             }
         )
     serialized = json.dumps(document)
@@ -260,6 +261,8 @@ def _build_database(document: dict) -> Database:
             rows = deferred
         for column in entry.get("indexes", []):
             db.table(name).create_index(column)
+        for column in entry.get("ordered_indexes", []):
+            db.table(name).create_ordered_index(column)
 
     for name in by_name:
         insert_table(name)

@@ -1,9 +1,12 @@
-"""Row storage for one table: primary keys, uniqueness, hash indexes."""
+"""Row storage for one table: primary keys, uniqueness, hash and
+ordered indexes."""
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import IntegrityError, SchemaError
 from repro.db.schema import TableSchema
@@ -28,6 +31,8 @@ class Table:
             c.name: {} for c in schema.columns if c.unique
         }
         self._indexes: dict[str, dict[object, set[int]]] = {}
+        # column -> (value, pk) pairs in ascending order.
+        self._ordered: dict[str, list[tuple[Any, int]]] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -60,6 +65,34 @@ class Table:
                 if not bucket:
                     del index[row[column]]
 
+    def create_ordered_index(self, column: str) -> None:
+        """Build (or rebuild) an ordered index on ``column`` for
+        :meth:`keys_in_range`.  Rows whose value is ``None`` or NaN are
+        left out: no range contains them."""
+        self.schema.column(column)
+        with self._lock:
+            self._ordered[column] = sorted(
+                (row[column], pk)
+                for pk, row in self._rows.items()
+                if _orderable(row[column])
+            )
+
+    def _ordered_add(self, pk: int, row: dict) -> None:
+        for column in self._ordered:
+            if _orderable(row[column]):
+                entry = (row[column], pk)
+                self._ordered[column].insert(
+                    bisect.bisect_left(self._ordered[column], entry), entry
+                )
+
+    def _ordered_remove(self, pk: int, row: dict) -> None:
+        for column in self._ordered:
+            if _orderable(row[column]):
+                entry = (row[column], pk)
+                del self._ordered[column][
+                    bisect.bisect_left(self._ordered[column], entry)
+                ]
+
     # -- mutations ----------------------------------------------------------
 
     def insert(self, row: dict) -> int:
@@ -90,6 +123,7 @@ class Table:
                 if value is not None:
                     seen[value] = pk
             self._index_add(pk, normalized)
+            self._ordered_add(pk, normalized)
         return pk
 
     def update(self, pk: int, changes: dict) -> None:
@@ -112,6 +146,7 @@ class Table:
                     )
             old = self._rows[pk]
             self._index_remove(pk, old)
+            self._ordered_remove(pk, old)
             for column, seen in self._unique.items():
                 if old.get(column) is not None:
                     seen.pop(old[column], None)
@@ -119,6 +154,7 @@ class Table:
                     seen[normalized[column]] = pk
             self._rows[pk] = normalized
             self._index_add(pk, normalized)
+            self._ordered_add(pk, normalized)
 
     def delete(self, pk: int) -> None:
         """Remove a row by primary key."""
@@ -127,6 +163,7 @@ class Table:
                 raise IntegrityError(f"no row {pk} in {self.schema.name!r}")
             row = self._rows.pop(pk)
             self._index_remove(pk, row)
+            self._ordered_remove(pk, row)
             for column, seen in self._unique.items():
                 if row.get(column) is not None:
                     seen.pop(row[column], None)
@@ -165,6 +202,33 @@ class Table:
             return [
                 dict(row) for row in self._rows.values() if row[column] == value
             ]
+
+    def keys_in_range(
+        self, column: str, low: Any = None, high: Any = None
+    ) -> list[int]:
+        """Primary keys of the rows with ``low <= row[column] <= high``
+        in ``(value, pk)`` order, from the column's ordered index.
+
+        ``None`` leaves that end open.  The bounds must be comparable
+        with the column's values (NaN is not: callers reject it).  The
+        rows themselves are not read; ``rows_scanned`` is charged one
+        per key returned.
+        """
+        with self._lock:
+            if column not in self._ordered:
+                raise SchemaError(
+                    f"no ordered index on {self.schema.name}.{column}"
+                )
+            entries = self._ordered[column]
+            first = 0 if low is None else bisect.bisect_left(entries, (low,))
+            last = (
+                len(entries)
+                if high is None
+                else bisect.bisect_right(entries, (high, math.inf))
+            )
+            keys = [pk for _, pk in entries[first:last]]
+        charge("rows_scanned", len(keys))
+        return keys
 
     def scan(self, predicate: Callable[[dict], bool] | None = None) -> Iterator[dict]:
         """Iterate rows (copies) in primary-key order, optionally filtered."""
@@ -233,3 +297,9 @@ class Table:
         if limit is not None:
             rows = rows[:limit]
         return rows
+
+
+def _orderable(value: object) -> bool:
+    """Whether ``value`` has a place in an ordered index (not ``None``,
+    not NaN)."""
+    return value is not None and value == value

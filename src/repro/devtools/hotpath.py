@@ -206,7 +206,7 @@ def _scan_findings(
     fn: ast.FunctionDef | ast.AsyncFunctionDef, taken_lines: set[int]
 ) -> list[tuple[int, str]]:
     """Full-collection scans *anywhere* in a data-plane function — the
-    O(n) access paths (``_run_temporal``'s predicate scan) that must be
+    O(n) access paths (a predicate scan over a whole table) that must be
     documented in COST_MODEL even when not nested in a loop."""
     hits: set[tuple[int, str]] = set()
     for node in ast.walk(fn):

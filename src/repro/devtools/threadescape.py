@@ -336,6 +336,15 @@ def _attr_inventory(
     return out
 
 
+def _container_of(node: ast.expr) -> ast.expr:
+    """The expression under any subscripts: ``self.X[k][i]`` -> ``self.X``.
+    Writing into a container held inside ``X`` mutates the state ``X``
+    holds, so the write is attributed to ``X``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
 def _owner_of_base(
     table: SymbolTable,
     class_context: str | None,
@@ -472,6 +481,13 @@ def analyze_escape(
                 )
             )
 
+        def record_store(
+            target: ast.Subscript, line: int, held: tuple[str, ...], kind: str
+        ) -> None:
+            container = _container_of(target)
+            if isinstance(container, ast.Attribute):
+                record(container, line, held, kind)
+
         def visit(node: ast.AST, held: tuple[str, ...]) -> None:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 current = held
@@ -490,31 +506,25 @@ def analyze_escape(
                     for target in node.targets:
                         if isinstance(target, ast.Attribute):
                             record(target, node.lineno, held, "assign")
-                        elif isinstance(target, ast.Subscript) and isinstance(
-                            target.value, ast.Attribute
-                        ):
-                            record(target.value, node.lineno, held, "store")
+                        elif isinstance(target, ast.Subscript):
+                            record_store(target, node.lineno, held, "store")
                 elif isinstance(node, ast.AugAssign):
                     if isinstance(node.target, ast.Attribute):
                         record(node.target, node.lineno, held, "augassign")
-                    elif isinstance(node.target, ast.Subscript) and isinstance(
-                        node.target.value, ast.Attribute
-                    ):
-                        record(node.target.value, node.lineno, held, "store")
+                    elif isinstance(node.target, ast.Subscript):
+                        record_store(node.target, node.lineno, held, "store")
                 elif isinstance(node, ast.Delete):
                     for target in node.targets:
-                        if isinstance(target, ast.Subscript) and isinstance(
-                            target.value, ast.Attribute
-                        ):
-                            record(target.value, node.lineno, held, "delete")
+                        if isinstance(target, ast.Subscript):
+                            record_store(target, node.lineno, held, "delete")
                 elif (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in MUTATING_METHODS
                 ):
                     record(
-                        node.func.value, node.lineno, held, "method",
-                        method=node.func.attr,
+                        _container_of(node.func.value), node.lineno, held,
+                        "method", method=node.func.attr,
                     )
             if isinstance(node, ast.Call):
                 callee = resolve_call(table, info, class_context, node.func, locals_map)

@@ -26,6 +26,9 @@ _BUCKET_HITS = _metrics().counter("index.lsh.bucket_hits")
 _CANDIDATES = _metrics().counter("index.lsh.candidates")
 _FALLBACK_SCANS = _metrics().counter("index.lsh.fallback_scans")
 
+#: Rows the dense vector buffer starts with; it doubles when full.
+_INITIAL_ROWS = 16
+
 
 class LSHIndex:
     """Euclidean LSH over fixed-dimension feature vectors."""
@@ -53,14 +56,16 @@ class LSHIndex:
         self._offsets = rng.uniform(0.0, bucket_width, (n_tables, n_projections))
         self._tables: list[dict[tuple, list[object]]] = [{} for _ in range(n_tables)]
         self._vectors: dict[object, np.ndarray] = {}
-        # Dense mirrors of the vector store for vectorised ranking; the
-        # stacked matrix is cached and invalidated on insert.
+        # Dense mirror of the vector store for vectorised ranking: row
+        # ``_row_of[item]`` of ``_buffer`` is the item's vector, and the
+        # first ``len(_items)`` rows are live.  The buffer doubles when
+        # full, so an insert is an amortised O(dimension) row write and
+        # never invalidates what queries rank against.
         self._items: list[object] = []
-        self._matrix_rows: list[np.ndarray] = []
         self._row_of: dict[object, int] = {}
-        self._matrix_cache: np.ndarray | None = None
-        # One lock covers inserts and the lazy matrix build: a query
-        # racing an insert must not vstack a half-updated row list.
+        self._buffer = np.empty((_INITIAL_ROWS, dimension))
+        # One lock covers inserts and taking the live-rows view: a query
+        # racing an insert must see items and rows from the same moment.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -107,11 +112,17 @@ class LSHIndex:
         with self._lock:
             if item in self._vectors:
                 raise IndexError_(f"item {item!r} already indexed")
+            row = len(self._items)
+            if row == len(self._buffer):
+                # Views handed out earlier keep the old block alive and
+                # stay valid: live rows are never rewritten.
+                grown = np.empty((2 * row, self.dimension))
+                grown[:row] = self._buffer
+                self._buffer = grown
+            self._buffer[row] = vector
             self._vectors[item] = vector
-            self._row_of[item] = len(self._items)
+            self._row_of[item] = row
             self._items.append(item)
-            self._matrix_rows.append(vector)
-            self._matrix_cache = None
             for table, key in zip(self._tables, keys):
                 table.setdefault(key, []).append(item)
 
@@ -223,6 +234,6 @@ class LSHIndex:
             return self._dense_matrix_locked()
 
     def _dense_matrix_locked(self) -> np.ndarray:
-        if self._matrix_cache is None:
-            self._matrix_cache = np.vstack(self._matrix_rows)
-        return self._matrix_cache
+        """The live rows as a view (no copy); the caller holds the lock
+        and must not write through it."""
+        return self._buffer[: len(self._items)]

@@ -288,13 +288,37 @@ class MetricsRegistry:
     def counter_values(self) -> dict[str, float]:
         """Flat ``name{labels}`` -> value map of the counters only.
 
-        Cheaper than :meth:`snapshot` (no histogram summaries), which
-        matters to callers that sample around every span — the slow-span
-        exemplar log takes one of these at span start and finish.
+        Cheaper than :meth:`snapshot` (no histogram summaries); EXPLAIN
+        ANALYZE and the benchmarks diff two of these around a phase.
         """
         with self._lock:
             counters = list(self._counters.values())
         return {_flat_name(c.name, c.labels): c.value for c in counters}
+
+    def counter_snapshot(self) -> list[float]:
+        """Counter values by position, in registration order.
+
+        Counters are never unregistered, so position ``i`` names the
+        same counter in every later snapshot; a longer snapshot only
+        adds counters registered since.  No names are built — this is
+        what the slow-span log takes at every span start.
+        """
+        with self._lock:
+            return [c.value for c in self._counters.values()]
+
+    def counter_deltas(self, before: list[float]) -> dict[str, float]:
+        """Flat ``name{labels}`` -> change since ``before`` (a
+        :meth:`counter_snapshot`), zero changes left out; a counter
+        registered after ``before`` counts from zero."""
+        with self._lock:
+            counters = list(self._counters.values())
+        known = len(before)
+        deltas: dict[str, float] = {}
+        for position, counter in enumerate(counters):
+            delta = counter.value - (before[position] if position < known else 0.0)
+            if delta:
+                deltas[_flat_name(counter.name, counter.labels)] = delta
+        return deltas
 
     def snapshot(self) -> dict[str, dict]:
         """JSON-compatible dump of every metric's current value."""

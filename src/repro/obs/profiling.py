@@ -15,8 +15,10 @@ Three opt-in tools that close the gap between "this span was slow" and
   ``GET /debug/slow``.
 
 Everything is stdlib; the profilers cost nothing unless their context
-managers are entered, and the slow-span log costs one counters-only
-snapshot per span (see ``MetricsRegistry.counter_values``).
+managers are entered, and the slow-span log costs one positional
+counter snapshot per span (``MetricsRegistry.counter_snapshot``) — the
+exemplar record and its ``counter_deltas`` are built only for a span
+that enters its operation's worst-N.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class SlowSpanLog:
         self.registry = registry
         self.per_op = per_op
         self._worst: dict[str, list[dict]] = {}  # name -> records, slowest first
-        self._inflight: dict[str, dict[str, float]] = {}  # span_id -> counters
+        self._inflight: dict[str, list[float]] = {}  # span_id -> counter snapshot
         self._lock = threading.Lock()
 
     # -- tracer hooks -------------------------------------------------------
@@ -173,23 +175,34 @@ class SlowSpanLog:
         """Snapshot counters so :meth:`export` can diff them."""
         if self.registry is None:
             return
-        before = self.registry.counter_values()
+        before = self.registry.counter_snapshot()
         with self._lock:
             self._inflight[span.span_id] = before
 
     def export(self, span: Span) -> None:
-        """Admit the finished span if it is among its op's N worst."""
+        """Admit the finished span if it is among its op's N worst.
+
+        Almost every span is not, and for those this is one dict pop and
+        one comparison: the record, its counter names and deltas are
+        built only for a span that can enter the list.  A tie with the
+        current N-th stays out, as the stable sort below would drop it.
+        """
         with self._lock:
             before = self._inflight.pop(span.span_id, None)
+            worst = self._worst.get(span.name)
+            if (
+                worst is not None
+                and len(worst) >= self.per_op
+                and span.duration_ms <= worst[-1]["duration_ms"]
+            ):
+                return
         deltas: dict[str, float] = {}
         if before is not None and self.registry is not None:
-            after = self.registry.counter_values()
-            for name, value in after.items():
-                if name.startswith("spans."):
-                    continue  # tracer bookkeeping, not the span's work
-                delta = value - before.get(name, 0.0)
-                if delta:
-                    deltas[name] = delta
+            deltas = {
+                name: delta
+                for name, delta in self.registry.counter_deltas(before).items()
+                if not name.startswith("spans.")  # tracer bookkeeping
+            }
         record = {**span.to_dict(), "counter_deltas": deltas}
         with self._lock:
             worst = self._worst.setdefault(span.name, [])

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.queries import SpatialQuery, TemporalQuery
 from repro.errors import ShardError
 from repro.geo.point import GeoPoint
@@ -63,10 +61,9 @@ def _run_spatial(handle: ShardHandle, query: SpatialQuery) -> list:
 
 
 def _run_temporal(handle: ShardHandle, query: TemporalQuery) -> list:
-    lo = query.start if query.start is not None else -np.inf
-    hi = query.end if query.end is not None else np.inf
-    rows = handle.db.table("images").scan(lambda row: lo <= row[query.field] <= hi)
-    return sorted(row["image_id"] for row in rows)
+    return sorted(
+        handle.db.table("images").keys_in_range(query.field, query.start, query.end)
+    )
 
 
 def _run_categorical(handle: ShardHandle, spec: dict) -> dict:

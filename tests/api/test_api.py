@@ -158,6 +158,58 @@ class TestDataRoutes:
             client.search({"type": "quantum"})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"type": "temporal", "start": 5, "end": [1]},
+            {"type": "temporal", "start": "yesterday"},
+            {"type": "temporal", "start": float("nan")},
+            {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": ["a"]},
+            {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": [0.1], "k": "x"},
+            {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": [0.1], "k": [1]},
+            {
+                "type": "visual",
+                "extractor": "color_hsv_20_20_10",
+                "vector": [0.1],
+                "max_distance": "far",
+            },
+            {"type": "visual", "extractor": "color_hsv_20_20_10", "example": 5},
+            {"type": "textual", "text": 5},
+            {"type": "categorical", "classification": "street_cleanliness", "labels": 5},
+            {
+                "type": "categorical",
+                "classification": "street_cleanliness",
+                "labels": ["clean"],
+                "min_confidence": "x",
+            },
+            {"type": "spatial", "region": {"min_lat": "a"}},
+            {"type": "spatial", "region": 5},
+            {"type": "spatial", "point": {"lat": 34.0, "lng": -118.2}, "radius_m": "x"},
+            {
+                "type": "spatial",
+                "point": {"lat": 34.0, "lng": -118.2},
+                "radius_m": 50.0,
+                "direction_deg": "north",
+            },
+            {"type": "hybrid", "queries": 5},
+            {"type": "hybrid", "queries": [5, 6]},
+            [1, 2],
+            "search",
+        ],
+        ids=lambda body: str(body)[:48],
+    )
+    def test_malformed_search_is_400_with_the_error_envelope(
+        self, service, client, body
+    ):
+        """A spec of the wrong shape is the caller's fault: never a 500."""
+        response = service.handle(
+            Request("POST", "/search", body=body, api_key=client.api_key)
+        )
+        assert response.status == 400
+        error = response.body["error"]
+        assert error["status"] == 400 and error["type"] == "APIError"
+        assert error["message"] and error["request_id"]
+
     def test_features_roundtrip(self, client, records):
         ids = upload_all(client, records[:2])
         by_image = client.get_features("color_hsv_20_20_10", image=records[0].image)

@@ -1,5 +1,7 @@
 """Tests for whole-platform persistence and query EXPLAIN."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,32 @@ class TestPlatformPersistence:
         after = [restored.execute(q) for q in queries]
         for b, a in zip(before, after):
             assert {r.image_id for r in b} == {r.image_id for r in a}
+
+    def test_temporal_answers_survive_reload_of_an_older_snapshot(
+        self, populated, tmp_path
+    ):
+        """A snapshot written before the time indexes existed lists no
+        ordered index; the loaded platform still has both."""
+        platform, records = populated
+        stamps = sorted(r.captured_at for r in records)
+        queries = [
+            TemporalQuery(start=stamps[2], end=stamps[-3]),
+            TemporalQuery(end=stamps[5]),
+            TemporalQuery(start=0.0, field="timestamp_uploading"),
+        ]
+        save_platform(platform, tmp_path / "snap")
+        db_file = tmp_path / "snap" / "db.json"
+        document = json.loads(db_file.read_text())
+        for entry in document["tables"]:
+            assert entry.pop("ordered_indexes") == (
+                ["timestamp_capturing", "timestamp_uploading"]
+                if entry["schema"]["name"] == "images"
+                else []
+            )
+        db_file.write_text(json.dumps(document))
+        restored = load_platform(tmp_path / "snap")
+        for query in queries:
+            assert restored.execute(query) == platform.execute(query)
 
     def test_dedup_state_survives(self, populated, tmp_path):
         platform, records = populated
@@ -153,6 +181,18 @@ class TestExplain:
         )
         assert "intersect" in plan.access_path
         assert len(plan.children) == 2
+
+    def test_temporal_plan_names_the_ordered_index(self, populated):
+        platform, _ = populated
+        plan = explain(
+            platform,
+            TemporalQuery(start=0.0, field="timestamp_uploading"),
+            analyze=True,
+        )
+        assert plan.access_path == "images.ordered_index[timestamp_uploading]"
+        assert "log n" in plan.cost["cost"]
+        # The index touches the rows it returns and no others.
+        assert plan.charges["rows_scanned"] == plan.rows == 20
 
     def test_analyze_fills_rows_and_time(self, populated):
         platform, _ = populated

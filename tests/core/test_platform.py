@@ -199,6 +199,24 @@ class TestTextualTemporalQueries:
             TemporalQuery(start=10.0, end=5.0)
         with pytest.raises(QueryError):
             TemporalQuery(start=0.0, field="timestamp_deleted")
+        # A NaN bound used to return [] silently and has no position in
+        # the ordered index; a non-number used to fail inside execution.
+        for bad in (float("nan"), "5", [1.0], True):
+            with pytest.raises(QueryError):
+                TemporalQuery(start=bad)
+            with pytest.raises(QueryError):
+                TemporalQuery(start=0.0, end=bad)
+
+    def test_temporal_bounds_are_inclusive(self, platform, records):
+        stamps = sorted(r.captured_at for r in records)
+        results = platform.execute(TemporalQuery(start=stamps[1], end=stamps[3]))
+        expected = sum(1 for r in records if stamps[1] <= r.captured_at <= stamps[3])
+        assert len(results) == expected >= 3
+        assert [r.image_id for r in results] == sorted(r.image_id for r in results)
+        everything = platform.execute(
+            TemporalQuery(start=float("-inf"), end=float("inf"))
+        )
+        assert len(everything) == len(records)
 
 
 class TestCategoricalAndHybrid:

@@ -117,6 +117,55 @@ class TestTable:
         assert len(big) == 2
 
 
+class TestOrderedIndex:
+    def stamped(self):
+        table = Table(
+            TableSchema(
+                "shots",
+                (
+                    Column("id", ColumnType.INTEGER, primary_key=True),
+                    Column("at", ColumnType.REAL, nullable=True),
+                ),
+            )
+        )
+        for at in (5.0, 1.0, None, 3.0, float("nan"), 3.0):
+            table.insert({"at": at})
+        return table
+
+    def test_range_is_inclusive_and_ordered_by_value_then_pk(self):
+        table = self.stamped()
+        table.create_ordered_index("at")
+        assert table.keys_in_range("at", 3.0, 5.0) == [4, 6, 1]
+        assert table.keys_in_range("at", 3.5, 4.5) == []
+
+    def test_open_ends_and_unplaceable_values(self):
+        """None and NaN lie in no window, open or not."""
+        table = self.stamped()
+        table.create_ordered_index("at")
+        assert table.keys_in_range("at") == [2, 4, 6, 1]
+        assert table.keys_in_range("at", None, 3.0) == [2, 4, 6]
+        assert table.keys_in_range("at", 3.0, None) == [4, 6, 1]
+        table.update(3, {"at": 2.0})  # None -> a value
+        table.update(1, {"at": None})  # a value -> None
+        table.delete(5)  # the NaN row was never in the index
+        assert table.keys_in_range("at") == [2, 3, 4, 6]
+
+    def test_range_needs_the_index(self):
+        with pytest.raises(SchemaError):
+            self.stamped().keys_in_range("at", 0.0, 1.0)
+        with pytest.raises(SchemaError):
+            self.stamped().create_ordered_index("nope")
+
+    def test_charges_rows_returned_not_rows_stored(self):
+        from repro.obs.accounting import ledger_scope, UsageTable
+
+        table = self.stamped()
+        table.create_ordered_index("at")
+        with ledger_scope(table=UsageTable(), principal="t") as ledger:
+            table.keys_in_range("at", 0.0, 1.0)
+        assert ledger.charges["rows_scanned"] == 1
+
+
 class TestDatabase:
     def make_db(self):
         db = Database()

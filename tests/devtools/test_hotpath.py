@@ -81,7 +81,7 @@ def test_scan_driving_loop_flagged(run):
 
 
 def test_bare_scan_on_query_path_flagged(run):
-    # _run_temporal's shape: one full-table scan call, not in any loop.
+    # One full-table scan call, not in any loop.
     findings = run(
         {
             "core/platform.py": PLATFORM_HEAD

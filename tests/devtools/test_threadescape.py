@@ -96,6 +96,31 @@ class TestClassification:
         record = analysis.attrs[("pkg.core.platform.TVDP", "_limit")]
         assert record.classification == "immutable"
 
+    def test_write_into_a_held_container_counts_against_the_attr(self, analyze, run):
+        """``self._by_column[c].insert(..)`` / ``del self._by_column[c][i]``
+        mutate the state ``_by_column`` holds (db.Table's ordered index)."""
+        source = """
+            import threading
+
+            class TVDP:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._by_column = {"t": []}
+
+                def execute(self, query):
+                    with self._lock:
+                        self._by_column["t"].insert(0, query)
+                        del self._by_column["t"][0]
+                    return True
+        """
+        record = analyze({"core/platform.py": source}).attrs[
+            ("pkg.core.platform.TVDP", "_by_column")
+        ]
+        assert record.classification == "lock-guarded"
+        unlocked = source.replace("with self._lock:", "if True:")
+        findings, _, _ = run({"core/platform.py": unlocked})
+        assert [f.scope for f in findings] == ["TVDP._by_column"]
+
     def test_unreachable_class_stays_out(self, analyze):
         analysis = analyze(
             {

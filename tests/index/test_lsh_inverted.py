@@ -1,5 +1,8 @@
 """Tests for LSH and the inverted index."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,94 @@ class TestLSH:
             index.query_topk(np.zeros(4), k=0)
         with pytest.raises(IndexError_):
             index.query_radius(np.zeros(4), radius=-1.0)
+
+
+class TestLSHConcurrentInsert:
+    """Inserts land in a preallocated buffer that doubles when full; a
+    query racing them ranks against a consistent prefix of the inserts."""
+
+    N, DIM, K = 600, 8, 5
+
+    @staticmethod
+    def brute(vectors, m, probe, k):
+        distances = np.linalg.norm(vectors[:m] - probe, axis=1)
+        order = sorted(range(m), key=lambda i: (float(distances[i]), i))[:k]
+        return [(i, float(distances[i])) for i in order]
+
+    @staticmethod
+    def same(answer, expected):
+        return [item for item, _ in answer] == [item for item, _ in expected] and [
+            d for _, d in answer
+        ] == pytest.approx([d for _, d in expected], rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["query_topk", "linear_topk"])
+    def test_every_answer_ranks_some_prefix_of_the_inserts(self, method):
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(0.0, 1.0, (self.N, self.DIM))
+        probes = rng.normal(0.0, 1.0, (16, self.DIM))
+        # One bucket per table holds everything, so the hash candidates
+        # of query_topk are exactly the items inserted so far.
+        index = LSHIndex(dimension=self.DIM, bucket_width=1e6)
+        answers: list[tuple[int, int, int, list]] = []
+        failures: list[BaseException] = []
+        reading, done = threading.Event(), threading.Event()
+
+        def writer():
+            try:
+                reading.wait(timeout=30.0)
+                for i in range(self.N):
+                    index.insert(i, vectors[i])
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                turn = 0
+                while not done.is_set() or turn < 8:
+                    probe = turn % len(probes)
+                    before = len(index)
+                    answer = getattr(index, method)(probes[probe], self.K)
+                    answers.append((before, len(index), probe, answer))
+                    reading.set()
+                    turn += 1
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(index) == self.N
+        raced = sum(1 for before, after, _, _ in answers if 0 < after and before < self.N)
+        assert raced >= 3, f"only {raced} queries overlapped the inserts"
+        for before, after, probe, answer in answers:
+            assert any(
+                self.same(answer, self.brute(vectors, m, probes[probe], self.K))
+                for m in range(before, after + 1)
+            ), (before, after, answer)
+
+    def test_a_view_taken_before_the_buffer_grows_stays_valid(self):
+        rng = np.random.default_rng(3)
+        vectors = rng.normal(0.0, 1.0, (200, 4))
+        index = LSHIndex(dimension=4)
+        for i in range(10):
+            index.insert(i, vectors[i])
+        early = index._dense_matrix()
+        for i in range(10, 200):  # several doublings past the first block
+            index.insert(i, vectors[i])
+        assert np.array_equal(early, vectors[:10])
+        assert np.array_equal(index._dense_matrix(), vectors)
+        assert index.linear_topk(vectors[150], 1)[0] == (150, 0.0)
 
 
 class TestTokenize:

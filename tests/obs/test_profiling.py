@@ -139,3 +139,97 @@ class TestSlowSpanLog:
         for i in range(DEFAULT_SLOW_SPANS_PER_OP + 5):
             log.export(make_span("op.a", f"s{i}", float(i)))
         assert len(log.slowest("op.a")) == DEFAULT_SLOW_SPANS_PER_OP
+
+
+class EagerSlowSpanLog(SlowSpanLog):
+    """The algorithm the lazy log replaced, kept as the reference: a
+    name -> value dict at span start *and* finish, the deltas and the
+    full record for every span, then sort and cut."""
+
+    def on_start(self, span):
+        self._inflight[span.span_id] = self.registry.counter_values()
+
+    def export(self, span):
+        before = self._inflight.pop(span.span_id, None)
+        deltas = {}
+        if before is not None:
+            for name, value in self.registry.counter_values().items():
+                if name.startswith("spans."):
+                    continue
+                delta = value - before.get(name, 0.0)
+                if delta:
+                    deltas[name] = delta
+        worst = self._worst.setdefault(span.name, [])
+        worst.append({**span.to_dict(), "counter_deltas": deltas})
+        worst.sort(key=lambda r: -r["duration_ms"])
+        del worst[self.per_op:]
+
+
+class TestSlowSpanLogEquivalence:
+    """An un-admitted span costs the lazy log one comparison, yet
+    ``slowest()`` reads exactly as if every record had been built."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_records_as_the_eager_log(self, seed):
+        rng = np.random.default_rng(seed)
+        registry = MetricsRegistry()
+        registry.counter("spans.total", {"span": "op.a"})
+        registry.counter("index.probes")
+        lazy = SlowSpanLog(registry=registry, per_op=3)
+        eager = EagerSlowSpanLog(registry=registry, per_op=3)
+        names = ["index.probes"]
+        open_spans: list[Span] = []
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.35:
+                # Few distinct durations: ties at the N-th place are the rule.
+                span = make_span(
+                    f"op.{'abc'[int(rng.integers(3))]}",
+                    f"s{step}",
+                    float(rng.integers(1, 6)),
+                    ancestry=[s.name for s in open_spans],
+                )
+                span.attrs["step"] = step
+                open_spans.append(span)
+                lazy.on_start(span)
+                eager.on_start(span)
+            elif roll < 0.65 and open_spans:
+                # Mostly innermost-first (nesting), sometimes out of order.
+                at = -1 if rng.random() < 0.8 else int(rng.integers(len(open_spans)))
+                span = open_spans.pop(at)
+                registry.counter("spans.total", {"span": span.name}).inc()
+                lazy.export(span)
+                eager.export(span)
+            elif roll < 0.9:
+                registry.counter(names[int(rng.integers(len(names)))]).inc(
+                    int(rng.integers(1, 4))
+                )
+            elif roll < 0.97:
+                # A counter first registered while spans are open.
+                names.append(f"late.{step}")
+                registry.counter(names[-1], {"k": "v"}).inc()
+            elif roll < 0.985:
+                registry.reset()  # values fall under open spans: negative deltas
+            else:
+                registry.reset()  # obs.reset(): metrics and the log together
+                lazy.clear()
+                eager.clear()
+            if step % 50 == 49:
+                assert lazy.slowest() == eager.slowest()
+        for span in reversed(open_spans):
+            lazy.export(span)
+            eager.export(span)
+        assert lazy.operations() == eager.operations()
+        assert lazy.slowest() == eager.slowest()
+        for name in eager.operations():
+            assert lazy.slowest(name) == eager.slowest(name)
+        # The scenario did exercise what it claims to.
+        records = eager.slowest()
+        assert any(r["counter_deltas"] for r in records)
+        assert lazy._inflight == {}
+
+    def test_tie_with_the_nth_stays_out(self):
+        lazy = SlowSpanLog(per_op=2)
+        for i, duration in enumerate([5.0, 3.0, 3.0, 5.0, 4.0]):
+            lazy.export(make_span("op.a", f"s{i}", duration))
+        assert [r["span_id"] for r in lazy.slowest("op.a")] == ["s0", "s3"]

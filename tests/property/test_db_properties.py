@@ -118,3 +118,73 @@ class TestTableModelBased:
             indexed = table.find("name", name)
             scanned = [row for row in table.all_rows() if row["name"] == name]
             assert sorted(r["id"] for r in indexed) == sorted(r["id"] for r in scanned)
+
+
+R = ColumnType.REAL
+
+#: Few distinct timestamps, so duplicates and exact-bound hits are common.
+stamps = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 7.0])
+maybe_stamp = st.one_of(st.none(), stamps)
+bounds = st.one_of(
+    st.none(), stamps, st.sampled_from([-1.0, 2.5, 9.0, float("-inf"), float("inf")])
+)
+
+# ("insert", captured, uploaded) / ("update", idx, column, value) / ("delete", idx)
+stamp_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), maybe_stamp, maybe_stamp),
+        st.tuples(
+            st.just("update"),
+            st.integers(0, 20),
+            st.sampled_from(["captured", "uploaded", "name"]),
+            maybe_stamp,
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 20)),
+    ),
+    max_size=40,
+)
+
+
+class TestOrderedIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(stamp_ops, st.lists(st.tuples(bounds, bounds), min_size=1, max_size=6))
+    def test_range_equals_scan_under_mutation(self, operations, windows):
+        """The ordered index answers every window like a predicate scan,
+        whatever inserts, updates (a timestamp change included) and
+        deletes came before: inclusive ends, open ends, +-inf."""
+        table = Table(
+            TableSchema(
+                "t",
+                (
+                    Column("id", I, primary_key=True),
+                    Column("name", T, nullable=True),
+                    Column("captured", R, nullable=True),
+                    Column("uploaded", R, nullable=True),
+                ),
+            )
+        )
+        table.create_ordered_index("captured")
+        table.create_ordered_index("uploaded")
+        for op in operations:
+            rows = table.all_rows()
+            if op[0] == "insert":
+                table.insert({"captured": op[1], "uploaded": op[2]})
+            elif op[0] == "update" and rows:
+                _, idx, column, value = op
+                change = {"name": "renamed"} if column == "name" else {column: value}
+                table.update(rows[idx % len(rows)]["id"], change)
+            elif op[0] == "delete" and rows:
+                table.delete(rows[op[1] % len(rows)]["id"])
+
+        for column in ("captured", "uploaded"):
+            for low, high in windows:
+                lo = float("-inf") if low is None else low
+                hi = float("inf") if high is None else high
+                scanned = [
+                    (row[column], row["id"])
+                    for row in table.scan(
+                        lambda row: row[column] is not None and lo <= row[column] <= hi
+                    )
+                ]
+                keys = table.keys_in_range(column, low, high)
+                assert keys == [pk for _, pk in sorted(scanned)]

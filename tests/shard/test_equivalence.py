@@ -38,6 +38,7 @@ from repro.core import (
     VisualQuery,
 )
 from repro.core.planner import explain
+from repro.db import Table
 from repro.errors import TVDPError
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging import Image
@@ -290,6 +291,24 @@ class TestInProcess:
             k=3,
         )
         assert fixed_platform.execute(query) == fixed_platform.execute_serial(query)
+
+
+class TestTemporalAccessPath:
+    def test_neither_runner_scans_the_table(self, fixed_platform, monkeypatch):
+        """Serial and per-shard temporal search answer from the ordered
+        index: with ``Table.scan`` broken they still agree (the
+        partition, which does read every row, is built beforehand)."""
+        fixed_platform.set_shards(3)
+        query = TemporalQuery(start=3.0, end=15.0)
+        expected = fixed_platform.execute(query)
+        assert expected and expected == fixed_platform.execute_serial(query)
+
+        def scan(self, predicate=None):
+            raise AssertionError("temporal search scanned a table")
+
+        monkeypatch.setattr(Table, "scan", scan)
+        assert fixed_platform.execute(query) == expected
+        assert fixed_platform.execute_serial(query) == expected
 
 
 class TestTieBreaks:

@@ -310,9 +310,13 @@ class TestLoadGating:
         assert all(stage["errors"] == 0 for stage in load["stages"])
 
 
-def overhead_bench(pct: float) -> dict:
+def overhead_bench(pct: float, span_pct: float = 50.0, request_us: float = 80.0) -> dict:
     record = bench(1.0)
-    record["results"] = {"overhead_pct": pct}
+    record["results"] = {
+        "overhead_pct": pct,
+        "span_pct": span_pct,
+        "request_us": request_us,
+    }
     return record
 
 
@@ -320,42 +324,69 @@ class TestOverheadGate:
     NODE = "benchmarks/bench_obs_overhead.py::test_accounting_overhead"
 
     def test_within_ceiling_is_clean(self):
-        doc = document({self.NODE: overhead_bench(4.2)})
+        doc = document({self.NODE: overhead_bench(30.0)})
         assert bench_compare.compare(doc, doc) == []
 
     def test_exactly_at_ceiling_is_clean(self):
-        doc = document({self.NODE: overhead_bench(5.0)})
+        doc = document(
+            {
+                self.NODE: overhead_bench(
+                    bench_compare.OVERHEAD_LIMIT_PCT, bench_compare.SPAN_LIMIT_PCT
+                )
+            }
+        )
         assert bench_compare.compare(doc, doc) == []
 
     def test_over_ceiling_regresses_even_with_skip_wall(self):
-        base = document({self.NODE: overhead_bench(4.0)})
-        current = document({self.NODE: overhead_bench(6.8)})
+        base = document({self.NODE: overhead_bench(30.0)})
+        current = document({self.NODE: overhead_bench(68.5)})
         regressions = bench_compare.compare(base, current, skip_wall=True)
         assert [r["kind"] for r in regressions] == ["overhead"]
         [r] = regressions
-        assert r["current"] == pytest.approx(6.8)
+        assert r["metric"] == "overhead_pct"
+        assert r["current"] == pytest.approx(68.5)
         line = bench_compare.format_regression(r)
-        assert "OVERHEAD" in line and "6.8" in line and "5" in line
+        assert "OVERHEAD" in line and "68.5" in line and "50" in line
+
+    def test_span_ceiling_is_gated_beside_the_ledger(self):
+        base = document({self.NODE: overhead_bench(30.0)})
+        current = document({self.NODE: overhead_bench(30.0, span_pct=210.0)})
+        [r] = bench_compare.compare(base, current, skip_wall=True)
+        assert (r["kind"], r["metric"]) == ("overhead", "span_pct")
+        line = bench_compare.format_regression(r)
+        assert "results.span_pct" in line and "210" in line and "100" in line
+
+    @pytest.mark.parametrize("request_us", [8.0, 80.0, 8_000.0])
+    def test_serving_speed_moves_neither_verdict(self, request_us):
+        """The ratios divide by an un-instrumented index query, so a
+        100x slower (or faster) served request neither excuses a costly
+        span nor fails a cheap one."""
+        base = document({self.NODE: overhead_bench(30.0)})
+        cheap = document({self.NODE: overhead_bench(30.0, 50.0, request_us)})
+        costly = document({self.NODE: overhead_bench(30.0, 210.0, request_us)})
+        assert bench_compare.compare(base, cheap, skip_wall=True) == []
+        assert len(bench_compare.compare(base, costly, skip_wall=True)) == 1
 
     def test_ceiling_binds_the_current_run_not_the_baseline(self):
         # A bad baseline must not excuse (or flag) anything by itself.
-        base = document({self.NODE: overhead_bench(9.9)})
-        current = document({self.NODE: overhead_bench(4.0)})
+        base = document({self.NODE: overhead_bench(99.0, 400.0)})
+        current = document({self.NODE: overhead_bench(30.0)})
         assert bench_compare.compare(base, current) == []
 
     def test_checked_in_baseline_overhead_within_ceiling(self):
         baseline = bench_compare.load_document(
             REPO_ROOT / "tools" / "bench_baseline.json"
         )
-        overheads = {
-            nodeid: record["results"]["overhead_pct"]
-            for nodeid, record in baseline["benches"].items()
+        results = [
+            record["results"]
+            for record in baseline["benches"].values()
             if "overhead_pct" in record.get("results", {})
-        }
-        assert overheads, "baseline must carry the accounting-overhead bench"
-        assert all(
-            pct <= bench_compare.OVERHEAD_LIMIT_PCT for pct in overheads.values()
-        )
+        ]
+        assert results, "baseline must carry the instrumentation-overhead bench"
+        for result in results:
+            assert result["overhead_pct"] <= bench_compare.OVERHEAD_LIMIT_PCT
+            assert result["span_pct"] <= bench_compare.SPAN_LIMIT_PCT
+            assert result["span_us"] > 0 and result["plain_query_us"] > 0
 
 
 class TestMissingBenchesSection:
