@@ -182,12 +182,12 @@ class Router:
     ) -> tuple[str, Response]:
         """Route + invoke; returns the route label (template or a
         placeholder for unmatched paths) and the response."""
-        saw_path = False
+        path_template: str | None = None  # first template the path fits
         for route_method, template, handler in self._routes:
             params = _match(template, request.path)
             if params is None:
                 continue
-            saw_path = True
+            path_template = path_template or template
             if route_method != method:
                 continue
             request.path_params = params
@@ -214,8 +214,10 @@ class Router:
                         request.request_id, trace_id=sp.trace_id,
                     ),
                 )
-        if saw_path:
-            return request.path, Response(
+        if path_template is not None:
+            # Labelled by template, never the raw path: a hostile client
+            # must not mint one metric series per distinct path.
+            return path_template, Response(
                 status=405,
                 body=error_body(
                     f"method {method} not allowed", "MethodNotAllowed", 405,

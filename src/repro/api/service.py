@@ -48,6 +48,7 @@ Observability:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -89,16 +90,39 @@ def image_to_payload(image: Image) -> dict:
     return {"pixels_u8": image.to_uint8().tolist()}
 
 
-def image_from_payload(payload: dict) -> Image:
+def image_from_payload(payload: object) -> Image:
     """Inverse of :func:`image_to_payload`."""
-    if "pixels_u8" not in payload:
-        raise APIError(400, "image payload missing 'pixels_u8'")
+    if not isinstance(payload, dict) or "pixels_u8" not in payload:
+        raise APIError(400, "image payload must be an object with 'pixels_u8'")
     try:
         return Image.from_uint8(np.array(payload["pixels_u8"], dtype=np.uint8))
     except _PAYLOAD_ERRORS as exc:
         _log.debug("rejected image payload", exc_info=True)
         raise APIError(400, f"bad image payload: {exc}") from exc
 
+
+def _number(body: dict, field: str, default: float | None = None) -> float:
+    """``body[field]`` as a finite float; anything but a JSON number
+    (``null``, a string, a list, NaN, a bool) is the caller's fault."""
+    value = body.get(field, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise APIError(400, f"field {field!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _image_id(body: dict) -> int:
+    """``body["image_id"]`` as an integer (a JSON number, not a bool)."""
+    value = body.get("image_id")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise APIError(400, f"field 'image_id' must be an integer, got {value!r}")
+    return value
+
+
+_FOV_FIELDS = ("lat", "lng", "direction_deg", "angle_deg", "range_m")
 
 _CLASSIFIER_FACTORIES = {
     "svm": lambda: LinearSVM(epochs=40),
@@ -217,17 +241,27 @@ class TVDPService:
         for required in ("image", "fov", "captured_at", "uploaded_at"):
             if required not in body:
                 raise APIError(400, f"missing field {required!r}")
+        fov_body = body["fov"]
+        if not isinstance(fov_body, dict):
+            raise APIError(400, "bad fov: must be a JSON object")
         try:
-            fov = FieldOfView.from_dict(body["fov"])
+            fov = FieldOfView.from_dict(
+                {name: _number(fov_body, name) for name in _FOV_FIELDS}
+            )
         except _PAYLOAD_ERRORS as exc:
             _log.debug("rejected fov payload", exc_info=True)
             raise APIError(400, f"bad fov: {exc}") from exc
+        keywords = body.get("keywords", ())
+        if not isinstance(keywords, (list, tuple)) or not all(
+            isinstance(word, str) for word in keywords
+        ):
+            raise APIError(400, "field 'keywords' must be a list of strings")
         receipt = self.platform.upload_image(
             image=image_from_payload(body["image"]),
             fov=fov,
-            captured_at=float(body["captured_at"]),
-            uploaded_at=float(body["uploaded_at"]),
-            keywords=tuple(body.get("keywords", ())),
+            captured_at=_number(body, "captured_at"),
+            uploaded_at=_number(body, "uploaded_at"),
+            keywords=tuple(keywords),
             uploader_id=request.user_id,
         )
         return Response(
@@ -344,10 +378,9 @@ class TVDPService:
         if "image" in body:
             vector = extractor.extract(image_from_payload(body["image"]))
         elif "image_id" in body:
+            image_id = _image_id(body)
             try:
-                vector = self.platform.feature_vector(
-                    int(body["image_id"]), extractor_name
-                )
+                vector = self.platform.feature_vector(image_id, extractor_name)
             except TVDPError as exc:
                 raise APIError(404, str(exc)) from exc
         else:
@@ -471,15 +504,17 @@ class TVDPService:
         for required in ("classification", "label"):
             if required not in body:
                 raise APIError(400, f"missing field {required!r}")
+        if not isinstance(body["classification"], str):
+            raise APIError(400, "field 'classification' must be a string")
         try:
             annotation_id = self.platform.annotations.annotate(
                 image_id,
                 body["classification"],
                 body["label"],
-                confidence=float(body.get("confidence", 1.0)),
+                confidence=_number(body, "confidence", 1.0),
                 source=body.get("source", "human"),
                 annotator=body.get("annotator"),
-                created_at=float(body.get("created_at", 0.0)),
+                created_at=_number(body, "created_at", 0.0),
                 bbox=body.get("bbox"),
             )
         except (QueryError, TVDPError) as exc:

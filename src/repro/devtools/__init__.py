@@ -1,44 +1,59 @@
 """Static-analysis suite guarding the platform's architecture.
 
-Two generations of checks keep the codebase honest as it grows
-(``docs/static_analysis.md`` has the full rule catalogue).
+Fifteen rules, one table (``repro.devtools.check.RULES``), one
+suppression mechanism (``docs/static_analysis.md`` has the catalogue
+and the evidence each rule has earned).
 
-Per-file AST lints (v1):
+Per-file AST lints:
 
 * **layer-boundary** — the package-dependency DAG (geo/imaging at the
   bottom, features/ml/index/db mid, core above, api/edge/crowd/analysis
   on top, ``obs`` importable everywhere) is machine-checked, including
   lazy function-local imports.
-* **concurrency** — module-level mutable state mutated outside a lock,
-  and unlocked mutations of index / metrics-registry internals.
-* **correctness** — silently-swallowing broad ``except`` clauses,
-  mutable default arguments, ``print()`` in library code,
-  out-of-range latitude/longitude literals, and real ``time.sleep``.
-
-Whole-program analyses (v2), built on a project-wide symbol table and
-call graph (``repro.devtools.callgraph``):
-
-* **lock-order** — extracts the lock-acquisition graph across the
-  whole tree (interprocedurally, via a may-acquire fixpoint), fails on
-  cycles and on locks held across blocking IO/sleep/policy calls.
-  Runtime companion: ``repro.devtools.sanitizers`` ("tsan-lite"),
-  enabled with ``REPRO_SANITIZE=1 pytest``.
-* **exception-flow** — infers what each public api/edge/db entry point
-  can raise and fails when a type escapes both the ``repro.errors``
-  taxonomy and every declared retryable set.
+* **module-mutable-state** — module-level mutable state mutated
+  outside a lock.
+* **broad-except**, **mutable-default**, **no-print**, **geo-range**,
+  **no-sleep** — silently-swallowing broad handlers, shared default
+  arguments, ``print()`` in library code, out-of-range lat/lng
+  literals, and real ``time.sleep``.
 * **determinism** — wall-clock reads, unseeded/global RNG, raw
   entropy, and unordered-set iteration outside the sanctioned
   ``resilience.Clock`` / seeded-RNG seams.
+
+Whole-program analyses, all standing on the one kit in
+``repro.devtools.callgraph`` (symbol table, call graph with every body
+walked once, root expansion + reachability, one ``propagate`` fixpoint
+with witness chains, one blocking-call classification, one lock
+resolver):
+
+* **lock-order** — the lock-acquisition graph across the whole tree
+  (interprocedurally, via may-acquire propagation) has no cycles and no
+  lock is held across blocking IO/sleep/policy calls.  Runtime
+  companion: ``repro.devtools.sanitizers`` ("tsan-lite"), enabled with
+  ``REPRO_SANITIZE=1 pytest``.
+* **exception-flow** — what each public api/edge/db entry point can
+  raise stays inside the ``repro.errors`` taxonomy or a declared
+  retryable set.
 * **dead-code** — public module-level symbols nothing in src or
   examples references.
-* **typecheck** — a mypy ratchet over an allowlist of fully-annotated
-  modules (``repro.devtools.typecheck``).
+* **hot-path** — per-item work on the query paths outside the
+  ``COST_MODEL``.
+* **thread-escape** / **atomicity** — every mutable attribute of a
+  class shared across concurrent entry points is immutable,
+  contextvar-scoped or guarded by one lock (classifications drift-gated
+  in ``tools/concurrency_manifest.json`` and enforced at runtime by the
+  lock-coverage sanitizer), and guarded state is not read or
+  check-then-acted on outside its lock.
+* **blocking-in-handler** — no blocking call is reachable from a
+  routed HTTP handler.
+
+``repro.devtools.typecheck`` is the mypy ratchet over an allowlist of
+fully-annotated modules.
 
 Run the suite with ``python -m repro.devtools.check`` (or just
-``python -m repro.devtools``).  Findings are suppressed either by an
-inline ``# devtools: allow[rule-id]`` comment on (or directly above)
-the offending line, or by a checked-in baseline file of fingerprints
-(``tools/devtools_baseline.json``); only *new* findings fail the run.
+``python -m repro.devtools``); any finding fails the run.  The only way
+to accept one is an inline ``# devtools: allow[rule-id] — reason`` on
+(or directly above) the offending line.
 
 This package deliberately imports nothing from the rest of ``repro`` —
 it sits outside the layer DAG it enforces.  (The runtime sanitizer
@@ -49,7 +64,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.devtools.findings import Finding, load_baseline, write_baseline
+from repro.devtools.findings import Finding
 from repro.devtools.layers import DEFAULT_LAYER_CONFIG, LayerConfig, check_layers
 from repro.devtools.callgraph import (
     CallGraph,
@@ -57,7 +72,7 @@ from repro.devtools.callgraph import (
     build_call_graph,
     build_symbol_table,
 )
-from repro.devtools.concurrency import check_concurrency
+from repro.devtools.concurrency import check_module_state
 from repro.devtools.correctness import (
     check_broad_except,
     check_geo_literals,
@@ -84,18 +99,16 @@ __all__ = [
     "build_call_graph",
     "build_symbol_table",
     "check_broad_except",
-    "check_concurrency",
     "check_dead_code",
     "check_determinism",
     "check_exception_flow",
     "check_geo_literals",
     "check_layers",
     "check_lock_order",
+    "check_module_state",
     "check_mutable_defaults",
     "check_no_print",
-    "load_baseline",
     "run_check",
-    "write_baseline",
 ]
 
 

@@ -29,23 +29,13 @@ from __future__ import annotations
 import ast
 
 from repro.devtools.callgraph import (
+    MUTATING_METHODS,
     CallGraph,
     SymbolTable,
     attr_type_on,
-    iter_functions,
-    resolve_call,
-    resolve_locals,
 )
-from repro.devtools.findings import Finding, SourceModule
-from repro.devtools.lockorder import _resolve_lock
-from repro.devtools.threadescape import (
-    CTOR_EXEMPT_METHODS,
-    DEFAULT_CONCURRENT_ROOTS,
-    MUTATING_METHODS,
-    EscapeAnalysis,
-    _owner_of_base,
-    analyze_escape,
-)
+from repro.devtools.findings import Finding
+from repro.devtools.threadescape import CTOR_EXEMPT_METHODS, _owner_of_base, analyze_escape
 
 RULE = "atomicity"
 
@@ -59,10 +49,7 @@ _TRAVERSING_METHODS = frozenset({"items", "keys", "values", "copy"})
 
 
 def _attr_access(
-    table,
-    class_context: str | None,
-    locals_map: dict[str, str],
-    node: ast.AST,
+    class_context: str | None, locals_map: dict[str, str], node: ast.AST
 ) -> tuple[str, str] | None:
     """``(owner class, attr)`` when ``node`` reads a tracked attribute
     (``self.X`` or ``typed_local.X``)."""
@@ -77,14 +64,8 @@ def _attr_access(
     return None
 
 
-def check_atomicity(
-    table: SymbolTable,
-    graph: CallGraph,
-    roots_patterns: tuple[str, ...] = DEFAULT_CONCURRENT_ROOTS,
-    analysis: EscapeAnalysis | None = None,
-) -> list[Finding]:
-    if analysis is None:
-        analysis = analyze_escape(table, graph, roots_patterns)
+def check_atomicity(table: SymbolTable, graph: CallGraph) -> list[Finding]:
+    analysis = analyze_escape(table, graph)
     guarded_attrs: dict[tuple[str, str], str] = {
         key: record.guard
         for key, record in analysis.attrs.items()
@@ -97,51 +78,20 @@ def check_atomicity(
     findings: list[Finding] = []
     seen: set[tuple[str, int, str]] = set()
 
-    def emit(
-        module: SourceModule,
-        line: int,
-        qualname: str,
-        owner: str,
-        attr: str,
-        message: str,
-    ) -> None:
-        if module.allows(RULE, line):
-            return
-        owner_short = owner.rsplit(".", 1)[-1]
-        fn_short = ".".join(qualname.rsplit(".", 2)[-2:])
-        key = (module.rel_path, line, f"{fn_short}:{owner_short}.{attr}")
-        if key in seen:
-            return
-        seen.add(key)
-        findings.append(
-            Finding(
-                rule=RULE,
-                path=module.rel_path,
-                line=line,
-                message=message,
-                scope=f"{fn_short}:{owner_short}.{attr}",
-            )
-        )
-
-    for info, class_context, qualname, fn in iter_functions(table):
-        if qualname not in analysis.reachable or fn.name in CTOR_EXEMPT_METHODS:
+    for function in graph.functions:
+        qualname = function.qualname
+        if qualname not in analysis.reachable or function.node.name in CTOR_EXEMPT_METHODS:
             continue
-        locals_map = resolve_locals(table, info, class_context, fn)
+        class_context, locals_map, module = function.cls, function.local_types, function.module
         entry_guard = analysis.guarded_context.get(qualname, frozenset())
 
-        fresh: set[str] = set()
-        for stmt in ast.walk(fn):
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                callee = resolve_call(
-                    table, info, class_context, stmt.value.func, locals_map
-                )
-                if callee is not None and table.is_class(callee):
-                    fresh.add(stmt.targets[0].id)
+        def emit(line: int, key: tuple[str, str], message: str) -> None:
+            owner_short = key[0].rsplit(".", 1)[-1]
+            fn_short = ".".join(qualname.rsplit(".", 2)[-2:])
+            scope = f"{fn_short}:{owner_short}.{key[1]}"
+            if (module.rel_path, line, scope) not in seen:
+                seen.add((module.rel_path, line, scope))
+                module.report(findings, RULE, line, message, scope)
 
         # (line, (owner, attr), held) per access category.
         test_reads: list[tuple[int, tuple[str, str], frozenset[str]]] = []
@@ -150,12 +100,16 @@ def check_atomicity(
         publishes: list[tuple[int, tuple[str, str], frozenset[str]]] = []
 
         def tracked(node: ast.AST) -> tuple[str, str] | None:
-            found = _attr_access(table, class_context, locals_map, node)
-            if found is not None and found in shared_attrs:
-                return found
-            return None
+            found = _attr_access(class_context, locals_map, node)
+            return found if found in shared_attrs else None
 
-        def scan_test(test: ast.expr, held: tuple[str, ...]) -> None:
+        def written(base: ast.expr) -> tuple[str, str] | None:
+            found = _owner_of_base(
+                table, class_context, locals_map, function.fresh, {}, base
+            )
+            return found if found in shared_attrs else None
+
+        def scan_test(test: ast.expr, held: frozenset[str]) -> None:
             """Collect check-style reads inside a condition."""
             for node in ast.walk(test):
                 found = None
@@ -176,139 +130,67 @@ def check_atomicity(
                 elif isinstance(node, ast.Attribute):
                     found = tracked(node)
                 if found is not None:
-                    test_reads.append((node.lineno, found, frozenset(held)))
+                    test_reads.append((node.lineno, found, held))
 
-        def visit(node: ast.AST, held: tuple[str, ...]) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                current = held
-                for item in node.items:
-                    visit(item.context_expr, current)
-                    lock = _resolve_lock(
-                        table, analysis.lock_index, info, class_context,
-                        item.context_expr,
-                    )
-                    if lock is not None:
-                        current = current + (lock,)
-                for stmt in node.body:
-                    visit(stmt, current)
-                return
-            if isinstance(node, (ast.If, ast.While)):
-                scan_test(node.test, held)
-            elif isinstance(node, ast.IfExp):
-                scan_test(node.test, held)
-            elif isinstance(node, ast.Assert):
+        def traversed(line: int, target: ast.AST, held: frozenset[str], how: str) -> None:
+            found = tracked(target)
+            if found is not None:
+                traversals.append((line, found, held, how))
+
+        for node, held_locks in function.nodes:
+            held = frozenset(held_locks)
+            if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
                 scan_test(node.test, held)
             elif isinstance(node, ast.Compare) and any(
                 isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
             ):
                 for side in node.comparators:
-                    found = tracked(side)
-                    if found is not None:
-                        traversals.append(
-                            (node.lineno, found, frozenset(held), "membership test of")
-                        )
+                    traversed(node.lineno, side, held, "membership test of")
             elif isinstance(node, ast.For):
-                found = tracked(node.iter)
-                if found is not None:
-                    traversals.append(
-                        (node.lineno, found, frozenset(held), "iteration over")
-                    )
+                traversed(node.lineno, node.iter, held, "iteration over")
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 for gen in node.generators:
-                    found = tracked(gen.iter)
-                    if found is not None:
-                        traversals.append(
-                            (node.lineno, found, frozenset(held), "iteration over")
-                        )
+                    traversed(node.lineno, gen.iter, held, "iteration over")
             elif isinstance(node, ast.Call):
                 func = node.func
-                if (
-                    isinstance(func, ast.Name)
-                    and func.id in _TRAVERSING_CALLS
-                    and len(node.args) >= 1
-                ):
-                    found = tracked(node.args[0])
-                    if found is not None:
-                        traversals.append(
-                            (node.lineno, found, frozenset(held), f"{func.id}() over")
-                        )
+                if isinstance(func, ast.Name) and func.id in _TRAVERSING_CALLS and node.args:
+                    traversed(node.lineno, node.args[0], held, f"{func.id}() over")
                 elif isinstance(func, ast.Attribute):
                     if func.attr in _TRAVERSING_METHODS:
-                        found = tracked(func.value)
-                        if found is not None:
-                            traversals.append(
-                                (node.lineno, found, frozenset(held),
-                                 f".{func.attr}() over")
-                            )
+                        traversed(node.lineno, func.value, held, f".{func.attr}() over")
                     if func.attr in MUTATING_METHODS:
                         found = tracked(func.value)
                         if found is not None:
                             receiver = attr_type_on(table, *found)
-                            if receiver is None or not table.method_on(
-                                receiver, func.attr
-                            ):
-                                kind = (
-                                    "setdefault"
-                                    if func.attr == "setdefault"
-                                    else "method"
-                                )
-                                mutations.append(
-                                    (node.lineno, found, frozenset(held), kind)
-                                )
-            if isinstance(node, ast.Assign):
+                            if receiver is None or not table.method_on(receiver, func.attr):
+                                kind = "setdefault" if func.attr == "setdefault" else "method"
+                                mutations.append((node.lineno, found, held, kind))
+            elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Attribute):
-                        found = _owner_of_base(
-                            table, class_context, locals_map, fresh, {}, target
-                        )
-                        if found is not None and found in shared_attrs:
-                            mutations.append(
-                                (node.lineno, found, frozenset(held), "assign")
-                            )
-                            if isinstance(node.value, ast.Call):
-                                callee = resolve_call(
-                                    table, info, class_context, node.value.func,
-                                    locals_map,
-                                )
-                                if callee is not None and table.is_class(callee):
-                                    publishes.append(
-                                        (node.lineno, found, frozenset(held))
-                                    )
+                        found = written(target)
+                        if found is not None:
+                            mutations.append((node.lineno, found, held, "assign"))
+                            if (
+                                isinstance(node.value, ast.Call)
+                                and graph.site_of[id(node.value)].constructs
+                            ):
+                                publishes.append((node.lineno, found, held))
                     elif isinstance(target, ast.Subscript) and isinstance(
                         target.value, ast.Attribute
                     ):
-                        found = _owner_of_base(
-                            table, class_context, locals_map, fresh, {}, target.value
-                        )
-                        if found is not None and found in shared_attrs:
-                            mutations.append(
-                                (node.lineno, found, frozenset(held), "store")
-                            )
+                        found = written(target.value)
+                        if found is not None:
+                            mutations.append((node.lineno, found, held, "store"))
             elif isinstance(node, ast.AugAssign):
                 target = node.target
-                base = (
-                    target
-                    if isinstance(target, ast.Attribute)
-                    else target.value
-                    if isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Attribute)
-                    else None
-                )
-                if base is not None:
-                    found = _owner_of_base(
-                        table, class_context, locals_map, fresh, {}, base
-                    )
-                    if found is not None and found in shared_attrs:
-                        mutations.append(
-                            (node.lineno, found, frozenset(held), "augassign")
-                        )
-            for child in ast.iter_child_nodes(node):
-                visit(child, held)
+                if isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute):
+                    found = written(target)
+                    if found is not None:
+                        mutations.append((node.lineno, found, held, "augassign"))
 
-        for stmt in fn.body:
-            visit(stmt, ())
-
-        module = info.module
         reported_lines: set[tuple[int, tuple[str, str]]] = set()
 
         def has_guard(held: frozenset[str], guard: str) -> bool:
@@ -324,7 +206,7 @@ def check_atomicity(
                 continue
             owner, attr = key
             emit(
-                module, line, qualname, owner, attr,
+                line, key,
                 (
                     f"check-then-act on {owner.rsplit('.', 1)[-1]}.{attr}: tested "
                     f"outside its lock ({guard.rsplit('.', 1)[-1]}) but mutated at "
@@ -341,7 +223,7 @@ def check_atomicity(
                 continue
             owner, attr = key
             emit(
-                module, line, qualname, owner, attr,
+                line, key,
                 (
                     f"{how} {owner.rsplit('.', 1)[-1]}.{attr} outside its guarding "
                     f"lock {guard.rsplit('.', 1)[-1]}: writers hold the lock, this "
@@ -361,7 +243,7 @@ def check_atomicity(
             owner, attr = key
             op = "+=" if kind == "augassign" else ".setdefault()"
             emit(
-                module, line, qualname, owner, attr,
+                line, key,
                 (
                     f"compound {op} on {owner.rsplit('.', 1)[-1]}.{attr} outside "
                     f"its guarding lock {guard.rsplit('.', 1)[-1]}: the "
@@ -382,7 +264,7 @@ def check_atomicity(
                 continue
             owner, attr = key
             emit(
-                module, line, qualname, owner, attr,
+                line, key,
                 (
                     f"publish-before-init of {owner.rsplit('.', 1)[-1]}.{attr}: the "
                     f"object becomes visible at line {line} but is still being "

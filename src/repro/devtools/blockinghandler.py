@@ -6,7 +6,9 @@ a subprocess, a socket operation, or a resilience policy that sleeps —
 ties up a worker for an unbounded time and collapses throughput under
 load.  This pass discovers handlers from ``Router`` registrations
 (``route(method, template)(self._handler)`` / ``router.add(...)``),
-propagates may-block facts over the call graph, and reports each
+propagates may-block facts over the call graph (the shared
+:func:`~repro.devtools.callgraph.blocking_sites` classification and
+:func:`~repro.devtools.callgraph.propagate`), and reports each
 blocking *site* once, naming the handlers that reach it and the call
 chain from one of them.
 
@@ -18,159 +20,52 @@ backoff is budget-bounded — covers every handler that reaches it.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-
 from repro.devtools.callgraph import (
     CallGraph,
+    CallSite,
     SymbolTable,
-    iter_functions,
-    resolve_call,
-    resolve_locals,
+    blocking_sites,
+    propagate,
+    witness_chain,
 )
 from repro.devtools.findings import Finding
-from repro.devtools.lockorder import (
-    _BLOCKING_ATTRS,
-    _is_blocking_symbol,
-    _is_string_op,
-    _raw_dotted,
-)
 from repro.devtools.threadescape import discover_handlers
 
 RULE = "blocking-in-handler"
 
-_SUBPROCESS_CALLS = frozenset(
-    {"run", "Popen", "call", "check_call", "check_output", "communicate", "wait"}
-)
 
-_SOCKET_ATTRS = frozenset({"accept", "makefile", "recv_into", "recvfrom"})
-
-
-@dataclass(frozen=True, slots=True)
-class _BlockingSite:
-    """One direct blocking call in one function."""
-
-    qualname: str
-    raw: str
-    reason: str
-    path: str
-    line: int
-
-
-def _result_without_timeout(node: ast.Call) -> bool:
-    """``x.result()`` with no timeout argument blocks indefinitely."""
-    if node.args:
-        return False
-    return not any(kw.arg == "timeout" for kw in node.keywords)
-
-
-def _has_timeout_policy(node: ast.Call) -> bool:
-    """True when a resilience ``execute(...)`` call includes a Timeout
-    policy (positionally or via any argument naming one)."""
-    for arg in list(node.args) + [kw.value for kw in node.keywords]:
-        for sub in ast.walk(arg):
-            if isinstance(sub, (ast.Name, ast.Attribute)):
-                dotted = _raw_dotted(sub) if isinstance(sub, ast.Attribute) else sub.id
-                if "Timeout" in dotted or "timeout" in dotted:
-                    return True
-    return False
-
-
-def _direct_blocking(
-    table: SymbolTable,
-) -> dict[str, _BlockingSite]:
-    """First blocking call per function, with why it blocks."""
-    out: dict[str, _BlockingSite] = {}
-    for info, class_context, qualname, fn in iter_functions(table):
-        if qualname in out:
-            continue
-        locals_map = resolve_locals(table, info, class_context, fn)
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            raw = _raw_dotted(node.func)
-            attr = raw.rsplit(".", 1)[-1] if raw else ""
-            reason = ""
-            if raw == "open" or attr in _BLOCKING_ATTRS:
-                if _is_string_op(node) or raw == "os.path.join":
-                    continue
-                reason = "file/socket IO or sleep"
-            elif attr == "result" and _result_without_timeout(node):
-                reason = "Future.result() without a timeout"
-            elif raw.startswith("subprocess.") and attr in _SUBPROCESS_CALLS:
-                reason = "subprocess call"
-            elif attr in _SOCKET_ATTRS:
-                reason = "socket operation"
-            else:
-                callee = resolve_call(table, info, class_context, node.func, locals_map)
-                if callee is not None and _is_blocking_symbol(callee):
-                    if callee.endswith(".resilience.policies.execute") and (
-                        _has_timeout_policy(node)
-                    ):
-                        continue
-                    reason = "resilience policy that can sleep"
-            if reason:
-                if info.module.allows(RULE, node.lineno):
-                    continue
-                out[qualname] = _BlockingSite(
-                    qualname=qualname,
-                    raw=raw or "<call>",
-                    reason=reason,
-                    path=info.module.rel_path,
-                    line=node.lineno,
-                )
+def check_blocking_in_handler(table: SymbolTable, graph: CallGraph) -> list[Finding]:
+    handlers = discover_handlers(table)
+    # First blocking call per function that is not sanctioned inline.
+    blocking: dict[str, tuple[CallSite, str]] = {}
+    for qualname, hits in blocking_sites(graph).items():
+        module = graph.function[qualname].module
+        for site, reason in hits:
+            if not module.allows(RULE, site.line):
+                blocking[qualname] = (site, reason)
                 break
-    return out
+    reach = propagate(graph.sites, {qualname: ("blocks",) for qualname in blocking})
 
-
-def check_blocking_in_handler(
-    table: SymbolTable,
-    graph: CallGraph,
-    handlers: tuple[str, ...] | None = None,
-) -> list[Finding]:
-    if handlers is None:
-        handlers = discover_handlers(table)
-    if not handlers:
-        return []
-    blocking = _direct_blocking(table)
-
-    # Per handler: BFS to the nearest blocking site, keeping the chain.
+    # Per handler: the nearest blocking site and the chain to it.
     # Findings group by blocking site so one allow-comment at a
     # sanctioned site covers every handler reaching it.
-    grouped: dict[tuple[str, str], tuple[_BlockingSite, list[str], list[str]]] = {}
-    for handler in sorted(handlers):
-        parents: dict[str, str | None] = {handler: None}
-        queue = [handler]
-        hit: str | None = None
-        while queue and hit is None:
-            current = queue.pop(0)
-            if current in blocking:
-                hit = current
-                break
-            for callee in sorted(graph.callees(current)):
-                if callee not in parents:
-                    parents[callee] = current
-                    queue.append(callee)
-        if hit is None:
+    grouped: dict[tuple[str, str], tuple[CallSite, str, list[str], list[str]]] = {}
+    for handler in handlers:
+        if "blocks" not in reach.get(handler, ()):
             continue
-        chain: list[str] = []
-        walk: str | None = hit
-        while walk is not None:
-            chain.append(walk.rsplit(".", 1)[-1])
-            walk = parents[walk]
-        chain.reverse()
-        site = blocking[hit]
-        key = (site.qualname, site.raw)
-        if key in grouped:
-            grouped[key][1].append(handler.rsplit(".", 1)[-1])
-        else:
-            grouped[key] = (site, [handler.rsplit(".", 1)[-1]], chain)
+        chain = witness_chain(reach, handler, "blocks")
+        site, reason = blocking[chain[-1]]
+        raw = site.raw or "<call>"
+        entry = grouped.setdefault(
+            (site.caller, raw),
+            (site, reason, [], [name.rsplit(".", 1)[-1] for name in chain]),
+        )
+        entry[2].append(handler.rsplit(".", 1)[-1])
 
     findings: list[Finding] = []
-    for (site_fn, raw), (site, names, chain) in sorted(grouped.items()):
-        shown = ", ".join(sorted(set(names))[:4])
-        more = len(set(names)) - len(sorted(set(names))[:4])
-        suffix = f" (+{more} more)" if more > 0 else ""
+    for (site_fn, raw), (site, reason, names, chain) in sorted(grouped.items()):
+        unique = sorted(set(names))
+        more = f" (+{len(unique) - 4} more)" if len(unique) > 4 else ""
         fn_short = ".".join(site_fn.rsplit(".", 2)[-2:])
         findings.append(
             Finding(
@@ -178,8 +73,8 @@ def check_blocking_in_handler(
                 path=site.path,
                 line=site.line,
                 message=(
-                    f"blocking call {raw}() ({site.reason}) is reachable from "
-                    f"HTTP handler(s) {shown}{suffix} via "
+                    f"blocking call {raw}() ({reason}) is reachable from "
+                    f"HTTP handler(s) {', '.join(unique[:4])}{more} via "
                     f"{' -> '.join(chain)}; move it off the request path, bound "
                     "it with a timeout, or justify it with an allow-comment"
                 ),

@@ -1,9 +1,10 @@
-"""Whole-program symbol table and call graph over one package tree.
+"""Whole-program symbol table, call graph, and the shared analysis kit.
 
-The first-generation lints see one line at a time; the properties that
-matter now — lock-order inversions, exceptions escaping the taxonomy,
-nondeterminism on result paths — are *whole-program* facts.  This
-module builds the shared substrate the v2 passes stand on:
+Lock-order inversions, exceptions escaping the taxonomy, blocking calls
+behind a handler, state shared across threads — these are
+*whole-program* facts.  This module is the one substrate every
+whole-program pass stands on, so a pass is its predicate plus a table
+entry in :mod:`repro.devtools.check`, never a fresh copy of the walker:
 
 * :class:`SymbolTable` — every module-level function, class, and method
   under the scanned root, keyed by dotted qualname
@@ -17,8 +18,18 @@ module builds the shared substrate the v2 passes stand on:
   return-annotation chaining (``obs.metrics().counter(...)`` resolves
   through ``metrics() -> MetricsRegistry`` to
   ``MetricsRegistry.counter``).  Unresolvable calls are kept as
-  :class:`CallSite` records with ``callee=None`` so downstream passes
-  can still pattern-match external calls (file IO, ``time.sleep``).
+  :class:`CallSite` records with ``callee=None`` so passes can still
+  pattern-match external calls (file IO, ``time.sleep``).  Each
+  function body is walked **once**, here: its :class:`Function` record
+  keeps the inferred local types, every node with the locks lexically
+  held around it, and its call sites, so no pass re-resolves a call.
+* the kit — :func:`dotted_name` (the one name renderer),
+  :func:`expand_roots` + :meth:`CallGraph.reachable` (root patterns to
+  a reachable closure), :func:`propagate` + :func:`witness_chain` (the
+  one fixpoint over call sites, with the call chain that justifies
+  each fact), :func:`blocking_sites` (the one classification of calls
+  that can block a thread), and :class:`LockIndex` (the one resolver of
+  ``with`` expressions to lock creation sites).
 
 Resolution is best-effort by design: a missed edge weakens an analysis
 but never crashes it, which is the right trade for a lint suite that
@@ -28,8 +39,11 @@ must stay fast and dependency-free.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
+from fnmatch import fnmatch
 from pathlib import Path
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from repro.devtools.findings import SourceModule
 
@@ -37,6 +51,15 @@ from repro.devtools.findings import SourceModule
 KIND_FUNCTION = "function"
 KIND_METHOD = "method"
 KIND_CLASS = "class"
+
+#: Method calls that mutate their receiver in place.
+MUTATING_METHODS = frozenset(
+    {
+        "append", "appendleft", "add", "insert", "extend", "extendleft",
+        "update", "setdefault", "pop", "popitem", "popleft", "remove",
+        "discard", "clear", "sort", "reverse",
+    }
+)
 
 #: Decorators that turn a method into an attribute access.
 _PROPERTY_DECORATORS = frozenset(
@@ -88,12 +111,22 @@ class ModuleInfo:
 class CallSite:
     """One call expression, resolved or not."""
 
-    caller: str  # qualname of the enclosing function/method ("<module>" scope uses the module dotted name)
-    callee: str | None  # resolved qualname, or None
+    caller: str  # qualname of the enclosing function/method
+    callee: str | None  # resolved qualname (``__init__`` for a constructor), or None
     #: dotted rendering of the call target as written (``self._file.write``)
     raw: str
     path: str
     line: int
+    #: the call expression (the enclosing call, for an indirect site)
+    node: ast.Call
+    #: locks lexically held around the call, outermost first
+    held: tuple[str, ...] = ()
+    #: the target is a class: the call constructs a fresh object
+    constructs: bool = False
+    #: the callee is only *referenced* here — passed as a callback or
+    #: bound by ``functools.partial`` — and may run later, not at this
+    #: line.  Such sites are graph edges but not calls made here.
+    indirect: bool = False
 
 
 class SymbolTable:
@@ -164,14 +197,162 @@ class SymbolTable:
         return symbol is not None and symbol.kind == KIND_CLASS
 
 
-class CallGraph:
-    """Resolved call edges plus every raw call site."""
+@dataclass(slots=True)
+class LockIndex:
+    """Where every lock in the project is created, and the resolver
+    from a ``with`` context expression to that creation site.  Lock
+    identity is the creation site (``repro.obs.metrics.Gauge._lock``):
+    every instance of a class shares one id."""
 
-    def __init__(self) -> None:
+    table: SymbolTable
+    #: class qualname -> {attr name} holding a lock
+    class_attrs: dict[str, set[str]] = field(default_factory=dict)
+    #: module dotted -> {global name} holding a lock
+    module_globals: dict[str, set[str]] = field(default_factory=dict)
+
+    def all_locks(self) -> set[str]:
+        locks = {f"{mod}.{name}" for mod, names in self.module_globals.items() for name in names}
+        locks.update(f"{cls}.{attr}" for cls, attrs in self.class_attrs.items() for attr in attrs)
+        return locks
+
+    def _class_lock(self, class_qualname: str, attr: str) -> str | None:
+        """Resolve ``self.<attr>`` to the (base-)class that defines it."""
+        seen: set[str] = set()
+        stack = [class_qualname]
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            if attr in self.class_attrs.get(current, ()):
+                return f"{current}.{attr}"
+            stack.extend(self.table.class_bases.get(current, ()))
+        return None
+
+    def resolve(
+        self, info: ModuleInfo, class_context: str | None, expr: ast.expr
+    ) -> str | None:
+        """Lock identity of a ``with`` context expression, or None."""
+        parts: list[str] = []
+        node: ast.expr = expr
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        parts.reverse()
+        if not isinstance(node, ast.Name):
+            return None
+        base = node.id
+        if base in ("self", "cls") and class_context is not None and len(parts) == 1:
+            found = self._class_lock(class_context, parts[0])
+            if found is not None:
+                return found
+            if "lock" in parts[0].lower():
+                return f"{class_context}.{parts[0]}"
+            return None
+        if not parts:
+            if base in self.module_globals.get(info.dotted, ()):
+                return f"{info.dotted}.{base}"
+            target = info.imports.get(base, "")
+            head, _, name = target.rpartition(".")
+            if name in self.module_globals.get(head, ()):
+                return target
+            return None
+        if base in info.imports and len(parts) == 1:
+            target_module = info.imports[base]
+            if parts[0] in self.module_globals.get(target_module, ()):
+                return f"{target_module}.{parts[0]}"
+        return None
+
+
+#: Call constructors that create a lock object.
+_LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock", "Lock", "RLock"})
+
+
+def self_attr_assigns(
+    node: ast.AST,
+) -> Iterable[tuple[str, str, ast.expr | None, ast.expr | None, int]]:
+    """``(receiver, attr, value, annotation, line)`` for every plain or
+    annotated single-target assignment to ``self.<attr>`` /
+    ``cls.<attr>`` anywhere under ``node`` (a class or method body)."""
+    for stmt in ast.walk(node):
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value, annotation = stmt.targets[0], stmt.value, None
+        elif isinstance(stmt, ast.AnnAssign):
+            target, value, annotation = stmt.target, stmt.value, stmt.annotation
+        else:
+            continue
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id in ("self", "cls")
+        ):
+            yield target.value.id, target.attr, value, annotation, stmt.lineno
+
+
+def index_locks(table: SymbolTable) -> LockIndex:
+    """Every ``threading.Lock``/``RLock`` assigned to a module global or
+    a ``self`` attribute."""
+    index = LockIndex(table)
+    for dotted, info in table.modules.items():
+        for node in info.module.tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if (
+                    isinstance(target, ast.Name)
+                    and isinstance(node.value, ast.Call)
+                    and dotted_name(node.value.func) in _LOCK_CTORS
+                ):
+                    index.module_globals.setdefault(dotted, set()).add(target.id)
+            elif isinstance(node, ast.ClassDef):
+                for _receiver, attr, value, _annotation, _line in self_attr_assigns(node):
+                    if isinstance(value, ast.Call) and dotted_name(value.func) in _LOCK_CTORS:
+                        index.class_attrs.setdefault(f"{dotted}.{node.name}", set()).add(attr)
+    return index
+
+
+@dataclass(slots=True)
+class Function:
+    """One function/method body, walked once for every pass."""
+
+    info: ModuleInfo
+    cls: str | None  # enclosing class qualname
+    qualname: str
+    node: ast.FunctionDef | ast.AsyncFunctionDef
+    #: variable/parameter name -> inferred class qualname
+    local_types: dict[str, str]
+    #: every node under the body in source order, with the locks
+    #: lexically held around it (outermost first)
+    nodes: list[tuple[ast.AST, tuple[str, ...]]]
+    #: ``(lock, locks already held, line)`` per ``with`` acquisition
+    acquires: list[tuple[str, tuple[str, ...], int]]
+    #: calls made here, in source order (indirect references excluded)
+    calls: list[CallSite] = field(default_factory=list)
+    #: locals bound to a freshly constructed object
+    fresh: frozenset[str] = frozenset()
+
+    @property
+    def module(self) -> SourceModule:
+        return self.info.module
+
+
+class CallGraph:
+    """Resolved call edges, every raw call site, and every walked body."""
+
+    def __init__(self, table: SymbolTable, locks: LockIndex) -> None:
+        self.table = table
+        self.locks = locks
         self.edges: dict[str, set[str]] = {}
         self.sites: list[CallSite] = []
         #: caller -> its call sites (resolved and not)
         self.sites_by_caller: dict[str, list[CallSite]] = {}
+        #: every walked body, in :func:`iter_functions` order
+        self.functions: list[Function] = []
+        #: qualname -> walked body (the last def wins, as at runtime)
+        self.function: dict[str, Function] = {}
+        #: id(call expression) -> the site for the call made there
+        self.site_of: dict[int, CallSite] = {}
+        #: per-graph memo for analyses several passes share
+        self.memo: dict[Hashable, Any] = {}
 
     def add(self, site: CallSite) -> None:
         self.sites.append(site)
@@ -182,7 +363,7 @@ class CallGraph:
     def callees(self, qualname: str) -> frozenset[str]:
         return frozenset(self.edges.get(qualname, set()))
 
-    def reachable(self, roots: tuple[str, ...]) -> frozenset[str]:
+    def reachable(self, roots: Iterable[str]) -> frozenset[str]:
         """Every qualname reachable from ``roots`` along call edges."""
         seen: set[str] = set()
         stack = list(roots)
@@ -195,7 +376,86 @@ class CallGraph:
         return frozenset(seen)
 
 
-def _dotted_of(node: ast.AST) -> str:
+def expand_roots(table: SymbolTable, patterns: Iterable[str]) -> tuple[str, ...]:
+    """Qualnames in ``table`` matching any root pattern, sorted."""
+    patterns = tuple(patterns)
+    return tuple(
+        sorted(
+            qualname
+            for qualname in table.symbols
+            if any(fnmatch(qualname, pattern) for pattern in patterns)
+        )
+    )
+
+
+class Fact(NamedTuple):
+    """Why a propagated fact holds at a function."""
+
+    source: str | None  # the neighbouring function it arrived from; None where seeded
+    site: Any  # the call site it crossed; None where seeded
+
+
+def propagate(
+    sites: Iterable[Any],
+    seeds: Mapping[str, Iterable[Hashable]],
+    keep: Callable[[Any, Any], bool] | None = None,
+    *,
+    down: bool = False,
+) -> dict[str, dict[Any, Fact]]:
+    """The one fixpoint over call sites: ``facts[function][key]``.
+
+    Every ``key`` seeded at a function also holds at each function that
+    calls it (``down=False``: may-acquire, may-block, may-raise) or that
+    it calls (``down=True``: what a root's context implies for its
+    callees), transitively, unless ``keep(site, key)`` rejects the call
+    site it would cross (a ``try`` that catches it, a lock that covers
+    it).  ``sites`` is anything with ``caller``/``callee`` attributes.
+    First arrival wins and the worklist is FIFO, so the :class:`Fact`
+    links form a shortest justification (see :func:`witness_chain`).
+    """
+    step: dict[str, list[tuple[str, Any]]] = {}
+    for site in sites:
+        if site.callee is None:
+            continue
+        src, dst = (site.caller, site.callee) if down else (site.callee, site.caller)
+        step.setdefault(src, []).append((dst, site))
+    facts: dict[str, dict[Any, Fact]] = {}
+    for function, keys in seeds.items():
+        seeded = {key: Fact(None, None) for key in keys}
+        if seeded:
+            facts[function] = seeded
+    queue = deque(facts)
+    queued = set(queue)
+    while queue:
+        src = queue.popleft()
+        queued.discard(src)
+        have = facts[src]
+        for dst, site in step.get(src, ()):
+            into = facts.setdefault(dst, {})
+            grew = False
+            for key in have:
+                if key in into or (keep is not None and not keep(site, key)):
+                    continue
+                into[key] = Fact(src, site)
+                grew = True
+            if grew and dst not in queued:
+                queue.append(dst)
+                queued.add(dst)
+    return facts
+
+
+def witness_chain(
+    facts: Mapping[str, Mapping[Any, Fact]], function: str, key: Hashable
+) -> list[str]:
+    """The functions a fact travelled through, from ``function`` back
+    to the one that seeded it."""
+    chain = [function]
+    while (source := facts[chain[-1]][key].source) is not None:
+        chain.append(source)
+    return chain
+
+
+def dotted_name(node: ast.AST) -> str:
     """Best-effort dotted rendering of a Name/Attribute/Call chain."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -204,7 +464,7 @@ def _dotted_of(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         parts.append(node.id)
     elif isinstance(node, ast.Call):
-        inner = _dotted_of(node.func)
+        inner = dotted_name(node.func)
         if inner:
             parts.append(f"{inner}()")
     return ".".join(reversed(parts))
@@ -216,7 +476,7 @@ def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str,
     names = []
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        dotted = _dotted_of(target)
+        dotted = dotted_name(target)
         if dotted:
             names.append(dotted)
     return tuple(names)
@@ -238,7 +498,7 @@ def _annotation_name(node: ast.AST | None) -> str:
             return left
         return _annotation_name(node.right)
     if isinstance(node, (ast.Name, ast.Attribute)):
-        dotted = _dotted_of(node)
+        dotted = dotted_name(node)
         return "" if dotted == "None" else dotted
     if isinstance(node, ast.Subscript):
         return ""  # containers: not a class we can dispatch on
@@ -256,7 +516,7 @@ def _container_elem_annotation(node: ast.AST | None) -> str:
     ``dict[str, LSHIndex]`` -> ``LSHIndex``, ``list[Foo]`` -> ``Foo``."""
     if not isinstance(node, ast.Subscript):
         return ""
-    base = _dotted_of(node.value).rpartition(".")[2]
+    base = dotted_name(node.value).rpartition(".")[2]
     inner = node.slice
     if base in _MAPPING_CONTAINERS:
         if isinstance(inner, ast.Tuple) and len(inner.elts) == 2:
@@ -358,7 +618,7 @@ def build_symbol_table(
                         line=node.lineno,
                         is_public=not node.name.startswith("_"),
                         bases=tuple(
-                            b for b in (_dotted_of(base) for base in node.bases) if b
+                            b for b in (dotted_name(base) for base in node.bases) if b
                         ),
                     )
                 )
@@ -463,23 +723,9 @@ def _infer_attr_types(
         if target is not None and table.is_class(target):
             types.setdefault(attr, target)
 
-    for stmt in ast.walk(node):
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target_node = stmt.targets[0]
-            if (
-                isinstance(target_node, ast.Attribute)
-                and isinstance(target_node.value, ast.Name)
-                and target_node.value.id == "self"
-            ):
-                note(target_node.attr, stmt.value, None)
-        elif isinstance(stmt, ast.AnnAssign):
-            target_node = stmt.target
-            if (
-                isinstance(target_node, ast.Attribute)
-                and isinstance(target_node.value, ast.Name)
-                and target_node.value.id == "self"
-            ):
-                note(target_node.attr, stmt.value, stmt.annotation)
+    for receiver, attr, value, annotation, _line in self_attr_assigns(node):
+        if receiver == "self":
+            note(attr, value, annotation)
     # Annotated-parameter assigns: ``self.platform = platform`` where
     # the enclosing method declares ``platform: TVDP``.  Plain-name
     # assigns carry no annotation of their own, so without this the
@@ -701,31 +947,6 @@ def iter_functions(
     return out
 
 
-def _partial_bound_target(
-    table: SymbolTable,
-    info: ModuleInfo,
-    class_context: str | None,
-    call: ast.Call,
-    locals_map: dict[str, str] | None,
-) -> str | None:
-    """For ``functools.partial(fn, ...)`` calls, the qualname ``fn``
-    resolves to — the partial *will* call it, so the edge belongs in
-    the graph even though the call expression targets ``partial``."""
-    dotted = _dotted_of(call.func)
-    if dotted == "partial":
-        if info.imports.get("partial") != "functools.partial":
-            return None
-    elif dotted.endswith(".partial"):
-        head = dotted.rsplit(".", 1)[0]
-        if info.imports.get(head, head) != "functools":
-            return None
-    else:
-        return None
-    if not call.args:
-        return None
-    return _resolve_call_target(table, info, class_context, call.args[0], locals_map)
-
-
 def _callable_arg_target(
     table: SymbolTable,
     info: ModuleInfo,
@@ -735,8 +956,9 @@ def _callable_arg_target(
 ) -> str | None:
     """A function/method qualname an *argument expression* references
     without calling — ``self._execute(query, self._run_sharded)`` passes
-    the bound method ``_run_sharded`` to be invoked by the callee, so the
-    address-taken reference belongs in the graph as a may-call edge."""
+    the bound method ``_run_sharded`` to be invoked by the callee (and
+    ``functools.partial(fn, ...)`` binds ``fn`` to be called later), so
+    the address-taken reference belongs in the graph as a may-call edge."""
     if isinstance(arg, ast.Attribute):
         resolved = _resolve_call_target(table, info, class_context, arg, locals_map)
     elif isinstance(arg, ast.Name):
@@ -751,35 +973,77 @@ def _callable_arg_target(
     return resolved
 
 
+def _walk_held(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    resolve: Callable[[ast.expr], str | None],
+) -> tuple[list[tuple[ast.AST, tuple[str, ...]]], list[tuple[str, tuple[str, ...], int]]]:
+    """``(nodes, acquires)`` for one def: every node in source order
+    (decorators and argument defaults first — their calls run on the
+    def's behalf) with the locks lexically held around it, and every
+    ``with`` acquisition with the locks already held when it happens."""
+    nodes: list[tuple[ast.AST, tuple[str, ...]]] = []
+    acquires: list[tuple[str, tuple[str, ...], int]] = []
+    stack: list[tuple[ast.AST, tuple[str, ...]]] = [
+        (part, ()) for part in reversed([*fn.decorator_list, fn.args, *fn.body])
+    ]
+    while stack:
+        node, held = stack.pop()
+        nodes.append((node, held))
+        children: list[tuple[ast.AST, tuple[str, ...]]]
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            inner = held
+            children = []
+            for item in node.items:
+                children.append((item.context_expr, inner))
+                lock = resolve(item.context_expr)
+                if lock is not None:
+                    acquires.append((lock, inner, item.context_expr.lineno))
+                    inner = inner + (lock,)
+            children.extend((stmt, inner) for stmt in node.body)
+        else:
+            children = [(child, held) for child in ast.iter_child_nodes(node)]
+        stack.extend(reversed(children))
+    return nodes, acquires
+
+
 def build_call_graph(table: SymbolTable) -> CallGraph:
-    """Resolve every call expression in every function/method."""
-    graph = CallGraph()
+    """Walk every function/method body once: resolve each call
+    expression and record the locks held around every node."""
+    locks = index_locks(table)
+    graph = CallGraph(table, locks)
     for info, class_context, qualname, fn in iter_functions(table):
         locals_map = _local_types(table, info, class_context, fn)
-        for node in ast.walk(fn):
+        nodes, acquires = _walk_held(
+            fn, lambda expr: locks.resolve(info, class_context, expr)
+        )
+        function = Function(info, class_context, qualname, fn, locals_map, nodes, acquires)
+        graph.functions.append(function)
+        graph.function[qualname] = function
+        path = info.module.rel_path
+        for node, held in nodes:
             if not isinstance(node, ast.Call):
                 continue
             callee = _resolve_call_target(
                 table, info, class_context, node.func, locals_map
             )
-            if callee is None:
-                callee = _partial_bound_target(
-                    table, info, class_context, node, locals_map
-                )
             # Constructor call: the work happens in __init__.
+            constructs = False
             if callee is not None and table.is_class(callee):
-                init = table.method_on(callee, "__init__")
-                if init is not None:
-                    callee = init
-            graph.add(
-                CallSite(
-                    caller=qualname,
-                    callee=callee,
-                    raw=_dotted_of(node.func),
-                    path=info.module.rel_path,
-                    line=node.lineno,
-                )
+                constructs = True
+                callee = table.method_on(callee, "__init__") or callee
+            site = CallSite(
+                caller=qualname,
+                callee=callee,
+                raw=dotted_name(node.func),
+                path=path,
+                line=node.lineno,
+                node=node,
+                held=held,
+                constructs=constructs,
             )
+            graph.add(site)
+            function.calls.append(site)
+            graph.site_of[id(node)] = site
             # Higher-order: callable references passed as arguments may
             # be invoked by the callee (callbacks, merge fns, handlers).
             for arg in [*node.args, *(kw.value for kw in node.keywords)]:
@@ -791,23 +1055,24 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
                         CallSite(
                             caller=qualname,
                             callee=taken,
-                            raw=_dotted_of(arg),
-                            path=info.module.rel_path,
+                            raw=dotted_name(arg),
+                            path=path,
                             line=node.lineno,
+                            node=node,
+                            held=held,
+                            indirect=True,
                         )
                     )
+        function.fresh = frozenset(
+            stmt.targets[0].id
+            for stmt, _held in nodes
+            if isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and isinstance(stmt.value, ast.Call)
+            and graph.site_of[id(stmt.value)].constructs
+        )
     return graph
-
-
-def resolve_locals(
-    table: SymbolTable,
-    info: ModuleInfo,
-    class_context: str | None,
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> dict[str, str]:
-    """Public wrapper over the local type inference (used by passes that
-    need per-function resolution beyond the prebuilt graph)."""
-    return _local_types(table, info, class_context, fn)
 
 
 def resolve_call(
@@ -819,3 +1084,95 @@ def resolve_call(
 ) -> str | None:
     """Public wrapper over call-target resolution."""
     return _resolve_call_target(table, info, class_context, func, locals_map)
+
+
+# -- blocking calls -------------------------------------------------------------
+
+#: Attribute names whose call is blocking regardless of receiver.
+_BLOCKING_ATTRS = frozenset(
+    {
+        "sleep", "write", "flush", "write_text", "write_bytes", "read_text",
+        "read_bytes", "replace", "unlink", "rename", "urlopen", "sendall",
+        "recv", "connect", "join",
+    }
+)
+_SUBPROCESS_CALLS = frozenset(
+    {"run", "Popen", "call", "check_call", "check_output", "communicate", "wait"}
+)
+_SOCKET_ATTRS = frozenset({"accept", "makefile", "recv_into", "recvfrom"})
+
+#: Resilience-policy entry points: they run a callable handed to them,
+#: re-raise what it throws, and may retry/back off for seconds.
+POLICY_CALL_SUFFIXES = (
+    ".resilience.policies.execute",
+    ".resilience.policies.Retry.call",
+    ".resilience.policies.CircuitBreaker.call",
+    ".resilience.policies.Fallback.call",
+)
+#: Project symbols whose call blocks.
+_BLOCKING_SYMBOL_SUFFIXES = (*POLICY_CALL_SUFFIXES, ".resilience.clock.SystemClock.sleep")
+
+
+def _is_string_op(node: ast.Call) -> bool:
+    """String manipulation that shares a name with a blocking call:
+    ``", ".join(...)`` (vs ``Thread.join``), ``s.replace("a", "b")``
+    (vs the ``Path.replace`` rename), and ``os.path.join``."""
+    func = node.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "join":
+        return dotted_name(func) == "os.path.join" or (
+            isinstance(func.value, ast.Constant) and isinstance(func.value.value, str)
+        )
+    return func.attr == "replace" and any(
+        isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        for arg in node.args
+    )
+
+
+def _names_timeout(node: ast.Call) -> bool:
+    """True when any argument of a resilience ``execute(...)`` call
+    names a Timeout policy."""
+    return any(
+        "timeout" in dotted_name(sub).lower()
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]
+        for sub in ast.walk(arg)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def blocking_reason(site: CallSite) -> str:
+    """Why the call at ``site`` can block its thread for an unbounded
+    time ("" when it cannot) — the one classification ``lock-order``
+    and ``blocking-in-handler`` share."""
+    node = site.node
+    attr = site.raw.rsplit(".", 1)[-1]
+    if site.raw == "open" or attr in _BLOCKING_ATTRS:
+        return "" if _is_string_op(node) else "file/socket IO or sleep"
+    if attr == "result":
+        timed = node.args or any(kw.arg == "timeout" for kw in node.keywords)
+        return "" if timed else "Future.result() without a timeout"
+    if site.raw.startswith("subprocess.") and attr in _SUBPROCESS_CALLS:
+        return "subprocess call"
+    if attr in _SOCKET_ATTRS:
+        return "socket operation"
+    callee = site.callee or ""
+    if callee.endswith(_BLOCKING_SYMBOL_SUFFIXES):
+        if callee.endswith(".resilience.policies.execute") and _names_timeout(node):
+            return ""
+        return "resilience policy that can sleep"
+    return ""
+
+
+def blocking_sites(graph: CallGraph) -> dict[str, list[tuple[CallSite, str]]]:
+    """``function -> [(call site, why it blocks), ...]`` in source
+    order, for every function making at least one blocking call."""
+    cached = graph.memo.get("blocking")
+    if cached is None:
+        cached = {}
+        for function in graph.functions:
+            hits = [(site, why) for site in function.calls if (why := blocking_reason(site))]
+            if hits:
+                cached.setdefault(function.qualname, []).extend(hits)
+        graph.memo["blocking"] = cached
+    return cached

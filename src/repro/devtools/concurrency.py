@@ -1,51 +1,33 @@
-"""Concurrency lints: shared mutable state must be lock-protected.
+"""Concurrency lint: module-level mutable state must be lock-protected.
 
-Two rules (companion runtime check: ``tests/devtools/test_race_harness.py``):
-
-* ``module-mutable-state`` — a module-level mutable container (or any
-  name rebound through ``global``) that the module itself mutates at
-  runtime must do so under a lock.  Read-only registry dicts assigned
-  once at import are fine; the moment a function writes to one outside
-  a ``with <...lock...>:`` block, the lint fires at the write site.
-* ``unlocked-mutation`` — inside concurrency-critical modules (the
-  index structures and the metrics registry), *public* methods that
-  mutate ``self`` state (container writes, augmented assignments) must
-  hold a lock.  Underscore-prefixed helpers are assumed to be called
-  with the lock already held, which keeps recursive tree code hot.
+``module-mutable-state`` — a module-level mutable container (or any
+name rebound through ``global``) that the module itself mutates at
+runtime must do so under a lock.  Read-only registry dicts assigned
+once at import are fine; the moment a function writes to one outside a
+``with <...lock...>:`` block, the lint fires at the write site.
 
 A ``with`` statement counts as lock-protected when any context
 expression's dotted name contains ``"lock"`` (``self._lock``,
 ``_registry_lock``, ``cls._big_lock``, ...).
+
+State held on *instances* is the whole-program ``thread-escape``
+pass's job (:mod:`repro.devtools.threadescape`): it decides which
+classes concurrent entry points share and resolves the real lock held
+at every write, which a per-file name heuristic cannot.
 """
 
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 
-from repro.devtools.findings import Finding, SourceModule, scope_of
+from repro.devtools.callgraph import MUTATING_METHODS, dotted_name
+from repro.devtools.findings import Finding, SourceModule
 
 RULE_MODULE_STATE = "module-mutable-state"
-RULE_UNLOCKED = "unlocked-mutation"
-
-#: Modules whose classes are mutated from many threads (index structures
-#: shared by the platform, the process-wide metrics registry/tracer).
-DEFAULT_CRITICAL_GLOBS: tuple[str, ...] = (
-    "*/repro/index/*.py",
-    "*/repro/obs/*.py",
-)
 
 _MUTABLE_CALLS = frozenset(
     {"list", "dict", "set", "bytearray", "deque", "defaultdict", "OrderedDict", "Counter"}
 )
-_MUTATING_METHODS = frozenset(
-    {
-        "append", "appendleft", "add", "insert", "extend", "extendleft",
-        "update", "setdefault", "pop", "popitem", "popleft", "remove",
-        "discard", "clear", "sort", "reverse",
-    }
-)
-
 
 def _is_mutable_value(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
@@ -57,19 +39,6 @@ def _is_mutable_value(node: ast.AST) -> bool:
         )
         return name in _MUTABLE_CALLS
     return False
-
-
-def _dotted(node: ast.AST) -> str:
-    """Best-effort dotted rendering of a Name/Attribute chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    elif isinstance(node, ast.Call):
-        parts.append(_dotted(node.func))
-    return ".".join(reversed(parts))
 
 
 def _annotate_parents(tree: ast.Module) -> None:
@@ -85,7 +54,7 @@ def _under_lock(node: ast.AST) -> bool:
     while current is not None:
         if isinstance(current, (ast.With, ast.AsyncWith)):
             for item in current.items:
-                if "lock" in _dotted(item.context_expr).lower():
+                if "lock" in dotted_name(item.context_expr).lower():
                     return True
         current = getattr(current, "_devtools_parent", None)
     return False
@@ -96,31 +65,6 @@ def _base_name(node: ast.AST) -> ast.AST:
     while isinstance(node, ast.Subscript):
         node = node.value
     return node
-
-
-def _global_mutations(tree: ast.Module, names: set[str]) -> list[tuple[int, str, str]]:
-    """(line, name, verb) for every mutation of a tracked global."""
-    hits: list[tuple[int, str, str]] = []
-
-    def track(target: ast.AST, verb: str, line: int) -> None:
-        base = _base_name(target)
-        if isinstance(base, ast.Name) and base.id in names:
-            hits.append((line, base.id, verb))
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
-            verb = "augmented assignment" if isinstance(node, ast.AugAssign) else "write"
-            for target in targets:
-                # Plain module-level rebinds at import time are fine;
-                # only subscript writes / augassign mutate shared state.
-                if isinstance(target, ast.Subscript) or isinstance(node, ast.AugAssign):
-                    track(target, verb, node.lineno)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS and isinstance(node.func.value, ast.Name):
-                if node.func.value.id in names:
-                    hits.append((node.lineno, node.func.value.id, f".{node.func.attr}()"))
-    return hits
 
 
 def _global_rebinds(tree: ast.Module) -> list[tuple[ast.stmt, int, str]]:
@@ -154,11 +98,8 @@ def _global_rebinds(tree: ast.Module) -> list[tuple[ast.stmt, int, str]]:
     return hits
 
 
-def check_module_state(
-    modules: list[SourceModule], scope_cache: dict | None = None
-) -> list[Finding]:
+def check_module_state(modules: list[SourceModule]) -> list[Finding]:
     """``module-mutable-state`` findings across ``modules``."""
-    cache: dict = scope_cache if scope_cache is not None else {}
     findings: list[Finding] = []
     for module in modules:
         _annotate_parents(module.tree)
@@ -194,7 +135,7 @@ def check_module_state(
                             mutation_nodes.append((node, node.lineno, base.id, "del"))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if (
-                    node.func.attr in _MUTATING_METHODS
+                    node.func.attr in MUTATING_METHODS
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in tracked
                 ):
@@ -205,125 +146,24 @@ def check_module_state(
         for node, line, name, verb in mutation_nodes:
             if line == line_of.get(name):
                 continue  # the initialising statement itself
-            if _under_lock(node) or module.allows(RULE_MODULE_STATE, line):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_MODULE_STATE,
-                    path=module.rel_path,
-                    line=line,
-                    message=(
-                        f"module-level mutable {name!r} (defined line "
-                        f"{line_of[name]}) is mutated here ({verb}) outside a lock"
-                    ),
-                    scope=f"{scope_of(module, line, cache)}:{name}",
+            if not _under_lock(node):
+                module.report(
+                    findings,
+                    RULE_MODULE_STATE,
+                    line,
+                    f"module-level mutable {name!r} (defined line "
+                    f"{line_of[name]}) is mutated here ({verb}) outside a lock",
+                    scope=f"{module.scope_at(line)}:{name}",
                 )
-            )
 
         for node, line, name in _global_rebinds(module.tree):
-            if _under_lock(node) or module.allows(RULE_MODULE_STATE, line):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_MODULE_STATE,
-                    path=module.rel_path,
-                    line=line,
-                    message=(
-                        f"'global {name}' rebinding outside a lock — shared module "
-                        f"state must be guarded"
-                    ),
-                    scope=f"{scope_of(module, line, cache)}:{name}",
+            if not _under_lock(node):
+                module.report(
+                    findings,
+                    RULE_MODULE_STATE,
+                    line,
+                    f"'global {name}' rebinding outside a lock — shared module "
+                    f"state must be guarded",
+                    scope=f"{module.scope_at(line)}:{name}",
                 )
-            )
     return findings
-
-
-def check_unlocked_mutations(
-    modules: list[SourceModule],
-    critical_globs: tuple[str, ...] = DEFAULT_CRITICAL_GLOBS,
-    scope_cache: dict | None = None,
-) -> list[Finding]:
-    """``unlocked-mutation`` findings in concurrency-critical modules."""
-    cache: dict = scope_cache if scope_cache is not None else {}
-    findings: list[Finding] = []
-    for module in modules:
-        posix = module.path.as_posix()
-        if not any(fnmatch(posix, glob) for glob in critical_globs):
-            continue
-        _annotate_parents(module.tree)
-        for cls in [n for n in ast.walk(module.tree) if isinstance(n, ast.ClassDef)]:
-            for method in cls.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if method.name.startswith("_"):
-                    continue  # helpers run with the lock already held
-                for node, line, attr, verb in _self_mutations(method):
-                    if _under_lock(node) or module.allows(RULE_UNLOCKED, line):
-                        continue
-                    findings.append(
-                        Finding(
-                            rule=RULE_UNLOCKED,
-                            path=module.rel_path,
-                            line=line,
-                            message=(
-                                f"{cls.name}.{method.name} mutates self.{attr} "
-                                f"({verb}) without holding a lock — this module is "
-                                f"declared concurrency-critical"
-                            ),
-                            scope=f"{cls.name}.{method.name}:{attr}",
-                        )
-                    )
-    return findings
-
-
-def _self_mutations(
-    method: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> list[tuple[ast.AST, int, str, str]]:
-    """Mutations of ``self.<attr>`` state inside one method."""
-
-    def self_attr(node: ast.AST) -> str | None:
-        node = _base_name(node)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        return None
-
-    hits: list[tuple[ast.AST, int, str, str]] = []
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    attr = self_attr(target)
-                    if attr is not None:
-                        hits.append((node, node.lineno, attr, "item write"))
-        elif isinstance(node, ast.AugAssign):
-            attr = self_attr(node.target)
-            if attr is not None:
-                hits.append((node, node.lineno, attr, "augmented assignment"))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    attr = self_attr(target)
-                    if attr is not None:
-                        hits.append((node, node.lineno, attr, "item delete"))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS:
-                attr = self_attr(node.func.value)
-                if attr is not None:
-                    hits.append((node, node.lineno, attr, f".{node.func.attr}()"))
-    return hits
-
-
-def check_concurrency(
-    modules: list[SourceModule],
-    critical_globs: tuple[str, ...] = DEFAULT_CRITICAL_GLOBS,
-    scope_cache: dict | None = None,
-) -> list[Finding]:
-    """Both concurrency rules over ``modules``."""
-    cache: dict = scope_cache if scope_cache is not None else {}
-    return check_module_state(modules, cache) + check_unlocked_mutations(
-        modules, critical_globs, cache
-    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.devtools.findings import Finding, SourceModule, scope_of
+from repro.devtools.findings import Finding, SourceModule
 
 RULE_BROAD_EXCEPT = "broad-except"
 RULE_MUTABLE_DEFAULT = "mutable-default"
@@ -73,10 +73,7 @@ def _handler_accounts_for_error(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-def check_broad_except(
-    modules: list[SourceModule], scope_cache: dict | None = None
-) -> list[Finding]:
-    cache: dict = scope_cache if scope_cache is not None else {}
+def check_broad_except(modules: list[SourceModule]) -> list[Finding]:
     findings: list[Finding] = []
     for module in modules:
         for node in ast.walk(module.tree):
@@ -84,28 +81,19 @@ def check_broad_except(
                 continue
             if not _is_broad(node) or _handler_accounts_for_error(node):
                 continue
-            if module.allows(RULE_BROAD_EXCEPT, node.lineno):
-                continue
             caught = "bare except" if node.type is None else f"except {_type_name(node.type) or '...'}"
-            findings.append(
-                Finding(
-                    rule=RULE_BROAD_EXCEPT,
-                    path=module.rel_path,
-                    line=node.lineno,
-                    message=(
-                        f"{caught} swallows the error: re-raise, log via "
-                        f"repro.obs.get_logger, or count it — or narrow the clause"
-                    ),
-                    scope=scope_of(module, node.lineno, cache),
-                )
+            module.report(
+                findings,
+                RULE_BROAD_EXCEPT,
+                node.lineno,
+                f"{caught} swallows the error: re-raise, log via "
+                f"repro.obs.get_logger, or count it — or narrow the clause",
+                module.scope_at(node.lineno),
             )
     return findings
 
 
-def check_mutable_defaults(
-    modules: list[SourceModule], scope_cache: dict | None = None
-) -> list[Finding]:
-    cache: dict = scope_cache if scope_cache is not None else {}
+def check_mutable_defaults(modules: list[SourceModule]) -> list[Finding]:
     findings: list[Finding] = []
     for module in modules:
         for node in ast.walk(module.tree):
@@ -118,59 +106,41 @@ def check_mutable_defaults(
                 bad = isinstance(default, (ast.List, ast.Dict, ast.Set))
                 if isinstance(default, ast.Call) and isinstance(default.func, ast.Name):
                     bad = bad or default.func.id in _MUTABLE_CALLS
-                if not bad or module.allows(RULE_MUTABLE_DEFAULT, default.lineno):
-                    continue
-                findings.append(
-                    Finding(
-                        rule=RULE_MUTABLE_DEFAULT,
-                        path=module.rel_path,
-                        line=default.lineno,
-                        message=(
-                            f"mutable default argument in {node.name}(): the object "
-                            f"is shared across calls; default to None instead"
-                        ),
-                        scope=scope_of(module, node.lineno, cache),
+                if bad:
+                    module.report(
+                        findings,
+                        RULE_MUTABLE_DEFAULT,
+                        default.lineno,
+                        f"mutable default argument in {node.name}(): the object "
+                        f"is shared across calls; default to None instead",
+                        module.scope_at(node.lineno),
                     )
-                )
     return findings
 
 
-def check_no_print(
-    modules: list[SourceModule], scope_cache: dict | None = None
-) -> list[Finding]:
-    cache: dict = scope_cache if scope_cache is not None else {}
+def check_no_print(modules: list[SourceModule]) -> list[Finding]:
     findings: list[Finding] = []
     for module in modules:
         for node in ast.walk(module.tree):
-            if not (
+            if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "print"
             ):
-                continue
-            if module.allows(RULE_NO_PRINT, node.lineno):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_NO_PRINT,
-                    path=module.rel_path,
-                    line=node.lineno,
-                    message=(
-                        "print() in library code: use repro.obs.get_logger "
-                        "(or obs.console for CLI-facing output)"
-                    ),
-                    scope=scope_of(module, node.lineno, cache),
+                module.report(
+                    findings,
+                    RULE_NO_PRINT,
+                    node.lineno,
+                    "print() in library code: use repro.obs.get_logger "
+                    "(or obs.console for CLI-facing output)",
+                    module.scope_at(node.lineno),
                 )
-            )
     return findings
 
 
-def check_no_sleep(
-    modules: list[SourceModule], scope_cache: dict | None = None
-) -> list[Finding]:
+def check_no_sleep(modules: list[SourceModule]) -> list[Finding]:
     """Flag ``time.sleep(...)`` calls — including ones through a
     ``from time import sleep`` alias — anywhere in library code."""
-    cache: dict = scope_cache if scope_cache is not None else {}
     findings: list[Finding] = []
     for module in modules:
         # Names that ``from time import sleep [as alias]`` bound locally.
@@ -190,23 +160,16 @@ def check_no_sleep(
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "time"
             ) or (isinstance(func, ast.Name) and func.id in sleep_aliases)
-            if not is_sleep:
-                continue
-            if module.allows(RULE_NO_SLEEP, node.lineno):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_NO_SLEEP,
-                    path=module.rel_path,
-                    line=node.lineno,
-                    message=(
-                        "time.sleep() blocks a real thread: route waits through "
-                        "the injectable repro.resilience.Clock so simulated time "
-                        "can stand in (SystemClock.sleep is the one allowed site)"
-                    ),
-                    scope=scope_of(module, node.lineno, cache),
+            if is_sleep:
+                module.report(
+                    findings,
+                    RULE_NO_SLEEP,
+                    node.lineno,
+                    "time.sleep() blocks a real thread: route waits through "
+                    "the injectable repro.resilience.Clock so simulated time "
+                    "can stand in (SystemClock.sleep is the one allowed site)",
+                    module.scope_at(node.lineno),
                 )
-            )
     return findings
 
 
@@ -231,11 +194,8 @@ def _geo_violation(kind: str, value: float) -> str | None:
     return None
 
 
-def check_geo_literals(
-    modules: list[SourceModule], scope_cache: dict | None = None
-) -> list[Finding]:
+def check_geo_literals(modules: list[SourceModule]) -> list[Finding]:
     """Out-of-range lat/lng literal heuristics at geo call sites."""
-    cache: dict = scope_cache if scope_cache is not None else {}
     # Positional argument meanings of the geographic constructors.
     positional = {
         "GeoPoint": ("lat", "lng"),
@@ -244,17 +204,7 @@ def check_geo_literals(
     findings: list[Finding] = []
 
     def report(module: SourceModule, line: int, message: str) -> None:
-        if module.allows(RULE_GEO_RANGE, line):
-            return
-        findings.append(
-            Finding(
-                rule=RULE_GEO_RANGE,
-                path=module.rel_path,
-                line=line,
-                message=message,
-                scope=scope_of(module, line, cache),
-            )
-        )
+        module.report(findings, RULE_GEO_RANGE, line, message, module.scope_at(line))
 
     for module in modules:
         for node in ast.walk(module.tree):

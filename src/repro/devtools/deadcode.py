@@ -33,15 +33,9 @@ _IMPLICIT = frozenset({"main"})
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
-    """Every simple name this module mentions outside ``__all__``."""
+    """Every simple name this module mentions (``__all__`` entries are
+    strings, not names, so a re-export list keeps nothing alive)."""
     names: set[str] = set()
-    skip_strings: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "__all__":
-                    for sub in ast.walk(node.value):
-                        skip_strings.add(id(sub))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -85,39 +79,30 @@ def check_dead_code(
         referencing = references.get(symbol.name, set()) - {symbol.path}
         if referencing:
             continue
-        module = by_rel.get(symbol.path)
-        if module is not None:
-            # The defining module may legitimately use its own symbol
-            # (decorator application, registry append); those uses are
-            # internal wiring, not API consumption — but a symbol the
-            # defining module itself calls is not dead either.
-            own_uses = _own_use_count(module.tree, symbol.name, symbol.line)
-            if own_uses:
-                continue
-            if module.allows(RULE_DEAD_CODE, symbol.line):
-                continue
-        findings.append(
-            Finding(
-                rule=RULE_DEAD_CODE,
-                path=symbol.path,
-                line=symbol.line,
-                message=(
-                    f"public {symbol.kind} {qualname} is never referenced from "
-                    f"src or examples — delete it, underscore it, or mark "
-                    f"intentional API with an allow comment"
-                ),
-                scope=qualname,
-            )
+        module = by_rel[symbol.path]
+        # The defining module may legitimately use its own symbol
+        # (decorator application, registry append); those uses are
+        # internal wiring, not API consumption — but a symbol the
+        # defining module itself calls is not dead either.
+        if _used_in(module.tree, symbol.name):
+            continue
+        module.report(
+            findings,
+            RULE_DEAD_CODE,
+            symbol.line,
+            f"public {symbol.kind} {qualname} is never referenced from "
+            f"src or examples — delete it, underscore it, or mark "
+            f"intentional API with an allow comment",
+            scope=qualname,
         )
     return findings
 
 
-def _own_use_count(tree: ast.Module, name: str, def_line: int) -> int:
-    """Uses of ``name`` inside its own module, excluding the definition."""
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-            count += 1
-        elif isinstance(node, ast.Attribute) and node.attr == name:
-            count += 1
-    return count
+def _used_in(tree: ast.Module, name: str) -> bool:
+    """Is ``name`` loaded or accessed as an attribute anywhere in its
+    own module (the ``def``/``class`` statement itself is neither)?"""
+    return any(
+        (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        for node in ast.walk(tree)
+    )

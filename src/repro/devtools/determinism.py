@@ -28,7 +28,8 @@ from __future__ import annotations
 import ast
 from fnmatch import fnmatch
 
-from repro.devtools.findings import Finding, SourceModule, scope_of
+from repro.devtools.callgraph import dotted_name
+from repro.devtools.findings import Finding, SourceModule
 
 RULE_DETERMINISM = "determinism"
 
@@ -59,19 +60,9 @@ _GLOBAL_RANDOM = frozenset(
 )
 
 
-def _dotted(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _classify_call(node: ast.Call) -> str | None:
     """A human-readable reason this call is nondeterministic, or None."""
-    dotted = _dotted(node.func)
+    dotted = dotted_name(node.func)
     if not dotted:
         return None
     if dotted in _WALL_CLOCK or dotted.endswith((".datetime.now", ".datetime.utcnow")):
@@ -118,10 +109,8 @@ def _is_unordered_iterable(node: ast.expr) -> bool:
 def check_determinism(
     modules: list[SourceModule],
     exempt_globs: tuple[str, ...] = DEFAULT_EXEMPT_GLOBS,
-    scope_cache: dict | None = None,
 ) -> list[Finding]:
     """``determinism`` findings across ``modules``."""
-    cache: dict = scope_cache if scope_cache is not None else {}
     findings: list[Finding] = []
     for module in modules:
         posix = module.path.as_posix()
@@ -129,23 +118,15 @@ def check_determinism(
             continue
 
         def report(line: int, message: str, token: str) -> None:
-            if module.allows(RULE_DETERMINISM, line):
-                return
-            findings.append(
-                Finding(
-                    rule=RULE_DETERMINISM,
-                    path=module.rel_path,
-                    line=line,
-                    message=message,
-                    scope=f"{scope_of(module, line, cache)}:{token}",
-                )
+            module.report(
+                findings, RULE_DETERMINISM, line, message, f"{module.scope_at(line)}:{token}"
             )
 
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 reason = _classify_call(node)
                 if reason is not None:
-                    report(node.lineno, reason, _dotted(node.func))
+                    report(node.lineno, reason, dotted_name(node.func))
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 if _is_unordered_iterable(node.iter):
                     report(

@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 
 from repro.devtools.callgraph import (
     CallGraph,
-    ModuleInfo,
+    POLICY_CALL_SUFFIXES,
+    Function,
     SymbolTable,
-    iter_functions,
+    propagate,
     resolve_call,
-    resolve_locals,
 )
 from repro.devtools.findings import Finding, SourceModule
 
@@ -78,13 +78,6 @@ KNOWN_RAISERS: dict[str, tuple[str, ...]] = {
     "json.dumps": ("TypeError", "ValueError"),
 }
 
-#: Policy entry points whose callable arguments' raises propagate out.
-_HIGHER_ORDER_SUFFIXES = (
-    ".resilience.policies.execute",
-    ".resilience.policies.Retry.call",
-    ".resilience.policies.CircuitBreaker.call",
-    ".resilience.policies.Fallback.call",
-)
 
 
 @dataclass(slots=True)
@@ -248,94 +241,62 @@ def _caught(
     return False
 
 
-@dataclass(slots=True)
-class _RaiseFacts:
-    """Per-function facts before propagation."""
+@dataclass(frozen=True, slots=True)
+class _Call:
+    """One way an exception can travel from ``callee`` into ``caller``:
+    a call, or a callable handed to a policy that re-raises what it
+    throws — filtered by the ``try`` stack around the site."""
 
-    #: exception name -> witness line (first seen)
-    direct: dict[str, int] = field(default_factory=dict)
-    #: call sites: (callee qualname|None, raw, line, try stack, callable-arg callees)
-    calls: list[tuple[str | None, str, int, list[tuple[str, ...] | None], tuple[str, ...]]] = field(
-        default_factory=list
-    )
-
-
-def _is_higher_order(qualname: str) -> bool:
-    return any(qualname.endswith(suffix) for suffix in _HIGHER_ORDER_SUFFIXES)
+    caller: str
+    callee: str
+    line: int
+    stack: list[tuple[str, ...] | None]
 
 
 def _collect_facts(
-    table: SymbolTable,
-    info: ModuleInfo,
-    class_context: str | None,
-    qualname: str,
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    model: ExceptionModel,
-) -> _RaiseFacts:
-    facts = _RaiseFacts()
-    locals_map = resolve_locals(table, info, class_context, fn)
-    context = _try_context(fn)
+    table: SymbolTable, function: Function, model: ExceptionModel
+) -> tuple[dict[str, int], list[_Call]]:
+    """``({exception name: witness line}, calls)`` for one function
+    before propagation: its uncaught direct raises and known external
+    raisers, and the sites exceptions can arrive through."""
+    direct: dict[str, int] = {}
+    calls: list[_Call] = []
+    context = _try_context(function.node)
+    caller = function.qualname
 
     # Nested defs' bodies are walked with their lexical try context —
     # a fair stand-in for the enclosing function's protection, since
     # closures here are invoked from where they are defined (directly
     # or through a policy call we model higher-order).
-    for node in ast.walk(fn):
-        stack = context.get(id(node), [])
-        if isinstance(node, ast.Raise):
-            if node.exc is None:
-                # bare re-raise inside a transparent handler: the try
-                # body's raises already pass through (the handler was
-                # excluded from the filter stack), so nothing to add.
-                continue
+    for node, _held in function.nodes:
+        # A bare re-raise sits in a transparent handler: the try body's
+        # raises already pass through (the handler was excluded from
+        # the filter stack), so there is nothing to add.
+        if isinstance(node, ast.Raise) and node.exc is not None:
             name = _exception_name(node.exc)
-            if name is not None and not _caught(name, stack, model):
-                facts.direct.setdefault(f"{name}@{node.lineno}", node.lineno)
-        elif isinstance(node, ast.Call):
-            callee = resolve_call(table, info, class_context, node.func, locals_map)
-            if callee is not None and table.is_class(callee):
-                callee = table.method_on(callee, "__init__")
-            raw = _raw_dotted(node.func)
-            arg_callees: list[str] = []
-            if callee is not None and _is_higher_order(callee):
-                for arg in node.args:
-                    if isinstance(arg, ast.Lambda):
-                        for sub in ast.walk(arg.body):
-                            if isinstance(sub, ast.Call):
-                                inner_callee = resolve_call(
-                                    table, info, class_context, sub.func, locals_map
-                                )
-                                if inner_callee is not None:
-                                    arg_callees.append(inner_callee)
-                    else:
-                        target = resolve_call(table, info, class_context, arg, locals_map)
-                        if target is not None:
-                            arg_callees.append(target)
-            facts.calls.append((callee, raw, node.lineno, stack, tuple(arg_callees)))
-    return facts
+            if name is not None and not _caught(name, context.get(id(node), []), model):
+                direct.setdefault(name, node.lineno)
+    for site in function.calls:
+        stack = context.get(id(site.node), [])
+        if site.callee is None:
+            for name in _external_raises(site.raw):
+                if not _caught(name, stack, model):
+                    direct.setdefault(name, site.line)
+            continue
+        calls.append(_Call(caller, site.callee, site.line, stack))
+        if site.callee.endswith(POLICY_CALL_SUFFIXES):
+            for arg in site.node.args:
+                target = resolve_call(
+                    table, function.info, function.cls, arg, function.local_types
+                )
+                if target is not None:
+                    calls.append(_Call(caller, target, site.line, stack))
+    return direct, calls
 
 
-def _raw_dotted(expr: ast.expr) -> str:
-    parts: list[str] = []
-    node: ast.expr = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _external_raises(callee: str | None, raw: str) -> tuple[str, ...]:
-    if callee is not None:
-        return ()  # project-internal: handled by propagation
-    if raw in KNOWN_RAISERS:
-        return KNOWN_RAISERS[raw]
-    attr = raw.rsplit(".", 1)[-1] if raw else ""
-    for suffix in (raw, attr):
-        if suffix in KNOWN_RAISERS:
-            return KNOWN_RAISERS[suffix]
-    return ()
+def _external_raises(raw: str) -> tuple[str, ...]:
+    """What an unresolved (external) call is known to raise."""
+    return KNOWN_RAISERS.get(raw) or KNOWN_RAISERS.get(raw.rsplit(".", 1)[-1], ())
 
 
 @dataclass(slots=True)
@@ -349,50 +310,23 @@ class ExceptionFlow:
 
 def analyze_exceptions(table: SymbolTable, graph: CallGraph) -> ExceptionFlow:
     model = build_exception_model(table)
-    facts: dict[str, _RaiseFacts] = {}
-    for info, class_context, qualname, fn in iter_functions(table):
-        collected = _collect_facts(table, info, class_context, qualname, fn, model)
-        # Strip witness-line suffixes from direct raises now that
-        # duplicates are folded.
-        direct: dict[str, int] = {}
-        for key, line in collected.direct.items():
-            name = key.split("@", 1)[0]
-            if name not in direct:
-                direct[name] = line
-        collected.direct = direct
-        facts[qualname] = collected
-
-    raises: dict[str, dict[str, int]] = {
-        qualname: dict(f.direct) for qualname, f in facts.items()
+    direct: dict[str, dict[str, int]] = {}
+    calls: list[_Call] = []
+    for function in graph.functions:
+        direct[function.qualname], found = _collect_facts(table, function, model)
+        calls.extend(found)
+    # Propagate along the calls, filtering each site's contribution
+    # through its try/except stack.
+    reached = propagate(
+        calls, direct, keep=lambda call, name: not _caught(name, call.stack, model)
+    )
+    raises = {
+        qualname: {
+            name: fact.site.line if fact.site is not None else direct[qualname][name]
+            for name, fact in reached.get(qualname, {}).items()
+        }
+        for qualname in direct
     }
-    # Add external raisers, filtered by try context at the call site.
-    for qualname, f in facts.items():
-        out = raises[qualname]
-        for callee, raw, line, stack, _args in f.calls:
-            for name in _external_raises(callee, raw):
-                if not _caught(name, stack, model):
-                    out.setdefault(name, line)
-
-    # Propagate through the call graph to a fixpoint, filtering each
-    # call site's contribution through its try/except stack.
-    changed = True
-    while changed:
-        changed = False
-        for qualname, f in facts.items():
-            out = raises[qualname]
-            for callee, _raw, line, stack, arg_callees in f.calls:
-                sources = []
-                if callee is not None:
-                    sources.append(callee)
-                sources.extend(arg_callees)
-                for source in sources:
-                    for name in raises.get(source, {}):
-                        if name in out:
-                            continue
-                        if _caught(name, stack, model):
-                            continue
-                        out[name] = line
-                        changed = True
     return ExceptionFlow(model=model, raises=raises)
 
 
@@ -450,30 +384,18 @@ def check_exception_flow(
             class_symbol = table.symbols.get(class_qualname)
             if class_symbol is not None and not class_symbol.is_public:
                 continue
-        module = by_rel.get(symbol.path)
+        module = by_rel[symbol.path]
         for name, line in sorted(facts.raises.get(qualname, {}).items()):
-            if model.is_taxonomy(name):
+            if model.is_taxonomy(name) or name in retryable or name in SANCTIONED_BUILTINS:
                 continue
-            if name in retryable:
-                continue
-            if name in SANCTIONED_BUILTINS:
-                continue
-            if module is not None and (
-                module.allows(RULE_EXCEPTION_FLOW, symbol.line)
-                or module.allows(RULE_EXCEPTION_FLOW, line)
-            ):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE_EXCEPTION_FLOW,
-                    path=symbol.path,
-                    line=symbol.line,
-                    message=(
-                        f"public entry point {qualname} can raise {name} "
-                        f"(witness near {symbol.path}:{line}) which escapes the "
-                        f"repro.errors taxonomy and every declared retryable set"
-                    ),
-                    scope=f"{qualname}:{name}",
-                )
+            module.report(
+                findings,
+                RULE_EXCEPTION_FLOW,
+                symbol.line,
+                f"public entry point {qualname} can raise {name} "
+                f"(witness near {symbol.path}:{line}) which escapes the "
+                f"repro.errors taxonomy and every declared retryable set",
+                scope=f"{qualname}:{name}",
+                also=(line,),
             )
     return findings

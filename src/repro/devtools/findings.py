@@ -1,20 +1,19 @@
-"""Finding records, inline suppression, and the baseline workflow.
+"""Finding records and the one suppression mechanism.
 
-A finding is one rule violation at one source location.  Findings carry
-a *fingerprint* — ``rule:path:scope`` where ``scope`` is the enclosing
-``class.method`` (or the imported package, for layer findings) — that
-is stable across unrelated edits to the file, so a checked-in baseline
-keeps suppressing the same legacy finding even as line numbers move.
+A finding is one rule violation at one source location.  The only way
+to accept one is an inline ``# devtools: allow[rule-id] — reason`` on
+(or directly above) the offending line: the justification sits next to
+the code it excuses and disappears with it.
 
-Baselines are multisets: a baseline entry suppresses *one* occurrence
-of its fingerprint, so introducing a second identical violation in the
-same scope still fails the build.
+Findings carry a *fingerprint* — ``rule:path:scope`` where ``scope`` is
+the enclosing ``class.method`` (or the imported package, for layer
+findings) — that is stable across unrelated edits to the file, so
+reports (JSON, SARIF) can be compared between runs.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +57,8 @@ class SourceModule:
     text: str
     tree: ast.Module
     allow_lines: dict[int, frozenset[str]] = field(default_factory=dict)
+    #: line -> enclosing qualname, built on first use
+    _scopes: dict[int, str] | None = None
 
     def allows(self, rule: str, line: int) -> bool:
         """True when an ``# devtools: allow[rule]`` comment covers
@@ -67,6 +68,28 @@ class SourceModule:
             if rules is not None and (rule in rules or "all" in rules):
                 return True
         return False
+
+    def scope_at(self, line: int) -> str:
+        """Enclosing ``Class.method`` qualname of ``line``
+        (``"<module>"`` at module level)."""
+        if self._scopes is None:
+            self._scopes = enclosing_scopes(self.tree)
+        return self._scopes.get(line, "<module>")
+
+    def report(
+        self,
+        out: list[Finding],
+        rule: str,
+        line: int,
+        message: str,
+        scope: str = "",
+        also: tuple[int, ...] = (),
+    ) -> None:
+        """Append a finding at ``line`` unless an allow-comment for
+        ``rule`` covers it (or one of the ``also`` lines — the ``def``
+        a finding belongs to, say)."""
+        if not any(self.allows(rule, at) for at in (line, *also)):
+            out.append(Finding(rule, self.rel_path, line, message, scope))
 
 
 def parse_module(path: Path, rel_path: str) -> SourceModule | None:
@@ -126,56 +149,3 @@ def enclosing_scopes(tree: ast.Module) -> dict[int, str]:
 
     visit(tree, "")
     return scopes
-
-
-def scope_of(module: SourceModule, line: int, cache: dict[str, dict[int, str]]) -> str:
-    """Enclosing qualname of ``line`` in ``module`` (memoised per file)."""
-    scopes = cache.get(module.rel_path)
-    if scopes is None:
-        scopes = enclosing_scopes(module.tree)
-        cache[module.rel_path] = scopes
-    return scopes.get(line, "<module>")
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-def load_baseline(path: Path) -> list[str]:
-    """Fingerprints recorded in a baseline file (missing file = empty)."""
-    if not path.exists():
-        return []
-    data = json.loads(path.read_text(encoding="utf-8"))
-    entries = data.get("suppressions", []) if isinstance(data, dict) else data
-    return [str(entry) for entry in entries]
-
-
-def write_baseline(path: Path, findings: list[Finding]) -> None:
-    """Record every finding's fingerprint as the new baseline."""
-    payload = {
-        "comment": (
-            "Accepted legacy findings for repro.devtools.check; regenerate "
-            "with --write-baseline.  New findings are never auto-accepted."
-        ),
-        "suppressions": sorted(f.fingerprint for f in findings),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def split_new(
-    findings: list[Finding], baseline: list[str]
-) -> tuple[list[Finding], list[Finding]]:
-    """Partition findings into (new, baselined) using multiset
-    semantics: each baseline entry absorbs one occurrence."""
-    budget: dict[str, int] = {}
-    for fingerprint in baseline:
-        budget[fingerprint] = budget.get(fingerprint, 0) + 1
-    new: list[Finding] = []
-    suppressed: list[Finding] = []
-    for finding in findings:
-        remaining = budget.get(finding.fingerprint, 0)
-        if remaining > 0:
-            budget[finding.fingerprint] = remaining - 1
-            suppressed.append(finding)
-        else:
-            new.append(finding)
-    return new, suppressed

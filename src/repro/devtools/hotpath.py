@@ -30,11 +30,16 @@ from __future__ import annotations
 
 import ast
 from fnmatch import fnmatch
-
 from typing import Iterator
 
-from repro.devtools.callgraph import CallGraph, ModuleInfo, SymbolTable, iter_functions
-from repro.devtools.findings import Finding, SourceModule, scope_of
+from repro.devtools.callgraph import (
+    CallGraph,
+    ModuleInfo,
+    SymbolTable,
+    dotted_name,
+    expand_roots,
+)
+from repro.devtools.findings import Finding, SourceModule
 
 RULE = "hot-path"
 
@@ -95,16 +100,6 @@ def model_hot_sites(cost_model: dict) -> frozenset[str]:
     return frozenset(sites)
 
 
-def _dotted_of(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _repeated_nodes(loop: ast.AST) -> Iterator[ast.AST]:
     """AST nodes that execute once *per iteration* of ``loop`` (the
     ``for``'s iterable and a comprehension's first source run once)."""
@@ -142,7 +137,7 @@ def _loop_findings(
         if not isinstance(loop, (*_LOOPS, *_COMPREHENSIONS)):
             continue
         if isinstance(loop, (ast.For, ast.AsyncFor)):
-            iter_dotted = _dotted_of(
+            iter_dotted = dotted_name(
                 loop.iter.func if isinstance(loop.iter, ast.Call) else loop.iter
             )
             if iter_dotted.endswith(("all_rows", "scan")):
@@ -158,7 +153,7 @@ def _loop_findings(
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            dotted = _dotted_of(func)
+            dotted = dotted_name(func)
             head = dotted.split(".", 1)[0]
             if head in np_aliases:
                 hits.add(
@@ -229,75 +224,41 @@ def _scan_findings(
     return sorted(hits)
 
 
-def expand_roots(table: SymbolTable, patterns: tuple[str, ...]) -> tuple[str, ...]:
-    """Qualnames in ``table`` matching any root pattern, sorted."""
-    return tuple(
-        sorted(
-            qualname
-            for qualname in table.symbols
-            if any(fnmatch(qualname, pattern) for pattern in patterns)
-        )
-    )
-
-
 def check_hot_path(
     modules: list[SourceModule],
     table: SymbolTable,
     graph: CallGraph,
-    root_patterns: tuple[str, ...] = DEFAULT_DATA_PLANE_ROOTS,
     cost_model: dict | None = None,
-    scope_cache: dict | None = None,
 ) -> list[Finding]:
     """Per-item-work findings on the data-plane closure, minus the
     sites the cost model documents; stale model sites are findings."""
-    cache: dict = scope_cache if scope_cache is not None else {}
+    loaded_model, model_module, model_line = load_cost_model(modules)
     if cost_model is None:
-        cost_model, model_module, model_line = load_cost_model(modules)
-    else:
-        model_module, model_line = None, 0
-        for module in modules:
-            if fnmatch(module.rel_path, COST_MODEL_GLOB):
-                model_module = module
-                break
+        cost_model = loaded_model
     sanctioned = model_hot_sites(cost_model)
-    roots = expand_roots(table, root_patterns)
-    reachable = graph.reachable(roots)
+    reachable = graph.reachable(expand_roots(table, DEFAULT_DATA_PLANE_ROOTS))
 
     findings: list[Finding] = []
-    for info, _class_context, qualname, fn in iter_functions(table):
-        if qualname not in reachable or qualname in sanctioned:
+    for function in graph.functions:
+        if function.qualname not in reachable or function.qualname in sanctioned:
             continue
-        module = info.module
-        loop_hits = _loop_findings(info, fn)
+        module, fn = function.module, function.node
+        loop_hits = _loop_findings(function.info, fn)
         scan_hits = _scan_findings(fn, {line for line, _ in loop_hits})
         for line, message in [*loop_hits, *scan_hits]:
-            if module.allows(RULE, line) or module.allows(RULE, fn.lineno):
-                continue
-            findings.append(
-                Finding(
-                    rule=RULE,
-                    path=module.rel_path,
-                    line=line,
-                    message=message,
-                    scope=scope_of(module, line, cache),
-                )
+            module.report(
+                findings, RULE, line, message, module.scope_at(line), also=(fn.lineno,)
             )
 
     for site in sorted(sanctioned):
         if site in table.symbols:
             continue
-        if model_module is not None and model_module.allows(RULE, model_line):
-            continue
-        findings.append(
-            Finding(
-                rule=RULE,
-                path=model_module.rel_path if model_module is not None else "<model>",
-                line=model_line or 1,
-                message=(
-                    f"COST_MODEL lists hot site {site!r} but no such function "
-                    f"exists — the cost model is stale"
-                ),
-                scope=site,
-            )
+        message = (
+            f"COST_MODEL lists hot site {site!r} but no such function "
+            f"exists — the cost model is stale"
         )
+        if model_module is not None:
+            model_module.report(findings, RULE, model_line, message, scope=site)
+        else:
+            findings.append(Finding(RULE, "<model>", 1, message, scope=site))
     return findings

@@ -23,7 +23,7 @@ everywhere by design and are exempt.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.devtools.findings import Finding, SourceModule
@@ -210,34 +210,18 @@ def check_layers(
             continue
         allowed = closure[src_pkg] | config.universal | {src_pkg}
         for edge in iter_import_edges(module, config, rel):
-            if module.allows(RULE_LAYER, edge.line):
-                continue
             if edge.target_pkg == "<root>":
-                findings.append(
-                    Finding(
-                        rule=RULE_LAYER,
-                        path=module.rel_path,
-                        line=edge.line,
-                        message=(
-                            f"{src_pkg} imports the {config.top_package} root facade "
-                            f"({edge.imported}); import the concrete subpackage instead"
-                        ),
-                        scope="<root>",
-                    )
+                message = (
+                    f"{src_pkg} imports the {config.top_package} root facade "
+                    f"({edge.imported}); import the concrete subpackage instead"
                 )
-                continue
-            if edge.target_pkg not in allowed:
+            elif edge.target_pkg not in allowed:
                 ordered = ", ".join(sorted(allowed - {src_pkg})) or "nothing"
-                findings.append(
-                    Finding(
-                        rule=RULE_LAYER,
-                        path=module.rel_path,
-                        line=edge.line,
-                        message=(
-                            f"layer violation: {src_pkg} -> {edge.target_pkg} "
-                            f"({edge.imported}); {src_pkg} may only import {ordered}"
-                        ),
-                        scope=edge.target_pkg,
-                    )
+                message = (
+                    f"layer violation: {src_pkg} -> {edge.target_pkg} "
+                    f"({edge.imported}); {src_pkg} may only import {ordered}"
                 )
+            else:
+                continue
+            module.report(findings, RULE_LAYER, edge.line, message, scope=edge.target_pkg)
     return findings

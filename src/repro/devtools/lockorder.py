@@ -30,61 +30,21 @@ the same two properties against *actual* acquisition orders under
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.devtools.callgraph import (
     CallGraph,
-    ModuleInfo,
+    CallSite,
+    Fact,
     SymbolTable,
-    iter_functions,
-    resolve_call,
-    resolve_locals,
+    blocking_reason,
+    blocking_sites,
+    propagate,
+    witness_chain,
 )
 from repro.devtools.findings import Finding, SourceModule
 
 RULE_LOCK_ORDER = "lock-order"
-
-#: Call constructors that create a lock object.
-_LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock", "Lock", "RLock"})
-
-#: Attribute names whose call is blocking regardless of receiver.
-_BLOCKING_ATTRS = frozenset(
-    {
-        "sleep", "write", "flush", "write_text", "write_bytes", "read_text",
-        "read_bytes", "replace", "unlink", "rename", "urlopen", "sendall",
-        "recv", "connect", "join",
-    }
-)
-
-def _is_string_op(node: ast.Call) -> bool:
-    """String manipulation that shares a name with a blocking call:
-    ``", ".join(...)`` (vs ``Thread.join``) and ``s.replace("a", "b")``
-    (vs the ``Path.replace`` rename)."""
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return False
-    if (
-        func.attr == "join"
-        and isinstance(func.value, ast.Constant)
-        and isinstance(func.value.value, str)
-    ):
-        return True
-    return func.attr == "replace" and any(
-        isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-        for arg in node.args
-    )
-
-
-#: Project symbols whose call blocks (policies that retry/back off).
-_BLOCKING_SYMBOL_SUFFIXES = (
-    ".resilience.policies.execute",
-    ".resilience.policies.Retry.call",
-    ".resilience.policies.CircuitBreaker.call",
-    ".resilience.policies.Fallback.call",
-    ".resilience.clock.SystemClock.sleep",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,288 +132,45 @@ class LockGraph:
 
 
 @dataclass(slots=True)
-class _LockIndex:
-    """Where every lock in the project is defined."""
-
-    #: class qualname -> {attr name} holding a lock
-    class_attrs: dict[str, set[str]] = field(default_factory=dict)
-    #: module dotted -> {global name} holding a lock
-    module_globals: dict[str, set[str]] = field(default_factory=dict)
-
-
-def _is_lock_ctor(node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    parts: list[str] = []
-    func: ast.expr = node.func
-    while isinstance(func, ast.Attribute):
-        parts.append(func.attr)
-        func = func.value
-    if isinstance(func, ast.Name):
-        parts.append(func.id)
-    dotted = ".".join(reversed(parts))
-    return dotted in _LOCK_CTORS
-
-
-def _index_locks(table: SymbolTable) -> _LockIndex:
-    index = _LockIndex()
-    for dotted, info in table.modules.items():
-        for node in info.module.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and _is_lock_ctor(node.value):
-                    index.module_globals.setdefault(dotted, set()).add(target.id)
-            elif isinstance(node, ast.ClassDef):
-                class_qualname = f"{dotted}.{node.name}"
-                for stmt in ast.walk(node):
-                    value = None
-                    target_node: ast.expr | None = None
-                    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                        target_node, value = stmt.targets[0], stmt.value
-                    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                        target_node, value = stmt.target, stmt.value
-                    if (
-                        value is not None
-                        and target_node is not None
-                        and isinstance(target_node, ast.Attribute)
-                        and isinstance(target_node.value, ast.Name)
-                        and target_node.value.id in ("self", "cls")
-                        and _is_lock_ctor(value)
-                    ):
-                        index.class_attrs.setdefault(class_qualname, set()).add(
-                            target_node.attr
-                        )
-    return index
-
-
-def _class_lock_attr(
-    table: SymbolTable, index: _LockIndex, class_qualname: str, attr: str
-) -> str | None:
-    """Resolve ``self.<attr>`` to the (base-)class that defines it."""
-    seen: set[str] = set()
-    stack = [class_qualname]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        if attr in index.class_attrs.get(current, set()):
-            return f"{current}.{attr}"
-        stack.extend(table.class_bases.get(current, ()))
-    return None
-
-
-def _resolve_lock(
-    table: SymbolTable,
-    index: _LockIndex,
-    info: ModuleInfo,
-    class_context: str | None,
-    expr: ast.expr,
-) -> str | None:
-    """Lock identity of a ``with`` context expression, or None."""
-    parts: list[str] = []
-    node: ast.expr = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    parts.reverse()
-
-    if isinstance(node, ast.Name):
-        base = node.id
-        if base in ("self", "cls") and class_context is not None and len(parts) == 1:
-            found = _class_lock_attr(table, index, class_context, parts[0])
-            if found is not None:
-                return found
-            if "lock" in parts[0].lower():
-                return f"{class_context}.{parts[0]}"
-            return None
-        if not parts:
-            if base in index.module_globals.get(info.dotted, set()):
-                return f"{info.dotted}.{base}"
-            if base in info.imports:
-                target = info.imports[base]
-                head, _, name = target.rpartition(".")
-                if name in index.module_globals.get(head, set()):
-                    return target
-            return None
-        if base in info.imports and len(parts) == 1:
-            target_module = info.imports[base]
-            if parts[0] in index.module_globals.get(target_module, set()):
-                return f"{target_module}.{parts[0]}"
-    return None
-
-
-def _is_blocking_symbol(qualname: str) -> bool:
-    return any(qualname.endswith(suffix) for suffix in _BLOCKING_SYMBOL_SUFFIXES)
-
-
-def _raw_dotted(expr: ast.expr) -> str:
-    parts: list[str] = []
-    node: ast.expr = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-@dataclass(frozen=True, slots=True)
-class _HeldCall:
-    """One call made while at least one lock was held."""
-
-    caller: str
-    held: tuple[str, ...]
-    callee: str | None
-    raw: str
-    module: SourceModule
-    line: int
-    #: ``", ".join(...)``-style string ops that merely share a name
-    #: with a blocking call — never blocking, whatever the attr says.
-    str_op: bool = False
-
-
-@dataclass(slots=True)
 class LockAnalysis:
     """Everything the static pass extracted, reusable by docs/tests."""
 
     graph: LockGraph
-    #: function qualname -> locks it may (transitively) acquire
-    may_acquire: dict[str, frozenset[str]]
-    #: function qualname -> blocking raw call that makes it blocking ("" if none)
-    may_block: dict[str, str]
-    held_calls: list[_HeldCall] = field(default_factory=list)
+    #: function qualname -> {lock it may (transitively) acquire: why}
+    may_acquire: dict[str, dict[str, Fact]]
+    #: function qualname -> {"blocks": why}, for functions that may
+    #: (transitively) make a blocking call
+    may_block: dict[str, dict[str, Fact]]
+    #: direct calls made while at least one lock was held
+    held_calls: list[CallSite] = field(default_factory=list)
 
 
 def analyze_locks(table: SymbolTable, graph: CallGraph) -> LockAnalysis:
     """Build the acquisition graph and blocking facts for the project."""
-    index = _index_locks(table)
-    lock_graph = LockGraph()
-    for dotted, names in index.module_globals.items():
-        lock_graph.locks.update(f"{dotted}.{name}" for name in names)
-    for class_qualname, attrs in index.class_attrs.items():
-        lock_graph.locks.update(f"{class_qualname}.{attr}" for attr in attrs)
+    lock_graph = LockGraph(locks=graph.locks.all_locks())
+    acquires: dict[str, list[str]] = {}
+    held_calls: list[CallSite] = []
+    for function in graph.functions:
+        for lock, held, line in function.acquires:
+            acquires.setdefault(function.qualname, []).append(lock)
+            for holder in held:
+                lock_graph.add(
+                    LockEdge(holder, lock, function.module.rel_path, line, via="")
+                )
+        held_calls.extend(site for site in function.calls if site.held)
 
-    direct_acquires: dict[str, set[str]] = {}
-    direct_blocking: dict[str, str] = {}
-    held_calls: list[_HeldCall] = []
-
-    for info, class_context, qualname, fn in iter_functions(table):
-        locals_map = resolve_locals(table, info, class_context, fn)
-        acquires = direct_acquires.setdefault(qualname, set())
-
-        def visit(node: ast.AST, held: tuple[str, ...]) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                current = held
-                for item in node.items:
-                    visit(item.context_expr, current)
-                    lock = _resolve_lock(
-                        table, index, info, class_context, item.context_expr
-                    )
-                    if lock is not None:
-                        acquires.add(lock)
-                        for holder in current:
-                            lock_graph.add(
-                                LockEdge(
-                                    held=holder,
-                                    acquired=lock,
-                                    path=info.module.rel_path,
-                                    line=item.context_expr.lineno,
-                                    via="",
-                                )
-                            )
-                        current = current + (lock,)
-                for stmt in node.body:
-                    visit(stmt, current)
-                return
-            if isinstance(node, ast.Call):
-                callee = resolve_call(table, info, class_context, node.func, locals_map)
-                if callee is not None and table.is_class(callee):
-                    callee = table.method_on(callee, "__init__")
-                raw = _raw_dotted(node.func)
-                str_op = _is_string_op(node) or raw == "os.path.join"
-                if held:
-                    held_calls.append(
-                        _HeldCall(
-                            caller=qualname,
-                            held=held,
-                            callee=callee,
-                            raw=raw,
-                            module=info.module,
-                            line=node.lineno,
-                            str_op=str_op,
-                        )
-                    )
-                attr = raw.rsplit(".", 1)[-1] if raw else ""
-                if (
-                    not str_op
-                    and (
-                        attr in _BLOCKING_ATTRS
-                        or raw == "open"
-                        or (callee is not None and _is_blocking_symbol(callee))
-                    )
-                    and qualname not in direct_blocking
-                ):
-                    direct_blocking[qualname] = raw or "<call>"
-            for child in ast.iter_child_nodes(node):
-                visit(child, held)
-
-        for stmt in fn.body:
-            visit(stmt, ())
-
-    # May-acquire fixpoint over the call graph.
-    may_acquire: dict[str, set[str]] = {
-        qualname: set(locks) for qualname, locks in direct_acquires.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for caller in list(may_acquire):
-            combined = may_acquire[caller]
-            before = len(combined)
-            for callee in graph.callees(caller):
-                combined |= may_acquire.get(callee, set())
-            if len(combined) != before:
-                changed = True
-
-    # May-block fixpoint (witness = the raw blocking call reached).
-    may_block: dict[str, str] = dict(direct_blocking)
-    changed = True
-    while changed:
-        changed = False
-        for info, class_context, qualname, _fn in iter_functions(table):
-            if qualname in may_block:
-                continue
-            for callee in graph.callees(qualname):
-                witness = may_block.get(callee)
-                if witness:
-                    may_block[qualname] = f"{callee.rsplit('.', 1)[-1]} -> {witness}"
-                    changed = True
-                    break
+    may_acquire = propagate(graph.sites, acquires)
+    may_block = propagate(graph.sites, {fn: ("blocks",) for fn in blocking_sites(graph)})
 
     # Interprocedural edges: a call under lock L to a function that may
     # acquire M adds L -> M.
-    for call in held_calls:
-        if call.callee is None:
-            continue
-        for acquired in may_acquire.get(call.callee, set()):
-            for holder in call.held:
+    for site in held_calls:
+        for acquired in may_acquire.get(site.callee or "", ()):
+            for holder in site.held:
                 lock_graph.add(
-                    LockEdge(
-                        held=holder,
-                        acquired=acquired,
-                        path=call.module.rel_path,
-                        line=call.line,
-                        via=call.callee,
-                    )
+                    LockEdge(holder, acquired, site.path, site.line, via=site.callee or "")
                 )
-
-    return LockAnalysis(
-        graph=lock_graph,
-        may_acquire={q: frozenset(s) for q, s in may_acquire.items()},
-        may_block=may_block,
-        held_calls=held_calls,
-    )
+    return LockAnalysis(lock_graph, may_acquire, may_block, held_calls)
 
 
 def check_lock_order(
@@ -473,64 +190,46 @@ def check_lock_order(
             for (src, dst), edge in sorted(facts.graph.edges.items())
             if src in cycle and dst in cycle
         ]
-        witness = witnesses[0] if witnesses else None
-        path = witness.path if witness else "<unknown>"
-        line = witness.line if witness else 0
-        module = by_rel.get(path)
-        if module is not None and module.allows(RULE_LOCK_ORDER, line):
-            continue
+        first = witnesses[0]
         detail = "; ".join(
             f"{e.held.rsplit('.', 1)[-1]} -> {e.acquired.rsplit('.', 1)[-1]} "
             f"at {e.path}:{e.line}" + (f" via {e.via}" if e.via else "")
             for e in witnesses[:4]
         )
-        findings.append(
-            Finding(
-                rule=RULE_LOCK_ORDER,
-                path=path,
-                line=line,
-                message=(
-                    f"lock acquisition cycle between {', '.join(cycle)} — "
-                    f"threads taking these in different orders can deadlock "
-                    f"({detail})"
-                ),
-                scope="cycle:" + "|".join(cycle),
-            )
+        by_rel[first.path].report(
+            findings,
+            RULE_LOCK_ORDER,
+            first.line,
+            f"lock acquisition cycle between {', '.join(cycle)} — "
+            f"threads taking these in different orders can deadlock "
+            f"({detail})",
+            scope="cycle:" + "|".join(cycle),
         )
 
+    direct = blocking_sites(graph)
     seen: set[tuple[str, str, str]] = set()
-    for call in facts.held_calls:
-        if call.str_op:
+    for site in facts.held_calls:
+        if blocking_reason(site):
+            blocking = site.raw or "<call>"
+        elif "blocks" in facts.may_block.get(site.callee or "", ()):
+            chain = witness_chain(facts.may_block, site.callee or "", "blocks")
+            hops = [name.rsplit(".", 1)[-1] for name in chain[1:]]
+            hops.append(direct[chain[-1]][0][0].raw or "<call>")
+            blocking = f"{site.raw} ({' -> '.join(hops)})"
+        else:
             continue
-        blocking: str | None = None
-        attr = call.raw.rsplit(".", 1)[-1] if call.raw else ""
-        if attr in _BLOCKING_ATTRS or call.raw == "open":
-            blocking = call.raw
-        elif call.callee is not None and _is_blocking_symbol(call.callee):
-            blocking = call.callee
-        elif call.callee is not None:
-            witness = facts.may_block.get(call.callee)
-            if witness:
-                blocking = f"{call.raw} ({witness})"
-        if blocking is None:
-            continue
-        key = (call.caller, call.held[-1], blocking)
+        key = (site.caller, site.held[-1], blocking)
         if key in seen:
             continue
         seen.add(key)
-        if call.module.allows(RULE_LOCK_ORDER, call.line):
-            continue
-        findings.append(
-            Finding(
-                rule=RULE_LOCK_ORDER,
-                path=call.module.rel_path,
-                line=call.line,
-                message=(
-                    f"{call.caller.rsplit('.', 2)[-2]}.{call.caller.rsplit('.', 1)[-1]} "
-                    f"holds {call.held[-1]} across blocking call {blocking} — "
-                    f"release the lock before IO/sleep/policy calls"
-                ),
-                scope=f"{call.caller}:{blocking}",
-            )
+        owner, _, name = site.caller.rpartition(".")
+        by_rel[site.path].report(
+            findings,
+            RULE_LOCK_ORDER,
+            site.line,
+            f"{owner.rsplit('.', 1)[-1]}.{name} "
+            f"holds {site.held[-1]} across blocking call {blocking} — "
+            f"release the lock before IO/sleep/policy calls",
+            scope=f"{site.caller}:{blocking}",
         )
     return findings

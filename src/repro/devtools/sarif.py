@@ -15,29 +15,9 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: One-line rule descriptions for the SARIF rule metadata.
-RULE_DESCRIPTIONS: dict[str, str] = {
-    "layer-boundary": "Import crosses the declared layer DAG.",
-    "module-mutable-state": "Module-level mutable state mutated outside a lock.",
-    "unlocked-mutation": "Unlocked self-state mutation in a concurrency-critical module.",
-    "broad-except": "Broad exception handler swallows errors.",
-    "mutable-default": "Mutable default argument.",
-    "no-print": "print() in library code (use repro.obs logging).",
-    "geo-range": "Latitude/longitude literal out of range.",
-    "no-sleep": "Raw sleep in library code (use the Clock seam).",
-    "lock-order": "Lock-order inversion or lock held across blocking work.",
-    "exception-flow": "Exception escaping an entry point outside the taxonomy.",
-    "determinism": "Nondeterminism (clock, RNG, set order) on a result path.",
-    "dead-code": "Unreferenced public symbol.",
-    "hot-path": "Per-item work on a query path outside the cost model.",
-    "thread-escape": "Shared mutable state mutated without a consistent lock on a concurrent path.",
-    "atomicity": "Check-then-act / read-modify-write gap on lock-guarded shared state.",
-    "blocking-in-handler": "Blocking call reachable from an HTTP handler.",
-}
-
-
-def to_sarif(findings: list[Finding], rules: tuple[str, ...]) -> dict:
-    """A single-run SARIF document for ``findings``."""
+def to_sarif(findings: list[Finding], rules: dict[str, str]) -> dict:
+    """A single-run SARIF document for ``findings``; ``rules`` maps
+    each rule id that ran to its one-line summary."""
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -48,13 +28,8 @@ def to_sarif(findings: list[Finding], rules: tuple[str, ...]) -> dict:
                         "name": "repro.devtools.check",
                         "informationUri": "docs/static_analysis.md",
                         "rules": [
-                            {
-                                "id": rule,
-                                "shortDescription": {
-                                    "text": RULE_DESCRIPTIONS.get(rule, rule)
-                                },
-                            }
-                            for rule in rules
+                            {"id": rule, "shortDescription": {"text": summary}}
+                            for rule, summary in rules.items()
                         ],
                     }
                 },

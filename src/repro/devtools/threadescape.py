@@ -30,20 +30,22 @@ at runtime under ``REPRO_SANITIZE=1``.
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 
 from repro.devtools.callgraph import (
     CallGraph,
+    MUTATING_METHODS,
     ModuleInfo,
     SymbolTable,
     attr_type_on,
+    dotted_name,
+    expand_roots,
     iter_functions,
-    resolve_call,
-    resolve_locals,
+    propagate,
+    self_attr_assigns,
 )
-from repro.devtools.findings import Finding
-from repro.devtools.lockorder import _index_locks, _LockIndex, _resolve_lock
+from repro.devtools.findings import Finding, SourceModule
 
 RULE = "thread-escape"
 
@@ -74,30 +76,11 @@ CTOR_EXEMPT_METHODS = frozenset(
     {"__init__", "__post_init__", "__new__", "__getstate__", "__setstate__", "__del__"}
 )
 
-#: Method calls that mutate their receiver in place.
-MUTATING_METHODS = frozenset(
-    {
-        "append", "appendleft", "add", "insert", "extend", "extendleft",
-        "update", "setdefault", "pop", "popitem", "popleft", "remove",
-        "discard", "clear", "sort", "reverse",
-    }
-)
-
 _CONTEXT_SCOPED_CTORS = frozenset(
     {"contextvars.ContextVar", "ContextVar", "threading.local", "local"}
 )
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-
-
-def _dotted_of(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def discover_handlers(table: SymbolTable) -> tuple[str, ...]:
@@ -143,19 +126,6 @@ def discover_handlers(table: SymbolTable) -> tuple[str, ...]:
     return tuple(sorted(handlers))
 
 
-def expand_concurrent_roots(
-    table: SymbolTable, patterns: tuple[str, ...]
-) -> tuple[str, ...]:
-    """Root qualnames: pattern matches plus discovered HTTP handlers."""
-    matched = {
-        qualname
-        for qualname in table.symbols
-        if any(fnmatch(qualname, pattern) for pattern in patterns)
-    }
-    matched.update(discover_handlers(table))
-    return tuple(sorted(matched))
-
-
 @dataclass(slots=True)
 class MutationSite:
     """One reachable write to a shared attribute."""
@@ -164,7 +134,7 @@ class MutationSite:
     path: str
     line: int
     held: frozenset[str]  # lexically-held locks at the site
-    module: object  # SourceModule, for allow-comment checks
+    module: SourceModule  # for allow-comment checks
     kind: str  # "assign" | "augassign" | "store" | "method" | "delete"
 
 
@@ -193,7 +163,6 @@ class EscapeAnalysis:
     attrs: dict[tuple[str, str], AttrClass]
     #: function qualname -> locks provably held on every reachable call
     guarded_context: dict[str, frozenset[str]]
-    lock_index: _LockIndex
 
 
 def _class_nodes(table: SymbolTable) -> dict[str, tuple[ModuleInfo, ast.ClassDef]]:
@@ -205,39 +174,25 @@ def _class_nodes(table: SymbolTable) -> dict[str, tuple[ModuleInfo, ast.ClassDef
     return out
 
 
-def _held_types(
-    table: SymbolTable, info: ModuleInfo, qualname: str, node: ast.ClassDef
-) -> set[str]:
+def _held_types(graph: CallGraph, qualname: str, node: ast.ClassDef) -> set[str]:
     """Class qualnames instances of ``qualname`` hold in attributes:
     inferred attr types, container element types, and annotated-param
     assigns (``self._db = db`` where ``db: Database``)."""
+    table = graph.table
     held = set(table.attr_types.get(qualname, {}).values())
     held.update(table.attr_elem_types.get(qualname, {}).values())
     for method in node.body:
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        locals_map = resolve_locals(table, info, qualname, method)
-        for stmt in ast.walk(method):
-            target_value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, target_value = stmt.targets[0], stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                target, target_value = stmt.target, stmt.value
-            else:
-                continue
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and isinstance(target_value, ast.Name)
-                and target_value.id in locals_map
-            ):
-                held.add(locals_map[target_value.id])
+        locals_map = graph.function[f"{qualname}.{method.name}"].local_types
+        for receiver, _attr, value, _annotation, _line in self_attr_assigns(method):
+            if receiver == "self" and isinstance(value, ast.Name) and value.id in locals_map:
+                held.add(locals_map[value.id])
     return held
 
 
 def _shared_classes(
-    table: SymbolTable,
+    graph: CallGraph,
     reachable: frozenset[str],
     roots: tuple[str, ...],
     nodes: dict[str, tuple[ModuleInfo, ast.ClassDef]],
@@ -245,23 +200,17 @@ def _shared_classes(
     """Closure of classes whose instances concurrent roots can touch:
     owners of root methods, typed module globals referenced from
     reachable code, then everything they transitively hold."""
-    seeds: set[str] = set()
-    for qualname in roots:
-        owner = qualname.rsplit(".", 1)[0]
-        if table.is_class(owner):
-            seeds.add(owner)
-    for dotted, info in table.modules.items():
-        if not info.var_types:
+    table = graph.table
+    seeds = {
+        owner for qualname in roots if table.is_class(owner := qualname.rsplit(".", 1)[0])
+    }
+    for function in graph.functions:
+        var_types = function.info.var_types
+        if not var_types or function.qualname not in reachable:
             continue
-        candidates = set(info.var_types)
-        for _info, _ctx, fn_qualname, fn in iter_functions(table):
-            if _info.dotted != dotted or fn_qualname not in reachable:
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Name) and node.id in candidates:
-                    type_qualname = info.var_types[node.id]
-                    if table.is_class(type_qualname):
-                        seeds.add(type_qualname)
+        for node, _held in function.nodes:
+            if isinstance(node, ast.Name) and table.is_class(var_types.get(node.id, "")):
+                seeds.add(var_types[node.id])
     closure: set[str] = set()
     stack = list(seeds)
     while stack:
@@ -269,70 +218,40 @@ def _shared_classes(
         if current in closure or current not in nodes:
             continue
         closure.add(current)
-        info, node = nodes[current]
-        for held in _held_types(table, info, current, node):
-            if table.is_class(held) and held not in closure:
-                stack.append(held)
+        stack.extend(
+            held
+            for held in _held_types(graph, current, nodes[current][1])
+            if table.is_class(held)
+        )
     return frozenset(closure)
 
 
 def _context_scoped_attrs(node: ast.ClassDef) -> dict[str, int]:
     """Attrs assigned a ContextVar / thread-local, with their line."""
-    out: dict[str, int] = {}
-    for stmt in ast.walk(node):
-        value: ast.expr | None = None
-        target: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if (
-            value is not None
-            and isinstance(value, ast.Call)
-            and _dotted_of(value.func) in _CONTEXT_SCOPED_CTORS
-            and isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id in ("self", "cls")
-        ):
-            out[target.attr] = stmt.lineno
-    return out
+    return {
+        attr: line
+        for _receiver, attr, value, _annotation, line in self_attr_assigns(node)
+        if isinstance(value, ast.Call) and dotted_name(value.func) in _CONTEXT_SCOPED_CTORS
+    }
 
 
-def _attr_inventory(
-    info: ModuleInfo, qualname: str, node: ast.ClassDef
-) -> dict[str, tuple[int, bool]]:
+def _attr_inventory(node: ast.ClassDef) -> dict[str, tuple[int, bool]]:
     """``{attr: (first line, is mutable-typed)}`` for every ``self.X``
     assignment in the class body plus annotated class-level fields."""
     out: dict[str, tuple[int, bool]] = {}
 
     def note(attr: str, line: int, mutable: bool) -> None:
-        if attr not in out:
-            out[attr] = (line, mutable)
-        elif mutable and not out[attr][1]:
-            out[attr] = (out[attr][0], True)
+        first, was_mutable = out.get(attr, (line, False))
+        out[attr] = (first, was_mutable or mutable)
 
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            ann = ast.unparse(stmt.annotation) if stmt.annotation else ""
+            ann = ast.unparse(stmt.annotation)
             mutable = any(tok in ann for tok in ("dict", "list", "set", "Dict", "List"))
             note(stmt.target.id, stmt.lineno, mutable)
-    for stmt in ast.walk(node):
-        value: ast.expr | None = None
-        target: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if (
-            target is not None
-            and isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            mutable = isinstance(value, _MUTABLE_LITERALS) or isinstance(
-                value, ast.Call
-            )
-            note(target.attr, stmt.lineno, mutable)
+    for receiver, attr, value, _annotation, line in self_attr_assigns(node):
+        if receiver == "self":
+            note(attr, line, isinstance(value, _MUTABLE_LITERALS + (ast.Call,)))
     return out
 
 
@@ -349,7 +268,7 @@ def _owner_of_base(
     table: SymbolTable,
     class_context: str | None,
     locals_map: dict[str, str],
-    fresh: set[str],
+    fresh: frozenset[str],
     aliases: dict[str, tuple[str, str]],
     base: ast.expr,
 ) -> tuple[str, str] | None:
@@ -386,71 +305,55 @@ def _owner_of_base(
     return None
 
 
-def analyze_escape(
-    table: SymbolTable,
-    graph: CallGraph,
-    roots_patterns: tuple[str, ...] = DEFAULT_CONCURRENT_ROOTS,
-) -> EscapeAnalysis:
-    """Run the escape analysis; pure — no findings, no IO."""
+def analyze_escape(table: SymbolTable, graph: CallGraph) -> EscapeAnalysis:
+    """Run the escape analysis (once per graph); pure — no findings,
+    no IO."""
+    if "escape" not in graph.memo:
+        graph.memo["escape"] = _analyze_escape(table, graph)
+    analysis: EscapeAnalysis = graph.memo["escape"]
+    return analysis
+
+
+def _analyze_escape(table: SymbolTable, graph: CallGraph) -> EscapeAnalysis:
     handlers = discover_handlers(table)
-    roots = expand_concurrent_roots(table, roots_patterns)
-    reachable = frozenset(graph.reachable(roots) | set(roots))
+    roots = tuple(sorted({*expand_roots(table, DEFAULT_CONCURRENT_ROOTS), *handlers}))
+    reachable = graph.reachable(roots)
     nodes = _class_nodes(table)
-    shared = _shared_classes(table, reachable, roots, nodes)
-    lock_index = _index_locks(table)
+    shared = _shared_classes(graph, reachable, roots, nodes)
 
     # Which shared classes have any reachable method at all: classes
     # never entered from a concurrent root are construction-only and
     # stay out of the manifest.
-    active_classes: set[str] = set()
-    for qualname in reachable:
-        owner = qualname.rsplit(".", 1)[0]
-        if owner in shared:
-            active_classes.add(owner)
+    active_classes = {
+        owner for qualname in reachable if (owner := qualname.rsplit(".", 1)[0]) in shared
+    }
 
     sites: dict[tuple[str, str], list[MutationSite]] = {}
-    # callee -> [(caller, lexically-held locks at the call)]
-    call_contexts: dict[str, list[tuple[str, frozenset[str]]]] = {}
-
-    for info, class_context, qualname, fn in iter_functions(table):
-        if qualname not in reachable:
+    for function in graph.functions:
+        if function.qualname not in reachable or function.node.name in CTOR_EXEMPT_METHODS:
             continue
-        locals_map = resolve_locals(table, info, class_context, fn)
-        in_ctor = fn.name in CTOR_EXEMPT_METHODS
-
-        # Locals bound to freshly-constructed objects: writes to them
-        # are pre-publication (the clone_empty pattern).
-        fresh: set[str] = set()
+        class_context = function.cls
+        # Locals that alias shared state (``campaign = self._x``);
+        # writes to freshly-constructed locals (``function.fresh``) are
+        # pre-publication (the clone_empty pattern).
         aliases: dict[str, tuple[str, str]] = {}
-        for stmt in ast.walk(fn):
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-                continue
-            target = stmt.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if isinstance(stmt.value, ast.Call):
-                callee = resolve_call(
-                    table, info, class_context, stmt.value.func, locals_map
-                )
-                if callee is not None and table.is_class(callee):
-                    fresh.add(target.id)
-            elif (
-                isinstance(stmt.value, ast.Attribute)
-                and isinstance(stmt.value.value, ast.Name)
-                and stmt.value.value.id in ("self", "cls")
-                and class_context is not None
-            ):
-                aliases[target.id] = (class_context, stmt.value.attr)
+        if class_context is not None:
+            for stmt, _held in function.nodes:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and isinstance(stmt.value, ast.Attribute)
+                    and isinstance(stmt.value.value, ast.Name)
+                    and stmt.value.value.id in ("self", "cls")
+                ):
+                    aliases[stmt.targets[0].id] = (class_context, stmt.value.attr)
 
         def record(
-            base: ast.expr,
-            line: int,
-            held: tuple[str, ...],
-            kind: str,
-            method: str = "",
+            base: ast.expr, line: int, held: tuple[str, ...], kind: str, method: str = ""
         ) -> None:
             found = _owner_of_base(
-                table, class_context, locals_map, fresh, aliases, base
+                table, class_context, function.local_types, function.fresh, aliases, base
             )
             if found is None:
                 # a bare alias local mutated in place: campaign = self._x
@@ -462,7 +365,7 @@ def analyze_escape(
             owner, attr = found
             if owner not in shared:
                 return
-            if kind == "method" and method:
+            if method:
                 # ``self._db.insert(...)`` where Database defines insert
                 # is a method call, not a container mutation: the call
                 # graph attributes its internal writes at their own
@@ -472,175 +375,83 @@ def analyze_escape(
                     return
             sites.setdefault((owner, attr), []).append(
                 MutationSite(
-                    qualname=qualname,
-                    path=info.module.rel_path,
+                    qualname=function.qualname,
+                    path=function.module.rel_path,
                     line=line,
                     held=frozenset(held),
-                    module=info.module,
+                    module=function.module,
                     kind=kind,
                 )
             )
 
-        def record_store(
-            target: ast.Subscript, line: int, held: tuple[str, ...], kind: str
-        ) -> None:
+        def record_store(target: ast.Subscript, line: int, held: tuple[str, ...], kind: str) -> None:
             container = _container_of(target)
             if isinstance(container, ast.Attribute):
                 record(container, line, held, kind)
 
-        def visit(node: ast.AST, held: tuple[str, ...]) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                current = held
-                for item in node.items:
-                    visit(item.context_expr, current)
-                    lock = _resolve_lock(
-                        table, lock_index, info, class_context, item.context_expr
-                    )
-                    if lock is not None:
-                        current = current + (lock,)
-                for stmt in node.body:
-                    visit(stmt, current)
-                return
-            if not in_ctor:
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Attribute):
-                            record(target, node.lineno, held, "assign")
-                        elif isinstance(target, ast.Subscript):
-                            record_store(target, node.lineno, held, "store")
-                elif isinstance(node, ast.AugAssign):
-                    if isinstance(node.target, ast.Attribute):
-                        record(node.target, node.lineno, held, "augassign")
-                    elif isinstance(node.target, ast.Subscript):
-                        record_store(node.target, node.lineno, held, "store")
-                elif isinstance(node, ast.Delete):
-                    for target in node.targets:
-                        if isinstance(target, ast.Subscript):
-                            record_store(target, node.lineno, held, "delete")
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in MUTATING_METHODS
-                ):
-                    record(
-                        _container_of(node.func.value), node.lineno, held,
-                        "method", method=node.func.attr,
-                    )
-            if isinstance(node, ast.Call):
-                callee = resolve_call(table, info, class_context, node.func, locals_map)
-                if callee is not None and table.is_class(callee):
-                    callee = table.method_on(callee, "__init__")
-                if callee is not None and callee in reachable:
-                    call_contexts.setdefault(callee, []).append(
-                        (qualname, frozenset(held))
-                    )
-            for child in ast.iter_child_nodes(node):
-                visit(child, held)
+        for node, held in function.nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Attribute):
+                        record(target, node.lineno, held, "assign")
+                    elif isinstance(target, ast.Subscript):
+                        record_store(target, node.lineno, held, "store")
+            elif isinstance(node, ast.AugAssign):
+                if isinstance(node.target, ast.Attribute):
+                    record(node.target, node.lineno, held, "augassign")
+                elif isinstance(node.target, ast.Subscript):
+                    record_store(node.target, node.lineno, held, "store")
+            elif isinstance(node, ast.Delete):
+                for target in node.targets:
+                    if isinstance(target, ast.Subscript):
+                        record_store(target, node.lineno, held, "delete")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATING_METHODS
+            ):
+                record(
+                    _container_of(node.func.value), node.lineno, held,
+                    "method", method=node.func.attr,
+                )
 
-        for stmt in fn.body:
-            visit(stmt, ())
-
-    # Called-with-lock-held fixpoint: a function every reachable call
-    # site of which runs with lock L held is itself guarded by L (the
-    # ``_dense_matrix_locked`` / ``_prune`` caller-holds-lock idiom).
-    guarded: dict[str, frozenset[str] | None] = {q: None for q in reachable}
-    for root in roots:
-        guarded[root] = frozenset()
-    # Kleene iteration from the optimistic top (None = "all locks"):
-    # unresolved callers are intersection-identity, which lets recursive
-    # helpers (RTree._insert calling itself under the index lock)
-    # converge to the lock their external callers hold.
-    changed = True
-    while changed:
-        changed = False
-        for callee, contexts in call_contexts.items():
-            if guarded.get(callee) == frozenset():
-                continue
-            values = [
-                held | caller_guard
-                for caller, held in contexts
-                if (caller_guard := guarded.get(caller)) is not None
-            ]
-            if not values:
-                continue
-            combined = frozenset.intersection(*values)
-            previous = guarded.get(callee)
-            if previous is not None:
-                combined = combined & previous
-            if combined != previous:
-                guarded[callee] = combined
-                changed = True
-    guarded_context: dict[str, frozenset[str]] = {
-        qualname: (locks if locks is not None else frozenset())
-        for qualname, locks in guarded.items()
-    }
+    guarded_context = _guarded_context(graph, roots, reachable)
 
     # Classify each attribute of each active shared class.
     attrs: dict[tuple[str, str], AttrClass] = {}
     for owner in sorted(active_classes):
         info, node = nodes[owner]
         context_scoped = _context_scoped_attrs(node)
-        inventory = _attr_inventory(info, owner, node)
-        lock_attrs = lock_index.class_attrs.get(owner, set())
-        names = set(inventory) | {
-            attr for (cls, attr) in sites if cls == owner
-        }
-        for attr in sorted(names):
-            if attr in lock_attrs:
-                continue
+        inventory = _attr_inventory(node)
+        lock_attrs = graph.locks.class_attrs.get(owner, set())
+        names = set(inventory) | {attr for (cls, attr) in sites if cls == owner}
+        for attr in sorted(names - lock_attrs):
             line, mutable = inventory.get(attr, (node.lineno, True))
-            if attr in context_scoped:
-                attrs[(owner, attr)] = AttrClass(
-                    owner=owner,
-                    attr=attr,
-                    classification="contextvar-scoped",
-                    path=info.module.rel_path,
-                    line=context_scoped[attr],
-                )
-                continue
-            attr_sites = sites.get((owner, attr), [])
             # Sites sanctioned with an inline allow-comment drop out
             # before classification.
             live = [
-                s
-                for s in attr_sites
-                if not s.module.allows(RULE, s.line)  # type: ignore[attr-defined]
+                site
+                for site in sites.get((owner, attr), [])
+                if not site.module.allows(RULE, site.line)
             ]
-            if not live:
-                if mutable:
-                    attrs[(owner, attr)] = AttrClass(
-                        owner=owner,
-                        attr=attr,
-                        classification="immutable",
-                        path=info.module.rel_path,
-                        line=line,
-                    )
-                continue
-            effective = [
-                s.held | guarded_context.get(s.qualname, frozenset()) for s in live
-            ]
-            common = frozenset.intersection(*effective) if effective else frozenset()
-            if common:
-                own = sorted(lock for lock in common if lock.startswith(owner + "."))
-                guard = own[0] if own else sorted(common)[0]
-                attrs[(owner, attr)] = AttrClass(
-                    owner=owner,
-                    attr=attr,
-                    classification="lock-guarded",
-                    guard=guard,
-                    path=info.module.rel_path,
-                    line=line,
-                    sites=live,
-                )
+            guard = ""
+            if attr in context_scoped:
+                classification, line, live = "contextvar-scoped", context_scoped[attr], []
+            elif not live:
+                if not mutable:
+                    continue
+                classification = "immutable"
             else:
-                attrs[(owner, attr)] = AttrClass(
-                    owner=owner,
-                    attr=attr,
-                    classification="unguarded-shared",
-                    path=info.module.rel_path,
-                    line=line,
-                    sites=live,
+                common = frozenset.intersection(
+                    *(site.held | guarded_context[site.qualname] for site in live)
                 )
+                classification = "lock-guarded" if common else "unguarded-shared"
+                if common:
+                    own = sorted(lock for lock in common if lock.startswith(owner + "."))
+                    guard = own[0] if own else min(common)
+            attrs[(owner, attr)] = AttrClass(
+                owner, attr, classification, guard, info.module.rel_path, line, live
+            )
 
     return EscapeAnalysis(
         roots=roots,
@@ -649,8 +460,42 @@ def analyze_escape(
         shared_classes=shared,
         attrs=attrs,
         guarded_context=guarded_context,
-        lock_index=lock_index,
     )
+
+
+def _guarded_context(
+    graph: CallGraph, roots: tuple[str, ...], reachable: frozenset[str]
+) -> dict[str, frozenset[str]]:
+    """``function -> locks held on every call path from a concurrent
+    root`` — the ``_dense_matrix_locked`` / ``_prune`` caller-holds-lock
+    idiom, recursion included.
+
+    Computed as the complement of a may-analysis: lock L is *exposed*
+    at a function when some chain of calls from a root reaches it
+    crossing only call sites that do not hold L.  The ``None`` key marks
+    "reached through direct calls at all": a function reached only as a
+    callback has no known calling context and is granted no guard.
+    """
+    calls = [
+        site
+        for function in graph.functions
+        if function.qualname in reachable
+        for site in function.calls
+        if site.callee in reachable
+    ]
+    universe = frozenset(lock for site in calls for lock in site.held)
+    exposed = propagate(
+        calls,
+        {root: (None, *universe) for root in roots},
+        keep=lambda site, lock: lock not in site.held,
+        down=True,
+    )
+    return {
+        qualname: universe - exposed[qualname].keys()
+        if None in exposed.get(qualname, ())
+        else frozenset()
+        for qualname in reachable
+    }
 
 
 def build_concurrency_manifest(
@@ -687,30 +532,22 @@ def build_concurrency_manifest(
 
 def render_concurrency_manifest(manifest: dict) -> str:
     """Canonical byte representation (same tree -> byte-identical)."""
-    import json
-
     return json.dumps(manifest, indent=2, sort_keys=False) + "\n"
 
 
 def check_thread_escape(
     table: SymbolTable,
     graph: CallGraph,
-    roots_patterns: tuple[str, ...] = DEFAULT_CONCURRENT_ROOTS,
     checked_in: dict | None = None,
     manifest_rel: str = "tools/concurrency_manifest.json",
-    analysis: EscapeAnalysis | None = None,
 ) -> tuple[list[Finding], dict, EscapeAnalysis]:
     """Findings + the regenerated manifest + the reusable analysis."""
-    if analysis is None:
-        analysis = analyze_escape(table, graph, roots_patterns)
+    analysis = analyze_escape(table, graph)
     findings: list[Finding] = []
-    for (owner, attr) in sorted(analysis.attrs):
-        record = analysis.attrs[(owner, attr)]
+    for (owner, attr), record in sorted(analysis.attrs.items()):
         if record.classification != "unguarded-shared":
             continue
-        witnesses = sorted(
-            {(s.path, s.line) for s in record.sites}, key=lambda w: (w[0], w[1])
-        )
+        witnesses = sorted({(s.path, s.line) for s in record.sites})
         first = record.sites[0]
         shown = ", ".join(f"{p}:{ln}" for p, ln in witnesses[:3])
         more = f" (+{len(witnesses) - 3} more)" if len(witnesses) > 3 else ""
@@ -730,31 +567,22 @@ def check_thread_escape(
             )
         )
 
-    manifest = build_concurrency_manifest(analysis, roots_patterns)
+    manifest = build_concurrency_manifest(analysis, DEFAULT_CONCURRENT_ROOTS)
+    problem = ""
     if checked_in is None:
         if manifest["entries"]:
-            findings.append(
-                Finding(
-                    rule=RULE,
-                    path=manifest_rel,
-                    line=1,
-                    message=(
-                        f"concurrency manifest {manifest_rel} is missing; "
-                        "regenerate with --write-concurrency-manifest"
-                    ),
-                    scope="manifest",
-                )
-            )
+            problem = "missing"
     elif checked_in != manifest:
+        problem = "stale (the tree's classifications changed)"
+    if problem:
         findings.append(
             Finding(
                 rule=RULE,
                 path=manifest_rel,
                 line=1,
                 message=(
-                    f"concurrency manifest {manifest_rel} is stale (the tree's "
-                    "classifications changed); regenerate with "
-                    "--write-concurrency-manifest"
+                    f"concurrency manifest {manifest_rel} is {problem}; "
+                    "regenerate with --write-concurrency-manifest"
                 ),
                 scope="manifest",
             )

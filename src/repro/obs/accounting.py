@@ -89,7 +89,7 @@ class ResourceLedger:
     def add(self, kind: str, amount: float = 1.0) -> None:
         """Charge ``amount`` units of ``kind`` to this ledger."""
         # Owned by one context until closed, like Span.set.
-        self.charges[kind] = (  # devtools: allow[unlocked-mutation]
+        self.charges[kind] = (
             self.charges.get(kind, 0.0) + amount
         )
 
@@ -377,7 +377,7 @@ class UsageTable:
             }
             # Benign interning race: both writers build identical
             # handles from the get-or-create registry.
-            self._metric_handles[principal] = handles  # devtools: allow[unlocked-mutation, thread-escape]
+            self._metric_handles[principal] = handles  # devtools: allow[thread-escape]
         return handles
 
     def _emit_metrics(
@@ -405,7 +405,7 @@ class UsageTable:
                 counter = self._registry.counter(
                     name, {"principal": ledger.principal}
                 )
-                kinds[kind] = counter  # devtools: allow[unlocked-mutation]
+                kinds[kind] = counter
             counter.inc(amount)
         if budget is not None:
             handles["rolling"].set(rolling)

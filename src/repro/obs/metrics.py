@@ -20,8 +20,8 @@ Design notes
   :func:`counters_delta`.
 * Every metric and the registry itself are thread-safe: instrumented
   code runs on API worker threads, so increments and the get-or-create
-  path take a per-object lock (the ``unlocked-mutation`` lint in
-  ``repro.devtools`` enforces this for the whole module).
+  path take a per-object lock (the ``thread-escape`` lint in
+  ``repro.devtools`` enforces this for every class requests share).
 """
 
 from __future__ import annotations

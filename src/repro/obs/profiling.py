@@ -152,8 +152,8 @@ class SlowSpanLog:
     ancestry is already on the span itself.
 
     Mutated from whichever threads run spans, so every public method
-    takes the log's lock (the ``unlocked-mutation`` lint enforces this
-    for ``repro.obs``).
+    takes the log's lock (the ``thread-escape`` lint enforces this
+    for every class requests share).
     """
 
     def __init__(

@@ -127,7 +127,7 @@ class Span:
         until :meth:`Tracer.span` closes it, so attribute writes need
         no lock.
         """
-        self.attrs[key] = value  # devtools: allow[unlocked-mutation, thread-escape]
+        self.attrs[key] = value  # devtools: allow[thread-escape]
 
     def to_dict(self) -> dict:
         """JSON-compatible record of a finished span."""
@@ -151,7 +151,7 @@ class RingBufferExporter:
     Spans finish on whichever thread ran them, so the buffer is
     lock-protected (deque appends are GIL-atomic today, but the lock
     also makes :meth:`spans` snapshots consistent and is what the
-    ``unlocked-mutation`` lint can verify statically).
+    ``thread-escape`` lint can verify statically).
     """
 
     def __init__(self, capacity: int = 4096) -> None:

@@ -49,7 +49,7 @@ class _Slot:
         # Only reached from RollingWindows.observe, under its _lock.
         self.epoch = epoch
         for i in range(len(self.counts)):
-            self.counts[i] = 0  # devtools: allow[unlocked-mutation] caller holds RollingWindows._lock
+            self.counts[i] = 0  # caller holds RollingWindows._lock
         self.count = 0
         self.sum = 0.0
         self.min = math.inf

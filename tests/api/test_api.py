@@ -1,5 +1,7 @@
 """End-to-end tests of the API layer: auth, routes, client."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,69 @@ def client(service):
 @pytest.fixture()
 def records():
     return generate_lasan_dataset(n_per_class=4, image_size=32, seed=0)
+
+
+#: Well-formed write-path bodies (the repo benchmark's shapes), by route.
+_WRITE_BODIES = {
+    "/images": {
+        "image": {"pixels_u8": [[[10, 20, 30]] * 8] * 8},
+        "fov": {
+            "lat": 34.0, "lng": -118.2, "direction_deg": 10.0,
+            "angle_deg": 60.0, "range_m": 120.0,
+        },
+        "captured_at": 100.0,
+        "uploaded_at": 105.0,
+        "keywords": ["street", "tent"],
+    },
+    "/images/1/annotations": {
+        "classification": "street_cleanliness",
+        "label": "clean",
+        "confidence": 0.9,
+        "source": "machine",
+    },
+    "/features/color_hsv_20_20_10": {"image_id": 1},
+}
+_MISSING = object()
+_FIELD_MUTATIONS = {
+    "missing": _MISSING, "null": None, "str": "x", "list": [], "dict": {},
+    "nan": float("nan"),
+}
+#: Single-field mutations that leave a body the API accepts by contract
+#: (optional fields left out, an empty keyword list).
+_STILL_VALID = {
+    ("/images", "keywords", "missing"),
+    ("/images", "keywords", "list"),
+    ("/images/1/annotations", "confidence", "missing"),
+    ("/images/1/annotations", "source", "missing"),
+}
+
+
+def _field_paths(body, prefix=()):
+    for key, value in body.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _field_paths(value, (*prefix, key))
+
+
+def _malformed_write_bodies():
+    """Every single-field mutation (missing / null / "x" / [] / {} /
+    NaN) of every field of the three well-formed write bodies."""
+    for route, body in _WRITE_BODIES.items():
+        for path in _field_paths(body):
+            for kind, value in _FIELD_MUTATIONS.items():
+                if (route, ".".join(path), kind) in _STILL_VALID:
+                    continue
+                mutated = copy.deepcopy(body)
+                holder = mutated
+                for key in path[:-1]:
+                    holder = holder[key]
+                if value is _MISSING:
+                    del holder[path[-1]]
+                else:
+                    holder[path[-1]] = value
+                yield pytest.param(
+                    route, mutated, id=f"{route.split('/')[-1]}-{'.'.join(path)}-{kind}"
+                )
 
 
 def upload_all(client, records):
@@ -91,6 +156,28 @@ class TestRouter:
         assert router.dispatch(Request("POST", "/things/3")).status == 405
         ok = router.dispatch(Request("GET", "/things/3"))
         assert ok.status == 200 and ok.body["id"] == "3"
+
+    def test_405_is_labelled_by_route_template_not_raw_path(self):
+        """Hostile ``DELETE /images/1``, ``/images/2``, ... must not mint
+        one metric series and one usage row per distinct path."""
+        from repro import obs
+
+        obs.reset()
+        router = Router()
+        router.add("GET", "/images/{image_id}", lambda r: Response(200, {}))
+        for image_id in range(5):
+            assert router.dispatch(Request("DELETE", f"/images/{image_id}")).status == 405
+        rejected = {
+            name: value
+            for name, value in obs.metrics().snapshot()["counters"].items()
+            # reset() zeroes earlier tests' series in place; only live ones count
+            if name.startswith("api.requests") and 'status="405"' in name and value
+        }
+        assert rejected == {
+            'api.requests{method="DELETE",route="/images/{image_id}",status="405"}': 5.0
+        }
+        operations = [row["key"] for row in obs.usage().report()["by_operation"]]
+        assert operations == ["DELETE /images/{image_id}"]
 
     def test_exception_mapping(self):
         from tests.resilience.conftest import failing_stub
@@ -205,6 +292,29 @@ class TestDataRoutes:
         response = service.handle(
             Request("POST", "/search", body=body, api_key=client.api_key)
         )
+        assert response.status == 400
+        error = response.body["error"]
+        assert error["status"] == 400 and error["type"] == "APIError"
+        assert error["message"] and error["request_id"]
+
+    @pytest.mark.parametrize("route, body", _malformed_write_bodies())
+    def test_malformed_write_body_is_400_with_the_error_envelope(
+        self, service, client, route, body
+    ):
+        """A write-path field that is missing, ``null``, or of the wrong
+        type is the caller's fault on every route: never a 500."""
+
+        def post(path, payload):
+            return service.handle(
+                Request("POST", path, body=payload, api_key=client.api_key)
+            )
+
+        assert post("/images", _WRITE_BODIES["/images"]).body["image_id"] == 1
+        labels = {"name": "street_cleanliness", "labels": ["clean", "dirty"]}
+        assert post("/classifications", labels).status == 201
+        assert post(route, _WRITE_BODIES[route]).status in (200, 201)
+
+        response = post(route, body)
         assert response.status == 400
         error = response.body["error"]
         assert error["status"] == 400 and error["type"] == "APIError"

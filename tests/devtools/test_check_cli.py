@@ -1,4 +1,4 @@
-"""The ``python -m repro.devtools.check`` CLI: exit codes, JSON, baseline."""
+"""The ``python -m repro.devtools.check`` CLI: exit codes, JSON, SARIF, manifest."""
 
 from __future__ import annotations
 
@@ -14,13 +14,6 @@ SEEDED = {
     "top/fine.py": "from pkg.low.base import VALUE\n",
     "low/upward.py": "from pkg.top.fine import VALUE\n",  # layer-boundary
     "low/state.py": "_CACHE = {}\n\ndef put(k, v):\n    _CACHE[k] = v\n",
-    "index/structure.py": (
-        "class Index:\n"
-        "    def __init__(self):\n"
-        "        self._items = []\n"
-        "    def insert(self, item):\n"
-        "        self._items.append(item)\n"  # unlocked-mutation
-    ),
     "low/lints.py": (
         "def risky(fn, into=[]):\n"  # mutable-default
         "    try:\n"
@@ -101,8 +94,8 @@ SEEDED = {
         "        with open('/tmp/state.json') as fh:\n"
         "            return fh.read()\n"
     ),
-    # dead-code fires on the unreferenced public defs above (put, Index,
-    # risky, poll, ...) without extra seeding.
+    # dead-code fires on the unreferenced public defs above (put, risky,
+    # poll, ...) without extra seeding.
 }
 
 
@@ -111,18 +104,11 @@ def seeded_tree(make_package):
     from tests.devtools.conftest import TINY_LAYERS
 
     root, _ = make_package(SEEDED)
-    critical = ("*/pkg/index/*.py",)
-    return root, TINY_LAYERS, critical
+    return root, TINY_LAYERS
 
 
-def _run(root, layers, critical, **kwargs):
-    return run_check(
-        root=root,
-        repo_root=root.parent,
-        layer_config=layers,
-        critical_globs=critical,
-        **kwargs,
-    )
+def _run(root, layers, **kwargs):
+    return run_check(root=root, repo_root=root.parent, layer_config=layers, **kwargs)
 
 
 class TestRunCheck:
@@ -132,103 +118,70 @@ class TestRunCheck:
         assert set(result.by_rule) == set(ALL_RULES)
 
     def test_select_restricts_rules(self, seeded_tree):
-        root, layers, critical = seeded_tree
-        result = _run(root, layers, critical, select=("no-print",))
+        result = _run(*seeded_tree, select=("no-print",))
         assert set(result.by_rule) == {"no-print"}
 
     def test_unknown_rule_rejected(self, seeded_tree):
-        root, layers, critical = seeded_tree
         with pytest.raises(ValueError, match="unknown rule"):
-            _run(root, layers, critical, select=("not-a-rule",))
-
-    def test_baseline_absorbs_one_occurrence_each(self, seeded_tree):
-        root, layers, critical = seeded_tree
-        first = _run(root, layers, critical)
-        baseline = [f.fingerprint for f in first.findings]
-        second = _run(root, layers, critical, baseline=baseline)
-        assert second.ok
-        assert len(second.suppressed) == len(first.findings)
-        # A duplicated entry must not grant a second free violation.
-        third = _run(root, layers, critical, baseline=baseline[1:])
-        assert len(third.new) == 1
+            _run(*seeded_tree, select=("not-a-rule",))
 
 
 class TestCli:
     def test_exit_one_and_report_on_findings(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        rc = main(["--root", str(root), "--repo-root", str(tmp_path), "--no-baseline"])
+        root, _ = seeded_tree
+        rc = main(["--root", str(root), "--repo-root", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "new finding(s)" in out
+        assert "finding(s)" in out
         assert "[no-print]" in out
 
     def test_json_report_shape(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        rc = main(
-            ["--root", str(root), "--repo-root", str(tmp_path), "--no-baseline", "--json"]
-        )
+        root, _ = seeded_tree
+        rc = main(["--root", str(root), "--repo-root", str(tmp_path), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert report["ok"] is False
-        assert report["counts"]["new"] == len(report["new_findings"])
-        sample = report["new_findings"][0]
+        assert report["counts"]["total"] == len(report["findings"])
+        assert sum(report["counts"]["by_rule"].values()) == report["counts"]["total"]
+        sample = report["findings"][0]
         assert {"rule", "path", "line", "message", "fingerprint"} <= set(sample)
 
-    def test_write_baseline_then_green(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        baseline = tmp_path / "baseline.json"
-        args = ["--root", str(root), "--repo-root", str(tmp_path), "--baseline", str(baseline)]
-        assert main([*args, "--write-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "baselined" in capsys.readouterr().out
-
     def test_unknown_select_exits_two(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
+        root, _ = seeded_tree
         rc = main(
             ["--root", str(root), "--repo-root", str(tmp_path), "--select", "bogus"]
         )
         assert rc == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_list_passes(self, capsys):
-        from repro.devtools.check import PASSES
-
-        assert main(["--list-passes"]) == 0
-        out = capsys.readouterr().out
-        for name in PASSES:
-            assert f"{name}:" in out
-        assert "hot-path" in out
-
-    def test_only_selects_pass_rules(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        rc = main(
-            [
-                "--root", str(root), "--repo-root", str(tmp_path),
-                "--no-baseline", "--only", "hot-path", "--json",
-            ]
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        fired = {f["rule"] for f in report["new_findings"]}
-        assert fired == {"hot-path"}
-
-    def test_unknown_only_exits_two(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        rc = main(
-            ["--root", str(root), "--repo-root", str(tmp_path), "--only", "bogus"]
-        )
-        assert rc == 2
-        assert "unknown pass" in capsys.readouterr().err
+    def test_cli_surface_is_nine_flags_and_retired_ones_are_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        flags = {
+            word.rstrip(",")
+            for word in capsys.readouterr().out.split()
+            if word.startswith("--")
+        }
+        assert flags - {"--help"} == {
+            "--root", "--repo-root", "--select", "--json", "--json-out", "--sarif",
+            "--github-annotations", "--budget-s", "--write-concurrency-manifest",
+        }
+        for retired in (
+            "--baseline", "--no-baseline", "--write-baseline", "--trim-baseline",
+            "--only", "--list-passes", "--changed-only",
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main([retired])
+            assert exit_info.value.code == 2
+            capsys.readouterr()
 
     def test_sarif_report(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
+        root, _ = seeded_tree
         sarif_path = tmp_path / "out.sarif"
         main(
             [
                 "--root", str(root), "--repo-root", str(tmp_path),
-                "--no-baseline", "--sarif", str(sarif_path),
+                "--sarif", str(sarif_path),
             ]
         )
         capsys.readouterr()
@@ -241,13 +194,8 @@ class TestCli:
         assert {"ruleId", "message", "locations", "partialFingerprints"} <= set(sample)
 
     def test_github_annotations(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        main(
-            [
-                "--root", str(root), "--repo-root", str(tmp_path),
-                "--no-baseline", "--github-annotations",
-            ]
-        )
+        root, _ = seeded_tree
+        main(["--root", str(root), "--repo-root", str(tmp_path), "--github-annotations"])
         out = capsys.readouterr().out
         assert "::error file=" in out
 
@@ -274,7 +222,7 @@ class TestCli:
         manifest_file.parent.mkdir()
 
         # Without the manifest the pass gates; writing it heals the run.
-        rc = main([*args, "--no-baseline", "--only", "thread-escape"])
+        rc = main([*args, "--select", "thread-escape"])
         assert rc == 1
         capsys.readouterr()
         assert main([*args, "--write-concurrency-manifest"]) == 0
@@ -284,134 +232,12 @@ class TestCli:
         (entry,) = document["entries"]
         assert entry["attr"] == "pkg.core.platform.TVDP._seen"
         assert entry["classification"] == "lock-guarded"
-        assert main([*args, "--no-baseline", "--only", "thread-escape"]) == 0
-
-
-class TestBaselineRatchet:
-    """The ratchet only shrinks: dead suppressions are failures."""
-
-    #: ``core`` is in the default layer DAG, so this tree has no findings.
-    CLEAN = {"core/fine.py": "VALUE = 1\n"}
-
-    def test_stale_baseline_fails_even_when_tree_is_clean(
-        self, make_package, tmp_path, capsys
-    ):
-        root, _ = make_package(self.CLEAN)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(["no-print:low/gone.py:gone"]), encoding="utf-8"
-        )
-        rc = main(
-            ["--root", str(root), "--repo-root", str(tmp_path), "--baseline", str(baseline)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "stale baseline" in out
-        assert "--trim-baseline" in out
-
-    def test_trim_baseline_drops_dead_entries(self, make_package, tmp_path, capsys):
-        root, _ = make_package(self.CLEAN)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(["no-print:low/gone.py:gone"]), encoding="utf-8"
-        )
-        args = ["--root", str(root), "--repo-root", str(tmp_path), "--baseline", str(baseline)]
-        assert main([*args, "--trim-baseline"]) == 0
-        assert "trimmed 1 stale entr" in capsys.readouterr().out
-        assert json.loads(baseline.read_text())["suppressions"] == []
-        assert main(args) == 0
-
-
-class TestChangedOnly:
-    def _git(self, cwd, *argv):
-        import subprocess
-
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *argv],
-            cwd=cwd, check=True, capture_output=True,
-        )
-
-    @pytest.fixture
-    def committed_tree(self, seeded_tree, tmp_path):
-        root, _, _ = seeded_tree
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        return root, tmp_path
-
-    def test_unchanged_tree_is_green(self, committed_tree, capsys):
-        root, repo = committed_tree
-        rc = main(
-            [
-                "--root", str(root), "--repo-root", str(repo),
-                "--no-baseline", "--changed-only", "HEAD",
-            ]
-        )
-        assert rc == 0, capsys.readouterr().out
-        # The same tree without the restriction still fails: the filter,
-        # not the tree, made the run green.
-        capsys.readouterr()
-        assert main(["--root", str(root), "--repo-root", str(repo), "--no-baseline"]) == 1
-
-    def test_findings_match_full_run_on_changed_files(self, committed_tree, capsys):
-        """Parity pin: the restricted run reports exactly the full run's
-        findings for the files that changed — no more, no fewer."""
-        root, repo = committed_tree
-        target = root / "low" / "lints.py"
-        target.write_text(target.read_text() + "\n# touched\n", encoding="utf-8")
-
-        main(["--root", str(root), "--repo-root", str(repo), "--no-baseline", "--json"])
-        full = json.loads(capsys.readouterr().out)
-        rc = main(
-            [
-                "--root", str(root), "--repo-root", str(repo),
-                "--no-baseline", "--changed-only", "HEAD", "--json",
-            ]
-        )
-        restricted = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        changed_path = target.relative_to(repo).as_posix()
-        expected = {
-            f["fingerprint"] for f in full["new_findings"] if f["path"] == changed_path
-        }
-        assert expected
-        assert {f["fingerprint"] for f in restricted["new_findings"]} == expected
-
-    def test_stale_baseline_is_waived_for_incremental_runs(
-        self, committed_tree, tmp_path, capsys
-    ):
-        root, repo = committed_tree
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(["no-print:low/gone.py:gone"]), encoding="utf-8"
-        )
-        rc = main(
-            [
-                "--root", str(root), "--repo-root", str(repo),
-                "--baseline", str(baseline), "--changed-only", "HEAD",
-            ]
-        )
-        capsys.readouterr()
-        # Incremental runs answer "did MY change add findings"; only the
-        # full run owns the ratchet.
-        assert rc == 0
-
-    def test_outside_a_repo_exits_two(self, seeded_tree, tmp_path, capsys):
-        root, _, _ = seeded_tree
-        rc = main(
-            [
-                "--root", str(root), "--repo-root", str(tmp_path),
-                "--no-baseline", "--changed-only", "HEAD",
-            ]
-        )
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
+        assert main([*args, "--select", "thread-escape"]) == 0
 
 
 def test_shipped_tree_is_clean(capsys):
-    """The acceptance gate: the repo's own source passes every rule with
-    an empty baseline."""
-    rc = main(["--no-baseline"])
+    """The acceptance gate: the repo's own source passes every rule."""
+    rc = main([])
     out = capsys.readouterr().out
     assert rc == 0, out
-    assert "0 new" in out
+    assert f"{len(ALL_RULES)} rules, 0 findings" in out

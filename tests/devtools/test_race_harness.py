@@ -1,5 +1,5 @@
 """Runtime companion to the concurrency lints: hammer the structures the
-``unlocked-mutation`` rule declares critical and assert exact results.
+``thread-escape`` pass classifies as shared and assert exact results.
 
 Unlocked ``value += n`` / ``list.append`` paths lose updates under
 thread switches; lowering the switch interval makes the interleavings

@@ -295,7 +295,7 @@ class TestConcurrencyExactness:
         def worker(index: int) -> None:
             barrier.wait()
             with ledger_scope() as ledger:
-                seen[index] = ledger  # devtools: allow[unlocked-mutation]
+                seen[index] = ledger
                 charge("rows_scanned", index + 1)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
