@@ -69,7 +69,7 @@ def select_panorama_frames(
     most uncovered direction buckets around ``point``."""
     if max_frames < 1:
         raise TVDPError(f"max_frames must be >= 1, got {max_frames}")
-    candidates = platform._spatial.search_point(point.lat, point.lng)
+    candidates = platform.slice.spatial.search_point(point.lat, point.lng)
     total = int(360.0 / BUCKET_DEG)
     coverage = {
         image_id: _buckets_covered(platform, image_id, point)

@@ -114,12 +114,31 @@ def _number(body: dict, field: str, default: float | None = None) -> float:
     return float(value)
 
 
-def _image_id(body: dict) -> int:
-    """``body["image_id"]`` as an integer (a JSON number, not a bool)."""
-    value = body.get("image_id")
+def _integer(body: dict, field: str) -> int:
+    """``body[field]`` as an integer (a JSON number, not a bool)."""
+    value = body.get(field)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise APIError(400, f"field 'image_id' must be an integer, got {value!r}")
+        raise APIError(400, f"field {field!r} must be an integer, got {value!r}")
     return value
+
+
+def _text(body: dict, field: str) -> str:
+    """``body[field]`` as a string: names key tables and registries, so
+    a number or a list there is the caller's fault, not a lookup miss."""
+    value = body.get(field)
+    if not isinstance(value, str):
+        raise APIError(400, f"field {field!r} must be a string, got {value!r}")
+    return value
+
+
+def _texts(body: dict, field: str, default: object = None) -> tuple[str, ...]:
+    """``body[field]`` as a tuple of strings (a JSON list of them)."""
+    value = body.get(field, default)
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise APIError(400, f"field {field!r} must be a list of strings")
+    return tuple(value)
 
 
 _FOV_FIELDS = ("lat", "lng", "direction_deg", "angle_deg", "range_m")
@@ -219,8 +238,11 @@ class TVDPService:
         body = self._body(request)
         if "name" not in body or "role" not in body:
             raise APIError(400, "user needs 'name' and 'role'")
+        organization = (
+            _text(body, "organization") if body.get("organization") is not None else None
+        )
         user_id = self.platform.add_user(
-            body["name"], body["role"], body.get("organization")
+            _text(body, "name"), _text(body, "role"), organization
         )
         return Response(201, {"user_id": user_id})
 
@@ -228,8 +250,9 @@ class TVDPService:
         body = self._body(request)
         if "user_id" not in body:
             raise APIError(400, "'user_id' required")
+        user_id = _integer(body, "user_id")
         try:
-            key = self.keys.issue(int(body["user_id"]))
+            key = self.keys.issue(user_id)
         except TVDPError as exc:
             raise APIError(404, str(exc)) from exc
         return Response(201, {"api_key": key})
@@ -251,17 +274,12 @@ class TVDPService:
         except _PAYLOAD_ERRORS as exc:
             _log.debug("rejected fov payload", exc_info=True)
             raise APIError(400, f"bad fov: {exc}") from exc
-        keywords = body.get("keywords", ())
-        if not isinstance(keywords, (list, tuple)) or not all(
-            isinstance(word, str) for word in keywords
-        ):
-            raise APIError(400, "field 'keywords' must be a list of strings")
         receipt = self.platform.upload_image(
             image=image_from_payload(body["image"]),
             fov=fov,
             captured_at=_number(body, "captured_at"),
             uploaded_at=_number(body, "uploaded_at"),
-            keywords=tuple(keywords),
+            keywords=_texts(body, "keywords", ()),
             uploader_id=request.user_id,
         )
         return Response(
@@ -320,7 +338,7 @@ class TVDPService:
                     else None
                 )
                 return VisualQuery(
-                    extractor_name=spec["extractor"],
+                    extractor_name=_text(spec, "extractor"),
                     example=example,
                     vector=vector,
                     k=int(spec.get("k", 10)),
@@ -328,8 +346,8 @@ class TVDPService:
                 )
             if kind == "categorical":
                 return CategoricalQuery(
-                    classification=spec["classification"],
-                    labels=tuple(spec["labels"]),
+                    classification=_text(spec, "classification"),
+                    labels=_texts(spec, "labels"),
                     min_confidence=float(spec.get("min_confidence", 0.0)),
                     source=spec.get("source"),
                 )
@@ -378,7 +396,7 @@ class TVDPService:
         if "image" in body:
             vector = extractor.extract(image_from_payload(body["image"]))
         elif "image_id" in body:
-            image_id = _image_id(body)
+            image_id = _integer(body, "image_id")
             try:
                 vector = self.platform.feature_vector(image_id, extractor_name)
             except TVDPError as exc:
@@ -394,6 +412,7 @@ class TVDPService:
         for required in ("name", "extractor", "classification", "classifier"):
             if required not in body:
                 raise APIError(400, f"missing field {required!r}")
+            _text(body, required)
         if body["classifier"] not in _CLASSIFIER_FACTORIES:
             raise APIError(
                 400,
@@ -486,8 +505,8 @@ class TVDPService:
             raise APIError(400, "classification needs 'name' and 'labels'")
         try:
             cid = self.platform.catalog.define(
-                body["name"],
-                list(body["labels"]),
+                _text(body, "name"),
+                list(_texts(body, "labels")),
                 description=body.get("description", ""),
                 owner_id=request.user_id,
             )
@@ -728,6 +747,10 @@ class TVDPService:
         """Hot-query report: the workload's normalized query shapes
         ranked by frequency then total time (see
         ``repro.core.queries.query_shape``)."""
+        unknown = sorted(set(request.params) - {"limit"})
+        if unknown:
+            # A misspelt bound must not silently fall back to the default.
+            raise APIError(400, f"unknown parameter(s) {unknown}; takes 'limit'")
         limit = request.params.get("limit")
         try:
             parsed_limit = int(limit) if limit is not None else 10

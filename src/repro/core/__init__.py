@@ -1,4 +1,5 @@
-"""Platform core: the TVDP facade, queries, catalog, annotations."""
+"""Platform core: the TVDP facade, the catalog slice (rows + index suite)
+it serves, queries, catalog, annotations."""
 
 from repro.core.queries import (
     CategoricalQuery,
@@ -12,6 +13,7 @@ from repro.core.queries import (
 )
 from repro.core.catalog import ClassificationCatalog
 from repro.core.annotations import Annotation, AnnotationService
+from repro.core.slice import CatalogSlice
 from repro.core.platform import TVDP, UploadReceipt
 from repro.core.video import (
     ingest_video,
@@ -32,6 +34,7 @@ __all__ = [
     "ClassificationCatalog",
     "Annotation",
     "AnnotationService",
+    "CatalogSlice",
     "TVDP",
     "UploadReceipt",
     "ingest_video",

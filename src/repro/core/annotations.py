@@ -15,6 +15,7 @@ from repro.errors import QueryError
 from repro.db.database import Database
 from repro.geo.point import GeoPoint
 from repro.core.catalog import ClassificationCatalog
+from repro.core.slice import CatalogSlice
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,9 @@ class Annotation:
 class AnnotationService:
     """CRUD + query layer over ``image_content_annotation``."""
 
-    def __init__(self, db: Database, catalog: ClassificationCatalog) -> None:
-        self._db = db
+    def __init__(self, catalog_slice: CatalogSlice, catalog: ClassificationCatalog) -> None:
+        self._slice = catalog_slice
+        self._db: Database = catalog_slice.db
         self._catalog = catalog
 
     def annotate(
@@ -101,19 +103,8 @@ class AnnotationService:
         entry point: the homeless study calls it with
         ``("encampment",)`` over the street-cleanliness classification.
         """
-        out: dict[int, float] = {}
-        for label in labels:
-            type_id = self._catalog.type_id(classification, label)
-            for row in self._db.table("image_content_annotation").find(
-                "type_id", type_id
-            ):
-                if row["confidence"] < min_confidence:
-                    continue
-                if source is not None and row["source"] != source:
-                    continue
-                image_id = row["image_id"]
-                out[image_id] = max(out.get(image_id, 0.0), row["confidence"])
-        return out
+        type_ids = [self._catalog.type_id(classification, label) for label in labels]
+        return self._slice.best_confidence(type_ids, min_confidence, source)
 
     def label_locations(
         self,

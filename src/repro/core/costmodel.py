@@ -43,8 +43,7 @@ COST_MODEL: dict = {
             "repro.index.rtree.RTree.search_range",
             "repro.index.oriented_rtree.OrientedRTree.search_range",
             "repro.index.oriented_rtree.OrientedRTree.search_point",
-            "repro.core.platform.TVDP._run_spatial",
-            "repro.shard.plans._run_spatial",
+            "repro.core.slice.CatalogSlice.spatial_ids",
         ],
         "note": (
             "c = MBR candidates; refine is per-candidate FOV geometry, "
@@ -75,8 +74,7 @@ COST_MODEL: dict = {
         "cost": "O(a) postings walk per requested label",
         "dominant_counters": [],
         "hot_sites": [
-            "repro.core.platform.TVDP._run_categorical",
-            "repro.core.annotations.AnnotationService.images_with_label",
+            "repro.core.slice.CatalogSlice.best_confidence",
         ],
         "note": (
             "a = annotations per label via the type_id hash index; no "
@@ -135,7 +133,7 @@ COST_MODEL: dict = {
             "repro.shard.partition._data_region",
             "repro.shard.partition._assign_shards",
             "repro.shard.partition._slice_database",
-            "repro.shard.partition._build_indexes",
+            "repro.core.slice.CatalogSlice.rebuild",
             "repro.shard.partition._shard_stats",
             "repro.index.hybrid._VNode.refresh",
         ],

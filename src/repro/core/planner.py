@@ -187,20 +187,16 @@ def shard_survives(stats: ShardStats, query: object, type_ids_of=None) -> bool:
     if isinstance(query, VisualQuery):
         return query.extractor_name in stats.extractors
     if isinstance(query, HybridQuery):
-        parts = list(query.queries)
-        spatial = next((q for q in parts if isinstance(q, SpatialQuery)), None)
-        visual = next((q for q in parts if isinstance(q, VisualQuery)), None)
-        if len(parts) == 2 and spatial is not None and visual is not None:
-            # Fused path: one spatial_visual_knn task per shard, so the
+        fused = query.fused_pair()
+        if fused is not None:
+            # Fused path: one spatial_visual_knn probe per shard, so the
             # shard is needed only when both filters could match.
-            return shard_survives(stats, spatial, type_ids_of) and shard_survives(
-                stats, visual, type_ids_of
-            )
+            return all(shard_survives(stats, sub, type_ids_of) for sub in fused)
         # General hybrids scatter each part independently (top-k parts
         # are order-sensitive to their full candidate pool, so per-part
         # pruning must not be narrowed by sibling parts): the shard is
         # needed when *any* part needs it.
-        return any(shard_survives(stats, sub, type_ids_of) for sub in parts)
+        return any(shard_survives(stats, sub, type_ids_of) for sub in query.queries)
     raise QueryError(f"cannot prune for query type {type(query).__name__}")
 
 
@@ -263,22 +259,21 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
             cost=cost_annotation("temporal"),
         )
     if isinstance(query, HybridQuery):
-        parts = list(query.queries)
-        spatial = next((q for q in parts if isinstance(q, SpatialQuery)), None)
-        visual = next((q for q in parts if isinstance(q, VisualQuery)), None)
-        if len(parts) == 2 and spatial is not None and visual is not None:
+        children = tuple(_plan_node(platform, sub) for sub in _child_queries(query))
+        fused = query.fused_pair()
+        if fused is not None:
             return QueryPlan(
                 "hybrid",
                 "visual_rtree.spatial_visual_knn (single-pass dual pruning)",
-                {"extractor": visual.extractor_name, "k": visual.k},
-                children=(_plan_node(platform, spatial), _plan_node(platform, visual)),
+                {"extractor": fused[1].extractor_name, "k": fused[1].k},
+                children=children,
                 cost=cost_annotation("hybrid"),
             )
         return QueryPlan(
             "hybrid",
             "intersect(sub-results)",
-            {"parts": len(parts)},
-            children=tuple(_plan_node(platform, q) for q in parts),
+            {"parts": len(children)},
+            children=children,
             cost=cost_annotation("hybrid"),
         )
     raise QueryError(f"cannot plan query type {type(query).__name__}")
@@ -287,13 +282,7 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
 def _child_queries(query: HybridQuery) -> tuple:
     """Sub-queries in the order their plan-node children appear: the
     fused spatial-visual path normalizes to (spatial, visual)."""
-    parts = list(query.queries)
-    if len(parts) == 2:
-        spatial = next((q for q in parts if isinstance(q, SpatialQuery)), None)
-        visual = next((q for q in parts if isinstance(q, VisualQuery)), None)
-        if spatial is not None and visual is not None:
-            return (spatial, visual)
-    return tuple(parts)
+    return query.fused_pair() or tuple(query.queries)
 
 
 def _measured_execute(

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
 from repro import obs
 from repro.obs.accounting import LOCAL_PRINCIPAL, charge, maybe_ledger_scope
-from repro.errors import QueryError, TVDPError
+from repro.errors import TVDPError
 from repro.db.database import Database
 from repro.features.base import FeatureExtractor
 from repro.features.registry import FeatureRegistry
@@ -37,12 +37,11 @@ from repro.imaging.augment import Augmentation
 from repro.imaging.image import Image
 from repro.imaging.phash import NearDuplicateIndex
 from repro.imaging.quality import assess_quality
-from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
-from repro.index.oriented_rtree import OrientedRTree
 from repro.index.hybrid import VisualRTree
 from repro.core.annotations import AnnotationService
 from repro.core.catalog import ClassificationCatalog
+from repro.core.slice import CatalogSlice
 from repro.core.queries import (
     CategoricalQuery,
     HybridQuery,
@@ -55,6 +54,7 @@ from repro.core.queries import (
     combine_hybrid,
     query_family,
     query_shape,
+    scored_pairs,
 )
 
 _log = obs.get_logger("core.platform")
@@ -81,6 +81,9 @@ class UploadReceipt:
 
 class TVDP:
     """One platform instance: storage, indexes, analysis, sharing.
+
+    ``slice`` is the :class:`~repro.core.slice.CatalogSlice` over the
+    whole catalog — ``db`` (its database) plus the index suite.
 
     Parameters
     ----------
@@ -119,27 +122,29 @@ class TVDP:
             raise TVDPError(
                 f"shard_grid must be two positive ints (rows, cols), got {shard_grid!r}"
             )
-        self.db = Database.tvdp()
-        self.catalog = ClassificationCatalog(self.db)
-        self.annotations = AnnotationService(self.db, self.catalog)
+        self._adopt(CatalogSlice(Database.tvdp()))
         self.features = FeatureRegistry()
         self.reject_low_quality = reject_low_quality
         self.detect_near_duplicates = detect_near_duplicates
         self.shards = int(shards)
         self.shard_grid = shard_grid
-        # One platform-wide writer lock: ingest, feature indexing, and
-        # shard-router lifecycle mutate the in-memory maps under it.
-        # Query paths take it only for short map lookups; the index
-        # structures themselves carry their own internal locks.
+        # One platform-wide writer lock: ingest and shard-router
+        # lifecycle mutate the in-memory maps under it.  Query paths
+        # take it only for short map lookups; the slice's registries and
+        # the index structures carry their own internal locks.
         self._lock = threading.RLock()
         self._blobs: dict[int, Image] = {}
         self._hash_to_id: dict[str, int] = {}
-        self._spatial = OrientedRTree()
-        self._text = InvertedIndex()
-        self._lsh: dict[str, LSHIndex] = {}
-        self._hybrid: dict[str, VisualRTree] = {}
         self._near_duplicates = NearDuplicateIndex() if detect_near_duplicates else None
         self._router: "ShardRouter | None" = None
+
+    def _adopt(self, catalog_slice: CatalogSlice) -> None:
+        """Serve ``catalog_slice``: the whole-catalog rows and index
+        suite, and the services that read and write its rows."""
+        self.slice = catalog_slice
+        self.db: Database = catalog_slice.db
+        self.catalog = ClassificationCatalog(self.db)
+        self.annotations = AnnotationService(catalog_slice, self.catalog)
 
     # -- users & keys ---------------------------------------------------------
 
@@ -238,11 +243,9 @@ class TVDP:
                     "image_manual_keywords", {"image_id": image_id, "keyword": keyword}
                 )
             with obs.span("upload.index_insert"):
-                if keywords:
-                    self._text.add(image_id, " ".join(keywords))
+                self.slice.index_image(image_id, fov, keywords)
                 self._blobs[image_id] = image
                 self._hash_to_id[content_hash] = image_id
-                self._spatial.insert(image_id, fov)
                 if self._near_duplicates is not None:
                     self._near_duplicates.add(image_id, image)
             sp.set("outcome", "stored")
@@ -309,6 +312,28 @@ class TVDP:
                 raise TVDPError(f"no stored pixels for image {image_id}")
             return self._blobs[image_id]
 
+    def blobs(self) -> dict[int, Image]:
+        """Stored pixel content by image id (a snapshot, for persistence)."""
+        with self._lock:
+            return dict(self._blobs)
+
+    def restore(self, db: Database, blobs: dict[int, Image]) -> None:
+        """Replace the whole catalog with persisted state: ``db``'s rows
+        and ``blobs`` as given, every index rebuilt from the rows.  The
+        dedup map covers the images whose pixels came back.  For a
+        platform nothing else holds yet (``load_platform``): services
+        built over the old ``db`` would keep pointing at it."""
+        rebuilt = CatalogSlice.rebuild(db)
+        with self._lock:
+            self._adopt(rebuilt)
+            self._blobs = dict(blobs)
+            self._hash_to_id = {
+                row["content_hash"]: row["image_id"]
+                for row in db.table("images").all_rows()
+                if row["image_id"] in blobs
+            }
+            self._router = None
+
     def fov(self, image_id: int) -> FieldOfView:
         """FOV descriptor of a stored image (augmented images inherit
         their source's spatial descriptors and have no FOV row)."""
@@ -346,7 +371,7 @@ class TVDP:
             fov = self.fov(image_id)
             overlapping = [
                 other
-                for other in self._spatial.search_overlapping(fov)
+                for other in self.slice.spatial.search_overlapping(fov)
                 if other != image_id
             ][: max_views - 1]
             fovs = [fov] + [self.fov(other) for other in overlapping]
@@ -380,14 +405,7 @@ class TVDP:
         targets = image_ids if image_ids is not None else self.image_ids()
         table = self.db.table("image_visual_features")
         out: dict[int, np.ndarray] = {}
-        with self._lock:
-            if extractor_name not in self._lsh:
-                self._lsh[extractor_name] = LSHIndex(dimension=extractor.dimension())
-                self._hybrid[extractor_name] = VisualRTree(
-                    dimension=extractor.dimension()
-                )
-            lsh = self._lsh[extractor_name]
-            hybrid = self._hybrid[extractor_name]
+        self.slice.add_extractor(extractor_name, extractor.dimension())
         with obs.span(
             "features.extract", extractor=extractor_name, images=len(targets)
         ) as sp:
@@ -414,9 +432,7 @@ class TVDP:
                         "vector": vector.tolist(),
                     },
                 )
-                row = self.db.table("images").get(image_id)
-                lsh.insert(image_id, vector)
-                hybrid.insert(image_id, GeoPoint(row["lat"], row["lng"]), vector)
+                self.slice.index_vector(extractor_name, image_id, vector)
                 out[image_id] = vector
                 computed += 1
             sp.set("computed", computed)
@@ -518,16 +534,12 @@ class TVDP:
         return self._shard_router().preview(query)
 
     def visual_indexes(self) -> dict[str, LSHIndex]:
-        """Live LSH indexes by extractor name (read-only view for the
-        shard partitioner, which clones their hash functions)."""
-        with self._lock:
-            return dict(self._lsh)
+        """Live LSH indexes by extractor name (a read-only view)."""
+        return self.slice.visual_indexes()
 
     def hybrid_indexes(self) -> dict[str, VisualRTree]:
-        """Live Visual R-trees by extractor name (read-only view for the
-        shard partitioner)."""
-        with self._lock:
-            return dict(self._hybrid)
+        """Live Visual R-trees by extractor name (a read-only view)."""
+        return self.slice.hybrid_indexes()
 
     def _dispatch(self, query: object) -> list[QueryResult]:
         runners = {
@@ -567,54 +579,29 @@ class TVDP:
         return results
 
     def _run_spatial(self, query: SpatialQuery) -> list[QueryResult]:
-        region = query.bounding_region()
-        if query.mode == "scene":
-            if query.point is not None and query.radius_m == 0.0:
-                hits = self._spatial.search_point(
-                    query.point.lat,
-                    query.point.lng,
-                    direction_deg=query.direction_deg,
-                    tolerance_deg=query.direction_tolerance_deg,
-                )
-            else:
-                hits = self._spatial.search_range(
-                    region,
-                    direction_deg=query.direction_deg,
-                    tolerance_deg=query.direction_tolerance_deg,
-                )
-        else:
-            hits = []
-            for image_id in self._spatial.search_range(
-                region,
-                direction_deg=query.direction_deg,
-                tolerance_deg=query.direction_tolerance_deg,
-            ):
-                row = self.db.table("images").get(image_id)
-                if region.contains_point(GeoPoint(row["lat"], row["lng"])):
-                    hits.append(image_id)
-        return [QueryResult(image_id=i) for i in sorted(hits)]
+        return [QueryResult(image_id=i) for i in self.slice.spatial_ids(query)]
 
-    def _run_visual(self, query: VisualQuery) -> list[QueryResult]:
-        with self._lock:
-            lsh = self._lsh.get(query.extractor_name)
-        if lsh is None:
-            raise QueryError(
-                f"no features extracted yet for {query.extractor_name!r}; "
-                "call extract_features first"
-            )
+    def prepare_visual(self, query: VisualQuery) -> np.ndarray:
+        """The one visual-query preparation, serial and sharded alike:
+        the extractor must have been indexed (else :class:`QueryError`),
+        an example image is run through it, and the query vector's
+        ``feature_bytes`` are charged.  Returns the float64 vector."""
+        self.slice.lsh(query.extractor_name)
         vector = query.vector
         if vector is None:
             vector = self.features.get(query.extractor_name).extract(query.example)
-        charge("feature_bytes", np.asarray(vector).nbytes)
+        vector = np.asarray(vector, dtype=np.float64)
+        charge("feature_bytes", vector.nbytes)
+        return vector
+
+    def _run_visual(self, query: VisualQuery) -> list[QueryResult]:
+        vector = self.prepare_visual(query)
+        lsh = self.slice.lsh(query.extractor_name)
         if query.max_distance is not None:
             pairs = lsh.query_radius(vector, query.max_distance)[: query.k]
         else:
             pairs = lsh.query_topk(vector, query.k)
-        # Similarity score: inverse distance, monotone for ranking.
-        return [
-            QueryResult(image_id=item, score=1.0 / (1.0 + distance))
-            for item, distance in pairs
-        ]
+        return scored_pairs(pairs)
 
     def _run_categorical(self, query: CategoricalQuery) -> list[QueryResult]:
         hits = self.annotations.images_with_label(
@@ -630,56 +617,37 @@ class TVDP:
 
     def _run_textual(self, query: TextualQuery) -> list[QueryResult]:
         if query.match == "all":
-            pairs = self._text.search_all(query.text)
+            pairs = self.slice.text.search_all(query.text)
         else:
-            pairs = self._text.search_any(query.text)
+            pairs = self.slice.text.search_any(query.text)
         return canonical_ranked(
             [QueryResult(image_id=doc, score=score) for doc, score in pairs]
         )
 
     def _run_temporal(self, query: TemporalQuery) -> list[QueryResult]:
-        image_ids = self.db.table("images").keys_in_range(
-            query.field, query.start, query.end
-        )
-        return [QueryResult(image_id=i) for i in sorted(image_ids)]
+        return [QueryResult(image_id=i) for i in self.slice.temporal_ids(query)]
 
     def _run_hybrid(self, query: HybridQuery) -> list[QueryResult]:
         # Spatial-visual pairs get the dedicated Visual R*-tree path.
-        parts = list(query.queries)
-        if len(parts) == 2:
-            spatial = next((q for q in parts if isinstance(q, SpatialQuery)), None)
-            visual = next((q for q in parts if isinstance(q, VisualQuery)), None)
-            if spatial is not None and visual is not None:
-                return self._run_spatial_visual(spatial, visual)
+        fused = query.fused_pair()
+        if fused is not None:
+            return self._run_spatial_visual(*fused)
         # Sub-queries recurse serially even on a sharded platform: the
         # router decomposes hybrids *itself* so each part scatters once,
         # and this serial path stays the oracle the harness compares to.
-        result_sets = [self.execute_serial(sub) for sub in parts]
+        result_sets = [self.execute_serial(sub) for sub in query.queries]
         return combine_hybrid(result_sets)
 
     def _run_spatial_visual(
         self, spatial: SpatialQuery, visual: VisualQuery
     ) -> list[QueryResult]:
-        with self._lock:
-            hybrid = self._hybrid.get(visual.extractor_name)
-        if hybrid is None:
-            raise QueryError(
-                f"no features extracted yet for {visual.extractor_name!r}; "
-                "call extract_features first"
-            )
-        vector = visual.vector
-        if vector is None:
-            vector = self.features.get(visual.extractor_name).extract(visual.example)
-        charge("feature_bytes", np.asarray(vector).nbytes)
-        pairs = hybrid.spatial_visual_knn(
+        vector = self.prepare_visual(visual)
+        pairs = self.slice.hybrid(visual.extractor_name).spatial_visual_knn(
             spatial.bounding_region(), vector, visual.k
         )
         if visual.max_distance is not None:
             pairs = [(i, d) for i, d in pairs if d <= visual.max_distance]
-        return [
-            QueryResult(image_id=item, score=1.0 / (1.0 + distance))
-            for item, distance in pairs
-        ]
+        return scored_pairs(pairs)
 
     # -- stats ---------------------------------------------------------------------
 
@@ -690,13 +658,12 @@ class TVDP:
         windows = obs.latency_windows()
         with self._lock:
             n_blobs = len(self._blobs)
-            lsh_names = sorted(self._lsh)
         return {
             "rows": self.db.row_counts(),
             "blobs": n_blobs,
-            "indexed_fovs": len(self._spatial),
+            "indexed_fovs": len(self.slice.spatial),
             "extractors": self.features.names(),
-            "lsh_indexes": lsh_names,
+            "lsh_indexes": sorted(self.slice.visual_indexes()),
             "latency_ms": self.latency_summaries(),
             "latency_ms_window": windows.summaries(),
             "window_s": windows.window_s,

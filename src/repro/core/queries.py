@@ -183,6 +183,18 @@ class HybridQuery:
             if isinstance(query, HybridQuery):
                 raise QueryError("HybridQuery cannot nest hybrids")
 
+    def fused_pair(self) -> tuple[SpatialQuery, VisualQuery] | None:
+        """``(spatial, visual)`` when this hybrid is exactly one of each
+        — the pair the Visual R*-tree answers in a single pass — else
+        ``None``.  Execution, planning and shard pruning all branch on
+        this one test."""
+        parts = self.queries
+        spatial = next((q for q in parts if isinstance(q, SpatialQuery)), None)
+        visual = next((q for q in parts if isinstance(q, VisualQuery)), None)
+        if len(parts) == 2 and spatial is not None and visual is not None:
+            return spatial, visual
+        return None
+
 
 #: Query class -> family name, the label vocabulary shared by span names
 #: (``query.<family>``) and the ``platform.queries`` counter.
@@ -263,6 +275,15 @@ def canonical_ranked(results: list[QueryResult]) -> list[QueryResult]:
     runs) — the tie-break guarantee the equivalence harness asserts.
     """
     return sorted(results, key=lambda r: (-r.score, tie_key(r.image_id)))
+
+
+def scored_pairs(pairs: list[tuple[int, float]]) -> list[QueryResult]:
+    """Ranked ``(image id, distance)`` pairs as results, in the given
+    order.  Similarity score: inverse distance, monotone for ranking."""
+    return [
+        QueryResult(image_id=item, score=1.0 / (1.0 + distance))
+        for item, distance in pairs
+    ]
 
 
 def combine_hybrid(result_sets: list[list[QueryResult]]) -> list[QueryResult]:

@@ -1,0 +1,201 @@
+"""One catalog slice: a relational database plus the index suite over it.
+
+The paper's Access service is one data model (the Fig. 2 schema) plus
+one index suite — Oriented R-tree, inverted index, LSH, Visual R*-tree.
+:class:`CatalogSlice` is that pairing, and the only owner of it: the
+platform holds one over the whole catalog, and every geo-tile shard
+(:mod:`repro.shard`) *is* one over its rows.  The same three unscored
+scans therefore answer a query on the platform and on any partition of
+it, which is what keeps sharded answers equal to serial ones.
+
+A slice is filled two ways, by the same two methods:
+
+* incrementally — ``upload_image`` calls :meth:`CatalogSlice.index_image`
+  and ``extract_features`` calls :meth:`CatalogSlice.index_vector`;
+* from rows — :meth:`CatalogSlice.rebuild` replays a database in
+  ascending image id (the platform's upload order, so tree shapes are a
+  deterministic function of the rows), optionally cloning LSH hash
+  functions and node capacity from a parent slice.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+
+from repro.core.queries import SpatialQuery, TemporalQuery
+from repro.db.database import Database
+from repro.errors import QueryError
+from repro.geo.fov import FieldOfView
+from repro.geo.point import GeoPoint
+from repro.index.hybrid import VisualRTree
+from repro.index.inverted import InvertedIndex
+from repro.index.lsh import LSHIndex
+from repro.index.oriented_rtree import OrientedRTree
+
+
+class CatalogSlice:
+    """A :class:`~repro.db.database.Database` and the indexes derived
+    from its rows: ``spatial`` over FOVs, ``text`` over keywords, and an
+    LSH + Visual R-tree pair per feature extractor."""
+
+    def __init__(self, db: Database) -> None:
+        self.db = db
+        self.spatial = OrientedRTree()
+        self.text = InvertedIndex()
+        # Guards the two per-extractor registries only; each index
+        # carries its own lock for its contents.
+        self._lock = threading.Lock()
+        self._lsh: dict[str, LSHIndex] = {}
+        self._hybrid: dict[str, VisualRTree] = {}
+
+    # -- indexing -------------------------------------------------------------
+
+    def index_image(
+        self, image_id: int, fov: FieldOfView | None, keywords: tuple | list
+    ) -> None:
+        """Index one stored image: its FOV (augmented images have none)
+        and its keywords as one document, joined in insertion order."""
+        if keywords:
+            self.text.add(image_id, " ".join(keywords))
+        if fov is not None:
+            self.spatial.insert(image_id, fov)
+
+    def add_extractor(
+        self, name: str, dimension: int, like: "CatalogSlice | None" = None
+    ) -> None:
+        """Give ``name`` its LSH + Visual R-tree pair unless it has one.
+        With ``like``, the pair clones that slice's hash functions and
+        node capacity, so this slice's candidates partition ``like``'s."""
+        source = None if like is None else (like.lsh(name), like.hybrid(name))
+        with self._lock:
+            if name in self._lsh:
+                return
+            if source is None:
+                self._lsh[name] = LSHIndex(dimension=dimension)
+                self._hybrid[name] = VisualRTree(dimension=dimension)
+            else:
+                self._lsh[name] = source[0].clone_empty()
+                self._hybrid[name] = VisualRTree(
+                    dimension=dimension, max_entries=source[1].max_entries
+                )
+
+    def index_vector(self, name: str, image_id: int, vector: np.ndarray) -> None:
+        """Index one stored feature vector under extractor ``name``,
+        at the image's camera point for the hybrid tree."""
+        row = self.db.table("images").get(image_id)
+        self.lsh(name).insert(image_id, vector)
+        self.hybrid(name).insert(image_id, GeoPoint(row["lat"], row["lng"]), vector)
+
+    @classmethod
+    def rebuild(cls, db: Database, parent: "CatalogSlice | None" = None) -> "CatalogSlice":
+        """The slice over ``db``, every index rebuilt from its rows in
+        ascending image id.  ``parent`` (the slice ``db`` was cut from)
+        lends every one of its extractors' hash functions; without one,
+        extractors are those the stored vectors name."""
+        built: CatalogSlice = cls(db)
+        fov_rows = {row["image_id"]: row for row in db.table("image_fov").all_rows()}
+        keywords: dict[int, list[str]] = {}
+        for row in db.table("image_manual_keywords").all_rows():
+            keywords.setdefault(row["image_id"], []).append(row["keyword"])
+        for row in db.table("images").all_rows():
+            fov_row = fov_rows.get(row["image_id"])
+            fov = None
+            if fov_row is not None:
+                fov = FieldOfView(
+                    camera=GeoPoint(row["lat"], row["lng"]),
+                    direction_deg=fov_row["direction_deg"],
+                    angle_deg=fov_row["angle_deg"],
+                    range_m=fov_row["range_m"],
+                )
+            built.index_image(row["image_id"], fov, keywords.get(row["image_id"], ()))
+        if parent is not None:
+            for name, source in sorted(parent.visual_indexes().items()):
+                built.add_extractor(name, source.dimension, like=parent)
+        feature_rows = db.table("image_visual_features").all_rows()
+        for row in sorted(feature_rows, key=lambda row: row["image_id"]):
+            vector = np.array(row["vector"], dtype=np.float64)
+            built.add_extractor(row["extractor_name"], vector.shape[0])
+            built.index_vector(row["extractor_name"], row["image_id"], vector)
+        return built
+
+    # -- index access ---------------------------------------------------------
+
+    def lsh(self, name: str) -> LSHIndex:
+        """The LSH index of extractor ``name``."""
+        return self._registered(self._lsh, name)
+
+    def hybrid(self, name: str) -> VisualRTree:
+        """The Visual R-tree of extractor ``name``."""
+        return self._registered(self._hybrid, name)
+
+    def _registered(self, registry: dict, name: str):
+        with self._lock:
+            index = registry.get(name)
+        if index is None:
+            raise QueryError(
+                f"no features extracted yet for {name!r}; call extract_features first"
+            )
+        return index
+
+    def visual_indexes(self) -> dict[str, LSHIndex]:
+        """Live LSH indexes by extractor name (a snapshot of the registry)."""
+        with self._lock:
+            return dict(self._lsh)
+
+    def hybrid_indexes(self) -> dict[str, VisualRTree]:
+        """Live Visual R-trees by extractor name (a snapshot of the registry)."""
+        with self._lock:
+            return dict(self._hybrid)
+
+    # -- unscored scans -------------------------------------------------------
+
+    def spatial_ids(self, query: SpatialQuery) -> list[int]:
+        """Ascending ids of this slice's images matching ``query``:
+        FOV-depicts in scene mode, camera-point-inside in camera mode."""
+        region = query.bounding_region()
+        direction = {
+            "direction_deg": query.direction_deg,
+            "tolerance_deg": query.direction_tolerance_deg,
+        }
+        if query.mode == "scene" and query.point is not None and query.radius_m == 0.0:
+            hits = self.spatial.search_point(
+                query.point.lat, query.point.lng, **direction
+            )
+        else:
+            hits = self.spatial.search_range(region, **direction)
+        if query.mode == "camera":
+            images = self.db.table("images")
+            inside = []
+            for image_id in hits:
+                row = images.get(image_id)
+                if region.contains_point(GeoPoint(row["lat"], row["lng"])):
+                    inside.append(image_id)
+            hits = inside
+        return sorted(hits)
+
+    def temporal_ids(self, query: TemporalQuery) -> list[int]:
+        """Ascending ids of this slice's images inside the time window,
+        from the ordered index on ``query.field``."""
+        return sorted(
+            self.db.table("images").keys_in_range(query.field, query.start, query.end)
+        )
+
+    def best_confidence(
+        self, type_ids: tuple | list, min_confidence: float = 0.0, source: str | None = None
+    ) -> dict[int, float]:
+        """Image id -> best confidence over this slice's annotations of
+        any of the resolved ``type_ids`` (labels are resolved by whoever
+        holds the catalog; a slice never looks a name up)."""
+        out: dict[int, float] = {}
+        table = self.db.table("image_content_annotation")
+        for type_id in type_ids:
+            for row in table.find("type_id", type_id):
+                if row["confidence"] < min_confidence:
+                    continue
+                if source is not None and row["source"] != source:
+                    continue
+                image_id = row["image_id"]
+                out[image_id] = max(out.get(image_id, 0.0), row["confidence"])
+        return out

@@ -1,11 +1,13 @@
 """Scale-out query execution: geo-tile sharded catalog, scatter-gather.
 
 The paper pitches TVDP as a city-scale platform.  This package
-partitions the catalog by geo-tile into N self-contained shard handles
-(:mod:`repro.shard.partition`), prunes shards per query with the
+partitions the catalog by geo-tile into N shards, each one a
+:class:`~repro.core.slice.CatalogSlice` — the platform's own database +
+index suite pairing, over the shard's rows
+(:mod:`repro.shard.partition`) — prunes shards per query with the
 planner's :class:`~repro.core.planner.ShardStats` predicates, runs the
-surviving per-shard physical plans in the coordinator
-(:mod:`repro.shard.executor`), and merges them there
+same per-slice scans and index probes on the survivors in the
+coordinator (:mod:`repro.shard.executor`), and merges them there
 (:mod:`repro.shard.router`) — with merged results **exactly equal** to
 serial execution, an invariant the property harness in ``tests/shard``
 proves per query family.  See ``docs/sharding.md`` for the partitioning
@@ -14,7 +16,6 @@ scheme, the per-family merge strategies, and the equivalence argument.
 
 from repro.shard.executor import GatherResult, ScatterGatherExecutor, WorkerResult
 from repro.shard.partition import ShardHandle, partition_catalog
-from repro.shard.plans import ShardTask, run_task
 from repro.shard.router import ShardRouter
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "ScatterGatherExecutor",
     "ShardHandle",
     "ShardRouter",
-    "ShardTask",
     "WorkerResult",
     "partition_catalog",
-    "run_task",
 ]

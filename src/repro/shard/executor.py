@@ -17,8 +17,10 @@ away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro import obs
+from repro.core.slice import CatalogSlice
 from repro.errors import RetryBudgetExceeded, ShardError
 from repro.obs import accounting
 from repro.resilience import Retry
@@ -26,7 +28,6 @@ from repro.resilience import faults as _faults
 from repro.resilience.clock import Clock
 from repro.resilience.policies import DEFAULT_TRANSIENT
 from repro.shard.partition import ShardHandle
-from repro.shard.plans import ShardTask, run_task
 
 _log = obs.get_logger("shard.executor")
 
@@ -57,14 +58,18 @@ class GatherResult:
         return bool(self.failed)
 
 
-def _run_batch(handle: ShardHandle, tasks: list[ShardTask]) -> WorkerResult:
-    """Run one shard's task batch under a fresh ledger."""
+def _run_batch(
+    handle: ShardHandle, tasks: list[Callable[[CatalogSlice], object]]
+) -> WorkerResult:
+    """Run one shard's batch under a fresh ledger.  A task is a plain
+    callable on the shard's :class:`~repro.core.slice.CatalogSlice`; its
+    return value is the payload."""
     _faults.inject("shard.worker")
     payloads = []
     with obs.span("shard.worker", shard=handle.shard_id, tasks=len(tasks)):
         with accounting.ledger_scope() as ledger:
             for task in tasks:
-                payloads.append(run_task(handle, task))
+                payloads.append(task(handle.slice))
     return WorkerResult(
         shard_id=handle.shard_id, payloads=payloads, charges=dict(ledger.charges)
     )

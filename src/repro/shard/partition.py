@@ -1,10 +1,11 @@
 """Geo-tile catalog partitioning.
 
-A shard is a *vertical slice of the whole platform*: its own relational
-database holding exactly the rows for its images, plus its own
-Oriented R-tree, inverted index, LSH tables, and Visual R-tree built
-over that slice.  Shards are assigned by geo-tile — the uniform lattice
-of :class:`repro.index.grid.GridIndex` over camera points — so spatial
+A shard *is* a catalog slice — the same
+:class:`~repro.core.slice.CatalogSlice` the platform holds over the
+whole catalog, here over a relational database holding exactly the rows
+for the shard's images, its index suite rebuilt from those rows.
+Shards are assigned by geo-tile — the uniform lattice of
+:class:`repro.index.grid.GridIndex` over camera points — so spatial
 queries tend to touch few shards and the planner can prune the rest.
 
 Invariants the equivalence proof (``docs/sharding.md``) rests on:
@@ -19,24 +20,21 @@ Invariants the equivalence proof (``docs/sharding.md``) rests on:
   so per-shard candidate sets *partition* the serial candidate set.
 * **Insertion-order parity** — indexes are rebuilt in ascending image
   id, the platform's upload order, so tree shapes are deterministic.
+
+The last two are :meth:`CatalogSlice.rebuild`'s contract when given the
+platform's slice as ``parent``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.planner import ShardStats
 from repro.core.platform import TVDP
+from repro.core.slice import CatalogSlice
 from repro.db.database import Database
-from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.index.grid import GridIndex
-from repro.index.hybrid import VisualRTree
-from repro.index.inverted import InvertedIndex
-from repro.index.lsh import LSHIndex
-from repro.index.oriented_rtree import OrientedRTree
 
 #: Tables replicated whole into every shard (tiny, read-mostly, FK
 #: targets of the sliced tables).
@@ -55,16 +53,11 @@ _SLICED_TABLES = (
 
 @dataclass
 class ShardHandle:
-    """One shard's database and index suite — the unit the executor
-    runs per-shard plans against."""
+    """One shard: its catalog slice (the rows and index suite scatter
+    units run against) and the statistics the planner prunes it by."""
 
     shard_id: int
-    n_shards: int
-    db: Database
-    spatial: OrientedRTree
-    text: InvertedIndex
-    lsh: dict
-    hybrid: dict
+    slice: CatalogSlice
     stats: ShardStats
 
 
@@ -100,10 +93,7 @@ def _data_region(platform: TVDP) -> BoundingBox | None:
 
 
 def _assign_shards(
-    platform: TVDP,
-    n_shards: int,
-    grid: tuple[int, int],
-    region: BoundingBox | None,
+    platform: TVDP, n_shards: int, grid: tuple[int, int]
 ) -> dict[int, list[int]]:
     """image ids per shard (ascending), via contiguous geo-tile runs.
 
@@ -118,8 +108,7 @@ def _assign_shards(
     shards, making ``ShardStats`` ranges vacuous.
     Out-of-region cameras join shard 0 — data never silently drops.
     """
-    if region is None:
-        region = _data_region(platform)
+    region = _data_region(platform)
     rows, cols = grid
     assignment: dict[int, list[int]] = {s: [] for s in range(n_shards)}
     if region is None:
@@ -155,80 +144,17 @@ def _slice_database(platform: TVDP, image_ids: set[int]) -> Database:
     return db
 
 
-def _build_indexes(
-    platform: TVDP, db: Database, image_ids: list[int]
-) -> tuple[OrientedRTree, InvertedIndex, dict, dict]:
-    """Rebuild the shard's index suite in ascending image-id order."""
-    spatial = OrientedRTree()
-    text = InvertedIndex()
-    fov_rows = {
-        row["image_id"]: row for row in db.table("image_fov").all_rows()
-    }
-    keywords: dict[int, list[str]] = {}
-    for row in db.table("image_manual_keywords").all_rows():
-        keywords.setdefault(row["image_id"], []).append(row["keyword"])
-    images = db.table("images")
-    for image_id in image_ids:
-        fov_row = fov_rows.get(image_id)
-        if fov_row is not None:
-            image_row = images.get(image_id)
-            spatial.insert(
-                image_id,
-                FieldOfView(
-                    camera=GeoPoint(image_row["lat"], image_row["lng"]),
-                    direction_deg=fov_row["direction_deg"],
-                    angle_deg=fov_row["angle_deg"],
-                    range_m=fov_row["range_m"],
-                ),
-            )
-        words = keywords.get(image_id)
-        if words:
-            # Same document text as upload time: keywords joined in
-            # insertion (= primary key) order.
-            text.add(image_id, " ".join(words))
-    vectors: dict[str, dict[int, np.ndarray]] = {}
-    for row in db.table("image_visual_features").all_rows():
-        vectors.setdefault(row["extractor_name"], {})[row["image_id"]] = np.array(
-            row["vector"], dtype=np.float64
-        )
-    lsh: dict[str, LSHIndex] = {}
-    hybrid: dict[str, VisualRTree] = {}
-    for extractor_name, source in sorted(platform.visual_indexes().items()):
-        shard_lsh = source.clone_empty()
-        shard_hybrid = VisualRTree(
-            dimension=source.dimension,
-            max_entries=platform.hybrid_indexes()[extractor_name].max_entries,
-        )
-        for image_id in image_ids:
-            vector = vectors.get(extractor_name, {}).get(image_id)
-            if vector is None:
-                continue
-            image_row = images.get(image_id)
-            shard_lsh.insert(image_id, vector)
-            shard_hybrid.insert(
-                image_id, GeoPoint(image_row["lat"], image_row["lng"]), vector
-            )
-        lsh[extractor_name] = shard_lsh
-        hybrid[extractor_name] = shard_hybrid
-    return spatial, text, lsh, hybrid
-
-
-def _shard_stats(
-    shard_id: int,
-    db: Database,
-    text: InvertedIndex,
-    lsh: dict,
-    image_ids: list[int],
-) -> ShardStats:
+def _shard_stats(shard_id: int, shard: CatalogSlice) -> ShardStats:
     """Pruning statistics over one shard's slice (see
     :class:`repro.core.planner.ShardStats` for the soundness notes)."""
-    bounds: BoundingBox | None = None
+    # FOV extents plus every camera point: augmented images have no FOV
+    # row but still carry a camera point, and camera-mode spatial
+    # queries (plus the hybrid index) match on camera points.
+    bounds = shard.spatial.bounds()
     time_mins: dict[str, float] = {}
     time_maxs: dict[str, float] = {}
-    for row in db.table("images").all_rows():
-        # Camera-point box: augmented images have no FOV row but still
-        # carry a camera point, and camera-mode spatial queries (plus
-        # the hybrid index) match on camera points.
+    images = shard.db.table("images").all_rows()
+    for row in images:
         point_box = BoundingBox(row["lat"], row["lng"], row["lat"], row["lng"])
         bounds = point_box if bounds is None else bounds.union(point_box)
         for field in ("timestamp_capturing", "timestamp_uploading"):
@@ -238,63 +164,37 @@ def _shard_stats(
             if field not in time_maxs or value > time_maxs[field]:
                 time_maxs[field] = value
     annotation_types: dict[int, int] = {}
-    for row in db.table("image_content_annotation").all_rows():
+    for row in shard.db.table("image_content_annotation").all_rows():
         annotation_types[row["type_id"]] = annotation_types.get(row["type_id"], 0) + 1
     return ShardStats(
         shard_id=shard_id,
-        n_images=len(image_ids),
+        n_images=len(images),
         bounds=bounds,
-        text_docs=text.doc_count(),
-        term_dfs=text.term_dfs(),
+        text_docs=shard.text.doc_count(),
+        term_dfs=shard.text.term_dfs(),
         time_ranges={
             field: (time_mins[field], time_maxs[field]) for field in time_mins
         },
         annotation_types=annotation_types,
-        extractors=tuple(sorted(name for name, index in lsh.items() if len(index))),
+        extractors=tuple(
+            sorted(name for name, index in shard.visual_indexes().items() if len(index))
+        ),
     )
 
 
 def partition_catalog(
-    platform: TVDP,
-    n_shards: int,
-    grid: tuple[int, int] = (8, 8),
-    region: BoundingBox | None = None,
+    platform: TVDP, n_shards: int, grid: tuple[int, int] = (8, 8)
 ) -> list[ShardHandle]:
     """Partition ``platform``'s catalog into ``n_shards`` shard handles.
 
-    ``region`` defaults to the tight bounding box of the data (so every
-    tile is populated ground, not empty city); pass one explicitly to
-    pin tiles to a fixed lattice.  Empty shards are still returned —
-    the planner prunes them for free via ``n_images == 0``.
+    Tiles are laid over the tight bounding box of the data (so every
+    tile is populated ground, not empty city).  Empty shards are still
+    returned — the planner prunes them for free via ``n_images == 0``.
     """
-    assignment = _assign_shards(platform, n_shards, grid, region)
+    assignment = _assign_shards(platform, n_shards, grid)
     handles: list[ShardHandle] = []
     for shard_id in range(n_shards):
-        image_ids = assignment.get(shard_id, [])
-        db = _slice_database(platform, set(image_ids))
-        spatial, text, lsh, hybrid = _build_indexes(platform, db, image_ids)
-        stats = _shard_stats(shard_id, db, text, lsh, image_ids)
-        if stats.bounds is not None and spatial.bounds() is not None:
-            stats = ShardStats(
-                shard_id=stats.shard_id,
-                n_images=stats.n_images,
-                bounds=stats.bounds.union(spatial.bounds()),
-                text_docs=stats.text_docs,
-                term_dfs=stats.term_dfs,
-                time_ranges=stats.time_ranges,
-                annotation_types=stats.annotation_types,
-                extractors=stats.extractors,
-            )
-        handles.append(
-            ShardHandle(
-                shard_id=shard_id,
-                n_shards=n_shards,
-                db=db,
-                spatial=spatial,
-                text=text,
-                lsh=lsh,
-                hybrid=hybrid,
-                stats=stats,
-            )
-        )
+        db = _slice_database(platform, set(assignment[shard_id]))
+        shard = CatalogSlice.rebuild(db, parent=platform.slice)
+        handles.append(ShardHandle(shard_id, shard, _shard_stats(shard_id, shard)))
     return handles

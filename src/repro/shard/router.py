@@ -9,10 +9,12 @@ shard handles and runs per-shard plans.  For every query it
    vectors, and charging the same coordinator-side ledger entries;
 2. **prunes** shards with :func:`repro.core.planner.prune_shards`
    (sound predicates — pruning can only shrink fan-out, never results);
-3. **scatters** per-shard :class:`~repro.shard.plans.ShardTask` batches
-   through a :class:`~repro.shard.executor.ScatterGatherExecutor`
-   (batching a whole ``execute_many`` round into one dispatch per
-   shard); and
+3. **scatters** per-shard batches of plain callables — each one a
+   scan or index probe on the shard's
+   :class:`~repro.core.slice.CatalogSlice`, the very methods the serial
+   runners call on the platform's slice — through a
+   :class:`~repro.shard.executor.ScatterGatherExecutor` (batching a
+   whole ``execute_many`` round into one dispatch per shard); and
 4. **merges** the payloads back into the exact serial answer: set
    unions for enumeration families, coordinator-side global tf-idf for
    text, two-phase candidate/fallback top-k for visual, distance-level
@@ -42,18 +44,14 @@ from repro.core.queries import (
     VisualQuery,
     canonical_ranked,
     combine_hybrid,
+    scored_pairs,
 )
 from repro.errors import QueryError, ShardError, TVDPError
-from repro.geo.point import BoundingBox
 from repro.index.inverted import tokenize
 from repro.index.ordering import tie_key
-from repro.obs.accounting import charge
 from repro.resilience.clock import Clock
 from repro.shard.executor import ScatterGatherExecutor
 from repro.shard.partition import partition_catalog
-from repro.shard.plans import ShardTask
-
-import numpy as np
 
 _log = obs.get_logger("shard.router")
 
@@ -63,12 +61,13 @@ _PARTIAL = obs.metrics().counter("shard.partial_results")
 
 
 class _Unit:
-    """One task fanned out to a set of shards, with its gathered
-    payloads (``lost`` records shards that failed every attempt)."""
+    """One task — a callable on a catalog slice — fanned out to a set
+    of shards, with its gathered payloads (``lost`` records shards that
+    failed every attempt)."""
 
     __slots__ = ("task", "shard_ids", "payloads", "lost")
 
-    def __init__(self, task: ShardTask, shard_ids: list) -> None:
+    def __init__(self, task, shard_ids: list) -> None:
         self.task = task
         self.shard_ids = list(shard_ids)
         self.payloads: dict = {}
@@ -87,7 +86,6 @@ class ShardRouter:
         platform: TVDP,
         n_shards: int,
         grid: tuple = (8, 8),
-        region: BoundingBox | None = None,
         max_attempts: int = 3,
         clock: Clock | None = None,
     ) -> None:
@@ -96,7 +94,6 @@ class ShardRouter:
         self._platform = platform
         self.n_shards = n_shards
         self.grid = grid
-        self.region = region
         self.max_attempts = max_attempts
         self.clock = clock
         # Partition lifecycle lock: _ensure() rotates the stats and the
@@ -137,9 +134,7 @@ class ShardRouter:
             if self._executor is not None and fingerprint == self._fingerprint:
                 return self._stats, self._executor
         with obs.span("shard.partition", shards=self.n_shards):
-            shards = partition_catalog(
-                self._platform, self.n_shards, grid=self.grid, region=self.region
-            )
+            shards = partition_catalog(self._platform, self.n_shards, grid=self.grid)
         stats = [handle.stats for handle in shards]
         executor = ScatterGatherExecutor(
             shards, max_attempts=self.max_attempts, clock=self.clock
@@ -263,141 +258,95 @@ class ShardRouter:
 
     # -- per-family preparation ---------------------------------------------
 
+    def _prep(
+        self, kind: str, query: object, stats: list, task, type_ids_of=None, **extra
+    ) -> dict:
+        """A single-unit plan: ``task`` runs on the shards ``query``
+        survives pruning on; ``extra`` is what the merge needs."""
+        survivors = self._survivor_ids(query, stats, type_ids_of)
+        return {
+            "kind": kind,
+            "considered": len(survivors),
+            "unit": _Unit(task, survivors),
+            **extra,
+        }
+
     def _prepare(self, query: object, stats: list) -> dict:
         if isinstance(query, SpatialQuery):
-            survivors = self._survivor_ids(query, stats)
-            return {
-                "kind": "ids",
-                "considered": len(survivors),
-                "unit": _Unit(ShardTask("spatial", {"query": query}), survivors),
-            }
+            return self._prep("ids", query, stats, lambda s: s.spatial_ids(query))
         if isinstance(query, TemporalQuery):
-            survivors = self._survivor_ids(query, stats)
-            return {
-                "kind": "ids",
-                "considered": len(survivors),
-                "unit": _Unit(ShardTask("temporal", {"query": query}), survivors),
-            }
+            return self._prep("ids", query, stats, lambda s: s.temporal_ids(query))
         if isinstance(query, CategoricalQuery):
             type_ids = self._type_ids_of(query)
-            survivors = self._survivor_ids(query, stats, type_ids_of=lambda q: type_ids)
-            task = ShardTask(
+            return self._prep(
                 "categorical",
-                {
-                    "type_ids": type_ids,
-                    "min_confidence": query.min_confidence,
-                    "source": query.source,
-                },
+                query,
+                stats,
+                lambda s: s.best_confidence(
+                    type_ids, query.min_confidence, query.source
+                ),
+                type_ids_of=lambda q: type_ids,
             )
-            return {
-                "kind": "categorical",
-                "considered": len(survivors),
-                "unit": _Unit(task, survivors),
-            }
         if isinstance(query, TextualQuery):
             terms = sorted(set(tokenize(query.text)))
-            survivors = self._survivor_ids(query, stats) if terms else []
-            return {
-                "kind": "textual",
-                "terms": terms,
-                "match": query.match,
-                "considered": len(survivors),
-                "unit": _Unit(ShardTask("textual", {"terms": terms}), survivors),
-            }
-        if isinstance(query, VisualQuery):
-            vector = self._visual_vector(query, self._platform.visual_indexes())
-            survivors = self._survivor_ids(query, stats)
-            if query.max_distance is not None:
-                task = ShardTask(
-                    "visual_radius",
-                    {
-                        "extractor": query.extractor_name,
-                        "vector": vector,
-                        "radius": query.max_distance,
-                        "k": query.k,
-                    },
-                )
-                return {
-                    "kind": "ranked_pairs",
-                    "k": query.k,
-                    "max_distance": None,
-                    "considered": len(survivors),
-                    "unit": _Unit(task, survivors),
-                }
-            task = ShardTask(
-                "visual_topk",
-                {
-                    "extractor": query.extractor_name,
-                    "vector": vector,
-                    "k": query.k,
-                },
+            return self._prep(
+                "textual",
+                query,
+                stats,
+                lambda s: s.text.postings_for(terms),
+                terms=terms,
+                match=query.match,
             )
-            return {
-                "kind": "visual_topk",
-                "extractor": query.extractor_name,
-                "vector": vector,
-                "k": query.k,
-                "considered": len(survivors),
-                "unit": _Unit(task, survivors),
-                "fallback_unit": None,
-            }
+        if isinstance(query, VisualQuery):
+            vector = self._platform.prepare_visual(query)
+            name, k = query.extractor_name, query.k
+            if query.max_distance is not None:
+                return self._prep(
+                    "ranked_pairs",
+                    query,
+                    stats,
+                    lambda s: s.lsh(name).query_radius(vector, query.max_distance)[:k],
+                    k=k,
+                    max_distance=None,
+                )
+            return self._prep(
+                "two_phase_topk",
+                query,
+                stats,
+                lambda s: s.lsh(name).topk_with_stats(vector, k),
+                k=k,
+                fallback_task=lambda s: s.lsh(name).linear_topk(vector, k),
+                fallback_unit=None,
+            )
         if isinstance(query, HybridQuery):
-            parts = list(query.queries)
-            if len(parts) == 2:
-                spatial = next((q for q in parts if isinstance(q, SpatialQuery)), None)
-                visual = next((q for q in parts if isinstance(q, VisualQuery)), None)
-                if spatial is not None and visual is not None:
-                    vector = self._visual_vector(
-                        visual, self._platform.hybrid_indexes()
-                    )
-                    survivors = self._survivor_ids(query, stats)
-                    task = ShardTask(
-                        "hybrid_fused",
-                        {
-                            "extractor": visual.extractor_name,
-                            "region": spatial.bounding_region(),
-                            "vector": vector,
-                            "k": visual.k,
-                        },
-                    )
-                    return {
-                        "kind": "ranked_pairs",
-                        "k": visual.k,
-                        "max_distance": visual.max_distance,
-                        "considered": len(survivors),
-                        "unit": _Unit(task, survivors),
-                    }
+            fused = query.fused_pair()
+            if fused is not None:
+                spatial, visual = fused
+                vector = self._platform.prepare_visual(visual)
+                region = spatial.bounding_region()
+                return self._prep(
+                    "ranked_pairs",
+                    query,
+                    stats,
+                    lambda s: s.hybrid(visual.extractor_name).spatial_visual_knn(
+                        region, vector, visual.k
+                    ),
+                    k=visual.k,
+                    max_distance=visual.max_distance,
+                )
             # General hybrids scatter each part stand-alone (per-part
             # pruning only — top-k parts are order-sensitive to their
             # full candidate pool) and intersect at the coordinator.
-            part_preps = [self._prepare(sub, stats) for sub in parts]
-            considered = len(
-                set().union(*(set(p["unit"].shard_ids) for p in part_preps))
-                if part_preps
-                else set()
-            )
+            part_preps = [self._prepare(sub, stats) for sub in query.queries]
+            shard_ids: set = set()
+            for part in part_preps:
+                shard_ids.update(part["unit"].shard_ids)
             return {
                 "kind": "hybrid_general",
                 "parts": part_preps,
-                "considered": considered,
+                "considered": len(shard_ids),
             }
         raise QueryError(f"unsupported query type {type(query).__name__}")
-
-    def _visual_vector(self, query: VisualQuery, indexes: dict) -> np.ndarray:
-        """Serial-parity extractor check + vector extraction + charge."""
-        if query.extractor_name not in indexes:
-            raise QueryError(
-                f"no features extracted yet for {query.extractor_name!r}; "
-                "call extract_features first"
-            )
-        vector = query.vector
-        if vector is None:
-            vector = self._platform.features.get(query.extractor_name).extract(
-                query.example
-            )
-        vector = np.asarray(vector, dtype=np.float64)
-        charge("feature_bytes", vector.nbytes)
-        return vector
 
     def _collect_units(self, prep: dict) -> list:
         if prep["kind"] == "hybrid_general":
@@ -414,25 +363,15 @@ class ShardRouter:
             for part in prep["parts"]:
                 out.extend(self._plan_fallbacks(part))
             return out
-        if prep["kind"] != "visual_topk":
+        if prep["kind"] != "two_phase_topk":
             return []
         unit = prep["unit"]
         total_candidates = sum(
-            payload["candidates"] for payload in unit.payloads.values()
+            candidates for _, candidates in unit.payloads.values()
         )
         if total_candidates >= prep["k"] or not unit.shard_ids:
             return []
-        fallback = _Unit(
-            ShardTask(
-                "visual_linear",
-                {
-                    "extractor": prep["extractor"],
-                    "vector": prep["vector"],
-                    "k": prep["k"],
-                },
-            ),
-            unit.shard_ids,
-        )
+        fallback = _Unit(prep["fallback_task"], unit.shard_ids)
         prep["fallback_unit"] = fallback
         return [fallback]
 
@@ -469,29 +408,17 @@ class ShardRouter:
         if kind == "textual":
             return self._merge_textual(prep, stats)
         if kind == "ranked_pairs":
-            pairs = self._merge_pairs(
-                [p for p in prep["unit"].ordered_payloads()], prep["k"]
-            )
+            pairs = self._merge_pairs(prep["unit"].ordered_payloads(), prep["k"])
             if prep["max_distance"] is not None:
                 pairs = [(i, d) for i, d in pairs if d <= prep["max_distance"]]
-            return [
-                QueryResult(image_id=item, score=1.0 / (1.0 + distance))
-                for item, distance in pairs
-            ]
-        if kind == "visual_topk":
+            return scored_pairs(pairs)
+        if kind == "two_phase_topk":
             fallback = prep.get("fallback_unit")
             if fallback is not None:
                 payloads = fallback.ordered_payloads()
             else:
-                payloads = [
-                    payload["pairs"]
-                    for payload in prep["unit"].ordered_payloads()
-                ]
-            pairs = self._merge_pairs(payloads, prep["k"])
-            return [
-                QueryResult(image_id=item, score=1.0 / (1.0 + distance))
-                for item, distance in pairs
-            ]
+                payloads = [pairs for pairs, _ in prep["unit"].ordered_payloads()]
+            return scored_pairs(self._merge_pairs(payloads, prep["k"]))
         if kind == "hybrid_general":
             result_sets = [self._merge(part, stats) for part in prep["parts"]]
             return combine_hybrid(result_sets)
@@ -526,7 +453,7 @@ class ShardRouter:
                 continue
             idf = math.log(1.0 + total_docs / df)
             for payload in payloads:
-                for doc, tf, length in payload["postings"].get(term, ()):
+                for doc, tf, length in payload.get(term, ()):
                     scores[doc] = scores.get(doc, 0.0) + (tf / length) * idf
         if prep["match"] == "all":
             per_term: list[set] = []
@@ -534,7 +461,7 @@ class ShardRouter:
                 docs: set = set()
                 for payload in payloads:
                     docs.update(
-                        doc for doc, _, _ in payload["postings"].get(term, ())
+                        doc for doc, _, _ in payload.get(term, ())
                     )
                 per_term.append(docs)
             common = set.intersection(*per_term) if per_term else set()

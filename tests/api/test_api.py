@@ -62,6 +62,15 @@ _WRITE_BODIES = {
         "source": "machine",
     },
     "/features/color_hsv_20_20_10": {"image_id": 1},
+    "/users": {"name": "ada", "role": "researcher"},
+    "/keys": {"user_id": 1},
+    "/models": {
+        "name": "cleanliness_svm",
+        "extractor": "color_hsv_20_20_10",
+        "classification": "street_cleanliness",
+        "classifier": "svm",
+    },
+    "/classifications": {"name": "graffiti", "labels": ["tagged", "untagged"]},
 }
 _MISSING = object()
 _FIELD_MUTATIONS = {
@@ -69,12 +78,20 @@ _FIELD_MUTATIONS = {
     "nan": float("nan"),
 }
 #: Single-field mutations that leave a body the API accepts by contract
-#: (optional fields left out, an empty keyword list).
+#: (optional fields left out, an empty keyword list) or a well-formed
+#: one: "x" where a free-form name goes is a name — it may miss a
+#: registry (404), but it is not malformed.
 _STILL_VALID = {
     ("/images", "keywords", "missing"),
     ("/images", "keywords", "list"),
     ("/images/1/annotations", "confidence", "missing"),
     ("/images/1/annotations", "source", "missing"),
+    ("/users", "name", "str"),
+    ("/users", "role", "str"),
+    ("/models", "name", "str"),
+    ("/models", "extractor", "str"),
+    ("/models", "classification", "str"),
+    ("/classifications", "name", "str"),
 }
 
 
@@ -87,7 +104,7 @@ def _field_paths(body, prefix=()):
 
 def _malformed_write_bodies():
     """Every single-field mutation (missing / null / "x" / [] / {} /
-    NaN) of every field of the three well-formed write bodies."""
+    NaN) of every field of the well-formed write bodies."""
     for route, body in _WRITE_BODIES.items():
         for path in _field_paths(body):
             for kind, value in _FIELD_MUTATIONS.items():
@@ -261,8 +278,14 @@ class TestDataRoutes:
                 "max_distance": "far",
             },
             {"type": "visual", "extractor": "color_hsv_20_20_10", "example": 5},
+            {"type": "visual", "extractor": ["color_hsv_20_20_10"], "vector": [0.1]},
+            {"type": "visual", "extractor": 5, "vector": [0.1]},
             {"type": "textual", "text": 5},
             {"type": "categorical", "classification": "street_cleanliness", "labels": 5},
+            {"type": "categorical", "classification": "street_cleanliness", "labels": "clean"},
+            {"type": "categorical", "classification": "street_cleanliness", "labels": [5]},
+            {"type": "categorical", "classification": ["street_cleanliness"], "labels": ["clean"]},
+            {"type": "categorical", "classification": 5, "labels": ["clean"]},
             {
                 "type": "categorical",
                 "classification": "street_cleanliness",

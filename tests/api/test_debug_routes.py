@@ -88,12 +88,11 @@ class TestDebugHot:
             )
         )
         assert response.status == 400
-        response = service.handle(
-            Request(
-                "GET", "/debug/hot", params={"limit": "0"}, api_key=client.api_key
+        for params in ({"limit": "0"}, {"k": "x"}):  # "k" is not the bound's name
+            response = service.handle(
+                Request("GET", "/debug/hot", params=params, api_key=client.api_key)
             )
-        )
-        assert response.status == 400
+            assert response.status == 400
 
 
 class TestDebugExplain:

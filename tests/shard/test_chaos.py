@@ -30,7 +30,6 @@ from repro.resilience import FaultPlan, ManualClock, reset_breakers, seed_from_e
 from repro.shard import (
     ScatterGatherExecutor,
     ShardRouter,
-    ShardTask,
     partition_catalog,
 )
 
@@ -165,9 +164,7 @@ class TestExecutorDirect:
     def test_scatter_without_fault_returns_payloads_first_try(self, platform):
         shards = partition_catalog(platform, N_SHARDS, grid=(4, 4))
         executor = ScatterGatherExecutor(shards, clock=ManualClock())
-        gathered = executor.scatter(
-            {1: [ShardTask("temporal", {"query": QUERIES[0]})]}
-        )
+        gathered = executor.scatter({1: [lambda s: s.temporal_ids(QUERIES[0])]})
         assert gathered.failed == ()
         want = {r.image_id for r in platform.execute(QUERIES[0])}
         (payload,) = gathered.results[1].payloads
