@@ -54,7 +54,13 @@ import threading
 import numpy as np
 
 from repro import obs
-from repro.errors import APIError, FeatureError, QueryError, TVDPError
+from repro.errors import (
+    APIError,
+    FeatureError,
+    MalformedQueryError,
+    QueryError,
+    TVDPError,
+)
 from repro.api.auth import ApiKeyManager
 from repro.api.http import Request, Response, Router, error_body, new_request_id
 from repro.api.modelstore import ModelRecord, ModelStore, serialize_classifier
@@ -122,6 +128,21 @@ def _integer(body: dict, field: str) -> int:
     return value
 
 
+def _whole(body: dict, field: str, default: int) -> int:
+    """``body[field]`` as an int: a whole number, or a string spelling
+    one (``5``, ``5.0``, ``"5"``).  A bool or a fraction is the caller's
+    fault, not a 1 or a rounded-down count."""
+    value = body.get(field, default)
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if number.is_integer():
+            return int(number)
+    raise APIError(400, f"field {field!r} must be a whole number, got {value!r}")
+
+
 def _text(body: dict, field: str) -> str:
     """``body[field]`` as a string: names key tables and registries, so
     a number or a list there is the caller's fault, not a lookup miss."""
@@ -139,6 +160,15 @@ def _texts(body: dict, field: str, default: object = None) -> tuple[str, ...]:
     ):
         raise APIError(400, f"field {field!r} must be a list of strings")
     return tuple(value)
+
+
+def _query_failure(exc: QueryError) -> APIError:
+    """A query that failed at execution: malformed is the caller's
+    fault (400); anything else is the catalog's state — an extractor
+    not indexed yet, an unknown label (409)."""
+    if isinstance(exc, MalformedQueryError):
+        return APIError(400, f"bad query: {exc}")
+    return APIError(409, str(exc))
 
 
 _FOV_FIELDS = ("lat", "lng", "direction_deg", "angle_deg", "range_m")
@@ -341,7 +371,7 @@ class TVDPService:
                     extractor_name=_text(spec, "extractor"),
                     example=example,
                     vector=vector,
-                    k=int(spec.get("k", 10)),
+                    k=_whole(spec, "k", 10),
                     max_distance=spec.get("max_distance"),
                 )
             if kind == "categorical":
@@ -374,7 +404,7 @@ class TVDPService:
         try:
             results = self.platform.execute(query)
         except QueryError as exc:
-            raise APIError(409, str(exc)) from exc
+            raise _query_failure(exc) from exc
         return Response(
             200,
             {
@@ -830,7 +860,7 @@ class TVDPService:
         try:
             plan = explain(self.platform, query, analyze=analyze)
         except QueryError as exc:
-            raise APIError(409, str(exc)) from exc
+            raise _query_failure(exc) from exc
         return Response(
             200,
             {

@@ -31,13 +31,18 @@ from __future__ import annotations
 #: value a plain str/list/dict literal.
 COST_MODEL: dict = {
     "spatial": {
-        "access_path": "oriented_rtree.search_range",
-        "cost": "O(log n + c) MBR filter + O(c) sector refine",
+        "access_path": "oriented_rtree.search_range | columns.camera_scan",
+        "cost": (
+            "O(log n + c) MBR filter + O(c) sector refine; camera mode: "
+            "O(n) vectorised column predicate"
+        ),
         "dominant_counters": [
             "index.rtree.range_queries",
             "index.rtree.node_visits",
             "index.rtree.entries_tested",
             "index.oriented.candidates",
+            "index.columns.scans",
+            "index.columns.rows_examined",
         ],
         "hot_sites": [
             "repro.index.rtree.RTree.search_range",
@@ -47,7 +52,10 @@ COST_MODEL: dict = {
         ],
         "note": (
             "c = MBR candidates; refine is per-candidate FOV geometry, "
-            "measured by index.oriented.candidates vs refined_hits"
+            "measured by index.oriented.candidates vs refined_hits.  A "
+            "camera-mode query is one pass over the camera columns: n = "
+            "the slice's FOV rows, all of them examined "
+            "(index.columns.rows_examined), none fetched"
         ),
     },
     "visual": {
@@ -62,11 +70,13 @@ COST_MODEL: dict = {
             "repro.index.lsh.LSHIndex._candidates",
             "repro.index.lsh.LSHIndex._rank",
             "repro.index.lsh.LSHIndex.linear_topk",
+            "repro.index.ordering.nearest",
         ],
         "note": (
             "c = distinct bucket candidates; ranking is one NumPy matrix "
             "op, not a per-candidate Python loop (fallback scans are "
-            "counted by index.lsh.fallback_scans)"
+            "counted by index.lsh.fallback_scans); with a k, only the rows "
+            "at or under the k-th distance reach the canonical sort"
         ),
     },
     "categorical": {
@@ -106,21 +116,24 @@ COST_MODEL: dict = {
         ),
     },
     "hybrid": {
-        "access_path": "visual_rtree.spatial_visual_knn",
-        "cost": "O(h log n) best-first pops with dual spatial/visual pruning",
+        "access_path": "columns.filter_then_rank",
+        "cost": (
+            "O(n) column filter + O(m*d) vectorised ranking + partial "
+            "selection of k"
+        ),
         "dominant_counters": [
-            "index.visual_rtree.queries",
-            "index.visual_rtree.heap_pops",
-            "index.visual_rtree.spatial_pruned",
+            "index.columns.scans",
+            "index.columns.rows_examined",
         ],
         "hot_sites": [
-            "repro.index.hybrid.VisualRTree.spatial_visual_knn",
-            "repro.index.hybrid.VisualRTree.linear_spatial_visual_knn",
             "repro.core.platform.TVDP._run_hybrid",
+            "repro.index.ordering.nearest",
         ],
         "note": (
-            "h = heap pops; leaf entries are ranked with one vectorised "
-            "NumPy distance op per visited leaf, not per entry"
+            "n = the extractor's indexed vectors, all of them examined "
+            "by the region predicate (index.columns.rows_examined); m = "
+            "those inside the region, ranked in one NumPy op.  Non-fused "
+            "hybrids intersect their parts' own paths"
         ),
     },
     "shard_partition": {

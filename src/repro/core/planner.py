@@ -189,7 +189,7 @@ def shard_survives(stats: ShardStats, query: object, type_ids_of=None) -> bool:
     if isinstance(query, HybridQuery):
         fused = query.fused_pair()
         if fused is not None:
-            # Fused path: one spatial_visual_knn probe per shard, so the
+            # Fused path: one spatial_visual_topk scan per shard, so the
             # shard is needed only when both filters could match.
             return all(shard_survives(stats, sub, type_ids_of) for sub in fused)
         # General hybrids scatter each part independently (top-k parts
@@ -212,15 +212,21 @@ def prune_shards(
 
 def _plan_node(platform: TVDP, query: object) -> QueryPlan:
     if isinstance(query, SpatialQuery):
-        path = "oriented_rtree.search_range"
-        if query.point is not None and query.radius_m == 0.0 and query.mode == "scene":
-            path = "oriented_rtree.search_point"
         details = {"mode": query.mode}
         if query.direction_deg is not None:
             details["direction_filter"] = (
                 f"{query.direction_deg:.0f}deg +/- {query.direction_tolerance_deg:.0f}"
             )
-        details["refine"] = "fov_sector" if query.mode == "scene" else "camera_point"
+        if query.mode == "camera":
+            # A camera inside the region already makes the FOV intersect
+            # it: the point columns answer without the tree or a refine.
+            path = "columns.camera_scan"
+            details["refine"] = "none"
+        else:
+            path = "oriented_rtree.search_range"
+            if query.point is not None and query.radius_m == 0.0:
+                path = "oriented_rtree.search_point"
+            details["refine"] = "fov_sector"
         return QueryPlan("spatial", path, details, cost=cost_annotation("spatial"))
     if isinstance(query, VisualQuery):
         details = {"extractor": query.extractor_name, "k": query.k}
@@ -264,7 +270,7 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
         if fused is not None:
             return QueryPlan(
                 "hybrid",
-                "visual_rtree.spatial_visual_knn (single-pass dual pruning)",
+                "columns.filter_then_rank (region filter, then exact top-k)",
                 {"extractor": fused[1].extractor_name, "k": fused[1].k},
                 children=children,
                 cost=cost_annotation("hybrid"),

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
 from repro import obs
 from repro.obs.accounting import LOCAL_PRINCIPAL, charge, maybe_ledger_scope
-from repro.errors import TVDPError
+from repro.errors import MalformedQueryError, TVDPError
 from repro.db.database import Database
 from repro.features.base import FeatureExtractor
 from repro.features.registry import FeatureRegistry
@@ -584,13 +584,24 @@ class TVDP:
     def prepare_visual(self, query: VisualQuery) -> np.ndarray:
         """The one visual-query preparation, serial and sharded alike:
         the extractor must have been indexed (else :class:`QueryError`),
-        an example image is run through it, and the query vector's
-        ``feature_bytes`` are charged.  Returns the float64 vector."""
-        self.slice.lsh(query.extractor_name)
+        an example image is run through it, the vector must have the
+        index's dimension and only finite components (else
+        :class:`MalformedQueryError`), and its ``feature_bytes`` are
+        charged.  Returns the float64 vector."""
+        dimension = self.slice.lsh(query.extractor_name).dimension
         vector = query.vector
         if vector is None:
             vector = self.features.get(query.extractor_name).extract(query.example)
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = np.asarray(vector, dtype=np.float64).ravel()
+        if vector.shape[0] != dimension:
+            raise MalformedQueryError(
+                f"{query.extractor_name!r} vectors are {dimension}-D, "
+                f"got {vector.shape[0]}-D"
+            )
+        # A NaN component makes every distance NaN and an infinite one
+        # makes every distance infinite: a ranking of nothing.
+        if not np.isfinite(vector).all():
+            raise MalformedQueryError("query vector must be finite")
         charge("feature_bytes", vector.nbytes)
         return vector
 
@@ -642,8 +653,8 @@ class TVDP:
         self, spatial: SpatialQuery, visual: VisualQuery
     ) -> list[QueryResult]:
         vector = self.prepare_visual(visual)
-        pairs = self.slice.hybrid(visual.extractor_name).spatial_visual_knn(
-            spatial.bounding_region(), vector, visual.k
+        pairs = self.slice.spatial_visual_topk(
+            visual.extractor_name, spatial.bounding_region(), vector, visual.k
         )
         if visual.max_distance is not None:
             pairs = [(i, d) for i, d in pairs if d <= visual.max_distance]

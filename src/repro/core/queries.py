@@ -8,6 +8,7 @@ against its indexes.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -29,6 +30,24 @@ def _require_number(name: str, value: object) -> None:
         raise QueryError(f"{name} must be a number, got {value!r}")
     if value != value:
         raise QueryError(f"{name} must not be NaN")
+
+
+def _require_finite(name: str, value: object) -> None:
+    """:func:`_require_number`, and not infinite either: a vectorised
+    mask answers an infinite bearing or bound with a quietly empty
+    result where a scalar walk at least had a chance to raise."""
+    _require_number(name, value)
+    if value is not None and math.isinf(value):
+        raise QueryError(f"{name} must be finite, got {value!r}")
+
+
+def _require_count(name: str, value: object) -> None:
+    """Reject a ``k`` that is not a whole number >= 1: ``True`` and
+    ``2.7`` would otherwise pass for 1 and 2."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise QueryError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise QueryError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +84,17 @@ class SpatialQuery:
                 "SpatialQuery needs either a region or a point+radius, not both"
             )
         for name in ("radius_m", "direction_deg", "direction_tolerance_deg"):
-            _require_number(name, getattr(self, name))
+            _require_finite(name, getattr(self, name))
         if self.radius_m is not None and self.radius_m < 0:
             raise QueryError(f"radius must be >= 0, got {self.radius_m}")
+        if self.direction_tolerance_deg is None or self.direction_tolerance_deg < 0:
+            raise QueryError(
+                "direction_tolerance_deg must be >= 0, "
+                f"got {self.direction_tolerance_deg}"
+            )
+        if self.region is not None:
+            for name, bound in self.region.to_dict().items():
+                _require_finite(f"region {name}", bound)
         if self.mode not in ("camera", "scene"):
             raise QueryError(f"mode must be 'camera' or 'scene', got {self.mode!r}")
 
@@ -96,8 +123,7 @@ class VisualQuery:
     def __post_init__(self) -> None:
         if (self.example is None) == (self.vector is None):
             raise QueryError("VisualQuery needs exactly one of example or vector")
-        if self.k < 1:
-            raise QueryError(f"k must be >= 1, got {self.k}")
+        _require_count("k", self.k)
         _require_number("max_distance", self.max_distance)
         if self.max_distance is not None and self.max_distance < 0:
             raise QueryError(f"max_distance must be >= 0, got {self.max_distance}")

@@ -16,6 +16,12 @@ A slice is filled two ways, by the same two methods:
   ascending image id (the platform's upload order, so tree shapes are a
   deterministic function of the rows), optionally cloning LSH hash
   functions and node capacity from a parent slice.
+
+Both also fill the sidecar: the camera points (and viewing directions)
+as plain columns beside the trees.  A camera-mode spatial query and a
+fused spatial-visual hybrid are answered from those columns — one
+vectorised predicate, measured cheaper than the tree walk at every slice
+size and region share tried (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -28,27 +34,38 @@ from repro.core.queries import SpatialQuery, TemporalQuery
 from repro.db.database import Database
 from repro.errors import QueryError
 from repro.geo.fov import FieldOfView
-from repro.geo.point import GeoPoint
+from repro.geo.point import BoundingBox, GeoPoint
+from repro.index.columns import ColumnView, PointColumns
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
+from repro.index.ordering import nearest
 from repro.index.oriented_rtree import OrientedRTree
 
 
 class CatalogSlice:
     """A :class:`~repro.db.database.Database` and the indexes derived
-    from its rows: ``spatial`` over FOVs, ``text`` over keywords, and an
-    LSH + Visual R-tree pair per feature extractor."""
+    from its rows: ``spatial`` over FOVs, ``text`` over keywords, an
+    LSH + Visual R-tree pair per feature extractor — and, beside the
+    trees, the same camera points as columns
+    (:mod:`repro.index.columns`) for the two queries that ask only
+    where the camera stood."""
 
     def __init__(self, db: Database) -> None:
         self.db = db
         self.spatial = OrientedRTree()
         self.text = InvertedIndex()
-        # Guards the two per-extractor registries only; each index
-        # carries its own lock for its contents.
+        # Guards the per-extractor registries and the columns; each
+        # index carries its own lock for its contents.
         self._lock = threading.Lock()
         self._lsh: dict[str, LSHIndex] = {}
         self._hybrid: dict[str, VisualRTree] = {}
+        # Camera point and viewing direction of every image with an FOV.
+        self._cameras = PointColumns(extra=1)
+        # Per extractor, the camera point of every indexed vector and
+        # the row the LSH index gave that vector (exact in a float
+        # column), so the vectors themselves are held once.
+        self._vector_points: dict[str, PointColumns] = {}
 
     # -- indexing -------------------------------------------------------------
 
@@ -61,6 +78,10 @@ class CatalogSlice:
             self.text.add(image_id, " ".join(keywords))
         if fov is not None:
             self.spatial.insert(image_id, fov)
+            with self._lock:
+                self._cameras.append(
+                    image_id, fov.camera.lat, fov.camera.lng, fov.direction_deg
+                )
 
     def add_extractor(
         self, name: str, dimension: int, like: "CatalogSlice | None" = None
@@ -72,6 +93,7 @@ class CatalogSlice:
         with self._lock:
             if name in self._lsh:
                 return
+            self._vector_points[name] = PointColumns(extra=1)
             if source is None:
                 self._lsh[name] = LSHIndex(dimension=dimension)
                 self._hybrid[name] = VisualRTree(dimension=dimension)
@@ -85,7 +107,13 @@ class CatalogSlice:
         """Index one stored feature vector under extractor ``name``,
         at the image's camera point for the hybrid tree."""
         row = self.db.table("images").get(image_id)
-        self.lsh(name).insert(image_id, vector)
+        # The LSH index says where it put the vector; a point is listed
+        # only once its vector is there to rank.
+        vector_row = self.lsh(name).insert(image_id, vector)
+        with self._lock:
+            self._vector_points[name].append(
+                image_id, row["lat"], row["lng"], vector_row
+            )
         self.hybrid(name).insert(image_id, GeoPoint(row["lat"], row["lng"]), vector)
 
     @classmethod
@@ -153,27 +181,41 @@ class CatalogSlice:
 
     def spatial_ids(self, query: SpatialQuery) -> list[int]:
         """Ascending ids of this slice's images matching ``query``:
-        FOV-depicts in scene mode, camera-point-inside in camera mode."""
+        FOV-depicts in scene mode (the Oriented R-tree),
+        camera-point-inside in camera mode (the camera columns)."""
         region = query.bounding_region()
+        if query.mode == "camera":
+            with self._lock:
+                cameras = self._cameras.view()
+            return _cameras_inside(cameras, region, query)
         direction = {
             "direction_deg": query.direction_deg,
             "tolerance_deg": query.direction_tolerance_deg,
         }
-        if query.mode == "scene" and query.point is not None and query.radius_m == 0.0:
+        if query.point is not None and query.radius_m == 0.0:
             hits = self.spatial.search_point(
                 query.point.lat, query.point.lng, **direction
             )
         else:
             hits = self.spatial.search_range(region, **direction)
-        if query.mode == "camera":
-            images = self.db.table("images")
-            inside = []
-            for image_id in hits:
-                row = images.get(image_id)
-                if region.contains_point(GeoPoint(row["lat"], row["lng"])):
-                    inside.append(image_id)
-            hits = inside
         return sorted(hits)
+
+    def spatial_visual_topk(
+        self, name: str, region: BoundingBox, vector: np.ndarray, k: int
+    ) -> list[tuple[int, float]]:
+        """``(image id, feature distance)`` of the ``k`` images most
+        similar to ``vector`` under extractor ``name`` among those whose
+        camera lies inside ``region``, nearest first in canonical order
+        — ``VisualRTree.spatial_visual_knn``'s answer, by filtering the
+        point columns and ranking only the survivors' vectors."""
+        lsh = self.lsh(name)
+        with self._lock:
+            points = self._vector_points[name].view()
+        inside = points.rows_in(region)
+        vector_rows = points.extra[0][inside].astype(np.intp)
+        return nearest(
+            points.ids[inside].tolist(), lsh.row_distances(vector_rows, vector), k
+        )
 
     def temporal_ids(self, query: TemporalQuery) -> list[int]:
         """Ascending ids of this slice's images inside the time window,
@@ -199,3 +241,18 @@ class CatalogSlice:
                 image_id = row["image_id"]
                 out[image_id] = max(out.get(image_id, 0.0), row["confidence"])
         return out
+
+
+def _cameras_inside(
+    cameras: ColumnView, region: BoundingBox, query: SpatialQuery
+) -> list[int]:
+    """Camera-mode answer from the columns.  A camera inside the region
+    already makes ``FieldOfView.intersects_box`` true, so has-an-FOV,
+    camera-in-box and direction-within-tolerance is the whole predicate:
+    no sector geometry, no row fetch."""
+    rows = cameras.rows_in(region)
+    if query.direction_deg is not None:
+        # geodesy.angular_difference_deg, on a column.
+        off = np.abs(cameras.extra[0][rows] - query.direction_deg) % 360.0
+        rows = rows[np.minimum(off, 360.0 - off) <= query.direction_tolerance_deg]
+    return np.sort(cameras.ids[rows]).tolist()

@@ -44,6 +44,13 @@ class QueryError(TVDPError):
     """Malformed or unsupported query."""
 
 
+class MalformedQueryError(QueryError):
+    """A query no catalog could answer, found only at execution: a
+    parameter whose validity depends on what it must match (a query
+    vector against its extractor's dimension).  The API answers 400,
+    where a :class:`QueryError` about the catalog's state is a 409."""
+
+
 class IndexError_(TVDPError):
     """Index-structure failure (dimension mismatch, empty index, etc.)."""
 

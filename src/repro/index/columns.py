@@ -1,0 +1,85 @@
+"""Struct-of-arrays sidecar: located items as plain numpy columns.
+
+The trees answer a selective question by visiting the few entries that
+match it; a broad one — a quarter of the catalog — makes them visit
+hundreds of nodes and build one Python object per hit.  Held as columns
+(item id, latitude, longitude, plus any per-item floats such as a
+viewing direction), the same items answer a box predicate in one
+vectorised pass whose cost barely depends on how many match.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.geo.point import BoundingBox
+from repro.obs import metrics as _metrics
+from repro.obs.accounting import charge_probes
+
+# Scan counters: how many column scans ran and how many rows their
+# predicates examined (every live row, whatever the region).
+_SCANS = _metrics().counter("index.columns.scans")
+_ROWS_EXAMINED = _metrics().counter("index.columns.rows_examined")
+
+#: Rows the columns start with; they double when full.
+_INITIAL_ROWS = 16
+
+
+class ColumnView:
+    """The live rows of a :class:`PointColumns` at one moment: ``ids``,
+    ``lat``, ``lng`` and the ``extra`` float columns as views of equal
+    length (to read, never to write through)."""
+
+    __slots__ = ("ids", "lat", "lng", "extra")
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray) -> None:
+        self.ids = ids
+        self.lat, self.lng, *self.extra = values
+
+    def rows_in(self, box: BoundingBox) -> np.ndarray:
+        """Positions of the rows whose point lies inside ``box`` (border
+        included, as :meth:`BoundingBox.contains_point`) — one scan."""
+        _SCANS.inc()
+        _ROWS_EXAMINED.inc(len(self.ids))
+        charge_probes("columns", len(self.ids))
+        lat, lng = self.lat, self.lng
+        return np.flatnonzero(
+            (lat >= box.min_lat)
+            & (lat <= box.max_lat)
+            & (lng >= box.min_lng)
+            & (lng <= box.max_lng)
+        )
+
+
+class PointColumns:
+    """Growable columns over located items, in insertion order.
+
+    Not locked: the owner serialises :meth:`append` against
+    :meth:`view`.  A view stays valid while appends go on — live rows
+    are never rewritten, and growing allocates new blocks rather than
+    resizing the ones a view points into.
+    """
+
+    def __init__(self, extra: int = 0) -> None:
+        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        # One row per column, so each column is contiguous.
+        self._values = np.empty((2 + extra, _INITIAL_ROWS))
+        self._count = 0
+
+    def append(self, item: int, lat: float, lng: float, *extra: float) -> None:
+        """Add one item at ``(lat, lng)`` with its ``extra`` values."""
+        row = self._count
+        if row == len(self._ids):
+            ids = np.empty(2 * row, dtype=np.int64)
+            ids[:row] = self._ids
+            values = np.empty((len(self._values), 2 * row))
+            values[:, :row] = self._values
+            self._ids, self._values = ids, values
+        self._ids[row] = item
+        self._values[:, row] = (lat, lng, *extra)
+        self._count = row + 1
+
+    def view(self) -> ColumnView:
+        """The live rows as of now."""
+        n = self._count
+        return ColumnView(self._ids[:n], self._values[:, :n])

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.index.ordering import tie_key
+from repro.index.ordering import nearest
 from repro.obs import metrics as _metrics
 from repro.obs.accounting import charge_probes
 
@@ -105,8 +105,10 @@ class LSHIndex:
 
     # -- mutations ----------------------------------------------------------
 
-    def insert(self, item: object, vector: np.ndarray) -> None:
-        """Index a feature vector under an opaque item id."""
+    def insert(self, item: object, vector: np.ndarray) -> int:
+        """Index a feature vector under an opaque item id.  Returns the
+        buffer row the vector now occupies — its insertion position,
+        which never changes — for :meth:`row_distances`."""
         vector = self._check_vector(vector)
         keys = self._keys(vector)
         with self._lock:
@@ -125,6 +127,7 @@ class LSHIndex:
             self._items.append(item)
             for table, key in zip(self._tables, keys):
                 table.setdefault(key, []).append(item)
+        return row
 
     # -- queries ------------------------------------------------------------
 
@@ -190,15 +193,7 @@ class LSHIndex:
         if not items:
             return []
         rows = np.array([self._row_of[item] for item in items])
-        matrix = self._dense_matrix()[rows]
-        distances = np.linalg.norm(matrix - vector, axis=1)
-        order = sorted(
-            range(len(items)),
-            key=lambda i: (float(distances[i]), tie_key(items[i])),
-        )
-        if k is not None:
-            order = order[:k]
-        return [(items[i], float(distances[i])) for i in order]
+        return nearest(items, self.row_distances(rows, vector), k)
 
     def query_radius(self, vector: np.ndarray, radius: float) -> list[tuple[object, float]]:
         """All hash candidates within true distance ``radius``."""
@@ -216,18 +211,19 @@ class LSHIndex:
         vector = self._check_vector(vector)
         # Items and matrix must come from one locked snapshot: a
         # concurrent insert between the two reads would leave more
-        # items than matrix rows and the sort would index past the end.
+        # items than matrix rows, and so than distances.
         with self._lock:
-            if not self._items:
-                return []
             items = list(self._items)
             matrix = self._dense_matrix_locked()
-        distances = np.linalg.norm(matrix - vector, axis=1)
-        order = sorted(
-            range(len(items)),
-            key=lambda i: (float(distances[i]), tie_key(items[i])),
-        )[:k]
-        return [(items[i], float(distances[i])) for i in order]
+        return nearest(items, np.linalg.norm(matrix - vector, axis=1), k)
+
+    def row_distances(self, rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        """True L2 distance from ``vector`` to the vector in each of the
+        buffer ``rows``, as :meth:`insert` returned them.  Lets a caller
+        that keeps those rows beside its own columns rank a subset
+        without a copy of the vector store."""
+        vector = self._check_vector(vector)
+        return np.linalg.norm(self._dense_matrix()[rows] - vector, axis=1)
 
     def _dense_matrix(self) -> np.ndarray:
         with self._lock:

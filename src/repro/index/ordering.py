@@ -13,6 +13,8 @@ shard merge both produce bit-for-bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 _KeyTuple = tuple[int, float, str]
 
 
@@ -28,3 +30,28 @@ def tie_key(item: object) -> _KeyTuple:
     if isinstance(item, (int, float)):
         return (0, float(item), "")
     return (1, 0.0, str(item))
+
+
+def nearest(
+    items: list, distances: np.ndarray, k: int | None
+) -> list[tuple[object, float]]:
+    """The ``k`` nearest of ``items`` (all of them for ``k=None``) as
+    ``(item, distance)`` in canonical order, ``distances[i]`` being the
+    distance of ``items[i]``.
+
+    Partial selection: ``np.partition`` finds the k-th smallest
+    distance in O(n), and only the rows at or under it go through the
+    ``(distance, tie_key)`` sort.  Every row tied with the k-th is
+    among them, so ties across the boundary resolve exactly as a full
+    sort followed by ``[:k]`` would — which is what this replaces.
+    """
+    if k is not None and k < len(items):
+        kth = np.partition(distances, k - 1)[k - 1]
+        rows = np.flatnonzero(distances <= kth)
+        items = [items[row] for row in rows.tolist()]
+        distances = distances[rows]
+    pairs = sorted(
+        zip(items, distances.tolist()),
+        key=lambda pair: (pair[1], tie_key(pair[0])),
+    )
+    return pairs[:k]

@@ -328,8 +328,8 @@ class ShardRouter:
                     "ranked_pairs",
                     query,
                     stats,
-                    lambda s: s.hybrid(visual.extractor_name).spatial_visual_knn(
-                        region, vector, visual.k
+                    lambda s: s.spatial_visual_topk(
+                        visual.extractor_name, region, vector, visual.k
                     ),
                     k=visual.k,
                     max_distance=visual.max_distance,

@@ -95,6 +95,16 @@ _STILL_VALID = {
 }
 
 
+_REGION = {"min_lat": 33.9, "min_lng": -118.3, "max_lat": 34.1, "max_lng": -118.1}
+_REGION_QUERY = {"type": "spatial", "region": _REGION}
+
+
+def _visual(vector, **extra):
+    return {
+        "type": "visual", "extractor": "color_hsv_20_20_10", "vector": vector, **extra
+    }
+
+
 def _field_paths(body, prefix=()):
     for key, value in body.items():
         yield (*prefix, key)
@@ -305,20 +315,58 @@ class TestDataRoutes:
             {"type": "hybrid", "queries": [5, 6]},
             [1, 2],
             "search",
+            # Vectors only the index can judge: wrong length, not finite.
+            _visual([0.1] * 7),
+            _visual([]),
+            _visual([float("nan")] * 50),
+            _visual([float("inf")] * 50),
+            _visual([0.1] * 49 + [float("-inf")]),
+            {"type": "hybrid", "queries": [_REGION_QUERY, _visual([0.1] * 7)]},
+            {"type": "hybrid", "queries": [_REGION_QUERY, _visual([float("nan")] * 50)]},
+            _visual([0.1] * 50, k=True),
+            _visual([0.1] * 50, k=2.7),
+            _visual([0.1] * 50, k=0),
+            # Geometry a vectorised mask would answer with a quiet [].
+            {"type": "spatial", "region": {**_REGION, "max_lat": float("nan")}},
+            {"type": "spatial", "region": {**_REGION, "min_lng": float("-inf")}},
+            {**_REGION_QUERY, "direction_deg": float("inf")},
+            {**_REGION_QUERY, "direction_deg": 90.0, "direction_tolerance_deg": -1.0},
+            {**_REGION_QUERY, "direction_deg": 90.0, "direction_tolerance_deg": None},
+            {**_REGION_QUERY, "mode": "camera", "direction_deg": float("-inf")},
         ],
         ids=lambda body: str(body)[:48],
     )
     def test_malformed_search_is_400_with_the_error_envelope(
         self, service, client, body
     ):
-        """A spec of the wrong shape is the caller's fault: never a 500."""
-        response = service.handle(
-            Request("POST", "/search", body=body, api_key=client.api_key)
+        """A spec of the wrong shape is the caller's fault: never a 500,
+        never a quietly empty 200 — serial, sharded and under EXPLAIN."""
+        for method, path in (("POST", "/images"), ("POST", "/features/color_hsv_20_20_10")):
+            stored = service.handle(
+                Request(method, path, body=_WRITE_BODIES[path], api_key=client.api_key)
+            )
+            assert stored.ok
+        for shards in (1, 4):
+            service.platform.set_shards(shards)
+            for method, path in (("POST", "/search"), ("GET", "/debug/explain")):
+                response = service.handle(
+                    Request(method, path, body=body, api_key=client.api_key)
+                )
+                assert response.status == 400, (shards, path, response.body)
+                error = response.body["error"]
+                assert error["status"] == 400 and error["type"] == "APIError"
+                assert error["message"] and error["request_id"]
+
+    @pytest.mark.parametrize("k", [5.0, "5", "5.0"])
+    def test_a_whole_k_is_accepted_however_it_is_spelt(self, client, records, k):
+        """Only a bool or a fraction is rejected: the spellings ``int()``
+        used to let through still mean 5."""
+        for image_id in upload_all(client, records[:6]):
+            client.get_features("color_hsv_20_20_10", image_id=image_id)
+        assert len(client.search(_visual([0.1] * 50, k=5))) == 5
+        assert client.search(_visual([0.1] * 50, k=k)) == client.search(
+            _visual([0.1] * 50, k=5)
         )
-        assert response.status == 400
-        error = response.body["error"]
-        assert error["status"] == 400 and error["type"] == "APIError"
-        assert error["message"] and error["request_id"]
 
     @pytest.mark.parametrize("route, body", _malformed_write_bodies())
     def test_malformed_write_body_is_400_with_the_error_envelope(

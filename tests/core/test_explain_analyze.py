@@ -241,6 +241,38 @@ class TestCostAnnotations:
             f"measured deltas: {plan.counter_deltas}"
         )
 
+    def test_analyze_names_the_column_scan_and_moves_its_counters(self, populated):
+        """A camera-mode query and a fused hybrid are answered from the
+        columns: EXPLAIN says so, the scan's counters are among the
+        dominant ones, and the bill is the rows examined — not zero,
+        though no tree was walked and no row fetched."""
+        platform, records = populated
+        everywhere = BoundingBox(33.0, -119.0, 35.0, -117.0)
+        camera = SpatialQuery(region=everywhere, mode="camera")
+        fused = HybridQuery(
+            queries=(
+                SpatialQuery(region=everywhere),
+                VisualQuery("color_hsv_20_20_10", example=records[0].image, k=5),
+            )
+        )
+        for query, path in (
+            (camera, "columns.camera_scan"),
+            (fused, "columns.filter_then_rank"),
+        ):
+            assert path in explain(platform, query).access_path
+            plan = explain(platform, query, analyze=True)
+            assert path in plan.access_path and path in plan.render()
+            assert plan.counter_deltas["index.columns.scans"] == 1
+            assert plan.counter_deltas["index.columns.rows_examined"] == len(records)
+            assert "index.columns.rows_examined" in plan.cost["dominant_counters"]
+            assert plan.charges["probes.columns"] == len(records)
+            assert "rows_scanned" not in plan.charges
+            assert not any(name.startswith("index.rtree") for name in plan.counter_deltas)
+        # Scene mode asks what the FOV depicts: that stays on the tree.
+        plan = explain(platform, SpatialQuery(region=everywhere), analyze=True)
+        assert plan.access_path == "oriented_rtree.search_range"
+        assert "index.columns.scans" not in plan.counter_deltas
+
     def test_render_and_dict_include_cost(self, populated):
         platform, _ = populated
         plan = explain(

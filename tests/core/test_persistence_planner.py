@@ -165,7 +165,9 @@ class TestExplain:
                 )
             ),
         )
-        assert "visual_rtree" in plan.access_path
+        # One fused node over the extractor's point columns (the Visual
+        # R-tree's answer, by filter-then-rank), not an intersection.
+        assert "columns.filter_then_rank" in plan.access_path
         assert len(plan.children) == 2
 
     def test_generic_hybrid_intersection(self, populated):

@@ -7,11 +7,18 @@ platform's own slice is the third way the same indexes get filled.
 Hypothesis draws a catalog and an interleaving of uploads, annotations,
 on-demand feature requests (out of id order) and augmentations; at a
 checkpoint mid-stream and again at the end, every per-slice scan and
-every index probe the serial runners and the shard router use must give
-the same answer on all three.
+every index probe the serial runners and the shard router use — the
+column scans of the sidecar included — must give the same answer on all
+three.
+
+The sidecar has a second contract, pinned by a race at the bottom: a
+query that overlaps writes sees ids and columns from one moment.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +34,7 @@ from repro.core import (
 )
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
+from repro.db import Database
 from repro.shard import partition_catalog
 from tests.shard.test_equivalence import (
     LABELS,
@@ -66,6 +74,9 @@ def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
                 mode=params["mode"],
             )
         ),
+        "spatial_ids.camera_facing": catalog_slice.spatial_ids(
+            SpatialQuery(region=box, mode="camera", direction_deg=90.0)
+        ),
         "temporal_ids": catalog_slice.temporal_ids(
             TemporalQuery(start=float(t_lo), end=float(t_hi))
         ),
@@ -81,6 +92,9 @@ def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
         "extractors": sorted(catalog_slice.visual_indexes()),
     }
     if EXTRACTOR in catalog_slice.visual_indexes():
+        out["spatial_visual_topk"] = catalog_slice.spatial_visual_topk(
+            EXTRACTOR, box, vector, params["k"]
+        )
         out["topk_with_stats"] = catalog_slice.lsh(EXTRACTOR).topk_with_stats(
             vector, params["k"]
         )
@@ -140,3 +154,137 @@ def test_slice_rebuilt_from_rows_answers_like_the_incremental_one(
             assert_rebuilt_matches_live(platform, params, tmp_path_factory.mktemp("mid"))
     platform.extract_features(EXTRACTOR)
     assert_rebuilt_matches_live(platform, params, tmp_path_factory.mktemp("end"))
+
+
+class TestSidecarUnderConcurrentWrites:
+    """Column scans racing ``index_image`` / ``index_vector``: every
+    answer is the brute-force answer over *some* prefix of the writes —
+    ids, points and vectors from one moment, never a longer id column
+    than vector buffer or the other way round."""
+
+    N, DIM, K = 300, 6, 5
+    EVERYWHERE = BoundingBox(33.0, -119.0, 35.0, -117.0)
+
+    def brute(self, vectors, m, probe):
+        """Top-K of image ids 1..m (row i holds image i + 1)."""
+        distances = np.linalg.norm(vectors[:m] - probe, axis=1)
+        order = sorted(range(m), key=lambda i: (float(distances[i]), i))[: self.K]
+        return [(i + 1, float(distances[i])) for i in order]
+
+    def test_every_scan_answers_some_prefix_of_the_writes(self):
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(0.0, 1.0, (self.N, self.DIM))
+        probe = rng.normal(0.0, 1.0, self.DIM)
+        built = CatalogSlice(Database.tvdp())
+        built.add_extractor("race", self.DIM)
+        camera = SpatialQuery(region=self.EVERYWHERE, mode="camera")
+        answers: list[tuple[int, int, list, list]] = []
+        failures: list[BaseException] = []
+        reading, done = threading.Event(), threading.Event()
+
+        def writer():
+            try:
+                reading.wait(timeout=30.0)
+                for i in range(self.N):
+                    lat, lng = 34.0 + i / self.N, -118.0 - i / self.N
+                    image_id = built.db.insert(
+                        "images",
+                        {
+                            "uri": f"race://{i}", "content_hash": str(i),
+                            "lat": lat, "lng": lng, "is_augmented": False,
+                            "timestamp_capturing": 0.0, "timestamp_uploading": 0.0,
+                        },
+                    )
+                    fov = FieldOfView(GeoPoint(lat, lng), 0.0, 60.0, 100.0)
+                    built.index_image(image_id, fov, ())
+                    built.index_vector("race", image_id, vectors[i])
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                turn = 0
+                while not done.is_set() or turn < 8:
+                    # Last write of index_vector: at most the points
+                    # listed by the time the scans below look.
+                    before = len(built.hybrid("race"))
+                    ids = built.spatial_ids(camera)
+                    ranked = built.spatial_visual_topk(
+                        "race", self.EVERYWHERE, probe, self.K
+                    )
+                    answers.append((before, len(built.spatial), ids, ranked))
+                    reading.set()
+                    turn += 1
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        raced = sum(1 for before, after, _, _ in answers if 0 < after and before < self.N)
+        assert raced >= 3, f"only {raced} queries overlapped the writes"
+        for before, after, ids, ranked in answers:
+            assert ids == list(range(1, len(ids) + 1)) and before <= len(ids) <= after
+            assert any(
+                ranked == self.brute(vectors, m, probe) for m in range(before, after + 1)
+            ), (before, after, ranked)
+
+    def test_points_follow_their_vectors_whatever_order_inserts_land_in(self):
+        """Four extraction threads, and a caller inserting straight into
+        the live LSH index: the rows the point columns rank are the rows
+        the index said it used, so every id keeps its own distance."""
+        rng = np.random.default_rng(12)
+        vectors = rng.normal(0.0, 1.0, (self.N, self.DIM))
+        probe = rng.normal(0.0, 1.0, self.DIM)
+        built = CatalogSlice(Database.tvdp())
+        built.add_extractor("race", self.DIM)
+        for i in range(self.N):
+            built.db.insert(
+                "images",
+                {
+                    "uri": f"race://{i}", "content_hash": str(i),
+                    "lat": 34.0, "lng": -118.0, "is_augmented": False,
+                    "timestamp_capturing": 0.0, "timestamp_uploading": 0.0,
+                },
+            )
+        built.lsh("race").insert("stranger", np.zeros(self.DIM))
+        failures: list[BaseException] = []
+
+        def extract(ids):
+            try:
+                for image_id in ids:
+                    built.index_vector("race", image_id, vectors[image_id - 1])
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=extract, args=(range(1 + lane, self.N + 1, 4),))
+                for lane in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        ranked = built.spatial_visual_topk("race", self.EVERYWHERE, probe, self.N)
+        distances = np.linalg.norm(vectors - probe, axis=1)
+        assert dict(ranked) == {i + 1: float(distances[i]) for i in range(self.N)}
+        assert ranked == built.hybrid("race").linear_spatial_visual_knn(
+            self.EVERYWHERE, probe, self.N
+        )

@@ -94,6 +94,24 @@ class TestChargeHelpers:
             charge_probes("rtree", 0)
         assert ledger.charges == {}
 
+    def test_a_column_scan_is_billed_every_row_it_examined(self):
+        """A scan reads no table row and walks no tree, but it is work:
+        the bill is the live rows, whatever share of them matched."""
+        from repro.geo import BoundingBox
+        from repro.index.columns import PointColumns
+
+        columns = PointColumns()
+        for item in range(5):
+            columns.append(item, 34.0 + item, -118.0)
+        with ledger_scope() as ledger:
+            inside = columns.view().rows_in(BoundingBox(34.5, -119.0, 36.5, -117.0))
+        assert inside.tolist() == [1, 2]
+        assert ledger.charges == {"probes.columns": 5.0}
+        assert cost_of(ledger.charges) == 5.0 * COST_WEIGHTS["probes"]
+        counters = obs.metrics().counter_values()
+        assert counters["index.columns.scans"] == 1
+        assert counters["index.columns.rows_examined"] == 5
+
     def test_scope_absorbs_into_table_even_on_error(self):
         table = UsageTable()
         with pytest.raises(RuntimeError):
