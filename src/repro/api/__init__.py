@@ -8,7 +8,8 @@ from repro.api.modelstore import (
     deserialize_classifier,
     serialize_classifier,
 )
-from repro.api.service import TVDPService, image_from_payload, image_to_payload
+from repro.api.schema import image_from_payload, image_to_payload
+from repro.api.service import TVDPService
 from repro.api.client import TVDPClient
 
 __all__ = [

@@ -17,7 +17,8 @@ import numpy as np
 from repro import obs
 from repro.errors import APIError, FaultInjected, TVDPError
 from repro.api.http import Request, Response
-from repro.api.service import TVDPService, image_to_payload
+from repro.api.schema import image_to_payload
+from repro.api.service import TVDPService
 from repro.geo.fov import FieldOfView
 from repro.imaging.image import Image
 from repro.resilience import Clock, Retry, current_clock, get_breaker, inject
@@ -72,7 +73,7 @@ class TVDPClient:
     ) -> Response:
         """Dispatch one request and raise :class:`APIError` on failure,
         returning the raw response (non-JSON routes need its
-        ``text``/``content_type``).
+        ``text``/``content_type``).  A parameter left ``None`` is not sent.
 
         Server-side failures (5xx, dead links, injected faults) retry
         through the client's circuit breaker; 4xx responses raise
@@ -82,6 +83,8 @@ class TVDPClient:
         breaker = get_breaker(
             self._breaker_name, failure_on=(TVDPError,), clock=self._clock
         )
+
+        sent = {k: v for k, v in (params or {}).items() if v is not None}
 
         def one_attempt() -> Response:
             inject(REQUEST_SITE, clock)
@@ -95,7 +98,7 @@ class TVDPClient:
                         method=method,
                         path=path,
                         body=body,
-                        params=params or {},
+                        params=sent,
                         api_key=self.api_key,
                         headers={"traceparent": obs.current_traceparent()},
                     )
@@ -339,18 +342,12 @@ class TVDPClient:
     def slow_spans(self, op: str | None = None, limit: int | None = None) -> dict:
         """Slow-span exemplars from ``GET /debug/slow`` (worst spans per
         operation with ancestry and probe-counter deltas)."""
-        params: dict = {}
-        if op is not None:
-            params["op"] = op
-        if limit is not None:
-            params["limit"] = limit
-        return self._call("GET", "/debug/slow", params=params)
+        return self._call("GET", "/debug/slow", params={"op": op, "limit": limit})
 
     def hot_queries(self, limit: int | None = None) -> dict:
         """Hot-query report from ``GET /debug/hot``: normalized query
         shapes ranked by frequency then total time."""
-        params = {"limit": limit} if limit is not None else {}
-        return self._call("GET", "/debug/hot", params=params)
+        return self._call("GET", "/debug/hot", params={"limit": limit})
 
     def resources(
         self,
@@ -362,13 +359,7 @@ class TVDPClient:
         consumers by principal/shape/operation, rolling spend, and
         would-shed dry-run flags.  ``budget``/``window_s`` evaluate a
         what-if admission budget without configuring one."""
-        params: dict = {}
-        if top is not None:
-            params["top"] = top
-        if budget is not None:
-            params["budget"] = budget
-        if window_s is not None:
-            params["window_s"] = window_s
+        params = {"top": top, "budget": budget, "window_s": window_s}
         return self._call("GET", "/debug/resources", params=params)
 
     def trace(self, trace_id: str) -> dict:

@@ -20,11 +20,14 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.api.auth import principal_label
 from repro.errors import APIError
+
+if TYPE_CHECKING:
+    from repro.api.schema import Declaration
 
 _log = obs.get_logger("api.http")
 
@@ -67,6 +70,8 @@ class Request:
 
     method: str
     path: str
+    # The router replaces these two (and ``path_params``) with their
+    # typed values on a route that declares its request.
     params: dict = field(default_factory=dict)  # query parameters
     body: dict | None = None  # JSON payload
     api_key: str | None = None
@@ -116,30 +121,42 @@ def _match(template: str, path: str) -> dict | None:
 class Router:
     """Method+path-template dispatch with error mapping and metrics.
 
+    A route registered with a declaration has its request checked
+    against it first: the handler runs only on a well-formed request,
+    and reads typed ``path_params`` / ``params`` / ``body`` off it.
     Handler exceptions deriving from :class:`APIError` become their
     status code; anything else becomes a 500 (surfacing the message —
     acceptable for an in-process reproduction, not for production).
     """
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, str, Handler]] = []
+        self._routes: list[tuple[str, str, Handler, Declaration | None]] = []
 
-    def add(self, method: str, template: str, handler: Handler) -> None:
+    def add(
+        self, method: str, template: str, handler: Handler,
+        declaration: Declaration | None = None,
+    ) -> None:
         """Register a handler for ``method template``."""
-        self._routes.append((method.upper(), template, handler))
+        self._routes.append((method.upper(), template, handler, declaration))
 
-    def route(self, method: str, template: str) -> Callable[[Handler], Handler]:
+    def route(
+        self, method: str, template: str, declaration: Declaration | None = None
+    ) -> Callable[[Handler], Handler]:
         """Decorator form of :meth:`add`."""
 
         def decorator(handler: Handler) -> Handler:
-            self.add(method, template, handler)
+            self.add(method, template, handler, declaration)
             return handler
 
         return decorator
 
     def routes(self) -> list[str]:
         """``"METHOD /template"`` strings for every registered route."""
-        return sorted(f"{method} {template}" for method, template, _ in self._routes)
+        return sorted(f"{route[0]} {route[1]}" for route in self._routes)
+
+    def declarations(self) -> dict[str, Declaration | None]:
+        """Each registered route's declaration, by ``"METHOD /template"``."""
+        return {f"{m} {template}": decl for m, template, _, decl in self._routes}
 
     def dispatch(self, request: Request) -> Response:
         """Find and invoke the matching handler (with the middleware)."""
@@ -183,7 +200,7 @@ class Router:
         """Route + invoke; returns the route label (template or a
         placeholder for unmatched paths) and the response."""
         path_template: str | None = None  # first template the path fits
-        for route_method, template, handler in self._routes:
+        for route_method, template, handler, declaration in self._routes:
             params = _match(template, request.path)
             if params is None:
                 continue
@@ -192,6 +209,10 @@ class Router:
                 continue
             request.path_params = params
             try:
+                if declaration is not None:
+                    request.path_params, request.params, request.body = (
+                        declaration.check(params, request.params, request.body)
+                    )
                 return template, handler(request)
             except APIError as exc:
                 self._count_error(template, exc)

@@ -20,6 +20,12 @@ from repro.ml.svm import LinearSVM, _BinarySVM
 
 _log = obs.get_logger("api.modelstore")
 
+#: The classifier families ``POST /models`` can devise, by wire name.
+CLASSIFIER_FACTORIES = {
+    "svm": lambda: LinearSVM(epochs=40),
+    "logistic_regression": lambda: LogisticRegression(epochs=60),
+}
+
 
 @dataclass
 class ModelRecord:

@@ -1,6 +1,6 @@
 """Static-analysis suite guarding the platform's architecture.
 
-Fifteen rules, one table (``repro.devtools.check.RULES``), one
+Fourteen rules, one table (``repro.devtools.check.RULES``), one
 suppression mechanism (``docs/static_analysis.md`` has the catalogue
 and the evidence each rule has earned).
 
@@ -31,9 +31,6 @@ resolver):
   lock is held across blocking IO/sleep/policy calls.  Runtime
   companion: ``repro.devtools.sanitizers`` ("tsan-lite"), enabled with
   ``REPRO_SANITIZE=1 pytest``.
-* **exception-flow** — what each public api/edge/db entry point can
-  raise stays inside the ``repro.errors`` taxonomy or a declared
-  retryable set.
 * **dead-code** — public module-level symbols nothing in src or
   examples references.
 * **hot-path** — per-item work on the query paths outside the
@@ -81,7 +78,6 @@ from repro.devtools.correctness import (
 )
 from repro.devtools.deadcode import check_dead_code
 from repro.devtools.determinism import check_determinism
-from repro.devtools.exceptions import analyze_exceptions, check_exception_flow
 from repro.devtools.lockorder import analyze_locks, check_lock_order
 from repro.devtools.sanitizers import LockOrderSanitizer, LockOrderViolation
 
@@ -94,14 +90,12 @@ __all__ = [
     "LockOrderSanitizer",
     "LockOrderViolation",
     "SymbolTable",
-    "analyze_exceptions",
     "analyze_locks",
     "build_call_graph",
     "build_symbol_table",
     "check_broad_except",
     "check_dead_code",
     "check_determinism",
-    "check_exception_flow",
     "check_geo_literals",
     "check_layers",
     "check_lock_order",

@@ -1,6 +1,6 @@
 """Whole-program symbol table, call graph, and the shared analysis kit.
 
-Lock-order inversions, exceptions escaping the taxonomy, blocking calls
+Lock-order inversions, blocking calls
 behind a handler, state shared across threads — these are
 *whole-program* facts.  This module is the one substrate every
 whole-program pass stands on, so a pass is its predicate plus a table
@@ -1073,17 +1073,6 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
             and graph.site_of[id(stmt.value)].constructs
         )
     return graph
-
-
-def resolve_call(
-    table: SymbolTable,
-    info: ModuleInfo,
-    class_context: str | None,
-    func: ast.expr,
-    locals_map: dict[str, str] | None = None,
-) -> str | None:
-    """Public wrapper over call-target resolution."""
-    return _resolve_call_target(table, info, class_context, func, locals_map)
 
 
 # -- blocking calls -------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.devtools.correctness import (
 )
 from repro.devtools.deadcode import check_dead_code
 from repro.devtools.determinism import check_determinism
-from repro.devtools.exceptions import check_exception_flow
 from repro.devtools.findings import Finding, SourceModule, collect_modules
 from repro.devtools.hotpath import check_hot_path
 from repro.devtools.layers import DEFAULT_LAYER_CONFIG, LayerConfig, check_layers
@@ -148,12 +147,6 @@ RULES: tuple[Rule, ...] = (
         "lock-order",
         "Lock-order inversion or lock held across blocking work.",
         lambda t: check_lock_order(t.table, t.graph, t.modules),
-        whole_program=True,
-    ),
-    Rule(
-        "exception-flow",
-        "Exception escaping an entry point outside the taxonomy.",
-        lambda t: check_exception_flow(t.table, t.graph, t.modules),
         whole_program=True,
     ),
     Rule(

@@ -276,5 +276,5 @@ if _env_budget:
         _usage.set_budget(Budget(cost_per_window=float(_env_budget)))
     except ValueError:
         get_logger("obs").warning(
-            "ignoring non-numeric TVDP_USAGE_BUDGET=%r", _env_budget
+            "ignoring unusable TVDP_USAGE_BUDGET=%r", _env_budget
         )

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 import threading
 import time
 import tracemalloc
@@ -224,6 +225,16 @@ class Budget:
 
     cost_per_window: float
     window_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        # An infinite window has no bucket count; NaN compares false
+        # with every spend, so it would never shed and never say why.
+        if not (0.0 <= self.cost_per_window < math.inf):
+            raise ValueError(
+                f"cost_per_window must be finite and >= 0, got {self.cost_per_window}"
+            )
+        if not (0.0 < self.window_s < math.inf):
+            raise ValueError(f"window_s must be finite and > 0, got {self.window_s}")
 
 
 class UsageTable:

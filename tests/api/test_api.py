@@ -1,7 +1,5 @@
 """End-to-end tests of the API layer: auth, routes, client."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from repro.api import (
     deserialize_classifier,
     image_from_payload,
     image_to_payload,
+    schema,
 )
 from repro.core import TVDP
 from repro.datasets import generate_lasan_dataset
@@ -21,6 +20,7 @@ from repro.errors import APIError, AuthenticationError
 from repro.features import ColorHistogramExtractor
 from repro.imaging import CLEANLINESS_CLASSES, solid_color
 from repro.api.http import Response
+from tests.api import route_table
 
 
 @pytest.fixture()
@@ -43,59 +43,31 @@ def records():
     return generate_lasan_dataset(n_per_class=4, image_size=32, seed=0)
 
 
-#: Well-formed write-path bodies (the repo benchmark's shapes), by route.
-_WRITE_BODIES = {
-    "/images": {
-        "image": {"pixels_u8": [[[10, 20, 30]] * 8] * 8},
-        "fov": {
-            "lat": 34.0, "lng": -118.2, "direction_deg": 10.0,
-            "angle_deg": 60.0, "range_m": 120.0,
-        },
-        "captured_at": 100.0,
-        "uploaded_at": 105.0,
-        "keywords": ["street", "tent"],
-    },
-    "/images/1/annotations": {
-        "classification": "street_cleanliness",
-        "label": "clean",
-        "confidence": 0.9,
-        "source": "machine",
-    },
-    "/features/color_hsv_20_20_10": {"image_id": 1},
-    "/users": {"name": "ada", "role": "researcher"},
-    "/keys": {"user_id": 1},
-    "/models": {
-        "name": "cleanliness_svm",
-        "extractor": "color_hsv_20_20_10",
-        "classification": "street_cleanliness",
-        "classifier": "svm",
-    },
-    "/classifications": {"name": "graffiti", "labels": ["tagged", "untagged"]},
-}
-_MISSING = object()
-_FIELD_MUTATIONS = {
-    "missing": _MISSING, "null": None, "str": "x", "list": [], "dict": {},
-    "nan": float("nan"),
-}
-#: Single-field mutations that leave a body the API accepts by contract
-#: (optional fields left out, an empty keyword list) or a well-formed
-#: one: "x" where a free-form name goes is a name — it may miss a
-#: registry (404), but it is not malformed.
-_STILL_VALID = {
-    ("/images", "keywords", "missing"),
-    ("/images", "keywords", "list"),
-    ("/images/1/annotations", "confidence", "missing"),
-    ("/images/1/annotations", "source", "missing"),
-    ("/users", "name", "str"),
-    ("/users", "role", "str"),
-    ("/models", "name", "str"),
-    ("/models", "extractor", "str"),
-    ("/models", "classification", "str"),
-    ("/classifications", "name", "str"),
-}
+#: Every single-field mutation of a well-formed request to every route
+#: the service registers, generated from the router's own declarations
+#: (see ``tests/api/route_table.py``): nothing here names a route.
+_DECLARED = TVDPService(TVDP()).router.declarations()
+_SWEEP = route_table.sweep(_DECLARED)
+_TAKES_A_QUERY = [route for route, d in _DECLARED.items() if d.body is schema.QUERY]
+_SEARCH_SWEEP = [
+    case for case in _SWEEP if case.route == "POST /search" and case.where == "body"
+]
+#: Everything else; where several routes take the same body (a query
+#: spec), the search sweep above sends it to all of them.
+_ROUTE_SWEEP = [
+    case for case in _SWEEP if case.route not in _TAKES_A_QUERY or case.where != "body"
+]
 
 
-_REGION = {"min_lat": 33.9, "min_lng": -118.3, "max_lat": 34.1, "max_lng": -118.1}
+def _search_id(case):
+    """``{'type': 'spatial'}-region.min_lat-nan``; a body that is not
+    an object at all is its own id."""
+    if not isinstance(case.body, dict):
+        return str(case.body)
+    return f"{{'type': '{case.body['type']}'}}-{case.field}-{case.mutation}"
+
+
+_REGION = route_table.example(schema.REGION, "")
 _REGION_QUERY = {"type": "spatial", "region": _REGION}
 
 
@@ -105,32 +77,14 @@ def _visual(vector, **extra):
     }
 
 
-def _field_paths(body, prefix=()):
-    for key, value in body.items():
-        yield (*prefix, key)
-        if isinstance(value, dict):
-            yield from _field_paths(value, (*prefix, key))
+@pytest.fixture(scope="module")
+def table():
+    return route_table.harness()
 
 
-def _malformed_write_bodies():
-    """Every single-field mutation (missing / null / "x" / [] / {} /
-    NaN) of every field of the well-formed write bodies."""
-    for route, body in _WRITE_BODIES.items():
-        for path in _field_paths(body):
-            for kind, value in _FIELD_MUTATIONS.items():
-                if (route, ".".join(path), kind) in _STILL_VALID:
-                    continue
-                mutated = copy.deepcopy(body)
-                holder = mutated
-                for key in path[:-1]:
-                    holder = holder[key]
-                if value is _MISSING:
-                    del holder[path[-1]]
-                else:
-                    holder[path[-1]] = value
-                yield pytest.param(
-                    route, mutated, id=f"{route.split('/')[-1]}-{'.'.join(path)}-{kind}"
-                )
+@pytest.fixture(scope="module")
+def sharded_table():
+    return route_table.harness(shards=4)
 
 
 def upload_all(client, records):
@@ -272,90 +226,46 @@ class TestDataRoutes:
             client.search({"type": "quantum"})
         assert err.value.status == 400
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            {"type": "temporal", "start": 5, "end": [1]},
-            {"type": "temporal", "start": "yesterday"},
-            {"type": "temporal", "start": float("nan")},
-            {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": ["a"]},
-            {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": [0.1], "k": "x"},
-            {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": [0.1], "k": [1]},
-            {
-                "type": "visual",
-                "extractor": "color_hsv_20_20_10",
-                "vector": [0.1],
-                "max_distance": "far",
-            },
-            {"type": "visual", "extractor": "color_hsv_20_20_10", "example": 5},
-            {"type": "visual", "extractor": ["color_hsv_20_20_10"], "vector": [0.1]},
-            {"type": "visual", "extractor": 5, "vector": [0.1]},
-            {"type": "textual", "text": 5},
-            {"type": "categorical", "classification": "street_cleanliness", "labels": 5},
-            {"type": "categorical", "classification": "street_cleanliness", "labels": "clean"},
-            {"type": "categorical", "classification": "street_cleanliness", "labels": [5]},
-            {"type": "categorical", "classification": ["street_cleanliness"], "labels": ["clean"]},
-            {"type": "categorical", "classification": 5, "labels": ["clean"]},
-            {
-                "type": "categorical",
-                "classification": "street_cleanliness",
-                "labels": ["clean"],
-                "min_confidence": "x",
-            },
-            {"type": "spatial", "region": {"min_lat": "a"}},
-            {"type": "spatial", "region": 5},
-            {"type": "spatial", "point": {"lat": 34.0, "lng": -118.2}, "radius_m": "x"},
-            {
-                "type": "spatial",
-                "point": {"lat": 34.0, "lng": -118.2},
-                "radius_m": 50.0,
-                "direction_deg": "north",
-            },
-            {"type": "hybrid", "queries": 5},
-            {"type": "hybrid", "queries": [5, 6]},
-            [1, 2],
-            "search",
-            # Vectors only the index can judge: wrong length, not finite.
-            _visual([0.1] * 7),
-            _visual([]),
-            _visual([float("nan")] * 50),
-            _visual([float("inf")] * 50),
-            _visual([0.1] * 49 + [float("-inf")]),
-            {"type": "hybrid", "queries": [_REGION_QUERY, _visual([0.1] * 7)]},
-            {"type": "hybrid", "queries": [_REGION_QUERY, _visual([float("nan")] * 50)]},
-            _visual([0.1] * 50, k=True),
-            _visual([0.1] * 50, k=2.7),
-            _visual([0.1] * 50, k=0),
-            # Geometry a vectorised mask would answer with a quiet [].
-            {"type": "spatial", "region": {**_REGION, "max_lat": float("nan")}},
-            {"type": "spatial", "region": {**_REGION, "min_lng": float("-inf")}},
-            {**_REGION_QUERY, "direction_deg": float("inf")},
-            {**_REGION_QUERY, "direction_deg": 90.0, "direction_tolerance_deg": -1.0},
-            {**_REGION_QUERY, "direction_deg": 90.0, "direction_tolerance_deg": None},
-            {**_REGION_QUERY, "mode": "camera", "direction_deg": float("-inf")},
-        ],
-        ids=lambda body: str(body)[:48],
-    )
+    @pytest.mark.parametrize("case", _SEARCH_SWEEP, ids=_search_id)
     def test_malformed_search_is_400_with_the_error_envelope(
-        self, service, client, body
+        self, table, sharded_table, case
     ):
         """A spec of the wrong shape is the caller's fault: never a 500,
         never a quietly empty 200 — serial, sharded and under EXPLAIN."""
-        for method, path in (("POST", "/images"), ("POST", "/features/color_hsv_20_20_10")):
-            stored = service.handle(
-                Request(method, path, body=_WRITE_BODIES[path], api_key=client.api_key)
-            )
-            assert stored.ok
-        for shards in (1, 4):
-            service.platform.set_shards(shards)
-            for method, path in (("POST", "/search"), ("GET", "/debug/explain")):
-                response = service.handle(
-                    Request(method, path, body=body, api_key=client.api_key)
-                )
-                assert response.status == 400, (shards, path, response.body)
-                error = response.body["error"]
-                assert error["status"] == 400 and error["type"] == "APIError"
-                assert error["message"] and error["request_id"]
+        for harness in (table, sharded_table):
+            for route in _TAKES_A_QUERY:
+                response = harness.send(case, route)
+                if case.refused:
+                    assert response.status == 400, (route, response.body)
+                    assert response.body["error"]["type"] == "APIError"
+                assert response.status < 500, (route, response.body)
+                if not response.ok:
+                    route_table.assert_is_error_envelope(response)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # Wrong only in what they mean, which no declaration of
+            # types can say: the index's or the query model's to judge.
+            _visual([0.1] * 7),
+            _visual([0.1] * 50, k=0),
+            {"type": "spatial"},
+            {**_REGION_QUERY, "point": {"lat": 34.0, "lng": -118.2}, "radius_m": 50.0},
+            {**_REGION_QUERY, "direction_deg": 90.0, "direction_tolerance_deg": -1.0},
+            {"type": "hybrid", "queries": [_REGION_QUERY, _visual([0.1] * 7)]},
+            {"type": "hybrid", "queries": [_REGION_QUERY]},
+            {"type": "temporal", "start": 5.0, "end": 1.0},
+            {"type": "textual", "text": "  "},
+        ],
+        ids=lambda body: str(body)[:48],
+    )
+    def test_search_that_means_nothing_is_400(self, table, sharded_table, body):
+        for harness in (table, sharded_table):
+            for route in _TAKES_A_QUERY:
+                method, path = route.split(" ")
+                response = harness.call(method, path, body)
+                assert response.status == 400, (route, response.body)
+                route_table.assert_is_error_envelope(response)
 
     @pytest.mark.parametrize("k", [5.0, "5", "5.0"])
     def test_a_whole_k_is_accepted_however_it_is_spelt(self, client, records, k):
@@ -368,28 +278,94 @@ class TestDataRoutes:
             _visual([0.1] * 50, k=5)
         )
 
-    @pytest.mark.parametrize("route, body", _malformed_write_bodies())
-    def test_malformed_write_body_is_400_with_the_error_envelope(
-        self, service, client, route, body
+    def test_flags_mean_what_they_always_meant(self, table):
+        """The two flag conventions predate the table and each keeps its
+        meaning: ``include_pixels`` is Python truthiness (so the text
+        ``"0"`` is on), ``analyze`` is on unless text switches it off
+        (so a bool ``False`` is on)."""
+        for value, on in (("1", True), ("0", True), ("", False), (True, True),
+                          (False, False), (0, False), (None, False)):
+            body = table.call("GET", "/images/1", None, {"include_pixels": value}).body
+            assert ("image" in body) is on, value
+        for value, on in (("1", True), ("0", False), ("false", False), ("no", False),
+                          ("", True), (False, True), (0, True), (None, True)):
+            body = table.call("GET", "/debug/explain", _REGION_QUERY, {"analyze": value}).body
+            assert body["analyze"] is on, value
+
+    def test_a_path_id_is_exact_however_long(self, table):
+        """Digits go through ``int``, not ``float``: an id above 2**53
+        must not address its even neighbour."""
+        assert schema.ID("9007199254740993") == 9007199254740993
+        assert schema.ID("7.0") == schema.ID(7.0) == 7
+        response = table.call("GET", "/images/9007199254740993")
+        assert response.status == 404 and "9007199254740993" in str(response.body)
+
+    @pytest.mark.parametrize("case", _ROUTE_SWEEP, ids=lambda case: case.id)
+    def test_malformed_write_body_is_400_with_the_error_envelope(self, table, case):
+        """A path, query or body field that is missing, ``null``, of the
+        wrong type or out of any sane range is the caller's fault on
+        every route: a 400 where the value is not of the declared kind
+        (``route_table.must_refuse``), and never a 500 where it is and
+        only the handler can tell what it means."""
+        response = table.send(case)
+        if case.refused:
+            assert response.status == 400, response.body
+            assert response.body["error"]["type"] == "APIError"
+        assert response.status < 500, response.body
+        if not response.ok:
+            route_table.assert_is_error_envelope(response)
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            # Of the right kinds and still a 400, as the hand-kept sweep
+            # had them: a name nothing answers to, nothing to act on.
+            ("/images/1/annotations", {"classification": "never defined", "label": "clean"}),
+            ("/images/1/annotations", {"classification": "street_cleanliness", "label": "x"}),
+            (f"/features/{route_table.EXTRACTOR}", {}),
+            (f"/features/{route_table.EXTRACTOR}", {"image_id": None}),
+            ("/classifications", {"name": "graffiti", "labels": []}),
+        ],
+    )
+    def test_write_that_means_nothing_is_400(self, table, path, body):
+        response = table.call("POST", path, body)
+        assert response.status == 400, response.body
+        route_table.assert_is_error_envelope(response)
+
+    def test_every_route_declares_its_request_and_has_a_well_formed_example(self):
+        """The sweeps above mutate these requests, so each must succeed
+        as it stands — and there must be one for every route."""
+        fresh = route_table.harness()
+        declared = fresh.service.router.declarations()
+        assert sorted(declared) == fresh.service.router.routes() and len(declared) == 25
+        assert all(isinstance(d, schema.Declaration) for d in declared.values())
+        examples = route_table.well_formed(declared)
+        assert {case.route for case in examples} == set(declared)
+        for case in examples:
+            response = fresh.send(case)
+            assert response.ok, (case.route, response.body)
+
+    @pytest.mark.parametrize(
+        "method, path, params, body",
+        [
+            ("POST", f"/models/{route_table.MODEL}/train", {}, {"min_confidence": "abc"}),
+            ("POST", f"/models/{route_table.MODEL}/predict", {}, {"image_id": "x"}),
+            ("GET", "/campaigns/1/tasks", {"max_tasks": "x"}, None),
+            ("GET", "/campaigns/1/tasks", {"rows": "x"}, None),
+            ("GET", "/debug/resources", {"budget": "inf", "window_s": "inf"}, None),
+            ("GET", "/debug/resources", {"budget": "nan"}, None),
+            ("POST", "/images", {}, {"image": {"pixels_u8": [[[300, 0, 0]]]}}),
+            ("GET", "/health", {"verbose": "1"}, None),  # undeclared parameter
+        ],
+    )
+    def test_the_500s_the_hand_kept_tables_missed_are_400s(
+        self, table, method, path, params, body
     ):
-        """A write-path field that is missing, ``null``, or of the wrong
-        type is the caller's fault on every route: never a 500."""
-
-        def post(path, payload):
-            return service.handle(
-                Request("POST", path, body=payload, api_key=client.api_key)
-            )
-
-        assert post("/images", _WRITE_BODIES["/images"]).body["image_id"] == 1
-        labels = {"name": "street_cleanliness", "labels": ["clean", "dirty"]}
-        assert post("/classifications", labels).status == 201
-        assert post(route, _WRITE_BODIES[route]).status in (200, 201)
-
-        response = post(route, body)
-        assert response.status == 400
-        error = response.body["error"]
-        assert error["status"] == 400 and error["type"] == "APIError"
-        assert error["message"] and error["request_id"]
+        if body is not None and "image" in body:
+            body = {**route_table.example(schema.ROUTES["POST /images"].body, ""), **body}
+        response = table.call(method, path, body, params)
+        assert response.status == 400, response.body
+        route_table.assert_is_error_envelope(response)
 
     def test_features_roundtrip(self, client, records):
         ids = upload_all(client, records[:2])

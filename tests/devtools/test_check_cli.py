@@ -51,10 +51,6 @@ SEEDED = {
         "def jitter():\n"
         "    return random.random()\n"
     ),
-    "api/entry.py": (  # exception-flow: builtin escaping the taxonomy
-        "def handle():\n"
-        "    raise RuntimeError('boom')\n"
-    ),
     "core/platform.py": (  # hot-path: sorted() inside a data-plane loop
         "import threading\n"
         "\n"

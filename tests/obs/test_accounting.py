@@ -241,6 +241,18 @@ class TestBudgetAndShed:
         assert report["budget"]["overridden"] is True
         assert report["rolling_cost"]["a"] == pytest.approx(80.0)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
+    def test_a_budget_that_cannot_be_spent_against_is_refused(self, cost):
+        with pytest.raises(ValueError, match="cost_per_window"):
+            Budget(cost_per_window=cost)
+
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf"), 0.0, -60.0])
+    def test_a_window_with_no_bucket_count_is_refused(self, window_s):
+        """``report()`` / ``would_shed()`` turn the window into a bucket
+        count; an infinite one used to be an OverflowError there."""
+        with pytest.raises(ValueError, match="window_s"):
+            Budget(cost_per_window=10.0, window_s=window_s)
+
     def test_shed_metrics_emitted_when_over(self):
         clock = FakeClock()
         table = UsageTable(
