@@ -103,14 +103,18 @@ class Response:
 Handler = Callable[[Request], Response]
 
 
-def _match(template: str, path: str) -> dict | None:
-    """Match ``/a/{x}/b`` templates; returns path params or ``None``."""
-    t_parts = [p for p in template.split("/") if p]
-    p_parts = [p for p in path.split("/") if p]
-    if len(t_parts) != len(p_parts):
+def _segments(path: str) -> list[str]:
+    """The non-empty ``/``-separated parts of a path or template."""
+    return [part for part in path.split("/") if part]
+
+
+def _match(template: list[str], path: list[str]) -> dict | None:
+    """Match the segments of a ``/a/{x}/b`` template against a path's;
+    returns path params or ``None``."""
+    if len(template) != len(path):
         return None
     params: dict = {}
-    for t, p in zip(t_parts, p_parts):
+    for t, p in zip(template, path):
         if t.startswith("{") and t.endswith("}"):
             params[t[1:-1]] = p
         elif t != p:
@@ -130,14 +134,19 @@ class Router:
     """
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, str, Handler, Declaration | None]] = []
+        # (method, template, its segments, handler, declaration)
+        self._routes: list[
+            tuple[str, str, list[str], Handler, Declaration | None]
+        ] = []
 
     def add(
         self, method: str, template: str, handler: Handler,
         declaration: Declaration | None = None,
     ) -> None:
         """Register a handler for ``method template``."""
-        self._routes.append((method.upper(), template, handler, declaration))
+        self._routes.append(
+            (method.upper(), template, _segments(template), handler, declaration)
+        )
 
     def route(
         self, method: str, template: str, declaration: Declaration | None = None
@@ -156,7 +165,7 @@ class Router:
 
     def declarations(self) -> dict[str, Declaration | None]:
         """Each registered route's declaration, by ``"METHOD /template"``."""
-        return {f"{m} {template}": decl for m, template, _, decl in self._routes}
+        return {f"{route[0]} {route[1]}": route[4] for route in self._routes}
 
     def dispatch(self, request: Request) -> Response:
         """Find and invoke the matching handler (with the middleware)."""
@@ -200,8 +209,9 @@ class Router:
         """Route + invoke; returns the route label (template or a
         placeholder for unmatched paths) and the response."""
         path_template: str | None = None  # first template the path fits
-        for route_method, template, handler, declaration in self._routes:
-            params = _match(template, request.path)
+        path = _segments(request.path)
+        for route_method, template, segments, handler, declaration in self._routes:
+            params = _match(segments, path)
             if params is None:
                 continue
             path_template = path_template or template

@@ -206,14 +206,15 @@ class TVDPService:
 
     def _search(self, request: Request) -> Response:
         try:
-            results = self.platform.execute(request.body)
+            answer = self.platform.answer(request.body)
         except QueryError as exc:
             raise _query_failure(exc) from exc
         return Response(
             200,
             {
                 "results": [
-                    {"image_id": r.image_id, "score": r.score} for r in results
+                    {"image_id": image_id, "score": score}
+                    for image_id, score in answer.pairs()
                 ]
             },
         )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import QueryError
 from repro.db.database import Database
 from repro.geo.point import GeoPoint
@@ -58,7 +60,7 @@ class AnnotationService:
         if not (0.0 <= confidence <= 1.0):
             raise QueryError(f"confidence must be in [0, 1], got {confidence}")
         type_id = self._catalog.type_id(classification, label)
-        return self._db.insert(
+        annotation_id = self._db.insert(
             "image_content_annotation",
             {
                 "image_id": image_id,
@@ -70,6 +72,8 @@ class AnnotationService:
                 "created_at": float(created_at),
             },
         )
+        self._slice.index_annotation(image_id, type_id, float(confidence), source)
+        return annotation_id
 
     def _to_annotation(self, row: dict) -> Annotation:
         classification, label = self._catalog.label_of_type(row["type_id"])
@@ -103,6 +107,18 @@ class AnnotationService:
         entry point: the homeless study calls it with
         ``("encampment",)`` over the street-cleanliness classification.
         """
+        ids, best = self.best_confidence(classification, labels, min_confidence, source)
+        return dict(zip(ids.tolist(), best.tolist()))
+
+    def best_confidence(
+        self,
+        classification: str,
+        labels: tuple[str, ...] | list[str],
+        min_confidence: float = 0.0,
+        source: str | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`images_with_label` as columns: the image ids ascending
+        and the best confidence of each."""
         type_ids = [self._catalog.type_id(classification, label) for label in labels]
         return self._slice.best_confidence(type_ids, min_confidence, source)
 
@@ -127,6 +143,5 @@ class AnnotationService:
         out: dict[str, int] = {}
         for label in self._catalog.labels(classification):
             type_id = self._catalog.type_id(classification, label)
-            rows = self._db.table("image_content_annotation").find("type_id", type_id)
-            out[label] = len(rows)
+            out[label] = self._slice.annotation_count(type_id)
         return out

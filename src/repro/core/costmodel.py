@@ -80,29 +80,38 @@ COST_MODEL: dict = {
         ),
     },
     "categorical": {
-        "access_path": "annotation_table.hash_index[type_id]",
-        "cost": "O(a) postings walk per requested label",
-        "dominant_counters": [],
-        "hot_sites": [
-            "repro.core.slice.CatalogSlice.best_confidence",
+        "access_path": "columns.label_scan",
+        "cost": "O(a) vectorised mask + group-max over the requested labels' columns",
+        "dominant_counters": [
+            "index.columns.scans",
+            "index.columns.rows_examined",
         ],
+        "hot_sites": [],
         "note": (
-            "a = annotations per label via the type_id hash index; no "
-            "index-level probe counters yet — platform.queries{family="
-            "categorical} counts executions"
+            "a = annotations carrying any requested label, all of them "
+            "examined (index.columns.rows_examined) by the min_confidence / "
+            "source mask and one lexsort; no annotation row is fetched — "
+            "rows_scanned is charged by the catalog's label lookups only"
         ),
     },
     "textual": {
-        "access_path": "inverted_index.search_any",
-        "cost": "O(sum df(t)) postings scan over query terms",
+        "access_path": "inverted_index.scores",
+        "cost": (
+            "any: O(sum df(t)) postings scan over query terms; all: "
+            "O(min df(t)) walk of the rarest term's postings"
+        ),
         "dominant_counters": [
             "index.inverted.queries",
             "index.inverted.postings_scanned",
         ],
         "hot_sites": [
-            "repro.index.inverted.InvertedIndex.search_any",
+            "repro.index.inverted.InvertedIndex.scores",
         ],
-        "note": "postings_scanned is exactly the per-term loop trip count",
+        "note": (
+            "postings_scanned is the per-term loop trip count for any; for "
+            "all, the rarest term's postings plus one read per other term "
+            "per document that holds them all"
+        ),
     },
     "temporal": {
         "access_path": "images.ordered_index[field]",
@@ -157,14 +166,14 @@ COST_MODEL: dict = {
         ),
     },
     "shard_scatter_gather": {
-        "access_path": "shard.router.ShardRouter.execute_many",
+        "access_path": "shard.router.ShardRouter.answer_many",
         "cost": "O(s) dispatches + O(sum payload) coordinator merge per query",
         "dominant_counters": [
             "shard.fanouts",
             "shard.shards_pruned",
         ],
         "hot_sites": [
-            "repro.shard.router.ShardRouter.execute_many",
+            "repro.shard.router.ShardRouter.answer_many",
             "repro.shard.executor.ScatterGatherExecutor.absorb",
         ],
         "note": (

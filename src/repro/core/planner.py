@@ -244,7 +244,7 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
     if isinstance(query, CategoricalQuery):
         return QueryPlan(
             "categorical",
-            "annotation_table.hash_index[type_id]",
+            "columns.label_scan",
             {
                 "classification": query.classification,
                 "labels": ",".join(query.labels),
@@ -253,9 +253,11 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
             cost=cost_annotation("categorical"),
         )
     if isinstance(query, TextualQuery):
-        path = "inverted_index." + ("search_all" if query.match == "all" else "search_any")
         return QueryPlan(
-            "textual", path, {"terms": query.text}, cost=cost_annotation("textual")
+            "textual",
+            f"inverted_index.scores[{query.match}]",
+            {"terms": query.text},
+            cost=cost_annotation("textual"),
         )
     if isinstance(query, TemporalQuery):
         return QueryPlan(
@@ -315,7 +317,7 @@ def _measured_execute(
     # display metadata, not result data.
     start = time.perf_counter()  # devtools: allow[determinism] — see above
     with accounting.ledger_scope() as measured:
-        results = platform.execute(query)
+        answer = platform.answer(query)
     elapsed_ms = (time.perf_counter() - start) * 1000.0  # devtools: allow[determinism] — see above
     after = registry.counter_values()
     deltas = {
@@ -332,7 +334,7 @@ def _measured_execute(
         # way a bare execute would — the analyze run *is* load.
         measured.annotate(operation=f"execute.{query_family(query)}")
         obs.usage().absorb(measured)
-    return len(results), elapsed_ms, deltas, charges
+    return len(answer), elapsed_ms, deltas, charges
 
 
 def _analyze_node(platform: TVDP, query: object, plan: QueryPlan) -> QueryPlan:

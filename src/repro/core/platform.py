@@ -39,10 +39,13 @@ from repro.imaging.phash import NearDuplicateIndex
 from repro.imaging.quality import assess_quality
 from repro.index.lsh import LSHIndex
 from repro.index.hybrid import VisualRTree
+from repro.index.inverted import tokenize
+from repro.index.ordering import by_score
 from repro.core.annotations import AnnotationService
 from repro.core.catalog import ClassificationCatalog
 from repro.core.slice import CatalogSlice
 from repro.core.queries import (
+    Answer,
     CategoricalQuery,
     HybridQuery,
     QueryResult,
@@ -50,11 +53,9 @@ from repro.core.queries import (
     TemporalQuery,
     TextualQuery,
     VisualQuery,
-    canonical_ranked,
     combine_hybrid,
     query_family,
     query_shape,
-    scored_pairs,
 )
 
 _log = obs.get_logger("core.platform")
@@ -447,21 +448,24 @@ class TVDP:
 
     # -- query execution ---------------------------------------------------------
 
-    def execute(self, query: object) -> list[QueryResult]:
-        """Run any of the five query families or a hybrid.
+    def answer(self, query: object) -> Answer:
+        """Run any of the five query families or a hybrid — the one
+        execution path; the answer is ids and scores as two columns.
 
         With ``shards > 1`` the query scatter-gathers across the
         geo-tile shards; the merged answer is exactly the serial one
         (the property harness in ``tests/shard`` proves it)."""
-        if self.shards > 1:
-            return self._execute(query, self._run_sharded)
-        return self._execute(query, self._dispatch)
+        return self._answer(query, self._run_sharded if self.shards > 1 else self._run)
+
+    def execute(self, query: object) -> list[QueryResult]:
+        """:meth:`answer` as a list of :class:`QueryResult`."""
+        return self.answer(query).results()
 
     def execute_serial(self, query: object) -> list[QueryResult]:
         """Serial bypass of the scatter-gather path — the oracle the
         equivalence harness compares sharded answers against.  On a
         serial platform this is identical to :meth:`execute`."""
-        return self._execute(query, self._dispatch)
+        return self._answer(query, self._run).results()
 
     def execute_many(self, queries: list[object]) -> list[list[QueryResult]]:
         """Execute a batch of queries.
@@ -476,7 +480,7 @@ class TVDP:
                 obs.usage(), principal=LOCAL_PRINCIPAL, operation="execute.batch"
             ):
                 with obs.span("query.batch", queries=len(queries)) as sp:
-                    routed = router.execute_many(list(queries))
+                    routed = router.answer_many(list(queries))
             registry = obs.metrics()
             hot = obs.hot_queries()
             # The batch runs as one scatter round, so a query has no
@@ -487,16 +491,16 @@ class TVDP:
                     "platform.queries", {"family": query_family(query)}
                 ).inc()
                 hot.record(query_shape(query), share_ms)
-            return [results for results, _ in routed]
+            return [answer.results() for answer, _ in routed]
         return [self.execute(query) for query in queries]
 
-    def _run_sharded(self, query: object) -> list[QueryResult]:
-        results, info = self._shard_router().execute(query)
+    def _run_sharded(self, query: object) -> Answer:
+        ((answer, info),) = self._shard_router().answer_many([query])
         span = obs.current_span()
         if span is not None:
             for key, value in info.items():
                 span.set(key, value)
-        return results
+        return answer
 
     def _shard_router(self) -> "ShardRouter":
         with self._lock:
@@ -541,45 +545,45 @@ class TVDP:
         """Live Visual R-trees by extractor name (a read-only view)."""
         return self.slice.hybrid_indexes()
 
-    def _dispatch(self, query: object) -> list[QueryResult]:
-        runners = {
-            SpatialQuery: self._run_spatial,
-            VisualQuery: self._run_visual,
-            CategoricalQuery: self._run_categorical,
-            TextualQuery: self._run_textual,
-            TemporalQuery: self._run_temporal,
-            HybridQuery: self._run_hybrid,
-        }
-        return runners[type(query)](query)
-
-    def _execute(self, query: object, run) -> list[QueryResult]:
+    def _answer(self, query: object, run) -> Answer:
+        """``run(query)`` as one billed, traced, counted query."""
         family = query_family(query)
-        # Hybrid sub-queries recurse through execute_serial(), so one
-        # hybrid call yields a query.hybrid span with query.<family>
-        # children — and maybe_ledger_scope bills them all to the
-        # enclosing ledger (the API request's when there is one, a fresh
-        # local ledger otherwise) instead of fragmenting the charge
-        # across sub-queries.
+        shape = query_shape(query)
+        # maybe_ledger_scope bills to the enclosing ledger (the API
+        # request's when there is one, a fresh local ledger otherwise).
         with maybe_ledger_scope(
             obs.usage(), principal=LOCAL_PRINCIPAL, operation=f"execute.{family}"
         ) as ledger:
             with obs.span(f"query.{family}") as sp:
-                # The outermost query names the bill: hybrid sub-queries
-                # must not overwrite the shape or trace already recorded.
+                # The first query under a ledger names the bill.
                 if ledger.shape is None:
-                    ledger.annotate(shape=query_shape(query))
+                    ledger.annotate(shape=shape)
                 if ledger.trace_id is None:
                     ledger.annotate(trace_id=sp.trace_id)
-                results = run(query)
-                sp.set("results", len(results))
+                answer = run(query)
+                sp.set("results", len(answer))
         obs.metrics().counter("platform.queries", {"family": family}).inc()
         # duration_ms is only final once the span context exits, so the
         # hot-query tracker is fed outside the with-block.
-        obs.hot_queries().record(query_shape(query), sp.duration_ms)
-        return results
+        obs.hot_queries().record(shape, sp.duration_ms)
+        return answer
 
-    def _run_spatial(self, query: SpatialQuery) -> list[QueryResult]:
-        return [QueryResult(image_id=i) for i in self.slice.spatial_ids(query)]
+    def _run_part(self, query: object) -> Answer:
+        """One part of a general hybrid: its own ``query.<family>``
+        child span, billed to the hybrid's ledger — and not counted, so
+        a hybrid is one query in ``platform.queries`` and one shape in
+        the hot-query tracker, as it is on a sharded platform."""
+        with obs.span(f"query.{query_family(query)}") as sp:
+            answer = self._run(query)
+            sp.set("results", len(answer))
+        return answer
+
+    def _run(self, query: object) -> Answer:
+        """The serial runner of ``query``'s family, on the whole catalog."""
+        return self._RUNNERS[type(query)](self, query)
+
+    def _run_spatial(self, query: SpatialQuery) -> Answer:
+        return Answer(self.slice.spatial_ids(query))
 
     def prepare_visual(self, query: VisualQuery) -> np.ndarray:
         """The one visual-query preparation, serial and sharded alike:
@@ -605,60 +609,56 @@ class TVDP:
         charge("feature_bytes", vector.nbytes)
         return vector
 
-    def _run_visual(self, query: VisualQuery) -> list[QueryResult]:
+    def _run_visual(self, query: VisualQuery) -> Answer:
         vector = self.prepare_visual(query)
         lsh = self.slice.lsh(query.extractor_name)
         if query.max_distance is not None:
             pairs = lsh.query_radius(vector, query.max_distance)[: query.k]
         else:
             pairs = lsh.query_topk(vector, query.k)
-        return scored_pairs(pairs)
+        return Answer.nearest_first(pairs)
 
-    def _run_categorical(self, query: CategoricalQuery) -> list[QueryResult]:
-        hits = self.annotations.images_with_label(
-            query.classification,
-            query.labels,
-            min_confidence=query.min_confidence,
-            source=query.source,
+    def _run_categorical(self, query: CategoricalQuery) -> Answer:
+        ids, best = self.annotations.best_confidence(
+            query.classification, query.labels, query.min_confidence, query.source
         )
-        return [
-            QueryResult(image_id=image_id, score=confidence)
-            for image_id, confidence in sorted(hits.items())
-        ]
+        return Answer(ids.tolist(), best.tolist())
 
-    def _run_textual(self, query: TextualQuery) -> list[QueryResult]:
-        if query.match == "all":
-            pairs = self.slice.text.search_all(query.text)
-        else:
-            pairs = self.slice.text.search_any(query.text)
-        return canonical_ranked(
-            [QueryResult(image_id=doc, score=score) for doc, score in pairs]
-        )
+    def _run_textual(self, query: TextualQuery) -> Answer:
+        scores = self.slice.text.scores(tokenize(query.text), query.match)
+        return Answer(*by_score(scores))
 
-    def _run_temporal(self, query: TemporalQuery) -> list[QueryResult]:
-        return [QueryResult(image_id=i) for i in self.slice.temporal_ids(query)]
+    def _run_temporal(self, query: TemporalQuery) -> Answer:
+        return Answer(self.slice.temporal_ids(query))
 
-    def _run_hybrid(self, query: HybridQuery) -> list[QueryResult]:
-        # Spatial-visual pairs get the dedicated Visual R*-tree path.
+    def _run_hybrid(self, query: HybridQuery) -> Answer:
+        # Spatial-visual pairs get the dedicated filter-then-rank path.
         fused = query.fused_pair()
         if fused is not None:
             return self._run_spatial_visual(*fused)
-        # Sub-queries recurse serially even on a sharded platform: the
-        # router decomposes hybrids *itself* so each part scatters once,
-        # and this serial path stays the oracle the harness compares to.
-        result_sets = [self.execute_serial(sub) for sub in query.queries]
-        return combine_hybrid(result_sets)
+        # Parts run serially even on a sharded platform: the router
+        # decomposes hybrids *itself* so each part scatters once, and
+        # this serial path stays the oracle the harness compares to.
+        return combine_hybrid([self._run_part(sub) for sub in query.queries])
 
-    def _run_spatial_visual(
-        self, spatial: SpatialQuery, visual: VisualQuery
-    ) -> list[QueryResult]:
+    def _run_spatial_visual(self, spatial: SpatialQuery, visual: VisualQuery) -> Answer:
         vector = self.prepare_visual(visual)
         pairs = self.slice.spatial_visual_topk(
             visual.extractor_name, spatial.bounding_region(), vector, visual.k
         )
         if visual.max_distance is not None:
             pairs = [(i, d) for i, d in pairs if d <= visual.max_distance]
-        return scored_pairs(pairs)
+        return Answer.nearest_first(pairs)
+
+    #: Query class -> its serial runner.
+    _RUNNERS = {
+        SpatialQuery: _run_spatial,
+        VisualQuery: _run_visual,
+        CategoricalQuery: _run_categorical,
+        TextualQuery: _run_textual,
+        TemporalQuery: _run_temporal,
+        HybridQuery: _run_hybrid,
+    }
 
     # -- stats ---------------------------------------------------------------------
 

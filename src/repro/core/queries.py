@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import QueryError
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.imaging.image import Image
-from repro.index.ordering import tie_key
+from repro.index.ordering import by_score
 
 
 def _require_number(name: str, value: object) -> None:
@@ -57,6 +59,46 @@ class QueryResult:
 
     image_id: int
     score: float = 0.0
+
+
+class Answer:
+    """A query's whole answer as two parallel lists: the hit ids in
+    answer order and their scores beside them.  ``scores=None`` means
+    unranked — every score 0.0 — so an enumeration family carries one
+    column, not two.
+
+    This is what travels from an index to the response body: every
+    runner, every shard merge and :func:`combine_hybrid` produce and
+    consume it, and no per-hit object exists until a Python caller asks
+    for :meth:`results`.
+    """
+
+    __slots__ = ("ids", "scores")
+
+    def __init__(self, ids: list[int], scores: list[float] | None = None) -> None:
+        self.ids = ids
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def nearest_first(cls, pairs: list[tuple[int, float]]) -> "Answer":
+        """Ranked ``(image id, distance)`` pairs, in the given order.
+        Similarity score: inverse distance, monotone for ranking."""
+        return cls(
+            [item for item, _ in pairs],
+            [1.0 / (1.0 + distance) for _, distance in pairs],
+        )
+
+    def pairs(self) -> Iterator[tuple[int, float]]:
+        """``(image id, score)`` per hit, in answer order."""
+        return zip(self.ids, repeat(0.0) if self.scores is None else self.scores)
+
+    def results(self) -> list[QueryResult]:
+        """The answer as the public ``list[QueryResult]`` — the only
+        place a :class:`QueryResult` is built."""
+        return [QueryResult(image_id, score) for image_id, score in self.pairs()]
 
 
 @dataclass(frozen=True)
@@ -292,41 +334,27 @@ def query_shape(query: object) -> str:
     raise QueryError(f"unsupported query type {type(query).__name__}")
 
 
-def canonical_ranked(results: list[QueryResult]) -> list[QueryResult]:
-    """Canonical result order: descending score, ascending media id.
-
-    Serial runners and the scatter-gather merge both normalise ranked
-    results through this one total order, so equal-scored hits cannot
-    reorder between a serial scan and a shard merge (or between two
-    runs) — the tie-break guarantee the equivalence harness asserts.
-    """
-    return sorted(results, key=lambda r: (-r.score, tie_key(r.image_id)))
-
-
+# devtools: allow[dead-code] — intentional API surface
 def scored_pairs(pairs: list[tuple[int, float]]) -> list[QueryResult]:
     """Ranked ``(image id, distance)`` pairs as results, in the given
     order.  Similarity score: inverse distance, monotone for ranking."""
-    return [
-        QueryResult(image_id=item, score=1.0 / (1.0 + distance))
-        for item, distance in pairs
-    ]
+    return Answer.nearest_first(pairs).results()
 
 
-def combine_hybrid(result_sets: list[list[QueryResult]]) -> list[QueryResult]:
+def combine_hybrid(answers: list[Answer]) -> Answer:
     """Conjunction semantics shared by serial and sharded execution:
-    intersect the sub-results, score each survivor with the last
+    intersect the sub-answers, score each survivor with the last
     positive sub-score seen, order by (score desc, media id asc).
 
     Both execution paths call exactly this function on their per-part
-    result sets, so a hybrid's merge can never diverge from serial.
+    answers, so a hybrid's merge can never diverge from serial.
     """
-    common = set.intersection(*[{r.image_id for r in rs} for rs in result_sets])
-    scores: dict[int, float] = {i: 0.0 for i in common}
-    for result_set in result_sets:
-        for result in result_set:
-            if result.image_id in scores and result.score > 0:
-                scores[result.image_id] = result.score
-    return [
-        QueryResult(image_id=i, score=scores[i])
-        for i in sorted(common, key=lambda i: (-scores[i], tie_key(i)))
-    ]
+    common = set.intersection(*[set(answer.ids) for answer in answers])
+    scores = dict.fromkeys(common, 0.0)
+    for answer in answers:
+        if answer.scores is None:
+            continue  # unranked: no positive score to hand on
+        for image_id, score in zip(answer.ids, answer.scores):
+            if score > 0 and image_id in scores:
+                scores[image_id] = score
+    return Answer(*by_score(scores))

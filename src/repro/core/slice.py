@@ -21,7 +21,10 @@ Both also fill the sidecar: the camera points (and viewing directions)
 as plain columns beside the trees.  A camera-mode spatial query and a
 fused spatial-visual hybrid are answered from those columns — one
 vectorised predicate, measured cheaper than the tree walk at every slice
-size and region share tried (DESIGN.md §6).
+size and region share tried (DESIGN.md §6).  Annotations are indexed the
+same way and only that way: per label, the columns a categorical query
+masks and groups (:meth:`CatalogSlice.index_annotation`, called by
+``annotate`` and by the rebuild).
 """
 
 from __future__ import annotations
@@ -35,12 +38,15 @@ from repro.db.database import Database
 from repro.errors import QueryError
 from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
-from repro.index.columns import ColumnView, PointColumns
+from repro.index.columns import Columns, ColumnView, PointColumns, count_scan
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
 from repro.index.ordering import nearest
 from repro.index.oriented_rtree import OrientedRTree
+
+#: The ``source`` column of an annotation, as the float its column holds.
+_SOURCE_CODES = {"human": 0.0, "machine": 1.0}
 
 
 class CatalogSlice:
@@ -66,6 +72,9 @@ class CatalogSlice:
         # the row the LSH index gave that vector (exact in a float
         # column), so the vectors themselves are held once.
         self._vector_points: dict[str, PointColumns] = {}
+        # Per annotation type id, (image id; confidence, source code) of
+        # every annotation carrying that label, in annotation order.
+        self._labels: dict[int, Columns] = {}
 
     # -- indexing -------------------------------------------------------------
 
@@ -82,6 +91,16 @@ class CatalogSlice:
                 self._cameras.append(
                     image_id, fov.camera.lat, fov.camera.lng, fov.direction_deg
                 )
+
+    def index_annotation(
+        self, image_id: int, type_id: int, confidence: float, source: str
+    ) -> None:
+        """Index one stored annotation under its label's type id."""
+        with self._lock:
+            labelled = self._labels.get(type_id)
+            if labelled is None:
+                labelled = self._labels[type_id] = Columns(2)
+            labelled.append(image_id, confidence, _SOURCE_CODES[source])
 
     def add_extractor(
         self, name: str, dimension: int, like: "CatalogSlice | None" = None
@@ -138,6 +157,10 @@ class CatalogSlice:
                     range_m=fov_row["range_m"],
                 )
             built.index_image(row["image_id"], fov, keywords.get(row["image_id"], ()))
+        for row in db.table("image_content_annotation").all_rows():
+            built.index_annotation(
+                row["image_id"], row["type_id"], row["confidence"], row["source"]
+            )
         if parent is not None:
             for name, source in sorted(parent.visual_indexes().items()):
                 built.add_extractor(name, source.dimension, like=parent)
@@ -226,21 +249,49 @@ class CatalogSlice:
 
     def best_confidence(
         self, type_ids: tuple | list, min_confidence: float = 0.0, source: str | None = None
-    ) -> dict[int, float]:
-        """Image id -> best confidence over this slice's annotations of
-        any of the resolved ``type_ids`` (labels are resolved by whoever
-        holds the catalog; a slice never looks a name up)."""
-        out: dict[int, float] = {}
-        table = self.db.table("image_content_annotation")
-        for type_id in type_ids:
-            for row in table.find("type_id", type_id):
-                if row["confidence"] < min_confidence:
-                    continue
-                if source is not None and row["source"] != source:
-                    continue
-                image_id = row["image_id"]
-                out[image_id] = max(out.get(image_id, 0.0), row["confidence"])
-        return out
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(image ids ascending, best confidence of each)`` over this
+        slice's annotations of any of the resolved ``type_ids`` (labels
+        are resolved by whoever holds the catalog; a slice never looks a
+        name up), from the label columns: no row is read."""
+        # The empty block first, so that no label at all still concatenates.
+        blocks = [_NO_ANNOTATIONS.live()]
+        with self._lock:
+            blocks += [
+                self._labels[type_id].live()
+                for type_id in dict.fromkeys(type_ids)
+                if type_id in self._labels
+            ]
+        ids = np.concatenate([ids for ids, _ in blocks])
+        confidence, source_code = np.concatenate([values for _, values in blocks], axis=1)
+        count_scan(len(ids))
+        keep = confidence >= min_confidence
+        if source is not None:
+            # NaN equals nothing: an unknown source matches no annotation.
+            keep &= source_code == _SOURCE_CODES.get(source, np.nan)
+        return best_per_image(ids[keep], confidence[keep])
+
+    def annotation_count(self, type_id: int) -> int:
+        """Annotations carrying the label ``type_id`` in this slice."""
+        with self._lock:
+            return len(self._labels.get(type_id, ()))
+
+
+_NO_ANNOTATIONS = Columns(2)
+
+
+def best_per_image(
+    ids: np.ndarray, confidence: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group-max: the distinct ``ids`` ascending and, beside each, the
+    largest of its ``confidence`` values.  Sorted by (id, confidence),
+    the last row of each id's run holds its best."""
+    order = np.lexsort((confidence, ids))
+    ids, confidence = ids[order], confidence[order]
+    last = np.ones(len(ids), dtype=bool)
+    last[:-1] = ids[1:] != ids[:-1]
+    # + 0.0 turns a stored -0.0 into the 0.0 an unranked hit scores.
+    return ids[last], confidence[last] + 0.0
 
 
 def _cameras_inside(

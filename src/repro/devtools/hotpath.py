@@ -44,8 +44,8 @@ from repro.devtools.findings import Finding, SourceModule
 RULE = "hot-path"
 
 #: Qualname patterns whose reachable closure is "the data plane".
-#: ``execute`` dispatches the six families through a dict of bound
-#: methods — an indirect call the callgraph cannot follow — so the
+#: ``execute`` dispatches the six families through a table of runner
+#: functions — an indirect call the callgraph cannot follow — so the
 #: family runners are roots in their own right.
 DEFAULT_DATA_PLANE_ROOTS: tuple[str, ...] = (
     "*.core.platform.TVDP.execute",

@@ -1,11 +1,12 @@
-"""Struct-of-arrays sidecar: located items as plain numpy columns.
+"""Struct-of-arrays sidecar: items as plain numpy columns.
 
 The trees answer a selective question by visiting the few entries that
 match it; a broad one — a quarter of the catalog — makes them visit
 hundreds of nodes and build one Python object per hit.  Held as columns
 (item id, latitude, longitude, plus any per-item floats such as a
 viewing direction), the same items answer a box predicate in one
-vectorised pass whose cost barely depends on how many match.
+vectorised pass whose cost barely depends on how many match.  The same
+growable block, without the point, holds each label's annotations.
 """
 
 from __future__ import annotations
@@ -25,6 +26,53 @@ _ROWS_EXAMINED = _metrics().counter("index.columns.rows_examined")
 _INITIAL_ROWS = 16
 
 
+def count_scan(rows: int) -> None:
+    """Book one column scan whose predicate examined ``rows`` rows: the
+    two counters, and ``probes.columns`` on the request's bill."""
+    _SCANS.inc()
+    _ROWS_EXAMINED.inc(rows)
+    charge_probes("columns", rows)
+
+
+class Columns:
+    """A growable struct-of-arrays block, in insertion order: one int64
+    id column and ``width`` float columns of equal length.
+
+    Not locked: the owner serialises :meth:`append` against
+    :meth:`live`.  What :meth:`live` returned stays valid while appends
+    go on — live rows are never rewritten, and growing allocates new
+    blocks rather than resizing the ones a view points into.
+    """
+
+    def __init__(self, width: int) -> None:
+        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        # One row per column, so each column is contiguous.
+        self._values = np.empty((width, _INITIAL_ROWS))
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, item: int, *values: float) -> None:
+        """Add one item with its ``width`` values."""
+        row = self._count
+        if row == len(self._ids):
+            ids = np.empty(2 * row, dtype=np.int64)
+            ids[:row] = self._ids
+            grown = np.empty((len(self._values), 2 * row))
+            grown[:, :row] = self._values
+            self._ids, self._values = ids, grown
+        self._ids[row] = item
+        self._values[:, row] = values
+        self._count = row + 1
+
+    def live(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, values)`` of the live rows as of now — views to read,
+        never to write through; ``values[c]`` is column ``c``."""
+        n = self._count
+        return self._ids[:n], self._values[:, :n]
+
+
 class ColumnView:
     """The live rows of a :class:`PointColumns` at one moment: ``ids``,
     ``lat``, ``lng`` and the ``extra`` float columns as views of equal
@@ -39,9 +87,7 @@ class ColumnView:
     def rows_in(self, box: BoundingBox) -> np.ndarray:
         """Positions of the rows whose point lies inside ``box`` (border
         included, as :meth:`BoundingBox.contains_point`) — one scan."""
-        _SCANS.inc()
-        _ROWS_EXAMINED.inc(len(self.ids))
-        charge_probes("columns", len(self.ids))
+        count_scan(len(self.ids))
         lat, lng = self.lat, self.lng
         return np.flatnonzero(
             (lat >= box.min_lat)
@@ -51,35 +97,13 @@ class ColumnView:
         )
 
 
-class PointColumns:
-    """Growable columns over located items, in insertion order.
-
-    Not locked: the owner serialises :meth:`append` against
-    :meth:`view`.  A view stays valid while appends go on — live rows
-    are never rewritten, and growing allocates new blocks rather than
-    resizing the ones a view points into.
-    """
+class PointColumns(Columns):
+    """Columns over located items: latitude, longitude, then ``extra``
+    per-item floats (``append(item, lat, lng, *extra)``)."""
 
     def __init__(self, extra: int = 0) -> None:
-        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
-        # One row per column, so each column is contiguous.
-        self._values = np.empty((2 + extra, _INITIAL_ROWS))
-        self._count = 0
-
-    def append(self, item: int, lat: float, lng: float, *extra: float) -> None:
-        """Add one item at ``(lat, lng)`` with its ``extra`` values."""
-        row = self._count
-        if row == len(self._ids):
-            ids = np.empty(2 * row, dtype=np.int64)
-            ids[:row] = self._ids
-            values = np.empty((len(self._values), 2 * row))
-            values[:, :row] = self._values
-            self._ids, self._values = ids, values
-        self._ids[row] = item
-        self._values[:, row] = (lat, lng, *extra)
-        self._count = row + 1
+        super().__init__(2 + extra)
 
     def view(self) -> ColumnView:
         """The live rows as of now."""
-        n = self._count
-        return ColumnView(self._ids[:n], self._values[:, :n])
+        return ColumnView(*self.live())

@@ -12,12 +12,11 @@ import threading
 from collections import Counter
 
 from repro.errors import IndexError_
-from repro.index.ordering import tie_key
+from repro.index.ordering import by_score
 from repro.obs import metrics as _metrics
 from repro.obs.accounting import charge_probes
 
-# Probe counters: postings entries touched while scoring (search_all
-# delegates its ranking to search_any, so counts land there once).
+# Probe counters: postings entries touched while scoring.
 _QUERIES = _metrics().counter("index.inverted.queries")
 _POSTINGS_SCANNED = _metrics().counter("index.inverted.postings_scanned")
 
@@ -40,9 +39,7 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._postings: dict[str, dict[object, int]] = {}
         self._doc_lengths: dict[object, int] = {}
-        # Reentrant: query methods hold it across scoring loops that
-        # call locked helpers (_idf) internally.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
@@ -75,48 +72,74 @@ class InvertedIndex:
             for term in empty_terms:
                 del self._postings[term]
 
-    def _idf(self, term: str) -> float:
-        with self._lock:
-            df = len(self._postings.get(term, ()))
-            if df == 0:
-                return 0.0
-            return math.log(1.0 + len(self._doc_lengths) / df)
-
     # -- queries ------------------------------------------------------------
 
-    def search_any(self, query: str) -> list[tuple[object, float]]:
-        """Documents matching *any* query term, tf-idf ranked."""
-        scores: dict[object, float] = {}
+    def scores(
+        self, terms: list[str], match: str = "any", idf: dict | None = None
+    ) -> dict[object, float]:
+        """Document -> tf-idf score over ``terms``: every document
+        holding *any* of them, or only those holding them *all*.
+
+        The one scoring function: ``search_any`` / ``search_all`` rank
+        its result, and so do the platform's textual runner and — with
+        the coordinator's global ``idf`` (term -> weight) in place of
+        this index's own — every shard of a scatter.  A document's score
+        is summed in sorted-term order whatever the match mode and
+        whichever slice holds it, so it is the same float everywhere.
+
+        ``all`` walks the rarest term's postings and scores only the
+        documents every other term also lists.
+        """
+        terms = sorted(set(terms))
+        out: dict[object, float] = {}
         scanned = 0
-        # Score under the lock: idf and posting traversal must observe
-        # one consistent index state per query, not a half-applied add().
+        # One lock hold: document frequencies, postings and lengths must
+        # come from one index state, not a half-applied add().
         with self._lock:
-            for term in sorted(set(tokenize(query))):
-                idf = self._idf(term)
-                postings = self._postings.get(term, {})
-                scanned += len(postings)
-                for doc_id, tf in postings.items():
-                    length = max(self._doc_lengths[doc_id], 1)
-                    scores[doc_id] = scores.get(doc_id, 0.0) + (tf / length) * idf
+            lengths = self._doc_lengths
+            # (postings, idf weight) of each term the index lists.
+            weighted = [
+                (
+                    self._postings[term],
+                    math.log(1.0 + len(lengths) / len(self._postings[term]))
+                    if idf is None
+                    else idf[term],
+                )
+                for term in terms
+                if term in self._postings
+            ]
+            if match == "all" and len(weighted) < len(terms):
+                weighted = []  # a term nothing holds: no document has them all
+            if match == "all" and weighted:
+                rarest = min((postings for postings, _ in weighted), key=len)
+                others = [p for p, _ in weighted if p is not rarest]
+                for doc in rarest:
+                    if all(doc in postings for postings in others):
+                        length = lengths[doc] or 1
+                        score = 0.0
+                        for postings, weight in weighted:
+                            score += (postings[doc] / length) * weight
+                        out[doc] = score
+                scanned = len(rarest) + len(others) * len(out)
+            else:
+                so_far = out.get
+                for postings, weight in weighted:
+                    scanned += len(postings)
+                    for doc, tf in postings.items():
+                        share = tf / (lengths[doc] or 1)
+                        out[doc] = so_far(doc, 0.0) + share * weight
         _QUERIES.inc()
         _POSTINGS_SCANNED.inc(scanned)
         charge_probes("inverted", scanned)
-        return sorted(scores.items(), key=lambda pair: (-pair[1], str(pair[0])))
+        return out
+
+    def search_any(self, query: str) -> list[tuple[object, float]]:
+        """Documents matching *any* query term, tf-idf ranked."""
+        return list(zip(*by_score(self.scores(tokenize(query)))))
 
     def search_all(self, query: str) -> list[tuple[object, float]]:
         """Documents matching *every* query term (conjunctive), ranked."""
-        terms = set(tokenize(query))
-        if not terms:
-            return []
-        with self._lock:
-            candidate_sets = [set(self._postings.get(term, {})) for term in terms]
-        common = set.intersection(*candidate_sets) if candidate_sets else set()
-        ranked = [
-            (doc_id, score)
-            for doc_id, score in self.search_any(query)
-            if doc_id in common
-        ]
-        return ranked
+        return list(zip(*by_score(self.scores(tokenize(query), "all"))))
 
     def vocabulary(self) -> list[str]:
         """Sorted indexed terms."""
@@ -140,35 +163,3 @@ class InvertedIndex:
         """
         with self._lock:
             return {term: len(bucket) for term, bucket in self._postings.items()}
-
-    def postings_for(
-        self, terms: list[str]
-    ) -> dict[str, list[tuple[object, int, int]]]:
-        """Raw postings for ``terms``: term -> ``(doc, tf, doc_length)``
-        triples, docs in canonical id order, absent terms omitted.
-
-        The scatter-gather coordinator rescores these with global
-        document frequencies, accumulating per-document contributions in
-        sorted-term order — the same float-addition sequence
-        :meth:`search_any` performs, so sharded tf-idf scores are
-        bit-identical to serial ones.
-        """
-        out: dict[str, list[tuple[object, int, int]]] = {}
-        scanned = 0
-        with self._lock:
-            for term in terms:
-                postings = self._postings.get(term)
-                if not postings:
-                    continue
-                scanned += len(postings)
-                out[term] = sorted(
-                    (
-                        (doc, tf, max(self._doc_lengths[doc], 1))
-                        for doc, tf in postings.items()
-                    ),
-                    key=lambda triple: tie_key(triple[0]),
-                )
-        _QUERIES.inc()
-        _POSTINGS_SCANNED.inc(scanned)
-        charge_probes("inverted", scanned)
-        return out

@@ -32,6 +32,23 @@ def tie_key(item: object) -> _KeyTuple:
     return (1, 0.0, str(item))
 
 
+def by_score(scores: dict) -> tuple[list, list[float]]:
+    """The keys of ``scores`` (item -> score) in the canonical ranked
+    order — best score first, ties on :func:`tie_key` — and their
+    scores beside them, as two parallel lists.
+
+    Two stable sorts: into tie order, then by score (a reversed sort
+    keeps equal keys in the order it found them), so no key tuple is
+    built per item.
+    """
+    if set(map(type, scores)) <= {int}:
+        items = sorted(scores)  # tie_key orders plain ints numerically
+    else:
+        items = sorted(scores, key=tie_key)
+    items.sort(key=scores.__getitem__, reverse=True)
+    return items, [scores[item] for item in items]
+
+
 def nearest(
     items: list, distances: np.ndarray, k: int | None
 ) -> list[tuple[object, float]]:

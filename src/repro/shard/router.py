@@ -15,10 +15,13 @@ shard handles and runs per-shard plans.  For every query it
    runners call on the platform's slice — through a
    :class:`~repro.shard.executor.ScatterGatherExecutor` (batching a
    whole ``execute_many`` round into one dispatch per shard); and
-4. **merges** the payloads back into the exact serial answer: set
-   unions for enumeration families, coordinator-side global tf-idf for
-   text, two-phase candidate/fallback top-k for visual, distance-level
-   heap merges for ranked families, and
+4. **merges** the payloads back into the exact serial answer, as an
+   :class:`~repro.core.queries.Answer` (id and score columns): sorted
+   unions for enumeration families, a group-max over the shards' label
+   columns for categorical, one canonical ordering of the shards'
+   disjoint tf-idf scores (each computed with the coordinator's global
+   idf) for text, two-phase candidate/fallback top-k for visual,
+   distance-level merges for ranked families, and
    :func:`~repro.core.queries.combine_hybrid` for general hybrids.
 
 Failed shards (after retries) degrade the answer to ``partial=True``
@@ -31,24 +34,25 @@ from __future__ import annotations
 import math
 import threading
 
+import numpy as np
+
 from repro import obs
 from repro.core.planner import ShardStats, prune_shards
 from repro.core.platform import TVDP
 from repro.core.queries import (
+    Answer,
     CategoricalQuery,
     HybridQuery,
-    QueryResult,
     SpatialQuery,
     TemporalQuery,
     TextualQuery,
     VisualQuery,
-    canonical_ranked,
     combine_hybrid,
-    scored_pairs,
 )
+from repro.core.slice import best_per_image
 from repro.errors import QueryError, ShardError, TVDPError
 from repro.index.inverted import tokenize
-from repro.index.ordering import tie_key
+from repro.index.ordering import by_score, tie_key
 from repro.resilience.clock import Clock
 from repro.shard.executor import ScatterGatherExecutor
 from repro.shard.partition import partition_catalog
@@ -198,8 +202,13 @@ class ShardRouter:
         return self.execute_many([query])[0]
 
     def execute_many(self, queries: list):
+        """:meth:`answer_many` with each answer as its
+        ``list[QueryResult]``: ``[(results, info), ...]``."""
+        return [(answer.results(), info) for answer, info in self.answer_many(queries)]
+
+    def answer_many(self, queries: list) -> list[tuple[Answer, dict]]:
         """A batch of queries in one scatter round per shard (plus one
-        more for visual fallbacks); returns ``[(results, info), ...]``."""
+        more for visual fallbacks); returns ``[(answer, info), ...]``."""
         stats, executor = self._ensure()
         preps = [self._prepare(query, stats) for query in queries]
         units: list[_Unit] = []
@@ -215,8 +224,8 @@ class ShardRouter:
         if fallback_units:
             self._scatter_units(fallback_units, executor)
         out = []
-        for query, prep in zip(queries, preps):
-            results = self._merge(prep, stats)
+        for prep in preps:
+            answer = self._merge(prep)
             lost = sorted(self._lost_shards(prep))
             info = {
                 "shards_considered": prep["considered"],
@@ -230,7 +239,7 @@ class ShardRouter:
                 _log.warning(
                     "query degraded to partial results; lost shards %s", lost
                 )
-            out.append((results, info))
+            out.append((answer, info))
         return out
 
     def _scatter_units(self, units: list, executor: ScatterGatherExecutor) -> None:
@@ -288,14 +297,10 @@ class ShardRouter:
                 type_ids_of=lambda q: type_ids,
             )
         if isinstance(query, TextualQuery):
-            terms = sorted(set(tokenize(query.text)))
+            terms, match = tokenize(query.text), query.match
+            idf = _global_idf(terms, stats)
             return self._prep(
-                "textual",
-                query,
-                stats,
-                lambda s: s.text.postings_for(terms),
-                terms=terms,
-                match=query.match,
+                "textual", query, stats, lambda s: s.text.scores(terms, match, idf)
             )
         if isinstance(query, VisualQuery):
             vector = self._platform.prepare_visual(query)
@@ -389,39 +394,45 @@ class ShardRouter:
 
     # -- per-family merges ---------------------------------------------------
 
-    def _merge(self, prep: dict, stats: list) -> list:
+    def _merge(self, prep: dict) -> Answer:
         kind = prep["kind"]
         if kind == "ids":
             ids: set = set()
             for payload in prep["unit"].ordered_payloads():
                 ids.update(payload)
-            return [QueryResult(image_id=i) for i in sorted(ids)]
+            return Answer(sorted(ids))
         if kind == "categorical":
-            best: dict = {}
-            for payload in prep["unit"].ordered_payloads():
-                for image_id, confidence in payload.items():
-                    best[image_id] = max(best.get(image_id, 0.0), confidence)
-            return [
-                QueryResult(image_id=image_id, score=confidence)
-                for image_id, confidence in sorted(best.items())
-            ]
+            # Each payload is a shard's (ids, best confidences) columns.
+            payloads = prep["unit"].ordered_payloads()
+            if not payloads:
+                return Answer([], [])
+            ids, best = best_per_image(
+                np.concatenate([ids for ids, _ in payloads]),
+                np.concatenate([best for _, best in payloads]),
+            )
+            return Answer(ids.tolist(), best.tolist())
         if kind == "textual":
-            return self._merge_textual(prep, stats)
+            # A document lives in one shard and was scored there with
+            # the global idf: the union is the serial score table, and
+            # the one canonical sort happens here.
+            scores: dict = {}
+            for payload in prep["unit"].ordered_payloads():
+                scores.update(payload)
+            return Answer(*by_score(scores))
         if kind == "ranked_pairs":
             pairs = self._merge_pairs(prep["unit"].ordered_payloads(), prep["k"])
             if prep["max_distance"] is not None:
                 pairs = [(i, d) for i, d in pairs if d <= prep["max_distance"]]
-            return scored_pairs(pairs)
+            return Answer.nearest_first(pairs)
         if kind == "two_phase_topk":
             fallback = prep.get("fallback_unit")
             if fallback is not None:
                 payloads = fallback.ordered_payloads()
             else:
                 payloads = [pairs for pairs, _ in prep["unit"].ordered_payloads()]
-            return scored_pairs(self._merge_pairs(payloads, prep["k"]))
+            return Answer.nearest_first(self._merge_pairs(payloads, prep["k"]))
         if kind == "hybrid_general":
-            result_sets = [self._merge(part, stats) for part in prep["parts"]]
-            return combine_hybrid(result_sets)
+            return combine_hybrid([self._merge(part) for part in prep["parts"]])
         raise ShardError(f"unknown merge kind {kind!r}")
 
     @staticmethod
@@ -432,40 +443,17 @@ class ShardRouter:
         merged.sort(key=lambda pair: (pair[1], tie_key(pair[0])))
         return merged[:k]
 
-    def _merge_textual(self, prep: dict, stats: list) -> list:
-        """Global tf-idf at the coordinator.
 
-        ``N`` and per-term document frequencies are summed over **all**
-        shards — pruned ones included — from the partition-time stats,
-        so pruning never shifts idf.  Per-document score accumulation
-        runs in sorted-term order, the exact float-addition sequence of
-        the serial index, making merged scores bit-identical.
-        """
-        terms = prep["terms"]
-        if not terms:
-            return []
-        total_docs = sum(s.text_docs for s in stats)
-        scores: dict = {}
-        payloads = prep["unit"].ordered_payloads()
-        for term in terms:
-            df = sum(s.term_dfs.get(term, 0) for s in stats)
-            if df == 0:
-                continue
-            idf = math.log(1.0 + total_docs / df)
-            for payload in payloads:
-                for doc, tf, length in payload.get(term, ()):
-                    scores[doc] = scores.get(doc, 0.0) + (tf / length) * idf
-        if prep["match"] == "all":
-            per_term: list[set] = []
-            for term in terms:
-                docs: set = set()
-                for payload in payloads:
-                    docs.update(
-                        doc for doc, _, _ in payload.get(term, ())
-                    )
-                per_term.append(docs)
-            common = set.intersection(*per_term) if per_term else set()
-            scores = {doc: s for doc, s in scores.items() if doc in common}
-        return canonical_ranked(
-            [QueryResult(image_id=doc, score=score) for doc, score in scores.items()]
-        )
+def _global_idf(terms: list, stats: list) -> dict:
+    """Term -> idf weight over the whole catalog, for the terms any
+    shard lists.
+
+    ``N`` and per-term document frequencies are summed over **all**
+    shards — pruned ones included — from the partition-time stats, so
+    pruning never shifts idf, and every shard scoring with these weights
+    (in sorted-term order, as the serial index does) produces the floats
+    a serial run would.
+    """
+    total_docs = sum(s.text_docs for s in stats)
+    dfs = {term: sum(s.term_dfs.get(term, 0) for s in stats) for term in terms}
+    return {term: math.log(1.0 + total_docs / df) for term, df in dfs.items() if df}

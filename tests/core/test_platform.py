@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     CategoricalQuery,
     HybridQuery,
@@ -291,6 +292,46 @@ class TestCategoricalAndHybrid:
         for result in results:
             row = platform.db.table("images").get(result.image_id)
             assert region.contains_point(GeoPoint(row["lat"], row["lng"]))
+
+    def test_a_general_hybrid_is_one_query_serial_and_sharded(self, platform):
+        """Its parts run under their own spans, but only the hybrid is
+        counted in ``platform.queries`` and the hot-query tracker — the
+        same on one shard, where the platform runs the parts, and on
+        two, where the router scatters them."""
+        query = HybridQuery(
+            queries=(TemporalQuery(start=0.0), TextualQuery(text="street trash"))
+        )
+        families = ("temporal", "textual", "hybrid")
+
+        def counted():
+            return [
+                obs.metrics().counter("platform.queries", {"family": family}).value
+                for family in families
+            ]
+
+        seen = {}
+        for n_shards in (1, 2):
+            platform.set_shards(n_shards)
+            platform.execute(query)  # builds the partition, when sharded
+            obs.hot_queries().clear()
+            before = counted()
+            with obs.span("test.request") as request:
+                results = platform.execute(query)
+            deltas = [after - b for after, b in zip(counted(), before)]
+            shapes = {row["shape"]: row["count"] for row in obs.hot_queries().top(64)}
+            seen[n_shards] = (results, deltas, shapes)
+            if n_shards == 1:
+                names = sorted(
+                    span.name
+                    for span in obs.ring_buffer().spans()
+                    if span.trace_id == request.trace_id and span is not request
+                )
+                assert names == ["query.hybrid", "query.temporal", "query.textual"]
+        platform.close()
+        assert seen[1] == seen[2]
+        results, deltas, shapes = seen[1]
+        assert results and deltas == [0.0, 0.0, 1.0]
+        assert list(shapes.values()) == [1] and next(iter(shapes)).startswith("hybrid(")
 
     def test_hybrid_validation(self):
         with pytest.raises(QueryError):

@@ -11,7 +11,7 @@ every index probe the serial runners and the shard router use — the
 column scans of the sidecar included — must give the same answer on all
 three.
 
-The sidecar has a second contract, pinned by a race at the bottom: a
+The sidecar has a second contract, pinned by races at the bottom: a
 query that overlaps writes sees ids and columns from one moment.
 """
 
@@ -25,7 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AnnotationService,
     CatalogSlice,
+    ClassificationCatalog,
     SpatialQuery,
     TemporalQuery,
     TVDP,
@@ -36,6 +38,7 @@ from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
 from repro.db import Database
 from repro.shard import partition_catalog
+from tests.racing import read_while_writing
 from tests.shard.test_equivalence import (
     LABELS,
     VOCAB,
@@ -83,12 +86,23 @@ def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
         "temporal_ids.uploading": catalog_slice.temporal_ids(
             TemporalQuery(end=float(t_hi), field="timestamp_uploading")
         ),
-        "best_confidence": catalog_slice.best_confidence(
-            type_ids, params["min_confidence"], params["source"]
-        ),
+        "best_confidence": [
+            column.tolist()
+            for column in catalog_slice.best_confidence(
+                type_ids, params["min_confidence"], params["source"]
+            )
+        ],
+        # The label columns one by one, unfiltered, and how many
+        # annotations rebuild and annotate() each put in them.
+        "label_columns": {
+            type_id: [column.tolist() for column in catalog_slice.best_confidence([type_id])]
+            for type_id in type_ids
+        },
+        "annotation_count": [catalog_slice.annotation_count(t) for t in type_ids],
         "search_range": sorted(catalog_slice.spatial.search_range(box)),
         "search_point": sorted(catalog_slice.spatial.search_point(lat_lo, lng_lo)),
-        "postings_for": catalog_slice.text.postings_for(sorted(VOCAB)),
+        "text.scores.any": catalog_slice.text.scores(sorted(VOCAB)),
+        "text.scores.all": catalog_slice.text.scores(sorted(VOCAB)[:2], "all"),
         "extractors": sorted(catalog_slice.visual_indexes()),
     }
     if EXTRACTOR in catalog_slice.visual_indexes():
@@ -178,60 +192,31 @@ class TestSidecarUnderConcurrentWrites:
         built = CatalogSlice(Database.tvdp())
         built.add_extractor("race", self.DIM)
         camera = SpatialQuery(region=self.EVERYWHERE, mode="camera")
-        answers: list[tuple[int, int, list, list]] = []
-        failures: list[BaseException] = []
-        reading, done = threading.Event(), threading.Event()
 
-        def writer():
-            try:
-                reading.wait(timeout=30.0)
-                for i in range(self.N):
-                    lat, lng = 34.0 + i / self.N, -118.0 - i / self.N
-                    image_id = built.db.insert(
-                        "images",
-                        {
-                            "uri": f"race://{i}", "content_hash": str(i),
-                            "lat": lat, "lng": lng, "is_augmented": False,
-                            "timestamp_capturing": 0.0, "timestamp_uploading": 0.0,
-                        },
-                    )
-                    fov = FieldOfView(GeoPoint(lat, lng), 0.0, 60.0, 100.0)
-                    built.index_image(image_id, fov, ())
-                    built.index_vector("race", image_id, vectors[i])
-            except BaseException as exc:  # surfaced by the assert below
-                failures.append(exc)
-            finally:
-                done.set()
+        def write_all():
+            for i in range(self.N):
+                lat, lng = 34.0 + i / self.N, -118.0 - i / self.N
+                image_id = built.db.insert(
+                    "images",
+                    {
+                        "uri": f"race://{i}", "content_hash": str(i),
+                        "lat": lat, "lng": lng, "is_augmented": False,
+                        "timestamp_capturing": 0.0, "timestamp_uploading": 0.0,
+                    },
+                )
+                fov = FieldOfView(GeoPoint(lat, lng), 0.0, 60.0, 100.0)
+                built.index_image(image_id, fov, ())
+                built.index_vector("race", image_id, vectors[i])
 
-        def reader():
-            try:
-                turn = 0
-                while not done.is_set() or turn < 8:
-                    # Last write of index_vector: at most the points
-                    # listed by the time the scans below look.
-                    before = len(built.hybrid("race"))
-                    ids = built.spatial_ids(camera)
-                    ranked = built.spatial_visual_topk(
-                        "race", self.EVERYWHERE, probe, self.K
-                    )
-                    answers.append((before, len(built.spatial), ids, ranked))
-                    reading.set()
-                    turn += 1
-            except BaseException as exc:
-                failures.append(exc)
+        def read_once():
+            # Last write of index_vector: at most the points listed by
+            # the time the scans below look.
+            before = len(built.hybrid("race"))
+            ids = built.spatial_ids(camera)
+            ranked = built.spatial_visual_topk("race", self.EVERYWHERE, probe, self.K)
+            return before, len(built.spatial), ids, ranked
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+        answers = read_while_writing(read_once, write_all)
         raced = sum(1 for before, after, _, _ in answers if 0 < after and before < self.N)
         assert raced >= 3, f"only {raced} queries overlapped the writes"
         for before, after, ids, ranked in answers:
@@ -288,3 +273,56 @@ class TestSidecarUnderConcurrentWrites:
         assert ranked == built.hybrid("race").linear_spatial_visual_knn(
             self.EVERYWHERE, probe, self.N
         )
+
+
+class TestLabelColumnsUnderConcurrentAnnotation:
+    """``best_confidence`` racing ``annotate``: ids, confidences and
+    sources are read from one moment, so every answer is the group-max
+    over *some* prefix of the annotations."""
+
+    N, IMAGES = 2000, 150
+
+    def test_every_answer_is_the_group_max_over_some_prefix(self):
+        built = CatalogSlice(Database.tvdp())
+        catalog = ClassificationCatalog(built.db)
+        catalog.define("condition", ["dirty"])
+        service = AnnotationService(built, catalog)
+        for i in range(self.IMAGES):
+            built.db.insert(
+                "images",
+                {
+                    "uri": f"race://{i}", "content_hash": str(i),
+                    "lat": 34.0, "lng": -118.0, "is_augmented": False,
+                    "timestamp_capturing": 0.0, "timestamp_uploading": 0.0,
+                },
+            )
+        # Images come round again with other confidences and sources.
+        planned = [
+            ((i * 37) % self.IMAGES + 1, ((i * 7) % 11) / 10.0, ("human", "machine")[i % 2])
+            for i in range(self.N)
+        ]
+        best: dict[int, float] = {}
+        prefixes = {repr(([], []))}
+        for image_id, confidence, source in planned:
+            if source == "machine":
+                best[image_id] = max(best.get(image_id, 0.0), confidence)
+            ids = sorted(best)
+            prefixes.add(repr((ids, [best[i] for i in ids])))
+        type_id = catalog.type_id("condition", "dirty")
+
+        def write_all():
+            for image_id, confidence, source in planned:
+                service.annotate(image_id, "condition", "dirty", confidence, source=source)
+
+        def read_once():
+            ids, confidences = built.best_confidence([type_id], source="machine")
+            return ids.tolist(), confidences.tolist()
+
+        answers = read_while_writing(read_once, write_all)
+        ids = sorted(best)
+        settled = (([], []), (ids, [best[i] for i in ids]))
+        raced = sum(1 for answer in answers if answer not in settled)
+        assert raced >= 3, f"only {raced} queries overlapped the annotations"
+        for answer in answers:
+            assert repr(answer) in prefixes
+        assert built.annotation_count(type_id) == self.N

@@ -1,13 +1,13 @@
 """Tests for LSH and the inverted index."""
 
-import sys
-import threading
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.errors import IndexError_
 from repro.index import InvertedIndex, LSHIndex, tokenize
+from tests.racing import read_while_writing
 
 
 class TestLSH:
@@ -109,45 +109,19 @@ class TestLSHConcurrentInsert:
         # One bucket per table holds everything, so the hash candidates
         # of query_topk are exactly the items inserted so far.
         index = LSHIndex(dimension=self.DIM, bucket_width=1e6)
-        answers: list[tuple[int, int, int, list]] = []
-        failures: list[BaseException] = []
-        reading, done = threading.Event(), threading.Event()
+        turn = itertools.count()
 
-        def writer():
-            try:
-                reading.wait(timeout=30.0)
-                for i in range(self.N):
-                    index.insert(i, vectors[i])
-            except BaseException as exc:  # surfaced by the assert below
-                failures.append(exc)
-            finally:
-                done.set()
+        def read_once():
+            probe = next(turn) % len(probes)
+            before = len(index)
+            answer = getattr(index, method)(probes[probe], self.K)
+            return before, len(index), probe, answer
 
-        def reader():
-            try:
-                turn = 0
-                while not done.is_set() or turn < 8:
-                    probe = turn % len(probes)
-                    before = len(index)
-                    answer = getattr(index, method)(probes[probe], self.K)
-                    answers.append((before, len(index), probe, answer))
-                    reading.set()
-                    turn += 1
-            except BaseException as exc:
-                failures.append(exc)
+        def write_all():
+            for i in range(self.N):
+                index.insert(i, vectors[i])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+        answers = read_while_writing(read_once, write_all)
         assert len(index) == self.N
         raced = sum(1 for before, after, _, _ in answers if 0 < after and before < self.N)
         assert raced >= 3, f"only {raced} queries overlapped the inserts"
@@ -241,3 +215,37 @@ class TestInvertedIndex:
 
     def test_no_match(self):
         assert self.make_index().search_any("wildfire") == []
+
+
+class TestScoringUnderConcurrentAdds:
+    """``search_all`` racing ``add``: the conjunction and its scores come
+    from one index state, so every answer is the answer over *some*
+    prefix of the adds — never the documents of one moment ranked with
+    the document frequencies of another."""
+
+    N = 1500
+    #: Long enough that the adds take tens of milliseconds in all.
+    FILLER = " ".join(f"w{n}" for n in range(40))
+    TEXTS = ["tent trash", "tent", "trash cart tent", "cart", "tent trash trash"]
+
+    def test_every_all_answer_is_the_answer_over_some_prefix_of_the_adds(self):
+        texts = [
+            f"{self.TEXTS[i % len(self.TEXTS)]} {self.FILLER}" for i in range(self.N)
+        ]
+        staged = InvertedIndex()
+        prefixes = {repr(staged.search_all("tent trash"))}
+        for doc_id, text in enumerate(texts):
+            staged.add(doc_id, text)
+            prefixes.add(repr(staged.search_all("tent trash")))
+        index = InvertedIndex()
+
+        def write_all():
+            for doc_id, text in enumerate(texts):
+                index.add(doc_id, text)
+
+        answers = read_while_writing(lambda: index.search_all("tent trash"), write_all)
+        full = len(staged.search_all("tent trash"))
+        raced = sum(1 for answer in answers if 0 < len(answer) < full)
+        assert raced >= 3, f"only {raced} searches overlapped the adds"
+        for answer in answers:
+            assert repr(answer) in prefixes

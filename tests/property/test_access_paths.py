@@ -10,19 +10,32 @@ uploads, augmentations, feature extraction and queries.
 The partial-selection top-k (``repro.index.ordering.nearest``) is held
 against the full sort it replaced, on vectors drawn from a handful of
 values so that equal distances straddle the k boundary.
+
+Categorical, textual and the transport are held the same way.  The
+label columns' mask-and-group answer must be the row walk it replaced
+(kept here as the oracle) and a brute force over ``all_rows()``.  The
+inverted index's one scoring function must give, float for float, what
+the ``search_any`` / ``search_all`` pair it replaced gave (kept here
+too).  And whatever the family, ``answer(q)``, ``execute(q)`` and the
+``POST /search`` body are the same ids and the same floats, serial and
+sharded.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HybridQuery, SpatialQuery, TVDP, VisualQuery
-from repro.core.queries import scored_pairs
+from repro.api import TVDPClient, TVDPService, schema
+from repro.core import CategoricalQuery, HybridQuery, SpatialQuery, TVDP, VisualQuery
+from repro.core.queries import QueryResult, scored_pairs
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
-from repro.index import LSHIndex, tie_key
+from repro.index import InvertedIndex, LSHIndex, tie_key, tokenize
 from repro.index.ordering import nearest
 from tests.shard.test_equivalence import (
     DELTAS,
@@ -30,6 +43,9 @@ from tests.shard.test_equivalence import (
     LEVELS,
     LNGS,
     PixelProbeExtractor,
+    build_platform,
+    image_specs,
+    query_params,
     tie_prone_image,
 )
 
@@ -263,3 +279,264 @@ def test_partial_selection_equals_the_full_sort(vectors, probe, k, shuffler):
         assert index.linear_topk(np.asarray(probe), k) == want
         assert index.query_topk(np.asarray(probe), k) == want
         assert index.topk_with_stats(np.asarray(probe), k) == (want, len(items))
+
+
+# -- categorical: label columns ------------------------------------------------------
+
+CONDITIONS = ["clean", "dirty", "flooded", "never_used"]
+#: Confidences and thresholds share values, so a threshold lands exactly
+#: on a stored confidence; -0.0 is a confidence the API lets through.
+CONFIDENCES = [0.0, -0.0, 0.3, 0.5, 0.8, 1.0]
+label_operations = st.lists(
+    st.one_of(
+        uploads,
+        st.fixed_dictionaries(
+            {
+                "op": st.just("annotate"),
+                "pick": st.integers(0, 63),
+                # A label can land on one image many times over.
+                "label": st.sampled_from(CONDITIONS[:3]),
+                "confidence": st.sampled_from(CONFIDENCES),
+                "source": st.sampled_from(["human", "machine"]),
+            }
+        ),
+        st.fixed_dictionaries(
+            {
+                "op": st.just("categorical"),
+                # Not unique: a query may name a label twice.
+                "labels": st.lists(st.sampled_from(CONDITIONS), min_size=1, max_size=4),
+                "min_confidence": st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]),
+                "source": st.sampled_from([None, "human", "machine"]),
+            }
+        ),
+    ),
+    min_size=6,
+    max_size=40,
+)
+
+
+def row_walk(platform: TVDP, type_ids: list, min_confidence: float, source) -> dict:
+    """``best_confidence`` the way the slice answered it before the
+    columns: walk the ``type_id`` hash index row by row."""
+    out: dict[int, float] = {}
+    table = platform.db.table("image_content_annotation")
+    for type_id in type_ids:
+        for row in table.find("type_id", type_id):
+            if row["confidence"] < min_confidence:
+                continue
+            if source is not None and row["source"] != source:
+                continue
+            image_id = row["image_id"]
+            out[image_id] = max(out.get(image_id, 0.0), row["confidence"])
+    return out
+
+
+def brute_labels(platform: TVDP, type_ids: list, min_confidence: float, source) -> dict:
+    """Best confidence per image by definition, over every stored row."""
+    out: dict[int, float] = {}
+    for row in platform.db.table("image_content_annotation").all_rows():
+        if (
+            row["type_id"] in type_ids
+            and row["confidence"] >= min_confidence
+            and source in (None, row["source"])
+        ):
+            out[row["image_id"]] = max(out.get(row["image_id"], 0.0), row["confidence"])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_operations)
+def test_label_columns_answer_like_the_row_walk(ops):
+    platform = TVDP()
+    platform.catalog.define("condition", CONDITIONS)
+    stored: list[int] = []
+    for op in ops:
+        if op["op"] == "upload":
+            receipt = platform.upload_image(
+                tie_prone_image(op["levels"], op["delta"]),
+                FieldOfView(GeoPoint(op["lat"], op["lng"]), op["direction"], 60.0, 500.0),
+                captured_at=0.0,
+                uploaded_at=1.0,
+            )
+            if not receipt.deduplicated:
+                stored.append(receipt.image_id)
+        elif op["op"] == "annotate" and stored:
+            platform.annotations.annotate(
+                stored[op["pick"] % len(stored)],
+                "condition",
+                op["label"],
+                op["confidence"],
+                source=op["source"],
+            )
+        elif op["op"] == "categorical":
+            labels, floor, source = op["labels"], op["min_confidence"], op["source"]
+            type_ids = [platform.catalog.type_id("condition", label) for label in labels]
+            ids, best = platform.slice.best_confidence(type_ids, floor, source)
+            ids, best = ids.tolist(), best.tolist()
+            want = row_walk(platform, type_ids, floor, source)
+            assert ids == sorted(want) and all(type(i) is int for i in ids)
+            assert repr(best) == repr([want[i] for i in ids])  # -0.0 reads 0.0
+            assert want == brute_labels(platform, type_ids, floor, source)
+            hits = platform.annotations.images_with_label("condition", labels, floor, source)
+            assert hits == want and list(hits) == ids
+            query = CategoricalQuery("condition", tuple(labels), floor, source)
+            assert repr(platform.execute(query)) == repr(
+                [QueryResult(i, want[i]) for i in ids]
+            )
+    assert platform.annotations.label_histogram("condition") == {
+        label: len(
+            platform.db.table("image_content_annotation").find(
+                "type_id", platform.catalog.type_id("condition", label)
+            )
+        )
+        for label in CONDITIONS
+    }
+
+
+# -- textual: one scoring function ----------------------------------------------------
+
+
+class ReplacedInvertedIndex:
+    """The postings and the ``search_any`` / ``search_all`` pair as they
+    were before :meth:`InvertedIndex.scores`: score every posting of
+    every term, then (for ``all``) throw away what misses a term."""
+
+    def __init__(self) -> None:
+        self._postings: dict[str, dict[object, int]] = {}
+        self._doc_lengths: dict[object, int] = {}
+
+    def add(self, doc_id: object, text: str) -> None:
+        tokens = tokenize(text)
+        self._doc_lengths[doc_id] = self._doc_lengths.get(doc_id, 0) + len(tokens)
+        for term, count in Counter(tokens).items():
+            bucket = self._postings.setdefault(term, {})
+            bucket[doc_id] = bucket.get(doc_id, 0) + count
+
+    def search_any(self, query: str) -> dict[object, float]:
+        scores: dict[object, float] = {}
+        for term in sorted(set(tokenize(query))):
+            postings = self._postings.get(term, {})
+            idf = math.log(1.0 + len(self._doc_lengths) / len(postings)) if postings else 0.0
+            for doc_id, tf in postings.items():
+                length = max(self._doc_lengths[doc_id], 1)
+                scores[doc_id] = scores.get(doc_id, 0.0) + (tf / length) * idf
+        return scores
+
+    def search_all(self, query: str) -> dict[object, float]:
+        terms = set(tokenize(query))
+        if not terms:
+            return {}
+        common = set.intersection(*[set(self._postings.get(term, {})) for term in terms])
+        return {doc: s for doc, s in self.search_any(query).items() if doc in common}
+
+
+def canonical(scores: dict) -> list:
+    """``(doc, score)`` best first, ties on ``tie_key`` — the one order."""
+    return sorted(scores.items(), key=lambda pair: (-pair[1], tie_key(pair[0])))
+
+
+WORDS = ["tent", "trash", "lamp", "tree", "cart"]
+documents = st.lists(
+    st.tuples(
+        # 9 and 10 order differently as numbers and as strings; an id
+        # may come twice (the second add extends the document).
+        st.sampled_from([2, 9, 10, 11, 100, "cam-7"]),
+        st.lists(st.sampled_from(WORDS), min_size=0, max_size=5),
+    ),
+    min_size=1,
+    max_size=12,
+)
+text_queries = st.lists(
+    st.lists(st.sampled_from(WORDS + ["unknown", "the"]), min_size=0, max_size=4),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, text_queries)
+def test_one_scoring_function_scores_like_the_pair_it_replaced(docs, queries):
+    index, replaced = InvertedIndex(), ReplacedInvertedIndex()
+    for doc_id, words in docs:
+        index.add(doc_id, " ".join(words))
+        replaced.add(doc_id, " ".join(words))
+    for words in queries:
+        query = " ".join(words)
+        any_hits, all_hits = index.search_any(query), index.search_all(query)
+        assert repr(any_hits) == repr(canonical(replaced.search_any(query)))
+        assert repr(all_hits) == repr(canonical(replaced.search_all(query)))
+        assert dict(all_hits).items() <= dict(any_hits).items()
+
+
+def test_ranked_ties_break_on_the_total_order_not_on_strings():
+    index = InvertedIndex()
+    for doc_id in (10, 9, 100):
+        index.add(doc_id, "tent trash")
+    assert [doc for doc, _ in index.search_any("tent")] == [9, 10, 100]
+    assert [doc for doc, _ in index.search_all("trash tent")] == [9, 10, 100]
+
+
+# -- the transport: answer == execute == POST /search ---------------------------------
+
+
+def search_specs(params: dict) -> list[dict]:
+    """One ``POST /search`` spec per family, a fused hybrid and a
+    general one, from the equivalence suite's drawn parameters."""
+    lat_lo, lat_hi = sorted(params["lat_pair"])
+    lng_lo, lng_hi = sorted(params["lng_pair"])
+    t_lo, t_hi = sorted(params["t_window"])
+    spatial = {
+        "type": "spatial",
+        "mode": params["mode"],
+        "region": {
+            "min_lat": lat_lo, "min_lng": lng_lo,
+            "max_lat": lat_hi + 0.01, "max_lng": lng_hi + 0.01,
+        },
+    }
+    visual = {
+        "type": "visual",
+        "extractor": EXTRACTOR,
+        "vector": list(params["probe_levels"]),
+        "k": params["k"],
+        "max_distance": params["max_distance"],
+    }
+    temporal = {"type": "temporal", "start": float(t_lo), "end": float(t_hi)}
+    textual = {"type": "textual", "text": " ".join(params["text"]), "match": params["match"]}
+    categorical = {
+        "type": "categorical",
+        "classification": "condition",
+        "labels": ["clean", "dirty", "clean"],
+        "min_confidence": params["min_confidence"],
+        "source": params["source"],
+    }
+    return [
+        spatial,
+        visual,
+        temporal,
+        textual,
+        categorical,
+        {"type": "hybrid", "queries": [spatial, visual]},
+        {"type": "hybrid", "queries": [temporal, textual, categorical]},
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs=image_specs, params=query_params)
+def test_answer_execute_and_the_search_body_agree(specs, params):
+    platform = build_platform(specs)
+    client = TVDPClient(TVDPService(platform, deterministic_keys=True))
+    client.create_key(client.register_user("reader", role="researcher"))
+    try:
+        for n_shards in (1, 4):
+            platform.set_shards(n_shards)
+            for spec in search_specs(params):
+                _, _, query = schema.ROUTES["POST /search"].check({}, {}, spec)
+                results = platform.execute(query)
+                assert platform.answer(query).results() == results
+                assert results == platform.execute_serial(query)
+                body = client.search(spec)
+                assert repr(body) == repr(
+                    [{"image_id": r.image_id, "score": r.score} for r in results]
+                ), (n_shards, spec)
+    finally:
+        platform.close()
