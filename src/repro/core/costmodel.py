@@ -157,7 +157,6 @@ COST_MODEL: dict = {
             "repro.shard.partition._slice_database",
             "repro.core.slice.CatalogSlice.rebuild",
             "repro.shard.partition._shard_stats",
-            "repro.index.hybrid._VNode.refresh",
         ],
         "note": (
             "build-time full scans by design: partitioning slices every "

@@ -90,7 +90,7 @@ class Database:
                     f"{table_name}.{column.name}={value} references missing "
                     f"{fk.table}.{fk.column}"
                 )
-        return table.insert(normalized)
+        return table._store(normalized)
 
     def delete(self, table_name: str, pk: int) -> None:
         """Delete with restrict semantics: fails if referenced."""

@@ -97,7 +97,12 @@ class Table:
 
     def insert(self, row: dict) -> int:
         """Insert a row; returns the assigned primary key."""
-        normalized = self.schema.validate_row(row)
+        return self._store(self.schema.validate_row(row))
+
+    def _store(self, normalized: dict) -> int:
+        """Store a row fresh out of ``schema.validate_row`` (the table
+        keeps the dict) — ``Database.insert``'s way in, which has
+        validated already to check the foreign keys."""
         pk_name = self.schema.primary_key.name
         with self._lock:
             if pk_name in normalized and normalized[pk_name] is not None:

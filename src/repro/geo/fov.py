@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.errors import GeoError
 from repro.geo.geodesy import (
     angular_difference_deg,
+    destination_coords,
     destination_point,
     haversine_m,
     initial_bearing_deg,
@@ -54,6 +55,13 @@ class FieldOfView:
     )
 
     def __post_init__(self) -> None:
+        # nan compares false with everything and a non-finite bearing
+        # normalises to 0.0, so neither check below would catch them.
+        if not (math.isfinite(self.direction_deg) and math.isfinite(self.range_m)):
+            raise GeoError(
+                "viewing direction and visible range must be finite, got "
+                f"{self.direction_deg} and {self.range_m}"
+            )
         if not (0.0 < self.angle_deg <= 360.0):
             raise GeoError(f"viewable angle must be in (0, 360], got {self.angle_deg}")
         if self.range_m <= 0.0:
@@ -110,16 +118,24 @@ class FieldOfView:
                 )
         return points
 
+    def _arc_bearings(self, samples: int) -> list[float]:
+        """``samples`` bearings evenly spread over the sector, edge to edge."""
+        half = self.angle_deg / 2.0
+        return [
+            self.direction_deg - half + self.angle_deg * i / (samples - 1)
+            for i in range(samples)
+        ]
+
     def boundary_points(self, samples: int = 8) -> list[GeoPoint]:
         """Sample points along the sector arc plus the two edge tips."""
         if samples < 2:
             raise GeoError(f"need at least 2 boundary samples, got {samples}")
-        half = self.angle_deg / 2.0
-        bearings = [
-            self.direction_deg - half + self.angle_deg * i / (samples - 1)
-            for i in range(samples)
+        return [
+            GeoPoint(lat, lng)
+            for lat, lng in destination_coords(
+                self.camera, self._arc_bearings(samples), self.range_m
+            )
         ]
-        return [destination_point(self.camera, b, self.range_m) for b in bearings]
 
     def mbr(self) -> BoundingBox:
         """Minimum bounding rectangle of the sector.
@@ -130,13 +146,15 @@ class FieldOfView:
         """
         if self._mbr_cache is not None:
             return self._mbr_cache
-        points = [self.camera]
-        points.extend(self.boundary_points(samples=16))
+        bearings = self._arc_bearings(16)
         half = self.angle_deg / 2.0
         for cardinal in (0.0, 90.0, 180.0, 270.0):
             if angular_difference_deg(cardinal, self.direction_deg) <= half:
-                points.append(destination_point(self.camera, cardinal, self.range_m))
-        box = BoundingBox.from_points(points)
+                bearings.append(cardinal)
+        coords = destination_coords(self.camera, bearings, self.range_m)
+        lats = [self.camera.lat, *(lat for lat, _ in coords)]
+        lngs = [self.camera.lng, *(lng for _, lng in coords)]
+        box = BoundingBox(min(lats), min(lngs), max(lats), max(lngs))
         object.__setattr__(self, "_mbr_cache", box)
         return box
 

@@ -9,7 +9,9 @@ consumer GPS, the paper's sensing modality.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
+from repro.errors import GeoError
 from repro.geo.point import EARTH_RADIUS_M, GeoPoint
 
 
@@ -38,23 +40,39 @@ def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
     return math.degrees(math.atan2(x, y)) % 360.0
 
 
-def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
-    """Point reached travelling ``distance_m`` meters from ``origin`` on
-    the given initial bearing (spherical direct geodesic problem)."""
+def destination_coords(
+    origin: GeoPoint, bearings_deg: Iterable[float], distance_m: float
+) -> list[tuple[float, float]]:
+    """``(lat, lng)`` in degrees reached travelling ``distance_m`` meters
+    from ``origin`` on each initial bearing (spherical direct geodesic
+    problem).  The origin's and the distance's trigonometry is computed
+    once for all bearings, and no point object is built; every pair is
+    held to :class:`GeoPoint`'s ranges all the same."""
     delta = distance_m / EARTH_RADIUS_M
-    theta = math.radians(bearing_deg)
     lat1 = math.radians(origin.lat)
     lng1 = math.radians(origin.lng)
-    lat2 = math.asin(
-        math.sin(lat1) * math.cos(delta)
-        + math.cos(lat1) * math.sin(delta) * math.cos(theta)
-    )
-    lng2 = lng1 + math.atan2(
-        math.sin(theta) * math.sin(delta) * math.cos(lat1),
-        math.cos(delta) - math.sin(lat1) * math.sin(lat2),
-    )
-    lng2 = (math.degrees(lng2) + 540.0) % 360.0 - 180.0
-    return GeoPoint(math.degrees(lat2), lng2)
+    sin_lat1, cos_lat1 = math.sin(lat1), math.cos(lat1)
+    sin_delta, cos_delta = math.sin(delta), math.cos(delta)
+    coords = []
+    for bearing_deg in bearings_deg:
+        theta = math.radians(bearing_deg)
+        lat2 = math.asin(sin_lat1 * cos_delta + cos_lat1 * sin_delta * math.cos(theta))
+        lng2 = lng1 + math.atan2(
+            math.sin(theta) * sin_delta * cos_lat1,
+            cos_delta - sin_lat1 * math.sin(lat2),
+        )
+        lat = math.degrees(lat2)
+        lng = (math.degrees(lng2) + 540.0) % 360.0 - 180.0
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
+            raise GeoError(f"destination off the globe: ({lat}, {lng})")
+        coords.append((lat, lng))
+    return coords
+
+
+def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
+    """Point reached travelling ``distance_m`` meters from ``origin`` on
+    the given initial bearing."""
+    return GeoPoint(*destination_coords(origin, (bearing_deg,), distance_m)[0])
 
 
 def angular_difference_deg(a: float, b: float) -> float:

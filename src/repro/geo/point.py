@@ -138,6 +138,13 @@ class BoundingBox:
             max(self.max_lng, other.max_lng),
         )
 
+    def union_area(self, other: "BoundingBox") -> float:
+        """``self.union(other).area`` without building the union — what
+        an R-tree asks of every child when it chooses a subtree."""
+        return (
+            max(self.max_lat, other.max_lat) - min(self.min_lat, other.min_lat)
+        ) * (max(self.max_lng, other.max_lng) - min(self.min_lng, other.min_lng))
+
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
         """Overlapping region, or ``None`` when the boxes are disjoint."""
         if not self.intersects(other):

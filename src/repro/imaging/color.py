@@ -78,13 +78,24 @@ def hsv_histogram(
     """
     if any(b < 1 for b in bins):
         raise ImagingError(f"all bin counts must be >= 1, got {bins}")
-    hsv = rgb_to_hsv(image.pixels)
-    parts = []
-    for channel, nbins in zip(range(3), bins):
-        values = hsv[..., channel].ravel()
-        hist, _ = np.histogram(values, bins=nbins, range=(0.0, 1.0))
-        parts.append(hist.astype(np.float64))
-    vector = np.concatenate(parts)
+    # One pass over all three channels, by np.histogram's rule for
+    # uniform bins over [0, 1] (which every HSV value of a valid image
+    # is in): truncate value * bins, fold the right edge into the last
+    # bin, then correct the ~1 ulp cases against the linspace edges.
+    # Channel c's edges and bins sit at edge_start[c] / bin_start[c] of
+    # the concatenated layout, so one bincount counts all three.
+    hsv = rgb_to_hsv(image.pixels).reshape(-1, 3)
+    counts = np.array(bins)
+    edges = np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in bins])
+    bin_start = np.cumsum(counts) - counts
+    edge_start = bin_start + np.arange(3)
+    last = counts - 1
+    index = np.minimum((hsv * counts).astype(np.intp), last)
+    index -= hsv < edges[index + edge_start]
+    index += (hsv >= edges[index + edge_start + 1]) & (index != last)
+    vector = np.bincount((index + bin_start).ravel(), minlength=sum(bins)).astype(
+        np.float64
+    )
     if normalize:
         total = image.height * image.width
         vector = vector / float(total)

@@ -32,45 +32,70 @@ _SPATIAL_PRUNED = _metrics().counter("index.visual_rtree.spatial_pruned")
 
 
 class _VNode:
-    """Node carrying a box plus a feature-space bounding sphere."""
+    """Node carrying a box plus a feature-space bounding sphere.
 
-    __slots__ = ("leaf", "entries", "box", "centroid", "radius", "count")
+    The sphere is taken over the node's *summary rows*, which the node
+    owns: row ``i`` of ``vectors`` / ``radii`` holds entry ``i``'s
+    vector and 0.0 in a leaf, child ``i``'s centroid and radius above
+    one (one spare row for the overflow a split resolves).  An insert
+    therefore rewrites the one row it changed and grows the box by the
+    one new point; nothing is restacked.
+    """
 
-    def __init__(self, leaf: bool) -> None:
+    __slots__ = (
+        "leaf", "entries", "box", "centroid", "radius", "count", "vectors", "radii"
+    )
+
+    def __init__(self, leaf: bool, rows: int, dimension: int) -> None:
         self.leaf = leaf
         self.entries: list = []
         self.box: BoundingBox | None = None
         self.centroid: np.ndarray | None = None
         self.radius: float = 0.0
         self.count: int = 0
+        self.vectors = np.empty((rows, dimension))
+        self.radii = np.zeros(rows)
 
-    def refresh(self) -> None:
-        """Recompute box and feature sphere from children/entries."""
-        if not self.entries:
-            self.box, self.centroid, self.radius, self.count = None, None, 0.0, 0
-            return
+    def summarise(self, row: int) -> None:
+        """Copy entry ``row``'s summary into the node's arrays."""
+        entry = self.entries[row]
+        if self.leaf:
+            self.vectors[row] = entry[1]
+        else:
+            self.vectors[row] = entry.centroid
+            self.radii[row] = entry.radius
+
+    def absorb(self, box: BoundingBox, row: int) -> None:
+        """One item with spatial key ``box`` arrived under entry ``row``."""
+        self.box = box if self.box is None else self.box.union(box)
+        self.count += 1
+        self.summarise(row)
+
+    def enclose(self) -> None:
+        """Centroid and covering radius from the summary rows."""
+        n = len(self.entries)
+        vectors = self.vectors[:n]
+        self.centroid = centroid = vectors.sum(axis=0) / n
+        offsets = vectors - centroid
+        reach = np.sqrt((offsets * offsets).sum(axis=1)) + self.radii[:n]
+        self.radius = float(reach.max())
+
+    def recompute(self) -> None:
+        """Box, count, summary rows and sphere from the entries alone —
+        for a node whose membership was replaced (a split, a new root)."""
         if self.leaf:
             boxes = [e[0] for e in self.entries]
-            vectors = np.vstack([e[1] for e in self.entries])
-            counts = len(self.entries)
+            self.count = len(self.entries)
         else:
             boxes = [c.box for c in self.entries]
-            vectors = np.vstack([c.centroid for c in self.entries])
-            counts = sum(c.count for c in self.entries)
+            self.count = sum(c.count for c in self.entries)
         box = boxes[0]
         for other in boxes[1:]:
             box = box.union(other)
         self.box = box
-        self.centroid = vectors.mean(axis=0)
-        if self.leaf:
-            distances = np.linalg.norm(vectors - self.centroid, axis=1)
-            self.radius = float(distances.max())
-        else:
-            self.radius = max(
-                float(np.linalg.norm(c.centroid - self.centroid)) + c.radius
-                for c in self.entries
-            )
-        self.count = counts
+        for row in range(len(self.entries)):
+            self.summarise(row)
+        self.enclose()
 
 
 class VisualRTree:
@@ -89,12 +114,19 @@ class VisualRTree:
         self.dimension = dimension
         self.max_entries = max_entries
         self.min_entries = max(2, int(0.4 * max_entries))
-        self._root = _VNode(leaf=True)
+        self._root = _VNode(True, max_entries + 1, dimension)
         self._size = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return self._size
+
+    def _node(self, leaf: bool, entries: list) -> _VNode:
+        """A new node over ``entries``."""
+        node = _VNode(leaf, self.max_entries + 1, self.dimension)
+        node.entries = entries
+        node.recompute()
+        return node
 
     # -- insertion ----------------------------------------------------------
 
@@ -109,40 +141,36 @@ class VisualRTree:
         with self._lock:
             split = self._insert(self._root, (box, vector, item))
             if split is not None:
-                old_root = self._root
-                self._root = _VNode(leaf=False)
-                self._root.entries = [old_root, split]
-                self._root.refresh()
+                self._root = self._node(leaf=False, entries=[self._root, split])
             self._size += 1
 
     def _insert(self, node: _VNode, entry: tuple) -> "_VNode | None":
+        box = entry[0]
         if node.leaf:
             node.entries.append(entry)
-            node.refresh()
-            if len(node.entries) > self.max_entries:
-                return self._split(node)
-            return None
-        box = entry[0]
-        best, best_key = None, None
-        for child in node.entries:
-            union = child.box.union(box)
-            key = (union.area - child.box.area, child.box.area)
-            if best_key is None or key < best_key:
-                best_key, best = key, child
-        split = self._insert(best, entry)
-        if split is not None:
-            node.entries.append(split)
-        node.refresh()
+            node.absorb(box, len(node.entries) - 1)
+        else:
+            best, best_key = 0, None
+            for row, child in enumerate(node.entries):
+                area = child.box.area
+                key = (child.box.union_area(box) - area, area)
+                if best_key is None or key < best_key:
+                    best_key, best = key, row
+            split = self._insert(node.entries[best], entry)
+            node.absorb(box, best)
+            if split is not None:
+                node.entries.append(split)
+                node.summarise(len(node.entries) - 1)
         if len(node.entries) > self.max_entries:
             return self._split(node)
+        node.enclose()
         return None
 
     def _split(self, node: _VNode) -> "_VNode":
         boxes = [e[0] if node.leaf else e.box for e in node.entries]
         worst, seeds = -1.0, (0, 1)
         for i, j in itertools.combinations(range(len(boxes)), 2):
-            union = boxes[i].union(boxes[j])
-            waste = union.area - boxes[i].area - boxes[j].area
+            waste = boxes[i].union_area(boxes[j]) - boxes[i].area - boxes[j].area
             if waste > worst:
                 worst, seeds = waste, (i, j)
         group1 = [node.entries[seeds[0]]]
@@ -151,8 +179,8 @@ class VisualRTree:
         rest = [e for idx, e in enumerate(node.entries) if idx not in seeds]
         for entry in rest:
             box = entry[0] if node.leaf else entry.box
-            grow1 = box1.union(box).area - box1.area
-            grow2 = box2.union(box).area - box2.area
+            grow1 = box1.union_area(box) - box1.area
+            grow2 = box2.union_area(box) - box2.area
             if len(group1) + (len(rest)) == self.min_entries or grow1 <= grow2:
                 group1.append(entry)
                 box1 = box1.union(box)
@@ -160,11 +188,8 @@ class VisualRTree:
                 group2.append(entry)
                 box2 = box2.union(box)
         node.entries = group1
-        node.refresh()
-        sibling = _VNode(leaf=node.leaf)
-        sibling.entries = group2
-        sibling.refresh()
-        return sibling
+        node.recompute()
+        return self._node(leaf=node.leaf, entries=group2)
 
     # -- queries ------------------------------------------------------------
 

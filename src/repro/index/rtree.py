@@ -56,8 +56,7 @@ class _Node:
 
 
 def _enlargement(box: BoundingBox, other: BoundingBox) -> float:
-    union = box.union(other)
-    return union.area - box.area
+    return box.union_area(other) - box.area
 
 
 def box_point_distance_deg(box: BoundingBox, point: GeoPoint) -> float:
@@ -235,7 +234,8 @@ class RTree:
         best = None
         best_key = None
         for child in node.entries:
-            key = (_enlargement(child.box, box), child.box.area)
+            area = child.box.area
+            key = (child.box.union_area(box) - area, area)
             if best_key is None or key < best_key:
                 best_key = key
                 best = child
@@ -248,8 +248,8 @@ class RTree:
         # Pick seeds: the pair wasting the most area together.
         worst, seeds = -1.0, (0, 1)
         for i, j in itertools.combinations(range(len(entries)), 2):
-            union = entries[i].box.union(entries[j].box)
-            waste = union.area - entries[i].box.area - entries[j].box.area
+            box_i, box_j = entries[i].box, entries[j].box
+            waste = box_i.union_area(box_j) - box_i.area - box_j.area
             if waste > worst:
                 worst, seeds = waste, (i, j)
         group1 = [entries[seeds[0]]]

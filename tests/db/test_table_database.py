@@ -196,6 +196,28 @@ class TestDatabase:
         owner = db.insert("owners", {"name": "ann"})
         db.insert("pets", {"name": "rex", "owner_id": owner})
 
+    def test_a_row_is_validated_once_through_either_entry_point(self, monkeypatch):
+        db = self.make_db()
+        calls = []
+        validate = TableSchema.validate_row
+
+        def counting(schema, row):
+            calls.append(schema.name)
+            return validate(schema, row)
+
+        monkeypatch.setattr(TableSchema, "validate_row", counting)
+        owner = db.insert("owners", {"name": "ann"})
+        db.insert("pets", {"name": "rex", "owner_id": owner})
+        assert calls == ["owners", "pets"]
+        db.table("pets").insert({"name": "tom", "owner_id": owner})
+        assert calls == ["owners", "pets", "pets"]
+        for malformed in ({"name": 7, "owner_id": owner}, {"owner_id": owner}, {"nme": "x"}):
+            with pytest.raises(SchemaError):
+                db.insert("pets", malformed)
+            with pytest.raises(SchemaError):
+                db.table("pets").insert(malformed)
+        assert len(db.table("pets")) == 2
+
     def test_nullable_fk_allowed(self):
         db = Database()
         db.create_table(

@@ -41,6 +41,14 @@ class TestValidation:
         with pytest.raises(GeoError):
             make_fov(range_m=0.0)
 
+    @pytest.mark.parametrize("field", ["direction", "angle", "range_m"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_geometry_raises(self, field, value):
+        """``nan <= 0.0`` is false and a non-finite bearing normalises
+        to 0.0: neither slipped through to ``mbr()`` any more."""
+        with pytest.raises(GeoError):
+            make_fov(**{field: value})
+
     def test_direction_normalised(self):
         assert make_fov(direction=370.0).direction_deg == pytest.approx(10.0)
         assert make_fov(direction=-10.0).direction_deg == pytest.approx(350.0)

@@ -362,9 +362,9 @@ class TestPlanAnnotations:
 
 class TestBatchFeedsHotQueries:
     def test_serial_and_sharded_batches_record_the_same_shapes(self, fixed_platform):
-        # Without the last query, a general hybrid: the serial runner
-        # also records that one's sub-queries, the router decomposes it.
-        queries = [TemporalQuery(start=3.0, end=6.0)] * 3 + make_queries(FIXED_PARAMS)[:-1]
+        # The last query is a general hybrid: one shape on either side,
+        # its parts are run uncounted (TVDP._run_part).
+        queries = [TemporalQuery(start=3.0, end=6.0)] * 3 + make_queries(FIXED_PARAMS)
         recorded = {}
         for n_shards in (1, 4):
             fixed_platform.set_shards(n_shards)
