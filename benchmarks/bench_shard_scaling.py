@@ -10,11 +10,9 @@ districts are instrumented in waves, cameras in one area come online
 together), runs a pruning-friendly, temporal-heavy query mix through
 ``execute_many`` at shard counts 1/2/4/8 (shards execute in the
 coordinator process, so any speedup is pruning, not parallelism), and
-records the speedup curve.
-
-``results.speedup_at_4`` is gated as an absolute floor by
-``tools/bench_compare.py`` (full runs only; smoke sizes drown the
-signal in coordination overhead and report ``speedup_at_4_smoke``).
+records the speedup curve.  No speedup is gated: what sharding costs
+or buys is measured by ``python -m bench``, ``sharded_select`` against
+``serial_select`` (``docs/sharding.md``, "What a dispatch costs").
 """
 
 import time
@@ -172,12 +170,5 @@ def test_shard_scaling(benchmark, capsys, bench_record):
         f"speedup_at_8{suffix}": round(speedups["shards x8"], 3),
     }
     if PERF_ASSERTS:
-        # The ISSUE's acceptance floor: pruning alone must buy >1.8x at
-        # 4 shards.  (tools/bench_compare.py re-checks this from the
-        # recorded document, --skip-wall included: it is a same-run,
-        # same-machine ratio.)
-        assert speedups["shards x4"] > 1.8, (
-            f"speedup at 4 shards {speedups['shards x4']:.2f}x <= 1.8x floor"
-        )
         # More shards must not get slower than fewer on this workload.
         assert speedups["shards x8"] > speedups["shards x2"] * 0.8

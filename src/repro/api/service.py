@@ -209,15 +209,18 @@ class TVDPService:
             answer = self.platform.answer(request.body)
         except QueryError as exc:
             raise _query_failure(exc) from exc
-        return Response(
-            200,
-            {
-                "results": [
-                    {"image_id": image_id, "score": score}
-                    for image_id, score in answer.pairs()
-                ]
-            },
-        )
+        body: dict = {
+            "results": [
+                {"image_id": image_id, "score": score}
+                for image_id, score in answer.pairs()
+            ]
+        }
+        if answer.failed_shards:
+            # A sharded platform lost shards after every retry: what is
+            # here is a subset, and the caller is told so.
+            body["partial"] = True
+            body["failed_shards"] = list(answer.failed_shards)
+        return Response(200, body)
 
     # -- API 4: get visual features ---------------------------------------------------
 

@@ -154,7 +154,7 @@ COST_MODEL: dict = {
             "repro.db.table.Table.all_rows",
             "repro.shard.partition._data_region",
             "repro.shard.partition._assign_shards",
-            "repro.shard.partition._slice_database",
+            "repro.shard.partition._slice_databases",
             "repro.core.slice.CatalogSlice.rebuild",
             "repro.shard.partition._shard_stats",
         ],
@@ -173,7 +173,7 @@ COST_MODEL: dict = {
         ],
         "hot_sites": [
             "repro.shard.router.ShardRouter.answer_many",
-            "repro.shard.executor.ScatterGatherExecutor.absorb",
+            "repro.shard.executor.ScatterGatherExecutor.scatter",
         ],
         "note": (
             "s = surviving shards after pruning; per-shard merge loops "

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro import obs
 from repro.obs import accounting
@@ -150,62 +151,65 @@ class ShardStats:
     extractors: tuple
 
 
-def shard_survives(stats: ShardStats, query: object, type_ids_of=None) -> bool:
-    """Could ``query`` possibly match anything in this shard?
+def survival_test(query: object, type_ids_of=None) -> Callable[[ShardStats], bool]:
+    """``query``'s pruning predicate over a non-empty shard's stats:
+    could the query possibly match anything there?
 
+    What depends on the query alone — its tokens, its bounding region,
+    its resolved type ids — is worked out here, once, not per shard.
     ``type_ids_of`` maps a :class:`CategoricalQuery` to its resolved
     annotation type ids (resolution needs the catalog, which lives with
     the coordinator); without it categorical queries conservatively
     survive.  Every predicate is an over-approximation: ``False`` means
     *provably empty*, ``True`` merely *cannot rule out*.
     """
-    if stats.n_images == 0:
-        return False
     if isinstance(query, SpatialQuery):
-        return stats.bounds is not None and stats.bounds.intersects(
-            query.bounding_region()
-        )
+        region = query.bounding_region()
+        return lambda s: s.bounds is not None and s.bounds.intersects(region)
     if isinstance(query, TemporalQuery):
-        window = stats.time_ranges.get(query.field)
-        if window is None:
-            return False
         lo = query.start if query.start is not None else float("-inf")
         hi = query.end if query.end is not None else float("inf")
-        return window[0] <= hi and lo <= window[1]
+
+        def overlaps(s: ShardStats) -> bool:
+            window = s.time_ranges.get(query.field)
+            return window is not None and window[0] <= hi and lo <= window[1]
+
+        return overlaps
     if isinstance(query, TextualQuery):
         terms = set(tokenize(query.text))
         if not terms:
-            return False
-        if query.match == "all":
-            return all(stats.term_dfs.get(term, 0) > 0 for term in terms)
-        return any(stats.term_dfs.get(term, 0) > 0 for term in terms)
+            return lambda s: False
+        every = all if query.match == "all" else any
+        return lambda s: every(s.term_dfs.get(term, 0) > 0 for term in terms)
     if isinstance(query, CategoricalQuery):
         if type_ids_of is None:
-            return True
+            return lambda s: True
         type_ids = type_ids_of(query)
-        return any(stats.annotation_types.get(t, 0) > 0 for t in type_ids)
+        return lambda s: any(s.annotation_types.get(t, 0) > 0 for t in type_ids)
     if isinstance(query, VisualQuery):
-        return query.extractor_name in stats.extractors
+        return lambda s: query.extractor_name in s.extractors
     if isinstance(query, HybridQuery):
         fused = query.fused_pair()
-        if fused is not None:
-            # Fused path: one spatial_visual_topk scan per shard, so the
-            # shard is needed only when both filters could match.
-            return all(shard_survives(stats, sub, type_ids_of) for sub in fused)
-        # General hybrids scatter each part independently (top-k parts
-        # are order-sensitive to their full candidate pool, so per-part
+        parts = [survival_test(sub, type_ids_of) for sub in fused or query.queries]
+        # Fused path: one spatial_visual_topk scan per shard, so the
+        # shard is needed only when both filters could match.  General
+        # hybrids scatter each part independently (top-k parts are
+        # order-sensitive to their full candidate pool, so per-part
         # pruning must not be narrowed by sibling parts): the shard is
         # needed when *any* part needs it.
-        return any(shard_survives(stats, sub, type_ids_of) for sub in query.queries)
+        every = all if fused is not None else any
+        return lambda s: every(part(s) for part in parts)
     raise QueryError(f"cannot prune for query type {type(query).__name__}")
 
 
 def prune_shards(
     stats: list[ShardStats], query: object, type_ids_of=None
 ) -> list[ShardStats]:
-    """The shards ``query`` must scatter to (ascending shard id)."""
+    """The shards ``query`` must scatter to (ascending shard id): the
+    non-empty ones its :func:`survival_test` cannot rule out."""
+    survives = survival_test(query, type_ids_of)
     return sorted(
-        (s for s in stats if shard_survives(s, query, type_ids_of)),
+        (s for s in stats if s.n_images and survives(s)),
         key=lambda s: s.shard_id,
     )
 

@@ -495,11 +495,13 @@ class TVDP:
         return [self.execute(query) for query in queries]
 
     def _run_sharded(self, query: object) -> Answer:
+        # The router has put what the dispatch did on the query's span
+        # already; how far the query was pruned goes beside it.
         ((answer, info),) = self._shard_router().answer_many([query])
         span = obs.current_span()
         if span is not None:
-            for key, value in info.items():
-                span.set(key, value)
+            span.set("shards_considered", info["shards_considered"])
+            span.set("shards_pruned", info["shards_pruned"])
         return answer
 
     def _shard_router(self) -> "ShardRouter":

@@ -65,7 +65,9 @@ class Answer:
     """A query's whole answer as two parallel lists: the hit ids in
     answer order and their scores beside them.  ``scores=None`` means
     unranked — every score 0.0 — so an enumeration family carries one
-    column, not two.
+    column, not two.  ``failed_shards`` names the shards a sharded
+    platform lost after every retry: non-empty, the answer is the
+    subset the surviving shards hold.
 
     This is what travels from an index to the response body: every
     runner, every shard merge and :func:`combine_hybrid` produce and
@@ -73,11 +75,12 @@ class Answer:
     for :meth:`results`.
     """
 
-    __slots__ = ("ids", "scores")
+    __slots__ = ("ids", "scores", "failed_shards")
 
     def __init__(self, ids: list[int], scores: list[float] | None = None) -> None:
         self.ids = ids
         self.scores = scores
+        self.failed_shards: tuple = ()
 
     def __len__(self) -> int:
         return len(self.ids)

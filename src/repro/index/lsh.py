@@ -101,7 +101,17 @@ class LSHIndex:
         buckets = np.floor(
             (self._projections @ vector + self._offsets) / self.bucket_width
         ).astype(np.int64)
-        return [tuple(row) for row in buckets]
+        return [tuple(row) for row in buckets.tolist()]
+
+    def bucket_keys(self, vector: np.ndarray) -> list[tuple]:
+        """The bucket ``vector`` falls in, one key per table.
+
+        A function of the hash functions alone, so this index and every
+        :meth:`clone_empty` of it return the same keys: a coordinator
+        hashes a query once and hands the keys to each clone's
+        :meth:`topk_in_buckets`.
+        """
+        return self._keys(self._check_vector(vector))
 
     # -- mutations ----------------------------------------------------------
 
@@ -131,10 +141,10 @@ class LSHIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def _candidates(self, vector: np.ndarray) -> set[object]:
+    def _candidates(self, keys: list[tuple]) -> set[object]:
         found: set[object] = set()
         bucket_hits = 0
-        for table, key in zip(self._tables, self._keys(vector)):
+        for table, key in zip(self._tables, keys):
             bucket = table.get(key)
             if bucket:
                 bucket_hits += 1
@@ -159,7 +169,7 @@ class LSHIndex:
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
         vector = self._check_vector(vector)
-        candidates = self._candidates(vector)
+        candidates = self._candidates(self._keys(vector))
         if exhaustive_fallback and len(candidates) < k:
             _FALLBACK_SCANS.inc()
             with self._lock:
@@ -171,8 +181,16 @@ class LSHIndex:
     def topk_with_stats(
         self, vector: np.ndarray, k: int
     ) -> tuple[list[tuple[object, float]], int]:
-        """Phase-1 scatter probe: ranked top-``k`` among hash candidates
-        plus the candidate-set size, *without* the exhaustive fallback.
+        """:meth:`topk_in_buckets` of ``vector``'s own buckets."""
+        return self.topk_in_buckets(self.bucket_keys(vector), vector, k)
+
+    def topk_in_buckets(
+        self, keys: list[tuple], vector: np.ndarray, k: int
+    ) -> tuple[list[tuple[object, float]], int]:
+        """Phase-1 scatter probe: ranked top-``k`` among the items in
+        the buckets ``keys`` (:meth:`bucket_keys` of ``vector``, from
+        this index or any index it is a clone of) plus the candidate-set
+        size, *without* the exhaustive fallback.
 
         The scatter-gather coordinator sums the per-shard candidate
         counts and triggers the exact fallback globally iff the total is
@@ -180,8 +198,7 @@ class LSHIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        vector = self._check_vector(vector)
-        candidates = self._candidates(vector)
+        candidates = self._candidates(keys)
         return self._rank(list(candidates), vector, k), len(candidates)
 
     def _rank(
@@ -200,7 +217,7 @@ class LSHIndex:
         if radius < 0:
             raise IndexError_(f"radius must be >= 0, got {radius}")
         vector = self._check_vector(vector)
-        ranked = self._rank(list(self._candidates(vector)), vector, k=None)
+        ranked = self._rank(list(self._candidates(self._keys(vector))), vector, k=None)
         return [(item, d) for item, d in ranked if d <= radius]
 
     def linear_topk(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:

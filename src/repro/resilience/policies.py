@@ -140,8 +140,6 @@ class Retry:
         )
 
     def call(self, fn: Callable[[], T]) -> T:
-        clock = current_clock(self.clock)
-        retries = obs.metrics().counter("resilience.retries", {"site": self.site})
         attempt = 0
         while True:
             try:
@@ -163,7 +161,7 @@ class Retry:
                     ) from exc
                 delay = self.delays[attempt]
                 attempt += 1
-                retries.inc()
+                obs.metrics().counter("resilience.retries", {"site": self.site}).inc()
                 span = obs.current_span()
                 if span is not None:
                     span.set("retries", attempt)
@@ -176,7 +174,7 @@ class Retry:
                 # delays come from a fixed, finite schedule, so a
                 # handler waits at most the retry budget — the bounded
                 # degradation the resilience layer exists to provide.
-                clock.sleep(delay)  # devtools: allow[blocking-in-handler]
+                current_clock(self.clock).sleep(delay)  # devtools: allow[blocking-in-handler]
             else:
                 if attempt:
                     span = obs.current_span()

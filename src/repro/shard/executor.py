@@ -8,16 +8,15 @@ order.  Each dispatch is retried (``repro.resilience.Retry`` at site
 :attr:`GatherResult.failed` so the router can degrade to a
 ``partial=True`` answer instead of hanging or erroring.
 
-Every batch runs under its own ledger scope and its charges are
-replayed into the enclosing query ledger only once the batch has
-succeeded, so a retried attempt bills nothing for the work it threw
-away.
+Every attempt runs under its own ledger scope and its charges are
+replayed into the enclosing query ledger only once it has succeeded, so
+a retried attempt bills nothing for the work it threw away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro import obs
 from repro.core.slice import CatalogSlice
@@ -36,43 +35,33 @@ _log = obs.get_logger("shard.executor")
 DISPATCH_RETRYABLE: tuple[type[BaseException], ...] = DEFAULT_TRANSIENT + (ShardError,)
 
 
-@dataclass(frozen=True)
-class WorkerResult:
-    """One shard batch's payloads plus the ledger charges it ran up."""
+class WorkerResult(NamedTuple):
+    """One shard batch's payloads and what the dispatch that produced
+    them took on the executor's clock, retries and backoff included."""
 
-    shard_id: int
     payloads: list
-    charges: dict
+    wall_ms: float
 
 
-@dataclass(frozen=True)
-class GatherResult:
-    """Merged outcome of one scatter round."""
+class GatherResult(NamedTuple):
+    """Outcome of one scatter round: a :class:`WorkerResult` per shard
+    that answered, and the shards that failed every attempt."""
 
     results: dict
     failed: tuple = ()
 
-    @property
-    def partial(self) -> bool:
-        """True when at least one shard failed every dispatch attempt."""
-        return bool(self.failed)
-
 
 def _run_batch(
     handle: ShardHandle, tasks: list[Callable[[CatalogSlice], object]]
-) -> WorkerResult:
-    """Run one shard's batch under a fresh ledger.  A task is a plain
-    callable on the shard's :class:`~repro.core.slice.CatalogSlice`; its
-    return value is the payload."""
+) -> tuple[list, dict]:
+    """Run one shard's batch under a fresh ledger; ``(payloads,
+    charges)``.  A task is a plain callable on the shard's
+    :class:`~repro.core.slice.CatalogSlice`; its return value is the
+    payload."""
     _faults.inject("shard.worker")
-    payloads = []
-    with obs.span("shard.worker", shard=handle.shard_id, tasks=len(tasks)):
-        with accounting.ledger_scope() as ledger:
-            for task in tasks:
-                payloads.append(task(handle.slice))
-    return WorkerResult(
-        shard_id=handle.shard_id, payloads=payloads, charges=dict(ledger.charges)
-    )
+    with accounting.ledger_scope() as ledger:
+        payloads = [task(handle.slice) for task in tasks]
+    return payloads, ledger.charges
 
 
 class ScatterGatherExecutor:
@@ -85,8 +74,22 @@ class ScatterGatherExecutor:
         clock: Clock | None = None,
     ) -> None:
         self._shards = {handle.shard_id: handle for handle in shards}
-        self._max_attempts = max_attempts
         self._clock = clock
+        # One policy for every dispatch: a Retry holds its schedule and
+        # nothing about the calls it has served.
+        self._retry = Retry(
+            max_attempts=max_attempts,
+            site="shard.dispatch",
+            retry_on=DISPATCH_RETRYABLE,
+            clock=clock,
+        )
+
+    def _attempt(self, shard_id: int, tasks: list) -> tuple[list, dict]:
+        _faults.inject("shard.dispatch", self._clock)
+        handle = self._shards.get(shard_id)
+        if handle is None:
+            raise ShardError(f"executor holds no shard {shard_id}")
+        return _run_batch(handle, tasks)
 
     def scatter(self, batches: dict) -> GatherResult:
         """Run ``{shard_id: [tasks]}``, one retried dispatch per shard.
@@ -94,40 +97,29 @@ class ScatterGatherExecutor:
         Shards run in ascending id order (determinism) and a shard that
         exhausts its retries lands in ``failed`` rather than raising —
         degraded answers beat no answers for a read-only query tier.
+        The attempt that succeeded has its ledger charges replayed
+        through :func:`repro.obs.accounting.charge`, so the enclosing
+        query ledger bills shard work exactly once.
         """
         results: dict[int, WorkerResult] = {}
         failed: list[int] = []
+        # The dispatch's own clock: under a fault plan a slow shard's
+        # injected latency and backoff show in its wall_ms.
+        clock = _faults.current_clock(self._clock)
         for shard_id in sorted(batches):
-            tasks = batches[shard_id]
-
-            def attempt(shard_id: int = shard_id, tasks: list = tasks) -> WorkerResult:
-                _faults.inject("shard.dispatch", self._clock)
-                handle = self._shards.get(shard_id)
-                if handle is None:
-                    raise ShardError(f"executor holds no shard {shard_id}")
-                return _run_batch(handle, tasks)
-
-            retry = Retry(
-                max_attempts=self._max_attempts,
-                site="shard.dispatch",
-                retry_on=DISPATCH_RETRYABLE,
-                clock=self._clock,
-            )
+            start = clock.now()
             try:
                 # Deliberately blocking on the request path: the retry
                 # backoff is budget-bounded, so a handler can wait at
                 # most the dispatch budget, never indefinitely.
-                results[shard_id] = retry.call(attempt)  # devtools: allow[blocking-in-handler]
+                payloads, charges = self._retry.call(  # devtools: allow[blocking-in-handler]
+                    partial(self._attempt, shard_id, batches[shard_id])
+                )
             except DISPATCH_RETRYABLE + (RetryBudgetExceeded,) as exc:
                 _log.warning("shard %d failed all attempts: %s", shard_id, exc)
                 failed.append(shard_id)
-        return GatherResult(results=results, failed=tuple(failed))
-
-    def absorb(self, gathered: GatherResult) -> None:
-        """Replay the gathered batches' ledger charges through
-        :func:`repro.obs.accounting.charge`, so the enclosing query
-        ledger bills shard work exactly once."""
-        for shard_id in sorted(gathered.results):
-            charges = gathered.results[shard_id].charges
+                continue
             for kind in sorted(charges):
                 accounting.charge(kind, charges[kind])
+            results[shard_id] = WorkerResult(payloads, (clock.now() - start) * 1e3)
+        return GatherResult(results, tuple(failed))

@@ -129,19 +129,30 @@ def _assign_shards(
     return {shard: sorted(ids) for shard, ids in assignment.items()}
 
 
-def _slice_database(platform: TVDP, image_ids: set[int]) -> Database:
-    """A fresh TVDP database holding the replicated tables plus every
-    per-image row for ``image_ids``, primary keys preserved."""
-    db = Database.tvdp()
-    for table_name in _REPLICATED_TABLES:
-        for row in platform.db.table(table_name).all_rows():
-            db.insert(table_name, dict(row))
-    platform.catalog.replicate_into(db)
+def _slice_databases(platform: TVDP, assignment: dict[int, list[int]]) -> list[Database]:
+    """One fresh TVDP database per shard: the replicated tables whole,
+    plus every per-image row dealt to the shard that owns its image —
+    one pass per table, primary keys preserved, each shard's rows in the
+    catalog's order."""
+    owner = {
+        image_id: shard_id
+        for shard_id, image_ids in assignment.items()
+        for image_id in image_ids
+    }
+    dbs = [Database.tvdp() for _ in assignment]
+    for db in dbs:
+        for table_name in _REPLICATED_TABLES:
+            for row in platform.db.table(table_name).all_rows():
+                db.insert(table_name, row)
+        platform.catalog.replicate_into(db)
     for table_name in _SLICED_TABLES:
         for row in platform.db.table(table_name).all_rows():
-            if row["image_id"] in image_ids:
-                db.insert(table_name, dict(row))
-    return db
+            # An image uploaded since the assignment is in no shard yet;
+            # the router's fingerprint has moved and repartitions.
+            shard_id = owner.get(row["image_id"])
+            if shard_id is not None:
+                dbs[shard_id].insert(table_name, row)
+    return dbs
 
 
 def _shard_stats(shard_id: int, shard: CatalogSlice) -> ShardStats:
@@ -193,8 +204,7 @@ def partition_catalog(
     """
     assignment = _assign_shards(platform, n_shards, grid)
     handles: list[ShardHandle] = []
-    for shard_id in range(n_shards):
-        db = _slice_database(platform, set(assignment[shard_id]))
+    for shard_id, db in enumerate(_slice_databases(platform, assignment)):
         shard = CatalogSlice.rebuild(db, parent=platform.slice)
         handles.append(ShardHandle(shard_id, shard, _shard_stats(shard_id, shard)))
     return handles

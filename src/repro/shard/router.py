@@ -16,23 +16,26 @@ shard handles and runs per-shard plans.  For every query it
    :class:`~repro.shard.executor.ScatterGatherExecutor` (batching a
    whole ``execute_many`` round into one dispatch per shard); and
 4. **merges** the payloads back into the exact serial answer, as an
-   :class:`~repro.core.queries.Answer` (id and score columns): sorted
-   unions for enumeration families, a group-max over the shards' label
-   columns for categorical, one canonical ordering of the shards'
-   disjoint tf-idf scores (each computed with the coordinator's global
-   idf) for text, two-phase candidate/fallback top-k for visual,
-   distance-level merges for ranked families, and
-   :func:`~repro.core.queries.combine_hybrid` for general hybrids.
+   :class:`~repro.core.queries.Answer` (id and score columns).  The
+   shards are a disjoint cover, so a merge only orders: the chained ids
+   for enumeration families, the shards' own group-maxes by image id
+   for categorical, the shards' tf-idf scores (each computed with the
+   coordinator's global idf) canonically for text, two-phase
+   candidate/fallback top-k for visual, distance-level merges for
+   ranked families, and :func:`~repro.core.queries.combine_hybrid` for
+   general hybrids.
 
 Failed shards (after retries) degrade the answer to ``partial=True``
-instead of raising — surfaced per query in the info dict and on the
-query span.
+instead of raising — on the answer, per query in the info dict, and on
+the query span, beside what the dispatch did (there is no span per
+scatter or per shard).
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -49,12 +52,11 @@ from repro.core.queries import (
     VisualQuery,
     combine_hybrid,
 )
-from repro.core.slice import best_per_image
 from repro.errors import QueryError, ShardError, TVDPError
 from repro.index.inverted import tokenize
 from repro.index.ordering import by_score, tie_key
 from repro.resilience.clock import Clock
-from repro.shard.executor import ScatterGatherExecutor
+from repro.shard.executor import GatherResult, ScatterGatherExecutor
 from repro.shard.partition import partition_catalog
 
 _log = obs.get_logger("shard.router")
@@ -158,11 +160,6 @@ class ShardRouter:
                 )
         return stats, executor
 
-    def shard_stats(self) -> list[ShardStats]:
-        """Current per-shard planner statistics (partitioning on demand)."""
-        stats, _ = self._ensure()
-        return list(stats)
-
     # -- planning helpers ----------------------------------------------------
 
     def _type_ids_of(self, query: CategoricalQuery) -> tuple:
@@ -211,22 +208,21 @@ class ShardRouter:
         more for visual fallbacks); returns ``[(answer, info), ...]``."""
         stats, executor = self._ensure()
         preps = [self._prepare(query, stats) for query in queries]
-        units: list[_Unit] = []
-        for prep in preps:
-            units.extend(self._collect_units(prep))
-        self._scatter_units(units, executor)
+        leaves = [leaf for prep in preps for leaf in _leaves(prep)]
+        units = [leaf["unit"] for leaf in leaves]
+        rounds = [self._scatter_units(units, executor)]
         # Phase 2: exact fallback for visual top-k whose global hash
         # candidate pool came up short (the serial fallback decision,
         # made once at the coordinator over summed candidate counts).
-        fallback_units: list[_Unit] = []
-        for prep in preps:
-            fallback_units.extend(self._plan_fallbacks(prep))
+        fallback_units = [leaf["unit"] for leaf in leaves if _rearm_for_fallback(leaf)]
         if fallback_units:
-            self._scatter_units(fallback_units, executor)
+            rounds.append(self._scatter_units(fallback_units, executor))
+        _describe_dispatch(rounds, len(units) + len(fallback_units))
         out = []
         for prep in preps:
             answer = self._merge(prep)
-            lost = sorted(self._lost_shards(prep))
+            lost = sorted({s for leaf in _leaves(prep) for s in leaf["unit"].lost})
+            answer.failed_shards = tuple(lost)
             info = {
                 "shards_considered": prep["considered"],
                 "shards_pruned": self.n_shards - prep["considered"],
@@ -242,20 +238,19 @@ class ShardRouter:
             out.append((answer, info))
         return out
 
-    def _scatter_units(self, units: list, executor: ScatterGatherExecutor) -> None:
+    def _scatter_units(
+        self, units: list, executor: ScatterGatherExecutor
+    ) -> GatherResult:
+        """One scatter round: every unit's task to each of its shards,
+        the payloads (or the loss) booked back on the unit."""
         batches: dict[int, list] = {}
         placements: dict[int, list] = {}
         for unit in units:
             for shard_id in unit.shard_ids:
                 batches.setdefault(shard_id, []).append(unit.task)
                 placements.setdefault(shard_id, []).append(unit)
-        if not batches:
-            return
-        with obs.span("shard.scatter", shards=len(batches), tasks=len(units)) as sp:
-            gathered = executor.scatter(batches)
-            sp.set("failed", len(gathered.failed))
+        gathered = executor.scatter(batches)
         _FANOUTS.inc(len(batches))
-        executor.absorb(gathered)
         for shard_id, placed in placements.items():
             result = gathered.results.get(shard_id)
             if result is None:
@@ -264,6 +259,7 @@ class ShardRouter:
                 continue
             for unit, payload in zip(placed, result.payloads):
                 unit.payloads[shard_id] = payload
+        return gathered
 
     # -- per-family preparation ---------------------------------------------
 
@@ -305,23 +301,28 @@ class ShardRouter:
         if isinstance(query, VisualQuery):
             vector = self._platform.prepare_visual(query)
             name, k = query.extractor_name, query.k
+            # Every shard index is a clone_empty of the platform's, so
+            # its keys are theirs: one hashing per query, not per shard.
+            keys = self._platform.slice.lsh(name).bucket_keys(vector)
             if query.max_distance is not None:
+                # k nearest candidates per shard, cut at the radius by
+                # the merge: the same rows as cutting first.
                 return self._prep(
                     "ranked_pairs",
                     query,
                     stats,
-                    lambda s: s.lsh(name).query_radius(vector, query.max_distance)[:k],
+                    lambda s: s.lsh(name).topk_in_buckets(keys, vector, k)[0],
                     k=k,
-                    max_distance=None,
+                    max_distance=query.max_distance,
                 )
             return self._prep(
                 "two_phase_topk",
                 query,
                 stats,
-                lambda s: s.lsh(name).topk_with_stats(vector, k),
+                lambda s: s.lsh(name).topk_in_buckets(keys, vector, k),
                 k=k,
+                max_distance=None,
                 fallback_task=lambda s: s.lsh(name).linear_topk(vector, k),
-                fallback_unit=None,
             )
         if isinstance(query, HybridQuery):
             fused = query.fused_pair()
@@ -353,64 +354,23 @@ class ShardRouter:
             }
         raise QueryError(f"unsupported query type {type(query).__name__}")
 
-    def _collect_units(self, prep: dict) -> list:
-        if prep["kind"] == "hybrid_general":
-            out: list = []
-            for part in prep["parts"]:
-                out.extend(self._collect_units(part))
-            return out
-        return [prep["unit"]]
-
-    def _plan_fallbacks(self, prep: dict) -> list:
-        """Build phase-2 linear-scan units for starved visual top-ks."""
-        if prep["kind"] == "hybrid_general":
-            out: list = []
-            for part in prep["parts"]:
-                out.extend(self._plan_fallbacks(part))
-            return out
-        if prep["kind"] != "two_phase_topk":
-            return []
-        unit = prep["unit"]
-        total_candidates = sum(
-            candidates for _, candidates in unit.payloads.values()
-        )
-        if total_candidates >= prep["k"] or not unit.shard_ids:
-            return []
-        fallback = _Unit(prep["fallback_task"], unit.shard_ids)
-        prep["fallback_unit"] = fallback
-        return [fallback]
-
-    def _lost_shards(self, prep: dict) -> set:
-        if prep["kind"] == "hybrid_general":
-            lost: set = set()
-            for part in prep["parts"]:
-                lost |= self._lost_shards(part)
-            return lost
-        lost = set(prep["unit"].lost)
-        fallback = prep.get("fallback_unit")
-        if fallback is not None:
-            lost |= set(fallback.lost)
-        return lost
-
     # -- per-family merges ---------------------------------------------------
 
     def _merge(self, prep: dict) -> Answer:
         kind = prep["kind"]
+        # Disjoint cover: an image lives in one shard, so payloads never
+        # overlap and each shard's own per-image work is final.
         if kind == "ids":
-            ids: set = set()
-            for payload in prep["unit"].ordered_payloads():
-                ids.update(payload)
-            return Answer(sorted(ids))
+            return Answer(sorted(chain.from_iterable(prep["unit"].ordered_payloads())))
         if kind == "categorical":
             # Each payload is a shard's (ids, best confidences) columns.
             payloads = prep["unit"].ordered_payloads()
             if not payloads:
                 return Answer([], [])
-            ids, best = best_per_image(
-                np.concatenate([ids for ids, _ in payloads]),
-                np.concatenate([best for _, best in payloads]),
-            )
-            return Answer(ids.tolist(), best.tolist())
+            ids = np.concatenate([ids for ids, _ in payloads])
+            best = np.concatenate([best for _, best in payloads])
+            order = np.argsort(ids)
+            return Answer(ids[order].tolist(), best[order].tolist())
         if kind == "textual":
             # A document lives in one shard and was scored there with
             # the global idf: the union is the serial score table, and
@@ -419,18 +379,11 @@ class ShardRouter:
             for payload in prep["unit"].ordered_payloads():
                 scores.update(payload)
             return Answer(*by_score(scores))
-        if kind == "ranked_pairs":
+        if kind in ("ranked_pairs", "two_phase_topk"):
             pairs = self._merge_pairs(prep["unit"].ordered_payloads(), prep["k"])
             if prep["max_distance"] is not None:
                 pairs = [(i, d) for i, d in pairs if d <= prep["max_distance"]]
             return Answer.nearest_first(pairs)
-        if kind == "two_phase_topk":
-            fallback = prep.get("fallback_unit")
-            if fallback is not None:
-                payloads = fallback.ordered_payloads()
-            else:
-                payloads = [pairs for pairs, _ in prep["unit"].ordered_payloads()]
-            return Answer.nearest_first(self._merge_pairs(payloads, prep["k"]))
         if kind == "hybrid_general":
             return combine_hybrid([self._merge(part) for part in prep["parts"]])
         raise ShardError(f"unknown merge kind {kind!r}")
@@ -442,6 +395,49 @@ class ShardRouter:
         merged = [pair for payload in payloads for pair in payload]
         merged.sort(key=lambda pair: (pair[1], tie_key(pair[0])))
         return merged[:k]
+
+
+def _leaves(prep: dict) -> list:
+    """The single-unit plans of ``prep``: a general hybrid's parts
+    (hybrids do not nest), else ``prep`` itself."""
+    return prep.get("parts") or [prep]
+
+
+def _rearm_for_fallback(leaf: dict) -> bool:
+    """Settle a visual top-k after phase 1.  Its payloads shed their
+    candidate counts and are from here on ranked pairs like any other;
+    when the counts sum short of ``k`` the unit is re-armed with the
+    exact linear scan for one more round (what it has lost stays on it)
+    and ``True`` is returned."""
+    if leaf["kind"] != "two_phase_topk":
+        return False
+    unit = leaf["unit"]
+    candidates = sum(count for _, count in unit.payloads.values())
+    unit.payloads = {s: pairs for s, (pairs, _) in unit.payloads.items()}
+    if candidates >= leaf["k"] or not unit.shard_ids:
+        return False
+    unit.task, unit.payloads = leaf["fallback_task"], {}
+    return True
+
+
+def _describe_dispatch(rounds: list[GatherResult], tasks: int) -> None:
+    """What one request's scatter rounds did, on the request's own span
+    (``query.<family>`` / ``query.batch``) — where ``Retry.call`` and
+    the fault plan have already put ``retries`` and ``fault``."""
+    span = obs.current_span()
+    if span is None:
+        return
+    wall_ms: dict[int, float] = {}
+    lost: set[int] = set()
+    for gathered in rounds:
+        lost.update(gathered.failed)
+        for shard_id, result in gathered.results.items():
+            wall_ms[shard_id] = wall_ms.get(shard_id, 0.0) + result.wall_ms
+    span.set("shards_dispatched", sum(len(g.results) + len(g.failed) for g in rounds))
+    span.set("shard_tasks", tasks)
+    span.set("shard_wall_ms", wall_ms)
+    span.set("partial", bool(lost))
+    span.set("failed_shards", sorted(lost))
 
 
 def _global_idf(terms: list, stats: list) -> dict:

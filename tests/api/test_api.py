@@ -14,12 +14,13 @@ from repro.api import (
     image_to_payload,
     schema,
 )
-from repro.core import TVDP
+from repro.core import TVDP, TemporalQuery
 from repro.datasets import generate_lasan_dataset
 from repro.errors import APIError, AuthenticationError
 from repro.features import ColorHistogramExtractor
 from repro.imaging import CLEANLINESS_CLASSES, solid_color
 from repro.api.http import Response
+from repro.resilience import FaultPlan
 from tests.api import route_table
 
 
@@ -378,6 +379,45 @@ class TestDataRoutes:
         with pytest.raises(APIError) as err:
             client.get_features("nonexistent", image=records[0].image)
         assert err.value.status == 404
+
+
+class TestDegradedShardedSearch:
+    """A sharded search that lost a shard says so in its body; a healthy
+    one says nothing it did not say before."""
+
+    EVERYTHING = {"type": "temporal", "start": 0.0, "end": 1e12}
+
+    @pytest.fixture()
+    def sharded(self, records):
+        """A 3-shard service over ``records`` and a search for all of them."""
+        service = TVDPService(TVDP(shards=3, shard_grid=(4, 4)), deterministic_keys=True)
+        client = TVDPClient(service)
+        client.create_key(client.register_user("usc", role="researcher"))
+        upload_all(client, records)
+        request = Request("POST", "/search", body=self.EVERYTHING, api_key=client.api_key)
+        return service, request
+
+    def test_lost_shard_is_flagged_in_the_body(self, sharded, records):
+        service, request = sharded
+        # As many back-to-back faults as a dispatch has attempts: the
+        # first shard dispatched is lost, the others answer.
+        plan = FaultPlan(seed=0).kill("shard.dispatch", max_faults=3)
+        with plan.activate():
+            response = service.handle(request)
+        assert response.status == 200
+        assert response.body["partial"] is True
+        assert len(response.body["failed_shards"]) == 1
+        got = {row["image_id"] for row in response.body["results"]}
+        serial = service.platform.execute_serial(TemporalQuery(start=0.0, end=1e12))
+        assert len(serial) == len(records)
+        assert got < {r.image_id for r in serial}
+
+    def test_healthy_body_has_results_and_nothing_else(self, sharded, records):
+        service, request = sharded
+        response = service.handle(request)
+        assert response.status == 200
+        assert set(response.body) == {"results"}
+        assert len(response.body["results"]) == len(records)
 
 
 class TestModelRoutes:

@@ -87,7 +87,9 @@ class TestLSHConcurrentInsert:
     """Inserts land in a preallocated buffer that doubles when full; a
     query racing them ranks against a consistent prefix of the inserts."""
 
-    N, DIM, K = 600, 8, 5
+    # Enough inserts that the write phase (an insert hashes in ~6 us)
+    # outlasts a scheduler hiccup and queries do overlap it.
+    N, DIM, K = 1500, 8, 5
 
     @staticmethod
     def brute(vectors, m, probe, k):

@@ -23,6 +23,7 @@ from repro.resilience import (
     get_breaker,
     resilient,
 )
+from tests.racing import read_while_writing
 
 
 class TestBackoffDelays:
@@ -87,6 +88,29 @@ class TestRetry:
         Retry(max_attempts=3, clock=manual_clock, site="metered").call(flaky_call(1))
         counter = obs.metrics().counter("resilience.retries", {"site": "metered"})
         assert counter.value == 1
+
+
+    def test_one_policy_shared_by_two_threads_counts_per_call(
+        self, manual_clock, flaky_call
+    ):
+        """A Retry holds its schedule and nothing about a call: two
+        threads, each with its own failing schedule through the one
+        policy, each see their own attempts, and every retry is metered."""
+        retry = Retry(max_attempts=4, clock=manual_clock, site="shared")
+
+        def attempts_of(failures: int) -> int:
+            call = flaky_call(failures)
+            assert retry.call(call) == "ok"
+            return call.calls
+
+        twice_failed: list[int] = []
+        once_failed = read_while_writing(
+            lambda: attempts_of(1),
+            lambda: twice_failed.extend(attempts_of(2) for _ in range(200)),
+        )
+        assert set(once_failed) == {2} and twice_failed == [3] * 200
+        counter = obs.metrics().counter("resilience.retries", {"site": "shared"})
+        assert counter.value == len(once_failed) + 2 * 200
 
 
 class TestTimeout:

@@ -419,58 +419,3 @@ class TestMissingBenchesSection:
     def test_both_sections_missing_everywhere_is_clean(self):
         bare = {"schema_version": 1, "git_sha": "abc", "smoke": True}
         assert bench_compare.compare(bare, bare) == []
-
-
-def shard_bench(speedup: float, key: str = "speedup_at_4") -> dict:
-    record = bench(1.0)
-    record["results"] = {key: speedup}
-    return record
-
-
-class TestShardSpeedupGate:
-    NODE = "benchmarks/bench_shard_scaling.py::test_shard_scaling"
-
-    def test_above_floor_is_clean(self):
-        doc = document({self.NODE: shard_bench(2.1)})
-        assert bench_compare.compare(doc, doc) == []
-
-    def test_below_floor_regresses_even_with_skip_wall(self):
-        base = document({self.NODE: shard_bench(2.1)})
-        current = document({self.NODE: shard_bench(1.3)})
-        regressions = bench_compare.compare(base, current, skip_wall=True)
-        assert [r["kind"] for r in regressions] == ["shard-speedup"]
-        [r] = regressions
-        assert r["current"] == pytest.approx(1.3)
-        line = bench_compare.format_regression(r)
-        assert "SHARD-SPEEDUP" in line and "1.3" in line and "1.8" in line
-
-    def test_floor_binds_the_current_run_not_the_baseline(self):
-        base = document({self.NODE: shard_bench(1.0)})
-        current = document({self.NODE: shard_bench(2.5)})
-        assert bench_compare.compare(base, current) == []
-
-    def test_smoke_key_is_exempt(self):
-        # Smoke runs report speedup_at_4_smoke: measured, not gated.
-        doc = document({self.NODE: shard_bench(0.9, key="speedup_at_4_smoke")})
-        assert bench_compare.compare(doc, doc) == []
-
-    def test_checked_in_baseline_carries_shard_scaling(self):
-        # The checked-in baseline is a smoke run, so it reports the
-        # ungated smoke key — but it must carry the bench, and any
-        # full-run key it does carry must clear the floor.
-        baseline = bench_compare.load_document(
-            REPO_ROOT / "tools" / "bench_baseline.json"
-        )
-        results = {
-            nodeid: record.get("results", {})
-            for nodeid, record in baseline["benches"].items()
-            if "bench_shard_scaling" in nodeid
-        }
-        assert results, "baseline must carry the shard-scaling bench"
-        for nodeid, recorded in results.items():
-            assert (
-                "speedup_at_4" in recorded or "speedup_at_4_smoke" in recorded
-            ), f"{nodeid} records no speedup curve"
-            if "speedup_at_4" in recorded:
-                assert recorded["speedup_at_4"] >= bench_compare.SHARD_SPEEDUP_FLOOR
-        assert bench_compare.compare(baseline, baseline) == []

@@ -64,14 +64,6 @@ LOAD_TOLERANCE = 0.35
 OVERHEAD_LIMIT_PCT = 50.0
 SPAN_LIMIT_PCT = 100.0
 _RESULT_CEILINGS = {"overhead_pct": OVERHEAD_LIMIT_PCT, "span_pct": SPAN_LIMIT_PCT}
-#: Hard floor on ``results.speedup_at_4`` reported by any bench in the
-#: *current* run (``benchmarks/bench_shard_scaling.py``: scatter-gather
-#: speedup over serial at 4 shards).  Checked even under ``--skip-wall``
-#: for the same reason as the overhead ceiling: it is a ratio of two
-#: walls from the same run on the same machine.  Smoke runs report the
-#: measurement under ``speedup_at_4_smoke``, which this gate ignores —
-#: smoke corpus sizes drown the pruning signal in fixed overhead.
-SHARD_SPEEDUP_FLOOR = 1.8
 
 
 def load_document(path: str | Path) -> dict:
@@ -142,7 +134,6 @@ def compare(
                 )
     regressions.extend(_compare_load(baseline, current, skip_wall=skip_wall))
     regressions.extend(_check_overhead(current))
-    regressions.extend(_check_shard_speedup(current))
     return regressions
 
 
@@ -167,27 +158,6 @@ def _check_overhead(current: dict) -> list[dict]:
                     }
                 )
     return over
-
-
-def _check_shard_speedup(current: dict) -> list[dict]:
-    """Benches whose reported ``results.speedup_at_4`` falls below the
-    hard floor — an absolute gate on the current run, not a baseline
-    diff (smoke runs report ``speedup_at_4_smoke`` and are exempt)."""
-    slow: list[dict] = []
-    for bench, record in sorted(current.get("benches", {}).items()):
-        speedup = record.get("results", {}).get("speedup_at_4")
-        if isinstance(speedup, (int, float)) and not isinstance(speedup, bool) and (
-            speedup < SHARD_SPEEDUP_FLOOR
-        ):
-            slow.append(
-                {
-                    "kind": "shard-speedup",
-                    "bench": bench,
-                    "baseline": SHARD_SPEEDUP_FLOOR,
-                    "current": speedup,
-                }
-            )
-    return slow
 
 
 def _same_workload(base_load: dict, cur_load: dict) -> bool:
@@ -293,12 +263,6 @@ def format_regression(regression: dict) -> str:
             f"OVERHEAD  {regression['bench']}: results.{regression['metric']} "
             f"{regression['current']:g} exceeds the {regression['baseline']:g}% "
             f"instrumentation-overhead ceiling"
-        )
-    if kind == "shard-speedup":
-        return (
-            f"SHARD-SPEEDUP  {regression['bench']}: results.speedup_at_4 "
-            f"{regression['current']:g}x is below the {regression['baseline']:g}x "
-            f"scatter-gather speedup floor"
         )
     if kind == "load-schedule":
         return (
