@@ -1,11 +1,13 @@
-"""Instrumentation overhead: what the ledger and a span add to a query.
+"""Instrumentation overhead: what a billed unit of work and a span add
+to a query.
 
 The cost ledger (``repro.obs.accounting``) and the tracer ride the
 serving hot path: ``Router.dispatch`` opens one ``ledger_scope`` per
-request, every query runs inside spans, and every index probe / row
-scan calls ``charge*``.  This bench pins those fixed costs down and
-gates each against the *un-instrumented index query* timed in the same
-run:
+request, every query runs inside spans, every index probe / row scan
+calls ``charge*``, and the request's record is folded once when it
+ends (``repro.obs.record``).  This bench pins those fixed costs down
+and gates each against the *un-instrumented index query* timed in the
+same run:
 
 1. **Plain query** — a seeded R-tree range-query batch with no ledger
    active (``charge_probes`` takes the contextvar fast path).  This is
@@ -13,13 +15,15 @@ run:
    anything measured here.
 2. **Marginal metering cost** — the same batch in alternating *plain*
    and *ledgered* chunks (each query wrapped in its own registry-backed
-   ``ledger_scope``, the per-request serving pattern).  Differencing
-   the chunks of a pair isolates the ledger's fixed per-request cost;
-   interleaving makes machine noise hit both modes equally.
-3. **Span cost** — open + close of an empty span on the process-wide
-   tracer with the registry warm (every platform counter registered,
-   the slow-span log full for the operation): the path almost every
-   span takes.
+   ``ledger_scope``: a billed unit of work — ledger, record, one fold
+   into the principal and operation rows, the spend ring and the
+   ``usage.*`` metrics).  Differencing the chunks of a pair isolates
+   that fixed per-request cost; interleaving makes machine noise hit
+   both modes equally.
+3. **Span cost** — open + close of an empty root span on the
+   process-wide tracer with the registry warm (every platform counter
+   registered, the operation's worst-N full): a unit of work of one
+   span — two counter snapshots, the record, one fold.
 
 ``results.overhead_pct`` = marginal metering cost as a percentage of
 one plain query; ``results.span_pct`` = one span likewise (absolute
@@ -106,7 +110,7 @@ def build_index_workload(seed: int = 0):
 
 def run_index_chunk(rtree, queries, *, ledgered, table):
     """Wall seconds for one batch; ledgered mode opens one ledger per
-    query (the serving pattern: one request, one scope, one absorb)."""
+    query (the serving pattern: one request, one scope, one fold)."""
     if ledgered:
         t0 = time.perf_counter()
         for query in queries:
@@ -163,7 +167,7 @@ def run_span_chunk():
 
 def test_accounting_overhead(benchmark, capsys, bench_record):
     def run():
-        table = obs.UsageTable(registry=obs.metrics())
+        table = obs.RecordStore(registry=obs.metrics())
         rtree, queries = build_index_workload()
         service, api_key, spec = build_service()
         with pause_tracemalloc():

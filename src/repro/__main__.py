@@ -123,9 +123,9 @@ def _stats_document() -> dict:
         "metrics": obs.snapshot(),
         "health": obs.health(),
         "breakers": breaker_states(),
-        "hot_queries": obs.hot_queries().top(),
-        "latency_ms_window": obs.latency_windows().summaries(),
-        "usage": obs.usage().report(),
+        "hot_queries": obs.records().top(),
+        "latency_ms_window": obs.records().window_summaries(),
+        "usage": obs.records().report(),
     }
 
 

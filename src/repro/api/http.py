@@ -8,11 +8,12 @@ this module — service handlers, the client library — would port to a
 real WSGI stack unchanged.
 
 The router doubles as the platform's per-request middleware: every
-dispatch gets a request id, runs inside an ``http.request`` span, is
-timed into an ``api.request_ms{method,route}`` histogram, and bumps
-``api.requests{method,route,status}``; handler failures additionally
-bump ``api.errors{route,exception}`` and come back as structured error
-bodies (see :func:`error_body`).
+dispatch gets a request id, runs inside an ``http.request`` span under
+a ledger billed to the caller, and notes the route and status on the
+request's record — which is what ``api.requests{method,route,status}``
+and ``api.request_ms{method,route}`` are folded from; handler failures
+additionally bump ``api.errors{route,exception}`` and come back as
+structured error bodies (see :func:`error_body`).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class Router:
         remote_parent = obs.parse_traceparent(request.headers.get("traceparent"))
         with obs.ledger_scope(
             table=obs.usage(), principal=principal_label(request.api_key)
-        ) as ledger:
+        ):
             with obs.span(
                 "http.request",
                 remote_parent=remote_parent,
@@ -186,21 +187,21 @@ class Router:
                 path=request.path,
                 request_id=request.request_id,
             ) as sp:
-                ledger.annotate(trace_id=sp.trace_id)
                 route_label, response = self._dispatch_inner(request, method, sp)
                 sp.set("route", route_label)
                 sp.set("status", response.status)
-            # The route label is only known after matching; annotate
+                if response.status >= 500:
+                    # The handler's exception became this response in
+                    # here, so the span has to be told: a 5xx burns the
+                    # availability SLO, a 4xx is the caller's.
+                    error = response.body["error"]
+                    sp.status = "error"
+                    sp.error = f"{error['type']}: {error['message']}"
+            # The route label is only known after matching; note it
             # before the scope closes so the bill lands on the route.
-            ledger.annotate(operation=f"{method} {route_label}")
-        registry = obs.metrics()
-        registry.counter(
-            "api.requests",
-            {"method": method, "route": route_label, "status": str(response.status)},
-        ).inc()
-        registry.histogram(
-            "api.request_ms", {"method": method, "route": route_label}
-        ).observe(sp.duration_ms)
+            obs.note_request(
+                request.request_id, method, route_label, response.status, sp
+            )
         return response
 
     def _dispatch_inner(

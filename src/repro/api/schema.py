@@ -392,9 +392,12 @@ ROUTES: dict[str, Declaration] = {
     "GET /debug/resources": Declaration(query=Obj(
         top=optional(COUNT),
         budget=optional(number, message=_NUMERIC),
-        window_s=optional(number, 60.0, message=_NUMERIC),
+        # Only with ``budget``, which the handler checks: the default
+        # (60) is applied there so that "not sent" stays visible.
+        window_s=optional(number, message=_NUMERIC),
     )),
     "GET /debug/trace/{trace_id}": Declaration(Obj(trace_id=text)),
+    "GET /debug/request/{request_id}": Declaration(Obj(request_id=text)),
     "POST /classifications": Declaration(
         body=Obj(name=text, labels=TEXTS, description=optional(text, ""))
     ),

@@ -44,6 +44,9 @@ Observability:
   ``?window_s=`` for what-if budgets)
 * ``GET  /debug/trace/{trace_id}``      — the reassembled span tree of
   one trace (404 once evicted from the ring buffer)
+* ``GET  /debug/request/{request_id}``  — one request's record: spans,
+  query shapes, bill, counter deltas (404 once evicted; the
+  ``request_id`` is the one every error envelope returns)
 
 What each route takes — path, query and body fields, their kinds and
 defaults — is declared once, in :data:`repro.api.schema.ROUTES`.
@@ -156,6 +159,7 @@ class TVDPService:
         route("GET", "/debug/explain")(self._debug_explain)
         route("GET", "/debug/resources")(self._debug_resources)
         route("GET", "/debug/trace/{trace_id}")(self._debug_trace)
+        route("GET", "/debug/request/{request_id}")(self._debug_request)
         route("POST", "/classifications")(self._define_classification)
         route("POST", "/images/{image_id}/annotations")(self._add_annotation)
         route("GET", "/images/{image_id}/annotations")(self._list_annotations)
@@ -504,8 +508,8 @@ class TVDPService:
         return Response(
             200,
             {
-                "operations": obs.slow_log().operations(),
-                "slow": obs.slow_spans(params["op"], params["limit"]),
+                "operations": obs.records().operations(),
+                "slow": obs.records().slowest(params["op"], params["limit"]),
             },
         )
 
@@ -513,13 +517,14 @@ class TVDPService:
         """Hot-query report: the workload's normalized query shapes
         ranked by frequency then total time (see
         ``repro.core.queries.query_shape``)."""
-        tracker = obs.hot_queries()
+        store = obs.records()
+        tracked, evicted = store.tracked()
         return Response(
             200,
             {
-                "hot": tracker.top(request.params["limit"] or 10),
-                "tracked": len(tracker),
-                "evicted": tracker.evicted(),
+                "hot": store.top(request.params["limit"] or 10),
+                "tracked": tracked,
+                "evicted": evicted,
             },
         )
 
@@ -532,14 +537,18 @@ class TVDPService:
         (optionally with ``?window_s=<s>``, default 60) evaluates a
         what-if admission budget against the recorded spend without
         configuring one — nothing is ever actually shed here.
+        ``window_s`` is the window *of that budget*: alone it is a 400.
         """
         params = request.params
+        budget, window_s = params["budget"], params["window_s"]
         override = None
-        if params["budget"] is not None:
+        if budget is not None:
             try:
-                override = obs.Budget(params["budget"], params["window_s"])
+                override = obs.Budget(budget, 60.0 if window_s is None else window_s)
             except ValueError as exc:
                 raise APIError(400, "budget must be >= 0 and window_s > 0") from exc
+        elif window_s is not None:
+            raise APIError(400, "window_s is the window of budget: send budget too")
         return Response(200, obs.usage().report(top=params["top"] or 10, budget=override))
 
     def _debug_trace(self, request: Request) -> Response:
@@ -547,17 +556,28 @@ class TVDPService:
         buffer of finished spans; 404 once the trace has been evicted
         (the buffer keeps the most recent spans only)."""
         trace_id = request.path_params["trace_id"]
-        roots = obs.ring_buffer().span_tree(trace_id)
-        if not roots:
+        spans = obs.records().spans(trace_id=trace_id)
+        if not spans:
             raise APIError(
                 404, f"trace {trace_id!r} not in the ring buffer (evicted or unknown)"
             )
-        span_count = len(
-            [s for s in obs.ring_buffer().spans() if s.trace_id == trace_id]
-        )
         return Response(
-            200, {"trace_id": trace_id, "spans": span_count, "roots": roots}
+            200,
+            {"trace_id": trace_id, "spans": len(spans), "roots": obs.span_tree(spans)},
         )
+
+    def _debug_request(self, request: Request) -> Response:
+        """One request's record — the ``request_id`` of any response or
+        error envelope resolved to what the request did: its spans,
+        query shapes, bill and counter deltas; 404 once evicted."""
+        request_id = request.path_params["request_id"]
+        record = obs.records().request(request_id)
+        if record is None:
+            raise APIError(
+                404,
+                f"request {request_id!r} not in the ring buffer (evicted or unknown)",
+            )
+        return Response(200, record.to_dict())
 
     def _debug_explain(self, request: Request) -> Response:
         """EXPLAIN (ANALYZE) a query spec without returning its results.

@@ -306,13 +306,18 @@ def _measured_execute(
     The counter deltas are whole-registry increments during the run —
     on a quiet process that is exactly the query's own probe work; the
     platform is single-writer per request, so concurrent traffic can
-    only over-attribute, never crash.  The charge deltas come from a
-    nested ledger scoped to this one execution, so they are exact
-    regardless of concurrent traffic; they are replayed into the
-    enclosing ledger afterwards so EXPLAIN ANALYZE under an API request
-    still bills the requesting principal.  With no enclosing ledger the
-    measured charges go straight to the usage table as ``local`` work,
-    matching what a bare ``platform.execute`` would have billed.
+    only over-attribute, never crash.  The run is a unit of work of its
+    own (``obs.Unit``), folded when it ends, so what a record
+    implies — ``platform.queries``, ``spans.total`` — is among the
+    deltas even under an API request whose own record folds later.  The
+    charge deltas come from a ledger scoped to this one execution, so
+    they are exact regardless of concurrent traffic.  Under an enclosing
+    ledger that one is private and its charges are replayed into the
+    enclosing one afterwards, so EXPLAIN ANALYZE under an API request
+    still bills the requesting principal; with none it is the unit's
+    bill (CLI tour, notebooks): ``local`` work, as a bare
+    ``platform.execute`` would have billed it — the analyze run *is*
+    load.
     """
     registry = obs.metrics()
     outer = accounting.active_ledger()
@@ -320,7 +325,10 @@ def _measured_execute(
     # analyze=True reports the real execution time; elapsed_ms is
     # display metadata, not result data.
     start = time.perf_counter()  # devtools: allow[determinism] — see above
-    with accounting.ledger_scope() as measured:
+    with obs.Unit(obs.records()), accounting.ledger_scope(
+        table=obs.usage() if outer is None else None,
+        operation=f"execute.{query_family(query)}",
+    ) as measured:
         answer = platform.answer(query)
     elapsed_ms = (time.perf_counter() - start) * 1000.0  # devtools: allow[determinism] — see above
     after = registry.counter_values()
@@ -333,11 +341,6 @@ def _measured_execute(
     if outer is not None:
         for kind, amount in charges.items():
             outer.add(kind, amount)
-    else:
-        # Bare analyze (CLI tour, notebooks): bill the usage table the
-        # way a bare execute would — the analyze run *is* load.
-        measured.annotate(operation=f"execute.{query_family(query)}")
-        obs.usage().absorb(measured)
     return len(answer), elapsed_ms, deltas, charges
 
 

@@ -481,16 +481,12 @@ class TVDP:
             ):
                 with obs.span("query.batch", queries=len(queries)) as sp:
                     routed = router.answer_many(list(queries))
-            registry = obs.metrics()
-            hot = obs.hot_queries()
-            # The batch runs as one scatter round, so a query has no
-            # wall time of its own: each is booked an equal share.
-            share_ms = sp.duration_ms / len(queries)
-            for query in queries:
-                registry.counter(
-                    "platform.queries", {"family": query_family(query)}
-                ).inc()
-                hot.record(query_shape(query), share_ms)
+                # The batch runs as one scatter round, so a query has no
+                # wall time (or bill) of its own: each is booked an
+                # equal share.
+                share_ms = sp.duration_ms / len(queries)
+                for query in queries:
+                    obs.note_query(query_shape(query), query_family(query), share_ms)
             return [answer.results() for answer, _ in routed]
         return [self.execute(query) for query in queries]
 
@@ -555,26 +551,19 @@ class TVDP:
         # request's when there is one, a fresh local ledger otherwise).
         with maybe_ledger_scope(
             obs.usage(), principal=LOCAL_PRINCIPAL, operation=f"execute.{family}"
-        ) as ledger:
+        ):
             with obs.span(f"query.{family}") as sp:
-                # The first query under a ledger names the bill.
-                if ledger.shape is None:
-                    ledger.annotate(shape=shape)
-                if ledger.trace_id is None:
-                    ledger.annotate(trace_id=sp.trace_id)
                 answer = run(query)
                 sp.set("results", len(answer))
-        obs.metrics().counter("platform.queries", {"family": family}).inc()
-        # duration_ms is only final once the span context exits, so the
-        # hot-query tracker is fed outside the with-block.
-        obs.hot_queries().record(shape, sp.duration_ms)
+            # duration_ms is only final once the span has closed.
+            obs.note_query(shape, family, sp.duration_ms)
         return answer
 
     def _run_part(self, query: object) -> Answer:
         """One part of a general hybrid: its own ``query.<family>``
         child span, billed to the hybrid's ledger — and not counted, so
         a hybrid is one query in ``platform.queries`` and one shape in
-        the hot-query tracker, as it is on a sharded platform."""
+        the hot-query view, as it is on a sharded platform."""
         with obs.span(f"query.{query_family(query)}") as sp:
             answer = self._run(query)
             sp.set("results", len(answer))
@@ -668,7 +657,7 @@ class TVDP:
         """Platform-wide counters (exposed by the API's stats route),
         including per-operation latency summaries from the span
         histograms."""
-        windows = obs.latency_windows()
+        store = obs.records()
         with self._lock:
             n_blobs = len(self._blobs)
         return {
@@ -678,9 +667,9 @@ class TVDP:
             "extractors": self.features.names(),
             "lsh_indexes": sorted(self.slice.visual_indexes()),
             "latency_ms": self.latency_summaries(),
-            "latency_ms_window": windows.summaries(),
-            "window_s": windows.window_s,
-            "usage": obs.usage().report(),
+            "latency_ms_window": store.window_summaries(),
+            "window_s": store.WINDOW_S,
+            "usage": store.report(),
         }
 
     def latency_summaries(self) -> dict[str, dict[str, float]]:

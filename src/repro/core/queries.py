@@ -298,10 +298,11 @@ def query_shape(query: object) -> str:
         SpatialQuery(region=B)            -> "spatial(mode=scene,region)"
         VisualQuery("hsv", vector=v, k=5) -> "visual(extractor=hsv,k=5)"
 
-    The hot-query tracker (``repro.obs.hotqueries``) aggregates the
-    workload by these strings; parameters that change the access path
-    or its cost class (mode, match, k, radius-vs-topk, label count)
-    stay in the shape, parameters that merely move it around do not.
+    The record store's shape rollup (``/debug/hot``, the usage report's
+    ``by_shape``) aggregates the workload by these strings; parameters
+    that change the access path or its cost class (mode, match, k,
+    radius-vs-topk, label count) stay in the shape, parameters that
+    merely move it around do not.
     """
     if isinstance(query, SpatialQuery):
         parts = [f"mode={query.mode}"]

@@ -1,8 +1,11 @@
 """Platform observability: metrics, tracing spans, structured logs.
 
-One process-wide :class:`MetricsRegistry` and :class:`Tracer` (ring
-buffer attached) back every instrumented code path — the same pattern
-as the Prometheus client library.  The API layer serves the registry at
+One process-wide :class:`MetricsRegistry`, :class:`Tracer` and
+:class:`RecordStore` back every instrumented code path.  A unit of work
+(an API request, a bare platform call) yields one
+:class:`RequestRecord`, folded once into the store; ``/stats``,
+``/health`` and every ``/debug/*`` view read that store (see
+``repro.obs.record``).  The API layer serves the registry at
 ``GET /metrics``; benchmarks snapshot/diff it around measured phases;
 ``TVDP.reset_metrics()`` zeroes it between phases.
 
@@ -17,8 +20,8 @@ Typical use::
 
 Performance observability on top of the same core: ``obs.profile_scope``
 / ``obs.memory_scope`` attach cProfile / tracemalloc results to the
-active span, ``obs.slow_spans()`` queries the worst-span exemplar log
-(served at ``GET /debug/slow``), and ``obs.health()`` evaluates the
+active span, ``obs.records().slowest()`` reads the worst spans per
+operation (served at ``GET /debug/slow``), and ``obs.health()`` evaluates the
 declarative SLOs in ``repro.obs.slo`` (served at ``GET /health``).
 
 Set the ``TVDP_TRACE_JSONL`` environment variable (or call
@@ -35,14 +38,12 @@ from repro.obs import slo
 from repro.obs.accounting import (
     Budget,
     ResourceLedger,
-    UsageTable,
     active_ledger,
     charge,
     charge_probes,
     ledger_scope,
     maybe_ledger_scope,
 )
-from repro.obs.hotqueries import HotQueryTracker
 from repro.obs.logs import SpanContextFilter, configure_logging, console, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -52,17 +53,15 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counters_delta,
 )
-from repro.obs.windows import RollingWindows
 from repro.obs.profiling import (
     MemoryResult,
     ProfileResult,
-    SlowSpanLog,
     memory_scope,
     profile_scope,
 )
+from repro.obs.record import RecordStore, RequestRecord, Unit, current_unit
 from repro.obs.tracing import (
     JsonlExporter,
-    RingBufferExporter,
     Span,
     TraceContext,
     Tracer,
@@ -79,20 +78,18 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "Gauge",
     "Histogram",
-    "HotQueryTracker",
     "JsonlExporter",
     "MemoryResult",
     "MetricsRegistry",
     "ProfileResult",
+    "RecordStore",
+    "RequestRecord",
     "ResourceLedger",
-    "RingBufferExporter",
-    "RollingWindows",
-    "SlowSpanLog",
     "Span",
     "SpanContextFilter",
     "TraceContext",
     "Tracer",
-    "UsageTable",
+    "Unit",
     "active_ledger",
     "charge",
     "charge_probes",
@@ -107,32 +104,27 @@ __all__ = [
     "get_logger",
     "health",
     "hot_queries",
-    "latency_windows",
     "ledger_scope",
     "maybe_ledger_scope",
     "memory_scope",
     "metrics",
+    "note_query",
+    "note_request",
     "parse_traceparent",
     "profile_scope",
+    "records",
     "reset",
     "ring_buffer",
     "slo",
-    "slow_log",
-    "slow_spans",
     "snapshot",
     "span",
     "span_tree",
-    "tracer",
     "usage",
 ]
 
 _registry = MetricsRegistry()
-_ring = RingBufferExporter(capacity=4096)
-_slow = SlowSpanLog(registry=_registry)
-_windows = RollingWindows()
-_hot = HotQueryTracker()
-_tracer = Tracer(registry=_registry, exporters=[_ring, _slow], windows=_windows)
-_usage = UsageTable(registry=_registry)
+_store = RecordStore(registry=_registry)
+_tracer = Tracer(_store)
 _jsonl: JsonlExporter | None = None
 _jsonl_lock = threading.Lock()
 
@@ -142,49 +134,23 @@ def metrics() -> MetricsRegistry:
     return _registry
 
 
-def latency_windows() -> RollingWindows:
-    """The process-wide rolling latency windows (fed by the tracer:
-    every finished span's duration, keyed by span name)."""
-    return _windows
-
-
-def hot_queries() -> HotQueryTracker:
-    """The process-wide hot-query tracker (fed by ``TVDP.execute`` with
-    normalized query shapes; served at ``GET /debug/hot``)."""
-    return _hot
-
-
-def usage() -> UsageTable:
-    """The process-wide usage table: per-principal/shape/operation
-    resource charges absorbed from request ledgers (served at
-    ``GET /debug/resources``).  Configure an admission budget with
+def records() -> RecordStore:
+    """The process-wide record store: every finished unit of work is
+    folded into it once, and every view is a read of it — usage
+    (``report()``, ``GET /debug/resources``), hot query shapes
+    (``top()``, ``/debug/hot``), slow spans (``slowest()``,
+    ``/debug/slow``), rolling latency (``window()``), recent spans and
+    records (``spans()``, ``request()``, ``/debug/trace|request``).
+    Configure an admission budget with
     ``obs.usage().set_budget(obs.Budget(...))`` or the
     ``TVDP_USAGE_BUDGET`` environment variable (cost units / 60 s)."""
-    return _usage
+    return _store
 
 
-# Public accessor mirroring metrics(); consumed by tests and debugging.
-# devtools: allow[dead-code] — intentional API surface
-def tracer() -> Tracer:
-    """The process-wide tracer."""
-    return _tracer
-
-
-# Public accessor; tests and notebooks read recent spans through it.
-# devtools: allow[dead-code] — intentional API surface
-def ring_buffer() -> RingBufferExporter:
-    """The tracer's in-memory exporter (recent finished spans)."""
-    return _ring
-
-
-def slow_log() -> SlowSpanLog:
-    """The tracer's slow-span exemplar log (worst spans per operation)."""
-    return _slow
-
-
-def slow_spans(name: str | None = None, limit: int | None = None) -> list[dict]:
-    """Worst-span exemplar records (see ``SlowSpanLog.slowest``)."""
-    return _slow.slowest(name, limit)
+#: The store under the names its views had as separate structures:
+#: ``ledger_scope(table=obs.usage())``, ``obs.hot_queries().top()``,
+#: ``obs.ring_buffer().spans()``.
+usage = hot_queries = ring_buffer = records
 
 
 def health(slos=None) -> dict:
@@ -193,7 +159,7 @@ def health(slos=None) -> dict:
     ``None``).  Latency objectives read the rolling last-60s windows
     when those hold samples, falling back to the since-process-start
     histograms on a cold window."""
-    return slo.evaluate(_registry, slos, windows=_windows)
+    return slo.evaluate(_registry, slos, windows=_store)
 
 
 def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
@@ -206,23 +172,42 @@ def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
     return _tracer.span(name, remote_parent=remote_parent, **attrs)
 
 
+def note_query(shape: str, family: str, duration_ms: float) -> None:
+    """One executed query, noted on the open unit of work: it counts in
+    ``platform.queries{family}`` and under its shape when the unit
+    folds (at once, when no unit is open)."""
+    unit = current_unit()
+    if unit is not None:
+        unit.queries.append((shape, family, duration_ms))
+    else:
+        _store.record(shape, duration_ms, family)
+
+
+def note_request(
+    request_id: str | None, method: str, route: str, status: int, span: Span
+) -> None:
+    """The router's facts about the open unit of work: which request it
+    is, how it was answered, and the ``http.request`` span that timed
+    it — what ``api.requests`` / ``api.request_ms`` are folded from."""
+    unit = current_unit()
+    if unit is not None:
+        unit.request = (request_id, method, route, status, span)
+
+
 def snapshot() -> dict[str, dict]:
     """Current values of every metric (see ``MetricsRegistry.snapshot``)."""
     return _registry.snapshot()
 
 
 def reset() -> None:
-    """Zero all metrics and drop buffered spans, slow-span exemplars,
-    rolling latency windows, and hot-query stats (benchmark isolation).
+    """Zero all metrics and drop every view of the record store — usage,
+    hot shapes, slow spans, rolling windows, buffered records
+    (benchmark isolation).
 
     Metric handles cached by instrumented modules stay valid.
     """
     _registry.reset()
-    _ring.clear()
-    _slow.clear()
-    _windows.reset()
-    _hot.clear()
-    _usage.reset()
+    _store.reset()
 
 
 def enable_jsonl(path: str) -> JsonlExporter:
@@ -242,7 +227,7 @@ def enable_jsonl(path: str) -> JsonlExporter:
             if _jsonl is not None:
                 _detach_jsonl()
             _jsonl = exporter
-            _tracer.add_exporter(exporter)
+            _store.add_exporter(exporter)
             current = exporter
     if current is not exporter:
         exporter.close()
@@ -261,7 +246,7 @@ def _detach_jsonl() -> None:
     """Close and drop the active exporter; caller holds ``_jsonl_lock``."""
     global _jsonl
     if _jsonl is not None:
-        _tracer.remove_exporter(_jsonl)
+        _store.remove_exporter(_jsonl)
         _jsonl.close()
         _jsonl = None  # devtools: allow[module-mutable-state] caller holds _jsonl_lock
 
@@ -273,7 +258,7 @@ if _env_path:
 _env_budget = os.environ.get("TVDP_USAGE_BUDGET")
 if _env_budget:
     try:
-        _usage.set_budget(Budget(cost_per_window=float(_env_budget)))
+        _store.set_budget(Budget(cost_per_window=float(_env_budget)))
     except ValueError:
         get_logger("obs").warning(
             "ignoring unusable TVDP_USAGE_BUDGET=%r", _env_budget

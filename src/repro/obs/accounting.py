@@ -1,4 +1,5 @@
-"""Per-request resource accounting: cost ledgers and the usage table.
+"""Per-request resource accounting: the cost ledger a unit of work is
+billed on.
 
 Latency histograms say *how long*; this module says *who spent what*.
 A :class:`ResourceLedger` is opened per unit of work (one API request
@@ -15,16 +16,17 @@ active) and meters the resources the work touches:
 
 The ledger rides a ``contextvars`` variable — instrumented code calls
 the module-level :func:`charge` helpers, which are a near-no-op when no
-ledger is active.  On close, the charges roll up into a
-:class:`UsageTable` under three aggregation keys: **principal** (the
-API key's label), **query shape** (``repro.core.queries.query_shape``),
-and **operation** (route or platform entry point).
+ledger is active.  A ledger opened with a ``table`` is *billable*: it
+becomes the bill of its unit of work's record (``repro.obs.record``),
+and when the unit folds the charges roll up under three aggregation
+keys: **principal** (the API key's label), **query shape**
+(``repro.core.queries.query_shape``), and **operation** (route or
+platform entry point).
 
-The table is thread-safe.  A configurable
-:class:`Budget` turns per-principal rolling spend into *would-shed*
-dry-run flags — the admission-control signal the serving arc will act
-on, surfaced at ``GET /debug/resources`` without actually shedding
-anything yet.
+A configurable :class:`Budget` turns per-principal rolling spend into
+*would-shed* dry-run flags — the admission-control signal the serving
+arc will act on, surfaced at ``GET /debug/resources`` without actually
+shedding anything yet.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import threading
-import time
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import RecordStore, Unit, current_unit
+
+#: The name the store goes by where it is handed to ``ledger_scope``.
+UsageTable = RecordStore
 
 #: Weight of one unit of each charge kind in the scalar cost used for
 #: budgets and "top consumer" ranking.  ``probes.<family>`` keys share
@@ -76,14 +79,13 @@ class ResourceLedger:
 
     Owned by the single execution context that opened it (like an open
     :class:`~repro.obs.tracing.Span`), so ``add`` needs no lock; the
-    thread-safety boundary is :meth:`UsageTable.absorb`.  Slotted: one
+    thread-safety boundary is :meth:`RecordStore.fold`.  Slotted: one
     ledger is created per request, on the serving hot path.
     """
 
     principal: str = LOCAL_PRINCIPAL
     operation: str | None = None
     shape: str | None = None
-    trace_id: str | None = None
     charges: dict[str, float] = field(default_factory=dict)
     _mem_baseline: float | None = None
 
@@ -94,38 +96,9 @@ class ResourceLedger:
             self.charges.get(kind, 0.0) + amount
         )
 
-    def annotate(
-        self,
-        principal: str | None = None,
-        operation: str | None = None,
-        shape: str | None = None,
-        trace_id: str | None = None,
-    ) -> None:
-        """Fill aggregation keys as they become known (auth knows the
-        principal, the platform knows the shape, the span the trace)."""
-        if principal is not None:
-            self.principal = principal
-        if operation is not None:
-            self.operation = operation
-        if shape is not None:
-            self.shape = shape
-        if trace_id is not None:
-            self.trace_id = trace_id
-
     def cost(self) -> float:
         """Scalar cost of everything charged so far."""
         return cost_of(self.charges)
-
-    def snapshot(self) -> dict:
-        """JSON-compatible record of the ledger."""
-        return {
-            "principal": self.principal,
-            "operation": self.operation,
-            "shape": self.shape,
-            "trace_id": self.trace_id,
-            "charges": dict(self.charges),
-            "cost": round(self.cost(), 6),
-        }
 
     # -- memory metering ----------------------------------------------------
 
@@ -164,8 +137,13 @@ def charge_probes(family: str, count: float) -> None:
 
 
 class ledger_scope:
-    """Open a fresh ledger for the block and absorb it into ``table``
-    on exit (exceptions included — failed work still cost something).
+    """Open a fresh ledger for the block.  With a ``table`` the ledger
+    is billable: it is the bill of the enclosing unit of work — or, when
+    it is the outermost thing open, the unit of work itself, folded into
+    ``table`` on exit (exceptions included — failed work still cost
+    something).  A second billable ledger in one unit adds its charges
+    to the first.  Without a ``table`` it is a private meter whose
+    charges the caller reads off.
 
     A plain class-based context manager rather than
     ``@contextlib.contextmanager``: one of these opens per serving
@@ -174,11 +152,11 @@ class ledger_scope:
     ``benchmarks/bench_obs_overhead.py``).
     """
 
-    __slots__ = ("ledger", "_table", "_token")
+    __slots__ = ("ledger", "_table", "_token", "_unit", "_root")
 
     def __init__(
         self,
-        table: "UsageTable | None" = None,
+        table: RecordStore | None = None,
         principal: str = LOCAL_PRINCIPAL,
         operation: str | None = None,
         shape: str | None = None,
@@ -189,6 +167,14 @@ class ledger_scope:
         )
 
     def __enter__(self) -> ResourceLedger:
+        if self._table is not None:
+            unit = current_unit()
+            self._root = unit is None
+            if self._root:
+                unit = Unit(self._table)
+            if unit.ledger is None:
+                unit.ledger = self.ledger
+            self._unit = unit
         self.ledger._open_mem()
         self._token = _ledger.set(self.ledger)
         return self.ledger
@@ -197,7 +183,12 @@ class ledger_scope:
         _ledger.reset(self._token)
         self.ledger._close_mem()
         if self._table is not None:
-            self._table.absorb(self.ledger)
+            bill = self._unit.ledger
+            if bill is not self.ledger:
+                for kind, amount in self.ledger.charges.items():
+                    bill.add(kind, amount)
+            if self._root:
+                self._unit.close()
         return False
 
 
@@ -235,286 +226,3 @@ class Budget:
             )
         if not (0.0 < self.window_s < math.inf):
             raise ValueError(f"window_s must be finite and > 0, got {self.window_s}")
-
-
-class UsageTable:
-    """Thread-safe roll-up of closed ledgers by principal/shape/operation.
-
-    ``registry`` (optional) receives ``usage.*`` metrics on every
-    absorb: per-principal charge counters, a scalar ``usage.cost``
-    counter, a ``usage.rolling_cost`` gauge, and a ``usage.would_shed``
-    counter when the configured :class:`Budget` is exceeded.  The
-    worst charge per aggregate keeps an exemplar ``trace_id`` so a
-    spike in the metrics can be followed straight to its trace tree.
-
-    ``clock`` is injectable (seconds, monotone) for deterministic
-    rolling-window tests.
-    """
-
-    #: Resolution of the default rolling window, in buckets.
-    BUCKETS = 12
-    #: Window used for rolling spend when no budget is configured.
-    DEFAULT_WINDOW_S = 60.0
-    #: Spend is always bucketed at this fixed granularity so what-if
-    #: budgets with a different ``window_s`` read the same history.
-    _BUCKET_S = DEFAULT_WINDOW_S / BUCKETS
-    #: Pruning horizon (buckets kept): 20 minutes of spend history.
-    _MAX_BUCKETS = 240
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        budget: Budget | None = None,
-        clock=None,
-    ) -> None:
-        self._registry = registry
-        self._budget = budget
-        self._clock = clock or time.monotonic
-        self._lock = threading.Lock()
-        self._by_principal: dict[str, dict] = {}
-        self._by_shape: dict[str, dict] = {}
-        self._by_operation: dict[str, dict] = {}
-        #: principal -> {bucket index -> cost} for the rolling window.
-        self._spend: dict[str, dict[int, float]] = {}
-        #: principal -> interned metric handles; registry lookups hash
-        #: the label dict every call, which is most of the absorb cost
-        #: on the serving hot path.  Handles survive registry.reset().
-        self._metric_handles: dict[str, dict] = {}
-
-    # -- configuration -------------------------------------------------------
-
-    def set_budget(self, budget: Budget | None) -> None:
-        """Install (or clear) the admission budget for would-shed flags."""
-        with self._lock:
-            self._budget = budget
-
-    def budget(self) -> Budget | None:
-        with self._lock:
-            return self._budget
-
-    # -- ingestion -----------------------------------------------------------
-
-    @staticmethod
-    def _fold_ledger(
-        table: dict, key: str, cost: float, charges: dict, exemplar: dict | None
-    ) -> None:
-        """One-ledger fold specialised for the absorb hot path: no
-        intermediate aggregate dict, charges copied only on first sight
-        of a key (caller holds the lock)."""
-        row = table.get(key)
-        if row is None:
-            table[key] = {
-                "count": 1,
-                "cost": cost,
-                "charges": dict(charges),
-                "exemplar": dict(exemplar) if exemplar else None,
-            }
-            return
-        row["count"] += 1
-        row["cost"] += cost
-        row_charges = row["charges"]
-        for kind, amount in charges.items():
-            row_charges[kind] = row_charges.get(kind, 0.0) + amount
-        if exemplar is not None and (
-            row["exemplar"] is None or exemplar["cost"] > row["exemplar"]["cost"]
-        ):
-            row["exemplar"] = dict(exemplar)
-
-    def absorb(self, ledger: ResourceLedger) -> None:
-        """Fold one closed ledger into the aggregates (thread-safe)."""
-        cost = ledger.cost()
-        charges = ledger.charges
-        exemplar = (
-            {"cost": cost, "trace_id": ledger.trace_id} if ledger.trace_id else None
-        )
-        with self._lock:
-            self._fold_ledger(
-                self._by_principal, ledger.principal, cost, charges, exemplar
-            )
-            if ledger.shape:
-                self._fold_ledger(self._by_shape, ledger.shape, cost, charges, exemplar)
-            if ledger.operation:
-                self._fold_ledger(
-                    self._by_operation, ledger.operation, cost, charges, exemplar
-                )
-            self._note_spend(ledger.principal, cost)
-            budget = self._budget
-            if budget is not None:
-                rolling = self._rolling_locked(ledger.principal, budget.window_s)
-                shed = rolling > budget.cost_per_window
-            else:
-                rolling, shed = 0.0, False
-        self._emit_metrics(ledger, cost, rolling, shed, budget)
-
-    def _note_spend(self, principal: str, cost: float) -> None:
-        """Record spend in the fixed-granularity buckets (caller holds
-        the lock)."""
-        bucket = int(self._clock() / self._BUCKET_S)
-        buckets = self._spend.setdefault(principal, {})
-        if bucket in buckets:
-            buckets[bucket] += cost
-        else:
-            # Prune only when a new bucket opens (once per _BUCKET_S),
-            # so steady-state absorbs never scan the bucket map.
-            buckets[bucket] = cost
-            floor = bucket - self._MAX_BUCKETS
-            for stale in [b for b in buckets if b <= floor]:
-                del buckets[stale]
-
-    def _rolling_locked(self, principal: str, window_s: float) -> float:
-        """Spend of ``principal`` over the trailing ``window_s`` seconds
-        (caller holds the lock)."""
-        span = max(1, int(round(window_s / self._BUCKET_S)))
-        floor = int(self._clock() / self._BUCKET_S) - span
-        return sum(
-            cost
-            for bucket, cost in self._spend.get(principal, {}).items()
-            if bucket > floor
-        )
-
-    def _handles(self, principal: str) -> dict:
-        """Interned metric handles for one principal (lazy).  Called
-        outside the table lock; a race rebuilds the same handles — the
-        registry get-or-creates, so both writers intern one Counter."""
-        handles = self._metric_handles.get(principal)
-        if handles is None:
-            labels = {"principal": principal}
-            handles = {
-                "requests": self._registry.counter("usage.requests", labels),
-                "cost": self._registry.counter("usage.cost", labels),
-                "rolling": self._registry.gauge("usage.rolling_cost", labels),
-                "shed": self._registry.counter("usage.would_shed", labels),
-                "kinds": {},
-            }
-            # Benign interning race: both writers build identical
-            # handles from the get-or-create registry.
-            self._metric_handles[principal] = handles  # devtools: allow[thread-escape]
-        return handles
-
-    def _emit_metrics(
-        self,
-        ledger: ResourceLedger,
-        cost: float,
-        rolling: float,
-        shed: bool,
-        budget: Budget | None,
-    ) -> None:
-        if self._registry is None:
-            return
-        handles = self._handles(ledger.principal)
-        handles["requests"].inc()
-        handles["cost"].inc(cost)
-        kinds = handles["kinds"]
-        for kind, amount in ledger.charges.items():
-            counter = kinds.get(kind)
-            if counter is None:
-                name = (
-                    "usage.index_probes"
-                    if kind.startswith("probes.")
-                    else f"usage.{kind}"
-                )
-                counter = self._registry.counter(
-                    name, {"principal": ledger.principal}
-                )
-                kinds[kind] = counter
-            counter.inc(amount)
-        if budget is not None:
-            handles["rolling"].set(rolling)
-            if shed:
-                handles["shed"].inc()
-
-    # -- reporting -----------------------------------------------------------
-
-    def rolling_cost(self, principal: str, window_s: float | None = None) -> float:
-        """Current rolling-window spend of one principal, over the
-        configured budget's window (or :data:`DEFAULT_WINDOW_S`) unless
-        ``window_s`` overrides it."""
-        if window_s is None:
-            budget = self.budget()
-            window_s = (
-                budget.window_s if budget is not None else self.DEFAULT_WINDOW_S
-            )
-        with self._lock:
-            return self._rolling_locked(principal, window_s)
-
-    def would_shed(self, budget: Budget | None = None) -> list[str]:
-        """Principals whose rolling spend exceeds the budget (dry run —
-        nothing is actually shed).  ``budget`` overrides the configured
-        one for what-if evaluation."""
-        budget = budget or self.budget()
-        if budget is None:
-            return []
-        return sorted(
-            principal
-            for principal in self.principals()
-            if self.rolling_cost(principal, budget.window_s)
-            > budget.cost_per_window
-        )
-
-    def principals(self) -> list[str]:
-        with self._lock:
-            return sorted(self._by_principal)
-
-    @staticmethod
-    def _rows(table: dict, top: int | None) -> list[dict]:
-        ranked = sorted(
-            table.items(), key=lambda item: (-item[1]["cost"], item[0])
-        )
-        if top is not None:
-            ranked = ranked[:top]
-        return [
-            {
-                "key": key,
-                "count": row["count"],
-                "cost": round(row["cost"], 6),
-                "charges": {k: round(v, 6) for k, v in sorted(row["charges"].items())},
-                "exemplar": row["exemplar"],
-            }
-            for key, row in ranked
-        ]
-
-    def report(self, top: int | None = 10, budget: Budget | None = None) -> dict:
-        """Top consumers by principal/shape/operation plus budget and
-        would-shed dry-run state (the ``GET /debug/resources`` payload)."""
-        with self._lock:
-            by_principal = self._rows(self._by_principal, top)
-            by_shape = self._rows(self._by_shape, top)
-            by_operation = self._rows(self._by_operation, top)
-        effective = budget or self.budget()
-        return {
-            "by_principal": by_principal,
-            "by_shape": by_shape,
-            "by_operation": by_operation,
-            "budget": (
-                {
-                    "cost_per_window": effective.cost_per_window,
-                    "window_s": effective.window_s,
-                    "overridden": budget is not None,
-                }
-                if effective is not None
-                else None
-            ),
-            "rolling_cost": {
-                p: round(
-                    self.rolling_cost(
-                        p, effective.window_s if effective is not None else None
-                    ),
-                    6,
-                )
-                for p in self.principals()
-            },
-            "would_shed": self.would_shed(budget),
-        }
-
-    def reset(self) -> None:
-        """Drop all aggregates and rolling spend (benchmark isolation);
-        the configured budget survives."""
-        with self._lock:
-            self._by_principal.clear()
-            self._by_shape.clear()
-            self._by_operation.clear()
-            self._spend.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_principal)

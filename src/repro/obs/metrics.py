@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 
 _LabelKey = tuple[tuple[str, str], ...]
 _MetricKey = tuple[str, _LabelKey]
@@ -67,25 +68,40 @@ def _prom_escape(value: str) -> str:
 
 
 class Counter:
-    """Monotonically increasing value."""
+    """Monotonically increasing value.
 
-    __slots__ = ("name", "labels", "value", "_lock")
+    The value lives in a cell of ``cells`` — the registry hands every
+    counter it creates a cell of one shared array of doubles, so a
+    snapshot of all counters is a copy of that array
+    (``counter_snapshot``): no boxed floats, nothing for the garbage
+    collector to track.
+    """
 
-    def __init__(self, name: str, labels: _LabelKey = ()) -> None:
+    __slots__ = ("name", "labels", "_cells", "_at", "_lock")
+
+    def __init__(
+        self, name: str, labels: _LabelKey = (), cells: array | None = None
+    ) -> None:
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self._cells = array("d") if cells is None else cells
+        self._at = len(self._cells)
+        self._cells.append(0.0)
         self._lock = threading.Lock()
+
+    @property
+    def value(self) -> float:
+        return self._cells[self._at]
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
         with self._lock:
-            self.value += amount
+            self._cells[self._at] += amount
 
     def _reset(self) -> None:
         with self._lock:
-            self.value = 0.0
+            self._cells[self._at] = 0.0
 
 
 class Gauge:
@@ -197,6 +213,18 @@ class Histogram:
                 cumulative += in_bucket
             return self.max
 
+    def merge(self, other: "Histogram") -> None:
+        """Add every sample of ``other`` (same buckets) to this one —
+        how a rolling window reads as one distribution: the live time
+        slots' histograms merged, then the one :meth:`percentile`."""
+        with self._lock:
+            for i, in_bucket in enumerate(other.bucket_counts):
+                self.bucket_counts[i] += in_bucket
+            self.count += other.count
+            self.sum += other.sum
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
+
     def summary(self) -> dict[str, float]:
         """Count, sum, extrema, and the operator percentiles."""
         with self._lock:
@@ -232,6 +260,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[_MetricKey, Counter] = {}
+        #: Every counter's value, in registration order (``Counter``).
+        self._counter_cells = array("d")
         self._gauges: dict[_MetricKey, Gauge] = {}
         self._histograms: dict[_MetricKey, Histogram] = {}
         self._lock = threading.Lock()
@@ -243,7 +273,7 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         with self._lock:
             if key not in self._counters:
-                self._counters[key] = Counter(name, key[1])
+                self._counters[key] = Counter(name, key[1], self._counter_cells)
             return self._counters[key]
 
     def gauge(self, name: str, labels: dict[str, str] | None = None) -> Gauge:
@@ -295,27 +325,27 @@ class MetricsRegistry:
             counters = list(self._counters.values())
         return {_flat_name(c.name, c.labels): c.value for c in counters}
 
-    def counter_snapshot(self) -> list[float]:
+    def counter_snapshot(self) -> array:
         """Counter values by position, in registration order.
 
         Counters are never unregistered, so position ``i`` names the
         same counter in every later snapshot; a longer snapshot only
-        adds counters registered since.  No names are built — this is
-        what the slow-span log takes at every span start.
+        adds counters registered since.  No names are built and no lock
+        is taken (one array copy) — this is what a request record takes
+        when its first span opens and when it closes.
         """
-        with self._lock:
-            return [c.value for c in self._counters.values()]
+        return self._counter_cells[:]
 
-    def counter_deltas(self, before: list[float]) -> dict[str, float]:
-        """Flat ``name{labels}`` -> change since ``before`` (a
-        :meth:`counter_snapshot`), zero changes left out; a counter
-        registered after ``before`` counts from zero."""
+    def counter_deltas(self, before: array, after: array) -> dict[str, float]:
+        """Flat ``name{labels}`` -> change from ``before`` to ``after``
+        (two :meth:`counter_snapshot` arrays), zero changes left out; a
+        counter registered after ``before`` counts from zero."""
         with self._lock:
             counters = list(self._counters.values())
         known = len(before)
         deltas: dict[str, float] = {}
-        for position, counter in enumerate(counters):
-            delta = counter.value - (before[position] if position < known else 0.0)
+        for position, (counter, value) in enumerate(zip(counters, after)):
+            delta = value - (before[position] if position < known else 0.0)
             if delta:
                 deltas[_flat_name(counter.name, counter.labels)] = delta
         return deltas

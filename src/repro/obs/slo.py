@@ -164,7 +164,7 @@ def _status_of(burn: float) -> str:
 def evaluate_slo(slo: SLO, registry: MetricsRegistry, windows=None) -> dict:
     """One objective against the registry's current values.
 
-    With ``windows`` (a :class:`repro.obs.windows.RollingWindows`),
+    With ``windows`` (a :class:`repro.obs.record.RecordStore`),
     latency objectives are judged on the rolling window — "p95 over the
     last 60 s" — whenever the window holds samples for the span, and
     the result carries ``window_s``.  A cold or drained window falls
@@ -191,11 +191,11 @@ def evaluate_slo(slo: SLO, registry: MetricsRegistry, windows=None) -> dict:
         result["percentile"] = slo.percentile
         observed: float | None = None
         if windows is not None:
-            window_count = windows.count(slo.span)
-            if window_count > 0:
-                samples = window_count
-                observed = windows.percentile(slo.span, slo.percentile)
-                result["window_s"] = windows.window_s
+            window = windows.window(slo.span).get(slo.span)
+            if window is not None:
+                samples = window.count
+                observed = window.percentile(slo.percentile)
+                result["window_s"] = windows.WINDOW_S
         result["samples"] = samples
         if samples == 0:
             result["insufficient_data"] = True

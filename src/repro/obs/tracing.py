@@ -1,23 +1,18 @@
 """Span-based tracing with ``contextvars`` parent/child propagation.
 
-``span("query.spatial", attrs...)`` opens a timed unit of work; spans
+``span("query.spatial", attrs...)`` opens a timed operation; spans
 started inside it become children, so one API request produces a tree
-(request -> platform -> index) that the ring-buffer exporter can
-reassemble.  Span names follow the ``<service>.<operation>`` convention
-documented in ``docs/observability.md``.
+(request -> platform -> index).  Span names follow the
+``<service>.<operation>`` convention documented in
+``docs/observability.md``.
 
-Finished spans are fanned out to exporters (in-memory ring buffer by
-default, JSON-lines file on request) and — when the tracer is wired to
-a :class:`~repro.obs.metrics.MetricsRegistry` — recorded as
-``span.duration_ms{span=<name>}`` latency histograms plus
-``spans.total``/``spans.errors`` counters.  That single wiring is what
-lets ``GET /metrics`` report latency summaries for every instrumented
-operation without separate timing code.
-
-Exporters that also define an ``on_start(span)`` method are called when
-a span *opens* — the slow-span exemplar log in ``repro.obs.profiling``
-uses this to snapshot counters before the work runs, so it can report
-probe-counter deltas per slow span.
+A finished span is appended — no lock, no fan-out — to the open
+:class:`~repro.obs.record.Unit` of work of its execution context; a
+span that opens with no unit open *is* the unit of work, and closing
+it folds the unit's record (see ``repro.obs.record``).  The fold is what
+records ``span.duration_ms{span=<name>}`` / ``spans.total`` /
+``spans.errors``, the rolling windows and the slow-span exemplars, and
+streams the record's spans to the JSON-lines exporter when one is on.
 """
 
 from __future__ import annotations
@@ -28,11 +23,10 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import RecordStore, Unit, current_unit
 
 _ids = itertools.count(1)
 _id_lock = threading.Lock()
@@ -145,50 +139,10 @@ class Span:
         }
 
 
-class RingBufferExporter:
-    """Keeps the most recent finished spans in memory for inspection.
-
-    Spans finish on whichever thread ran them, so the buffer is
-    lock-protected (deque appends are GIL-atomic today, but the lock
-    also makes :meth:`spans` snapshots consistent and is what the
-    ``thread-escape`` lint can verify statically).
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self._spans: deque[Span] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-
-    def export(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-
-    def spans(self, name: str | None = None) -> list[Span]:
-        """Finished spans, oldest first, optionally filtered by name."""
-        with self._lock:
-            buffered = list(self._spans)
-        if name is None:
-            return buffered
-        return [s for s in buffered if s.name == name]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-
-    def span_tree(self, trace_id: str | None = None) -> list[dict]:
-        """Nested parent/child view of buffered spans.
-
-        Returns the root spans (no parent in the buffer) of the given
-        trace — or of every trace — each with a ``children`` list,
-        depth-first in completion order.
-        """
-        return span_tree(
-            [s for s in self.spans() if trace_id is None or s.trace_id == trace_id]
-        )
-
-
 def span_tree(spans: list[Span]) -> list[dict]:
     """Build nested dicts from flat finished spans (see ``Span.to_dict``;
-    each node gains a ``children`` key)."""
+    each node gains a ``children`` key).  Roots are the spans whose
+    parent is not among ``spans``, in completion order."""
     nodes = {s.span_id: {**s.to_dict(), "children": []} for s in spans}
     roots: list[dict] = []
     for s in spans:
@@ -225,33 +179,12 @@ class JsonlExporter:
 
 
 class Tracer:
-    """Opens spans, propagates parentage, exports on close.
+    """Opens spans, propagates parentage, closes them into the unit of
+    work.  A span that opens outside any unit opens one on ``store`` (a
+    tracer without a store only times and links its spans)."""
 
-    ``windows`` (a :class:`repro.obs.windows.RollingWindows`, duck-typed
-    to avoid an import cycle) additionally receives every finished
-    span's duration under its span name, giving rolling last-minute
-    percentiles next to the cumulative histograms.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        exporters: list | None = None,
-        windows: object | None = None,
-    ) -> None:
-        self.registry = registry
-        self.windows = windows
-        self.exporters: list = list(exporters or [])
-        self._exporters_lock = threading.Lock()
-
-    def add_exporter(self, exporter: object) -> None:
-        with self._exporters_lock:
-            self.exporters.append(exporter)
-
-    def remove_exporter(self, exporter: object) -> None:
-        with self._exporters_lock:
-            if exporter in self.exporters:
-                self.exporters.remove(exporter)
+    def __init__(self, store: RecordStore | None = None) -> None:
+        self.store = store
 
     @contextlib.contextmanager
     def span(
@@ -278,6 +211,14 @@ class Tracer:
             ancestry = ()
         else:
             trace_id, parent_id, ancestry = _next_id("t"), None, ()
+        unit = current_unit()
+        root = unit is None and self.store is not None
+        if root:
+            unit = Unit(self.store)
+        if unit is not None and unit.counters is None:
+            registry = unit.store.registry
+            if registry is not None:
+                unit.counters = registry.counter_snapshot()
         span = Span(
             name=name,
             trace_id=trace_id,
@@ -287,12 +228,6 @@ class Tracer:
             start_time=time.time(),
             ancestry=ancestry,
         )
-        with self._exporters_lock:
-            exporters = tuple(self.exporters)
-        for exporter in exporters:
-            on_start = getattr(exporter, "on_start", None)
-            if on_start is not None:
-                on_start(span)
         token = _current_span.set(span)
         t0 = time.perf_counter()
         try:
@@ -304,18 +239,7 @@ class Tracer:
         finally:
             span.duration_ms = (time.perf_counter() - t0) * 1e3
             _current_span.reset(token)
-            self._finish(span)
-
-    def _finish(self, span: Span) -> None:
-        if self.registry is not None:
-            labels = {"span": span.name}
-            self.registry.histogram("span.duration_ms", labels).observe(span.duration_ms)
-            self.registry.counter("spans.total", labels).inc()
-            if span.status == "error":
-                self.registry.counter("spans.errors", labels).inc()
-        if self.windows is not None:
-            self.windows.observe(span.name, span.duration_ms)
-        with self._exporters_lock:
-            exporters = tuple(self.exporters)
-        for exporter in exporters:
-            exporter.export(span)
+            if unit is not None:
+                unit.spans.append(span)
+                if root:
+                    unit.close()

@@ -42,6 +42,7 @@ class Live(enum.Enum):
 
     OPEN_TASK = "an open task of campaign 1"
     TRACE = "a trace still in the ring buffer"
+    REQUEST = "a request still in the ring buffer"
 
 
 MISSING = object()
@@ -71,7 +72,8 @@ GOOD = {
     "target_coverage": 0.9, "radius_m": 500.0, "k": 3, "text": "street tent",
     "start": 0.0, "end": 1000.0, "role": "researcher", "op": "http.request",
     "classifier": "logistic_regression", "task_id": Live.OPEN_TASK,
-    "trace_id": Live.TRACE, "budget": 10.0, "window_s": 60.0,
+    "trace_id": Live.TRACE, "request_id": Live.REQUEST, "budget": 10.0,
+    "window_s": 60.0,
 }
 #: ``{name}`` in a path is a model that exists; in a body, a new one.
 PATH_GOOD = {"name": MODEL}
@@ -79,6 +81,10 @@ PATH_GOOD = {"name": MODEL}
 #: kind named here gets a second well-formed request without the first
 #: group of fields, and its first request goes without the second.
 EITHER = {"spatial": (("point", "radius_m"), ("region",)), "visual": (("example",), ("vector",))}
+#: "Only beside" is more of the same: a field that means something only
+#: with another one.  The request that drops the other one and still
+#: sends it is a 400, though each is optional by itself.
+ONLY_WITH = {"window_s": "budget"}
 
 
 #: Each leaf kind's plainest value.
@@ -286,11 +292,15 @@ def mutations_of(base: Case, declared: schema.Declaration, first: bool) -> list[
                     changed = copy.deepcopy(values)
                     set_field(changed, path, mutant)
                     slot = {"path": "path_values", "query": "params", "body": "body"}[where]
+                    orphans = name in ("missing", "null") and any(
+                        ONLY_WITH.get(other) == path[-1] for other in values
+                    )
                     cases.append(
                         replace(
                             base, where=where, field=_dotted(path) + suffix,
                             mutation=name, **{slot: changed},
-                            refused=must_refuse(declared, kind, where, name, bool(suffix)),
+                            refused=orphans
+                            or must_refuse(declared, kind, where, name, bool(suffix)),
                         )
                     )
     return cases
@@ -323,6 +333,8 @@ class Harness:
             return tasks[0]["task_id"]
         if value is Live.TRACE:
             return obs.ring_buffer().spans()[-1].trace_id
+        if value is Live.REQUEST:
+            return [r.request_id for r in obs.records().records() if r.request_id][-1]
         if isinstance(value, dict):
             return {k: self._resolve(v) for k, v in value.items()}
         if isinstance(value, list):

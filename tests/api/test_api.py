@@ -338,7 +338,7 @@ class TestDataRoutes:
         as it stands — and there must be one for every route."""
         fresh = route_table.harness()
         declared = fresh.service.router.declarations()
-        assert sorted(declared) == fresh.service.router.routes() and len(declared) == 25
+        assert sorted(declared) == fresh.service.router.routes() and len(declared) == 26
         assert all(isinstance(d, schema.Declaration) for d in declared.values())
         examples = route_table.well_formed(declared)
         assert {case.route for case in examples} == set(declared)

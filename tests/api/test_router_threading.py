@@ -112,7 +112,7 @@ class TestConcurrentDispatch:
     def test_request_counters_lose_nothing_under_contention(self, service, api_key):
         n_requests = 120
         # The api_key fixture already routed two requests; diff from here.
-        window_before = obs.latency_windows().count("http.request")
+        window_before = obs.records().window()["http.request"].count
 
         def search():
             return Request("POST", "/search", body=dict(SEARCH_SPEC), api_key=api_key)
@@ -128,7 +128,7 @@ class TestConcurrentDispatch:
         )
         assert dispatched == n_requests
         assert (
-            obs.latency_windows().count("http.request") - window_before == n_requests
+            obs.records().window()["http.request"].count - window_before == n_requests
         )
         hot = obs.hot_queries().top(1)
         assert hot and hot[0]["count"] == n_requests

@@ -313,7 +313,7 @@ class TestCategoricalAndHybrid:
         for n_shards in (1, 2):
             platform.set_shards(n_shards)
             platform.execute(query)  # builds the partition, when sharded
-            obs.hot_queries().clear()
+            obs.hot_queries().reset()
             before = counted()
             with obs.span("test.request") as request:
                 results = platform.execute(query)

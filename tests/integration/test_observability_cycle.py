@@ -64,7 +64,7 @@ def test_upload_and_search_trace_and_counters(client):
     # -- span trees: one trace per request, rooted at the middleware ----
     ring = obs.ring_buffer()
     upload_span = ring.spans("platform.upload_image")[-1]
-    [upload_root] = ring.span_tree(trace_id=upload_span.trace_id)
+    [upload_root] = obs.span_tree(ring.spans(trace_id=upload_span.trace_id))
     # The client library opens a client.request span per attempt, so an
     # in-process round trip roots at the client with the middleware as
     # its only child.
@@ -80,7 +80,7 @@ def test_upload_and_search_trace_and_counters(client):
     assert all(name.startswith("upload.") for name in child_names)
 
     query_span = ring.spans("query.spatial")[-1]
-    [search_root] = ring.span_tree(trace_id=query_span.trace_id)
+    [search_root] = obs.span_tree(ring.spans(trace_id=query_span.trace_id))
     assert search_root["name"] == "client.request"
     [search_http] = search_root["children"]
     assert search_http["attrs"]["route"] == "/search"

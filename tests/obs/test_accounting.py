@@ -1,9 +1,14 @@
-"""Resource accounting: ledgers, charge helpers, and the usage table.
+"""Resource accounting: ledgers, charge helpers, and the usage view.
+
+The table half is the ``UsageTable`` suite ported case by case: a
+billable ledger is the bill of its unit of work's record now, and the
+usage report is ``RecordStore.report`` over the principal / shape /
+operation rollups and the time ring's spend.
 
 The concurrency tests here are exactness proofs, not smoke: N threads
 charging under M principals must produce *bit-exact* integer totals in
 the table (the ledger is contextvar-scoped so threads never share one,
-and ``UsageTable.absorb`` is the single locked boundary).  The CI
+and ``RecordStore.fold`` is the single locked boundary).  The CI
 sanitize job reruns this file under ``REPRO_SANITIZE=1`` so the same
 schedule also proves lock-order cleanliness.
 """
@@ -20,7 +25,6 @@ from repro.obs.accounting import (
     LOCAL_PRINCIPAL,
     Budget,
     ResourceLedger,
-    UsageTable,
     active_ledger,
     charge,
     charge_probes,
@@ -28,6 +32,8 @@ from repro.obs.accounting import (
     ledger_scope,
     maybe_ledger_scope,
 )
+from repro.obs.record import RecordStore as UsageTable
+from repro.obs.tracing import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -62,16 +68,10 @@ class TestResourceLedger:
     def test_unknown_kinds_cost_nothing(self):
         assert cost_of({"martian_units": 1e9}) == 0.0
 
-    def test_annotate_fills_keys_as_they_become_known(self):
+    def test_aggregation_keys_default_to_local_work(self):
         ledger = ResourceLedger()
         assert ledger.principal == LOCAL_PRINCIPAL
-        ledger.annotate(principal="key:abcd", shape="spatial(region)")
-        ledger.annotate(operation="POST /search", trace_id="t1")
-        snap = ledger.snapshot()
-        assert snap["principal"] == "key:abcd"
-        assert snap["shape"] == "spatial(region)"
-        assert snap["operation"] == "POST /search"
-        assert snap["trace_id"] == "t1"
+        assert ledger.operation is None and ledger.shape is None
 
 
 class TestChargeHelpers:
@@ -167,12 +167,31 @@ class TestUsageTable:
 
     def test_exemplar_keeps_the_worst_trace(self):
         table = UsageTable()
-        for trace_id, rows in (("t-small", 1), ("t-big", 50), ("t-mid", 10)):
-            with ledger_scope(table=table, principal="a") as ledger:
-                ledger.annotate(trace_id=trace_id)
-                charge("rows_scanned", rows)
+        tracer = Tracer(table)
+        traces = {}
+        for rows in (1, 50, 10):
+            with ledger_scope(table=table, principal="a"):
+                with tracer.span("work") as span:
+                    traces[rows] = span.trace_id
+                    charge("rows_scanned", rows)
         [row] = table.report()["by_principal"]
-        assert row["exemplar"]["trace_id"] == "t-big"
+        assert row["exemplar"] == {"cost": 50.0, "trace_id": traces[50]}
+
+    def test_a_second_billable_ledger_adds_to_the_units_bill(self):
+        """One unit of work, one bill: a billable ledger opened after
+        the first closed (two bare platform calls under one span) adds
+        its charges to the first's, and the unit counts once."""
+        table = UsageTable()
+        with Tracer(table).span("outer"):
+            with ledger_scope(table=table, principal="a", operation="first"):
+                charge("rows_scanned", 2)
+            with ledger_scope(table=table, principal="b", operation="second"):
+                charge("rows_scanned", 3)
+        report = table.report()
+        [row] = report["by_principal"]
+        assert (row["key"], row["count"]) == ("a", 1)
+        assert row["charges"] == {"rows_scanned": 5.0}
+        assert [r["key"] for r in report["by_operation"]] == ["first"]
 
     def test_usage_metrics_emitted_per_principal(self):
         table = UsageTable(registry=obs.metrics())
@@ -192,7 +211,9 @@ class TestUsageTable:
             charge("rows_scanned", 3)
         table.reset()
         assert table.report()["by_principal"] == []
-        assert table.budget() == budget
+        assert table.report()["budget"] == {
+            "cost_per_window": 10.0, "window_s": 60.0, "overridden": False,
+        }
 
 
 class FakeClock:
@@ -214,28 +235,32 @@ class TestBudgetAndShed:
     def test_rolling_window_expires_old_spend(self):
         clock = FakeClock()
         table = UsageTable(clock=clock)
+        def rolling_cost() -> float:
+            return table.report()["rolling_cost"]["a"]
+
         self._spend(table, "a", 50)
-        assert table.rolling_cost("a") == pytest.approx(50.0)
+        assert rolling_cost() == pytest.approx(50.0)
         clock.advance(30.0)
         self._spend(table, "a", 20)
-        assert table.rolling_cost("a") == pytest.approx(70.0)
+        assert rolling_cost() == pytest.approx(70.0)
         clock.advance(45.0)  # first charge now outside the 60 s window
-        assert table.rolling_cost("a") == pytest.approx(20.0)
+        assert rolling_cost() == pytest.approx(20.0)
         clock.advance(60.0)
-        assert table.rolling_cost("a") == pytest.approx(0.0)
+        assert rolling_cost() == pytest.approx(0.0)
 
     def test_would_shed_flags_only_over_budget_principals(self):
         clock = FakeClock()
         table = UsageTable(budget=Budget(cost_per_window=100.0), clock=clock)
         self._spend(table, "hog", 500)
         self._spend(table, "modest", 10)
-        assert table.would_shed() == ["hog"]  # dry run: reported, not enforced
+        # Dry run: reported, not enforced.
+        assert table.report()["would_shed"] == ["hog"]
 
     def test_what_if_budget_without_configured_one(self):
         clock = FakeClock()
         table = UsageTable(clock=clock)  # no budget configured
         self._spend(table, "a", 80)
-        assert table.would_shed() == []  # nothing configured, nothing shed
+        assert table.report()["would_shed"] == []  # nothing configured, nothing shed
         report = table.report(budget=Budget(cost_per_window=50.0))
         assert report["would_shed"] == ["a"]
         assert report["budget"]["overridden"] is True

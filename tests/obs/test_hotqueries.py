@@ -1,4 +1,11 @@
-"""Hot-query tracker: ranking, bounded memory, determinism, threads."""
+"""The hot-query view: ranking, bounded memory, determinism, threads.
+
+Ported from the ``HotQueryTracker`` suite case by case.  The table is a
+``Rollup`` — the one keyed-rollup class, here over query shapes — and
+its bound is the rollup's one prune rule; the store's ``record`` /
+``top`` / ``tracked`` are what ``obs.hot_queries()`` and ``/debug/hot``
+go through.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +13,18 @@ import threading
 
 import pytest
 
-from repro.obs.hotqueries import HotQueryTracker
+from repro.obs.record import RecordStore, Rollup
 
 
 class TestRecordAndTop:
     def test_rejects_bad_capacity_and_k(self):
         with pytest.raises(ValueError):
-            HotQueryTracker(capacity=0)
+            Rollup(capacity=0)
         with pytest.raises(ValueError):
-            HotQueryTracker().top(0)
+            RecordStore().top(0)
 
     def test_aggregates_per_shape(self):
-        tracker = HotQueryTracker()
+        tracker = RecordStore()
         tracker.record("spatial(mode=scene,region)", 10.0)
         tracker.record("spatial(mode=scene,region)", 30.0)
         (entry,) = tracker.top(1)
@@ -29,7 +36,7 @@ class TestRecordAndTop:
         assert entry["last_ms"] == 30.0
 
     def test_ranked_by_count_then_shape(self):
-        tracker = HotQueryTracker()
+        tracker = RecordStore()
         for _ in range(5):
             tracker.record("frequent", 1.0)
         for _ in range(3):
@@ -41,52 +48,67 @@ class TestRecordAndTop:
         assert shapes == ["frequent", "fast", "slow"]
 
     def test_tie_break_is_deterministic_on_shape(self):
-        tracker = HotQueryTracker()
+        tracker = RecordStore()
         tracker.record("b", 5.0)
         tracker.record("a", 5.0)
         assert [e["shape"] for e in tracker.top(2)] == ["a", "b"]
 
     def test_top_k_truncates(self):
-        tracker = HotQueryTracker()
+        tracker = RecordStore()
         for i in range(20):
             tracker.record(f"shape-{i:02d}", 1.0)
         assert len(tracker.top(5)) == 5
-        assert len(tracker) == 20
+        assert tracker.tracked() == (20, 0)
 
     def test_clear(self):
-        tracker = HotQueryTracker()
+        tracker = RecordStore()
         tracker.record("x", 1.0)
-        tracker.clear()
-        assert len(tracker) == 0
+        tracker.reset()
         assert tracker.top() == []
-        assert tracker.evicted() == 0
+        assert tracker.tracked() == (0, 0)
 
 
 class TestEviction:
     def test_cold_shapes_pruned_hot_shapes_survive(self):
-        tracker = HotQueryTracker(capacity=4)
+        tracker = Rollup(capacity=4)
         for _ in range(50):
-            tracker.record("hot", 2.0)
+            tracker.add("hot", 2.0)
         # A long tail of one-off shapes overflows 2x capacity.
         for i in range(20):
-            tracker.record(f"tail-{i:02d}", 1.0)
-        assert len(tracker) <= tracker.capacity * 2
-        assert tracker.evicted() > 0
-        assert tracker.top(1)[0]["shape"] == "hot"
+            tracker.add(f"tail-{i:02d}", 1.0)
+        assert len(tracker.rows) <= tracker.capacity * 2
+        assert tracker.evicted > 0
+        assert tracker.hottest(1)[0]["shape"] == "hot"
 
     def test_eviction_is_deterministic(self):
         def run() -> list[str]:
-            tracker = HotQueryTracker(capacity=3)
+            tracker = Rollup(capacity=3)
             for i in range(30):
-                tracker.record(f"shape-{i % 10}", float(i % 7))
-            return [e["shape"] for e in tracker.top(10)]
+                tracker.add(f"shape-{i % 10}", float(i % 7))
+            return [e["shape"] for e in tracker.hottest(10)]
 
         assert run() == run()
+
+    def test_prune_keeps_by_count_then_time_then_key(self):
+        """The one bounded-prune rule, spelt out: the ``capacity`` rows
+        that survive are the most counted, then the most time, then the
+        smallest key — in every key space."""
+        tracker = Rollup(capacity=2)
+        tracker.add("twice", 1.0)
+        tracker.add("twice", 1.0)
+        tracker.add("once-slow", 9.0)
+        tracker.add("once-b", 1.0)
+        assert tracker.evicted == 0 and len(tracker.rows) == 3
+        tracker.add("once-a", 1.0)
+        assert tracker.evicted == 0 and len(tracker.rows) == 4  # 2 x capacity
+        tracker.add("newcomer", 1.0)  # the fifth key prunes, then enters
+        assert tracker.evicted == 2
+        assert sorted(tracker.rows) == ["newcomer", "once-slow", "twice"]
 
 
 class TestThreadSafety:
     def test_concurrent_records_lose_nothing(self):
-        tracker = HotQueryTracker(capacity=128)
+        tracker = RecordStore()
         n_threads, per_thread = 8, 250
         barrier = threading.Barrier(n_threads)
 
@@ -101,7 +123,8 @@ class TestThreadSafety:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
         assert sum(e["count"] for e in tracker.top(10)) == n_threads * per_thread
 
 
@@ -109,7 +132,7 @@ class TestDeterministicRanking:
     def test_equal_counts_rank_by_shape_not_latency(self):
         """total_ms is wall-clock noise; two shapes with the same count
         must order by shape string no matter which was slower."""
-        tracker = HotQueryTracker(capacity=8)
+        tracker = RecordStore()
         tracker.record("zeta(k=1)", 500.0)   # slow
         tracker.record("alpha(k=1)", 0.1)    # fast
         tracker.record("mid(k=1)", 100.0)
@@ -118,7 +141,7 @@ class TestDeterministicRanking:
 
     def test_ranking_invariant_under_latency_jitter(self):
         def run(jitter: float) -> list[str]:
-            tracker = HotQueryTracker(capacity=8)
+            tracker = RecordStore()
             for shape in ("b(k=1)", "a(k=1)", "c(k=1)"):
                 tracker.record(shape, jitter)
                 tracker.record(shape, jitter * 2)

@@ -1,15 +1,16 @@
-"""Unit tests for span-attached profiling and the slow-span log."""
+"""Unit tests for span-attached profiling and the slow-span view.
+
+The slow-span half is the ``SlowSpanLog`` suite ported case by case: the
+worst-N per operation is a ``Rollup`` over span names now, fed by
+``RecordStore.fold`` and read by ``RecordStore.slowest``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import (
-    DEFAULT_SLOW_SPANS_PER_OP,
-    SlowSpanLog,
-    memory_scope,
-    profile_scope,
-)
+from repro.obs.profiling import memory_scope, profile_scope
+from repro.obs.record import RecordStore, RequestRecord, Rollup
 from repro.obs.tracing import Span, Tracer
 
 
@@ -23,6 +24,11 @@ def make_span(name, span_id, duration_ms, ancestry=()):
     )
     span.duration_ms = duration_ms
     return span
+
+
+def export(store, span, counters=None):
+    """``span`` as the one span of a folded record."""
+    store.fold(RequestRecord(spans=(span,), counters=counters))
 
 
 class TestProfileScope:
@@ -82,92 +88,118 @@ class TestMemoryScope:
 
 class TestSlowSpanLog:
     def test_rejects_nonpositive_per_op(self):
-        with pytest.raises(ValueError, match="per_op"):
-            SlowSpanLog(per_op=0)
+        with pytest.raises(ValueError, match="worst"):
+            Rollup(worst=-1)
 
     def test_keeps_worst_n_per_operation(self):
-        log = SlowSpanLog(per_op=2)
+        class TwoPerOp(RecordStore):
+            SLOW_PER_OP = 2
+
+        log = TwoPerOp()
         for i, duration in enumerate([10.0, 50.0, 30.0, 5.0]):
-            log.export(make_span("op.a", f"s{i}", duration))
+            export(log, make_span("op.a", f"s{i}", duration))
         records = log.slowest("op.a")
         assert [r["duration_ms"] for r in records] == [50.0, 30.0]
 
     def test_slowest_merges_operations_and_limits(self):
-        log = SlowSpanLog()
-        log.export(make_span("op.a", "s1", 10.0))
-        log.export(make_span("op.b", "s2", 90.0))
-        log.export(make_span("op.b", "s3", 40.0))
+        log = RecordStore()
+        export(log, make_span("op.a", "s1", 10.0))
+        export(log, make_span("op.b", "s2", 90.0))
+        export(log, make_span("op.b", "s3", 40.0))
         merged = log.slowest()
         assert [r["name"] for r in merged] == ["op.b", "op.b", "op.a"]
         assert len(log.slowest(limit=1)) == 1
         assert log.operations() == ["op.a", "op.b"]
 
     def test_records_carry_ancestry(self):
-        log = SlowSpanLog()
-        log.export(make_span("index.query", "s1", 5.0, ancestry=("http.request", "query.spatial")))
+        log = RecordStore()
+        export(log, make_span("index.query", "s1", 5.0, ancestry=("http.request", "query.spatial")))
         record = log.slowest("index.query")[0]
         assert record["ancestry"] == ["http.request", "query.spatial"]
 
     def test_counter_deltas_exclude_tracer_bookkeeping(self):
         registry = MetricsRegistry()
-        log = SlowSpanLog(registry=registry)
-        tracer = Tracer(registry=registry, exporters=[log])
+        log = RecordStore(registry=registry)
+        tracer = Tracer(log)
+        with tracer.span("query.spatial"):  # an earlier one: spans.* are registered
+            pass
+        log.reset()
         with tracer.span("query.spatial"):
-            registry.counter("index.rtree.node_visits").inc(7)
+            with tracer.span("index.probe"):
+                registry.counter("index.rtree.node_visits").inc(7)
         record = log.slowest("query.spatial")[0]
         assert record["counter_deltas"] == {"index.rtree.node_visits": 7.0}
 
     def test_deltas_count_only_work_inside_the_span(self):
         registry = MetricsRegistry()
-        log = SlowSpanLog(registry=registry)
-        tracer = Tracer(registry=registry, exporters=[log])
+        log = RecordStore(registry=registry)
+        tracer = Tracer(log)
         registry.counter("index.probes").inc(100)  # before the span opens
         with tracer.span("query.visual"):
             registry.counter("index.probes").inc(3)
+        registry.counter("index.probes").inc(50)  # after it closed
         record = log.slowest("query.visual")[0]
         assert record["counter_deltas"] == {"index.probes": 3.0}
 
+    def test_deltas_are_the_records_one_snapshot_pair(self):
+        """One snapshot pair per record, not per span: every exemplar of
+        a record carries what moved while the *unit* was open."""
+        registry = MetricsRegistry()
+        log = RecordStore(registry=registry)
+        tracer = Tracer(log)
+        with tracer.span("http.request"):
+            registry.counter("auth.lookups").inc()
+            with tracer.span("query.spatial"):
+                registry.counter("index.probes").inc(4)
+        deltas = {"auth.lookups": 1.0, "index.probes": 4.0}
+        assert log.slowest("query.spatial")[0]["counter_deltas"] == deltas
+        assert log.slowest("http.request")[0]["counter_deltas"] == deltas
+        assert log.records()[-1].counter_deltas == deltas
+
     def test_clear_drops_everything(self):
-        log = SlowSpanLog()
-        log.export(make_span("op.a", "s1", 1.0))
-        log.clear()
+        log = RecordStore()
+        export(log, make_span("op.a", "s1", 1.0))
+        log.reset()
         assert log.slowest() == []
         assert log.operations() == []
 
     def test_default_capacity(self):
-        log = SlowSpanLog()
-        for i in range(DEFAULT_SLOW_SPANS_PER_OP + 5):
-            log.export(make_span("op.a", f"s{i}", float(i)))
-        assert len(log.slowest("op.a")) == DEFAULT_SLOW_SPANS_PER_OP
+        log = RecordStore()
+        for i in range(RecordStore.SLOW_PER_OP + 5):
+            export(log, make_span("op.a", f"s{i}", float(i)))
+        assert len(log.slowest("op.a")) == RecordStore.SLOW_PER_OP
 
 
-class EagerSlowSpanLog(SlowSpanLog):
-    """The algorithm the lazy log replaced, kept as the reference: a
-    name -> value dict at span start *and* finish, the deltas and the
-    full record for every span, then sort and cut."""
+class ThreePerOp(RecordStore):
+    SLOW_PER_OP = 3
 
-    def on_start(self, span):
-        self._inflight[span.span_id] = self.registry.counter_values()
 
-    def export(self, span):
-        before = self._inflight.pop(span.span_id, None)
+def eager_slowest(folded, per_op):
+    """The algorithm the lazy admission replaced, kept as the reference:
+    a name -> value dict when the unit opens *and* when it closes, the
+    deltas and the full exemplar for every span of every record, then
+    sort and cut."""
+    worst: dict[str, list[dict]] = {}
+    for spans, before, after in folded:
         deltas = {}
-        if before is not None:
-            for name, value in self.registry.counter_values().items():
-                if name.startswith("spans."):
-                    continue
-                delta = value - before.get(name, 0.0)
-                if delta:
-                    deltas[name] = delta
-        worst = self._worst.setdefault(span.name, [])
-        worst.append({**span.to_dict(), "counter_deltas": deltas})
-        worst.sort(key=lambda r: -r["duration_ms"])
-        del worst[self.per_op:]
+        for name, value in after.items():
+            if name.startswith("spans."):
+                continue
+            delta = value - before.get(name, 0.0)
+            if delta:
+                deltas[name] = delta
+        for span in spans:
+            records = worst.setdefault(span.name, [])
+            records.append({**span.to_dict(), "counter_deltas": deltas})
+            records.sort(key=lambda r: -r["duration_ms"])
+            del records[per_op:]
+    return worst
 
 
 class TestSlowSpanLogEquivalence:
-    """An un-admitted span costs the lazy log one comparison, yet
-    ``slowest()`` reads exactly as if every record had been built."""
+    """A span that cannot enter its operation's worst-N costs the fold
+    one comparison, yet ``slowest()`` reads exactly as if every exemplar
+    had been built."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_same_records_as_the_eager_log(self, seed):
@@ -175,61 +207,78 @@ class TestSlowSpanLogEquivalence:
         registry = MetricsRegistry()
         registry.counter("spans.total", {"span": "op.a"})
         registry.counter("index.probes")
-        lazy = SlowSpanLog(registry=registry, per_op=3)
-        eager = EagerSlowSpanLog(registry=registry, per_op=3)
+        lazy = ThreePerOp(registry=registry)
+        folded: list[tuple] = []  # what the eager reference is run over
+        widest = 0  # most spans in one folded record
+        with_deltas = 0  # exemplars seen carrying counter deltas
         names = ["index.probes"]
-        open_spans: list[Span] = []
+        # Units of work open at once (concurrent requests): each took
+        # its snapshots when it opened and has finished some spans.
+        open_units: list[tuple] = []
+
+        def check() -> None:
+            nonlocal with_deltas
+            eager = eager_slowest(folded, per_op=3)
+            assert lazy.operations() == sorted(eager)
+            for name, records in eager.items():
+                assert lazy.slowest(name) == records
+            merged = sorted(
+                (r for records in eager.values() for r in records),
+                key=lambda r: -r["duration_ms"],
+            )
+            assert lazy.slowest() == merged
+            with_deltas += sum(1 for r in merged if r["counter_deltas"])
+
         for step in range(400):
             roll = rng.random()
-            if roll < 0.35:
+            if roll < 0.2:
+                open_units.append(
+                    ([], registry.counter_snapshot(), registry.counter_values())
+                )
+            elif roll < 0.5 and open_units:
                 # Few distinct durations: ties at the N-th place are the rule.
+                spans = open_units[int(rng.integers(len(open_units)))][0]
                 span = make_span(
                     f"op.{'abc'[int(rng.integers(3))]}",
                     f"s{step}",
                     float(rng.integers(1, 6)),
-                    ancestry=[s.name for s in open_spans],
+                    ancestry=[s.name for s in spans],
                 )
                 span.attrs["step"] = step
-                open_spans.append(span)
-                lazy.on_start(span)
-                eager.on_start(span)
-            elif roll < 0.65 and open_spans:
-                # Mostly innermost-first (nesting), sometimes out of order.
-                at = -1 if rng.random() < 0.8 else int(rng.integers(len(open_spans)))
-                span = open_spans.pop(at)
-                registry.counter("spans.total", {"span": span.name}).inc()
-                lazy.export(span)
-                eager.export(span)
+                spans.append(span)
+            elif roll < 0.65 and open_units:
+                # Mostly the newest unit closes, sometimes an older one.
+                at = -1 if rng.random() < 0.8 else int(rng.integers(len(open_units)))
+                spans, before, before_values = open_units.pop(at)
+                counters = (registry, before, registry.counter_snapshot())
+                folded.append((spans, before_values, registry.counter_values()))
+                widest = max(widest, len(spans))
+                lazy.fold(RequestRecord(spans=tuple(spans), counters=counters))
             elif roll < 0.9:
                 registry.counter(names[int(rng.integers(len(names)))]).inc(
                     int(rng.integers(1, 4))
                 )
             elif roll < 0.97:
-                # A counter first registered while spans are open.
+                # A counter first registered while units are open.
                 names.append(f"late.{step}")
                 registry.counter(names[-1], {"k": "v"}).inc()
             elif roll < 0.985:
-                registry.reset()  # values fall under open spans: negative deltas
+                registry.reset()  # values fall under open units: negative deltas
             else:
-                registry.reset()  # obs.reset(): metrics and the log together
-                lazy.clear()
-                eager.clear()
+                registry.reset()  # obs.reset(): metrics and the store together
+                lazy.reset()
+                folded.clear()
             if step % 50 == 49:
-                assert lazy.slowest() == eager.slowest()
-        for span in reversed(open_spans):
-            lazy.export(span)
-            eager.export(span)
-        assert lazy.operations() == eager.operations()
-        assert lazy.slowest() == eager.slowest()
-        for name in eager.operations():
-            assert lazy.slowest(name) == eager.slowest(name)
+                check()
+        check()
         # The scenario did exercise what it claims to.
-        records = eager.slowest()
-        assert any(r["counter_deltas"] for r in records)
-        assert lazy._inflight == {}
+        assert with_deltas and widest > 1
 
     def test_tie_with_the_nth_stays_out(self):
-        lazy = SlowSpanLog(per_op=2)
+        class TwoPerOp(RecordStore):
+            SLOW_PER_OP = 2
+
+        lazy = TwoPerOp()
         for i, duration in enumerate([5.0, 3.0, 3.0, 5.0, 4.0]):
-            lazy.export(make_span("op.a", f"s{i}", duration))
+            export(lazy, make_span("op.a", f"s{i}", duration))
         assert [r["span_id"] for r in lazy.slowest("op.a")] == ["s0", "s3"]

@@ -161,18 +161,16 @@ class TestWindowedEvaluation:
     """Latency objectives judged on rolling windows when provided."""
 
     def _windows(self, clock_value):
-        from repro.obs.windows import RollingWindows
+        """A record store of its own (no registry: the cumulative side
+        is fed by hand) whose ``observe`` folds one span."""
+        from repro.obs.record import RecordStore
+        from tests.obs.test_windows import FakeClock, observe as fold_one_span
 
-        class _Clock:
-            def __init__(self):
-                self.t = 0.0
+        class _Windows(RecordStore):
+            observe = fold_one_span
 
-            def now(self):
-                return self.t
-
-        clock = _Clock()
-        clock.t = clock_value
-        return RollingWindows(window_s=60.0, bucket_s=5.0, clock=clock), clock
+        clock = FakeClock(clock_value)
+        return _Windows(clock=clock.now), clock
 
     def test_window_samples_override_cumulative_histogram(self):
         registry = MetricsRegistry()

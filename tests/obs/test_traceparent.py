@@ -12,13 +12,14 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import RecordStore
 from repro.obs.tracing import (
-    RingBufferExporter,
     TraceContext,
     Tracer,
     current_traceparent,
     format_traceparent,
     parse_traceparent,
+    span_tree,
 )
 
 TRACE_ID = "ab" * 16
@@ -27,8 +28,8 @@ SPAN_ID = "cd" * 8
 
 @pytest.fixture()
 def tracer():
-    ring = RingBufferExporter()
-    return Tracer(registry=MetricsRegistry(), exporters=[ring]), ring
+    ring = RecordStore(registry=MetricsRegistry())
+    return Tracer(ring), ring
 
 
 class TestWireFormat:
@@ -106,7 +107,7 @@ class TestRemoteJoin:
         contextvars.Context().run(server)
 
         client_span = ring.spans("client.request")[0]
-        [root] = ring.span_tree(client_span.trace_id)
+        [root] = span_tree(ring.spans(trace_id=client_span.trace_id))
         assert root["name"] == "client.request"
         [child] = root["children"]
         assert child["name"] == "server.handle"

@@ -6,19 +6,16 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import (
-    JsonlExporter,
-    RingBufferExporter,
-    Tracer,
-    current_span,
-    span_tree,
-)
+from repro.obs.record import RecordStore
+from repro.obs.tracing import JsonlExporter, Tracer, current_span, span_tree
 
 
 @pytest.fixture()
 def tracer():
-    ring = RingBufferExporter()
-    return Tracer(registry=MetricsRegistry(), exporters=[ring]), ring
+    """A tracer on a store of its own: its ring of records is where the
+    finished spans are read back from."""
+    ring = RecordStore(registry=MetricsRegistry())
+    return Tracer(ring), ring
 
 
 class TestSpanLifecycle:
@@ -80,7 +77,7 @@ class TestSpanLifecycle:
                 raise RuntimeError
         with t.span("op"):
             pass
-        snap = t.registry.snapshot()
+        snap = t.store.registry.snapshot()
         assert snap["counters"]['spans.total{span="op"}'] == 2.0
         assert snap["counters"]['spans.errors{span="op"}'] == 1.0
         assert snap["histograms"]['span.duration_ms{span="op"}']["count"] == 2
@@ -95,7 +92,7 @@ class TestSpanTree:
                     pass
             with t.span("render"):
                 pass
-        [root] = ring.span_tree()
+        [root] = span_tree(ring.spans())
         assert root["name"] == "request"
         names = [child["name"] for child in root["children"]]
         assert names == ["platform", "render"]
@@ -107,7 +104,7 @@ class TestSpanTree:
             pass
         with t.span("second"):
             pass
-        roots = ring.span_tree(trace_id=s1.trace_id)
+        roots = span_tree(ring.spans(trace_id=s1.trace_id))
         assert [r["name"] for r in roots] == ["first"]
 
     def test_orphan_spans_become_roots(self, tracer):
@@ -122,10 +119,12 @@ class TestSpanTree:
 
 
 class TestRingBuffer:
-    def test_capacity_evicts_oldest(self, tracer):
-        t, _ = tracer
-        ring = RingBufferExporter(capacity=2)
-        t.exporters = [ring]
+    def test_capacity_evicts_oldest(self):
+        class TwoRecords(RecordStore):
+            RECORDS = 2
+
+        t = Tracer(TwoRecords())
+        ring = t.store
         for name in ("a", "b", "c"):
             with t.span(name):
                 pass
@@ -138,16 +137,16 @@ class TestRingBuffer:
         with t.span("y"):
             pass
         assert len(ring.spans("x")) == 1
-        ring.clear()
+        ring.reset()
         assert ring.spans() == []
 
 
 class TestJsonlExporter:
     def test_writes_one_json_object_per_span(self, tmp_path, tracer):
-        t, _ = tracer
+        t, ring = tracer
         path = tmp_path / "spans.jsonl"
         exporter = JsonlExporter(str(path))
-        t.add_exporter(exporter)
+        ring.add_exporter(exporter)
         with t.span("a", size=3):
             with t.span("b"):
                 pass

@@ -1,5 +1,7 @@
-"""One reader racing one writer, for the "every answer is the answer
-over some prefix of the writes" tests."""
+"""Threads racing each other under a 10 µs switch interval: one reader
+against one writer, for the "every answer is the answer over some
+prefix of the writes" tests, and N workers at once, for the "no update
+is lost" ones."""
 
 from __future__ import annotations
 
@@ -51,3 +53,31 @@ def read_while_writing(read_once: Callable[[], T], write_all: Callable[[], None]
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     return answers
+
+
+def run_together(workers: list[Callable[[], None]]) -> None:
+    """Run every worker on a thread of its own, released together, under
+    a 10 µs switch interval.  An exception on any thread, or a thread
+    that does not finish, fails the test."""
+    failures: list[BaseException] = []
+    barrier = threading.Barrier(len(workers))
+
+    def run(worker: Callable[[], None]) -> None:
+        try:
+            barrier.wait(timeout=30.0)
+            worker()
+        except BaseException as exc:  # surfaced by the assert below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(worker,)) for worker in workers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

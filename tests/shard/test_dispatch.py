@@ -105,7 +105,7 @@ def one_survivor_query(platform: TVDP) -> TemporalQuery:
 
 def run_traced(platform: TVDP, query: object):
     """``platform.answer(query)`` and every span it finished."""
-    obs.ring_buffer().clear()
+    obs.ring_buffer().reset()
     answer = platform.answer(query)
     return answer, obs.ring_buffer().spans()
 

@@ -368,7 +368,7 @@ class TestBatchFeedsHotQueries:
         recorded = {}
         for n_shards in (1, 4):
             fixed_platform.set_shards(n_shards)
-            obs.hot_queries().clear()
+            obs.hot_queries().reset()
             fixed_platform.execute_many(queries)
             recorded[n_shards] = {
                 row["shape"]: row["count"] for row in obs.hot_queries().top(64)
