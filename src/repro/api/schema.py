@@ -143,15 +143,19 @@ class Enum:
 
 
 def vector(value: object) -> np.ndarray:
-    """A flat, non-empty JSON list of finite numbers, handed on as a
-    float64 array.  Its length is the index's or the model's to judge."""
+    """A flat, non-empty JSON list of finite numbers whose squared norm
+    is finite too (a NaN, an infinity and an overflow all show there:
+    no distance to such a vector is a number), handed on as a float64
+    array.  Its length is the index's or the model's to judge."""
     if isinstance(value, list) and value:
         try:
             typed = np.array(value, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             typed = None
-        if typed is not None and typed.ndim == 1 and np.isfinite(typed).all():
-            return typed
+        if typed is not None and typed.ndim == 1:
+            with np.errstate(over="ignore"):
+                if math.isfinite(typed @ typed):
+                    return typed
     raise Malformed("a flat, non-empty list of finite numbers", value)
 
 

@@ -60,7 +60,11 @@ COST_MODEL: dict = {
     },
     "visual": {
         "access_path": "lsh.query_topk",
-        "cost": "O(T*P) hashing + O(c*d) vectorised exact ranking",
+        "cost": (
+            "O(T*P) hashing + O(c*d) over the gathered candidates; "
+            "fallback: O(n*d) one dot product per row + exact re-rank of "
+            "the band"
+        ),
         "dominant_counters": [
             "index.lsh.queries",
             "index.lsh.bucket_hits",
@@ -69,14 +73,18 @@ COST_MODEL: dict = {
         "hot_sites": [
             "repro.index.lsh.LSHIndex._candidates",
             "repro.index.lsh.LSHIndex._rank",
-            "repro.index.lsh.LSHIndex.linear_topk",
+            "repro.index.lsh.LSHIndex.nearest_rows",
+            "repro.index.lsh._row_dots",
             "repro.index.ordering.nearest",
         ],
         "note": (
-            "c = distinct bucket candidates; ranking is one NumPy matrix "
-            "op, not a per-candidate Python loop (fallback scans are "
-            "counted by index.lsh.fallback_scans); with a k, only the rows "
-            "at or under the k-th distance reach the canonical sort"
+            "c = distinct bucket candidates; n = indexed vectors, scanned "
+            "when c < k (index.lsh.fallback_scans).  LSHIndex.nearest_rows "
+            "is the one exact ranking: with more rows than k, |x|^2 - 2x.q "
+            "from the norm column and one matrix-vector product (in "
+            "2,048-row blocks: _row_dots' loop is per block, not per row) "
+            "selects the rows within a guard band of the k-th, and only "
+            "those get the exact norm and the canonical order"
         ),
     },
     "categorical": {
@@ -115,7 +123,10 @@ COST_MODEL: dict = {
     },
     "temporal": {
         "access_path": "images.ordered_index[field]",
-        "cost": "O(log n + k) bisect into the sorted (timestamp, image_id) list",
+        "cost": (
+            "O(log n + k) two bisects on the sorted timestamps + one slice "
+            "of the image ids beside them"
+        ),
         "dominant_counters": [],
         "hot_sites": [],
         "note": (
@@ -127,8 +138,8 @@ COST_MODEL: dict = {
     "hybrid": {
         "access_path": "columns.filter_then_rank",
         "cost": (
-            "O(n) column filter + O(m*d) vectorised ranking + partial "
-            "selection of k"
+            "O(n) column filter + O(m*d) over the gathered rows: one dot "
+            "product per row + exact re-rank of the band"
         ),
         "dominant_counters": [
             "index.columns.scans",
@@ -136,12 +147,16 @@ COST_MODEL: dict = {
         ],
         "hot_sites": [
             "repro.core.platform.TVDP._run_hybrid",
+            "repro.index.lsh.LSHIndex.nearest_rows",
+            "repro.index.lsh._row_dots",
             "repro.index.ordering.nearest",
         ],
         "note": (
             "n = the extractor's indexed vectors, all of them examined "
             "by the region predicate (index.columns.rows_examined); m = "
-            "those inside the region, ranked in one NumPy op.  Non-fused "
+            "those inside the region, gathered from the LSH buffer and "
+            "ranked by LSHIndex.nearest_rows — the visual family's "
+            "routine, never a product over the whole buffer.  Non-fused "
             "hybrids intersect their parts' own paths"
         ),
     },

@@ -15,6 +15,7 @@ store:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,7 +38,7 @@ from repro.imaging.augment import Augmentation
 from repro.imaging.image import Image
 from repro.imaging.phash import NearDuplicateIndex
 from repro.imaging.quality import assess_quality
-from repro.index.lsh import LSHIndex
+from repro.index.lsh import LSHIndex, squared_norm
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import tokenize
 from repro.index.ordering import by_score
@@ -580,7 +581,7 @@ class TVDP:
         """The one visual-query preparation, serial and sharded alike:
         the extractor must have been indexed (else :class:`QueryError`),
         an example image is run through it, the vector must have the
-        index's dimension and only finite components (else
+        index's dimension and a finite squared norm (else
         :class:`MalformedQueryError`), and its ``feature_bytes`` are
         charged.  Returns the float64 vector."""
         dimension = self.slice.lsh(query.extractor_name).dimension
@@ -593,10 +594,13 @@ class TVDP:
                 f"{query.extractor_name!r} vectors are {dimension}-D, "
                 f"got {vector.shape[0]}-D"
             )
-        # A NaN component makes every distance NaN and an infinite one
-        # makes every distance infinite: a ranking of nothing.
-        if not np.isfinite(vector).all():
-            raise MalformedQueryError("query vector must be finite")
+        # A NaN component makes every distance NaN; an infinite one, or
+        # finite ones whose squares overflow, make every distance
+        # infinite: a ranking of nothing.  All three show in |q|^2.
+        if not math.isfinite(squared_norm(vector)):
+            raise MalformedQueryError(
+                "query vector must be finite, and its squared norm too"
+            )
         charge("feature_bytes", vector.nbytes)
         return vector
 

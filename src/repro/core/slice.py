@@ -42,7 +42,6 @@ from repro.index.columns import Columns, ColumnView, PointColumns, count_scan
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
-from repro.index.ordering import nearest
 from repro.index.oriented_rtree import OrientedRTree
 
 #: The ``source`` column of an annotation, as the float its column holds.
@@ -234,11 +233,8 @@ class CatalogSlice:
         lsh = self.lsh(name)
         with self._lock:
             points = self._vector_points[name].view()
-        inside = points.rows_in(region)
-        vector_rows = points.extra[0][inside].astype(np.intp)
-        return nearest(
-            points.ids[inside].tolist(), lsh.row_distances(vector_rows, vector), k
-        )
+        vector_rows = points.extra[0][points.rows_in(region)].astype(np.intp)
+        return lsh.nearest_rows(vector, k, vector_rows)
 
     def temporal_ids(self, query: TemporalQuery) -> list[int]:
         """Ascending ids of this slice's images inside the time window,

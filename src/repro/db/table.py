@@ -4,7 +4,6 @@ ordered indexes."""
 from __future__ import annotations
 
 import bisect
-import math
 import threading
 from typing import Any, Callable, Iterator
 
@@ -31,8 +30,9 @@ class Table:
             c.name: {} for c in schema.columns if c.unique
         }
         self._indexes: dict[str, dict[object, set[int]]] = {}
-        # column -> (value, pk) pairs in ascending order.
-        self._ordered: dict[str, list[tuple[Any, int]]] = {}
+        # column -> (values, pks): two parallel lists in ascending
+        # (value, pk) order, so a range is two bisects and one slice.
+        self._ordered: dict[str, tuple[list[Any], list[int]]] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -71,27 +71,30 @@ class Table:
         left out: no range contains them."""
         self.schema.column(column)
         with self._lock:
-            self._ordered[column] = sorted(
+            entries = sorted(
                 (row[column], pk)
                 for pk, row in self._rows.items()
                 if _orderable(row[column])
             )
+            self._ordered[column] = (
+                [value for value, _ in entries],
+                [pk for _, pk in entries],
+            )
 
     def _ordered_add(self, pk: int, row: dict) -> None:
         for column in self._ordered:
-            if _orderable(row[column]):
-                entry = (row[column], pk)
-                self._ordered[column].insert(
-                    bisect.bisect_left(self._ordered[column], entry), entry
-                )
+            value = row[column]
+            if _orderable(value):
+                at = _ordered_position(*self._ordered[column], value, pk)
+                self._ordered[column][0].insert(at, value)
+                self._ordered[column][1].insert(at, pk)
 
     def _ordered_remove(self, pk: int, row: dict) -> None:
         for column in self._ordered:
-            if _orderable(row[column]):
-                entry = (row[column], pk)
-                del self._ordered[column][
-                    bisect.bisect_left(self._ordered[column], entry)
-                ]
+            value = row[column]
+            if _orderable(value):
+                at = _ordered_position(*self._ordered[column], value, pk)
+                del self._ordered[column][0][at], self._ordered[column][1][at]
 
     # -- mutations ----------------------------------------------------------
 
@@ -224,14 +227,10 @@ class Table:
                 raise SchemaError(
                     f"no ordered index on {self.schema.name}.{column}"
                 )
-            entries = self._ordered[column]
-            first = 0 if low is None else bisect.bisect_left(entries, (low,))
-            last = (
-                len(entries)
-                if high is None
-                else bisect.bisect_right(entries, (high, math.inf))
-            )
-            keys = [pk for _, pk in entries[first:last]]
+            values, pks = self._ordered[column]
+            first = 0 if low is None else bisect.bisect_left(values, low)
+            last = len(values) if high is None else bisect.bisect_right(values, high)
+            keys = pks[first:last]
         charge("rows_scanned", len(keys))
         return keys
 
@@ -302,6 +301,14 @@ class Table:
         if limit is not None:
             rows = rows[:limit]
         return rows
+
+
+def _ordered_position(values: list, pks: list[int], value: Any, pk: int) -> int:
+    """Where ``(value, pk)`` is, or goes, in an ordered index: the run
+    of equal values by bisection, then the pk inside it."""
+    first = bisect.bisect_left(values, value)
+    last = bisect.bisect_right(values, value, first)
+    return bisect.bisect_left(pks, pk, first, last)
 
 
 def _orderable(value: object) -> bool:

@@ -14,7 +14,7 @@ mutable attribute on them:
   lock held, identified by its creation site (reusing
   :mod:`repro.devtools.lockorder`'s lock index), either lexically via
   ``with`` or interprocedurally (the function is only ever called with
-  the lock already held — the ``_dense_matrix_locked`` convention);
+  the lock already held — the ``Table._ordered_add`` convention);
 * ``contextvar-scoped`` — ``contextvars.ContextVar`` / thread-local
   state, safe by construction;
 * ``unguarded-shared`` — a **finding**: the attribute is mutated on a
@@ -467,7 +467,7 @@ def _guarded_context(
     graph: CallGraph, roots: tuple[str, ...], reachable: frozenset[str]
 ) -> dict[str, frozenset[str]]:
     """``function -> locks held on every call path from a concurrent
-    root`` — the ``_dense_matrix_locked`` / ``_prune`` caller-holds-lock
+    root`` — the ``Table._ordered_add`` / ``_prune`` caller-holds-lock
     idiom, recursion included.
 
     Computed as the complement of a may-analysis: lock L is *exposed*

@@ -10,6 +10,8 @@ images using a similarity threshold").
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 
 import numpy as np
@@ -28,6 +30,20 @@ _FALLBACK_SCANS = _metrics().counter("index.lsh.fallback_scans")
 
 #: Rows the dense vector buffer starts with; it doubles when full.
 _INITIAL_ROWS = 16
+
+#: Rows per matrix-vector product.  On the 2-vCPU development host
+#: OpenBLAS goes multi-threaded somewhere above ~5,000 x 50 and a single
+#: ``M @ q`` then stalls for milliseconds (12,000 x 50: p50 0.13 ms, p95
+#: 8.0 ms, max 12 ms; 6,000 x 50: max 4.2 ms); in 2,048-row blocks the
+#: same product reads p95 0.31 ms at 12,000 rows and costs nothing at
+#: 4,000 (p50 36 vs 33 us).  Table in DESIGN.md section 6.
+_BLOCK_ROWS = 2048
+
+#: Half-width of the prefilter's guard band, relative to ``max|x|^2 +
+#: |q|^2`` — about 10^5 times the rounding bound it has to cover at
+#: d = 50 (see :meth:`LSHIndex.nearest_rows`), and above it for any
+#: dimension under ~10^6.
+_BAND = 1e-9
 
 
 class LSHIndex:
@@ -55,22 +71,23 @@ class LSHIndex:
         self._projections = rng.normal(0.0, 1.0, (n_tables, n_projections, dimension))
         self._offsets = rng.uniform(0.0, bucket_width, (n_tables, n_projections))
         self._tables: list[dict[tuple, list[object]]] = [{} for _ in range(n_tables)]
-        self._vectors: dict[object, np.ndarray] = {}
-        # Dense mirror of the vector store for vectorised ranking: row
-        # ``_row_of[item]`` of ``_buffer`` is the item's vector, and the
-        # first ``len(_items)`` rows are live.  The buffer doubles when
-        # full, so an insert is an amortised O(dimension) row write and
-        # never invalidates what queries rank against.
+        # The vector store, held once: row ``_row_of[item]`` of
+        # ``_buffer`` is the item's vector and the same row of
+        # ``_sq_norms`` its squared norm; the first ``len(_items)`` rows
+        # are live.  Both double when full, so an insert is an amortised
+        # O(dimension) row write and never invalidates what queries rank
+        # against.
         self._items: list[object] = []
         self._row_of: dict[object, int] = {}
         self._buffer = np.empty((_INITIAL_ROWS, dimension))
+        self._sq_norms = np.empty(_INITIAL_ROWS)
         # One lock covers inserts and taking the live-rows view: a query
         # racing an insert must see items and rows from the same moment.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._vectors)
+            return len(self._items)
 
     def clone_empty(self) -> "LSHIndex":
         """An empty index sharing this one's exact hash functions.
@@ -118,21 +135,32 @@ class LSHIndex:
     def insert(self, item: object, vector: np.ndarray) -> int:
         """Index a feature vector under an opaque item id.  Returns the
         buffer row the vector now occupies — its insertion position,
-        which never changes — for :meth:`row_distances`."""
+        which never changes — for :meth:`nearest_rows`.
+
+        A vector whose squared norm overflows is refused: its entry in
+        the norm column would poison every later prefilter."""
         vector = self._check_vector(vector)
+        sq_norm = squared_norm(vector)
+        if not math.isfinite(sq_norm):
+            raise IndexError_(
+                f"vector of item {item!r} has no finite squared norm"
+            )
         keys = self._keys(vector)
         with self._lock:
-            if item in self._vectors:
+            if item in self._row_of:
                 raise IndexError_(f"item {item!r} already indexed")
             row = len(self._items)
             if row == len(self._buffer):
-                # Views handed out earlier keep the old block alive and
+                # Views handed out earlier keep the old blocks alive and
                 # stay valid: live rows are never rewritten.
                 grown = np.empty((2 * row, self.dimension))
                 grown[:row] = self._buffer
                 self._buffer = grown
+                grown_norms = np.empty(2 * row)
+                grown_norms[:row] = self._sq_norms
+                self._sq_norms = grown_norms
             self._buffer[row] = vector
-            self._vectors[item] = vector
+            self._sq_norms[row] = sq_norm
             self._row_of[item] = row
             self._items.append(item)
             for table, key in zip(self._tables, keys):
@@ -173,7 +201,7 @@ class LSHIndex:
         if exhaustive_fallback and len(candidates) < k:
             _FALLBACK_SCANS.inc()
             with self._lock:
-                n_indexed = len(self._vectors)
+                n_indexed = len(self._items)
             charge_probes("lsh", n_indexed)
             return self.linear_topk(vector, k)
         return self._rank(list(candidates), vector, k)
@@ -204,13 +232,12 @@ class LSHIndex:
     def _rank(
         self, items: list[object], vector: np.ndarray, k: int | None
     ) -> list[tuple[object, float]]:
-        """Vectorised exact ranking of ``items`` by distance to
-        ``vector``, equal distances broken by item id (canonical order —
-        see :mod:`repro.index.ordering`)."""
+        """Exact ranking of the indexed ``items`` by distance to
+        ``vector`` (:meth:`nearest_rows` of their rows)."""
         if not items:
             return []
         rows = np.array([self._row_of[item] for item in items])
-        return nearest(items, self.row_distances(rows, vector), k)
+        return self.nearest_rows(vector, k, rows)
 
     def query_radius(self, vector: np.ndarray, radius: float) -> list[tuple[object, float]]:
         """All hash candidates within true distance ``radius``."""
@@ -225,28 +252,79 @@ class LSHIndex:
         compares against."""
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        vector = self._check_vector(vector)
-        # Items and matrix must come from one locked snapshot: a
-        # concurrent insert between the two reads would leave more
-        # items than matrix rows, and so than distances.
-        with self._lock:
-            items = list(self._items)
-            matrix = self._dense_matrix_locked()
-        return nearest(items, np.linalg.norm(matrix - vector, axis=1), k)
+        return self.nearest_rows(vector, k)
 
-    def row_distances(self, rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """True L2 distance from ``vector`` to the vector in each of the
-        buffer ``rows``, as :meth:`insert` returned them.  Lets a caller
-        that keeps those rows beside its own columns rank a subset
-        without a copy of the vector store."""
+    def nearest_rows(
+        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None
+    ) -> list[tuple[object, float]]:
+        """The ``k`` nearest (all, for ``k=None``) to ``vector`` of the
+        vectors in the buffer ``rows`` — as :meth:`insert` returned
+        them; every live row when ``None`` — as ``(item, true L2
+        distance)`` in canonical order (:mod:`repro.index.ordering`).
+        The one exact ranking: the fallback scan, the hash candidates
+        and a caller that keeps rows beside its own columns all end
+        here.
+
+        With more rows than ``k``, one dot product per row selects and
+        the exact ``norm(x - q)`` is computed only for the rows that can
+        matter: ``a = |x|^2 - 2 x.q`` (the norm column and one
+        matrix-vector product; ``+ |q|^2`` is the same for every row)
+        orders rows as the squared distance does, up to rounding.  With
+        ``e`` the largest ``|a + |q|^2 - exact^2|`` over the rows, the
+        ``k`` rows of smallest ``a`` have ``exact^2 <= kth + e``, so the
+        k-th exact distance does too, and every row at or under it —
+        the exact top-k with its ties — has ``a <= kth + 2e``.  Dot
+        products and norms of ``d`` terms give ``e <= c d u (max|x|^2 +
+        |q|^2)`` for a small ``c`` and ``u`` = 1.1e-16; the band kept
+        is ``_BAND`` of that sum on each side, far above ``2e``.  The
+        survivors are then ranked exactly as all rows would have been,
+        so distances, ties and order are those of the full computation.
+
+        When ``k`` covers the rows, or the band is no use — not finite
+        (the sum overflows), below the normal range (underflow breaks
+        the relative bound), or as wide as the rows' spread (huge
+        near-identical vectors) — every row is ranked exactly."""
         vector = self._check_vector(vector)
-        return np.linalg.norm(self._dense_matrix()[rows] - vector, axis=1)
+        with self._lock:
+            items = self._items
+            live = len(items)
+            matrix, sq_norms = self._buffer[:live], self._sq_norms[:live]
+        if rows is not None:
+            # Rank a subset from a gather: the product below must cost
+            # what the subset costs, never what the buffer does.
+            matrix, sq_norms = matrix[rows], sq_norms[rows]
+        if k is not None and k < len(matrix):
+            band = _BAND * float(sq_norms.max() + vector @ vector)
+            if sys.float_info.min <= band < math.inf:
+                approx = sq_norms - 2.0 * _row_dots(matrix, vector)
+                kth = np.partition(approx, k - 1)[k - 1]
+                near = np.flatnonzero(approx <= kth + band)
+                if len(near) < len(matrix):
+                    matrix = matrix[near]
+                    rows = near if rows is None else rows[near]
+        distances = np.linalg.norm(matrix - vector, axis=1)
+        if rows is None:
+            return nearest(items[:live], distances, k)
+        return nearest([items[row] for row in rows.tolist()], distances, k)
 
     def _dense_matrix(self) -> np.ndarray:
+        """The live rows as a view (no copy); not to be written through."""
         with self._lock:
-            return self._dense_matrix_locked()
+            return self._buffer[: len(self._items)]
 
-    def _dense_matrix_locked(self) -> np.ndarray:
-        """The live rows as a view (no copy); the caller holds the lock
-        and must not write through it."""
-        return self._buffer[: len(self._items)]
+
+def squared_norm(vector: np.ndarray) -> float:
+    """``|vector|^2`` — infinite, and silently so, when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(vector @ vector)
+
+
+def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector``, at most ``_BLOCK_ROWS`` rows per product."""
+    if len(matrix) <= _BLOCK_ROWS:
+        return matrix @ vector
+    dots = np.empty(len(matrix))
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        np.dot(matrix[start:stop], vector, out=dots[start:stop])
+    return dots

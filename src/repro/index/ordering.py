@@ -54,19 +54,19 @@ def nearest(
 ) -> list[tuple[object, float]]:
     """The ``k`` nearest of ``items`` (all of them for ``k=None``) as
     ``(item, distance)`` in canonical order, ``distances[i]`` being the
-    distance of ``items[i]``.
+    distance of ``items[i]``: order everything, then cut.  Selection is
+    the caller's (:meth:`LSHIndex.nearest_rows` hands over little more
+    than ``k`` rows).
 
-    Partial selection: ``np.partition`` finds the k-th smallest
-    distance in O(n), and only the rows at or under it go through the
-    ``(distance, tie_key)`` sort.  Every row tied with the k-th is
-    among them, so ties across the boundary resolve exactly as a full
-    sort followed by ``[:k]`` would — which is what this replaces.
+    Plain-``int`` ids — the platform's — are ordered as arrays, where
+    :func:`tie_key` is the numeric order; anything else goes through
+    the ``(distance, tie_key)`` sort, the split :func:`by_score` makes.
     """
-    if k is not None and k < len(items):
-        kth = np.partition(distances, k - 1)[k - 1]
-        rows = np.flatnonzero(distances <= kth)
-        items = [items[row] for row in rows.tolist()]
-        distances = distances[rows]
+    if set(map(type, items)) <= {int}:
+        ids = np.asarray(items)
+        if ids.dtype.kind == "i":  # not so for an int past 64 bits
+            order = np.lexsort((ids, distances))[:k]
+            return list(zip(ids[order].tolist(), distances[order].tolist()))
     pairs = sorted(
         zip(items, distances.tolist()),
         key=lambda pair: (pair[1], tie_key(pair[0])),

@@ -47,11 +47,14 @@ class Live(enum.Enum):
 
 MISSING = object()
 #: What a single field is replaced with.  The first six are the PR 13-16
-#: sweep; the rest are where the 500s it missed were found.
+#: sweep; the rest are where the 500s it missed were found — the last a
+#: vector of finite numbers whose squared norm is not: every distance to
+#: it is infinite, and it was ranked.
 MUTATIONS = {
     "missing": MISSING, "null": None, "str": "x", "list": [], "dict": {},
     "nan": float("nan"), "inf": float("inf"), "ninf": float("-inf"),
     "true": True, "frac": 1.5, "huge": 10**30, "zero": 0, "neg": -1,
+    "overflow": [1e200] * 50,
 }
 #: What a whole body is replaced with (a body is not a field: "missing"
 #: is no body at all).
@@ -102,7 +105,8 @@ PIXELS, PIXEL = "the pixel array", "one pixel"
 _TAKES = {
     schema.number: {"frac", "huge", "zero", "neg"},
     schema.text: {"str"},
-    schema.vector: set(),  # not a list at all, or an empty one
+    # Not a list, an empty one, or one no distance can be taken to.
+    schema.vector: set(),
     schema.image_from_payload: set(),
     PIXELS: set(),
     PIXEL: {"true", "frac", "zero"},  # what numpy casts to a uint8

@@ -257,6 +257,10 @@ class TestDataRoutes:
             {"type": "hybrid", "queries": [_REGION_QUERY]},
             {"type": "temporal", "start": 5.0, "end": 1.0},
             {"type": "textual", "text": "  "},
+            # Finite numbers, but no distance to them is: this was a 200
+            # with the three lowest ids at score 0.0.
+            _visual([1e200] * 50, k=3),
+            {"type": "hybrid", "queries": [_REGION_QUERY, _visual([1e200] * 50, k=3)]},
         ],
         ids=lambda body: str(body)[:48],
     )

@@ -14,7 +14,7 @@ from repro.core import (
     VisualQuery,
 )
 from repro.datasets import generate_lasan_dataset
-from repro.errors import QueryError, TVDPError
+from repro.errors import MalformedQueryError, QueryError, TVDPError
 from repro.features import ColorHistogramExtractor
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging import CLEANLINESS_CLASSES, flip_horizontal, Augmentation
@@ -150,6 +150,23 @@ class TestVisualQueries:
         assert results[0].score == pytest.approx(1.0)
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    @pytest.mark.parametrize("component", [1e200, float("nan"), float("inf")])
+    def test_a_vector_no_distance_can_be_taken_to_is_malformed(
+        self, platform, shards, component
+    ):
+        """1e200 is finite and its square is not: every distance to it
+        is infinite, which used to rank the lowest ids at score 0.0."""
+        platform.register_extractor(ColorHistogramExtractor())
+        platform.extract_features("color_hsv_20_20_10")
+        if shards:
+            platform.set_shards(shards)
+        visual = VisualQuery("color_hsv_20_20_10", vector=[component] * 50, k=3)
+        region = SpatialQuery(region=BoundingBox(33.0, -119.0, 35.0, -117.0))
+        for query in (visual, HybridQuery(queries=(region, visual))):
+            with pytest.raises(MalformedQueryError):
+                platform.execute(query)
 
     def test_query_validation(self, records):
         with pytest.raises(QueryError):

@@ -37,6 +37,17 @@ class TestLSH:
         with pytest.raises(IndexError_):
             index.query_topk(np.zeros(3), k=1)
 
+    def test_a_vector_whose_squared_norm_overflows_is_refused(self):
+        """Its norm-column entry would be ``inf`` and poison the
+        prefilter of every later query; nothing of it is indexed."""
+        index, vectors = self.make_index(n=20, dim=4)
+        before = index.linear_topk(vectors[3], k=5)
+        for bad in (np.full(4, 1e200), np.array([np.nan, 0, 0, 0]), np.array([np.inf, 0, 0, 0])):
+            with pytest.raises(IndexError_):
+                index.insert("bad", bad)
+        assert len(index) == 20
+        assert index.linear_topk(vectors[3], k=5) == before
+
     def test_exact_match_found_first(self):
         index, vectors = self.make_index()
         results = index.query_topk(vectors[17], k=5)
@@ -140,11 +151,16 @@ class TestLSHConcurrentInsert:
         for i in range(10):
             index.insert(i, vectors[i])
         early = index._dense_matrix()
+        early_norms = index._sq_norms[:10]
         for i in range(10, 200):  # several doublings past the first block
             index.insert(i, vectors[i])
         assert np.array_equal(early, vectors[:10])
         assert np.array_equal(index._dense_matrix(), vectors)
         assert index.linear_topk(vectors[150], 1)[0] == (150, 0.0)
+        # The norm column doubles with the buffer, under the same lock.
+        norms = [float(vector @ vector) for vector in vectors]
+        assert early_norms.tolist() == norms[:10]
+        assert index._sq_norms[:200].tolist() == norms
 
 
 class TestTokenize:

@@ -7,9 +7,12 @@ fetch per hit; the Visual R-tree's best-first search) and the one a
 brute-force pass over the rows gives — compared here under interleaved
 uploads, augmentations, feature extraction and queries.
 
-The partial-selection top-k (``repro.index.ordering.nearest``) is held
+The top-k in canonical order (``repro.index.ordering.nearest``) is held
 against the full sort it replaced, on vectors drawn from a handful of
-values so that equal distances straddle the k boundary.
+values so that equal distances straddle the k boundary; and the one
+exact ranking under every visual path (``LSHIndex.nearest_rows``: a
+dot-product prefilter, a guard band, an exact re-rank) against the
+distance to every row and that full sort, across magnitudes.
 
 Categorical, textual and the transport are held the same way.  The
 label columns' mask-and-group answer must be the row walk it replaced
@@ -27,15 +30,25 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import TVDPClient, TVDPService, schema
-from repro.core import CategoricalQuery, HybridQuery, SpatialQuery, TVDP, VisualQuery
+from repro.core import (
+    CatalogSlice,
+    CategoricalQuery,
+    HybridQuery,
+    SpatialQuery,
+    TVDP,
+    VisualQuery,
+)
 from repro.core.queries import QueryResult, scored_pairs
+from repro.db import Column, ColumnType, Database, TableSchema
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
 from repro.index import InvertedIndex, LSHIndex, tie_key, tokenize
+from repro.index import lsh as lsh_module
 from repro.index.ordering import nearest
 from tests.shard.test_equivalence import (
     DELTAS,
@@ -279,6 +292,134 @@ def test_partial_selection_equals_the_full_sort(vectors, probe, k, shuffler):
         assert index.linear_topk(np.asarray(probe), k) == want
         assert index.query_topk(np.asarray(probe), k) == want
         assert index.topk_with_stats(np.asarray(probe), k) == (want, len(items))
+
+
+# -- the one exact ranking: prefilter, band, re-rank -------------------------------
+
+#: Vectors whose squared norm spans 1e-320 to 3e300, in one index.
+SCALES = [1e-160, 1e-80, 1.0, 1e80, 1e150]
+#: Huge and one or a few ulps apart: ``|x|^2 - 2 x.q`` cancels to noise,
+#: so the band has to swallow such rows, never drop them.
+TWINS = [1e150, 1e150 * (1 + 2**-52), 1e150 * (1 + 2**-50), 1e150 * (1 + 2**-40)]
+tie_prone = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 3)
+ranked_vectors = st.one_of(
+    tie_prone,
+    st.builds(lambda v, scale: tuple(c * scale for c in v), tie_prone, st.sampled_from(SCALES)),
+    st.tuples(*[st.sampled_from(TWINS)] * 3),
+)
+#: How item ``i`` is called.  ``big`` is a plain int numpy has no
+#: 64-bit place for (spaced so that ``tie_key``'s float tells them
+#: apart); ``True`` equals no other id drawn here.
+ID_KINDS = {
+    "int": lambda i: 100 + i,
+    "big": lambda i: 2**70 * (i + 1),
+    "float": lambda i: 100.5 + i,
+    "str": lambda i: f"img{i}",
+    "bool": lambda i: True,
+}
+
+
+@st.composite
+def ranked_cases(draw):
+    vectors = draw(st.lists(ranked_vectors, min_size=1, max_size=40))
+    n = len(vectors)
+    probe = draw(
+        st.one_of(
+            ranked_vectors,
+            st.sampled_from(vectors),  # an exact duplicate: distance 0.0, tied
+            # Its squared norm overflows: no band, every row ranked exactly.
+            st.just((1e155, 0.0, 1e155)),
+        )
+    )
+    k = draw(st.one_of(st.sampled_from([1, max(1, n - 1), n, n + 1]), st.integers(1, 50)))
+    kinds = draw(
+        st.one_of(
+            st.just(["int"] * n),
+            st.lists(st.sampled_from(["int", "big"]), min_size=n, max_size=n),
+            st.lists(st.sampled_from(["int", "float", "str"]), min_size=n, max_size=n),
+        )
+    )
+    items = [ID_KINDS[kind](i) for i, kind in enumerate(kinds)]
+    if draw(st.booleans()) and kinds[0] != kinds[-1]:
+        items[0] = ID_KINDS["bool"](0)
+    draw(st.randoms(use_true_random=False)).shuffle(items)  # ids must not follow row order
+    # Ranked at each: the buffer starts with 16 rows and doubles.
+    checkpoints = sorted({n, *draw(st.lists(st.integers(1, n), max_size=2))})
+    return vectors, probe, k, items, checkpoints
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is part of the input
+@settings(max_examples=150, deadline=None)
+@given(
+    ranked_cases(),
+    st.sampled_from([0.0, 0.5, 1.5, 1e150, math.inf]),
+    st.lists(st.booleans(), min_size=40, max_size=40),
+    st.randoms(use_true_random=False),
+)
+def test_one_ranking_routine_equals_the_full_computation(case, radius, inside, picker):
+    """``LSHIndex.nearest_rows`` — under the fallback scan, the hash
+    candidates, the radius query and the fused hybrid — against the code
+    it replaced, kept here as the oracle: the exact distance to every
+    row and a full ``(distance, tie_key)`` sort.  ``==`` on the ids and
+    on the floats."""
+    vectors, probe, k, items, checkpoints = case
+    matrix = np.asarray(vectors, dtype=np.float64)
+    probe = np.asarray(probe, dtype=np.float64)
+    distances = np.linalg.norm(matrix - probe, axis=1)
+    assert nearest(items, distances, k) == full_sort(items, distances, k)
+
+    # One bucket per table holds everything, whatever the magnitude: the
+    # hash candidates are every item indexed so far.
+    index = LSHIndex(dimension=3, bucket_width=1e300)
+    # The slice calls its items by int, and keeps some outside the box.
+    ids = list(range(100, 100 + len(items)))
+    picker.shuffle(ids)
+    db = Database(
+        [TableSchema("images", (Column("image_id", ColumnType.INTEGER, primary_key=True),
+                                Column("lat", ColumnType.REAL), Column("lng", ColumnType.REAL)))]
+    )
+    catalog_slice = CatalogSlice(db)
+    catalog_slice.add_extractor("raw", 3)
+    box = BoundingBox(34.0, -118.4, 34.2, -118.2)
+    done = 0
+    for m in checkpoints:
+        for row in range(done, m):
+            index.insert(items[row], matrix[row])
+            db.insert("images", {"image_id": ids[row], "lat": 34.1 if inside[row] else 35.0, "lng": -118.3})
+            catalog_slice.index_vector("raw", ids[row], matrix[row])
+        done = m
+        want = full_sort(items[:m], distances[:m], k)
+        assert index.linear_topk(probe, k) == want
+        assert index.query_topk(probe, k) == want  # the fallback when k > m
+        assert index.topk_with_stats(probe, k) == (want, m)
+        assert index.query_radius(probe, radius) == [
+            pair for pair in full_sort(items[:m], distances[:m], None) if pair[1] <= radius
+        ]
+        for size in {0, 1, k, k + 1, picker.randint(0, m)}:
+            rows = np.array(picker.sample(range(m), min(size, m)), dtype=np.intp)
+            assert index.nearest_rows(probe, k, rows) == full_sort(
+                [items[row] for row in rows], distances[rows], k
+            )
+        held = [row for row in range(m) if inside[row]]
+        assert catalog_slice.spatial_visual_topk("raw", box, probe, k) == full_sort(
+            [ids[row] for row in held], distances[held], k
+        )
+
+
+def test_a_product_in_blocks_is_the_product():
+    """Longer than two blocks: the blocked matrix-vector product is the
+    single one float for float, and the scan over it the oracle's."""
+    rng = np.random.default_rng(5)
+    matrix = rng.normal(0.0, 1.0, (2 * lsh_module._BLOCK_ROWS + 100, 8))
+    probe = rng.normal(0.0, 1.0, 8)
+    assert np.array_equal(lsh_module._row_dots(matrix, probe), matrix @ probe)
+    index = LSHIndex(dimension=8)
+    for item, vector in enumerate(matrix):
+        index.insert(item, vector)
+    items = list(range(len(matrix)))
+    distances = np.linalg.norm(matrix - probe, axis=1)
+    for k in (1, 100, len(matrix)):
+        assert index.linear_topk(probe, k) == full_sort(items, distances, k)
 
 
 # -- categorical: label columns ------------------------------------------------------

@@ -188,3 +188,31 @@ class TestOrderedIndex:
                 ]
                 keys = table.keys_in_range(column, low, high)
                 assert keys == [pk for _, pk in sorted(scanned)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_long_runs_of_equal_timestamps(self, data):
+        """Two timestamps among up to 150 rows: a row is found inside a
+        long run of its value by pk — an update moves an old, low pk into
+        the middle of the other run; a delete takes one out of it."""
+        two = st.sampled_from([1.0, 2.0])
+        operations = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("insert"), two, two),
+                    st.tuples(
+                        st.just("update"),
+                        st.integers(0, 150),
+                        st.sampled_from(["captured", "uploaded"]),
+                        st.one_of(st.none(), two),
+                    ),
+                    st.tuples(st.just("delete"), st.integers(0, 150)),
+                ),
+                min_size=60,
+                max_size=150,
+            )
+        )
+        windows = [(None, None), (1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (1.5, None)]
+        self.test_range_equals_scan_under_mutation.hypothesis.inner_test(
+            self, operations, windows
+        )
