@@ -79,6 +79,21 @@ def number(value: object) -> float:
     raise Malformed("a finite number", value)
 
 
+class Ranged:
+    """A :func:`number` within ``[low, high]``: a latitude, a longitude.
+    The range is checked here, not by ``BoundingBox`` — an FOV's MBR may
+    legitimately cross +/-180; a box a caller sends may not."""
+
+    def __init__(self, low: float, high: float) -> None:
+        self.low, self.high = low, high
+
+    def __call__(self, value: object) -> float:
+        typed = number(value)
+        if not self.low <= typed <= self.high:
+            raise Malformed(f"a number in [{self.low:g}, {self.high:g}]", value)
+        return typed
+
+
 class Whole:
     """A whole number however it is spelt (``5``, ``5.0``, ``"5"``),
     optionally bounded.  A bool or a fraction is the caller's fault, not
@@ -293,11 +308,11 @@ GRID = Whole(1, 128)
 SOURCE = Enum("human", "machine")
 TRUTHY = Flag("", 0, None)  # include_pixels, annotate: as Python's truthiness had it
 SWITCH = Flag("0", "false", "no")  # analyze: on unless text switches it off
-_BOX = ("min_lat", "min_lng", "max_lat", "max_lng")
-REGION = Obj(BoundingBox, "region", **dict.fromkeys(_BOX, number))
+LAT, LNG = Ranged(-90.0, 90.0), Ranged(-180.0, 180.0)
+REGION = Obj(BoundingBox, "region", min_lat=LAT, min_lng=LNG, max_lat=LAT, max_lng=LNG)
 FOV = Obj(
     lambda **fov: FieldOfView.from_dict(fov), "fov",
-    lat=number, lng=number, direction_deg=number, angle_deg=number, range_m=number,
+    lat=LAT, lng=LNG, direction_deg=number, angle_deg=number, range_m=number,
 )
 
 #: The spec ``POST /search`` and ``GET /debug/explain`` take: six query
@@ -309,7 +324,7 @@ QUERY.variants.update(
     spatial=Obj(
         queries.SpatialQuery, "query",
         region=optional(REGION),
-        point=optional(Obj(GeoPoint, "point", lat=number, lng=number)),
+        point=optional(Obj(GeoPoint, "point", lat=LAT, lng=LNG)),
         radius_m=optional(number),
         mode=optional(Enum("camera", "scene"), "scene"),
         direction_deg=optional(number),

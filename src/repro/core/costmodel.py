@@ -31,31 +31,26 @@ from __future__ import annotations
 #: value a plain str/list/dict literal.
 COST_MODEL: dict = {
     "spatial": {
-        "access_path": "oriented_rtree.search_range | columns.camera_scan",
+        "access_path": "columns.scene_scan | columns.camera_scan",
         "cost": (
-            "O(log n + c) MBR filter + O(c) sector refine; camera mode: "
-            "O(n) vectorised column predicate"
+            "O(n) vectorised column predicate; scene mode: + O(c) sector "
+            "refine of the c rows whose MBR overlaps the region"
         ),
         "dominant_counters": [
-            "index.rtree.range_queries",
-            "index.rtree.node_visits",
-            "index.rtree.entries_tested",
-            "index.oriented.candidates",
             "index.columns.scans",
             "index.columns.rows_examined",
         ],
         "hot_sites": [
-            "repro.index.rtree.RTree.search_range",
-            "repro.index.oriented_rtree.OrientedRTree.search_range",
-            "repro.index.oriented_rtree.OrientedRTree.search_point",
             "repro.core.slice.CatalogSlice.spatial_ids",
         ],
         "note": (
-            "c = MBR candidates; refine is per-candidate FOV geometry, "
-            "measured by index.oriented.candidates vs refined_hits.  A "
-            "camera-mode query is one pass over the camera columns: n = "
-            "the slice's FOV rows, all of them examined "
-            "(index.columns.rows_examined), none fetched"
+            "n = the slice's FOV rows, all of them examined "
+            "(index.columns.rows_examined), none fetched.  Scene mode "
+            "masks MBR-overlaps-region and direction on the columns, then "
+            "runs the exact FOV geometry on the survivors only; camera "
+            "mode masks camera-in-region and needs no refine.  The "
+            "Oriented R-tree is not on this path: CatalogSlice.spatial "
+            "builds it for the reader that asks (DESIGN.md section 6)"
         ),
     },
     "visual": {

@@ -223,13 +223,13 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
             )
         if query.mode == "camera":
             # A camera inside the region already makes the FOV intersect
-            # it: the point columns answer without the tree or a refine.
+            # it: the point columns answer without a refine.
             path = "columns.camera_scan"
             details["refine"] = "none"
         else:
-            path = "oriented_rtree.search_range"
-            if query.point is not None and query.radius_m == 0.0:
-                path = "oriented_rtree.search_point"
+            # MBR-overlaps-region on the columns, then the exact sector
+            # predicate on the survivors.
+            path = "columns.scene_scan"
             details["refine"] = "fov_sector"
         return QueryPlan("spatial", path, details, cost=cost_annotation("spatial"))
     if isinstance(query, VisualQuery):

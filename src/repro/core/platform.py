@@ -667,7 +667,7 @@ class TVDP:
         return {
             "rows": self.db.row_counts(),
             "blobs": n_blobs,
-            "indexed_fovs": len(self.slice.spatial),
+            "indexed_fovs": self.slice.fov_count(),
             "extractors": self.features.names(),
             "lsh_indexes": sorted(self.slice.visual_indexes()),
             "latency_ms": self.latency_summaries(),

@@ -17,14 +17,20 @@ A slice is filled two ways, by the same two methods:
   deterministic function of the rows), optionally cloning LSH hash
   functions and node capacity from a parent slice.
 
-Both also fill the sidecar: the camera points (and viewing directions)
-as plain columns beside the trees.  A camera-mode spatial query and a
-fused spatial-visual hybrid are answered from those columns — one
-vectorised predicate, measured cheaper than the tree walk at every slice
-size and region share tried (DESIGN.md §6).  Annotations are indexed the
-same way and only that way: per label, the columns a categorical query
-masks and groups (:meth:`CatalogSlice.index_annotation`, called by
-``annotate`` and by the rebuild).
+Neither touches a tree.  A write fills columns only: camera point,
+viewing direction and FOV MBR of every image (the ``FieldOfView`` kept
+beside its row), camera point and LSH row of every vector, and per
+label the columns a categorical query masks and groups
+(:meth:`CatalogSlice.index_annotation`, called by ``annotate`` and by
+the rebuild).  Every served spatial query — camera mode, scene mode,
+the fused spatial-visual hybrid — is one vectorised predicate over
+those columns, scene mode followed by the exact FOV refine of the few
+survivors (DESIGN.md §6 has the scan-vs-tree table).  The paper's two
+trees are *caught up on read*: :attr:`CatalogSlice.spatial` and
+:meth:`CatalogSlice.hybrid` insert the rows written since the tree was
+last asked for, in write order, and return it — so a tree costs the
+reader that wants it (localisation, panorama selection, the figure
+benchmarks, the tests' oracles), never the upload.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.db.database import Database
 from repro.errors import QueryError
 from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
-from repro.index.columns import Columns, ColumnView, PointColumns, count_scan
+from repro.index.columns import Columns, PointColumns, count_scan
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
@@ -50,23 +56,26 @@ _SOURCE_CODES = {"human": 0.0, "machine": 1.0}
 
 class CatalogSlice:
     """A :class:`~repro.db.database.Database` and the indexes derived
-    from its rows: ``spatial`` over FOVs, ``text`` over keywords, an
-    LSH + Visual R-tree pair per feature extractor — and, beside the
-    trees, the same camera points as columns
-    (:mod:`repro.index.columns`) for the two queries that ask only
-    where the camera stood."""
+    from its rows: ``text`` over keywords, an LSH index per feature
+    extractor, and the columns (:mod:`repro.index.columns`) every
+    spatial query scans — with ``spatial`` over FOVs and a Visual
+    R-tree per extractor built from those columns when asked for."""
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self.spatial = OrientedRTree()
         self.text = InvertedIndex()
-        # Guards the per-extractor registries and the columns; each
-        # index carries its own lock for its contents.
+        # Guards the per-extractor registries, the columns and the
+        # trees' catch-up; each index carries its own lock for its
+        # contents (taken inside this one, never the other way round).
         self._lock = threading.Lock()
+        self._spatial = OrientedRTree()
         self._lsh: dict[str, LSHIndex] = {}
         self._hybrid: dict[str, VisualRTree] = {}
-        # Camera point and viewing direction of every image with an FOV.
-        self._cameras = PointColumns(extra=1)
+        # Camera point, viewing direction and FOV MBR (min_lat, min_lng,
+        # max_lat, max_lng) of every image with an FOV; the FOV itself
+        # at the same row, for the refine.
+        self._cameras = PointColumns(extra=5)
+        self._fovs: list[FieldOfView] = []
         # Per extractor, the camera point of every indexed vector and
         # the row the LSH index gave that vector (exact in a float
         # column), so the vectors themselves are held once.
@@ -85,11 +94,13 @@ class CatalogSlice:
         if keywords:
             self.text.add(image_id, " ".join(keywords))
         if fov is not None:
-            self.spatial.insert(image_id, fov)
+            camera, box = fov.camera, fov.mbr()
             with self._lock:
                 self._cameras.append(
-                    image_id, fov.camera.lat, fov.camera.lng, fov.direction_deg
+                    image_id, camera.lat, camera.lng, fov.direction_deg,
+                    box.min_lat, box.min_lng, box.max_lat, box.max_lng,
                 )
+                self._fovs.append(fov)
 
     def index_annotation(
         self, image_id: int, type_id: int, confidence: float, source: str
@@ -107,7 +118,10 @@ class CatalogSlice:
         """Give ``name`` its LSH + Visual R-tree pair unless it has one.
         With ``like``, the pair clones that slice's hash functions and
         node capacity, so this slice's candidates partition ``like``'s."""
-        source = None if like is None else (like.lsh(name), like.hybrid(name))
+        # The registry entry, not hybrid(): a clone costs like no catch-up.
+        source = None if like is None else (
+            like.lsh(name), like._registered(like._hybrid, name).max_entries
+        )
         with self._lock:
             if name in self._lsh:
                 return
@@ -118,12 +132,12 @@ class CatalogSlice:
             else:
                 self._lsh[name] = source[0].clone_empty()
                 self._hybrid[name] = VisualRTree(
-                    dimension=dimension, max_entries=source[1].max_entries
+                    dimension=dimension, max_entries=source[1]
                 )
 
     def index_vector(self, name: str, image_id: int, vector: np.ndarray) -> None:
         """Index one stored feature vector under extractor ``name``,
-        at the image's camera point for the hybrid tree."""
+        at the image's camera point for the fused hybrid."""
         row = self.db.table("images").get(image_id)
         # The LSH index says where it put the vector; a point is listed
         # only once its vector is there to rank.
@@ -132,7 +146,6 @@ class CatalogSlice:
             self._vector_points[name].append(
                 image_id, row["lat"], row["lng"], vector_row
             )
-        self.hybrid(name).insert(image_id, GeoPoint(row["lat"], row["lng"]), vector)
 
     @classmethod
     def rebuild(cls, db: Database, parent: "CatalogSlice | None" = None) -> "CatalogSlice":
@@ -176,9 +189,38 @@ class CatalogSlice:
         """The LSH index of extractor ``name``."""
         return self._registered(self._lsh, name)
 
+    @property
+    def spatial(self) -> OrientedRTree:
+        """The Oriented R-tree over every indexed FOV, caught up with
+        the columns: the rows written since it was last asked for are
+        inserted now, in write order, by whoever asks."""
+        with self._lock:
+            ids, _ = self._cameras.live()
+            first = len(self._spatial)
+            for item, fov in zip(ids[first:].tolist(), self._fovs[first:]):
+                self._spatial.insert(item, fov)
+        return self._spatial
+
     def hybrid(self, name: str) -> VisualRTree:
-        """The Visual R-tree of extractor ``name``."""
-        return self._registered(self._hybrid, name)
+        """The Visual R-tree of extractor ``name``, caught up likewise."""
+        tree = self._registered(self._hybrid, name)
+        with self._lock:
+            self._catch_up(name, tree)
+        return tree
+
+    def _catch_up(self, name: str, tree: VisualRTree) -> None:
+        """Insert the vectors listed since ``len(tree)``, each at its
+        camera point, from the LSH buffer rows the point columns name.
+        The caller holds ``_lock``, so every row is inserted once."""
+        ids, values = self._vector_points[name].live()
+        first = len(tree)
+        if first < len(ids):
+            lat, lng, vector_row = values[:, first:]
+            vectors = self._lsh[name].vectors_at(vector_row.astype(np.intp))
+            for item, at_lat, at_lng, vector in zip(
+                ids[first:].tolist(), lat.tolist(), lng.tolist(), vectors
+            ):
+                tree.insert(item, GeoPoint(at_lat, at_lng), vector)
 
     def _registered(self, registry: dict, name: str):
         with self._lock:
@@ -195,32 +237,65 @@ class CatalogSlice:
             return dict(self._lsh)
 
     def hybrid_indexes(self) -> dict[str, VisualRTree]:
-        """Live Visual R-trees by extractor name (a snapshot of the registry)."""
+        """Visual R-trees by extractor name, each caught up."""
         with self._lock:
+            for name, tree in self._hybrid.items():
+                self._catch_up(name, tree)
             return dict(self._hybrid)
+
+    def fov_count(self) -> int:
+        """Images indexed with an FOV."""
+        with self._lock:
+            return len(self._cameras)
+
+    def fov_bounds(self) -> BoundingBox | None:
+        """Union MBR of every indexed FOV (``None`` without one) — the
+        extent the shard planner prunes against, from the MBR columns."""
+        with self._lock:
+            cameras = self._cameras.view()
+        if not len(cameras.ids):
+            return None
+        _, min_lat, min_lng, max_lat, max_lng = cameras.extra
+        return BoundingBox(
+            float(min_lat.min()), float(min_lng.min()),
+            float(max_lat.max()), float(max_lng.max()),
+        )
 
     # -- unscored scans -------------------------------------------------------
 
     def spatial_ids(self, query: SpatialQuery) -> list[int]:
         """Ascending ids of this slice's images matching ``query``:
-        FOV-depicts in scene mode (the Oriented R-tree),
-        camera-point-inside in camera mode (the camera columns)."""
+        camera-point-inside in camera mode, FOV-depicts in scene mode —
+        one scan of the camera columns either way, then in scene mode
+        the exact FOV predicate on the rows the scan let through."""
         region = query.bounding_region()
+        with self._lock:
+            cameras, fovs = self._cameras.view(), self._fovs
         if query.mode == "camera":
-            with self._lock:
-                cameras = self._cameras.view()
-            return _cameras_inside(cameras, region, query)
-        direction = {
-            "direction_deg": query.direction_deg,
-            "tolerance_deg": query.direction_tolerance_deg,
-        }
-        if query.point is not None and query.radius_m == 0.0:
-            hits = self.spatial.search_point(
-                query.point.lat, query.point.lng, **direction
-            )
+            rows = cameras.rows_in(region)
         else:
-            hits = self.spatial.search_range(region, **direction)
-        return sorted(hits)
+            count_scan(len(cameras.ids))
+            _, min_lat, min_lng, max_lat, max_lng = cameras.extra
+            # BoundingBox.intersects(MBR, region), on columns.
+            rows = np.flatnonzero(
+                (min_lat <= region.max_lat)
+                & (max_lat >= region.min_lat)
+                & (min_lng <= region.max_lng)
+                & (max_lng >= region.min_lng)
+            )
+        if query.direction_deg is not None:
+            # geodesy.angular_difference_deg, on a column.
+            off = np.abs(cameras.extra[0][rows] - query.direction_deg) % 360.0
+            rows = rows[np.minimum(off, 360.0 - off) <= query.direction_tolerance_deg]
+        if query.mode == "scene":
+            # A camera inside the region already makes intersects_box
+            # true, so camera mode has no refine; scene mode does.
+            if query.point is not None and query.radius_m == 0.0:
+                kept = [r for r in rows.tolist() if fovs[r].contains_point(query.point)]
+            else:
+                kept = [r for r in rows.tolist() if fovs[r].intersects_box(region)]
+            rows = np.array(kept, dtype=np.intp)
+        return np.sort(cameras.ids[rows]).tolist()
 
     def spatial_visual_topk(
         self, name: str, region: BoundingBox, vector: np.ndarray, k: int
@@ -289,17 +364,3 @@ def best_per_image(
     # + 0.0 turns a stored -0.0 into the 0.0 an unranked hit scores.
     return ids[last], confidence[last] + 0.0
 
-
-def _cameras_inside(
-    cameras: ColumnView, region: BoundingBox, query: SpatialQuery
-) -> list[int]:
-    """Camera-mode answer from the columns.  A camera inside the region
-    already makes ``FieldOfView.intersects_box`` true, so has-an-FOV,
-    camera-in-box and direction-within-tolerance is the whole predicate:
-    no sector geometry, no row fetch."""
-    rows = cameras.rows_in(region)
-    if query.direction_deg is not None:
-        # geodesy.angular_difference_deg, on a column.
-        off = np.abs(cameras.extra[0][rows] - query.direction_deg) % 360.0
-        rows = rows[np.minimum(off, 360.0 - off) <= query.direction_tolerance_deg]
-    return np.sort(cameras.ids[rows]).tolist()

@@ -307,6 +307,11 @@ class LSHIndex:
             return nearest(items[:live], distances, k)
         return nearest([items[row] for row in rows.tolist()], distances, k)
 
+    def vectors_at(self, rows: np.ndarray) -> np.ndarray:
+        """A copy of the vectors in the buffer ``rows`` (as
+        :meth:`insert` returned them), one per row of the result."""
+        return self._dense_matrix()[rows]
+
     def _dense_matrix(self) -> np.ndarray:
         """The live rows as a view (no copy); not to be written through."""
         with self._lock:

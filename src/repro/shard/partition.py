@@ -161,7 +161,7 @@ def _shard_stats(shard_id: int, shard: CatalogSlice) -> ShardStats:
     # FOV extents plus every camera point: augmented images have no FOV
     # row but still carry a camera point, and camera-mode spatial
     # queries (plus the hybrid index) match on camera points.
-    bounds = shard.spatial.bounds()
+    bounds = shard.fov_bounds()
     time_mins: dict[str, float] = {}
     time_maxs: dict[str, float] = {}
     images = shard.db.table("images").all_rows()

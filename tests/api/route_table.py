@@ -47,14 +47,16 @@ class Live(enum.Enum):
 
 MISSING = object()
 #: What a single field is replaced with.  The first six are the PR 13-16
-#: sweep; the rest are where the 500s it missed were found — the last a
-#: vector of finite numbers whose squared norm is not: every distance to
-#: it is infinite, and it was ranked.
+#: sweep; the rest are where the 500s it missed were found — ``overflow``
+#: a vector of finite numbers whose squared norm is not (every distance
+#: to it is infinite, and it was ranked), ``out_of_range`` a perfectly
+#: good number that is no latitude or longitude (a region reaching it
+#: was searched, and a campaign created over it).
 MUTATIONS = {
     "missing": MISSING, "null": None, "str": "x", "list": [], "dict": {},
     "nan": float("nan"), "inf": float("inf"), "ninf": float("-inf"),
     "true": True, "frac": 1.5, "huge": 10**30, "zero": 0, "neg": -1,
-    "overflow": [1e200] * 50,
+    "overflow": [1e200] * 50, "out_of_range": 1000,
 }
 #: What a whole body is replaced with (a body is not a field: "missing"
 #: is no body at all).
@@ -103,7 +105,7 @@ PIXELS, PIXEL = "the pixel array", "one pixel"
 #: Which MUTATIONS are a value of each leaf kind.  Kept by hand and
 #: apart from the checker on purpose (see the module docstring).
 _TAKES = {
-    schema.number: {"frac", "huge", "zero", "neg"},
+    schema.number: {"frac", "huge", "zero", "neg", "out_of_range"},
     schema.text: {"str"},
     # Not a list, an empty one, or one no distance can be taken to.
     schema.vector: set(),
@@ -116,18 +118,24 @@ _TAKES = {
 _ELEMENT_TAKES = {schema.vector: _TAKES[schema.number] | {"true"}}
 
 
+def _within(low, high, names: set[str]) -> set[str]:
+    """Those of the numeric MUTATIONS ``names`` inside ``[low, high]``."""
+    return {
+        name for name in names
+        if (low is None or MUTATIONS[name] >= low)
+        and (high is None or MUTATIONS[name] <= high)
+    }
+
+
 def takes(kind: object) -> set[str]:
     """The MUTATIONS that are a value of ``kind`` (they may still mean
     nothing: a latitude of 10**30, a label nobody defined)."""
-    if isinstance(kind, schema.Whole):
-        low, high = kind.at_least, kind.at_most
-        return {
-            name for name in ("huge", "zero", "neg")
-            if (low is None or MUTATIONS[name] >= low)
-            and (high is None or MUTATIONS[name] <= high)
-        }
+    if isinstance(kind, schema.Whole):  # any number but the fraction
+        return _within(kind.at_least, kind.at_most, _TAKES[schema.number] - {"frac"})
+    if isinstance(kind, schema.Ranged):
+        return _within(kind.low, kind.high, _TAKES[schema.number])
     if isinstance(kind, schema.Flag):
-        return {"null", "str", "true", "huge", "zero", "neg"}
+        return {"null", "str", "true", "huge", "zero", "neg", "out_of_range"}
     if isinstance(kind, schema.Enum):
         return {name for name in ("null", "str") if MUTATIONS[name] in kind.choices}
     if isinstance(kind, schema.ListOf):

@@ -70,6 +70,7 @@ def _search_id(case):
 
 _REGION = route_table.example(schema.REGION, "")
 _REGION_QUERY = {"type": "spatial", "region": _REGION}
+_OFF_EARTH = {"min_lat": 0, "min_lng": 0, "max_lat": 1e30, "max_lng": 1}
 
 
 def _visual(vector, **extra):
@@ -261,6 +262,9 @@ class TestDataRoutes:
             # with the three lowest ids at score 0.0.
             _visual([1e200] * 50, k=3),
             {"type": "hybrid", "queries": [_REGION_QUERY, _visual([1e200] * 50, k=3)]},
+            # A finite box, but not one on Earth: this was a 200 too.
+            {"type": "spatial", "region": _OFF_EARTH},
+            {"type": "spatial", "point": {"lat": 0, "lng": 180.5}, "radius_m": 5.0},
         ],
         ids=lambda body: str(body)[:48],
     )
@@ -330,6 +334,7 @@ class TestDataRoutes:
             (f"/features/{route_table.EXTRACTOR}", {}),
             (f"/features/{route_table.EXTRACTOR}", {"image_id": None}),
             ("/classifications", {"name": "graffiti", "labels": []}),
+            ("/campaigns", {"region": _OFF_EARTH}),  # was a 201
         ],
     )
     def test_write_that_means_nothing_is_400(self, table, path, body):

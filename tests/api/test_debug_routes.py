@@ -107,7 +107,7 @@ class TestDebugExplain:
         assert report["analyze"] is True
         plan = report["plan"]
         assert plan["query_type"] == "spatial"
-        assert "oriented_rtree" in plan["access_path"]
+        assert plan["access_path"] == "columns.scene_scan"
         assert plan["rows"] is not None
         assert plan["elapsed_ms"] >= 0.0
         assert plan["shape"] == "spatial(mode=scene,region)"

@@ -70,7 +70,7 @@ class TestResourcesEndpoint:
         my_row = by_principal[me]
         assert my_row["count"] >= 3  # upload, image read, and search
         assert my_row["charges"].get("rows_scanned", 0) > 0
-        assert my_row["charges"].get("probes.rtree", 0) > 0
+        assert my_row["charges"].get("probes.columns", 0) > 0
         shapes = [row["key"] for row in report["by_shape"]]
         assert any(shape.startswith("spatial") for shape in shapes)
         operations = [row["key"] for row in report["by_operation"]]

@@ -242,10 +242,11 @@ class TestCostAnnotations:
         )
 
     def test_analyze_names_the_column_scan_and_moves_its_counters(self, populated):
-        """A camera-mode query and a fused hybrid are answered from the
-        columns: EXPLAIN says so, the scan's counters are among the
-        dominant ones, and the bill is the rows examined — not zero,
-        though no tree was walked and no row fetched."""
+        """Every spatial query — camera mode, scene mode, the fused
+        hybrid — is answered from the columns: EXPLAIN says so, the
+        scan's counters are among the dominant ones, and the bill is the
+        rows examined — not zero, though no tree was walked and no row
+        fetched."""
         platform, records = populated
         everywhere = BoundingBox(33.0, -119.0, 35.0, -117.0)
         camera = SpatialQuery(region=everywhere, mode="camera")
@@ -257,6 +258,8 @@ class TestCostAnnotations:
         )
         for query, path in (
             (camera, "columns.camera_scan"),
+            (SpatialQuery(region=everywhere), "columns.scene_scan"),
+            (SpatialQuery(point=records[0].fov.camera, radius_m=0.0), "columns.scene_scan"),
             (fused, "columns.filter_then_rank"),
         ):
             assert path in explain(platform, query).access_path
@@ -267,11 +270,10 @@ class TestCostAnnotations:
             assert "index.columns.rows_examined" in plan.cost["dominant_counters"]
             assert plan.charges["probes.columns"] == len(records)
             assert "rows_scanned" not in plan.charges
-            assert not any(name.startswith("index.rtree") for name in plan.counter_deltas)
-        # Scene mode asks what the FOV depicts: that stays on the tree.
-        plan = explain(platform, SpatialQuery(region=everywhere), analyze=True)
-        assert plan.access_path == "oriented_rtree.search_range"
-        assert "index.columns.scans" not in plan.counter_deltas
+            assert not any(
+                name.startswith(("index.rtree", "index.oriented", "index.visual_rtree"))
+                for name in plan.counter_deltas
+            )
 
     def test_render_and_dict_include_cost(self, populated):
         platform, _ = populated
@@ -291,7 +293,7 @@ class TestAnalyzeBilling:
         report = obs.usage().report()
         [row] = report["by_principal"]
         assert row["key"] == "local"
-        assert row["charges"].get("probes.rtree", 0) > 0
+        assert row["charges"].get("probes.columns", 0) > 0
         assert [r["key"] for r in report["by_shape"]] == [
             "spatial(mode=scene,region)"
         ]
@@ -305,7 +307,7 @@ class TestAnalyzeBilling:
         region = BoundingBox(34.0, -118.3, 34.1, -118.2)
         with ledger_scope(table=table, principal="key:abcd1234") as outer:
             explain(platform, SpatialQuery(region=region), analyze=True)
-        assert outer.charges.get("probes.rtree", 0) > 0
+        assert outer.charges.get("probes.columns", 0) > 0
         [row] = table.report()["by_principal"]
         assert row["key"] == "key:abcd1234"
         # Nothing leaked to the process-wide table as a duplicate bill.

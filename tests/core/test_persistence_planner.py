@@ -131,7 +131,7 @@ class TestExplain:
             ),
         )
         assert plan.query_type == "spatial"
-        assert "oriented_rtree" in plan.access_path
+        assert plan.access_path == "columns.scene_scan"
         assert "direction_filter" in plan.details
         assert plan.rows is None
 

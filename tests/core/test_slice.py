@@ -12,7 +12,9 @@ column scans of the sidecar included — must give the same answer on all
 three.
 
 The sidecar has a second contract, pinned by races at the bottom: a
-query that overlaps writes sees ids and columns from one moment.
+query that overlaps writes sees ids and columns from one moment, and
+two readers catching a tree up beside a writer insert each row once.
+And a third: nothing but a reader of a tree fills it.
 """
 
 from __future__ import annotations
@@ -24,21 +26,30 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.api import TVDPClient, TVDPService
 from repro.core import (
     AnnotationService,
     CatalogSlice,
+    CategoricalQuery,
     ClassificationCatalog,
+    HybridQuery,
     SpatialQuery,
     TemporalQuery,
+    TextualQuery,
     TVDP,
+    VisualQuery,
     load_platform,
     save_platform,
 )
+from repro.datasets import generate_lasan_dataset
+from repro.features import ColorHistogramExtractor
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
 from repro.db import Database
 from repro.shard import partition_catalog
-from tests.racing import read_while_writing
+from repro.index import OrientedRTree, VisualRTree
+from tests.racing import read_while_writing, run_together
 from tests.shard.test_equivalence import (
     LABELS,
     VOCAB,
@@ -185,13 +196,15 @@ class TestSidecarUnderConcurrentWrites:
         order = sorted(range(m), key=lambda i: (float(distances[i]), i))[: self.K]
         return [(i + 1, float(distances[i])) for i in order]
 
-    def test_every_scan_answers_some_prefix_of_the_writes(self):
-        rng = np.random.default_rng(11)
-        vectors = rng.normal(0.0, 1.0, (self.N, self.DIM))
-        probe = rng.normal(0.0, 1.0, self.DIM)
-        built = CatalogSlice(Database.tvdp())
-        built.add_extractor("race", self.DIM)
-        camera = SpatialQuery(region=self.EVERYWHERE, mode="camera")
+    @staticmethod
+    def vectors_listed(built) -> int:
+        """Rows of the vector point columns: ``index_vector``'s last write."""
+        with built._lock:
+            return len(built._vector_points["race"])
+
+    def writer(self, built, vectors):
+        """Store, index and vector image 1..N in turn (row i holds image
+        i + 1), as uploads followed by feature requests do."""
 
         def write_all():
             for i in range(self.N):
@@ -208,13 +221,27 @@ class TestSidecarUnderConcurrentWrites:
                 built.index_image(image_id, fov, ())
                 built.index_vector("race", image_id, vectors[i])
 
+        return write_all
+
+    def test_every_scan_answers_some_prefix_of_the_writes(self):
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(0.0, 1.0, (self.N, self.DIM))
+        probe = rng.normal(0.0, 1.0, self.DIM)
+        built = CatalogSlice(Database.tvdp())
+        built.add_extractor("race", self.DIM)
+        camera = SpatialQuery(region=self.EVERYWHERE, mode="camera")
+
+        write_all = self.writer(built, vectors)
+
         def read_once():
-            # Last write of index_vector: at most the points listed by
-            # the time the scans below look.
-            before = len(built.hybrid("race"))
+            # Last write of a cycle (index_vector lists the point): at
+            # most the points listed by the time the scans below look.
+            # Counted off the columns — asking for a tree would have the
+            # reader do the writer's work inside the race.
+            before = self.vectors_listed(built)
             ids = built.spatial_ids(camera)
             ranked = built.spatial_visual_topk("race", self.EVERYWHERE, probe, self.K)
-            return before, len(built.spatial), ids, ranked
+            return before, built.fov_count(), ids, ranked
 
         answers = read_while_writing(read_once, write_all)
         raced = sum(1 for before, after, _, _ in answers if 0 < after and before < self.N)
@@ -224,6 +251,45 @@ class TestSidecarUnderConcurrentWrites:
             assert any(
                 ranked == self.brute(vectors, m, probe) for m in range(before, after + 1)
             ), (before, after, ranked)
+
+    def test_two_readers_catching_up_beside_a_writer_insert_each_row_once(self):
+        """The trees are filled by whoever asks for them.  Two threads
+        asking at once while rows keep arriving: every row goes into
+        each tree exactly once, in write order — a second insert of an
+        FOV would raise ``IndexError_`` — and what a reader is handed
+        holds at least the rows written before it asked."""
+        rng = np.random.default_rng(13)
+        vectors = rng.normal(0.0, 1.0, (self.N, self.DIM))
+        built = CatalogSlice(Database.tvdp())
+        built.add_extractor("race", self.DIM)
+        write_all = self.writer(built, vectors)
+        seen: list[tuple[int, int, int, int]] = []
+
+        def catch_up():
+            while not seen or seen[-1][0] < self.N:
+                vectored, fovs = self.vectors_listed(built), built.fov_count()
+                seen.append(
+                    (vectored, len(built.hybrid("race")), fovs, len(built.spatial))
+                )
+
+        run_together([write_all, catch_up, catch_up])
+        assert all(v <= in_visual and f <= in_spatial for v, in_visual, f, in_spatial in seen)
+        everything = range(1, self.N + 1)
+        assert len(built.spatial) == len(built.hybrid("race")) == self.N
+        assert sorted(built.spatial.search_range(self.EVERYWHERE)) == list(everything)
+        ranked = built.hybrid("race").linear_spatial_visual_knn(
+            self.EVERYWHERE, vectors[0], 2 * self.N
+        )
+        assert sorted(item for item, _ in ranked) == list(everything)
+        # Write order: the trees a single thread filling eagerly builds.
+        eager, eager_visual = OrientedRTree(), VisualRTree(dimension=self.DIM)
+        for i in everything:
+            eager.insert(i, built.spatial.fov_of(i))
+            eager_visual.insert(i, built.spatial.fov_of(i).camera, vectors[i - 1])
+        assert built.spatial.search_range(self.EVERYWHERE) == eager.search_range(self.EVERYWHERE)
+        assert built.hybrid("race").spatial_visual_knn(
+            self.EVERYWHERE, vectors[0], self.N
+        ) == eager_visual.spatial_visual_knn(self.EVERYWHERE, vectors[0], self.N)
 
     def test_points_follow_their_vectors_whatever_order_inserts_land_in(self):
         """Four extraction threads, and a caller inserting straight into
@@ -326,3 +392,73 @@ class TestLabelColumnsUnderConcurrentAnnotation:
         for answer in answers:
             assert repr(answer) in prefixes
         assert built.annotation_count(type_id) == self.N
+
+
+class TestWritesBuildNoTree:
+    """A write fills columns; the paper's two trees are built by the
+    first reader that asks for them and by nothing else — not by an
+    upload, an annotation or a feature request, not by a reload or a
+    repartition, not by a served query of any family, not by ``/stats``."""
+
+    TREES = ("index.rtree.", "index.oriented.", "index.visual_rtree.")
+
+    def test_only_a_reader_of_a_tree_fills_it(self, tmp_path, monkeypatch):
+        inserted: list[str] = []
+        for tree in (OrientedRTree, VisualRTree):
+            def counted(self, *args, _insert=tree.insert, _name=tree.__name__):
+                inserted.append(_name)
+                return _insert(self, *args)
+
+            monkeypatch.setattr(tree, "insert", counted)
+
+        platform = TVDP()
+        platform.register_extractor(ColorHistogramExtractor())
+        platform.catalog.define("street_cleanliness", ["clean", "dirty"])
+        client = TVDPClient(TVDPService(platform, deterministic_keys=True))
+        client.create_key(client.register_user("writer", role="researcher"))
+        records = generate_lasan_dataset(n_per_class=2, image_size=32, seed=0)
+        before = obs.snapshot()
+        for record in records:
+            body = client.add_image(
+                record.image, record.fov, record.captured_at, record.uploaded_at,
+                keywords=record.keywords,
+            )
+            client.annotate(body["image_id"], "street_cleanliness", "clean")
+            client.annotate(body["image_id"], "street_cleanliness", "dirty", source="machine")
+            client.get_features("color_hsv_20_20_10", image_id=body["image_id"])
+        assert client.stats()["indexed_fovs"] == len(records)
+        moved = obs.counters_delta(before, obs.snapshot())
+        assert not [name for name in moved if name.startswith(self.TREES)], moved
+
+        everywhere = BoundingBox(33.0, -119.0, 35.0, -117.0)
+        visual = VisualQuery("color_hsv_20_20_10", example=records[0].image, k=3)
+        served = [
+            SpatialQuery(region=everywhere),
+            SpatialQuery(point=records[0].fov.camera, radius_m=0.0, direction_deg=0.0),
+            SpatialQuery(region=everywhere, mode="camera"),
+            visual,
+            CategoricalQuery("street_cleanliness", ("clean",)),
+            TextualQuery(" ".join(records[0].keywords)),
+            TemporalQuery(start=0.0),
+            HybridQuery(queries=(SpatialQuery(region=everywhere), visual)),
+        ]
+        save_platform(platform, tmp_path)
+        reloaded = load_platform(tmp_path)
+        reloaded.register_extractor(ColorHistogramExtractor())
+        shards = partition_catalog(platform, 4)
+        for one in (platform, reloaded):
+            want = [one.execute(query) for query in served]
+            one.set_shards(4)
+            assert [one.execute(query) for query in served] == want
+        slices = [platform.slice, reloaded.slice, *(shard.slice for shard in shards)]
+        assert inserted == []
+        assert all(len(s._spatial) == 0 for s in slices)
+        assert all(len(tree) == 0 for s in slices for tree in s._hybrid.values())
+
+        # ... and the reader that wants one gets all of it.
+        assert len(reloaded.slice.spatial) == len(records)
+        assert len(platform.hybrid_indexes()["color_hsv_20_20_10"]) == len(records)
+        assert sorted(inserted) == ["OrientedRTree"] * len(records) + [
+            "VisualRTree"
+        ] * len(records)
+        assert sum(len(shard.slice.spatial) for shard in shards) == len(records)

@@ -94,10 +94,8 @@ def test_upload_and_search_trace_and_counters(client):
     assert delta['api.requests{method="POST",route="/images",status="201"}'] == 1.0
     assert delta['api.requests{method="POST",route="/search",status="200"}'] == 1.0
     assert delta['spans.total{span="http.request"}'] == 2.0
-    # The spatial search actually probed the R-tree.
-    assert delta.get("index.rtree.queries", 0) + delta.get(
-        "index.oriented.queries", 0
-    ) >= 1.0
+    # The spatial search actually scanned the FOV columns.
+    assert delta["index.columns.scans"] == 1.0
 
     # -- latency summaries surface through /stats -----------------------
     latency = client.stats()["latency_ms"]
@@ -146,11 +144,11 @@ def test_resource_attribution_and_trace_join_across_principals(client):
     theirs = rows[principal_label(other.api_key)]
 
     # Spatial search work bills to the searching key...
-    assert mine["charges"].get("probes.rtree", 0) > 0
+    assert mine["charges"].get("probes.columns", 0) > 0
     assert mine["cost"] > 0
     # ...feature-vector bytes bill to the key that pulled them...
     assert theirs["charges"].get("feature_bytes", 0) > 0
-    assert "probes.rtree" not in theirs["charges"]
+    assert "probes.columns" not in theirs["charges"]
     # ...and the query shape aggregation names the access path.
     shape_keys = {row["key"] for row in report["by_shape"]}
     assert "spatial(mode=scene,region)" in shape_keys

@@ -7,6 +7,13 @@ fetch per hit; the Visual R-tree's best-first search) and the one a
 brute-force pass over the rows gives — compared here under interleaved
 uploads, augmentations, feature extraction and queries.
 
+Scene-mode spatial queries are answered from the same columns (an
+MBR-overlaps-region mask, then the exact FOV predicate on the
+survivors); the walk of the Oriented R-tree they replaced is kept here
+as the oracle, on a tree filled eagerly beside the slice.  The slice's
+own trees are filled by whoever reads them: caught up after every k-th
+write or once at the end, they must be node for node the eager ones.
+
 The top-k in canonical order (``repro.index.ordering.nearest``) is held
 against the full sort it replaced, on vectors drawn from a handful of
 values so that equal distances straddle the k boundary; and the one
@@ -47,7 +54,7 @@ from repro.core.queries import QueryResult, scored_pairs
 from repro.db import Column, ColumnType, Database, TableSchema
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
-from repro.index import InvertedIndex, LSHIndex, tie_key, tokenize
+from repro.index import InvertedIndex, LSHIndex, OrientedRTree, VisualRTree, tie_key, tokenize
 from repro.index import lsh as lsh_module
 from repro.index.ordering import nearest
 from tests.shard.test_equivalence import (
@@ -250,6 +257,194 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
             if op["max_distance"] is not None:
                 want = [pair for pair in tree if pair[1] <= op["max_distance"]]
             assert repr(platform.execute(query)) == repr(scored_pairs(want))
+
+
+# -- scene mode on the FOV columns; the trees caught up by their readers -------------
+
+NAME = "probe"
+fov_writes = st.fixed_dictionaries(
+    {
+        "op": st.just("image"),
+        "lat": st.sampled_from(LATS),
+        "lng": st.sampled_from(LNGS),
+        "direction": st.sampled_from([0.0, 44.0, 90.0, 181.5, 270.0, 359.9]),
+        # 360: the whole disc; 120 about 44 deg: the MBR bulges past two
+        # cardinal bearings; 4 km: sectors of neighbouring cameras overlap.
+        "angle": st.sampled_from([30.0, 60.0, 120.0, 360.0]),
+        "range_m": st.sampled_from([120.0, 500.0, 4000.0]),
+    }
+)
+scene_directions = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from([0.0, 45.0, 90.0, 181.5, 359.0, 720.0, -90.0]),
+        st.sampled_from([0.0, 45.0, 180.0]),
+    ),
+)
+scene_queries = st.fixed_dictionaries(
+    {
+        "op": st.just("scene"),
+        "box": st.one_of(boxes, empty_boxes),
+        # A stored FOV and a side of its MBR: the box that shares only
+        # that border with it, and a point on its optical axis.
+        "pick": st.integers(0, 63),
+        "side": st.sampled_from(["north", "south", "east", "west"]),
+        "point": st.tuples(st.sampled_from(LATS), st.sampled_from(LNGS)),
+        "radius_m": st.sampled_from([0.0, 300.0, 5000.0]),
+        "direction": scene_directions,
+    }
+)
+tree_ops = st.lists(
+    st.one_of(
+        fov_writes,
+        fov_writes,
+        st.fixed_dictionaries({"op": st.just("augmented"), "pick": st.integers(0, 63)}),
+        st.fixed_dictionaries(
+            {
+                "op": st.just("vector"),
+                "pick": st.integers(0, 63),
+                "levels": st.tuples(*[st.sampled_from(LEVELS)] * 3),
+            }
+        ),
+        scene_queries,
+        hybrid_queries,
+    ),
+    min_size=6,
+    max_size=30,
+)
+
+
+def touching(box: BoundingBox, side: str) -> BoundingBox:
+    """The box beyond ``side`` of ``box`` that shares only that border."""
+    return {
+        "north": BoundingBox(box.max_lat, box.min_lng, box.max_lat + 0.01, box.max_lng),
+        "south": BoundingBox(box.min_lat - 0.01, box.min_lng, box.min_lat, box.max_lng),
+        "east": BoundingBox(box.min_lat, box.max_lng, box.max_lat, box.max_lng + 0.01),
+        "west": BoundingBox(box.min_lat, box.min_lng - 0.01, box.max_lat, box.min_lng),
+    }[side]
+
+
+def walk(tree: OrientedRTree, query: SpatialQuery) -> list[int]:
+    """Scene mode the way the slice answered it before the columns."""
+    direction = {
+        "direction_deg": query.direction_deg,
+        "tolerance_deg": query.direction_tolerance_deg,
+    }
+    if query.point is not None and query.radius_m == 0.0:
+        return sorted(tree.search_point(query.point.lat, query.point.lng, **direction))
+    return sorted(tree.search_range(query.bounding_region(), **direction))
+
+
+def rtree_shape(node) -> list:
+    if node.leaf:
+        return [(entry.item, entry.box) for entry in node.entries]
+    return [(child.box, rtree_shape(child)) for child in node.entries]
+
+
+def visual_shape(node) -> tuple:
+    summary = (node.box, node.count, node.radius, node.centroid.tobytes())
+    if node.leaf:
+        return summary, [(box, v.tobytes(), item) for box, v, item in node.entries]
+    return summary, [visual_shape(child) for child in node.entries]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_ops, st.sampled_from([0, 1, 3, 7]))
+def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, every):
+    """``every``: the slice's trees are asked for after every that-many
+    writes (and probed wherever a hybrid query falls), or — 0 — only
+    once, at the end."""
+    built = CatalogSlice(Database.tvdp())
+    built.add_extractor(NAME, 3)
+    eager, eager_visual = OrientedRTree(), VisualRTree(dimension=3)
+    fovs: dict[int, FieldOfView] = {}
+    points: dict[int, GeoPoint] = {}
+    vectored: set[int] = set()
+    writes = 0
+
+    def store(lat: float, lng: float, fov: FieldOfView | None) -> None:
+        image_id = built.db.insert(
+            "images",
+            {
+                "uri": f"scene://{len(points)}", "content_hash": str(len(points)),
+                "lat": lat, "lng": lng, "is_augmented": fov is None,
+                "timestamp_capturing": 0.0, "timestamp_uploading": 0.0,
+            },
+        )
+        points[image_id] = GeoPoint(lat, lng)
+        built.index_image(image_id, fov, ())
+        if fov is not None:
+            fovs[image_id] = fov
+            eager.insert(image_id, fov)
+
+    for op in ops:
+        wrote = True
+        if op["op"] == "image":
+            camera = GeoPoint(op["lat"], op["lng"])
+            store(
+                op["lat"], op["lng"],
+                FieldOfView(camera, op["direction"], op["angle"], op["range_m"]),
+            )
+        elif op["op"] == "augmented" and points:
+            twin = points[sorted(points)[op["pick"] % len(points)]]
+            store(twin.lat, twin.lng, None)
+        elif op["op"] == "vector" and len(vectored) < len(points):
+            pending = sorted(set(points) - vectored)  # out of id order
+            image_id = pending[op["pick"] % len(pending)]
+            vector = np.asarray(op["levels"], dtype=np.float64)
+            built.index_vector(NAME, image_id, vector)
+            eager_visual.insert(image_id, points[image_id], vector)
+            vectored.add(image_id)
+        else:
+            wrote = False
+        writes += wrote
+        if wrote and every and writes % every == 0:
+            assert len(built.spatial) == len(eager)
+            assert len(built.hybrid(NAME)) == len(eager_visual)
+        if op["op"] == "scene":
+            direction = {}
+            if op["direction"] is not None:
+                direction = {
+                    "direction_deg": op["direction"][0],
+                    "direction_tolerance_deg": op["direction"][1],
+                }
+            queries = [
+                SpatialQuery(region=op["box"], **direction),
+                SpatialQuery(
+                    point=GeoPoint(*op["point"]), radius_m=op["radius_m"], **direction
+                ),
+            ]
+            if fovs:
+                picked = fovs[sorted(fovs)[op["pick"] % len(fovs)]]
+                queries += [
+                    SpatialQuery(region=touching(picked.mbr(), op["side"]), **direction),
+                    SpatialQuery(point=picked.midpoint(), radius_m=0.0, **direction),
+                    SpatialQuery(point=picked.camera, radius_m=0.0, **direction),
+                ]
+            for query in queries:
+                scan = built.spatial_ids(query)
+                assert scan == walk(eager, query), query
+                assert all(type(image_id) is int for image_id in scan)
+        elif op["op"] == "hybrid" and every:
+            box, k = op["box"], op["k"]
+            vector = np.asarray(op["probe"], dtype=np.float64)
+            assert repr(built.hybrid(NAME).spatial_visual_knn(box, vector, k)) == repr(
+                eager_visual.spatial_visual_knn(box, vector, k)
+            )
+            assert built.spatial.search_range(box) == eager.search_range(box)
+    # Node for node the trees an eager fill builds, hence every answer.
+    assert rtree_shape(built.spatial._tree._root) == rtree_shape(eager._tree._root)
+    assert [built.spatial.fov_of(item) for item in fovs] == list(fovs.values())
+    caught_up = built.hybrid_indexes()[NAME]
+    assert len(caught_up) == len(eager_visual) == len(vectored)
+    if vectored:
+        assert visual_shape(caught_up._root) == visual_shape(eager_visual._root)
+    for image_id, fov in fovs.items():
+        camera = fov.camera
+        assert built.spatial.search_overlapping(fov) == eager.search_overlapping(fov)
+        assert built.spatial.search_point(camera.lat, camera.lng) == eager.search_point(
+            camera.lat, camera.lng
+        )
 
 
 # -- partial selection ---------------------------------------------------------------
