@@ -14,15 +14,16 @@ from repro.errors import AuthenticationError, QueryError
 from repro.db.database import Database
 
 
-def principal_label(api_key: str | None) -> str:
+def principal_label(api_key: object) -> str:
     """Stable, non-secret label identifying the caller for accounting.
 
     Uses a key prefix rather than the full key so usage reports and
     ``usage.*`` metric labels never carry a whole credential;
     unauthenticated traffic (open routes) is pooled under
-    ``"anonymous"``.
+    ``"anonymous"`` — and so is whatever was sent in place of a key
+    that is not a string: it names nobody.
     """
-    if not api_key:
+    if not api_key or not isinstance(api_key, str):
         return "anonymous"
     return f"key:{api_key[:8]}"
 
@@ -64,10 +65,12 @@ class ApiKeyManager:
         )
         return key
 
-    def validate(self, key: str | None) -> int:
+    def validate(self, key: object) -> int:
         """User id for an active key; raises AuthenticationError otherwise."""
         if not key:
             raise AuthenticationError("missing API key")
+        if not isinstance(key, str):  # a list or dict would not even hash
+            raise AuthenticationError("invalid or revoked API key")
         rows = self._db.table("api_keys").find("key", key)
         if not rows or not rows[0]["active"]:
             raise AuthenticationError("invalid or revoked API key")

@@ -103,10 +103,21 @@ class Response:
 
 Handler = Callable[[Request], Response]
 
+#: The route label of a path no template fits.
+UNMATCHED = "<unmatched>"
+
 
 def _segments(path: str) -> list[str]:
     """The non-empty ``/``-separated parts of a path or template."""
     return [part for part in path.split("/") if part]
+
+
+def _shape(segments: list[str], blanks: tuple[int, ...]) -> tuple:
+    """``segments`` with those at ``blanks`` blanked: what a template's
+    literal segments and a path fitting it have in common."""
+    if not blanks:
+        return tuple(segments)
+    return tuple(None if i in blanks else s for i, s in enumerate(segments))
 
 
 def _match(template: list[str], path: list[str]) -> dict | None:
@@ -132,6 +143,12 @@ class Router:
     Handler exceptions deriving from :class:`APIError` become their
     status code; anything else becomes a 500 (surfacing the message —
     acceptable for an in-process reproduction, not for production).
+
+    Routes resolve by lookup: each is filed under its template's
+    *shape* (its segments, every ``{param}`` blanked), a path reads the
+    bucket of each shape it could have (one or two per segment count),
+    and :func:`_match` runs only in there — to the same end as a scan
+    of the table in registration order (``tests/api/test_route_index.py``).
     """
 
     def __init__(self) -> None:
@@ -139,15 +156,25 @@ class Router:
         self._routes: list[
             tuple[str, str, list[str], Handler, Declaration | None]
         ] = []
+        #: shape -> positions in ``_routes``, ascending.
+        self._by_shape: dict[tuple, list[int]] = {}
+        #: segment count -> the sets of parameter positions in use.
+        self._blanks: dict[int, list[tuple[int, ...]]] = {}
 
     def add(
         self, method: str, template: str, handler: Handler,
         declaration: Declaration | None = None,
     ) -> None:
         """Register a handler for ``method template``."""
-        self._routes.append(
-            (method.upper(), template, _segments(template), handler, declaration)
+        segments = _segments(template)
+        blanks = tuple(
+            i for i, s in enumerate(segments) if s.startswith("{") and s.endswith("}")
         )
+        known = self._blanks.setdefault(len(segments), [])
+        if blanks not in known:
+            known.append(blanks)
+        self._by_shape.setdefault(_shape(segments, blanks), []).append(len(self._routes))
+        self._routes.append((method.upper(), template, segments, handler, declaration))
 
     def route(
         self, method: str, template: str, declaration: Declaration | None = None
@@ -168,11 +195,38 @@ class Router:
         """Each registered route's declaration, by ``"METHOD /template"``."""
         return {f"{route[0]} {route[1]}": route[4] for route in self._routes}
 
-    def dispatch(self, request: Request) -> Response:
-        """Find and invoke the matching handler (with the middleware)."""
+    def resolve(self, method: str, path: str) -> tuple:
+        """``(template, handler, declaration, path params)`` of the first
+        registered route that fits ``method path``; the last three are
+        ``None`` when none does, and the label is then the first
+        template the path fits (a 405) or ``UNMATCHED`` (a 404)."""
+        segments = _segments(path)
+        fitting: list[int] = []
+        for blanks in self._blanks.get(len(segments), ()):
+            fitting += self._by_shape.get(_shape(segments, blanks), ())
+        if len(fitting) > 1:
+            fitting.sort()  # two shapes fit: back to registration order
+        path_template = UNMATCHED
+        for position in fitting:
+            route_method, template, fits, handler, declaration = self._routes[position]
+            params = _match(fits, segments)
+            if params is None:
+                continue
+            if route_method == method:
+                return template, handler, declaration, params
+            if path_template is UNMATCHED:
+                path_template = template
+        return path_template, None, None, None
+
+    def dispatch(self, request: Request, resolved: tuple | None = None) -> Response:
+        """Invoke the handler ``request`` resolves to (with the
+        middleware); ``resolved`` is :meth:`resolve` of it, for a caller
+        that already asked."""
         if request.request_id is None:
             request.request_id = new_request_id()
         method = request.method.upper()
+        if resolved is None:
+            resolved = self.resolve(method, request.path)
         # An inbound ``traceparent`` header joins this request to the
         # caller's trace; the ledger bills the whole dispatch (handler,
         # platform work, index probes) to the presented API key.
@@ -187,8 +241,8 @@ class Router:
                 path=request.path,
                 request_id=request.request_id,
             ) as sp:
-                route_label, response = self._dispatch_inner(request, method, sp)
-                sp.set("route", route_label)
+                response = self._invoke(request, method, resolved, sp)
+                sp.set("route", resolved[0])
                 sp.set("status", response.status)
                 if response.status >= 500:
                     # The handler's exception became this response in
@@ -200,67 +254,46 @@ class Router:
             # The route label is only known after matching; note it
             # before the scope closes so the bill lands on the route.
             obs.note_request(
-                request.request_id, method, route_label, response.status, sp
+                request.request_id, method, resolved[0], response.status, sp
             )
         return response
 
-    def _dispatch_inner(
-        self, request: Request, method: str, sp: obs.Span
-    ) -> tuple[str, Response]:
-        """Route + invoke; returns the route label (template or a
-        placeholder for unmatched paths) and the response."""
-        path_template: str | None = None  # first template the path fits
-        path = _segments(request.path)
-        for route_method, template, segments, handler, declaration in self._routes:
-            params = _match(segments, path)
-            if params is None:
-                continue
-            path_template = path_template or template
-            if route_method != method:
-                continue
+    def _invoke(
+        self, request: Request, method: str, resolved: tuple, sp: obs.Span
+    ) -> Response:
+        """Check the request against its declaration and run the handler;
+        no route, the wrong method and every exception become envelopes."""
+        template, handler, declaration, params = resolved
+        if handler is None:
+            if template is UNMATCHED:
+                status, kind = 404, "NotFound"
+                message = f"no route for {request.path}"
+            else:
+                # Labelled by template, never the raw path: a hostile
+                # client must not mint one metric series per distinct path.
+                status, kind = 405, "MethodNotAllowed"
+                message = f"method {method} not allowed"
+        else:
             request.path_params = params
             try:
                 if declaration is not None:
                     request.path_params, request.params, request.body = (
                         declaration.check(params, request.params, request.body)
                     )
-                return template, handler(request)
+                return handler(request)
             except APIError as exc:
                 self._count_error(template, exc)
-                return template, Response(
-                    status=exc.status,
-                    body=error_body(
-                        exc.message, type(exc).__name__, exc.status,
-                        request.request_id, trace_id=sp.trace_id,
-                    ),
-                )
+                status, kind, message = exc.status, type(exc).__name__, exc.message
             except Exception as exc:  # noqa: BLE001 - boundary translation
                 self._count_error(template, exc)
                 _log.exception(
                     "unhandled error on %s %s (%s)", method, template, request.request_id
                 )
-                return template, Response(
-                    status=500,
-                    body=error_body(
-                        str(exc), type(exc).__name__, 500,
-                        request.request_id, trace_id=sp.trace_id,
-                    ),
-                )
-        if path_template is not None:
-            # Labelled by template, never the raw path: a hostile client
-            # must not mint one metric series per distinct path.
-            return path_template, Response(
-                status=405,
-                body=error_body(
-                    f"method {method} not allowed", "MethodNotAllowed", 405,
-                    request.request_id, trace_id=sp.trace_id,
-                ),
-            )
-        return "<unmatched>", Response(
-            status=404,
+                status, kind, message = 500, type(exc).__name__, str(exc)
+        return Response(
+            status=status,
             body=error_body(
-                f"no route for {request.path}", "NotFound", 404,
-                request.request_id, trace_id=sp.trace_id,
+                message, kind, status, request.request_id, trace_id=sp.trace_id
             ),
         )
 

@@ -29,6 +29,7 @@ from repro.errors import APIError, TVDPError
 from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.imaging.image import Image
+from repro.index.lsh import squared_norm
 
 _REQUIRED = object()
 
@@ -157,21 +158,40 @@ class Enum:
         return value
 
 
-def vector(value: object) -> np.ndarray:
-    """A flat, non-empty JSON list of finite numbers whose squared norm
-    is finite too (a NaN, an infinity and an overflow all show there:
-    no distance to such a vector is a number), handed on as a float64
-    array.  Its length is the index's or the model's to judge."""
+_FINITE_LIST = "a flat, non-empty list of finite numbers"
+
+
+def numbers(value: object) -> np.ndarray:
+    """A flat, non-empty JSON list of numbers, handed on as a float64
+    array; whether they are finite is said once, by what is built from
+    them — a bare :func:`vector`, or a visual query (``sq_norm``)."""
     if isinstance(value, list) and value:
         try:
             typed = np.array(value, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             typed = None
         if typed is not None and typed.ndim == 1:
-            with np.errstate(over="ignore"):
-                if math.isfinite(typed @ typed):
-                    return typed
-    raise Malformed("a flat, non-empty list of finite numbers", value)
+            return typed
+    raise Malformed(_FINITE_LIST, value)
+
+
+def vector(value: object) -> np.ndarray:
+    """:func:`numbers` whose squared norm is finite too (a NaN, an
+    infinity and an overflow all show there: no distance to such a
+    vector is a number).  Its length is the model's to judge."""
+    typed = numbers(value)
+    if math.isfinite(squared_norm(typed)):
+        return typed
+    raise Malformed(_FINITE_LIST, value)
+
+
+def _visual_query(extractor: str, **rest: object) -> queries.VisualQuery:
+    """A spec's visual query, its vector as finite as a :func:`vector`:
+    read off the squared norm the query took of it."""
+    query = queries.VisualQuery(extractor, **rest)
+    if query.sq_norm is not None and not math.isfinite(query.sq_norm):
+        raise Malformed(_FINITE_LIST, rest["vector"]).under("vector")
+    return query
 
 
 class optional:  # noqa: N801 - reads as a keyword in the table
@@ -263,10 +283,13 @@ _NOTHING = Obj()
 
 
 class Declaration:
-    """One route's request: path parameters, query parameters, body."""
+    """One route's request: path parameters, query parameters, body;
+    an ``open`` route is served without an API key (to ``anonymous``)."""
 
-    def __init__(self, path: Obj = _NOTHING, query: Obj = _NOTHING, body=None) -> None:
-        self.path, self.query, self.body = path, query, body
+    def __init__(
+        self, path: Obj = _NOTHING, query: Obj = _NOTHING, body=None, open: bool = False
+    ) -> None:
+        self.path, self.query, self.body, self.open = path, query, body, open
 
     def check(self, path_params: dict, params: dict, body: object) -> tuple:
         """``(path_params, params, body)`` typed, or a 400."""
@@ -331,10 +354,10 @@ QUERY.variants.update(
         direction_tolerance_deg=optional(number, 45.0),
     ),
     visual=Obj(
-        lambda extractor, **rest: queries.VisualQuery(extractor, **rest), "query",
+        _visual_query, "query",
         extractor=text,
         example=optional(image_from_payload),
-        vector=optional(vector),
+        vector=optional(numbers),
         k=optional(COUNT, 10),
         max_distance=optional(number),
     ),
@@ -365,10 +388,11 @@ _NUMERIC = "budget and window_s must be numeric"
 
 #: Every route ``TVDPService`` registers, by ``"METHOD /template"``.
 ROUTES: dict[str, Declaration] = {
+    # Open: nobody has a key before these two have answered.
     "POST /users": Declaration(
-        body=Obj(name=text, role=text, organization=optional(text))
+        body=Obj(name=text, role=text, organization=optional(text)), open=True
     ),
-    "POST /keys": Declaration(body=Obj(user_id=ID)),
+    "POST /keys": Declaration(body=Obj(user_id=ID), open=True),
     "POST /images": Declaration(body=Obj(
         image=image_from_payload, fov=FOV, captured_at=number, uploaded_at=number,
         keywords=optional(TEXTS, ()),
@@ -397,8 +421,9 @@ ROUTES: dict[str, Declaration] = {
     "GET /models/{name}/download": Declaration(_MODEL),
     "GET /stats": Declaration(),
     # Any format but "prometheus" is JSON, as it always was.
-    "GET /metrics": Declaration(query=Obj(format=optional(text))),
-    "GET /health": Declaration(),
+    "GET /metrics": Declaration(query=Obj(format=optional(text)), open=True),
+    # Open: load balancers probe without credentials.
+    "GET /health": Declaration(open=True),
     "GET /debug/slow": Declaration(
         query=Obj(op=optional(text), limit=optional(COUNT))
     ),

@@ -1,6 +1,7 @@
 """The TVDP REST service: the paper's seven common APIs over a router.
 
-Routes (all except user creation require an API key):
+Routes (all require an API key except those :data:`~repro.api.schema.ROUTES`
+declares ``open``: user creation, key issue, ``/metrics``, ``/health``):
 
 * ``POST /users``                       — register a participant
 * ``POST /keys``                        — issue an API key
@@ -108,16 +109,15 @@ class TVDPService:
     # -- plumbing ---------------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
-        """Entry point: authenticate (except open routes) and dispatch."""
+        """Entry point: resolve the route, authenticate unless its
+        declaration says it is open, dispatch.  Openness is the matched
+        template's (``GET /health/`` is as open as ``GET /health``); a
+        path no route takes is asked for a key first (401 before 404)."""
         if request.request_id is None:
             request.request_id = new_request_id()
-        open_routes = {
-            ("POST", "/users"),
-            ("POST", "/keys"),
-            ("GET", "/metrics"),
-            ("GET", "/health"),  # load balancers probe without credentials
-        }
-        if (request.method.upper(), request.path) not in open_routes:
+        resolved = self.router.resolve(request.method.upper(), request.path)
+        declaration = resolved[2]
+        if declaration is None or not declaration.open:
             try:
                 request.user_id = self.keys.validate(request.api_key)
             except APIError as exc:
@@ -134,7 +134,7 @@ class TVDPService:
                         request.request_id,
                     ),
                 )
-        return self.router.dispatch(request)
+        return self.router.dispatch(request, resolved)
 
     def _register_routes(self) -> None:
         def route(method: str, template: str):

@@ -583,12 +583,15 @@ class TVDP:
         an example image is run through it, the vector must have the
         index's dimension and a finite squared norm (else
         :class:`MalformedQueryError`), and its ``feature_bytes`` are
-        charged.  Returns the float64 vector."""
+        charged.  Returns the float64 vector.  A query's own vector was
+        flattened and its squared norm taken when the query was built;
+        both are read here, not worked out again."""
         dimension = self.slice.lsh(query.extractor_name).dimension
-        vector = query.vector
+        vector, sq_norm = query.vector, query.sq_norm
         if vector is None:
-            vector = self.features.get(query.extractor_name).extract(query.example)
-        vector = np.asarray(vector, dtype=np.float64).ravel()
+            extracted = self.features.get(query.extractor_name).extract(query.example)
+            vector = np.asarray(extracted, dtype=np.float64).ravel()
+            sq_norm = squared_norm(vector)
         if vector.shape[0] != dimension:
             raise MalformedQueryError(
                 f"{query.extractor_name!r} vectors are {dimension}-D, "
@@ -597,7 +600,7 @@ class TVDP:
         # A NaN component makes every distance NaN; an infinite one, or
         # finite ones whose squares overflow, make every distance
         # infinite: a ranking of nothing.  All three show in |q|^2.
-        if not math.isfinite(squared_norm(vector)):
+        if not math.isfinite(sq_norm):
             raise MalformedQueryError(
                 "query vector must be finite, and its squared norm too"
             )

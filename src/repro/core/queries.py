@@ -19,6 +19,7 @@ import numpy as np
 from repro.errors import QueryError
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.imaging.image import Image
+from repro.index.lsh import squared_norm
 from repro.index.ordering import by_score
 
 
@@ -28,7 +29,11 @@ def _require_number(name: str, value: object) -> None:
     or under ``bisect``, and a string fails only deep inside execution."""
     if value is None:
         return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # A float is what the API's schema hands on and what most callers
+    # pass: say so by its type, and ask the ABC only about the rest.
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise QueryError(f"{name} must be a number, got {value!r}")
     if value != value:
         raise QueryError(f"{name} must not be NaN")
@@ -38,6 +43,8 @@ def _require_finite(name: str, value: object) -> None:
     """:func:`_require_number`, and not infinite either: a vectorised
     mask answers an infinite bearing or bound with a quietly empty
     result where a scalar walk at least had a chance to raise."""
+    if type(value) is float and math.isfinite(value):
+        return  # what nearly every value is; the rest is told what is wrong
     _require_number(name, value)
     if value is not None and math.isinf(value):
         raise QueryError(f"{name} must be finite, got {value!r}")
@@ -46,7 +53,9 @@ def _require_finite(name: str, value: object) -> None:
 def _require_count(name: str, value: object) -> None:
     """Reject a ``k`` that is not a whole number >= 1: ``True`` and
     ``2.7`` would otherwise pass for 1 and 2."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
         raise QueryError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise QueryError(f"{name} must be >= 1, got {value}")
@@ -137,9 +146,10 @@ class SpatialQuery:
                 "direction_tolerance_deg must be >= 0, "
                 f"got {self.direction_tolerance_deg}"
             )
-        if self.region is not None:
-            for name, bound in self.region.to_dict().items():
-                _require_finite(f"region {name}", bound)
+        region = self.region
+        if region is not None:
+            for name in ("min_lat", "min_lng", "max_lat", "max_lng"):
+                _require_finite(f"region {name}", getattr(region, name))
         if self.mode not in ("camera", "scene"):
             raise QueryError(f"mode must be 'camera' or 'scene', got {self.mode!r}")
 
@@ -164,6 +174,12 @@ class VisualQuery:
     vector: np.ndarray | None = None
     k: int = 10
     max_distance: float | None = None
+    #: ``|vector|^2``, taken once, when the query is built, whoever
+    #: builds it: the API's schema refuses a query whose is not finite,
+    #: and so does ``TVDP.prepare_visual`` when the query is run — a NaN,
+    #: an infinity and an overflow all show there, and no distance to
+    #: such a vector is a number.  ``vector`` is held flat and float64.
+    sq_norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.example is None) == (self.vector is None):
@@ -172,6 +188,13 @@ class VisualQuery:
         _require_number("max_distance", self.max_distance)
         if self.max_distance is not None and self.max_distance < 0:
             raise QueryError(f"max_distance must be >= 0, got {self.max_distance}")
+        if self.vector is not None:
+            try:
+                flat = np.asarray(self.vector, dtype=np.float64).ravel()
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise QueryError(f"vector must be numbers: {exc}") from exc
+            object.__setattr__(self, "vector", flat)
+            object.__setattr__(self, "sq_norm", squared_norm(flat))
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,7 @@ class LSHIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
+        vector = self._check_vector(vector)
         candidates = self._candidates(keys)
         return self._rank(list(candidates), vector, k), len(candidates)
 
@@ -237,7 +238,7 @@ class LSHIndex:
         if not items:
             return []
         rows = np.array([self._row_of[item] for item in items])
-        return self.nearest_rows(vector, k, rows)
+        return self._nearest(vector, k, rows)
 
     def query_radius(self, vector: np.ndarray, radius: float) -> list[tuple[object, float]]:
         """All hash candidates within true distance ``radius``."""
@@ -284,7 +285,12 @@ class LSHIndex:
         (the sum overflows), below the normal range (underflow breaks
         the relative bound), or as wide as the rows' spread (huge
         near-identical vectors) — every row is ranked exactly."""
-        vector = self._check_vector(vector)
+        return self._nearest(self._check_vector(vector), k, rows)
+
+    def _nearest(
+        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None
+    ) -> list[tuple[object, float]]:
+        """:meth:`nearest_rows` of a vector its caller has checked."""
         with self._lock:
             items = self._items
             live = len(items)
@@ -318,10 +324,10 @@ class LSHIndex:
             return self._buffer[: len(self._items)]
 
 
+@np.errstate(over="ignore")  # the decorator form: no object built per call
 def squared_norm(vector: np.ndarray) -> float:
     """``|vector|^2`` — infinite, and silently so, when it overflows."""
-    with np.errstate(over="ignore"):
-        return float(vector @ vector)
+    return float(vector @ vector)
 
 
 def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:

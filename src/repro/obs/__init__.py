@@ -169,7 +169,7 @@ def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
     :class:`TraceContext`) joins a trace started in another process —
     see :meth:`Tracer.span`.
     """
-    return _tracer.span(name, remote_parent=remote_parent, **attrs)
+    return _tracer.span(name, remote_parent, **attrs)
 
 
 def note_query(shape: str, family: str, duration_ms: float) -> None:

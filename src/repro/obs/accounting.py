@@ -36,7 +36,6 @@ import contextvars
 import math
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.obs.record import RecordStore, Unit, current_unit
 
@@ -114,9 +113,9 @@ class ResourceLedger:
                 self.add("mem_peak_kb", delta_kb)
 
 
-def active_ledger() -> "ResourceLedger | None":
-    """The open ledger of the current execution context, if any."""
-    return _ledger.get()
+#: ``active_ledger()``: the open ledger of the current execution
+#: context, or ``None`` — the variable's own getter.
+active_ledger = _ledger.get
 
 
 def charge(kind: str, amount: float = 1.0) -> None:
@@ -162,9 +161,7 @@ class ledger_scope:
         shape: str | None = None,
     ) -> None:
         self._table = table
-        self.ledger = ResourceLedger(
-            principal=principal, operation=operation, shape=shape
-        )
+        self.ledger = ResourceLedger(principal, operation, shape)
 
     def __enter__(self) -> ResourceLedger:
         if self._table is not None:
@@ -192,22 +189,20 @@ class ledger_scope:
         return False
 
 
-@contextlib.contextmanager
 def maybe_ledger_scope(
     table: "UsageTable | None" = None,
     principal: str = LOCAL_PRINCIPAL,
     operation: str | None = None,
-) -> Iterator[ResourceLedger]:
-    """Yield the active ledger, or open one for the block when none is
-    active.  Nested units of work (hybrid sub-queries, platform calls
-    under an API request) charge their enclosing ledger instead of
-    fragmenting the bill."""
+) -> "contextlib.AbstractContextManager[ResourceLedger]":
+    """``with maybe_ledger_scope(...) as ledger``: the active ledger, or
+    one opened for the block when none is active (which of the two is
+    settled here, at the call).  Nested units of work (hybrid
+    sub-queries, platform calls under an API request) charge their
+    enclosing ledger instead of fragmenting the bill."""
     current = _ledger.get()
     if current is not None:
-        yield current
-        return
-    with ledger_scope(table=table, principal=principal, operation=operation) as ledger:
-        yield ledger
+        return contextlib.nullcontext(current)
+    return ledger_scope(table=table, principal=principal, operation=operation)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from array import array
+from bisect import bisect_left
 
 _LabelKey = tuple[tuple[str, str], ...]
 _MetricKey = tuple[str, _LabelKey]
@@ -170,11 +171,11 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.bucket_counts[-1] += 1
+            # The first bound at or above the value; past the last one —
+            # and for a NaN, which is at or under nothing — the overflow
+            # bucket.
+            at = bisect_left(self.buckets, value) if value == value else -1
+            self.bucket_counts[at] += 1
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]) from bucket counts.

@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,9 +43,9 @@ _open: contextvars.ContextVar["Unit | None"] = contextvars.ContextVar(
 )
 
 
-def current_unit() -> "Unit | None":
-    """The open unit of work of the current execution context, if any."""
-    return _open.get()
+#: ``current_unit()``: the open unit of work of the current execution
+#: context, or ``None`` — the variable's own getter, no frame of ours.
+current_unit = _open.get
 
 
 @dataclass(slots=True)
@@ -135,30 +136,34 @@ class Unit:
         """End the unit: settle the bill, take the closing counter
         snapshot, fold into the store that opened it."""
         _open.reset(self._token)
-        ledger, queries = self.ledger, self.queries
-        record = RequestRecord(
-            spans=tuple(self.spans),
-            duration_ms=(time.perf_counter() - self._t0) * 1e3,
-        )
+        store, spans, queries, ledger = self.store, self.spans, self.queries, self.ledger
+        duration_ms = (time.perf_counter() - self._t0) * 1e3
+        request_id = method = route = status = error = operation = principal = None
+        request_ms, cost, charges, counters = 0.0, 0.0, {}, None
         if self.request is not None:
-            record.request_id, record.method, record.route, record.status, span = (
-                self.request
-            )
-            record.error, record.request_ms = span.error, span.duration_ms
-            record.operation = f"{record.method} {record.route}"
+            request_id, method, route, status, span = self.request
+            error, request_ms = span.error, span.duration_ms
+            operation = f"{method} {route}"
         if ledger is not None:
-            record.principal = ledger.principal
-            record.charges, record.cost = ledger.charges, ledger.cost()
-            record.operation = record.operation or ledger.operation
+            principal, charges, cost = ledger.principal, ledger.charges, ledger.cost()
+            operation = operation or ledger.operation
             if ledger.shape and not queries:
-                queries = [(ledger.shape, None, record.duration_ms)]
-        record.queries = tuple(queries)
-        if record.spans:
-            record.trace_id = record.spans[0].trace_id
+                queries = [(ledger.shape, None, duration_ms)]
         if self.counters is not None:
-            registry = self.store.registry
-            record.counters = (registry, self.counters, registry.counter_snapshot())
-        self.store.fold(record)
+            registry = store.registry
+            counters = (registry, self.counters, registry.counter_snapshot())
+        # Positionally, in field order: fifteen keywords cost more to
+        # bind than the record costs to build.
+        store.fold(RequestRecord(
+            request_id, method, route, status, error, request_ms,
+            spans[0].trace_id if spans else None,
+            principal, operation, charges, cost,
+            tuple(queries), tuple(spans), duration_ms, counters,
+        ))
+
+
+def _by_slowest(exemplar: dict) -> float:
+    return -exemplar["duration_ms"]
 
 
 class _Row:
@@ -195,16 +200,8 @@ class Rollup:
         self.rows: dict[str, _Row] = {}
         self.evicted = 0
 
-    def add(
-        self, key: str, ms: float, cost: float = 0.0, charges: dict | None = None,
-        share: float = 1.0, trace_id: str | None = None,
-        exemplar: Callable[[], dict] | None = None,
-    ) -> None:
-        """Count one unit under ``key``.  ``share`` scales ``charges``
-        (a batch bills each query its share).  ``exemplar`` builds the
-        worst-N record and is called only for a unit slower than the
-        current N-th of its key — a tie stays out, as a stable sort
-        would drop it."""
+    def time(self, key: str, ms: float) -> _Row:
+        """Count one unit of ``ms`` under ``key``; returns its row."""
         row = self.rows.get(key)
         if row is None:
             row = self._new_row(key)
@@ -213,6 +210,15 @@ class Rollup:
         row.last_ms = ms
         if ms > row.max_ms:
             row.max_ms = ms
+        return row
+
+    def add(
+        self, key: str, ms: float, cost: float = 0.0, charges: dict | None = None,
+        share: float = 1.0, trace_id: str | None = None,
+    ) -> None:
+        """:meth:`time`, and the unit's bill beside it.  ``share``
+        scales ``charges`` (a batch bills each query its share)."""
+        row = self.time(key, ms)
         row.cost += cost
         if charges:
             mine = row.charges
@@ -222,13 +228,15 @@ class Rollup:
             row.exemplar is None or cost > row.exemplar["cost"]
         ):
             row.exemplar = {"cost": cost, "trace_id": trace_id}
+
+    def keep_worst(self, row: _Row, exemplar: dict) -> None:
+        """File ``exemplar`` among ``row``'s worst-N, slowest first and
+        behind its equals; the N+1-th drops off.  Only for a unit slower
+        than the N-th kept (or with fewer kept): a tie stays out."""
         worst = row.worst
-        if exemplar is not None and (
-            len(worst) < self.worst or ms > worst[-1]["duration_ms"]
-        ):
-            worst.append(exemplar())
-            worst.sort(key=lambda r: -r["duration_ms"])
-            del worst[self.worst:]
+        at = bisect_right(worst, -exemplar["duration_ms"], key=_by_slowest)
+        worst.insert(at, exemplar)
+        del worst[self.worst:]
 
     def _new_row(self, key: str) -> _Row:
         """A row for a key not seen (or pruned) before; the one moment
@@ -279,8 +287,7 @@ class Rollup:
         first."""
         rows = self.rows.values() if key is None else filter(None, [self.rows.get(key)])
         return sorted(
-            (record for row in rows for record in row.worst),
-            key=lambda r: -r["duration_ms"],
+            (record for row in rows for record in row.worst), key=_by_slowest
         )
 
     def clear(self) -> None:
@@ -343,7 +350,7 @@ class TimeRing:
 
 
 #: What the fold writes to the registry, by what keys it: the handles
-#: are interned per key (``RecordStore._metrics``) because a registry
+#: are interned per key (``RecordStore._intern``) because a registry
 #: lookup sorts a label dict every call.
 _METRICS: dict[str, Callable] = {
     "span": lambda r, name: (
@@ -417,28 +424,36 @@ class RecordStore:
         """Count one execution of ``shape`` outside any unit of work."""
         self.fold(RequestRecord(queries=((shape, family, float(duration_ms)),)))
 
-    def _metrics(self, group: str, *key: object):
-        """Interned registry handles of one key (caller holds the lock)."""
-        handles = self._handles.get((group, *key))
-        if handles is None:
-            handles = self._handles[(group, *key)] = _METRICS[group](self.registry, *key)
+    def _intern(self, key: tuple):
+        """The registry handles of ``(group, *labels)``, made on the
+        first miss of ``_handles`` and kept (caller holds the lock)."""
+        handles = self._handles[key] = _METRICS[key[0]](self.registry, *key[1:])
         return handles
 
     def fold(self, record: RequestRecord) -> None:
         """Fold one finished unit of work into every view — the one
         write path of the rollups, the ring and the record buffer."""
         metered = self.registry is not None
-        by, principal, cost = self._by, record.principal, record.cost
+        by, handles, intern = self._by, self._handles, self._intern
+        principal, cost, charges = record.principal, record.cost, record.charges
+        trace_id = record.trace_id
         with self._lock:
             latency, spend = self._ring.current()
+            by_span = by["span"]
+            keep = by_span.worst
             for span in record.spans:
                 name, ms = span.name, span.duration_ms
-                by["span"].add(name, ms, exemplar=lambda: {
-                    **span.to_dict(), "counter_deltas": record.counter_deltas,
-                })
+                row = by_span.time(name, ms)
+                worst = row.worst
+                if len(worst) < keep or ms > worst[-1]["duration_ms"]:
+                    by_span.keep_worst(row, {
+                        **span.to_dict(), "counter_deltas": record.counter_deltas,
+                    })
                 (latency.get(name) or latency.setdefault(name, Histogram(name))).observe(ms)
                 if metered:
-                    duration, total, errors = self._metrics("span", name)
+                    duration, total, errors = (
+                        handles.get(("span", name)) or intern(("span", name))
+                    )
                     duration.observe(ms)
                     total.inc()
                     if span.status == "error":
@@ -446,13 +461,11 @@ class RecordStore:
             # One query carries the whole bill; a batch splits it evenly.
             share = 1.0 / max(len(record.queries), 1)
             for shape, family, ms in record.queries:
-                by["shape"].add(
-                    shape, ms, cost * share, record.charges, share, record.trace_id
-                )
+                by["shape"].add(shape, ms, cost * share, charges, share, trace_id)
                 if metered and family is not None:
-                    self._metrics("family", family).inc()
+                    (handles.get(("family", family)) or intern(("family", family))).inc()
             if principal is not None:
-                ms, charges, trace_id = record.duration_ms, record.charges, record.trace_id
+                ms = record.duration_ms
                 by["principal"].add(principal, ms, cost, charges, 1.0, trace_id)
                 if record.operation:
                     by["operation"].add(record.operation, ms, cost, charges, 1.0, trace_id)
@@ -460,9 +473,8 @@ class RecordStore:
                 if metered:
                     self._bill_metrics(record)
             if metered and record.route is not None:
-                requests, request_ms = self._metrics(
-                    "route", record.method, record.route, record.status
-                )
+                key = ("route", record.method, record.route, record.status)
+                requests, request_ms = handles.get(key) or intern(key)
                 requests.inc()
                 request_ms.observe(record.request_ms)
             # Kept: what /debug/trace and /debug/request can look up.
@@ -475,7 +487,8 @@ class RecordStore:
     def _bill_metrics(self, record: RequestRecord) -> None:
         """``usage.*`` of one billed record (caller holds the lock)."""
         principal, budget = record.principal, self._budget
-        requests, cost, rolling, shed, kinds = self._metrics("principal", principal)
+        key = ("principal", principal)
+        requests, cost, rolling, shed, kinds = self._handles.get(key) or self._intern(key)
         requests.inc()
         cost.inc(record.cost)
         for kind, amount in record.charges.items():

@@ -17,14 +17,12 @@ streams the record's spans to the JSON-lines exporter when one is on.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import itertools
 import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.obs.record import RecordStore, Unit, current_unit
 
@@ -42,9 +40,10 @@ def _next_id(prefix: str) -> str:
         return f"{prefix}{next(_ids):08x}"
 
 
-def current_span() -> "Span | None":
-    """The active span, if any (used by the structured logger)."""
-    return _current_span.get()
+#: ``current_span()``: the active span of the current execution context,
+#: or ``None`` (the structured logger, the shard router and the
+#: resilience policies annotate it) — the variable's own getter.
+current_span = _current_span.get
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,10 @@ def current_traceparent() -> str | None:
     return format_traceparent(TraceContext(span.trace_id, span.span_id))
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed operation; mutable while open, exported when closed."""
+    """One timed operation; mutable while open, exported when closed.
+    Slotted: a request makes two and its record keeps them."""
 
     name: str
     trace_id: str
@@ -118,8 +118,8 @@ class Span:
         """Attach/overwrite one attribute.
 
         A span is owned by the single execution context that opened it
-        until :meth:`Tracer.span` closes it, so attribute writes need
-        no lock.
+        until its ``with`` block (:class:`_OpenSpan`) closes it, so
+        attribute writes need no lock.
         """
         self.attrs[key] = value  # devtools: allow[thread-escape]
 
@@ -186,14 +186,14 @@ class Tracer:
     def __init__(self, store: RecordStore | None = None) -> None:
         self.store = store
 
-    @contextlib.contextmanager
     def span(
         self,
         name: str,
         remote_parent: TraceContext | None = None,
         **attrs: object,
-    ) -> Iterator[Span]:
-        """Open a child of the current span (or a new trace root).
+    ) -> "_OpenSpan":
+        """Open a child of the current span (or a new trace root):
+        ``with tracer.span(...) as span``.
 
         ``remote_parent`` joins this span to a trace started elsewhere
         (an extracted ``traceparent`` header): with no local parent the
@@ -202,7 +202,32 @@ class Tracer:
         and in the in-process client/server case both name the same
         parent span anyway.
         """
-        parent = _current_span.get()
+        return _OpenSpan(self.store, name, remote_parent, attrs)
+
+
+class _OpenSpan:
+    """The ``with`` block of one span; nothing opens before it is
+    entered.  An ``Exception`` leaving the block marks the span
+    ``status="error"`` with ``"<Type>: <message>"`` (a
+    ``KeyboardInterrupt`` or ``GeneratorExit`` passes unmarked); either
+    way the span gets its duration, the enclosing span is current again
+    and the span closes into its unit — folding it, if it opened it.
+    A plain slotted class, as ``ledger_scope`` is and for its reason;
+    owned by the one execution context that entered it.
+    """
+
+    __slots__ = ("_store", "_name", "_remote", "_attrs",
+                 "_span", "_unit", "_root", "_token", "_t0")
+
+    def __init__(
+        self, store: RecordStore | None, name: str,
+        remote_parent: TraceContext | None, attrs: dict,
+    ) -> None:
+        self._store, self._name = store, name
+        self._remote, self._attrs = remote_parent, attrs
+
+    def __enter__(self) -> Span:
+        parent, remote_parent = _current_span.get(), self._remote
         if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
             ancestry: tuple[str, ...] = (*parent.ancestry, parent.name)
@@ -212,34 +237,32 @@ class Tracer:
         else:
             trace_id, parent_id, ancestry = _next_id("t"), None, ()
         unit = current_unit()
-        root = unit is None and self.store is not None
-        if root:
-            unit = Unit(self.store)
+        self._root = unit is None and self._store is not None
+        if self._root:
+            unit = Unit(self._store)
         if unit is not None and unit.counters is None:
             registry = unit.store.registry
             if registry is not None:
                 unit.counters = registry.counter_snapshot()
-        span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=_next_id("s"),
-            parent_id=parent_id,
-            attrs=dict(attrs),
-            start_time=time.time(),
-            ancestry=ancestry,
+        self._unit = unit
+        span = self._span = Span(  # positionally, in field order: half the cost
+            self._name, trace_id, _next_id("s"), parent_id, self._attrs,
+            time.time(), 0.0, "ok", None, ancestry,
         )
-        token = _current_span.set(span)
-        t0 = time.perf_counter()
-        try:
-            yield span
-        except Exception as exc:
+        self._token = _current_span.set(span)
+        self._t0 = time.perf_counter()
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        span = self._span
+        if isinstance(exc, Exception):
             span.status = "error"
             span.error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            span.duration_ms = (time.perf_counter() - t0) * 1e3
-            _current_span.reset(token)
-            if unit is not None:
-                unit.spans.append(span)
-                if root:
-                    unit.close()
+        span.duration_ms = (time.perf_counter() - self._t0) * 1e3
+        _current_span.reset(self._token)
+        unit = self._unit
+        if unit is not None:
+            unit.spans.append(span)
+            if self._root:
+                unit.close()
+        return False

@@ -65,6 +65,11 @@ BODIES = {
     "frac": 1.5, "huge": 10**30,
 }
 
+#: What is presented in place of an API key and is not one — not even a
+#: string.  No route may let it out as a raw exception: a route that
+#: asks for a key answers 401, an open one serves (and bills) nobody.
+BAD_CREDENTIALS = {"int": 12345, "list": ["k"], "dict": {"a": 1}, "bytes": b"\x00key"}
+
 #: Semantically good values, by field name; a field not named here gets
 #: its kind's plainest value.
 GOOD = {
@@ -95,7 +100,7 @@ ONLY_WITH = {"window_s": "budget"}
 #: Each leaf kind's plainest value.
 _PLAIN = {
     schema.number: 1.0, schema.text: "fresh", schema.vector: [0.1] * 50,
-    schema.image_from_payload: IMAGE,
+    schema.numbers: [0.1] * 50, schema.image_from_payload: IMAGE,
 }
 
 
@@ -107,15 +112,20 @@ PIXELS, PIXEL = "the pixel array", "one pixel"
 _TAKES = {
     schema.number: {"frac", "huge", "zero", "neg", "out_of_range"},
     schema.text: {"str"},
-    # Not a list, an empty one, or one no distance can be taken to.
+    # Not a list, an empty one, or one no distance can be taken to —
+    # which a query's ``numbers`` are refused for as well, by the
+    # visual query built from them.
     schema.vector: set(),
+    schema.numbers: set(),
     schema.image_from_payload: set(),
     PIXELS: set(),
     PIXEL: {"true", "frac", "zero"},  # what numpy casts to a uint8
 }
 #: ... and of one element, where the kind is a list the table does not
 #: spell out as a ``ListOf``.
-_ELEMENT_TAKES = {schema.vector: _TAKES[schema.number] | {"true"}}
+_ELEMENT_TAKES = dict.fromkeys(
+    (schema.vector, schema.numbers), _TAKES[schema.number] | {"true"}
+)
 
 
 def _within(low, high, names: set[str]) -> set[str]:
@@ -196,17 +206,19 @@ def query_body(variant: str, without: tuple[str, ...] | None = None) -> dict:
 class Case:
     """One request: well-formed (``mutation == ""``), or with one field
     (``where`` / ``field``) replaced — and then ``refused`` says whether
-    the declaration's structure makes that a 400."""
+    the declaration's structure makes that a 400 — or with something
+    that is no API key in the key's place (``where == "credential"``)."""
 
     route: str  # "POST /images/{image_id}/annotations"
     path_values: dict
     params: dict
     body: object
-    where: str = ""  # "path" | "query" | "body"
+    where: str = ""  # "path" | "query" | "body" | "credential"
     field: str = ""
     mutation: str = ""
     refused: bool = False
     fields: dict = dataclasses.field(default_factory=dict, compare=False)  # of the body
+    credential: object = MISSING  # sent in place of the harness's API key
 
     @property
     def path(self) -> str:
@@ -215,7 +227,7 @@ class Case:
     @property
     def id(self) -> str:
         """``images-fov.lat-nan``: last path segment, field, mutation."""
-        mark = {"path": "/", "query": "?", "body": ""}[self.where]
+        mark = {"path": "/", "query": "?", "body": "", "credential": "@"}[self.where]
         return f"{self.path.split('/')[-1]}-{mark}{self.field}-{self.mutation}"
 
 
@@ -281,6 +293,11 @@ def mutations_of(base: Case, declared: schema.Declaration, first: bool) -> list[
     """Every single-field mutation of a well-formed request; what does
     not depend on the body's kind only for the ``first`` of a route."""
     cases = []
+    if first:
+        cases += [
+            replace(base, where="credential", field="api_key", mutation=name, credential=value)
+            for name, value in BAD_CREDENTIALS.items()
+        ]
     for where, fields, values in (
         ("path", declared.path.fields, base.path_values),
         ("query", declared.query.fields, base.params),
@@ -294,7 +311,7 @@ def mutations_of(base: Case, declared: schema.Declaration, first: bool) -> list[
                     replace(base, body=value, where=where, mutation=name, refused=True)
                 )
         for path, kind, declared in field_paths(fields, values):
-            listed = isinstance(kind, schema.ListOf) or kind is schema.vector
+            listed = isinstance(kind, schema.ListOf) or kind in _ELEMENT_TAKES
             for name, value in MUTATIONS.items():
                 if where == "path" and value is MISSING:
                     continue  # a path without the segment is another route
@@ -320,7 +337,7 @@ def mutations_of(base: Case, declared: schema.Declaration, first: bool) -> list[
 
 def sweep(declarations: dict) -> list[Case]:
     """Every route x every declared field at every nesting level x every
-    mutation."""
+    mutation, and every route x every bad credential."""
     cases, seen = [], set()
     for base in well_formed(declarations):
         cases += mutations_of(base, declarations[base.route], base.route not in seen)
@@ -353,9 +370,13 @@ class Harness:
             return [self._resolve(v) for v in value]
         return value
 
-    def call(self, method: str, path: str, body: object = None, params=None) -> Response:
-        request = Request(method, path, params or {}, body, api_key=self.api_key)
-        return self.service.handle(request)
+    def call(
+        self, method: str, path: str, body: object = None, params=None,
+        api_key: object = MISSING,
+    ) -> Response:
+        if api_key is MISSING:
+            api_key = self.api_key
+        return self.service.handle(Request(method, path, params or {}, body, api_key=api_key))
 
     def resolve(self, case: Case) -> Case:
         """``case`` with every :class:`Live` value filled in."""
@@ -370,7 +391,9 @@ class Harness:
         """Send ``case`` (on ``route``, when another one takes the same
         request)."""
         case = self.resolve(replace(case, route=route or case.route))
-        return self.call(case.route.split(" ")[0], case.path, case.body, case.params)
+        return self.call(
+            case.route.split(" ")[0], case.path, case.body, case.params, case.credential
+        )
 
     def state(self) -> tuple:
         """Everything a failed write must leave as it was."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.api import (
     ApiKeyManager,
     Request,
@@ -322,6 +323,29 @@ class TestDataRoutes:
             assert response.body["error"]["type"] == "APIError"
         assert response.status < 500, response.body
         if not response.ok:
+            route_table.assert_is_error_envelope(response)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in _SWEEP if c.where == "credential"], ids=lambda case: case.id
+    )
+    def test_a_credential_that_is_not_a_string_is_a_401_or_nobody(self, table, case):
+        """An int, a list, a dict or bytes where the API key goes used to
+        leave ``handle`` as a raw ``TypeError``: a route that asks for a
+        key answers 401, an open one serves the request and bills it to
+        ``anonymous`` — on every route."""
+        def served_nobody() -> int:
+            rows = obs.usage().report(top=None)["by_principal"]
+            return sum(row["count"] for row in rows if row["key"] == "anonymous")
+
+        case = table.resolve(case)
+        before = served_nobody()
+        response = table.send(case)
+        if _DECLARED[case.route].open:
+            assert response.ok, response.body
+            assert served_nobody() == before + 1
+        else:
+            assert response.status == 401, response.body
+            assert response.body["error"]["type"] == "AuthenticationError"
             route_table.assert_is_error_envelope(response)
 
     @pytest.mark.parametrize(

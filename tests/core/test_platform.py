@@ -17,7 +17,7 @@ from repro.datasets import generate_lasan_dataset
 from repro.errors import MalformedQueryError, QueryError, TVDPError
 from repro.features import ColorHistogramExtractor
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
-from repro.imaging import CLEANLINESS_CLASSES, flip_horizontal, Augmentation
+from repro.imaging import CLEANLINESS_CLASSES, flip_horizontal, Augmentation, solid_color
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,19 @@ class TestVisualQueries:
         for query in (visual, HybridQuery(queries=(region, visual))):
             with pytest.raises(MalformedQueryError):
                 platform.execute(query)
+
+    def test_a_query_vector_is_held_flat_with_its_squared_norm(self):
+        """Whoever builds the query — the API's schema or a Python
+        caller — the vector is flattened and measured there, once;
+        ``prepare_visual`` and the schema read ``sq_norm`` off it."""
+        query = VisualQuery("x", vector=[[3, 4]])
+        assert query.vector.dtype == np.float64 and query.vector.tolist() == [3.0, 4.0]
+        assert query.sq_norm == 25.0
+        assert VisualQuery("x", vector=[1e200] * 2).sq_norm == float("inf")
+        assert VisualQuery("x", example=solid_color(8, 8, (0.1, 0.2, 0.3))).sq_norm is None
+        for junk in (["a"], [[1.0, 2.0], [3.0]], [10**400]):
+            with pytest.raises(QueryError, match="vector must be numbers"):
+                VisualQuery("x", vector=junk)
 
     def test_query_validation(self, records):
         with pytest.raises(QueryError):

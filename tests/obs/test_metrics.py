@@ -47,6 +47,31 @@ class TestHistogram:
         assert h.sum == pytest.approx(556.5)
         assert h.min == 0.5 and h.max == 500.0
 
+    def test_bisection_files_every_value_where_the_walk_filed_it(self):
+        """``observe`` finds its bucket by bisection; the walk over the
+        bounds it replaced is the oracle — on every bound, between
+        bounds, below the first, above the last, infinite and NaN."""
+
+        def walked(buckets: tuple, value: float) -> int:
+            for i, bound in enumerate(buckets):
+                if value <= bound:
+                    return i
+            return len(buckets)
+
+        for buckets in (DEFAULT_LATENCY_BUCKETS_MS, (1.0,), (1.0, 1.0, 2.0)):
+            values = [float("nan"), float("inf"), float("-inf"), -1.0, 0.0]
+            for low, high in zip((0.0, *buckets), buckets):
+                values += [high, (low + high) / 2.0, math.nextafter(high, math.inf),
+                           math.nextafter(high, -math.inf)]
+            values.append(buckets[-1] * 2.0)
+            for value in values:
+                h = Histogram("h", buckets=buckets)
+                h.observe(value)
+                expected = [0] * (len(buckets) + 1)
+                expected[walked(buckets, value)] = 1
+                assert h.bucket_counts == expected, (buckets, value)
+                assert h.count == 1
+
     def test_rejects_unsorted_or_empty_buckets(self):
         with pytest.raises(ValueError):
             Histogram("h", buckets=())

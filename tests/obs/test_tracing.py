@@ -83,6 +83,90 @@ class TestSpanLifecycle:
         assert snap["histograms"]['span.duration_ms{span="op"}']["count"] == 2
 
 
+class TestHowASpanCloses:
+    """What the ``try / except Exception / finally`` of the generator
+    ``Tracer.span`` was did, case by case, of the class that replaced
+    it: nested and root, on a tracer with a store and without."""
+
+    @pytest.fixture(params=["stored", "bare"])
+    def any_tracer(self, request, tracer):
+        return tracer[0] if request.param == "stored" else Tracer()
+
+    @staticmethod
+    def _finished(t, name):
+        """The closed span called ``name``: from the store when there
+        is one (it landed in the unit, the unit folded), else ``None``."""
+        return t.store.spans(name)[0] if t.store is not None else None
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_an_exception_marks_it_with_type_and_message(self, any_tracer, nested):
+        t = any_tracer
+        outer = t.span("outer") if nested else None
+        parent = outer.__enter__() if nested else None
+        try:
+            with pytest.raises(KeyError):
+                with t.span("fails") as sp:
+                    raise KeyError("gone")
+            assert (sp.status, sp.error) == ("error", "KeyError: 'gone'")
+            assert sp.duration_ms > 0.0
+            assert current_span() is parent
+        finally:
+            if nested:
+                outer.__exit__(None, None, None)
+        assert current_span() is None
+        if t.store is not None:
+            assert self._finished(t, "fails") is sp
+            if nested:  # the enclosing span did not fail: the error was caught inside it
+                assert self._finished(t, "outer").status == "ok"
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("leaving", [KeyboardInterrupt, GeneratorExit, SystemExit])
+    def test_what_is_not_an_exception_passes_through_unmarked(
+        self, any_tracer, nested, leaving
+    ):
+        t = any_tracer
+        spans = {}
+        with pytest.raises(leaving):
+            if nested:
+                with t.span("outer") as spans["outer"]:
+                    with t.span("leaves") as spans["leaves"]:
+                        raise leaving()
+            else:
+                with t.span("leaves") as spans["leaves"]:
+                    raise leaving()
+        assert current_span() is None
+        for sp in spans.values():
+            assert (sp.status, sp.error) == ("ok", None)
+            assert sp.duration_ms > 0.0
+            if t.store is not None:
+                assert self._finished(t, sp.name) is sp
+
+    def test_nothing_opens_before_the_block_is_entered(self, tracer):
+        t, ring = tracer
+        pending = t.span("later")
+        assert current_span() is None and obs.current_unit() is None
+        with pending as sp:
+            assert current_span() is sp and obs.current_unit() is not None
+        assert ring.spans("later") == [sp] and obs.current_unit() is None
+
+    def test_the_root_span_folds_the_unit_and_a_nested_one_does_not(self, tracer):
+        t, ring = tracer
+        with t.span("root"):
+            with t.span("inner"):
+                pass
+            assert ring.records() == []  # closed into the unit, not folded yet
+        [record] = ring.records()
+        assert [s.name for s in record.spans] == ["inner", "root"]
+
+    def test_a_span_is_slotted(self, tracer):
+        t, _ = tracer
+        with t.span("slotted") as sp:
+            pass
+        assert not hasattr(sp, "__dict__")
+        with pytest.raises(AttributeError):
+            sp.anything_else = 1
+
+
 class TestSpanTree:
     def test_nested_tree_reassembly(self, tracer):
         t, ring = tracer
