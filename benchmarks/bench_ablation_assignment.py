@@ -38,7 +38,7 @@ def make_instance(n_workers, n_tasks, seed):
     return workers, tasks
 
 
-def test_ablation_assignment_scalability(benchmark, capsys, bench_record):
+def test_ablation_assignment_scalability(benchmark, capsys):
     strategies = {
         "greedy": lambda w, t: assign_greedy(w, t, per_worker=5),
         "nearest": lambda w, t: assign_nearest(w, t, per_worker=5),
@@ -79,10 +79,6 @@ def test_ablation_assignment_scalability(benchmark, capsys, bench_record):
     print_table(capsys, "Ablation: assignment strategies vs scale", header, rows)
 
     largest = {row[2]: row for row in table if row[1] == SIZES[-1][1]}
-    bench_record["results"] = {
-        name: {"assigned": row[4], "mean_travel_m": round(row[5], 1)}
-        for name, row in largest.items()
-    }
 
     # All strategies assign every task (capacity 5 x workers >= tasks).
     assert all(row[4] == SIZES[-1][1] for row in largest.values())

@@ -60,7 +60,7 @@ def run_strategy(strategy: str, seed: int) -> float:
     return final.coverage_ratio
 
 
-def test_ablation_coverage_vs_random_tasks(benchmark, capsys, bench_record):
+def test_ablation_coverage_vs_random_tasks(benchmark, capsys):
     def run():
         coverage, random_placement = [], []
         for seed in range(N_SEEDS):
@@ -80,8 +80,4 @@ def test_ablation_coverage_vs_random_tasks(benchmark, capsys, bench_record):
     print_table(
         capsys, "Ablation: coverage-driven vs random task placement", header, rows
     )
-    bench_record["results"] = {
-        "coverage_driven": round(cov_mean, 3),
-        "random": round(rand_mean, 3),
-    }
     assert cov_mean > rand_mean

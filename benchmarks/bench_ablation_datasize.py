@@ -15,7 +15,7 @@ from repro.ml import LinearSVM, f1_score
 TRAIN_SIZES = (25, 50, 100, 160)  # samples drawn from the 200-image corpus
 
 
-def test_ablation_training_set_size(benchmark, matrices, capsys, bench_record):
+def test_ablation_training_set_size(benchmark, matrices, capsys):
     X, y = matrices["cnn"]
     rng = np.random.default_rng(0)
     order = rng.permutation(len(y))
@@ -37,9 +37,6 @@ def test_ablation_training_set_size(benchmark, matrices, capsys, bench_record):
     rows.append("(held-out test set of 40 images; SVM + CNN features)")
     print_table(capsys, "Ablation: F1 vs shared-dataset size", header, rows)
 
-    bench_record["results"] = {
-        "curve_f1": {str(size): round(f1, 3) for size, f1 in curve}
-    }
     first, last = curve[0][1], curve[-1][1]
     # More pooled data gives a clearly better model.
     assert last > first + 0.1

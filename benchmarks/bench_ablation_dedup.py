@@ -49,7 +49,7 @@ def ingest_policy(policy: str) -> tuple[int, int, int]:
     return offered, stored, flagged
 
 
-def test_ablation_redundancy_and_dedup(benchmark, capsys, bench_record):
+def test_ablation_redundancy_and_dedup(benchmark, capsys):
     def run():
         return {
             policy: ingest_policy(policy)
@@ -71,10 +71,6 @@ def test_ablation_redundancy_and_dedup(benchmark, capsys, bench_record):
     )
     print_table(capsys, "Ablation: redundancy handling at ingest", header, rows)
 
-    bench_record["results"] = {
-        policy: {"offered": offered, "stored": stored, "flagged": flagged}
-        for policy, (offered, stored, flagged) in results.items()
-    }
     all_offered, all_stored, all_flagged = results["all_frames"]
     # Raw ingest is drowning in near-duplicates (static-scene runs)...
     assert all_flagged > all_stored * 0.3

@@ -28,7 +28,7 @@ DURATION_S = 60.0
 RATE_HZ = 1.5
 
 
-def test_ablation_dispatch_strategies(benchmark, capsys, bench_record):
+def test_ablation_dispatch_strategies(benchmark, capsys):
     def run():
         heavy_everywhere = {
             name: (device, INCEPTION_V3) for name, device in DEVICES.items()
@@ -79,13 +79,6 @@ def test_ablation_dispatch_strategies(benchmark, capsys, bench_record):
         rows,
     )
 
-    bench_record["results"] = {
-        name: {
-            "effective_accuracy": round(report.fleet_effective_accuracy, 3),
-            "dropped": report.total_dropped,
-        }
-        for name, report in reports.items()
-    }
     aware = reports["capability-aware"]
     heavy = reports["inception everywhere"]
     light = reports["mobilenet_v1 everywhere"]

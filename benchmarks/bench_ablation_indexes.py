@@ -46,7 +46,7 @@ def clustered_vectors(n, seed=0, cluster_size=20, spread=0.15):
     return centers[assignment] + spread * rng.normal(0, 1, (n, DIM))
 
 
-def test_ablation_lsh_vs_linear(benchmark, capsys, bench_record):
+def test_ablation_lsh_vs_linear(benchmark, capsys):
     def run():
         table = []
         for n in LSH_SIZES:
@@ -86,11 +86,6 @@ def test_ablation_lsh_vs_linear(benchmark, capsys, bench_record):
         for n, a, b, r, c in table
     ]
     print_table(capsys, "Ablation: LSH vs linear scan (visual top-10)", header, rows)
-    bench_record["results"] = {
-        "sizes": list(LSH_SIZES),
-        "recall_at_10": [round(r, 3) for *_, r, _ in table],
-        "candidates_per_query": [round(c, 1) for *_, c in table],
-    }
     # LSH wins at scale with high recall.
     if PERF_ASSERTS:
         assert table[-1][1] < table[-1][2]
@@ -122,7 +117,7 @@ def scene_dataset(n, seed=2, cluster_size=20, spread=0.15):
     return points, vectors
 
 
-def test_ablation_hybrid_vs_linear(benchmark, capsys, bench_record):
+def test_ablation_hybrid_vs_linear(benchmark, capsys):
     def run():
         table = []
         for n in HYBRID_SIZES:
@@ -166,16 +161,11 @@ def test_ablation_hybrid_vs_linear(benchmark, capsys, bench_record):
     print_table(
         capsys, "Ablation: hybrid index vs scan (spatial-visual top-10)", header, rows
     )
-    bench_record["results"] = {
-        "sizes": list(HYBRID_SIZES),
-        "heap_pops_per_query": [round(p, 1) for _, _, _, p, _ in table],
-        "spatial_pruned_per_query": [round(p, 1) for *_, p in table],
-    }
     if PERF_ASSERTS:
         assert table[-1][1] < table[-1][2]
 
 
-def test_ablation_rtree_vs_grid_vs_scan(benchmark, capsys, bench_record):
+def test_ablation_rtree_vs_grid_vs_scan(benchmark, capsys):
     def run():
         n = RTREE_N
         points, _ = dataset(n, seed=4)
@@ -225,9 +215,5 @@ def test_ablation_rtree_vs_grid_vs_scan(benchmark, capsys, bench_record):
         header,
         rows,
     )
-    bench_record["results"] = {
-        "n": RTREE_N,
-        "rtree_visits_per_query": round(visits_per_q, 1),
-    }
     if PERF_ASSERTS:
         assert rtree_s < scan_s and grid_s < scan_s

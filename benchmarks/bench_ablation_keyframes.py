@@ -21,7 +21,7 @@ def label_recall(video, kept):
     return len(kept_labels & all_labels) / len(all_labels)
 
 
-def test_ablation_keyframe_selection(benchmark, capsys, bench_record):
+def test_ablation_keyframe_selection(benchmark, capsys):
     videos = generate_fleet_videos(n_videos=4, n_frames=30, image_size=40, seed=0)
     extractor = ColorHistogramExtractor()
 
@@ -46,11 +46,6 @@ def test_ablation_keyframe_selection(benchmark, capsys, bench_record):
     rows.append("")
     rows.append("(30-frame videos; adaptive keeps frames only on feature drift)")
     print_table(capsys, "Ablation: key-frame selection policies", header, rows)
-
-    bench_record["results"] = {
-        name: {"mean_frames": round(frames, 2), "label_recall": round(recall, 3)}
-        for name, (frames, recall) in summary.items()
-    }
 
     # Adaptive must not lose label coverage relative to uniform while
     # remaining well below storing every frame.

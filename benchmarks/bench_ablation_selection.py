@@ -43,7 +43,7 @@ def learning_curve(strategy, X_pool, y_pool, X_test, y_test):
     return framework.history
 
 
-def test_ablation_prioritized_vs_random_selection(benchmark, matrices, capsys, bench_record):
+def test_ablation_prioritized_vs_random_selection(benchmark, matrices, capsys):
     X_all, y_all = matrices["cnn"]
     X_pool, X_test, y_pool, y_test = train_test_split(X_all, y_all, 0.3, seed=1)
 
@@ -69,16 +69,12 @@ def test_ablation_prioritized_vs_random_selection(benchmark, matrices, capsys, b
         header,
         rows,
     )
-    bench_record["results"] = {
-        "late_round_prioritized": round(float(final_p), 3),
-        "late_round_random": round(float(final_r), 3),
-    }
     # Same bytes spent; prioritised selection should not lose.
     assert prioritized[-1].uploaded_bytes == random_hist[-1].uploaded_bytes
     assert final_p >= final_r - 0.05
 
 
-def test_ablation_feature_vs_raw_upload(benchmark, matrices, capsys, bench_record):
+def test_ablation_feature_vs_raw_upload(benchmark, matrices, capsys):
     dim = matrices["cnn"][0].shape[1]
 
     def run():
@@ -98,5 +94,4 @@ def test_ablation_feature_vs_raw_upload(benchmark, matrices, capsys, bench_recor
     print_table(
         capsys, "Ablation: raw-image vs feature-vector upload", header, rows
     )
-    bench_record["results"] = {"bandwidth_ratio": round(ratio, 1)}
     assert ratio > 50

@@ -21,7 +21,7 @@ REGION = BoundingBox(34.10, -118.40, 34.14, -118.36)
 TRUE_GROWTH_MPS = 0.5
 
 
-def test_ext_wildfire_monitoring(benchmark, capsys, bench_record):
+def test_ext_wildfire_monitoring(benchmark, capsys):
     truth = WildfireGroundTruth(
         ignitions=[GeoPoint(34.12, -118.38)],
         growth_mps=TRUE_GROWTH_MPS,
@@ -57,12 +57,6 @@ def test_ext_wildfire_monitoring(benchmark, capsys, bench_record):
         f"{'quantity':<30}{'value':>10}",
         rows,
     )
-
-    bench_record["results"] = {
-        "recall": round(quality["recall"], 3),
-        "precision": round(quality["precision"], 3),
-        "front_growth_mps": round(spread["front_growth_mps"], 3),
-    }
 
     assert quality["recall"] > 0.6
     assert quality["precision"] > 0.8

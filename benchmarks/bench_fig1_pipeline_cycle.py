@@ -19,7 +19,7 @@ from repro.imaging import CLEANLINESS_CLASSES, render_street_scene
 from repro.ml import LinearSVM, StandardScaler
 
 
-def test_fig1_full_cycle(benchmark, capsys, bench_record):
+def test_fig1_full_cycle(benchmark, capsys):
     timings: dict[str, float] = {}
 
     def run():
@@ -90,13 +90,6 @@ def test_fig1_full_cycle(benchmark, capsys, bench_record):
         f"{'quantity':<28}{'value':>10}",
         rows,
     )
-
-    bench_record["results"] = {
-        "coverage": round(collected.final_coverage, 3),
-        "images": platform.stats()["rows"]["images"],
-        "encampments": len(encampments),
-        "stage_s": {stage: round(s, 4) for stage, s in timings.items()},
-    }
 
     assert collected.final_coverage >= 0.6
     assert platform.stats()["rows"]["images"] > 20

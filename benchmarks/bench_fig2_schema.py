@@ -14,7 +14,7 @@ from repro.db import dump_database, load_database
 from repro.imaging import CLEANLINESS_CLASSES
 
 
-def test_fig2_schema_throughput(benchmark, lasan_corpus, tmp_path, capsys, bench_record):
+def test_fig2_schema_throughput(benchmark, lasan_corpus, tmp_path, capsys):
     def run():
         platform = TVDP()
         platform.catalog.define("street_cleanliness", list(CLEANLINESS_CLASSES))
@@ -65,14 +65,6 @@ def test_fig2_schema_throughput(benchmark, lasan_corpus, tmp_path, capsys, bench
         f"{'quantity':<30}{'value':>10}",
         rows,
     )
-
-    bench_record["results"] = {
-        "images": n,
-        "insert_per_s": round(n / insert_s, 1),
-        "lookups_per_s": round(2 * n / lookup_s, 1),
-        "roundtrip_ms": round(roundtrip_s * 1000, 2),
-        "row_counts": dict(sorted(counts.items())),
-    }
 
     assert counts["images"] == n
     assert counts["image_fov"] == n

@@ -47,7 +47,7 @@ def make_queries(seed=1):
     return out
 
 
-def test_fig3_oriented_queries_vs_scan(benchmark, capsys, bench_record):
+def test_fig3_oriented_queries_vs_scan(benchmark, capsys):
     queries = make_queries()
 
     def run():
@@ -105,11 +105,6 @@ def test_fig3_oriented_queries_vs_scan(benchmark, capsys, bench_record):
     )
 
     speedups = [scan / idx for _, idx, scan, *_ in table]
-    bench_record["results"] = {
-        "sizes": list(SIZES),
-        "speedups": [round(s, 2) for s in speedups],
-        "candidates_per_query": [round(c, 1) for *_, c, _ in table],
-    }
 
     # Index wins clearly at every size, decisively at the largest N.
     # (Strict monotonicity in N is too timing-noise-sensitive to assert.)

@@ -24,7 +24,7 @@ SEED_POOL = 15
 ROUNDS = 4
 
 
-def test_fig4_crowd_learning_rounds(benchmark, matrices, capsys, bench_record):
+def test_fig4_crowd_learning_rounds(benchmark, matrices, capsys):
     X_all, y_all = matrices["cnn"]
     X_pool, X_test, y_pool, y_test = train_test_split(X_all, y_all, 0.3, seed=0)
 
@@ -71,11 +71,6 @@ def test_fig4_crowd_learning_rounds(benchmark, matrices, capsys, bench_record):
     print_table(capsys, "Fig. 4: crowd-based learning rounds", header, rows)
 
     history = framework.history
-    bench_record["results"] = {
-        "accuracy": [round(s.test_accuracy, 3) for s in history],
-        "pool": [s.pool_size for s in history],
-        "uploaded_bytes": [s.uploaded_bytes for s in history],
-    }
 
     assert len(history) == ROUNDS
     # The pool grows every round and accuracy ends at a useful level.

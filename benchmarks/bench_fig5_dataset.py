@@ -10,7 +10,7 @@ from benchmarks.conftest import print_table
 from repro.datasets import dataset_summary, generate_lasan_dataset
 
 
-def test_fig5_dataset_composition(benchmark, capsys, bench_record):
+def test_fig5_dataset_composition(benchmark, capsys):
     records = benchmark.pedantic(
         lambda: generate_lasan_dataset(n_per_class=20, image_size=48, seed=0),
         rounds=1,
@@ -37,11 +37,6 @@ def test_fig5_dataset_composition(benchmark, capsys, bench_record):
         f"{'property':<26}{'value':>10}",
         rows,
     )
-    bench_record["results"] = {
-        "total": summary["total"],
-        "per_class": dict(summary["per_class"]),
-        "graffiti_rate": round(graffiti / len(records), 3),
-    }
 
     assert summary["total"] == 100
     assert len(summary["per_class"]) == 5

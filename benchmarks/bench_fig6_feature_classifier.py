@@ -13,7 +13,7 @@ from benchmarks.conftest import print_table
 from repro.analysis import DEFAULT_CLASSIFIERS, best_cell, run_classifier_grid
 
 
-def test_fig6_feature_classifier_grid(benchmark, matrices, capsys, bench_record):
+def test_fig6_feature_classifier_grid(benchmark, matrices, capsys):
     results = benchmark.pedantic(
         lambda: run_classifier_grid(matrices, DEFAULT_CLASSIFIERS, seed=0),
         rounds=1,
@@ -35,12 +35,6 @@ def test_fig6_feature_classifier_grid(benchmark, matrices, capsys, bench_record)
         f"[paper: svm + cnn = 0.83]"
     )
     print_table(capsys, "Fig. 6: feature x classifier macro F1", header, rows)
-
-    bench_record["results"] = {
-        "grid_f1": {f"{f}+{c}": round(v, 3) for (f, c), v in sorted(grid.items())},
-        "best": f"{best.classifier}+{best.feature}",
-        "best_f1": round(best.f1, 3),
-    }
 
     # Shape assertions (paper's qualitative findings).
     assert grid[("cnn", "svm")] > grid[("sift_bow", "svm")]

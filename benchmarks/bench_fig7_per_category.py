@@ -14,7 +14,7 @@ from repro.imaging import CLEANLINESS_CLASSES
 from repro.ml import LinearSVM
 
 
-def test_fig7_svm_per_category(benchmark, matrices, capsys, bench_record):
+def test_fig7_svm_per_category(benchmark, matrices, capsys):
     def run():
         out = {}
         for feature_name, (X, y) in matrices.items():
@@ -36,10 +36,6 @@ def test_fig7_svm_per_category(benchmark, matrices, capsys, bench_record):
     print_table(capsys, "Fig. 7: SVM per-category F1 by feature", header, rows)
 
     cnn = scores["cnn"]
-    bench_record["results"] = {
-        feature: {label: round(f1, 3) for label, f1 in per_cat.items()}
-        for feature, per_cat in scores.items()
-    }
 
     # Shape assertions from the paper's Fig. 7.
     assert max(cnn, key=cnn.get) == "overgrown_vegetation"

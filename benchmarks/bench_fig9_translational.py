@@ -18,7 +18,7 @@ from repro.imaging import CLEANLINESS_CLASSES
 from repro.ml import LinearSVM
 
 
-def test_fig9_translational_pipeline(benchmark, lasan_corpus, matrices, capsys, bench_record):
+def test_fig9_translational_pipeline(benchmark, lasan_corpus, matrices, capsys):
     X, y = matrices["cnn"]
     n_train = int(0.6 * len(lasan_corpus))
 
@@ -73,12 +73,6 @@ def test_fig9_translational_pipeline(benchmark, lasan_corpus, matrices, capsys, 
         f"{'quantity':<28}{'value':>8}",
         rows,
     )
-
-    bench_record["results"] = {
-        "sightings": report.total_sightings,
-        "clusters": report.n_clusters,
-        "graffiti_f1": round(graffiti.f1, 3),
-    }
 
     # The encampment annotations exist and cluster spatially (hotspots).
     assert report.total_sightings > 0

@@ -25,27 +25,18 @@ same run:
    registered, the operation's worst-N full): a unit of work of one
    span — two counter snapshots, the record, one fold.
 
-``results.overhead_pct`` = marginal metering cost as a percentage of
-one plain query; ``results.span_pct`` = one span likewise (absolute
-``span_us`` / ``plain_query_us`` are recorded beside them).
-``tools/bench_compare.py`` fails any run where either exceeds its
-ceiling, even under ``--skip-wall`` — numerator and yardstick come
-from the same run on the same machine, so the ratios survive slow CI
-runners.  The yardstick is deliberately *not* a served request: a
+``overhead_pct`` = marginal metering cost (the median pair difference)
+as a percentage of one plain query (the fastest plain chunk);
+``span_pct`` = one span likewise.  The bench fails any run where either
+exceeds its ceiling (:data:`OVERHEAD_LIMIT_PCT`, :data:`SPAN_LIMIT_PCT`),
+smoke mode included — numerator and yardstick come from the same run
+on the same machine, so the ratios survive slow CI runners.  The yardstick is deliberately *not* a served request: a
 served request contains the very costs being gated, so dividing by it
 let slower serving pass and made faster serving fail.  The wall time
-of a real ``POST /search`` is still recorded (``request_us``) for the
-trajectory, ungated.
-
-Tracemalloc is paused around the timed sections: the bench harness
-traces allocations for its ``mem_peak_kb`` record, but production
-serving does not trace, and tracing inflates every allocation in both
-modes (the ledger's memory metering is itself gated on
-``tracemalloc.is_tracing()`` for exactly that reason).
+of a real ``POST /search`` is still printed (``request_us``), ungated.
 """
 
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -60,33 +51,22 @@ from repro.index import RTree
 REGION = BoundingBox(33.9, -118.5, 34.1, -118.3)
 #: Not shrunk in smoke mode: the plain query over this index is the
 #: yardstick both gated ratios divide by, so it must be the same query
-#: in a smoke run (what CI gates and the baseline records) and a full one.
+#: in a smoke run (what CI gates) and a full one.
 N_POINTS = 4_000
 QUERIES_PER_CHUNK = sized(400, 250)
 #: Back-to-back (plain, ledgered) chunk pairs.  Differencing within a
 #: pair cancels machine drift; the median over pairs rejects outlier
 #: pairs that caught a scheduler hiccup on one side.
-PAIRS = 6
+PAIRS = 25
 REQUEST_CHUNKS = 4
 REQUESTS_PER_CHUNK = sized(200, 80)
 SPAN_CHUNKS = 5
 SPANS_PER_CHUNK = sized(5_000, 2_000)
-
-
-class pause_tracemalloc:
-    """Stop tracing for the timed sections, resume after (production
-    does not trace; the harness's per-bench peak is informational)."""
-
-    def __enter__(self):
-        self._was_tracing = tracemalloc.is_tracing()
-        if self._was_tracing:
-            tracemalloc.stop()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._was_tracing:
-            tracemalloc.start()
-        return False
+#: Hard ceilings on the two ratios.  Measured 28-36 % and 45-57 % when
+#: set (the eager slow-span log this gate was added against read
+#: 210 %): the ledger may cost half a query, a span one query.
+OVERHEAD_LIMIT_PCT = 50.0
+SPAN_LIMIT_PCT = 100.0
 
 
 def build_index_workload(seed: int = 0):
@@ -165,27 +145,26 @@ def run_span_chunk():
     return time.perf_counter() - t0
 
 
-def test_accounting_overhead(benchmark, capsys, bench_record):
+def test_accounting_overhead(benchmark, capsys):
     def run():
         table = obs.RecordStore(registry=obs.metrics())
         rtree, queries = build_index_workload()
         service, api_key, spec = build_service()
-        with pause_tracemalloc():
-            # One untimed warmup per mode: caches, allocator, interning.
-            run_index_chunk(rtree, queries, ledgered=False, table=table)
-            run_index_chunk(rtree, queries, ledgered=True, table=table)
+        # One untimed warmup per mode: caches, allocator, interning.
+        run_index_chunk(rtree, queries, ledgered=False, table=table)
+        run_index_chunk(rtree, queries, ledgered=True, table=table)
+        run_request_chunk(service, api_key, spec)
+        run_span_chunk()
+        pairs = []
+        for _ in range(PAIRS):
+            plain = run_index_chunk(rtree, queries, ledgered=False, table=table)
+            ledgered = run_index_chunk(rtree, queries, ledgered=True, table=table)
+            pairs.append((plain, ledgered))
+        requests = [
             run_request_chunk(service, api_key, spec)
-            run_span_chunk()
-            pairs = []
-            for _ in range(PAIRS):
-                plain = run_index_chunk(rtree, queries, ledgered=False, table=table)
-                ledgered = run_index_chunk(rtree, queries, ledgered=True, table=table)
-                pairs.append((plain, ledgered))
-            requests = [
-                run_request_chunk(service, api_key, spec)
-                for _ in range(REQUEST_CHUNKS)
-            ]
-            spans = [run_span_chunk() for _ in range(SPAN_CHUNKS)]
+            for _ in range(REQUEST_CHUNKS)
+        ]
+        spans = [run_span_chunk() for _ in range(SPAN_CHUNKS)]
         return pairs, min(requests), min(spans), table
 
     pairs, request_s, span_s, table = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -223,13 +202,11 @@ def test_accounting_overhead(benchmark, capsys, bench_record):
     assert bench_row["count"] >= PAIRS * QUERIES_PER_CHUNK
     assert bench_row["cost"] > 0.0
 
-    bench_record["results"] = {
-        "n_points": N_POINTS,
-        "queries_per_chunk": QUERIES_PER_CHUNK,
-        "plain_query_us": round(plain_query_us, 2),
-        "ledger_marginal_us": round(marginal_us, 2),
-        "span_us": round(span_us, 2),
-        "request_us": round(request_us, 2),
-        "overhead_pct": round(overhead_pct, 2),
-        "span_pct": round(span_pct, 2),
-    }
+    assert overhead_pct <= OVERHEAD_LIMIT_PCT, (
+        f"ledger costs {overhead_pct:.1f}% of a plain query "
+        f"(ceiling {OVERHEAD_LIMIT_PCT:g}%)"
+    )
+    assert span_pct <= SPAN_LIMIT_PCT, (
+        f"a span costs {span_pct:.1f}% of a plain query "
+        f"(ceiling {SPAN_LIMIT_PCT:g}%)"
+    )

@@ -5,29 +5,22 @@ session; each bench then measures and prints its own table.  Benches
 use ``benchmark.pedantic(rounds=1)`` because the measured units are
 whole experiments, not microbenchmarks.
 
-Every bench runs inside the autouse ``bench_record`` fixture, which
-isolates the process-wide metrics around it and meters wall time,
-counter increments, and the tracemalloc peak into
-``benchmarks.recorder`` — that is what ``python -m benchmarks`` writes
-out as the ``BENCH_<git-sha>.json`` trajectory.
+Every bench runs inside the autouse ``isolated_metrics`` fixture, which
+resets the process-wide metrics before and after it.
 
-Smoke mode (``python -m benchmarks --smoke``, or the
-``TVDP_BENCH_SMOKE=1`` environment variable) shrinks the size-swept
-benches via :func:`sized` and turns off the timing-sensitive
-assertions (:data:`PERF_ASSERTS`) so the suite can gate CI on shared
-runners.  The session corpus itself is *not* shrunk — several benches
-assert against its exact size.
+Smoke mode (the ``TVDP_BENCH_SMOKE=1`` environment variable) shrinks
+the size-swept benches via :func:`sized` and turns off the
+timing-sensitive assertions (:data:`PERF_ASSERTS`) so the suite can
+gate CI on shared runners.  The session corpus itself is *not*
+shrunk — several benches assert against its exact size.
 """
 
 import contextlib
 import os
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from benchmarks import recorder
 from repro import obs
 from repro.analysis import build_feature_suite, feature_matrices
 from repro.datasets import generate_lasan_dataset
@@ -41,8 +34,7 @@ IMAGE_SIZE = 48
 SEED = 0
 
 #: Smoke mode: reduced sweep sizes, timing assertions off.  Read at
-#: import time — ``python -m benchmarks`` sets the variable before
-#: pytest collects this file.
+#: import time, so set the variable before pytest collects this file.
 SMOKE = os.environ.get("TVDP_BENCH_SMOKE") == "1"
 
 #: Wall-clock-sensitive assertions ("the index beats the scan by 10x")
@@ -74,44 +66,13 @@ def matrices(lasan_corpus, feature_suite):
 
 
 @pytest.fixture(autouse=True)
-def bench_record(request):
-    """Metrics isolation + meter around every bench.
-
-    The process-wide registry/tracer state is reset before *and* after
+def isolated_metrics():
+    """Reset the process-wide registry/tracer state before *and* after
     each bench, so no bench sees another's counters or slow-span
-    exemplars.  On the way out the fixture records wall time, the
-    bench's counter increments, and its tracemalloc peak into
-    ``recorder.RECORDS`` under the bench's nodeid.
-
-    Benches that want their headline numbers in the trajectory request
-    this fixture by name and fill ``bench_record["results"]``.
-    """
+    exemplars (:func:`probe_counters` relies on it)."""
     obs.reset()
-    record: dict = {"results": {}}
-    already_tracing = tracemalloc.is_tracing()
-    if already_tracing:
-        tracemalloc.reset_peak()
-    else:
-        tracemalloc.start()
-    t0 = time.perf_counter()
-    try:
-        yield record
-    finally:
-        wall_s = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-        if not already_tracing:
-            tracemalloc.stop()
-        record["wall_s"] = round(wall_s, 4)
-        record["mem_peak_kb"] = round(peak / 1024.0, 1)
-        # The registry was zeroed on entry, so the live counter values
-        # ARE the bench's increments.
-        record["counters"] = {
-            name: value
-            for name, value in obs.metrics().counter_values().items()
-            if value
-        }
-        recorder.RECORDS[request.node.nodeid] = record
-        obs.reset()
+    yield
+    obs.reset()
 
 
 @contextlib.contextmanager

@@ -1,11 +1,10 @@
 """Router.dispatch under concurrent threads.
 
-The load harness (``benchmarks/loadgen.py``) drives the in-process API
-from many threads; this suite pins down the thread-safety contract it
-relies on — parallel dispatches to the metrics/health/search/debug
-routes complete without dropped requests, corrupted counters, or (under
-``REPRO_SANITIZE=1``, which the CI sanitize job sets) lock-order
-inversions.
+A host may drive the in-process API from many threads; this suite pins
+down the thread-safety contract that relies on — parallel dispatches to
+the metrics/health/search/debug routes complete without dropped
+requests, corrupted counters, or (under ``REPRO_SANITIZE=1``, which the
+CI sanitize job sets) lock-order inversions.
 """
 
 from __future__ import annotations
