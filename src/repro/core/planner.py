@@ -300,8 +300,9 @@ def _child_queries(query: HybridQuery) -> tuple:
 def _measured_execute(
     platform: TVDP, query: object
 ) -> tuple[int, float, dict[str, float], dict[str, float]]:
-    """Execute ``query``; (rows, elapsed_ms, probe-counter deltas,
-    ledger-charge deltas).
+    """Execute ``query``, never from the answer cache and without
+    filling it; (rows, elapsed_ms, probe-counter deltas, ledger-charge
+    deltas).
 
     The counter deltas are whole-registry increments during the run —
     on a quiet process that is exactly the query's own probe work; the
@@ -329,7 +330,8 @@ def _measured_execute(
         table=obs.usage() if outer is None else None,
         operation=f"execute.{query_family(query)}",
     ) as measured:
-        answer = platform.answer(query)
+        # Past the answer cache: what is measured is the query's work.
+        answer = platform._answer(query, None)
     elapsed_ms = (time.perf_counter() - start) * 1000.0  # devtools: allow[determinism] — see above
     after = registry.counter_values()
     deltas = {

@@ -43,6 +43,7 @@ from repro.index.hybrid import VisualRTree
 from repro.index.inverted import tokenize
 from repro.index.ordering import by_score
 from repro.core.annotations import AnnotationService
+from repro.core.answercache import AnswerCache
 from repro.core.catalog import ClassificationCatalog
 from repro.core.slice import CatalogSlice
 from repro.core.queries import (
@@ -142,11 +143,13 @@ class TVDP:
 
     def _adopt(self, catalog_slice: CatalogSlice) -> None:
         """Serve ``catalog_slice``: the whole-catalog rows and index
-        suite, and the services that read and write its rows."""
+        suite, the services that read and write its rows, and an empty
+        answer cache over them."""
         self.slice = catalog_slice
         self.db: Database = catalog_slice.db
         self.catalog = ClassificationCatalog(self.db)
         self.annotations = AnnotationService(catalog_slice, self.catalog)
+        self._answers = AnswerCache()
 
     # -- users & keys ---------------------------------------------------------
 
@@ -455,18 +458,23 @@ class TVDP:
 
         With ``shards > 1`` the query scatter-gathers across the
         geo-tile shards; the merged answer is exactly the serial one
-        (the property harness in ``tests/shard`` proves it)."""
-        return self._answer(query, self._run_sharded if self.shards > 1 else self._run)
+        (the property harness in ``tests/shard`` proves it).
+
+        A repeat asked with no write since is answered from the
+        version-stamped answer cache (:mod:`repro.core.answercache`);
+        the returned answer may be shared, so it is read-only."""
+        return self._answer(query, self._answers)
 
     def execute(self, query: object) -> list[QueryResult]:
         """:meth:`answer` as a list of :class:`QueryResult`."""
         return self.answer(query).results()
 
     def execute_serial(self, query: object) -> list[QueryResult]:
-        """Serial bypass of the scatter-gather path — the oracle the
-        equivalence harness compares sharded answers against.  On a
-        serial platform this is identical to :meth:`execute`."""
-        return self._answer(query, self._run).results()
+        """Serial bypass of the scatter-gather path and of the answer
+        cache — the oracle the equivalence harness compares sharded
+        answers against.  On a serial platform its results are those of
+        :meth:`execute`."""
+        return self._answer(query, None, self._run).results()
 
     def execute_many(self, queries: list[object]) -> list[list[QueryResult]]:
         """Execute a batch of queries.
@@ -524,10 +532,11 @@ class TVDP:
         self.shards = int(shards)
 
     def close(self) -> None:
-        """Drop the shard partition (no-op when serial); the next
-        sharded query rebuilds it."""
+        """Drop the shard partition (none when serial) and the answer
+        cache; the next sharded query rebuilds the partition."""
         with self._lock:
             self._router = None
+            self._answers = AnswerCache()
 
     def shard_plan_preview(self, query: object) -> dict | None:
         """Shard-pruning annotation for EXPLAIN — ``shards_considered``
@@ -544,8 +553,14 @@ class TVDP:
         """Live Visual R-trees by extractor name (a read-only view)."""
         return self.slice.hybrid_indexes()
 
-    def _answer(self, query: object, run) -> Answer:
-        """``run(query)`` as one billed, traced, counted query."""
+    def _answer(self, query: object, cache: AnswerCache | None, run=None) -> Answer:
+        """``run(query)`` — by default the platform's own runner, serial
+        or scatter-gather — as one billed, traced, counted query, looked
+        up in and offered to ``cache`` unless that is ``None`` (the
+        serial oracle and EXPLAIN ANALYZE measure real work).  A hit
+        runs nothing and bills nothing; its span says ``cache="hit"``."""
+        if run is None:
+            run = self._run_sharded if self.shards > 1 else self._run
         family = query_family(query)
         shape = query_shape(query)
         # maybe_ledger_scope bills to the enclosing ledger (the API
@@ -554,7 +569,15 @@ class TVDP:
             obs.usage(), principal=LOCAL_PRINCIPAL, operation=f"execute.{family}"
         ):
             with obs.span(f"query.{family}") as sp:
-                answer = run(query)
+                answer = ticket = None
+                if cache is not None:
+                    answer, ticket = cache.lookup(query, self.db.version)
+                if answer is None:
+                    answer = run(query)
+                    if ticket is not None:
+                        cache.admit(ticket, answer, self.db.version)
+                else:
+                    sp.set("cache", "hit")
                 sp.set("results", len(answer))
             # duration_ms is only final once the span has closed.
             obs.note_query(shape, family, sp.duration_ms)

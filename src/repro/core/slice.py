@@ -31,6 +31,11 @@ trees are *caught up on read*: :attr:`CatalogSlice.spatial` and
 last asked for, in write order, and return it — so a tree costs the
 reader that wants it (localisation, panorama selection, the figure
 benchmarks, the tests' oracles), never the upload.
+
+Each of the four index writes bumps the database's write version
+(:attr:`Database.version <repro.db.database.Database.version>`) once it
+is applied, on top of the bump of the row write before it; a tree's
+catch-up is a read and bumps nothing.
 """
 
 from __future__ import annotations
@@ -101,6 +106,7 @@ class CatalogSlice:
                     box.min_lat, box.min_lng, box.max_lat, box.max_lng,
                 )
                 self._fovs.append(fov)
+        self.db.bump()
 
     def index_annotation(
         self, image_id: int, type_id: int, confidence: float, source: str
@@ -111,6 +117,7 @@ class CatalogSlice:
             if labelled is None:
                 labelled = self._labels[type_id] = Columns(2)
             labelled.append(image_id, confidence, _SOURCE_CODES[source])
+        self.db.bump()
 
     def add_extractor(
         self, name: str, dimension: int, like: "CatalogSlice | None" = None
@@ -134,6 +141,7 @@ class CatalogSlice:
                 self._hybrid[name] = VisualRTree(
                     dimension=dimension, max_entries=source[1]
                 )
+        self.db.bump()
 
     def index_vector(self, name: str, image_id: int, vector: np.ndarray) -> None:
         """Index one stored feature vector under extractor ``name``,
@@ -146,6 +154,7 @@ class CatalogSlice:
             self._vector_points[name].append(
                 image_id, row["lat"], row["lng"], vector_row
             )
+        self.db.bump()
 
     @classmethod
     def rebuild(cls, db: Database, parent: "CatalogSlice | None" = None) -> "CatalogSlice":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.errors import IntegrityError, SchemaError
 from repro.db.schema import TableSchema, tvdp_schema
 from repro.db.table import Table
@@ -13,12 +15,28 @@ class Database:
     Inserts check that referenced rows exist; deletes are *restricted*
     (refused while referencing rows remain), which is the safe default
     for an archival platform where images anchor satellite records.
+
+    ``version`` is the write version: an ``int`` that only grows, moved
+    by :meth:`bump` after every committed row write (insert, update,
+    delete, through whichever door) and after every index write a
+    catalog slice applies over these rows.  A version read once a write
+    has returned is therefore newer than any answer computed while that
+    write was in flight; the shard router and the answer cache read it
+    to tell whether the catalog moved.  Read it freely; only
+    :meth:`bump` moves it.
     """
 
     def __init__(self, schemas: list[TableSchema] | None = None) -> None:
         self._tables: dict[str, Table] = {}
+        self.version = 0
+        self._version_lock = threading.Lock()
         for schema in schemas or []:
             self.create_table(schema)
+
+    def bump(self) -> None:
+        """Move :attr:`version` on by one (a write was committed)."""
+        with self._version_lock:
+            self.version += 1
 
     @classmethod
     def tvdp(cls) -> "Database":
@@ -60,7 +78,7 @@ class Database:
                     f"foreign keys must reference primary keys; "
                     f"{fk.table}.{fk.column} is not one"
                 )
-        table = Table(schema)
+        table = Table(schema, on_write=self.bump)
         self._tables[schema.name] = table
         return table
 

@@ -17,10 +17,15 @@ class Table:
 
     Rows are plain dicts keyed by column name; the table owns a copy of
     every stored row, so callers can't mutate storage from outside.
+    ``on_write`` is called after every committed insert, update and
+    delete (its database's version bump).
     """
 
-    def __init__(self, schema: TableSchema) -> None:
+    def __init__(
+        self, schema: TableSchema, on_write: Callable[[], None] | None = None
+    ) -> None:
         self.schema = schema
+        self._on_write = on_write or _unversioned
         # Concurrent request handlers insert and read through one
         # shared Database; every row/index access holds this lock.
         self._lock = threading.RLock()
@@ -132,6 +137,7 @@ class Table:
                     seen[value] = pk
             self._index_add(pk, normalized)
             self._ordered_add(pk, normalized)
+        self._on_write()
         return pk
 
     def update(self, pk: int, changes: dict) -> None:
@@ -163,6 +169,7 @@ class Table:
             self._rows[pk] = normalized
             self._index_add(pk, normalized)
             self._ordered_add(pk, normalized)
+        self._on_write()
 
     def delete(self, pk: int) -> None:
         """Remove a row by primary key."""
@@ -175,6 +182,7 @@ class Table:
             for column, seen in self._unique.items():
                 if row.get(column) is not None:
                     seen.pop(row[column], None)
+        self._on_write()
 
     # -- reads ----------------------------------------------------------------
 
@@ -301,6 +309,10 @@ class Table:
         if limit is not None:
             rows = rows[:limit]
         return rows
+
+
+def _unversioned() -> None:
+    """The write hook of a table outside any database: nothing to move."""
 
 
 def _ordered_position(values: list, pks: list[int], value: Any, pk: int) -> int:

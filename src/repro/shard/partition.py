@@ -148,7 +148,7 @@ def _slice_databases(platform: TVDP, assignment: dict[int, list[int]]) -> list[D
     for table_name in _SLICED_TABLES:
         for row in platform.db.table(table_name).all_rows():
             # An image uploaded since the assignment is in no shard yet;
-            # the router's fingerprint has moved and repartitions.
+            # the write version has moved and the router repartitions.
             shard_id = owner.get(row["image_id"])
             if shard_id is not None:
                 dbs[shard_id].insert(table_name, row)

@@ -109,35 +109,31 @@ class ShardRouter:
         self._lock = threading.RLock()
         self._stats: list[ShardStats] = []
         self._executor: ScatterGatherExecutor | None = None
-        self._fingerprint: tuple | None = None
+        #: The catalog's write version the partition was cut at.
+        self._version: int | None = None
 
     # -- shard lifecycle -----------------------------------------------------
 
-    def _current_fingerprint(self) -> tuple:
-        """Cheap catalog-freshness token: any upload, annotation,
-        keyword, or extraction changes a row count or adds an index."""
-        return (
-            tuple(sorted(self._platform.db.row_counts().items())),
-            tuple(sorted(self._platform.visual_indexes())),
-        )
-
     def _ensure(self) -> tuple[list[ShardStats], ScatterGatherExecutor]:
         """Current ``(stats, executor)`` snapshot, repartitioning when
-        the catalog fingerprint moved.  Both are replaced wholesale on
-        rotation, so a returned snapshot stays internally consistent
-        even if a concurrent call rotates the partition afterwards.
+        the catalog's write version (``db.version``: any row or index
+        write moves it) is not the one the partition was cut at.  Both
+        are replaced wholesale on rotation, so a returned snapshot stays
+        internally consistent even if a concurrent call rotates the
+        partition afterwards.
 
         The partition itself is built with the lock *released*: it is
         slow (index builds) and calls back into platform accessors that
         take the platform's own lock, so pinning this lock across it
         would both stall readers and nest the platform's lock inside
         this one.  A racing rebuild is
-        resolved at install time — first install wins, the loser's
-        fresh partition is discarded.
+        resolved at install time — the partition cut at the newer
+        version wins (the first installed, at equal versions), the
+        loser's fresh partition is discarded.
         """
-        fingerprint = self._current_fingerprint()
+        version = self._platform.db.version
         with self._lock:
-            if self._executor is not None and fingerprint == self._fingerprint:
+            if self._executor is not None and version <= self._version:
                 return self._stats, self._executor
         with obs.span("shard.partition", shards=self.n_shards):
             shards = partition_catalog(self._platform, self.n_shards, grid=self.grid)
@@ -146,13 +142,13 @@ class ShardRouter:
             shards, max_attempts=self.max_attempts, clock=self.clock
         )
         with self._lock:
-            if self._executor is not None and fingerprint == self._fingerprint:
-                # Lost the install race: keep the winner's partition.
+            if self._executor is not None and version <= self._version:
+                # Lost the install race: keep the newer partition.
                 stats, executor = self._stats, self._executor
             else:
                 self._stats = stats
                 self._executor = executor
-                self._fingerprint = fingerprint
+                self._version = version
                 _log.info(
                     "partitioned %d images into %d shards",
                     sum(s.n_images for s in stats),

@@ -116,6 +116,17 @@ class TestDebugExplain:
         )
         assert "rows=" in report["rendered"]
 
+    def test_analyze_executes_every_time(self, client):
+        # Asked three times, a search's answer is held by the answer
+        # cache; EXPLAIN ANALYZE measures the query's work all the same.
+        for _ in range(3):
+            client.search(SPATIAL_SPEC)
+        first, second = (client.explain(SPATIAL_SPEC)["plan"] for _ in range(2))
+        assert first["rows"] == second["rows"]
+        assert first["counter_deltas"] == second["counter_deltas"]
+        assert any(name.startswith("index.") for name in first["counter_deltas"])
+        assert first["charges"] == second["charges"] != {}
+
     def test_analyze_off_returns_bare_plan(self, client):
         report = client.explain(SPATIAL_SPEC, analyze=False)
         assert report["analyze"] is False

@@ -307,3 +307,28 @@ class TestDatabase:
         )
         with pytest.raises(IntegrityError):
             db.delete("images", image)  # FOV references it
+
+    def test_every_committed_row_write_moves_the_version_once(self):
+        db = self.make_db()
+        assert db.version == 0
+        owner = db.insert("owners", {"name": "ann"})
+        pet = db.table("pets").insert({"name": "rex", "owner_id": owner})
+        db.table("pets").update(pet, {"name": "tom"})
+        assert db.version == 3
+        db.delete("pets", pet)
+        db.insert("pets", {"name": "fido", "owner_id": owner})
+        assert db.delete_cascade("owners", owner) == 2
+        assert db.version == 7
+        # A write that is refused commits nothing and moves nothing.
+        for refused in (
+            lambda: db.insert("pets", {"name": "rex", "owner_id": 99}),
+            lambda: db.table("pets").update(99, {"name": "x"}),
+            lambda: db.delete("owners", 99),
+        ):
+            with pytest.raises(IntegrityError):
+                refused()
+        db.row_counts()
+        db.table("pets").all_rows()
+        assert db.version == 7  # reads move nothing either
+        db.bump()
+        assert db.version == 8

@@ -7,6 +7,8 @@
 * One dispatch passes each fault site once, opens no span of its own and
   leaves what it did on the query's span; a retried attempt bills
   nothing.
+* A cached answer dispatches nothing, and a partial answer is never
+  cached.
 * Merges only order: shards are a disjoint cover.  The set-union and
   ``best_per_image`` merges they replaced stay here as the oracles.
 """
@@ -94,6 +96,15 @@ def platform():
     platform.close()
 
 
+@pytest.fixture()
+def fresh(platform):
+    """The module's platform after one more write: the write version
+    moves, so the answer cache starts over and a query the tests share
+    reaches the scatter again."""
+    platform.add_user("dispatch", role="researcher")
+    return platform
+
+
 def one_survivor_query(platform: TVDP) -> TemporalQuery:
     """A window only one shard's time range overlaps."""
     for t in range(20):
@@ -111,14 +122,14 @@ def run_traced(platform: TVDP, query: object):
 
 
 class TestOneDispatch:
-    def test_each_fault_site_once_and_facts_on_the_query_span(self, platform):
-        query = one_survivor_query(platform)
+    def test_each_fault_site_once_and_facts_on_the_query_span(self, fresh):
+        query = one_survivor_query(fresh)
         plan = FaultPlan(seed=0)
         for site in SITES:
             plan.delay(site, latency_s=0.0)  # counts the pass, costs nothing
         with plan.activate():
-            answer, spans = run_traced(platform, query)
-        assert answer.results() == platform.execute_serial(query) != []
+            answer, spans = run_traced(fresh, query)
+        assert answer.results() == fresh.execute_serial(query) != []
         assert plan.summary() == {site: {"latency": 1} for site in SITES}
         (span,) = spans
         assert span.name == "query.temporal"
@@ -130,12 +141,12 @@ class TestOneDispatch:
         assert attrs["partial"] is False and attrs["failed_shards"] == []
         assert "retries" not in attrs
 
-    def test_recovered_dispatch_shows_its_retry_and_its_wait(self, platform):
-        query = one_survivor_query(platform)
+    def test_recovered_dispatch_shows_its_retry_and_its_wait(self, fresh):
+        query = one_survivor_query(fresh)
         plan = FaultPlan(seed=0).kill("shard.dispatch", at_calls={1})
         with plan.activate():
-            answer, (span,) = run_traced(platform, query)
-        assert answer.results() == platform.execute_serial(query)
+            answer, (span,) = run_traced(fresh, query)
+        assert answer.results() == fresh.execute_serial(query)
         assert answer.failed_shards == ()
         assert span.attrs["retries"] == 1
         assert span.attrs["fault_site"] == "shard.dispatch"
@@ -143,11 +154,11 @@ class TestOneDispatch:
         (wall_ms,) = span.attrs["shard_wall_ms"].values()
         assert wall_ms == pytest.approx(plan.clock.slept * 1e3) and wall_ms > 0
 
-    def test_lost_shard_is_on_the_answer_and_the_span(self, platform):
-        query = one_survivor_query(platform)
+    def test_lost_shard_is_on_the_answer_and_the_span(self, fresh):
+        query = one_survivor_query(fresh)
         plan = FaultPlan(seed=0).kill("shard.worker")
         with plan.activate():
-            answer, (span,) = run_traced(platform, query)
+            answer, (span,) = run_traced(fresh, query)
         assert answer.ids == [] and len(answer.failed_shards) == 1
         assert span.attrs["partial"] is True
         assert span.attrs["failed_shards"] == list(answer.failed_shards)
@@ -171,6 +182,35 @@ class TestOneDispatch:
         assert len(attempts) == 2 and gathered.failed == ()
         assert gathered.results[0].payloads == ["payload"]
         assert ledger.charges == {"rows_scanned": 5}
+
+
+class TestCachedAndPartialAnswers:
+    def test_a_cached_answer_is_served_with_every_worker_dead(self, fresh):
+        query = one_survivor_query(fresh)
+        fresh.answer(query)  # the first query since the write drops the cache
+        fresh.answer(query)  # first sighting: noted
+        admitted = fresh.answer(query)  # second: run, and held
+        plan = FaultPlan(seed=0).kill("shard.worker")
+        with plan.activate():
+            answer, (span,) = run_traced(fresh, query)
+        assert answer is admitted and answer.failed_shards == ()
+        assert answer.results() == fresh.execute_serial(query) != []
+        assert span.attrs["cache"] == "hit"
+        assert "shards_dispatched" not in span.attrs
+        assert plan.summary() == {}
+
+    def test_a_partial_answer_is_never_admitted(self, fresh):
+        query = one_survivor_query(fresh)
+        plan = FaultPlan(seed=0).kill("shard.worker")
+        with plan.activate():
+            # The cache dropped, the key sighted, the answer (were it
+            # whole) admitted: every one ran and lost its shard.
+            for _ in range(3):
+                assert fresh.answer(query).failed_shards
+        answer, (span,) = run_traced(fresh, query)
+        assert answer.failed_shards == () and "cache" not in span.attrs
+        assert span.attrs["shards_dispatched"] == 1
+        assert answer.results() == fresh.execute_serial(query) != []
 
 
 def union_merge(payloads: list) -> list:
