@@ -9,6 +9,8 @@ vocabularies in the ``image_content_classification(_types)`` tables.
 
 from __future__ import annotations
 
+import threading
+
 from repro.errors import QueryError, SchemaError
 from repro.db.database import Database
 from repro.obs.accounting import charge
@@ -19,6 +21,9 @@ class ClassificationCatalog:
 
     def __init__(self, db: Database) -> None:
         self._db = db
+        # (both tables' write counts, {(name, label): type_id}), one tuple.
+        self._labels: tuple[tuple[int, int], dict[tuple[str, str], int]] = ((-1, -1), {})
+        self._lock = threading.Lock()
 
     def define(
         self,
@@ -61,15 +66,30 @@ class ClassificationCatalog:
         return [row["label"] for row in rows]
 
     def type_id(self, name: str, label: str) -> int:
-        """Id of one (classification, label) pair."""
+        """Id of one (classification, label) pair: a map lookup."""
         charge("catalog_lookups", 1)
-        cid = self.classification_id(name)
-        for row in self._db.table("image_content_classification_types").find(
-            "classification_id", cid
-        ):
-            if row["label"] == label:
-                return row["type_id"]
-        raise QueryError(f"classification {name!r} has no label {label!r}")
+        type_id = self._label_map().get((name, label))
+        if type_id is None:
+            self.classification_id(name)  # an unknown classification says so
+            raise QueryError(f"classification {name!r} has no label {label!r}")
+        return type_id
+
+    def _label_map(self) -> dict[tuple[str, str], int]:
+        """``(classification, label) -> type_id``, rebuilt only once either
+        catalog table was written (not on ``db.version``: uploads move it)."""
+        classes = self._db.table("image_content_classification")
+        types = self._db.table("image_content_classification_types")
+        stamp = (classes.writes, types.writes)
+        seen, labels = self._labels
+        if seen != stamp:
+            with self._lock:
+                names = {row["classification_id"]: row["name"] for row in classes.all_rows()}
+                labels = {
+                    (names[row["classification_id"]], row["label"]): row["type_id"]
+                    for row in reversed(types.all_rows())  # the first of equal labels wins
+                }
+                self._labels = (stamp, labels)
+        return labels
 
     def replicate_into(self, db: Database) -> None:
         """Copy every classification and its label rows into ``db`` with

@@ -89,12 +89,16 @@ COST_MODEL: dict = {
             "index.columns.scans",
             "index.columns.rows_examined",
         ],
-        "hot_sites": [],
+        "hot_sites": [
+            "repro.core.catalog.ClassificationCatalog._label_map",
+        ],
         "note": (
             "a = annotations carrying any requested label, all of them "
             "examined (index.columns.rows_examined) by the min_confidence / "
-            "source mask and one lexsort; no annotation row is fetched — "
-            "rows_scanned is charged by the catalog's label lookups only"
+            "source mask and one lexsort; no annotation row is fetched.  "
+            "A label resolves by one map lookup; the map is rebuilt from "
+            "both catalog tables' rows (charged rows_scanned) only by the "
+            "first lookup after either table was written"
         ),
     },
     "textual": {

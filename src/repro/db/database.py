@@ -30,6 +30,8 @@ class Database:
         self._tables: dict[str, Table] = {}
         self.version = 0
         self._version_lock = threading.Lock()
+        # table -> ((column, target table, target column), ...) an insert checks
+        self._foreign_keys: dict[str, tuple[tuple[str, str, str], ...]] = {}
         for schema in schemas or []:
             self.create_table(schema)
 
@@ -80,6 +82,11 @@ class Database:
                 )
         table = Table(schema, on_write=self.bump)
         self._tables[schema.name] = table
+        self._foreign_keys[schema.name] = tuple(
+            (c.name, c.foreign_key.table, c.foreign_key.column)
+            for c in schema.columns
+            if c.foreign_key is not None
+        )
         return table
 
     def table(self, name: str) -> Table:
@@ -98,15 +105,12 @@ class Database:
         """Insert with FK existence checks; returns the new PK."""
         table = self.table(table_name)
         normalized = table.schema.validate_row(row)
-        for column in table.schema.columns:
-            fk = column.foreign_key
-            value = normalized.get(column.name)
-            if fk is None or value is None:
-                continue
-            if value not in self.table(fk.table):
+        for name, target, target_column in self._foreign_keys[table_name]:
+            value = normalized.get(name)
+            if value is not None and value not in self._tables[target]:
                 raise IntegrityError(
-                    f"{table_name}.{column.name}={value} references missing "
-                    f"{fk.table}.{fk.column}"
+                    f"{table_name}.{name}={value} references missing "
+                    f"{target}.{target_column}"
                 )
         return table._store(normalized)
 

@@ -72,6 +72,9 @@ class TableSchema:
     name: str
     columns: tuple[Column, ...]
     _by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
+    _pk: Column = field(init=False, repr=False, compare=False)
+    #: ``validate_row``'s plan: (name, is_pk, may_be_null, exact type, validate)
+    _checks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -87,11 +90,16 @@ class TableSchema:
         if pks[0].type is not ColumnType.INTEGER:
             raise SchemaError(f"primary key of {self.name!r} must be INTEGER")
         object.__setattr__(self, "_by_name", {c.name: c for c in self.columns})
+        object.__setattr__(self, "_pk", pks[0])
+        object.__setattr__(self, "_checks", tuple(
+            (c.name, c.primary_key, c.nullable or c.primary_key, _EXACT.get(c.type),
+             c.type.validate) for c in self.columns
+        ))
 
     @property
     def primary_key(self) -> Column:
         """The table's primary-key column."""
-        return next(c for c in self.columns if c.primary_key)
+        return self._pk
 
     def column(self, name: str) -> Column:
         """Column by name; raises on unknown names."""
@@ -102,23 +110,33 @@ class TableSchema:
     def validate_row(self, row: dict) -> dict:
         """Validate and normalise a row dict (PK may be absent — the
         table auto-assigns it)."""
-        unknown = set(row) - set(self._by_name)
-        if unknown:
+        if not row.keys() <= self._by_name.keys():
+            unknown = set(row) - set(self._by_name)
             raise SchemaError(f"unknown columns for {self.name!r}: {sorted(unknown)}")
         normalized: dict = {}
-        for col in self.columns:
-            if col.primary_key and col.name not in row:
-                continue
-            value = row.get(col.name)
+        for name, is_pk, may_be_null, exact, validate in self._checks:
+            value = row.get(name)
             if value is None:
-                if not col.nullable and not col.primary_key:
-                    raise SchemaError(
-                        f"{self.name}.{col.name} is not nullable and missing"
-                    )
-                normalized[col.name] = None
+                if is_pk and name not in row:
+                    continue
+                if not may_be_null:
+                    raise SchemaError(f"{self.name}.{name} is not nullable and missing")
+                normalized[name] = None
+            elif type(value) is exact:  # what validate would hand back as it is
+                normalized[name] = value
             else:
-                normalized[col.name] = col.type.validate(value)
+                normalized[name] = validate(value)
         return normalized
+
+
+#: The one Python type each column type takes unchanged; ``JSON`` takes
+#: anything, through ``validate``.
+_EXACT = {
+    ColumnType.INTEGER: int,
+    ColumnType.REAL: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOLEAN: bool,
+}
 
 
 def tvdp_schema() -> list[TableSchema]:

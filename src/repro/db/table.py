@@ -18,7 +18,7 @@ class Table:
     Rows are plain dicts keyed by column name; the table owns a copy of
     every stored row, so callers can't mutate storage from outside.
     ``on_write`` is called after every committed insert, update and
-    delete (its database's version bump).
+    delete (its database's version bump); ``writes`` counts them.
     """
 
     def __init__(
@@ -38,6 +38,9 @@ class Table:
         # column -> (values, pks): two parallel lists in ascending
         # (value, pk) order, so a range is two bisects and one slice.
         self._ordered: dict[str, tuple[list[Any], list[int]]] = {}
+        # This table's writes alone, for a cache of something derived
+        # from its rows that other tables' writes leave valid.
+        self.writes = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -137,6 +140,7 @@ class Table:
                     seen[value] = pk
             self._index_add(pk, normalized)
             self._ordered_add(pk, normalized)
+            self.writes += 1
         self._on_write()
         return pk
 
@@ -169,6 +173,7 @@ class Table:
             self._rows[pk] = normalized
             self._index_add(pk, normalized)
             self._ordered_add(pk, normalized)
+            self.writes += 1
         self._on_write()
 
     def delete(self, pk: int) -> None:
@@ -182,6 +187,7 @@ class Table:
             for column, seen in self._unique.items():
                 if row.get(column) is not None:
                     seen.pop(row[column], None)
+            self.writes += 1
         self._on_write()
 
     # -- reads ----------------------------------------------------------------

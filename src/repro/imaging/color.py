@@ -8,6 +8,8 @@ histograms concatenated).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import ImagingError
@@ -78,28 +80,66 @@ def hsv_histogram(
     """
     if any(b < 1 for b in bins):
         raise ImagingError(f"all bin counts must be >= 1, got {bins}")
-    # One pass over all three channels, by np.histogram's rule for
-    # uniform bins over [0, 1] (which every HSV value of a valid image
-    # is in): truncate value * bins, fold the right edge into the last
-    # bin, then correct the ~1 ulp cases against the linspace edges.
-    # Channel c's edges and bins sit at edge_start[c] / bin_start[c] of
-    # the concatenated layout, so one bincount counts all three.
-    hsv = rgb_to_hsv(image.pixels).reshape(-1, 3)
-    counts = np.array(bins)
-    edges = np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in bins])
-    bin_start = np.cumsum(counts) - counts
-    edge_start = bin_start + np.arange(3)
-    last = counts - 1
-    index = np.minimum((hsv * counts).astype(np.intp), last)
-    index -= hsv < edges[index + edge_start]
-    index += (hsv >= edges[index + edge_start + 1]) & (index != last)
-    vector = np.bincount((index + bin_start).ravel(), minlength=sum(bins)).astype(
-        np.float64
-    )
+    counts, edges, edge_start, bin_start, sat_bins, value_bins = _layout(tuple(bins))
+    if image._bytes is None:
+        hsv = rgb_to_hsv(image.pixels).reshape(-1, 3)
+        index = _bin_index(hsv, counts, edges, edge_start) + bin_start
+    else:
+        # A byte-born pixel's S and V bins are table reads by its max and
+        # min byte; H is rgb_to_hsv's own float arithmetic, where a grey
+        # pixel's bc - gc is already the 0 it masks in.
+        rgb8 = image._bytes.reshape(-1, 3)
+        high8, low8 = rgb8.max(axis=1), rgb8.min(axis=1)
+        rgb, maxc = rgb8 / 255.0, high8 / 255.0
+        delta = maxc - low8 / 255.0
+        rc, gc, bc = ((maxc[:, None] - rgb) / np.where(delta > 0, delta, 1.0)[:, None]).T
+        hue = np.where(high8 == rgb8[:, 1], 2.0 + rc - bc, 4.0 + gc - rc)
+        hue = (np.where(high8 == rgb8[:, 0], bc - gc, hue) / 6.0) % 1.0
+        index = np.concatenate([
+            _bin_index(hue, counts[0], edges, 0),
+            sat_bins[high8.astype(np.intp) * 256 + low8],
+            value_bins[high8],
+        ])
+    vector = np.bincount(index.ravel(), minlength=sum(bins)).astype(np.float64)
     if normalize:
         total = image.height * image.width
         vector = vector / float(total)
     return vector
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(bins: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """One ``bins`` tuple's layout: the channels' edges concatenated (c's
+    at ``edge_start[c]``, its bins at ``bin_start[c]``), then the S bin of
+    every ``max * 256 + min`` byte pair and the V bin of every max byte,
+    by rgb_to_hsv's float arithmetic on the levels bytes read as."""
+    counts = np.array(bins)
+    edges = np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in bins])
+    bin_start = np.cumsum(counts) - counts
+    edge_start = bin_start + np.arange(3)
+    levels = np.arange(256) / 255.0
+    high, low = levels[:, None], np.minimum(levels[None, :], levels[:, None])
+    sat = np.where(high > 0, (high - low) / np.where(high > 0, high, 1.0), 0.0)
+    sat_bins = _bin_index(sat.ravel(), counts[1], edges[edge_start[1]:], 0)
+    value_bins = _bin_index(levels, counts[2], edges[edge_start[2]:], 0)
+    layout = (
+        counts, edges, edge_start, bin_start, sat_bins + bin_start[1], value_bins + bin_start[2]
+    )
+    for array in layout:  # shared by every caller with these bins
+        array.setflags(write=False)
+    return layout
+
+
+def _bin_index(values, counts, edges, edge_start) -> np.ndarray:
+    """Bin of each value, by np.histogram's rule for uniform bins over
+    [0, 1] (which every HSV value of a valid image is in): truncate
+    value * bins, fold the right edge into the last bin, then correct
+    the ~1 ulp cases against the linspace edges."""
+    last = counts - 1
+    index = np.minimum((values * counts).astype(np.intp), last)
+    index -= values < edges[index + edge_start]
+    index += (values >= edges[index + edge_start + 1]) & (index != last)
+    return index
 
 
 def joint_hsv_histogram(

@@ -105,8 +105,8 @@ _PLAIN = {
 
 
 #: The image payload's inside, which the table does not spell out: the
-#: array itself, and one pixel of it.
-PIXELS, PIXEL = "the pixel array", "one pixel"
+#: array itself (one pixel of it is a ``schema.PIXEL``, a whole number).
+PIXELS = "the pixel array"
 #: Which MUTATIONS are a value of each leaf kind.  Kept by hand and
 #: apart from the checker on purpose (see the module docstring).
 _TAKES = {
@@ -119,7 +119,6 @@ _TAKES = {
     schema.numbers: set(),
     schema.image_from_payload: set(),
     PIXELS: set(),
-    PIXEL: {"true", "frac", "zero"},  # what numpy casts to a uint8
 }
 #: ... and of one element, where the kind is a list the table does not
 #: spell out as a ``ListOf``.
@@ -252,7 +251,7 @@ def field_paths(fields: dict, value: dict, prefix: tuple = ()):
             yield from field_paths(kind.fields, value[name], path)
         elif kind is schema.image_from_payload:
             yield (*path, "pixels_u8"), PIXELS, None
-            yield (*path, "pixels_u8", 0, 0, 0), PIXEL, None
+            yield (*path, "pixels_u8", 0, 0, 0), schema.PIXEL, None
         elif isinstance(kind, schema.ListOf) and kind.item is schema.QUERY:
             for position, item in enumerate(value[name]):
                 inner = schema.QUERY.variants[item["type"]].fields

@@ -185,6 +185,31 @@ class TestImagePayload:
         with pytest.raises(APIError):
             image_from_payload({"pixels_u8": [[1, 2], [3, 4]]})
 
+    @pytest.mark.parametrize("pixel", [1.5, True])
+    def test_a_pixel_is_a_whole_level_not_a_fraction_or_a_bool(self, pixel):
+        """``1.5`` used to be stored as level 1 (a 201), and ``true`` then
+        deduplicated against it (a 200): both are a 400 naming the field,
+        and nothing is stored."""
+        harness = route_table.harness()
+        body = route_table.example(schema.ROUTES["POST /images"].body, "")
+        before = harness.state()
+        for value in (1, pixel):
+            body["image"] = {"pixels_u8": [[[value, 0, 0]]]}
+            response = harness.call("POST", "/images", body)
+        assert response.status == 400, response.body
+        assert "'image.pixels_u8' must be an integer" in response.body["error"]["message"]
+        route_table.assert_is_error_envelope(response)
+        counts = harness.state()[0]
+        assert counts["images"] == before[0]["images"] + 1  # the level-1 upload alone
+
+    def test_a_level_is_one_image_however_it_is_spelt(self, table):
+        body = route_table.example(schema.ROUTES["POST /images"].body, "")
+        statuses = []
+        for spelling in (7, 7.0, "7"):
+            body["image"] = {"pixels_u8": [[[spelling, 1, 2]]]}
+            statuses.append(table.call("POST", "/images", body).status)
+        assert statuses == [201, 200, 200]
+
 
 class TestDataRoutes:
     def test_upload_and_download(self, client, records):

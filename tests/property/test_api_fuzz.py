@@ -9,6 +9,7 @@ request has changed nothing.
 """
 
 import copy
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -98,3 +99,48 @@ def test_no_request_is_a_5xx_and_a_refused_one_changes_nothing(route, data):
         if not response.ok:
             route_table.assert_is_error_envelope(response)
             assert harness.state() == before, (case, response.body)
+
+
+def _level(value: object) -> int | None:
+    """The 0-255 level an upload's pixel value spells, or ``None``: a
+    whole number however it is written, never a bool.  Kept apart from
+    ``schema.PIXEL`` on purpose, like ``route_table``'s kinds."""
+    if isinstance(value, bool):
+        return None
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return int(exact) if exact.denominator == 1 and 0 <= exact <= 255 else None
+
+
+_pixel_values = st.one_of(
+    st.integers(-300, 600),
+    st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1.0, 256.0).map(round).map(float),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["5", "5.0", "255", "256", "-1", "1.5", "x", "", "1e400", [1], {}]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=_pixel_values, at=st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)))
+def test_an_upload_is_stored_iff_every_pixel_value_is_a_level(value, at):
+    row, column, channel = at
+    pixels = [[[10 * row + column, 40, 80] for column in range(2)] for row in range(2)]
+    pixels[row][column][channel] = value
+    body = route_table.example(schema.ROUTES["POST /images"].body, "")
+    body["image"] = {"pixels_u8": pixels}
+    before = _SERIAL.state()
+    response = _SERIAL.call("POST", "/images", body)
+    if _level(value) is None:
+        assert response.status == 400, (value, response.body)
+        assert "'image.pixels_u8' must be" in response.body["error"]["message"]
+        assert _SERIAL.state() == before
+    else:
+        assert response.status in (200, 201), (value, response.body)
+        image_id = response.body["image_id"]
+        stored = _SERIAL.service.platform.image(image_id).to_uint8()
+        assert stored[row, column, channel] == _level(value)

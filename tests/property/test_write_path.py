@@ -11,6 +11,7 @@ where the old code took a dot product per child).
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import TVDP
+from repro.core import ClassificationCatalog
+from repro.core.persistence import load_platform, save_platform
+from repro.db import Database
+from repro.db.schema import ColumnType, tvdp_schema
+from repro.errors import QueryError, SchemaError
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.geo.geodesy import angular_difference_deg
 from repro.geo.point import EARTH_RADIUS_M
@@ -253,3 +260,233 @@ class TestRectangleFromFloats:
         assert fov.mbr() == expected
         assert fov.boundary_points(16) == arc_points(fov, 16)
         assert fov.boundary_points(2) == arc_points(fov, 2)
+
+
+# -- (d) an upload held as its bytes -------------------------------------------------------
+
+
+def old_content_hash(image):
+    """``Image.content_hash`` as it was: the floats rounded back to bytes."""
+    h = hashlib.sha1()
+    h.update(str(image.shape).encode())
+    h.update(np.round(image.pixels * 255.0).astype(np.uint8).tobytes())
+    return h.hexdigest()
+
+
+#: The levels where HSV values meet bin edges or each other: black,
+#: white, their neighbours, the middle.
+level = st.one_of(st.integers(0, 255), st.sampled_from([0, 1, 2, 127, 128, 253, 254, 255]))
+
+
+@st.composite
+def byte_arrays(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pixel = st.one_of(
+        st.tuples(level, level, level),
+        level.map(lambda v: (v, v, v)),  # grey: no hue, no saturation
+        st.tuples(level, level).map(lambda p: (p[0], p[0], p[1])),  # a tie for the max or min
+    )
+    pixels = draw(st.lists(pixel, min_size=height * width, max_size=height * width))
+    return np.array(pixels, dtype=np.uint8).reshape(height, width, 3)
+
+
+def both_births(array):
+    """The same bytes as an upload holds them, and as floats."""
+    return Image.from_uint8(array), Image(array / 255.0)
+
+
+class TestBytesHeldImages:
+    @settings(max_examples=300, deadline=None)
+    @given(byte_arrays(), bin_counts, st.booleans())
+    def test_one_histogram_for_one_content(self, array, bins, normalize):
+        byte_born, float_born = both_births(array)
+        vector = hsv_histogram(byte_born, bins, normalize)
+        assert vector.tobytes() == hsv_histogram(float_born, bins, normalize).tobytes()
+        assert np.array_equal(vector, per_channel_histogram(float_born, bins, normalize))
+
+    @pytest.mark.parametrize("bins", [(20, 20, 10), (1, 1, 1), (24, 7, 13)])
+    def test_every_level_pair_and_a_camera_frame(self, bins):
+        high, low = np.triu_indices(256)
+        pairs = np.stack([low, (high + low) // 2, high], axis=1)
+        every_pair = np.concatenate([np.roll(pairs, shift, axis=1) for shift in range(3)])
+        frame = np.random.default_rng(0).integers(0, 256, (480, 640, 3), dtype=np.uint8)
+        for array in (every_pair.reshape(-1, 1, 3).astype(np.uint8), frame):
+            byte_born, float_born = both_births(array)
+            vector = hsv_histogram(byte_born, bins, normalize=False)
+            assert vector.tobytes() == hsv_histogram(float_born, bins, normalize=False).tobytes()
+            assert np.array_equal(vector, per_channel_histogram(float_born, bins, False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(byte_arrays())
+    def test_one_identity_for_one_content(self, array):
+        byte_born, float_born = both_births(array)
+        assert byte_born.content_hash() == float_born.content_hash() == old_content_hash(byte_born)
+        assert byte_born == float_born and hash(byte_born) == hash(float_born)
+        assert np.array_equal(byte_born.to_uint8(), float_born.to_uint8())
+        assert byte_born.pixels.tobytes() == float_born.pixels.tobytes()
+        assert byte_born.shape == float_born.shape == array.shape[:2]
+
+    def test_every_level_survives_the_float_round_trip(self):
+        levels = np.arange(256)
+        assert np.array_equal(np.round(levels / 255.0 * 255.0), levels)
+
+    def test_pixels_and_bytes_stay_read_only(self):
+        array = np.full((2, 2, 3), 9, dtype=np.uint8)
+        image = Image.from_uint8(array)
+        array[0, 0, 0] = 200  # the caller's array is not the image's
+        assert image.to_uint8()[0, 0, 0] == 9
+        for view in (image.pixels, image.to_uint8()):
+            with pytest.raises(ValueError):
+                view[0, 0, 0] = 1
+
+
+# -- (e) a row checked by a compiled column list ---------------------------------------------
+
+
+def old_validate_row(schema, row):
+    """``TableSchema.validate_row`` as it was: a walk over the columns."""
+    unknown = set(row) - {c.name for c in schema.columns}
+    if unknown:
+        raise SchemaError(f"unknown columns for {schema.name!r}: {sorted(unknown)}")
+    normalized = {}
+    for col in schema.columns:
+        if col.primary_key and col.name not in row:
+            continue
+        value = row.get(col.name)
+        if value is None:
+            if not col.nullable and not col.primary_key:
+                raise SchemaError(f"{schema.name}.{col.name} is not nullable and missing")
+            normalized[col.name] = None
+        else:
+            normalized[col.name] = col.type.validate(value)
+    return normalized
+
+
+SCHEMAS = tvdp_schema()
+#: A value of every kind a column may be handed: a bool where an int is
+#: wanted, an int where a real is, a numpy float (a float subclass), JSON.
+cell = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=False),
+    st.just(np.float64(2.5)), st.text(max_size=3), st.just([1, 2]), st.just({"x": 1}),
+)
+
+
+TYPED = {
+    ColumnType.INTEGER: st.integers(1, 9), ColumnType.REAL: st.floats(-1.0, 1.0),
+    ColumnType.TEXT: st.text(max_size=3), ColumnType.BOOLEAN: st.booleans(),
+    ColumnType.JSON: st.lists(st.floats(0.0, 1.0), max_size=3),
+}
+
+
+@st.composite
+def rows(draw):
+    """A well-typed row of one of the paper's tables (primary key given
+    or absent), then up to three columns dropped or replaced by any
+    :data:`cell`, and sometimes a column no table has."""
+    schema = draw(st.sampled_from(SCHEMAS))
+    row = {c.name: draw(TYPED[c.type]) for c in schema.columns}
+    if draw(st.booleans()):
+        del row[schema.primary_key.name]
+    for column in draw(st.lists(st.sampled_from(schema.columns), max_size=3)):
+        if draw(st.booleans()):
+            row.pop(column.name, None)
+        else:
+            row[column.name] = draw(cell)
+    if draw(st.integers(0, 9)) == 0:
+        row["not_a_column"] = 1
+    return schema, row
+
+
+def outcome(check, schema, row):
+    try:
+        return "row", [(name, type(value), value) for name, value in check(schema, row).items()]
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+class TestCompiledRowCheck:
+    @settings(max_examples=600, deadline=None)
+    @given(rows())
+    def test_same_row_or_same_error(self, drawn):
+        schema, row = drawn
+        new = outcome(lambda s, r: s.validate_row(r), schema, row)
+        assert new == outcome(old_validate_row, schema, row)
+
+    def test_primary_key_given_absent_or_null(self):
+        users = SCHEMAS[0]
+        base = {"name": "a", "role": "r"}
+        for row in (base, {**base, "user_id": 7}, {**base, "user_id": None}):
+            assert users.validate_row(row) == old_validate_row(users, row)
+        assert users.primary_key.name == "user_id"
+
+
+# -- (f) a label resolved by a map ---------------------------------------------------------
+
+
+def scanned_type_id(db, name, label):
+    """``ClassificationCatalog.type_id`` as it was: a scan of the labels."""
+    rows = db.table("image_content_classification").find("name", name)
+    if not rows:
+        raise QueryError(f"unknown classification {name!r}")
+    cid = rows[0]["classification_id"]
+    for row in db.table("image_content_classification_types").find("classification_id", cid):
+        if row["label"] == label:
+            return row["type_id"]
+    raise QueryError(f"classification {name!r} has no label {label!r}")
+
+
+def resolved(resolve, *args):
+    try:
+        return resolve(*args)
+    except QueryError as exc:
+        return str(exc)
+
+
+NAMES, LABELS = ["a", "b", "c"], ["x", "y", "z"]
+catalog_op = st.one_of(
+    st.tuples(st.just("define"), st.sampled_from(NAMES), st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True)),
+    st.tuples(st.just("rename"), st.integers(0, 8), st.sampled_from(LABELS + ["w"])),
+    st.tuples(st.just("lookup"), st.sampled_from(NAMES), st.sampled_from(LABELS)),
+    st.tuples(st.just("upload"), st.integers(0, 255), st.just(None)),
+)
+
+
+class TestLabelMap:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(catalog_op, max_size=12))
+    def test_every_lookup_is_what_the_scan_says(self, ops):
+        platform = TVDP()
+        catalog, db = platform.catalog, platform.db
+        types = db.table("image_content_classification_types")
+        fov = FieldOfView(GeoPoint(34.0, -118.2), 10.0, 60.0, 100.0)
+        for op, first, second in ops:
+            if op == "define" and first not in catalog.names():
+                catalog.define(first, second)
+            elif op == "rename" and len(types):
+                # Through Table.update, past the catalog.
+                type_id = sorted(row["type_id"] for row in types.all_rows())[first % len(types)]
+                types.update(type_id, {"label": second})
+            elif op == "upload":
+                platform.upload_image(Image.from_uint8(np.full((1, 1, 3), first, np.uint8)), fov, 0.0, 1.0)
+            for name in NAMES:
+                for label in LABELS + ["w"]:
+                    assert resolved(catalog.type_id, name, label) == resolved(
+                        scanned_type_id, db, name, label
+                    )
+
+    def test_a_restored_platform_and_a_shard_replica_resolve_alike(self, tmp_path):
+        platform = TVDP()
+        with pytest.raises(QueryError):
+            platform.catalog.type_id("street", "clean")  # a lookup before the definition
+        platform.catalog.define("street", ["clean", "dirty"])
+        expected = platform.catalog.type_id("street", "dirty")
+        save_platform(platform, tmp_path)
+        restored = load_platform(tmp_path)
+        assert restored.catalog.type_id("street", "dirty") == expected
+        replica = Database.tvdp()
+        platform.catalog.replicate_into(replica)
+        assert ClassificationCatalog(replica).type_id("street", "dirty") == expected
+        restored.catalog.define("graffiti", ["tag"])
+        assert restored.catalog.type_id("graffiti", "tag") == resolved(
+            scanned_type_id, restored.db, "graffiti", "tag"
+        )
