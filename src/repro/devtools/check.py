@@ -13,8 +13,9 @@ Typical workflows::
     python -m repro.devtools.check --json             # machine-readable report
     python -m repro.devtools.check --write-concurrency-manifest
 
-Adding a rule is one :class:`Rule` entry below (plus its predicate and
-one seeded case under ``tests/devtools/corpus/``).
+Adding a rule is one :class:`Rule` entry below (plus its predicate —
+for a per-file rule, one row of ``repro.devtools.lint.LINTS`` — and one
+seeded case under ``tests/devtools/corpus/``).
 """
 
 from __future__ import annotations
@@ -35,19 +36,11 @@ from repro.devtools.callgraph import (
     build_call_graph,
     build_symbol_table,
 )
-from repro.devtools.concurrency import check_module_state
-from repro.devtools.correctness import (
-    check_broad_except,
-    check_geo_literals,
-    check_mutable_defaults,
-    check_no_print,
-    check_no_sleep,
-)
 from repro.devtools.deadcode import check_dead_code
-from repro.devtools.determinism import check_determinism
 from repro.devtools.findings import Finding, SourceModule, collect_modules
 from repro.devtools.hotpath import check_hot_path
 from repro.devtools.layers import DEFAULT_LAYER_CONFIG, LayerConfig, check_layers
+from repro.devtools.lint import run_lints
 from repro.devtools.lockorder import check_lock_order
 from repro.devtools.sarif import github_annotations, to_sarif
 from repro.devtools.threadescape import (
@@ -91,7 +84,9 @@ class Rule:
 
     id: str
     summary: str  # one line, shown in SARIF metadata and the docs
-    run: Callable[[Tree], list[Finding]]
+    #: None for a per-file row of ``repro.devtools.lint.LINTS``: those
+    #: share one walk per module, timed together as ``lint``
+    run: Callable[[Tree], list[Finding]] | None = None
     #: needs the whole-program symbol table / call graph
     whole_program: bool = False
 
@@ -113,36 +108,12 @@ RULES: tuple[Rule, ...] = (
         "Import crosses the declared layer DAG.",
         lambda t: check_layers(t.modules, t.root, t.layer_config),
     ),
-    Rule(
-        "module-mutable-state",
-        "Module-level mutable state mutated outside a lock.",
-        lambda t: check_module_state(t.modules),
-    ),
-    Rule(
-        "broad-except",
-        "Broad exception handler swallows errors.",
-        lambda t: check_broad_except(t.modules),
-    ),
-    Rule(
-        "mutable-default",
-        "Mutable default argument.",
-        lambda t: check_mutable_defaults(t.modules),
-    ),
-    Rule(
-        "no-print",
-        "print() in library code (use repro.obs logging).",
-        lambda t: check_no_print(t.modules),
-    ),
-    Rule(
-        "geo-range",
-        "Latitude/longitude literal out of range.",
-        lambda t: check_geo_literals(t.modules),
-    ),
-    Rule(
-        "no-sleep",
-        "Raw sleep in library code (use the Clock seam).",
-        lambda t: check_no_sleep(t.modules),
-    ),
+    Rule("module-mutable-state", "Module-level mutable state mutated outside a lock."),
+    Rule("broad-except", "Broad exception handler swallows errors."),
+    Rule("mutable-default", "Mutable default argument."),
+    Rule("no-print", "print() in library code (use repro.obs logging)."),
+    Rule("geo-range", "Latitude/longitude literal out of range."),
+    Rule("no-sleep", "Raw sleep in library code (use the Clock seam)."),
     Rule(
         "lock-order",
         "Lock-order inversion or lock held across blocking work.",
@@ -161,11 +132,7 @@ RULES: tuple[Rule, ...] = (
         lambda t: check_hot_path(t.modules, t.table, t.graph),
         whole_program=True,
     ),
-    Rule(
-        "determinism",
-        "Nondeterminism (clock, RNG, set order) on a result path.",
-        lambda t: check_determinism(t.modules),
-    ),
+    Rule("determinism", "Nondeterminism (clock, RNG, set order) on a result path."),
     Rule(
         "thread-escape",
         "Shared mutable state mutated without a consistent lock on a concurrent path.",
@@ -265,10 +232,16 @@ def run_check(
         root, repo_root, layer_config, any(rule.whole_program for rule in rules), timings
     )
     findings: list[Finding] = []
-    for rule in rules:
+    lints = tuple(rule.id for rule in rules if rule.run is None)
+    if lints:
         started = time.perf_counter()
-        findings.extend(rule.run(tree))
-        timings[rule.id] = time.perf_counter() - started
+        findings.extend(run_lints(tree.modules, lints))
+        timings["lint"] = time.perf_counter() - started
+    for rule in rules:
+        if rule.run is not None:
+            started = time.perf_counter()
+            findings.extend(rule.run(tree))
+            timings[rule.id] = time.perf_counter() - started
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     by_rule: dict[str, int] = {}

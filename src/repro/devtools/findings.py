@@ -14,7 +14,9 @@ reports (JSON, SARIF) can be compared between runs.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,17 +102,24 @@ def parse_module(path: Path, rel_path: str) -> SourceModule | None:
         tree = ast.parse(text, filename=str(path))
     except (OSError, SyntaxError, ValueError):
         return None
+    return SourceModule(
+        path=path, rel_path=rel_path, text=text, tree=tree, allow_lines=_allow_lines(text)
+    )
+
+
+def _allow_lines(text: str) -> dict[int, frozenset[str]]:
+    """Allow markers by line, read from comment tokens only: a marker
+    quoted in a docstring or a string literal excuses nothing."""
     allow_lines: dict[int, frozenset[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        match = _ALLOW_RE.search(line)
+    if _ALLOW_RE.search(text) is None:
+        return allow_lines
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        match = _ALLOW_RE.search(token.string) if token.type == tokenize.COMMENT else None
         if match:
-            rules = frozenset(
+            allow_lines[token.start[0]] = frozenset(
                 part.strip() for part in match.group(1).split(",") if part.strip()
             )
-            allow_lines[lineno] = rules
-    return SourceModule(
-        path=path, rel_path=rel_path, text=text, tree=tree, allow_lines=allow_lines
-    )
+    return allow_lines
 
 
 def collect_modules(root: Path, repo_root: Path | None = None) -> list[SourceModule]:

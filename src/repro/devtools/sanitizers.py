@@ -630,13 +630,11 @@ _current_lock = _thread.allocate_lock()
 
 
 def _set_current(sanitizer: LockOrderSanitizer | None) -> None:
-    global _current  # devtools: allow[module-mutable-state] — guarded right below
+    global _current
     with _current_lock:
         _current = sanitizer
 
 
-# Consumed by tests/conftest.py (tests deliberately don't keep src alive).
-# devtools: allow[dead-code] — intentional API surface
 def current_sanitizer() -> LockOrderSanitizer | None:
     """The installed sanitizer, if any (used by tests/conftest.py)."""
     return _current

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.devtools.callgraph import (
     CallGraph,
     MUTATING_METHODS,
-    ModuleInfo,
     SymbolTable,
     attr_type_on,
     dotted_name,
@@ -49,7 +48,7 @@ from repro.devtools.findings import Finding, SourceModule
 
 RULE = "thread-escape"
 
-CONCURRENCY_MANIFEST_SCHEMA = 1
+CONCURRENCY_MANIFEST_SCHEMA = 2
 
 #: Entry points that will run concurrently once the serving arc lands:
 #: the HTTP dispatch boundary, the platform's query executor, the shard
@@ -146,8 +145,6 @@ class AttrClass:
     attr: str
     classification: str
     guard: str = ""
-    path: str = ""
-    line: int = 0
     sites: list[MutationSite] = field(default_factory=list)
 
 
@@ -165,13 +162,13 @@ class EscapeAnalysis:
     guarded_context: dict[str, frozenset[str]]
 
 
-def _class_nodes(table: SymbolTable) -> dict[str, tuple[ModuleInfo, ast.ClassDef]]:
-    out: dict[str, tuple[ModuleInfo, ast.ClassDef]] = {}
-    for dotted, info in table.modules.items():
-        for node in info.module.tree.body:
-            if isinstance(node, ast.ClassDef):
-                out[f"{dotted}.{node.name}"] = (info, node)
-    return out
+def _class_nodes(table: SymbolTable) -> dict[str, ast.ClassDef]:
+    return {
+        f"{dotted}.{node.name}": node
+        for dotted, info in table.modules.items()
+        for node in info.module.tree.body
+        if isinstance(node, ast.ClassDef)
+    }
 
 
 def _held_types(graph: CallGraph, qualname: str, node: ast.ClassDef) -> set[str]:
@@ -195,7 +192,7 @@ def _shared_classes(
     graph: CallGraph,
     reachable: frozenset[str],
     roots: tuple[str, ...],
-    nodes: dict[str, tuple[ModuleInfo, ast.ClassDef]],
+    nodes: dict[str, ast.ClassDef],
 ) -> frozenset[str]:
     """Closure of classes whose instances concurrent roots can touch:
     owners of root methods, typed module globals referenced from
@@ -220,38 +217,34 @@ def _shared_classes(
         closure.add(current)
         stack.extend(
             held
-            for held in _held_types(graph, current, nodes[current][1])
+            for held in _held_types(graph, current, nodes[current])
             if table.is_class(held)
         )
     return frozenset(closure)
 
 
-def _context_scoped_attrs(node: ast.ClassDef) -> dict[str, int]:
-    """Attrs assigned a ContextVar / thread-local, with their line."""
+def _context_scoped_attrs(node: ast.ClassDef) -> set[str]:
+    """Attrs assigned a ContextVar / thread-local."""
     return {
-        attr: line
-        for _receiver, attr, value, _annotation, line in self_attr_assigns(node)
+        attr
+        for _receiver, attr, value, _annotation, _line in self_attr_assigns(node)
         if isinstance(value, ast.Call) and dotted_name(value.func) in _CONTEXT_SCOPED_CTORS
     }
 
 
-def _attr_inventory(node: ast.ClassDef) -> dict[str, tuple[int, bool]]:
-    """``{attr: (first line, is mutable-typed)}`` for every ``self.X``
-    assignment in the class body plus annotated class-level fields."""
-    out: dict[str, tuple[int, bool]] = {}
-
-    def note(attr: str, line: int, mutable: bool) -> None:
-        first, was_mutable = out.get(attr, (line, False))
-        out[attr] = (first, was_mutable or mutable)
-
+def _attr_inventory(node: ast.ClassDef) -> dict[str, bool]:
+    """``{attr: is mutable-typed}`` for every ``self.X`` assignment in
+    the class body plus annotated class-level fields."""
+    out: dict[str, bool] = {}
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             ann = ast.unparse(stmt.annotation)
             mutable = any(tok in ann for tok in ("dict", "list", "set", "Dict", "List"))
-            note(stmt.target.id, stmt.lineno, mutable)
-    for receiver, attr, value, _annotation, line in self_attr_assigns(node):
+            out[stmt.target.id] = out.get(stmt.target.id, False) or mutable
+    for receiver, attr, value, _annotation, _line in self_attr_assigns(node):
         if receiver == "self":
-            note(attr, line, isinstance(value, _MUTABLE_LITERALS + (ast.Call,)))
+            mutable = isinstance(value, _MUTABLE_LITERALS + (ast.Call,))
+            out[attr] = out.get(attr, False) or mutable
     return out
 
 
@@ -420,13 +413,13 @@ def _analyze_escape(table: SymbolTable, graph: CallGraph) -> EscapeAnalysis:
     # Classify each attribute of each active shared class.
     attrs: dict[tuple[str, str], AttrClass] = {}
     for owner in sorted(active_classes):
-        info, node = nodes[owner]
+        node = nodes[owner]
         context_scoped = _context_scoped_attrs(node)
         inventory = _attr_inventory(node)
         lock_attrs = graph.locks.class_attrs.get(owner, set())
         names = set(inventory) | {attr for (cls, attr) in sites if cls == owner}
         for attr in sorted(names - lock_attrs):
-            line, mutable = inventory.get(attr, (node.lineno, True))
+            mutable = inventory.get(attr, True)
             # Sites sanctioned with an inline allow-comment drop out
             # before classification.
             live = [
@@ -436,7 +429,7 @@ def _analyze_escape(table: SymbolTable, graph: CallGraph) -> EscapeAnalysis:
             ]
             guard = ""
             if attr in context_scoped:
-                classification, line, live = "contextvar-scoped", context_scoped[attr], []
+                classification, live = "contextvar-scoped", []
             elif not live:
                 if not mutable:
                     continue
@@ -449,9 +442,7 @@ def _analyze_escape(table: SymbolTable, graph: CallGraph) -> EscapeAnalysis:
                 if common:
                     own = sorted(lock for lock in common if lock.startswith(owner + "."))
                     guard = own[0] if own else min(common)
-            attrs[(owner, attr)] = AttrClass(
-                owner, attr, classification, guard, info.module.rel_path, line, live
-            )
+            attrs[(owner, attr)] = AttrClass(owner, attr, classification, guard, live)
 
     return EscapeAnalysis(
         roots=roots,
@@ -512,8 +503,6 @@ def build_concurrency_manifest(
                 "attr": f"{owner}.{attr}",
                 "classification": record.classification,
                 "guard": record.guard,
-                "path": record.path,
-                "line": record.line,
             }
         )
     return {

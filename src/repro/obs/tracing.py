@@ -121,7 +121,7 @@ class Span:
         until its ``with`` block (:class:`_OpenSpan`) closes it, so
         attribute writes need no lock.
         """
-        self.attrs[key] = value  # devtools: allow[thread-escape]
+        self.attrs[key] = value
 
     def to_dict(self) -> dict:
         """JSON-compatible record of a finished span."""

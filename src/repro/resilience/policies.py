@@ -174,7 +174,7 @@ class Retry:
                 # delays come from a fixed, finite schedule, so a
                 # handler waits at most the retry budget — the bounded
                 # degradation the resilience layer exists to provide.
-                current_clock(self.clock).sleep(delay)  # devtools: allow[blocking-in-handler]
+                current_clock(self.clock).sleep(delay)
             else:
                 if attempt:
                     span = obs.current_span()

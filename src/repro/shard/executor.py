@@ -112,7 +112,7 @@ class ScatterGatherExecutor:
                 # Deliberately blocking on the request path: the retry
                 # backoff is budget-bounded, so a handler can wait at
                 # most the dispatch budget, never indefinitely.
-                payloads, charges = self._retry.call(  # devtools: allow[blocking-in-handler]
+                payloads, charges = self._retry.call(
                     partial(self._attempt, shard_id, batches[shard_id])
                 )
             except DISPATCH_RETRYABLE + (RetryBudgetExceeded,) as exc:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import json
 
 import pytest
 
-from repro.devtools.check import ALL_RULES, main, run_check
+from repro.devtools import check
+from repro.devtools.check import ALL_RULES, CONCURRENCY_MANIFEST, main, run_check
+from repro.devtools.findings import SourceModule, collect_modules
 
 #: One seeded violation per rule class, all in one mini-package.
 SEEDED = {
@@ -94,6 +97,21 @@ SEEDED = {
     # poll, ...) without extra seeding.
 }
 
+#: A shared class whose one mutable attribute is guarded by its lock.
+GUARDED_PLATFORM = (
+    "import threading\n"
+    "\n"
+    "class TVDP:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._seen = {}\n"
+    "\n"
+    "    def execute(self, query):\n"
+    "        with self._lock:\n"
+    "            self._seen[query] = 1\n"
+    "        return True\n"
+)
+
 
 @pytest.fixture
 def seeded_tree(make_package):
@@ -101,6 +119,19 @@ def seeded_tree(make_package):
 
     root, _ = make_package(SEEDED)
     return root, TINY_LAYERS
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The modules the next ``run_check`` parses, as it parsed them."""
+    modules: list[SourceModule] = []
+
+    def collect(*args, **kwargs):
+        modules.extend(collect_modules(*args, **kwargs))
+        return modules
+
+    monkeypatch.setattr(check, "collect_modules", collect)
+    return modules
 
 
 def _run(root, layers, **kwargs):
@@ -120,6 +151,20 @@ class TestRunCheck:
     def test_unknown_rule_rejected(self, seeded_tree):
         with pytest.raises(ValueError, match="unknown rule"):
             _run(*seeded_tree, select=("not-a-rule",))
+
+    def test_per_file_rules_share_one_timed_walk(self, seeded_tree):
+        result = _run(*seeded_tree)
+        per_file = {rule.id for rule in check.RULES if rule.run is None}
+        assert len(per_file) == 7
+        assert "lint" in result.timings
+        assert not per_file & set(result.timings)
+
+    def test_full_run_leaves_the_parsed_trees_untouched(self, seeded_tree, scanned):
+        _run(*seeded_tree)
+        assert scanned
+        for module in scanned:
+            for node in ast.walk(module.tree):
+                assert not hasattr(node, "_devtools_parent"), module.rel_path
 
 
 class TestCli:
@@ -196,23 +241,7 @@ class TestCli:
         assert "::error file=" in out
 
     def test_write_manifest(self, make_package, tmp_path, capsys):
-        root, _ = make_package(
-            {
-                "core/platform.py": (
-                    "import threading\n"
-                    "\n"
-                    "class TVDP:\n"
-                    "    def __init__(self):\n"
-                    "        self._lock = threading.Lock()\n"
-                    "        self._seen = {}\n"
-                    "\n"
-                    "    def execute(self, query):\n"
-                    "        with self._lock:\n"
-                    "            self._seen[query] = 1\n"
-                    "        return True\n"
-                ),
-            }
-        )
+        root, _ = make_package({"core/platform.py": GUARDED_PLATFORM})
         args = ["--root", str(root), "--repo-root", str(tmp_path)]
         manifest_file = tmp_path / "tools" / "concurrency_manifest.json"
         manifest_file.parent.mkdir()
@@ -224,11 +253,26 @@ class TestCli:
         assert main([*args, "--write-concurrency-manifest"]) == 0
         assert "wrote 1 classification(s)" in capsys.readouterr().out
         document = json.loads(manifest_file.read_text())
-        assert document["schema"] == 1
+        assert document["schema"] == 2
         (entry,) = document["entries"]
         assert entry["attr"] == "pkg.core.platform.TVDP._seen"
         assert entry["classification"] == "lock-guarded"
         assert main([*args, "--select", "thread-escape"]) == 0
+
+    def test_manifest_survives_a_line_shift(self, make_package, tmp_path, capsys):
+        root, _ = make_package({"core/platform.py": GUARDED_PLATFORM})
+        args = ["--root", str(root), "--repo-root", str(tmp_path)]
+        manifest_file = tmp_path / "tools" / "concurrency_manifest.json"
+        manifest_file.parent.mkdir()
+        assert main([*args, "--write-concurrency-manifest"]) == 0
+        written = manifest_file.read_bytes()
+
+        # A blank line above the class moves every line of its body.
+        platform = root / "core" / "platform.py"
+        platform.write_text(platform.read_text().replace("class TVDP:", "\nclass TVDP:"))
+        assert main([*args, "--select", "thread-escape"]) == 0
+        assert main([*args, "--write-concurrency-manifest"]) == 0
+        assert manifest_file.read_bytes() == written
 
 
 def test_shipped_tree_is_clean(capsys):
@@ -237,3 +281,26 @@ def test_shipped_tree_is_clean(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert f"{len(ALL_RULES)} rules, 0 findings" in out
+
+
+def test_every_allow_comment_excuses_a_finding(monkeypatch, scanned):
+    """With allow-comments ignored, each one in ``src/`` must sit on (or
+    directly above) a finding of its own rule; a ``thread-escape`` allow
+    instead shows as the manifest going stale without it."""
+    monkeypatch.setattr(SourceModule, "allows", lambda self, rule, line: False)
+    findings = run_check().findings
+    manifest_stale = any(
+        f.rule == "thread-escape" and f.path == CONCURRENCY_MANIFEST for f in findings
+    )
+    unused = [
+        f"{module.rel_path}:{line} allow[{rule}]"
+        for module in scanned
+        for line, rules in sorted(module.allow_lines.items())
+        for rule in sorted(rules)
+        if not (rule == "thread-escape" and manifest_stale)
+        and not any(
+            rule in (f.rule, "all") and f.path == module.rel_path and f.line in (line, line + 1)
+            for f in findings
+        )
+    ]
+    assert unused == []

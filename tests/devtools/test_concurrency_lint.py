@@ -6,7 +6,7 @@
 
 from __future__ import annotations
 
-from repro.devtools.concurrency import check_module_state
+from repro.devtools.lint import run_lints
 
 
 class TestModuleState:
@@ -21,7 +21,7 @@ class TestModuleState:
                 """
             }
         )
-        findings = check_module_state(modules)
+        findings = run_lints(modules, ("module-mutable-state",))
         assert [f.rule for f in findings] == ["module-mutable-state"]
         assert "_CACHE" in findings[0].message
 
@@ -40,7 +40,7 @@ class TestModuleState:
                 """
             }
         )
-        assert check_module_state(modules) == []
+        assert run_lints(modules, ("module-mutable-state",)) == []
 
     def test_read_only_registry_passes(self, make_package):
         _, modules = make_package(
@@ -53,7 +53,7 @@ class TestModuleState:
                 """
             }
         )
-        assert check_module_state(modules) == []
+        assert run_lints(modules, ("module-mutable-state",)) == []
 
     def test_global_rebind_outside_lock_flagged(self, make_package):
         _, modules = make_package(
@@ -69,7 +69,7 @@ class TestModuleState:
                 """
             }
         )
-        findings = check_module_state(modules)
+        findings = run_lints(modules, ("module-mutable-state",))
         assert [f.rule for f in findings] == ["module-mutable-state"]
         assert "global _instance" in findings[0].message
 
@@ -91,7 +91,7 @@ class TestModuleState:
                 """
             }
         )
-        assert check_module_state(modules) == []
+        assert run_lints(modules, ("module-mutable-state",)) == []
 
     def test_inline_allow_suppresses(self, make_package):
         _, modules = make_package(
@@ -104,7 +104,7 @@ class TestModuleState:
                 """
             }
         )
-        assert check_module_state(modules) == []
+        assert run_lints(modules, ("module-mutable-state",)) == []
 
     def test_fingerprint_stable_across_line_shifts(self, make_package):
         source = "_CACHE = {}\n\ndef put(key, value):\n    _CACHE[key] = value\n"
@@ -114,6 +114,6 @@ class TestModuleState:
         )
         fp = lambda mods: sorted(
             f.fingerprint.split(":", 1)[1].split("/", 1)[1]
-            for f in check_module_state(mods)
+            for f in run_lints(mods, ("module-mutable-state",))
         )
         assert fp(before) == fp(after) != []

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.devtools.correctness import (
-    check_broad_except,
-    check_geo_literals,
-    check_mutable_defaults,
-    check_no_print,
-)
+from repro.devtools.lint import run_lints
 
 
 class TestBroadExcept:
@@ -23,7 +18,7 @@ class TestBroadExcept:
                 """
             }
         )
-        findings = check_broad_except(modules)
+        findings = run_lints(modules, ("broad-except",))
         assert [f.rule for f in findings] == ["broad-except"]
         assert findings[0].scope == "load"
 
@@ -39,7 +34,7 @@ class TestBroadExcept:
                 """
             }
         )
-        assert len(check_broad_except(modules)) == 1
+        assert len(run_lints(modules, ("broad-except",))) == 1
 
     def test_reraising_translation_passes(self, make_package):
         _, modules = make_package(
@@ -53,7 +48,7 @@ class TestBroadExcept:
                 """
             }
         )
-        assert check_broad_except(modules) == []
+        assert run_lints(modules, ("broad-except",)) == []
 
     def test_logging_handler_passes(self, make_package):
         _, modules = make_package(
@@ -70,7 +65,7 @@ class TestBroadExcept:
                 """
             }
         )
-        assert check_broad_except(modules) == []
+        assert run_lints(modules, ("broad-except",)) == []
 
     def test_counting_handler_passes(self, make_package):
         _, modules = make_package(
@@ -85,7 +80,7 @@ class TestBroadExcept:
                 """
             }
         )
-        assert check_broad_except(modules) == []
+        assert run_lints(modules, ("broad-except",)) == []
 
     def test_narrow_handler_passes(self, make_package):
         _, modules = make_package(
@@ -99,7 +94,7 @@ class TestBroadExcept:
                 """
             }
         )
-        assert check_broad_except(modules) == []
+        assert run_lints(modules, ("broad-except",)) == []
 
 
 class TestMutableDefault:
@@ -107,7 +102,7 @@ class TestMutableDefault:
         _, modules = make_package(
             {"low/defaults.py": "def collect(item, into=[]):\n    into.append(item)\n"}
         )
-        findings = check_mutable_defaults(modules)
+        findings = run_lints(modules, ("mutable-default",))
         assert [f.rule for f in findings] == ["mutable-default"]
 
     def test_dict_call_and_kwonly_defaults_flagged(self, make_package):
@@ -118,13 +113,13 @@ class TestMutableDefault:
                 )
             }
         )
-        assert len(check_mutable_defaults(modules)) == 2
+        assert len(run_lints(modules, ("mutable-default",))) == 2
 
     def test_none_and_tuple_defaults_pass(self, make_package):
         _, modules = make_package(
             {"low/defaults.py": "def collect(item, into=None, shape=(1, 2)):\n    return item\n"}
         )
-        assert check_mutable_defaults(modules) == []
+        assert run_lints(modules, ("mutable-default",)) == []
 
 
 class TestNoPrint:
@@ -132,7 +127,7 @@ class TestNoPrint:
         _, modules = make_package(
             {"low/noisy.py": "def report(x):\n    print(x)\n"}
         )
-        findings = check_no_print(modules)
+        findings = run_lints(modules, ("no-print",))
         assert [f.rule for f in findings] == ["no-print"]
         assert "repro.obs" in findings[0].message
 
@@ -140,7 +135,7 @@ class TestNoPrint:
         _, modules = make_package(
             {"low/quiet.py": "def report(doc):\n    doc.print()\n"}
         )
-        assert check_no_print(modules) == []
+        assert run_lints(modules, ("no-print",)) == []
 
     def test_inline_allow_suppresses(self, make_package):
         _, modules = make_package(
@@ -152,7 +147,31 @@ class TestNoPrint:
                 )
             }
         )
-        assert check_no_print(modules) == []
+        assert run_lints(modules, ("no-print",)) == []
+
+    def test_allow_marker_in_a_docstring_is_not_an_allow(self, make_package):
+        _, modules = make_package(
+            {
+                "low/quoted.py": (
+                    "def report(message):\n"
+                    '    """Say it.  # devtools: allow[no-print]"""\n'
+                    "    print(message)\n"
+                )
+            }
+        )
+        assert [f.line for f in run_lints(modules, ("no-print",))] == [3]
+
+    def test_allow_marker_in_a_string_literal_is_not_an_allow(self, make_package):
+        _, modules = make_package(
+            {
+                "low/quoted.py": (
+                    "def report(message):\n"
+                    '    text = "# devtools: allow[no-print]"\n'
+                    "    print(message, text)\n"
+                )
+            }
+        )
+        assert [f.line for f in run_lints(modules, ("no-print",))] == [3]
 
 
 class TestGeoRange:
@@ -166,7 +185,7 @@ class TestGeoRange:
                 """
             }
         )
-        findings = check_geo_literals(modules)
+        findings = run_lints(modules, ("geo-range",))
         assert [f.rule for f in findings] == ["geo-range"]
         assert "transposed" in findings[0].message
 
@@ -174,7 +193,7 @@ class TestGeoRange:
         _, modules = make_package(
             {"low/sites.py": "def probe(q):\n    return q.near(lat=34.0, lng=241.76)\n"}
         )
-        findings = check_geo_literals(modules)
+        findings = run_lints(modules, ("geo-range",))
         assert [f.rule for f in findings] == ["geo-range"]
         assert "longitude" in findings[0].message
 
@@ -189,7 +208,7 @@ class TestGeoRange:
                 """
             }
         )
-        assert check_geo_literals(modules) == []
+        assert run_lints(modules, ("geo-range",)) == []
 
     def test_non_literal_args_ignored(self, make_package):
         _, modules = make_package(
@@ -202,4 +221,4 @@ class TestGeoRange:
                 """
             }
         )
-        assert check_geo_literals(modules) == []
+        assert run_lints(modules, ("geo-range",)) == []

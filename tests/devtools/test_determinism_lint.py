@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.devtools.determinism import check_determinism
+from repro.devtools import lint as lint_module
 
 
 @pytest.fixture
 def lint(make_package):
-    def _lint(source, filename="m.py", **kwargs):
+    def _lint(source, filename="m.py"):
         _, modules = make_package({filename: source})
-        return check_determinism(modules, **kwargs)
+        return lint_module.run_lints(modules, ("determinism",))
 
     return _lint
 
@@ -82,9 +82,7 @@ class TestSuppression:
         )
         assert findings == []
 
-    def test_exempt_glob_skips_module(self, lint):
-        findings = lint(
-            "import time\n\ndef stamp():\n    return time.time()\n",
-            exempt_globs=("*/pkg/*.py",),
-        )
+    def test_exempt_glob_skips_module(self, lint, monkeypatch):
+        monkeypatch.setattr(lint_module, "DEFAULT_EXEMPT_GLOBS", ("*/pkg/*.py",))
+        findings = lint("import time\n\ndef stamp():\n    return time.time()\n")
         assert findings == []
