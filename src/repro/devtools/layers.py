@@ -10,7 +10,7 @@ services on top (see ``docs/static_analysis.md`` for the picture):
 * **top**       ``api``, ``edge``, ``analysis``
 * **anywhere**  ``obs`` (observability is deliberately layer-free;
   this covers all of its submodules — ``metrics``, ``tracing``,
-  ``logging``, ``profiling``, ``slo`` — since the DAG is
+  ``logging``, ``record``, ``slo`` — since the DAG is
   package-granular)
 
 ``check_layers`` extracts *every* import edge — including lazy

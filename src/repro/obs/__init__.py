@@ -1,7 +1,7 @@
 """Platform observability: metrics, tracing spans, structured logs.
 
-One process-wide :class:`MetricsRegistry`, :class:`Tracer` and
-:class:`RecordStore` back every instrumented code path.  A unit of work
+One process-wide :class:`MetricsRegistry` and :class:`RecordStore`
+back every instrumented code path.  A unit of work
 (an API request, a bare platform call) yields one
 :class:`RequestRecord`, folded once into the store; ``/stats``,
 ``/health`` and every ``/debug/*`` view read that store (see
@@ -18,11 +18,10 @@ Typical use::
         obs.metrics().counter("myservice.things").inc()
         log.info("did the thing")
 
-Performance observability on top of the same core: ``obs.profile_scope``
-/ ``obs.memory_scope`` attach cProfile / tracemalloc results to the
-active span, ``obs.records().slowest()`` reads the worst spans per
-operation (served at ``GET /debug/slow``), and ``obs.health()`` evaluates the
-declarative SLOs in ``repro.obs.slo`` (served at ``GET /health``).
+Performance observability on top of the same core:
+``obs.records().slowest()`` reads the worst spans per operation (served
+at ``GET /debug/slow``), and ``obs.health()`` evaluates the declarative
+SLOs in ``repro.obs.slo`` (served at ``GET /health``).
 
 Set the ``TVDP_TRACE_JSONL`` environment variable (or call
 :func:`enable_jsonl`) to also stream finished spans to a JSON-lines
@@ -53,18 +52,13 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counters_delta,
 )
-from repro.obs.profiling import (
-    MemoryResult,
-    ProfileResult,
-    memory_scope,
-    profile_scope,
-)
 from repro.obs.record import RecordStore, RequestRecord, Unit, current_unit
 from repro.obs.tracing import (
     JsonlExporter,
     Span,
     TraceContext,
     Tracer,
+    _OpenSpan,
     current_span,
     current_traceparent,
     format_traceparent,
@@ -79,9 +73,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlExporter",
-    "MemoryResult",
     "MetricsRegistry",
-    "ProfileResult",
     "RecordStore",
     "RequestRecord",
     "ResourceLedger",
@@ -106,12 +98,10 @@ __all__ = [
     "hot_queries",
     "ledger_scope",
     "maybe_ledger_scope",
-    "memory_scope",
     "metrics",
     "note_query",
     "note_request",
     "parse_traceparent",
-    "profile_scope",
     "records",
     "reset",
     "ring_buffer",
@@ -124,7 +114,6 @@ __all__ = [
 
 _registry = MetricsRegistry()
 _store = RecordStore(registry=_registry)
-_tracer = Tracer(_store)
 _jsonl: JsonlExporter | None = None
 _jsonl_lock = threading.Lock()
 
@@ -163,13 +152,16 @@ def health(slos=None) -> dict:
 
 
 def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
-    """Open a span on the default tracer (context manager).
+    """Open a span whose unit of work folds into the process-wide store
+    (context manager).
 
     ``remote_parent`` (an extracted ``traceparent`` header's
     :class:`TraceContext`) joins a trace started in another process —
-    see :meth:`Tracer.span`.
+    see :meth:`Tracer.span`.  Built here rather than through a
+    ``Tracer``: one opens per span of every request, and handing
+    ``attrs`` on would repack them.
     """
-    return _tracer.span(name, remote_parent, **attrs)
+    return _OpenSpan(_store, name, remote_parent, attrs)
 
 
 def note_query(shape: str, family: str, duration_ms: float) -> None:

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from array import array
 from bisect import bisect_left
+from typing import Callable
 
 _LabelKey = tuple[tuple[str, str], ...]
 _MetricKey = tuple[str, _LabelKey]
@@ -75,13 +77,15 @@ class Counter:
     counter it creates a cell of one shared array of doubles, so a
     snapshot of all counters is a copy of that array
     (``counter_snapshot``): no boxed floats, nothing for the garbage
-    collector to track.
+    collector to track.  ``derived`` adds what sources derive of the
+    series (:meth:`MetricsRegistry.derive`) to ``value``.
     """
 
-    __slots__ = ("name", "labels", "_cells", "_at", "_lock")
+    __slots__ = ("name", "labels", "_cells", "_at", "_lock", "_derived")
 
     def __init__(
-        self, name: str, labels: _LabelKey = (), cells: array | None = None
+        self, name: str, labels: _LabelKey = (), cells: array | None = None,
+        derived: Callable[[], float] | None = None,
     ) -> None:
         self.name = name
         self.labels = labels
@@ -89,10 +93,12 @@ class Counter:
         self._at = len(self._cells)
         self._cells.append(0.0)
         self._lock = threading.Lock()
+        self._derived = derived
 
     @property
     def value(self) -> float:
-        return self._cells[self._at]
+        pushed = self._cells[self._at]
+        return pushed if self._derived is None else pushed + self._derived()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -163,19 +169,22 @@ class Histogram:
         self._lock = threading.RLock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
         with self._lock:
-            self.count += 1
-            self.sum += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            # The first bound at or above the value; past the last one —
-            # and for a NaN, which is at or under nothing — the overflow
-            # bucket.
-            at = bisect_left(self.buckets, value) if value == value else -1
-            self.bucket_counts[at] += 1
+            self.add_sample(float(value))
+
+    def add_sample(self, value: float) -> None:
+        """:meth:`observe` without this histogram's lock, for one that a
+        lock of its owner confines (a time slot's, under its store's)."""
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        # The first bound at or above the value; past the last one — and
+        # for a NaN, which is at or under nothing — the overflow bucket.
+        at = bisect_left(self.buckets, value) if value == value else -1
+        self.bucket_counts[at] += 1
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]) from bucket counts.
@@ -257,6 +266,11 @@ class MetricsRegistry:
     Get-or-create runs under a registry lock so two threads asking for
     the same ``(name, labels)`` always share one handle — two distinct
     handles would silently split (and lose) increments.
+
+    A counter or gauge can also be *derived*: read off someone else's
+    table whenever the registry is read (:meth:`derive`) rather than
+    pushed per event.  Its value is what was pushed under its name, if
+    anything, plus what every source derives.
     """
 
     def __init__(self) -> None:
@@ -265,6 +279,8 @@ class MetricsRegistry:
         self._counter_cells = array("d")
         self._gauges: dict[_MetricKey, Gauge] = {}
         self._histograms: dict[_MetricKey, Histogram] = {}
+        #: Source of derived series -> the name prefixes it serves.
+        self._sources: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
     # -- handles ------------------------------------------------------------
@@ -274,7 +290,10 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         with self._lock:
             if key not in self._counters:
-                self._counters[key] = Counter(name, key[1], self._counter_cells)
+                self._counters[key] = Counter(
+                    name, key[1], self._counter_cells,
+                    lambda: self._derived_part(("counter", *key)),
+                )
             return self._counters[key]
 
     def gauge(self, name: str, labels: dict[str, str] | None = None) -> Gauge:
@@ -304,10 +323,48 @@ class MetricsRegistry:
             candidates = list(self._histograms.values())
         return [h for h in candidates if name is None or h.name == name]
 
+    # -- derived series -----------------------------------------------------
+
+    def derive(self, names: tuple[str, ...], source: object) -> None:
+        """Serve the counters and gauges whose names start with one of
+        ``names`` off ``source.series()`` — ``{(kind, name, label key):
+        value}``, read at every :meth:`snapshot`, :meth:`counter_values`
+        and :meth:`render_prometheus`, and by a counter handle's
+        ``value``.  Held weakly: a source nobody holds derives nothing."""
+        with self._lock:
+            self._sources[source] = names
+
+    def _derived_part(self, series: tuple) -> float:
+        """What the sources derive of one ``(kind, name, labels)``."""
+        with self._lock:
+            claimed = any(series[1].startswith(names) for names in self._sources.values())
+        return self._derived().get(series, 0.0) if claimed else 0.0
+
+    def _derived(self) -> dict[tuple, float]:
+        """Every source's series, summed where two derive one."""
+        with self._lock:
+            sources = list(self._sources)
+        out: dict[tuple, float] = {}
+        for source in sources:
+            for key, value in source.series().items():
+                out[key] = out.get(key, 0.0) + value
+        return out
+
+    def _values(self) -> tuple[dict[_MetricKey, float], dict[_MetricKey, float]]:
+        """``(counters, gauges)``: pushed plus derived, by key."""
+        with self._lock:
+            counters = {key: c._cells[c._at] for key, c in self._counters.items()}
+            gauges = {key: g.value for key, g in self._gauges.items()}
+        for (kind, name, labels), value in self._derived().items():
+            of_kind = counters if kind == "counter" else gauges
+            of_kind[name, labels] = of_kind.get((name, labels), 0.0) + value
+        return counters, gauges
+
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero every metric *in place* — existing handles stay valid."""
+        """Zero every pushed metric *in place* — existing handles stay
+        valid; a derived series is zeroed by resetting its source."""
         with self._lock:
             metrics = (*self._counters.values(), *self._gauges.values(),
                        *self._histograms.values())
@@ -322,12 +379,11 @@ class MetricsRegistry:
         Cheaper than :meth:`snapshot` (no histogram summaries); EXPLAIN
         ANALYZE and the benchmarks diff two of these around a phase.
         """
-        with self._lock:
-            counters = list(self._counters.values())
-        return {_flat_name(c.name, c.labels): c.value for c in counters}
+        counters, _ = self._values()
+        return {_flat_name(*key): value for key, value in counters.items()}
 
     def counter_snapshot(self) -> array:
-        """Counter values by position, in registration order.
+        """Pushed counter values by position, in registration order.
 
         Counters are never unregistered, so position ``i`` names the
         same counter in every later snapshot; a longer snapshot only
@@ -353,13 +409,12 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict[str, dict]:
         """JSON-compatible dump of every metric's current value."""
+        counters, gauges = self._values()
         with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
         return {
-            "counters": {_flat_name(c.name, c.labels): c.value for c in counters},
-            "gauges": {_flat_name(g.name, g.labels): g.value for g in gauges},
+            "counters": {_flat_name(*key): value for key, value in counters.items()},
+            "gauges": {_flat_name(*key): value for key, value in gauges.items()},
             "histograms": {
                 _flat_name(h.name, h.labels): h.summary() for h in histograms
             },
@@ -386,18 +441,14 @@ class MetricsRegistry:
                 parts.append(extra)
             return "{" + ",".join(parts) + "}" if parts else ""
 
+        counters, gauges = self._values()
         with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
-        for counter in sorted(counters, key=lambda c: (c.name, c.labels)):
-            name = _prom_name(counter.name)
-            type_line(name, "counter")
-            lines.append(f"{name}{label_str(counter.labels)} {counter.value:g}")
-        for gauge in sorted(gauges, key=lambda g: (g.name, g.labels)):
-            name = _prom_name(gauge.name)
-            type_line(name, "gauge")
-            lines.append(f"{name}{label_str(gauge.labels)} {gauge.value:g}")
+        for kind, values in (("counter", counters), ("gauge", gauges)):
+            for metric, labels in sorted(values):
+                name = _prom_name(metric)
+                type_line(name, kind)
+                lines.append(f"{name}{label_str(labels)} {values[metric, labels]:g}")
         for hist in sorted(histograms, key=lambda h: (h.name, h.labels)):
             name = _prom_name(hist.name)
             type_line(name, "histogram")

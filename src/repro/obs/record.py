@@ -1,39 +1,38 @@
 """One record per unit of work, one fold into one keyed table.
 
 A *unit of work* is whatever opens the outermost span or billable
-ledger of an execution context: ``Router.dispatch`` (or the client span
-around it), a bare ``TVDP.answer`` / ``execute_many`` / ``upload_image``,
-a span-less ``ledger_scope(table=obs.usage())``.  While it runs its
-:class:`Unit` rides a ``contextvars`` variable and everything inside
-closes *into* it without a lock: a finished span is appended, a billable
-ledger becomes (or adds to) the bill, the platform notes the queries it
-ran, the router notes the request.  When the unit ends, one
-:class:`RequestRecord` is built and folded **once, under one lock**, by
+ledger of an execution context (``Router.dispatch``, a bare
+``TVDP.answer``, a span-less ``ledger_scope(table=obs.usage())``).
+While it runs its :class:`Unit` rides a ``contextvars`` variable and
+what finishes inside closes *into* it without a lock.  When it ends, one
+:class:`RequestRecord` is folded **once, under one lock**, by
 :meth:`RecordStore.fold` — the only writer of
 
 (a) a :class:`Rollup` per key space (span name, query shape, principal,
-    operation): one row shape where the hot-query table, the usage
-    tables and the slow-span log each kept their own;
-(b) the :class:`TimeRing`: 5-second slots of one latency
-    :class:`~repro.obs.metrics.Histogram` per span name and the spend
-    per principal — one ``percentile``, one bucket clock;
-(c) the registry's ``span.duration_ms`` / ``spans.*`` / ``api.*`` /
-    ``platform.queries`` / ``usage.*``, through handles interned per key;
-(d) a ring of the records themselves.
+    operation, route), the lifetime totals: each sample accumulated
+    once, a span's or a route's latency into the row's histogram — the
+    registry's ``span.duration_ms`` / ``api.request_ms``;
+(b) the :class:`TimeRing`: 5-second slots of the latency per span name
+    and the spend per principal, the rolling totals;
+(c) the records a lookup can reach: a recent tail, and per span name
+    the worst-N exemplars and the last N failures.
 
-``/stats``, ``/health`` and ``/debug/*`` are reads of (a)-(d) under that
-same lock, which is why they cannot disagree.
+The registry's ``spans.*``, ``platform.queries``, ``api.requests`` and
+``usage.*`` are read off the rows when the registry is read
+(:meth:`RecordStore.series`).  Every view reads (a)-(c) under the same
+lock, which is why no two can disagree.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import threading
 import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -81,14 +80,12 @@ class RequestRecord:
 
     @property
     def counter_deltas(self) -> dict[str, float]:
-        """Registry counters that moved while the unit was open (its own
-        fold, which comes after, is not among them; ``spans.*``
-        bookkeeping of units that closed meanwhile is left out)."""
+        """Pushed registry counters that moved while the unit was open
+        (no fold is among them: what folds write is read off the rows)."""
         if self.counters is None:
             return {}
         registry, before, after = self.counters
-        deltas = registry.counter_deltas(before, after)
-        return {k: v for k, v in deltas.items() if not k.startswith("spans.")}
+        return registry.counter_deltas(before, after)
 
     def to_dict(self) -> dict:
         """JSON-compatible form (the ``GET /debug/request/{id}`` body)."""
@@ -162,63 +159,85 @@ class Unit:
         ))
 
 
-def _by_slowest(exemplar: dict) -> float:
-    return -exemplar["duration_ms"]
+def _by_slowest(exemplar: tuple) -> float:
+    return -exemplar[0]
 
 
 class _Row:
-    """One key's aggregates (see :class:`Rollup`)."""
+    """One key's aggregates (see :class:`Rollup`).  ``worst`` and
+    ``failed`` hold ``(ms, fold number, span, record)``; ``tally``
+    counts units by one more label (a span's errors, a shape's queries
+    per family, a route's requests per status, a principal's
+    would-shed count and last rolling spend)."""
 
     __slots__ = ("count", "total_ms", "max_ms", "last_ms", "cost", "charges",
-                 "exemplar", "worst")
+                 "exemplar", "worst", "failed", "tally", "hist")
 
-    def __init__(self) -> None:
+    def __init__(self, hist: Histogram | None) -> None:
         self.count = 0
         self.total_ms = self.max_ms = self.last_ms = self.cost = 0.0
         self.charges: dict[str, float] = {}
         self.exemplar: dict | None = None  # {"cost", "trace_id"} of the costliest
-        self.worst: list[dict] = []  # slowest first, at most Rollup.worst
+        self.worst: list[tuple] = []  # slowest first: N shown, N pushed out
+        self.failed: list[tuple] = []  # the last N failures
+        self.tally: dict = {}
+        self.hist = hist  # a latency key space's lifetime histogram
+
+
+#: ``(kind, name, label key)`` -> value: one series read off the rows.
+Series = dict[tuple[str, str, tuple], float]
 
 
 class Rollup:
     """Keyed aggregates over folded records: ``count, total_ms, max_ms,
     last_ms, cost, charges``, the worst unit by cost and the worst-N by
-    time — one row shape for every key space, so two views of one key
-    space read the same row.
+    time — one row shape for every key space.  A latency key space
+    (``histogram``: key -> :class:`Histogram`) keeps a row's samples in
+    its histogram and counts them, nothing else.
 
     Bounded: the table grows to twice ``capacity`` and is then pruned
-    back to ``capacity`` by (count, total time), ties broken on the key:
-    a tail of one-off keys cannot grow memory without bound and a hot
-    key is never evicted.  Not locked: the store calls it with its lock
-    held.
+    back to ``capacity`` by (count, total time), ties broken on the key,
+    so a hot key is never evicted.  ``derive`` (key, row -> the registry
+    series they imply) makes the key space a source of series; a pruned
+    row's series fold into :attr:`rest`, so none ever decreases.  Not
+    locked: the store calls it with its lock held.
     """
 
-    def __init__(self, capacity: int = 64, worst: int = 0) -> None:
+    def __init__(
+        self, capacity: int = 64, worst: int = 0,
+        derive: Callable[[object, _Row], Iterator[tuple]] | None = None,
+        histogram: Callable[[object], Histogram] | None = None,
+    ) -> None:
         if capacity < 1 or worst < 0:
             raise ValueError(f"need capacity >= 1 and worst >= 0, got {capacity}/{worst}")
         self.capacity, self.worst = capacity, worst
-        self.rows: dict[str, _Row] = {}
+        self.derive, self.histogram = derive, histogram
+        self.rows: dict = {}
         self.evicted = 0
+        #: The series of every row pruned so far.
+        self.rest: Series = {}
 
-    def time(self, key: str, ms: float) -> _Row:
-        """Count one unit of ``ms`` under ``key``; returns its row."""
-        row = self.rows.get(key)
-        if row is None:
-            row = self._new_row(key)
+    def observe(self, key, ms: float) -> _Row:
+        """Count one sample of ``ms`` under ``key`` into its row's
+        histogram (a latency key space); returns its row."""
+        row = self.rows.get(key) or self._new_row(key)
         row.count += 1
-        row.total_ms += ms
-        row.last_ms = ms
-        if ms > row.max_ms:
-            row.max_ms = ms
+        row.hist.observe(ms)
         return row
 
     def add(
         self, key: str, ms: float, cost: float = 0.0, charges: dict | None = None,
         share: float = 1.0, trace_id: str | None = None,
-    ) -> None:
-        """:meth:`time`, and the unit's bill beside it.  ``share``
-        scales ``charges`` (a batch bills each query its share)."""
-        row = self.time(key, ms)
+    ) -> _Row:
+        """Count one unit of ``ms`` and its bill under ``key``; returns
+        its row.  ``share`` scales ``charges`` (a batch bills each query
+        its share)."""
+        row = self.rows.get(key) or self._new_row(key)
+        row.count += 1
+        row.total_ms += ms
+        row.last_ms = ms
+        if ms > row.max_ms:
+            row.max_ms = ms
         row.cost += cost
         if charges:
             mine = row.charges
@@ -228,17 +247,19 @@ class Rollup:
             row.exemplar is None or cost > row.exemplar["cost"]
         ):
             row.exemplar = {"cost": cost, "trace_id": trace_id}
+        return row
 
-    def keep_worst(self, row: _Row, exemplar: dict) -> None:
-        """File ``exemplar`` among ``row``'s worst-N, slowest first and
-        behind its equals; the N+1-th drops off.  Only for a unit slower
-        than the N-th kept (or with fewer kept): a tie stays out."""
+    def keep_worst(self, row: _Row, exemplar: tuple) -> None:
+        """File ``exemplar`` (``(ms, …)``) among ``row``'s worst-N,
+        slowest first and behind its equals — only for a unit slower
+        than the N-th (a tie stays out).  The N it pushed out stay
+        behind, where a lookup finds them and :meth:`slowest` does not:
+        an exemplar a view just showed outlives the reads of it."""
         worst = row.worst
-        at = bisect_right(worst, -exemplar["duration_ms"], key=_by_slowest)
-        worst.insert(at, exemplar)
-        del worst[self.worst:]
+        worst.insert(bisect_right(worst, -exemplar[0], key=_by_slowest), exemplar)
+        del worst[2 * self.worst:]
 
-    def _new_row(self, key: str) -> _Row:
+    def _new_row(self, key) -> _Row:
         """A row for a key not seen (or pruned) before; the one moment
         the table can outgrow its bound."""
         if len(self.rows) >= self.capacity * 2:
@@ -247,9 +268,24 @@ class Rollup:
                 key=lambda item: (-item[1].count, -item[1].total_ms, item[0]),
             )
             self.evicted += len(ranked) - self.capacity
+            for gone, row in ranked[self.capacity:]:
+                self._series_into(self.rest, gone, row)
             self.rows = dict(ranked[: self.capacity])
-        row = self.rows[key] = _Row()
+        row = self.rows[key] = _Row(self.histogram(key) if self.histogram else None)
         return row
+
+    def _series_into(self, out: Series, key, row: _Row) -> None:
+        for kind, name, labels, value in self.derive(key, row) if self.derive else ():
+            series = (kind, name, labels)
+            out[series] = value if kind == "gauge" else out.get(series, 0.0) + value
+
+    def series(self) -> Series:
+        """The registry series of every row, pruned ones included (a
+        gauge reads its live row's value)."""
+        out = dict(self.rest)
+        for key, row in self.rows.items():
+            self._series_into(out, key, row)
+        return out
 
     def hottest(self, k: int) -> list[dict]:
         """The ``k`` most-counted keys.  Equal counts order by key alone:
@@ -282,15 +318,18 @@ class Rollup:
             for key, row in ranked[:top]
         ]
 
-    def slowest(self, key: str | None = None) -> list[dict]:
-        """Worst-N exemplars of one key, or of all keys merged, slowest
+    def slowest(self, key: str | None = None) -> list[tuple]:
+        """Worst-N entries of one key, or of all keys merged, slowest
         first."""
         rows = self.rows.values() if key is None else filter(None, [self.rows.get(key)])
         return sorted(
-            (record for row in rows for record in row.worst), key=_by_slowest
+            (entry for row in rows for entry in row.worst[: self.worst]), key=_by_slowest
         )
 
     def clear(self) -> None:
+        """Drop every row; the series they implied stay, at zero, as a
+        registry's pushed series do across a reset."""
+        self.rest = dict.fromkeys(self.series(), 0.0)
         self.rows.clear()
         self.evicted = 0
 
@@ -349,38 +388,58 @@ class TimeRing:
         self._slots.clear()
 
 
-#: What the fold writes to the registry, by what keys it: the handles
-#: are interned per key (``RecordStore._intern``) because a registry
-#: lookup sorts a label dict every call.
-_METRICS: dict[str, Callable] = {
-    "span": lambda r, name: (
-        r.histogram("span.duration_ms", {"span": name}),
-        r.counter("spans.total", {"span": name}),
-        r.counter("spans.errors", {"span": name}),
-    ),
-    "family": lambda r, family: r.counter("platform.queries", {"family": family}),
-    "route": lambda r, method, route, status: (
-        r.counter(
-            "api.requests", {"method": method, "route": route, "status": str(status)}
-        ),
-        r.histogram("api.request_ms", {"method": method, "route": route}),
-    ),
-    # The last is the principal's counter per charge kind, filled as
-    # kinds are first seen.
-    "principal": lambda r, principal: (
-        r.counter("usage.requests", {"principal": principal}),
-        r.counter("usage.cost", {"principal": principal}),
-        r.gauge("usage.rolling_cost", {"principal": principal}),
-        r.counter("usage.would_shed", {"principal": principal}),
-        {},
-    ),
-}
+# -- the registry series each key space implies, read at scrape ----------------
+
+
+def _span_series(name: str, row: _Row) -> Iterator[tuple]:
+    labels = (("span", name),)
+    yield "counter", "spans.total", labels, row.count
+    yield "counter", "spans.errors", labels, row.tally.get("error", 0)
+
+
+def _shape_series(shape: str, row: _Row) -> Iterator[tuple]:
+    for family, queries in row.tally.items():
+        yield "counter", "platform.queries", (("family", family),), queries
+
+
+def _route_series(key: tuple, row: _Row) -> Iterator[tuple]:
+    method, route = key
+    for status, requests in row.tally.items():
+        labels = (("method", method), ("route", route), ("status", str(status)))
+        yield "counter", "api.requests", labels, requests
+
+
+def _principal_series(principal: str, row: _Row) -> Iterator[tuple]:
+    labels = (("principal", principal),)
+    yield "counter", "usage.requests", labels, row.count
+    yield "counter", "usage.cost", labels, row.cost
+    yield "gauge", "usage.rolling_cost", labels, row.tally.get("rolling", 0.0)
+    yield "counter", "usage.would_shed", labels, row.tally.get("shed", 0)
+    for kind, amount in row.charges.items():
+        name = "usage.index_probes" if kind.startswith("probes.") else f"usage.{kind}"
+        yield "counter", name, labels, amount
+
+
+#: The registry series names :meth:`RecordStore.series` serves.
+DERIVED = ("spans.total", "spans.errors", "platform.queries", "api.requests", "usage.")
+
+
+def _ids_of(record: RequestRecord) -> tuple:
+    """The ids a lookup finds ``record`` by (``None`` among them is
+    skipped): its request id and its spans' trace — each distinct one
+    when a unit held more than one trace."""
+    request_id, trace_id = record.request_id, record.trace_id
+    for span in record.spans:
+        if span.trace_id != trace_id:
+            return (request_id, *{span.trace_id for span in record.spans})
+    return (request_id, trace_id)
 
 
 class RecordStore:
     """The keyed table every view reads; :meth:`fold` is its one writer.
 
-    ``registry`` (optional) receives the metrics a record implies;
+    ``registry`` (optional) reads the series a record implies off the
+    rows (:meth:`series`) and holds the rows' latency histograms;
     ``budget`` turns rolling spend into *would-shed* dry-run flags;
     ``clock`` (seconds, monotone) is injectable for deterministic
     window and budget tests.  ``ledger_scope(table=store)`` and
@@ -388,9 +447,12 @@ class RecordStore:
     the process-wide one.
     """
 
-    #: Records (and so traces) kept for ``/debug/request|trace``.
+    #: The recent tail of records, whatever they were.  Kept records
+    #: outlive the collector's young generations, so this also paces its
+    #: full passes (docs/observability.md, the retention rule).
     RECORDS = 1024
-    #: Worst spans kept per operation name for ``/debug/slow``.
+    #: Worst spans per operation name (``/debug/slow``), and failed ones
+    #: (a 5xx fails its ``http.request`` span): their records are kept.
     SLOW_PER_OP = 8
     #: The rolling latency window, and the one rolling spend is read
     #: over when no budget is configured.
@@ -405,18 +467,31 @@ class RecordStore:
         self.registry = registry
         self._budget = budget
         self._lock = threading.Lock()
+        hist = registry.histogram if registry else lambda name, labels: Histogram(name)
         #: One rollup per key space.
         self._by: dict[str, Rollup] = {
-            "span": Rollup(capacity=512, worst=self.SLOW_PER_OP),
-            "shape": Rollup(capacity=64),
-            "principal": Rollup(capacity=4096),
+            "span": Rollup(
+                capacity=512, worst=self.SLOW_PER_OP, derive=_span_series,
+                histogram=lambda name: hist("span.duration_ms", {"span": name}),
+            ),
+            "shape": Rollup(capacity=64, derive=_shape_series),
+            "principal": Rollup(capacity=4096, derive=_principal_series),
             "operation": Rollup(capacity=512),
+            "route": Rollup(
+                capacity=512, derive=_route_series,
+                histogram=lambda key: hist("api.request_ms", {"method": key[0], "route": key[1]}),
+            ),
         }
         self._ring = TimeRing(clock)
-        self._records: deque[RequestRecord] = deque(maxlen=self.RECORDS)
-        self._handles: dict[tuple, object] = {}  # survive reset(), as the registry's do
+        self._folds = itertools.count(1)  # numbers the kept records in fold order
+        self._tail: deque[tuple[int, RequestRecord]] = deque()
+        #: Request id or trace id -> the tail's ``(seq, record)`` of it:
+        #: the entry, or a list of them once a second shares the id.
+        self._ids: dict[str, tuple | list] = {}
         #: Finished spans are streamed here after the fold (JSONL).
         self.exporters: tuple = ()
+        if registry is not None:
+            registry.derive(DERIVED, self)
 
     # -- writing -------------------------------------------------------------
 
@@ -424,86 +499,79 @@ class RecordStore:
         """Count one execution of ``shape`` outside any unit of work."""
         self.fold(RequestRecord(queries=((shape, family, float(duration_ms)),)))
 
-    def _intern(self, key: tuple):
-        """The registry handles of ``(group, *labels)``, made on the
-        first miss of ``_handles`` and kept (caller holds the lock)."""
-        handles = self._handles[key] = _METRICS[key[0]](self.registry, *key[1:])
-        return handles
-
     def fold(self, record: RequestRecord) -> None:
         """Fold one finished unit of work into every view — the one
-        write path of the rollups, the ring and the record buffer."""
-        metered = self.registry is not None
-        by, handles, intern = self._by, self._handles, self._intern
+        write path of the rollups, the ring and the kept records."""
+        by = self._by
         principal, cost, charges = record.principal, record.cost, record.charges
         trace_id = record.trace_id
         with self._lock:
+            seq = next(self._folds)
             latency, spend = self._ring.current()
             by_span = by["span"]
             keep = by_span.worst
             for span in record.spans:
                 name, ms = span.name, span.duration_ms
-                row = by_span.time(name, ms)
+                row = by_span.observe(name, ms)
+                if span.status == "error":
+                    row.tally["error"] = row.tally.get("error", 0) + 1
+                    row.failed.append((ms, seq, span, record))
+                    del row.failed[:-keep]
                 worst = row.worst
-                if len(worst) < keep or ms > worst[-1]["duration_ms"]:
-                    by_span.keep_worst(row, {
-                        **span.to_dict(), "counter_deltas": record.counter_deltas,
-                    })
-                (latency.get(name) or latency.setdefault(name, Histogram(name))).observe(ms)
-                if metered:
-                    duration, total, errors = (
-                        handles.get(("span", name)) or intern(("span", name))
-                    )
-                    duration.observe(ms)
-                    total.inc()
-                    if span.status == "error":
-                        errors.inc()
+                if len(worst) < keep or ms > worst[keep - 1][0]:
+                    by_span.keep_worst(row, (ms, seq, span, record))
+                (latency.get(name) or latency.setdefault(name, Histogram(name))).add_sample(ms)
             # One query carries the whole bill; a batch splits it evenly.
             share = 1.0 / max(len(record.queries), 1)
             for shape, family, ms in record.queries:
-                by["shape"].add(shape, ms, cost * share, charges, share, trace_id)
-                if metered and family is not None:
-                    (handles.get(("family", family)) or intern(("family", family))).inc()
+                row = by["shape"].add(shape, ms, cost * share, charges, share, trace_id)
+                if family is not None:
+                    row.tally[family] = row.tally.get(family, 0) + 1
             if principal is not None:
                 ms = record.duration_ms
-                by["principal"].add(principal, ms, cost, charges, 1.0, trace_id)
+                row = by["principal"].add(principal, ms, cost, charges, 1.0, trace_id)
                 if record.operation:
                     by["operation"].add(record.operation, ms, cost, charges, 1.0, trace_id)
                 spend[principal] = spend.get(principal, 0.0) + cost
-                if metered:
-                    self._bill_metrics(record)
-            if metered and record.route is not None:
-                key = ("route", record.method, record.route, record.status)
-                requests, request_ms = handles.get(key) or intern(key)
-                requests.inc()
-                request_ms.observe(record.request_ms)
+                budget = self._budget
+                if budget is not None:
+                    spent = row.tally["rolling"] = self._ring.spent(principal, budget.window_s)
+                    if spent > budget.cost_per_window:
+                        row.tally["shed"] = row.tally.get("shed", 0) + 1
+            if record.route is not None:
+                row = by["route"].observe((record.method, record.route), record.request_ms)
+                row.tally[record.status] = row.tally.get(record.status, 0) + 1
             # Kept: what /debug/trace and /debug/request can look up.
             if record.spans or record.request_id is not None:
-                self._records.append(record)
+                self._keep((seq, record))
         for exporter in self.exporters:
             for span in record.spans:
                 exporter.export(span)
 
-    def _bill_metrics(self, record: RequestRecord) -> None:
-        """``usage.*`` of one billed record (caller holds the lock)."""
-        principal, budget = record.principal, self._budget
-        key = ("principal", principal)
-        requests, cost, rolling, shed, kinds = self._handles.get(key) or self._intern(key)
-        requests.inc()
-        cost.inc(record.cost)
-        for kind, amount in record.charges.items():
-            counter = kinds.get(kind)
-            if counter is None:
-                name = "usage.index_probes" if kind.startswith("probes.") else f"usage.{kind}"
-                counter = kinds[kind] = self.registry.counter(
-                    name, {"principal": principal}
-                )
-            counter.inc(amount)
-        if budget is not None:
-            spent = self._ring.spent(principal, budget.window_s)
-            rolling.set(spent)
-            if spent > budget.cost_per_window:
-                shed.inc()
+    def _keep(self, entry: tuple) -> None:
+        """Append ``entry`` to the tail and index it by its ids, evicting
+        the oldest past :data:`RECORDS` (caller holds the lock)."""
+        if len(self._tail) >= self.RECORDS:
+            gone = self._tail.popleft()
+            for key in _ids_of(gone[1]):
+                held = self._ids.get(key)
+                if held is gone:
+                    del self._ids[key]
+                elif held is not None:
+                    held.remove(gone)
+                    if len(held) == 1:
+                        self._ids[key] = held[0]
+        self._tail.append(entry)
+        for key in _ids_of(entry[1]):
+            if key is None:
+                continue
+            held = self._ids.get(key)
+            if held is None:
+                self._ids[key] = entry
+            elif type(held) is list:
+                held.append(entry)
+            else:
+                self._ids[key] = [held, entry]
 
     def set_budget(self, budget) -> None:
         """Install (or clear) the admission budget for would-shed flags."""
@@ -519,15 +587,25 @@ class RecordStore:
             self.exporters = tuple(e for e in self.exporters if e is not exporter)
 
     def reset(self) -> None:
-        """Drop every view's contents (benchmark isolation); the budget,
-        the exporters and the interned metric handles survive."""
+        """Drop every view's contents (benchmark isolation); the budget
+        and the exporters survive."""
         with self._lock:
             for rollup in self._by.values():
                 rollup.clear()
             self._ring.clear()
-            self._records.clear()
+            self._tail.clear()
+            self._ids.clear()
 
     # -- reading: each view is one locked read of what fold() wrote ------------
+
+    def series(self) -> Series:
+        """The registry series (:data:`DERIVED`) read off the span,
+        shape, route and principal rows."""
+        with self._lock:
+            out: Series = {}
+            for rollup in self._by.values():
+                out.update(rollup.series())
+            return out
 
     def report(self, top: int | None = 10, budget=None) -> dict:
         """Top consumers by principal/shape/operation plus budget and
@@ -576,7 +654,10 @@ class RecordStore:
         merged.  Each is the span's ``to_dict`` plus its record's
         ``counter_deltas`` (``GET /debug/slow``)."""
         with self._lock:
-            return self._by["span"].slowest(name)[:limit]
+            return [
+                {**span.to_dict(), "counter_deltas": record.counter_deltas}
+                for _, _, span, record in self._by["span"].slowest(name)[:limit]
+            ]
 
     def operations(self) -> list[str]:
         """Every span name with at least one exemplar."""
@@ -598,22 +679,36 @@ class RecordStore:
         }
 
     def records(self) -> list[RequestRecord]:
-        """Folded records, oldest first."""
+        """The recent tail, oldest first."""
         with self._lock:
-            return list(self._records)
+            return [record for _, record in self._tail]
+
+    def _kept(self, key: str) -> list[RequestRecord]:
+        """Every kept record of one request id or trace id, oldest
+        first: the tail's, by the index, and the worst-N and failure
+        slots' — a lookup costs the slots, not the tail."""
+        with self._lock:
+            held = self._ids.get(key)
+            kept = dict(held if type(held) is list else [held] if held else ())
+            for row in self._by["span"].rows.values():
+                for _, seq, span, record in (*row.worst, *row.failed):
+                    if key in (record.request_id, record.trace_id, span.trace_id):
+                        kept[seq] = record
+        return [kept[seq] for seq in sorted(kept)]
 
     def request(self, request_id: str) -> RequestRecord | None:
-        """The record of one API request, while it is in the ring."""
+        """The record of one API request, while a lookup can reach it."""
         return next(
-            (r for r in reversed(self.records()) if r.request_id == request_id), None
+            (r for r in reversed(self._kept(request_id)) if r.request_id == request_id),
+            None,
         )
 
     def spans(self, name: str | None = None, trace_id: str | None = None) -> list:
-        """Finished spans of the ring's records, oldest first, optionally
-        of one name and/or one trace."""
+        """Spans of the tail's records, oldest first, of one name and/or
+        one trace (a trace is looked up in every kept record)."""
         return [
             span
-            for record in self.records()
+            for record in (self.records() if trace_id is None else self._kept(trace_id))
             for span in record.spans
             if (name is None or span.name == name)
             and (trace_id is None or span.trace_id == trace_id)

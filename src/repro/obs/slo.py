@@ -170,7 +170,8 @@ def evaluate_slo(slo: SLO, registry: MetricsRegistry, windows=None) -> dict:
     the result carries ``window_s``.  A cold or drained window falls
     back to the cumulative histogram, so a process that just stopped
     receiving traffic does not flap.  Availability objectives always
-    read the cumulative error-budget counters.
+    read the cumulative error-budget counters (derived from the record
+    store's span rows at read time; see ``MetricsRegistry.derive``).
     """
     labels = {"span": slo.span}
     result: dict = {
@@ -205,8 +206,9 @@ def evaluate_slo(slo: SLO, registry: MetricsRegistry, windows=None) -> dict:
         result["observed"] = round(observed, 3)
         result["burn_ratio"] = round(observed / slo.target, 4)
     else:  # availability
-        total = registry.counter("spans.total", labels).value
-        errors = registry.counter("spans.errors", labels).value
+        counters = registry.counter_values()
+        total = counters.get(f'spans.total{{span="{slo.span}"}}', 0.0)
+        errors = counters.get(f'spans.errors{{span="{slo.span}"}}', 0.0)
         result["samples"] = int(total)
         if total == 0:
             result["insufficient_data"] = True

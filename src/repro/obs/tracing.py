@@ -10,9 +10,10 @@ A finished span is appended — no lock, no fan-out — to the open
 :class:`~repro.obs.record.Unit` of work of its execution context; a
 span that opens with no unit open *is* the unit of work, and closing
 it folds the unit's record (see ``repro.obs.record``).  The fold is what
-records ``span.duration_ms{span=<name>}`` / ``spans.total`` /
-``spans.errors``, the rolling windows and the slow-span exemplars, and
-streams the record's spans to the JSON-lines exporter when one is on.
+records ``span.duration_ms{span=<name>}`` (from which ``spans.total`` /
+``spans.errors`` are read), the rolling windows and the slow-span
+exemplars, and streams the record's spans to the JSON-lines exporter
+when one is on.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field
 
 from repro.obs.record import RecordStore, Unit, current_unit
 
+#: Span and trace ids: ``next`` on an ``itertools.count`` is one C call
+#: no other thread can interleave with, so it needs no lock.
 _ids = itertools.count(1)
-_id_lock = threading.Lock()
 
 #: The innermost open span of the current execution context.
 _current_span: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
@@ -36,8 +38,7 @@ _current_span: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
 
 
 def _next_id(prefix: str) -> str:
-    with _id_lock:
-        return f"{prefix}{next(_ids):08x}"
+    return f"{prefix}{next(_ids):08x}"
 
 
 #: ``current_span()``: the active span of the current execution context,

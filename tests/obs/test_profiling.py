@@ -1,15 +1,14 @@
-"""Unit tests for span-attached profiling and the slow-span view.
+"""Unit tests for the slow-span view.
 
-The slow-span half is the ``SlowSpanLog`` suite ported case by case: the
-worst-N per operation is a ``Rollup`` over span names now, fed by
-``RecordStore.fold`` and read by ``RecordStore.slowest``.
+The ``SlowSpanLog`` suite ported case by case: the worst-N per operation
+is a ``Rollup`` over span names now, fed by ``RecordStore.fold`` and
+read by ``RecordStore.slowest``.
 """
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import memory_scope, profile_scope
 from repro.obs.record import RecordStore, RequestRecord, Rollup
 from repro.obs.tracing import Span, Tracer
 
@@ -29,61 +28,6 @@ def make_span(name, span_id, duration_ms, ancestry=()):
 def export(store, span, counters=None):
     """``span`` as the one span of a folded record."""
     store.fold(RequestRecord(spans=(span,), counters=counters))
-
-
-class TestProfileScope:
-    def test_collects_top_functions(self):
-        def busy():
-            return sum(i * i for i in range(20_000))
-
-        with profile_scope(top=5) as profile:
-            busy()
-        assert profile.enabled
-        assert 0 < len(profile.top) <= 5
-        row = profile.top[0]
-        assert set(row) == {"func", "ncalls", "tottime_ms", "cumtime_ms"}
-
-    def test_attaches_results_to_active_span(self):
-        tracer = Tracer()
-        with tracer.span("work.profiled") as span:
-            with profile_scope(top=3):
-                sum(range(10_000))
-        assert "profile.top" in span.attrs
-        assert span.attrs["profile.sort"] == "cumulative"
-
-    def test_nested_scope_degrades_to_noop(self):
-        with profile_scope() as outer:
-            with profile_scope() as inner:
-                sum(range(1_000))
-        assert outer.enabled
-        assert inner.enabled is False
-        assert inner.top == []
-
-
-class TestMemoryScope:
-    def test_measures_peak_of_a_large_allocation(self):
-        with memory_scope() as mem:
-            buffer = np.zeros(256 * 1024, dtype=np.uint8)  # 256 KiB
-            del buffer
-        assert mem.peak_kb >= 256.0
-        # The buffer was freed, so little of the peak remains live.
-        assert mem.net_kb < mem.peak_kb
-
-    def test_attaches_results_to_active_span(self):
-        tracer = Tracer()
-        with tracer.span("work.measured") as span:
-            with memory_scope():
-                list(range(1_000))
-        assert span.attrs["mem.peak_kb"] >= 0.0
-        assert "mem.net_kb" in span.attrs
-
-    def test_composes_with_outer_scope(self):
-        with memory_scope() as outer:
-            with memory_scope() as inner:
-                data = np.zeros(64 * 1024, dtype=np.uint8)
-                del data
-        assert inner.peak_kb >= 64.0
-        assert outer.peak_kb >= inner.peak_kb
 
 
 class TestSlowSpanLog:

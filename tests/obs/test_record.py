@@ -1,13 +1,18 @@
 """The unit of work and its record: what closes into a unit, what the
-record says, what the ring keeps, and that ``reset`` zeroes every view."""
+record says, what the ring keeps, and that ``reset`` zeroes every view;
+that the records a view points at stay reachable, and that the registry
+series read off the rows count what a push per request would have."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.accounting import charge, ledger_scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import RecordStore, RequestRecord, Unit, current_unit
 from repro.obs.tracing import Tracer
+from tests.api import route_table
 
 
 @pytest.fixture()
@@ -138,3 +143,151 @@ class TestTheFold:
         assert body["queries"] == [{"shape": "shape", "family": "temporal", "ms": 0.5}]
         assert body["counter_deltas"] == {"index.probes": 2.0}
         assert body["spans"][0]["attrs"] == {"k": 5}
+
+
+class TestRecordsStayReachable:
+    """The store keeps a tail of records, the span rows' worst-N and
+    their last failures: what ``/debug/request`` and ``/debug/trace`` are
+    asked about stays there however much traffic follows."""
+
+    LATER = 5_000
+
+    @pytest.fixture()
+    def table(self):
+        harness = route_table.harness()
+        harness.service.router.add("POST", "/raises", lambda request: 1 / 0)
+        obs.reset()
+        yield harness
+        obs.reset()
+
+    def _later_traffic(self, table) -> None:
+        body = {"type": "temporal", "start": 0.0}
+        for _ in range(self.LATER):
+            assert table.call("POST", "/search", body).status == 200
+
+    def test_a_request_that_returned_a_500_still_resolves(self, table):
+        # Every worst-N slot holds a span no real one outlasts, so the
+        # failed request is kept as a failure and not as an exemplar.
+        for n in range(obs.RecordStore.SLOW_PER_OP):
+            slow = obs.Span("http.request", "t-slow", f"s-{n}", None, duration_ms=1e12)
+            obs.records().fold(RequestRecord(spans=(slow,)))
+        failed = table.call("POST", "/raises", {})
+        assert failed.status == 500
+        self._later_traffic(table)
+        request_id = failed.body["error"]["request_id"]
+        found = table.call("GET", f"/debug/request/{request_id}")
+        assert found.status == 200
+        assert (found.body["status"], found.body["request_id"]) == (500, request_id)
+        trace = table.call("GET", f"/debug/trace/{found.body['trace_id']}")
+        assert trace.status == 200
+
+    def test_every_slow_exemplar_still_resolves(self, table):
+        self._later_traffic(table)
+        slow = table.call("GET", "/debug/slow").body["slow"]
+        assert slow
+        for exemplar in slow:
+            assert table.call("GET", f"/debug/trace/{exemplar['trace_id']}").status == 200
+            request_id = exemplar["attrs"].get("request_id")
+            if request_id is not None:
+                found = table.call("GET", f"/debug/request/{request_id}")
+                assert found.status == 200 and found.body["trace_id"] == exemplar["trace_id"]
+
+    def test_a_plain_request_older_than_the_tail_is_404(self, table):
+        # The worst-N slots are full of slower spans: the old request is
+        # nobody's exemplar, and it did not fail.
+        for name in ("http.request", "query.temporal"):
+            for n in range(obs.RecordStore.SLOW_PER_OP):
+                slow = obs.Span(name, "t-slow", f"s-{name}-{n}", None, duration_ms=1e12)
+                obs.records().fold(RequestRecord(spans=(slow,)))
+        assert table.call("POST", "/search", {"type": "temporal", "start": 0.0}).status == 200
+        request_id = obs.records().records()[-1].request_id
+        for _ in range(obs.RecordStore.RECORDS):
+            table.call("POST", "/search", {"type": "temporal", "start": 0.0})
+        response = table.call("GET", f"/debug/request/{request_id}")
+        assert response.status == 404
+        assert response.body["error"]["message"] == (
+            f"request {request_id!r} not in the ring buffer (evicted or unknown)"
+        )
+
+
+FAMILIES = ("spatial", "visual", "temporal")
+#: More distinct keys than a two-row rollup can hold: most rows get pruned.
+SHAPES = [(f"{FAMILIES[n % 3]}(n={n})", FAMILIES[n % 3]) for n in range(120)]
+PRINCIPALS = [f"key:{n:04d}" for n in range(120)]
+ROUTES = [("GET", f"/r{n}") for n in range(6)]
+
+_unit = st.tuples(
+    st.lists(st.tuples(st.sampled_from(["http.request", "query.a", "query.b"]),
+                       st.booleans()), max_size=3),
+    st.lists(st.sampled_from(SHAPES), max_size=3),
+    st.one_of(st.none(), st.sampled_from(PRINCIPALS)),
+    st.one_of(st.none(), st.tuples(st.sampled_from(ROUTES), st.sampled_from([200, 404, 500]))),
+    st.dictionaries(st.sampled_from(["rows_scanned", "probes.lsh", "probes.rtree"]),
+                    st.integers(1, 9), max_size=3),
+)
+
+
+def _pushed(model: dict, spans, queries, principal, route, charges) -> None:
+    """What the fold used to push into the registry for one unit."""
+    def inc(key: str, amount: float = 1.0) -> None:
+        model[key] = model.get(key, 0.0) + amount
+
+    for name, failed in spans:
+        inc(f'spans.total{{span="{name}"}}')
+        inc(f'spans.errors{{span="{name}"}}', float(failed))
+    for _, family in queries:
+        inc(f'platform.queries{{family="{family}"}}')
+    if principal is not None:
+        labels = f'{{principal="{principal}"}}'
+        inc(f"usage.requests{labels}")
+        inc(f"usage.cost{labels}", float(sum(charges.values())))
+        inc(f"usage.would_shed{labels}", 0.0)
+        for kind, amount in charges.items():
+            name = "usage.index_probes" if kind.startswith("probes.") else f"usage.{kind}"
+            inc(f"{name}{labels}", float(amount))
+    if route is not None:
+        (method, path), status = route
+        inc(f'api.requests{{method="{method}",route="{path}",status="{status}"}}')
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    drawn=st.lists(_unit, min_size=1, max_size=200),
+    order=st.permutations(range(len(SHAPES))),
+)
+def test_series_read_off_pruned_rows_never_decrease_and_count_every_push(drawn, order):
+    """Every rollup holds two rows: almost every row a unit touches is
+    pruned again, and its series live on in the rollup's remainder.  The
+    drawn units are interleaved with a sweep that sends every shape and
+    every principal once, in a drawn order, so more than a hundred keys
+    of each pass through two rows."""
+    store = RecordStore(registry=MetricsRegistry())
+    for rollup in store._by.values():
+        rollup.capacity = 2
+    sweep = [
+        ([], [SHAPES[at]], PRINCIPALS[at], None, {"rows_scanned": 1}) for at in order
+    ]
+    units = [unit for pair in zip(sweep, drawn) for unit in pair]
+    units += sweep[len(drawn):] + drawn[len(sweep):]
+    model: dict[str, float] = {}
+    last: dict[str, float] = {}
+    for n, (spans, queries, principal, route, charges) in enumerate(units):
+        store.fold(RequestRecord(
+            request_id=f"req-{n}", method=route and route[0][0],
+            route=route and route[0][1], status=route and route[1],
+            principal=principal, charges=dict(charges),
+            cost=float(sum(charges.values())) if principal else 0.0,
+            queries=tuple((shape, family, 1.0) for shape, family in queries),
+            spans=tuple(
+                obs.Span(name, "t", f"s{n}.{i}", None, duration_ms=1.0,
+                         status="error" if failed else "ok")
+                for i, (name, failed) in enumerate(spans)
+            ),
+        ))
+        _pushed(model, spans, queries, principal, route, charges)
+        scraped = store.registry.counter_values()
+        for key, value in last.items():
+            assert scraped[key] >= value, key
+        assert scraped == model
+        last = scraped
+    assert store._by["shape"].evicted > 100 and store._by["principal"].evicted > 100
