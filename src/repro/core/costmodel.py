@@ -102,10 +102,12 @@ COST_MODEL: dict = {
         ),
     },
     "textual": {
-        "access_path": "inverted_index.scores",
+        "access_path": "inverted_index.postings_columns",
         "cost": (
-            "any: O(sum df(t)) postings scan over query terms; all: "
-            "O(min df(t)) walk of the rarest term's postings"
+            "any: O(n + sum df(t)) — each term's postings added into one "
+            "score column over every document; all: O(min df(t) * q * "
+            "log df) — the rarest term's positions bisected into every "
+            "other term's; then O(h log h) one lexsort of the h hits"
         ),
         "dominant_counters": [
             "index.inverted.queries",
@@ -115,23 +117,28 @@ COST_MODEL: dict = {
             "repro.index.inverted.InvertedIndex.scores",
         ],
         "note": (
-            "postings_scanned is the per-term loop trip count for any; for "
-            "all, the rarest term's postings plus one read per other term "
-            "per document that holds them all"
+            "n = documents, q = query terms; a loop runs per term, never "
+            "per posting or per hit.  postings_scanned counts every "
+            "posting of the query's terms for any; for all, the rarest "
+            "term's postings plus one read per other term per document "
+            "that holds them all"
         ),
     },
     "temporal": {
-        "access_path": "images.ordered_index[field]",
+        "access_path": "images.ordered_columns[field]",
         "cost": (
-            "O(log n + k) two bisects on the sorted timestamps + one slice "
-            "of the image ids beside them"
+            "O(log n + k) two bisects of the timestamp array + two of "
+            "the unmerged tail (t <= 256 rows), then O(k log k) one sort "
+            "of the k image ids"
         ),
         "dominant_counters": [],
         "hot_sites": [],
         "note": (
             "k = rows in the window; two bisects find its ends and only "
             "those k keys are touched (rows_scanned is charged k), on "
-            "the platform and on every shard slice alike"
+            "the platform and on every shard slice alike.  Inserts land "
+            "in the tail, merged into the arrays every 256, or by a "
+            "read that finds the tail as the last read left it"
         ),
     },
     "hybrid": {

@@ -259,14 +259,14 @@ def _plan_node(platform: TVDP, query: object) -> QueryPlan:
     if isinstance(query, TextualQuery):
         return QueryPlan(
             "textual",
-            f"inverted_index.scores[{query.match}]",
+            f"inverted_index.postings_columns[{query.match}]",
             {"terms": query.text},
             cost=cost_annotation("textual"),
         )
     if isinstance(query, TemporalQuery):
         return QueryPlan(
             "temporal",
-            f"images.ordered_index[{query.field}]",
+            f"images.ordered_columns[{query.field}]",
             {"field": query.field, "start": query.start, "end": query.end},
             cost=cost_annotation("temporal"),
         )

@@ -598,7 +598,7 @@ class TVDP:
         return self._RUNNERS[type(query)](self, query)
 
     def _run_spatial(self, query: SpatialQuery) -> Answer:
-        return Answer(self.slice.spatial_ids(query))
+        return Answer(self.slice.spatial_ids(query).tolist())
 
     def prepare_visual(self, query: VisualQuery) -> np.ndarray:
         """The one visual-query preparation, serial and sharded alike:
@@ -646,11 +646,11 @@ class TVDP:
         return Answer(ids.tolist(), best.tolist())
 
     def _run_textual(self, query: TextualQuery) -> Answer:
-        scores = self.slice.text.scores(tokenize(query.text), query.match)
-        return Answer(*by_score(scores))
+        terms = tokenize(query.text)
+        return Answer(*by_score(*self.slice.text.scores(terms, query.match)))
 
     def _run_temporal(self, query: TemporalQuery) -> Answer:
-        return Answer(self.slice.temporal_ids(query))
+        return Answer(self.slice.temporal_ids(query).tolist())
 
     def _run_hybrid(self, query: HybridQuery) -> Answer:
         # Spatial-visual pairs get the dedicated filter-then-rank path.

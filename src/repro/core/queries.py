@@ -384,4 +384,6 @@ def combine_hybrid(answers: list[Answer]) -> Answer:
         for image_id, score in zip(answer.ids, answer.scores):
             if score > 0 and image_id in scores:
                 scores[image_id] = score
-    return Answer(*by_score(scores))
+    ids = np.fromiter(scores, dtype=np.int64, count=len(scores))
+    ranked = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    return Answer(*by_score(ids, ranked))

@@ -272,8 +272,9 @@ class CatalogSlice:
 
     # -- unscored scans -------------------------------------------------------
 
-    def spatial_ids(self, query: SpatialQuery) -> list[int]:
-        """Ascending ids of this slice's images matching ``query``:
+    def spatial_ids(self, query: SpatialQuery) -> np.ndarray:
+        """Ascending ids (an int64 column) of this slice's images
+        matching ``query``:
         camera-point-inside in camera mode, FOV-depicts in scene mode —
         one scan of the camera columns either way, then in scene mode
         the exact FOV predicate on the rows the scan let through."""
@@ -304,7 +305,7 @@ class CatalogSlice:
             else:
                 kept = [r for r in rows.tolist() if fovs[r].intersects_box(region)]
             rows = np.array(kept, dtype=np.intp)
-        return np.sort(cameras.ids[rows]).tolist()
+        return np.sort(cameras.ids[rows])
 
     def spatial_visual_topk(
         self, name: str, region: BoundingBox, vector: np.ndarray, k: int
@@ -320,11 +321,11 @@ class CatalogSlice:
         vector_rows = points.extra[0][points.rows_in(region)].astype(np.intp)
         return lsh.nearest_rows(vector, k, vector_rows)
 
-    def temporal_ids(self, query: TemporalQuery) -> list[int]:
-        """Ascending ids of this slice's images inside the time window,
-        from the ordered index on ``query.field``."""
-        return sorted(
-            self.db.table("images").keys_in_range(query.field, query.start, query.end)
+    def temporal_ids(self, query: TemporalQuery) -> np.ndarray:
+        """Ascending ids (an int64 column) of this slice's images inside
+        the time window, from the ordered index on ``query.field``."""
+        return self.db.table("images").sorted_keys_in_range(
+            query.field, query.start, query.end
         )
 
     def best_confidence(

@@ -7,8 +7,10 @@ import bisect
 import threading
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from repro.errors import IntegrityError, SchemaError
-from repro.db.schema import TableSchema
+from repro.db.schema import ColumnType, TableSchema
 from repro.obs.accounting import active_ledger, charge
 
 
@@ -35,9 +37,8 @@ class Table:
             c.name: {} for c in schema.columns if c.unique
         }
         self._indexes: dict[str, dict[object, set[int]]] = {}
-        # column -> (values, pks): two parallel lists in ascending
-        # (value, pk) order, so a range is two bisects and one slice.
-        self._ordered: dict[str, tuple[list[Any], list[int]]] = {}
+        # column -> its ordered index (a range is two bisections).
+        self._ordered: dict[str, OrderedIndex] = {}
         # This table's writes alone, for a cache of something derived
         # from its rows that other tables' writes leave valid.
         self.writes = 0
@@ -74,35 +75,30 @@ class Table:
                     del index[row[column]]
 
     def create_ordered_index(self, column: str) -> None:
-        """Build (or rebuild) an ordered index on ``column`` for
-        :meth:`keys_in_range`.  Rows whose value is ``None`` or NaN are
-        left out: no range contains them."""
-        self.schema.column(column)
+        """Build (or rebuild) an ordered index on the REAL ``column``
+        for :meth:`keys_in_range`.  Rows whose value is ``None`` or NaN
+        are left out: no range contains them."""
+        if self.schema.column(column).type is not ColumnType.REAL:
+            raise SchemaError(
+                f"an ordered index needs a REAL column, not {self.schema.name}.{column}"
+            )
         with self._lock:
-            entries = sorted(
+            entries = [
                 (row[column], pk)
                 for pk, row in self._rows.items()
                 if _orderable(row[column])
-            )
-            self._ordered[column] = (
-                [value for value, _ in entries],
-                [pk for _, pk in entries],
-            )
+            ]
+            self._ordered[column] = OrderedIndex(entries)
 
     def _ordered_add(self, pk: int, row: dict) -> None:
-        for column in self._ordered:
-            value = row[column]
-            if _orderable(value):
-                at = _ordered_position(*self._ordered[column], value, pk)
-                self._ordered[column][0].insert(at, value)
-                self._ordered[column][1].insert(at, pk)
+        for column, index in self._ordered.items():
+            if _orderable(row[column]):
+                index.add(row[column], pk)
 
     def _ordered_remove(self, pk: int, row: dict) -> None:
-        for column in self._ordered:
-            value = row[column]
-            if _orderable(value):
-                at = _ordered_position(*self._ordered[column], value, pk)
-                del self._ordered[column][0][at], self._ordered[column][1][at]
+        for column, index in self._ordered.items():
+            if _orderable(row[column]):
+                index.remove(row[column], pk)
 
     # -- mutations ----------------------------------------------------------
 
@@ -164,7 +160,6 @@ class Table:
                     )
             old = self._rows[pk]
             self._index_remove(pk, old)
-            self._ordered_remove(pk, old)
             for column, seen in self._unique.items():
                 if old.get(column) is not None:
                     seen.pop(old[column], None)
@@ -172,7 +167,13 @@ class Table:
                     seen[normalized[column]] = pk
             self._rows[pk] = normalized
             self._index_add(pk, normalized)
-            self._ordered_add(pk, normalized)
+            for column, index in self._ordered.items():
+                before, after = old[column], normalized[column]
+                if before != after:  # an index moves only what changed
+                    if _orderable(before):
+                        index.remove(before, pk)
+                    if _orderable(after):
+                        index.add(after, pk)
             self.writes += 1
         self._on_write()
 
@@ -231,22 +232,39 @@ class Table:
         """Primary keys of the rows with ``low <= row[column] <= high``
         in ``(value, pk)`` order, from the column's ordered index.
 
-        ``None`` leaves that end open.  The bounds must be comparable
-        with the column's values (NaN is not: callers reject it).  The
-        rows themselves are not read; ``rows_scanned`` is charged one
-        per key returned.
+        ``None`` leaves that end open.  The bounds must be numbers (NaN
+        is not: callers reject it).  The rows themselves are not read;
+        ``rows_scanned`` is charged one per key returned.
         """
         with self._lock:
-            if column not in self._ordered:
-                raise SchemaError(
-                    f"no ordered index on {self.schema.name}.{column}"
-                )
-            values, pks = self._ordered[column]
-            first = 0 if low is None else bisect.bisect_left(values, low)
-            last = len(values) if high is None else bisect.bisect_right(values, high)
-            keys = pks[first:last]
+            values, pks, tail_values, tail_pks = self._ordered_index(column).window(
+                low, high
+            )
+        if tail_pks:
+            values = np.concatenate((values, tail_values))
+            pks = np.concatenate((pks, tail_pks))
+            pks = pks[np.lexsort((pks, values))]
+        charge("rows_scanned", len(pks))
+        return pks.tolist()
+
+    def sorted_keys_in_range(
+        self, column: str, low: Any = None, high: Any = None
+    ) -> np.ndarray:
+        """The keys :meth:`keys_in_range` finds, ascending, as an int64
+        column: the window's bisections, then one sort of the hits."""
+        with self._lock:
+            _, pks, _, tail_pks = self._ordered_index(column).window(low, high)
+        # A new array either way: the arrays' run is a view of the index.
+        keys = np.concatenate((pks, tail_pks)) if tail_pks else pks.copy()
+        keys.sort()
         charge("rows_scanned", len(keys))
         return keys
+
+    def _ordered_index(self, column: str) -> "OrderedIndex":
+        index = self._ordered.get(column)
+        if index is None:
+            raise SchemaError(f"no ordered index on {self.schema.name}.{column}")
+        return index
 
     def scan(self, predicate: Callable[[dict], bool] | None = None) -> Iterator[dict]:
         """Iterate rows (copies) in primary-key order, optionally filtered."""
@@ -321,15 +339,114 @@ def _unversioned() -> None:
     """The write hook of a table outside any database: nothing to move."""
 
 
-def _ordered_position(values: list, pks: list[int], value: Any, pk: int) -> int:
-    """Where ``(value, pk)`` is, or goes, in an ordered index: the run
-    of equal values by bisection, then the pk inside it."""
-    first = bisect.bisect_left(values, value)
-    last = bisect.bisect_right(values, value, first)
-    return bisect.bisect_left(pks, pk, first, last)
-
-
 def _orderable(value: object) -> bool:
     """Whether ``value`` has a place in an ordered index (not ``None``,
     not NaN)."""
     return value is not None and value == value
+
+
+#: Inserts an ordered index holds in its tail before merging them in.  A
+#: merge rewrites both arrays inside the insert that fills the tail, so it
+#: should come rarely; a read bisects a tail this long in well under 1 µs.
+_TAIL_ROWS = 256
+
+
+class OrderedIndex:
+    """A REAL column's orderable values and the primary keys of their
+    rows, as two arrays in ascending ``(value, pk)`` order, plus a tail
+    of the latest inserts, merged into the arrays now and then.
+
+    The tail is two short lists in the same order, so a window is two
+    bisections of the arrays plus two of the tail: O(log n + k) for
+    ``k`` hits.  An insert places one row in the tail.  The tail is
+    merged into the arrays when it reaches :data:`_TAIL_ROWS` rows, or
+    by a read that finds it as the read before it left it — so a
+    catalog that is only read reads arrays alone, and one that is
+    written between reads merges once per :data:`_TAIL_ROWS` inserts.
+    A removal rewrites the arrays, or the tail.  The arrays are
+    replaced, never written in place, so a slice of them stays what it
+    was after the table's lock is let go.  Not locked: the table's lock
+    serialises everything.
+    """
+
+    def __init__(self, entries: list[tuple[float, int]]) -> None:
+        entries.sort()
+        self._values = np.array([value for value, _ in entries], dtype=np.float64)
+        self._pks = np.array([pk for _, pk in entries], dtype=np.int64)
+        self._tail_values: list[float] = []
+        self._tail_pks: list[int] = []
+        # The tail changed since the last read.
+        self._written = False
+
+    def add(self, value: float, pk: int) -> None:
+        at = _tail_place(self._tail_values, self._tail_pks, value, pk)
+        self._tail_values.insert(at, value)
+        self._tail_pks.insert(at, pk)
+        self._written = True
+        if len(self._tail_pks) == _TAIL_ROWS:
+            self._merge()
+
+    def remove(self, value: float, pk: int) -> None:
+        at = _tail_place(self._tail_values, self._tail_pks, value, pk)
+        if at < len(self._tail_pks) and self._tail_pks[at] == pk:
+            del self._tail_values[at], self._tail_pks[at]
+            self._written = True
+            return
+        at = self._places(np.array([value]), np.array([pk]))
+        self._values = np.delete(self._values, at)
+        self._pks = np.delete(self._pks, at)
+
+    def window(self, low: Any, high: Any) -> tuple[np.ndarray, np.ndarray, list, list]:
+        """The entries with ``low <= value <= high`` (``None``: that end
+        open): ``(values, pks)`` of the arrays' run, as views, and
+        ``(values, pks)`` of the tail's, as lists — each in ``(value,
+        pk)`` order."""
+        if self._tail_pks and not self._written:
+            self._merge()
+        self._written = False
+        values, tail = self._values, self._tail_values
+        first = 0 if low is None else values.searchsorted(low)
+        last = len(values) if high is None else values.searchsorted(high, "right")
+        tail_first = 0 if low is None else bisect.bisect_left(tail, low)
+        tail_last = len(tail) if high is None else bisect.bisect_right(tail, high)
+        return (
+            values[first:last],
+            self._pks[first:last],
+            tail[tail_first:tail_last],
+            self._tail_pks[tail_first:tail_last],
+        )
+
+    def _merge(self) -> None:
+        """Place the tail into the arrays and empty it: one pass over
+        each array, into new ones."""
+        values = np.array(self._tail_values)
+        pks = np.array(self._tail_pks, dtype=np.int64)
+        # Where each tail row lands: its place among the old rows, moved
+        # on by the tail rows before it (the tail is in order too).
+        at = self._places(values, pks) + np.arange(len(pks))
+        old = np.ones(len(self._pks) + len(pks), dtype=bool)
+        old[at] = False
+        merged_values = np.empty(len(old))
+        merged_pks = np.empty(len(old), dtype=np.int64)
+        merged_values[at], merged_pks[at] = values, pks
+        merged_values[old], merged_pks[old] = self._values, self._pks
+        self._values, self._pks = merged_values, merged_pks
+        self._tail_values, self._tail_pks = [], []
+
+    def _places(self, values: np.ndarray, pks: np.ndarray) -> np.ndarray:
+        """Where each ``(value, pk)`` is, or goes, in the arrays: the
+        run of its value by bisection, then — only inside a run of
+        equal values — the pk by bisection within it."""
+        at = self._values.searchsorted(values)
+        end = self._values.searchsorted(values, "right")
+        for i in np.flatnonzero(at < end).tolist():
+            at[i] += self._pks[at[i] : end[i]].searchsorted(pks[i])
+        return at
+
+
+def _tail_place(values: list[float], pks: list[int], value: float, pk: int) -> int:
+    """Where ``(value, pk)`` is, or goes, in a tail: the run of equal
+    values by bisection, then the pk inside it."""
+    first = bisect.bisect_left(values, value)
+    last = bisect.bisect_right(values, value, first)
+    return bisect.bisect_left(pks, pk, first, last)

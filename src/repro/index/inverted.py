@@ -11,6 +11,8 @@ import re
 import threading
 from collections import Counter
 
+import numpy as np
+
 from repro.errors import IndexError_
 from repro.index.ordering import by_score
 from repro.obs import metrics as _metrics
@@ -33,75 +35,182 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
 
 
-class InvertedIndex:
-    """Document index mapping terms to posting lists with tf counts."""
+#: Rows a column starts with; it doubles when full.
+_INITIAL_ROWS = 16
+
+#: The position past every document's: what a posting list holds past
+#: its last row.
+_PAST = np.iinfo(np.int64).max
+
+
+def _grown(column: np.ndarray, rows: int, fill: object = 0) -> np.ndarray:
+    """``column`` with room for a row past its first ``rows``: itself,
+    or a copy twice the size, ``fill`` past those rows (a reader's view
+    of the old one stays as it was)."""
+    if rows < len(column):
+        return column
+    grown = np.full(2 * len(column), fill, dtype=column.dtype)
+    grown[:rows] = column[:rows]
+    return grown
+
+
+class _Postings:
+    """One term's posting list as two growable columns in ascending
+    document position: the position, and the term's frequency there
+    (a float64, exact for a count).  The columns always have a row past
+    the last — position :data:`_PAST`, frequency zero — so a bisection
+    never lands outside them."""
+
+    __slots__ = ("positions", "tfs", "count")
 
     def __init__(self) -> None:
-        self._postings: dict[str, dict[object, int]] = {}
-        self._doc_lengths: dict[object, int] = {}
+        self.positions = np.full(_INITIAL_ROWS, _PAST, dtype=np.int64)
+        self.tfs = np.zeros(_INITIAL_ROWS)
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def live(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.positions[: self.count], self.tfs[: self.count]
+
+    def append(self, position: int, tf: int) -> None:
+        """List a new document, which has the highest position yet."""
+        n = self.count
+        if n + 1 == len(self.positions):
+            self._grow()
+        self.positions[n] = position
+        self.tfs[n] = tf
+        self.count = n + 1
+
+    def add(self, position: int, tf: int) -> None:
+        """Count ``tf`` more occurrences at an extended document's
+        ``position``: its frequency raised in place, or — a term new to
+        it — a row shifted into its place."""
+        n = self.count
+        at = int(self.positions[:n].searchsorted(position))
+        if self.positions[at] == position:
+            self.tfs[at] += tf
+            return
+        if n + 1 == len(self.positions):
+            self._grow()
+        # One row on, the row past the last included.
+        self.positions[at + 1 : n + 2] = self.positions[at : n + 1]
+        self.tfs[at + 1 : n + 1] = self.tfs[at:n]
+        self.positions[at], self.tfs[at] = position, tf
+        self.count = n + 1
+
+    def _grow(self) -> None:
+        self.positions = _grown(self.positions, self.count + 1, _PAST)
+        self.tfs = _grown(self.tfs, self.count + 1)
+
+    def drop(self, position: int) -> None:
+        """Forget ``position`` if it is listed."""
+        positions, tfs = self.live()
+        keep = positions != position
+        kept = int(keep.sum())
+        self.positions[:kept], self.tfs[:kept] = positions[keep], tfs[keep]
+        self.positions[kept : self.count], self.tfs[kept : self.count] = _PAST, 0.0
+        self.count = kept
+
+
+class InvertedIndex:
+    """Document index: per-term postings as columns, tf-idf ranked.
+
+    A document is given a position on its first :meth:`add`: the id
+    column holds its id there and the length column its token count.
+    Each term's postings are two growable columns in ascending position
+    (:class:`_Postings`).  A write appends to them, or — extending a
+    document — updates it in place; nothing is rebuilt.  The id column
+    is int64 while every id is a plain ``int`` that fits, and object
+    dtype from the first one that is not.
+    """
+
+    def __init__(self) -> None:
+        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        self._lengths = np.empty(_INITIAL_ROWS)
+        self._rows = 0  # positions handed out, removed documents included
+        self._position: dict[object, int] = {}  # live document -> position
+        self._postings: dict[str, _Postings] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._doc_lengths)
+            return len(self._position)
 
     def __contains__(self, doc_id: object) -> bool:
         with self._lock:
-            return doc_id in self._doc_lengths
+            return doc_id in self._position
 
     def add(self, doc_id: object, text: str) -> None:
         """Index a document; adding the same id again extends it."""
         tokens = tokenize(text)
         with self._lock:
-            self._doc_lengths[doc_id] = self._doc_lengths.get(doc_id, 0) + len(tokens)
+            position = self._position.get(doc_id)
+            if position is None:
+                position = self._rows
+                if self._ids.dtype != object and not _fits(doc_id):
+                    self._ids = self._ids.astype(object)
+                self._ids = _grown(self._ids, position)
+                self._lengths = _grown(self._lengths, position)
+                self._ids[position], self._lengths[position] = doc_id, len(tokens)
+                self._position[doc_id] = position
+                self._rows = position + 1
+                place = _Postings.append
+            else:
+                self._lengths[position] += len(tokens)
+                place = _Postings.add
             for term, count in Counter(tokens).items():
-                bucket = self._postings.setdefault(term, {})
-                bucket[doc_id] = bucket.get(doc_id, 0) + count
+                postings = self._postings.get(term)
+                if postings is None:
+                    postings = self._postings[term] = _Postings()
+                place(postings, position, count)
 
     def remove(self, doc_id: object) -> None:
-        """Drop a document from every posting list."""
+        """Drop a document from every posting list (its position stays
+        unused)."""
         with self._lock:
-            if doc_id not in self._doc_lengths:
+            if doc_id not in self._position:
                 raise IndexError_(f"document {doc_id!r} not indexed")
-            del self._doc_lengths[doc_id]
-            empty_terms = []
-            for term, bucket in self._postings.items():
-                bucket.pop(doc_id, None)
-                if not bucket:
-                    empty_terms.append(term)
-            for term in empty_terms:
-                del self._postings[term]
+            position = self._position.pop(doc_id)
+            for term, postings in list(self._postings.items()):
+                postings.drop(position)
+                if not postings.count:
+                    del self._postings[term]
 
     # -- queries ------------------------------------------------------------
 
     def scores(
         self, terms: list[str], match: str = "any", idf: dict | None = None
-    ) -> dict[object, float]:
-        """Document -> tf-idf score over ``terms``: every document
-        holding *any* of them, or only those holding them *all*.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, scores)`` — two parallel columns, unranked — of the
+        documents holding *any* of ``terms``, or only those holding them
+        *all*, each scored tf-idf.
 
-        The one scoring function: ``search_any`` / ``search_all`` rank
-        its result, and so do the platform's textual runner and — with
-        the coordinator's global ``idf`` (term -> weight) in place of
-        this index's own — every shard of a scatter.  A document's score
-        is summed in sorted-term order whatever the match mode and
-        whichever slice holds it, so it is the same float everywhere.
+        The one scoring function: :func:`~repro.index.ordering.by_score`
+        ranks its columns for ``search_any`` / ``search_all`` and the
+        platform's textual runner, and — scored with the coordinator's
+        global ``idf`` (term -> weight) in place of this index's own —
+        for every shard of a scatter.  A document's score is summed term
+        by term in sorted-term order, ``tf / length * idf`` each time,
+        whatever the match mode and whichever slice holds it, so it is
+        the same float everywhere.
 
-        ``all`` walks the rarest term's postings and scores only the
-        documents every other term also lists.
+        ``any`` adds each term's postings into a score column over every
+        position; ``all`` scores only the rarest term's positions, each
+        other term's frequency there read by one bisection per term, and
+        keeps those every term lists.
         """
         terms = sorted(set(terms))
-        out: dict[object, float] = {}
-        scanned = 0
         # One lock hold: document frequencies, postings and lengths must
         # come from one index state, not a half-applied add().
         with self._lock:
-            lengths = self._doc_lengths
+            documents = len(self._position)
             # (postings, idf weight) of each term the index lists.
             weighted = [
                 (
                     self._postings[term],
-                    math.log(1.0 + len(lengths) / len(self._postings[term]))
+                    math.log(1.0 + documents / self._postings[term].count)
                     if idf is None
                     else idf[term],
                 )
@@ -110,36 +219,53 @@ class InvertedIndex:
             ]
             if match == "all" and len(weighted) < len(terms):
                 weighted = []  # a term nothing holds: no document has them all
+            lengths = self._lengths
             if match == "all" and weighted:
                 rarest = min((postings for postings, _ in weighted), key=len)
-                others = [p for p, _ in weighted if p is not rarest]
-                for doc in rarest:
-                    if all(doc in postings for postings in others):
-                        length = lengths[doc] or 1
-                        score = 0.0
-                        for postings, weight in weighted:
-                            score += (postings[doc] / length) * weight
-                        out[doc] = score
-                scanned = len(rarest) + len(others) * len(out)
-            else:
-                so_far = out.get
+                rows, tfs = rarest.live()
+                length = lengths[rows]
+                # Every position the rarest term lists is scored, then
+                # kept if every other term lists it too.  Another term's
+                # slot for a position is a bisection of its whole
+                # position column (ascending past its last row, so never
+                # off its end); where it does not list the position, the
+                # tf read there is a neighbour's, or the zero past its
+                # last row, and the row is dropped.
+                held = out = None
                 for postings, weight in weighted:
-                    scanned += len(postings)
-                    for doc, tf in postings.items():
-                        share = tf / (lengths[doc] or 1)
-                        out[doc] = so_far(doc, 0.0) + share * weight
+                    if postings is not rarest:
+                        at = postings.positions.searchsorted(rows)
+                        listed = postings.positions[at] == rows
+                        held = listed if held is None else held & listed
+                    tf = tfs if postings is rarest else postings.tfs[at]
+                    share = tf / length * weight
+                    out = share if out is None else out + share  # 0.0 + x is x
+                if held is not None:
+                    rows, out = rows[held], out[held]
+                scanned = rarest.count + (len(weighted) - 1) * len(rows)
+            else:
+                out = np.zeros(self._rows)
+                held = np.zeros(self._rows, dtype=bool)
+                for postings, weight in weighted:
+                    positions, tfs = postings.live()
+                    out[positions] += tfs / lengths[positions] * weight
+                    held[positions] = True
+                rows = np.flatnonzero(held)
+                out = out[rows]
+                scanned = sum(postings.count for postings, _ in weighted)
+            ids = self._ids[rows]
         _QUERIES.inc()
         _POSTINGS_SCANNED.inc(scanned)
         charge_probes("inverted", scanned)
-        return out
+        return ids, out
 
     def search_any(self, query: str) -> list[tuple[object, float]]:
         """Documents matching *any* query term, tf-idf ranked."""
-        return list(zip(*by_score(self.scores(tokenize(query)))))
+        return list(zip(*by_score(*self.scores(tokenize(query)))))
 
     def search_all(self, query: str) -> list[tuple[object, float]]:
         """Documents matching *every* query term (conjunctive), ranked."""
-        return list(zip(*by_score(self.scores(tokenize(query), "all"))))
+        return list(zip(*by_score(*self.scores(tokenize(query), "all"))))
 
     def vocabulary(self) -> list[str]:
         """Sorted indexed terms."""
@@ -151,7 +277,7 @@ class InvertedIndex:
     def doc_count(self) -> int:
         """Documents indexed — the ``N`` of the idf formula."""
         with self._lock:
-            return len(self._doc_lengths)
+            return len(self._position)
 
     def term_dfs(self) -> dict[str, int]:
         """Term -> document frequency for every indexed term.
@@ -162,4 +288,9 @@ class InvertedIndex:
         match itself prunes.
         """
         with self._lock:
-            return {term: len(bucket) for term, bucket in self._postings.items()}
+            return {term: postings.count for term, postings in self._postings.items()}
+
+
+def _fits(doc_id: object) -> bool:
+    """Whether ``doc_id`` can live in an int64 id column."""
+    return type(doc_id) is int and -(2**63) <= doc_id < 2**63

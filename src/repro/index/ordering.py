@@ -32,21 +32,26 @@ def tie_key(item: object) -> _KeyTuple:
     return (1, 0.0, str(item))
 
 
-def by_score(scores: dict) -> tuple[list, list[float]]:
-    """The keys of ``scores`` (item -> score) in the canonical ranked
-    order — best score first, ties on :func:`tie_key` — and their
-    scores beside them, as two parallel lists.
+def by_score(ids: np.ndarray, scores: np.ndarray) -> tuple[list, list[float]]:
+    """The items of two parallel columns (``scores[i]`` the score of
+    ``ids[i]``) in the canonical ranked order — best score first, ties
+    on :func:`tie_key` — as two parallel lists.
 
-    Two stable sorts: into tie order, then by score (a reversed sort
-    keeps equal keys in the order it found them), so no key tuple is
-    built per item.
+    An int64 id column is ordered by one ``lexsort`` (score descending,
+    then id: :func:`tie_key` is the numeric order there); any other id
+    column goes through the ``(-score, tie_key)`` sort, the split
+    :func:`nearest` makes.
     """
-    if set(map(type, scores)) <= {int}:
-        items = sorted(scores)  # tie_key orders plain ints numerically
-    else:
-        items = sorted(scores, key=tie_key)
-    items.sort(key=scores.__getitem__, reverse=True)
-    return items, [scores[item] for item in items]
+    if len(ids) < 2:
+        return ids.tolist(), scores.tolist()
+    if ids.dtype.kind == "i":
+        order = np.lexsort((ids, -scores))
+        return ids[order].tolist(), scores[order].tolist()
+    pairs = sorted(
+        zip(ids.tolist(), scores.tolist()),
+        key=lambda pair: (-pair[1], tie_key(pair[0])),
+    )
+    return [item for item, _ in pairs], [score for _, score in pairs]
 
 
 def nearest(

@@ -17,13 +17,13 @@ shard handles and runs per-shard plans.  For every query it
    whole ``execute_many`` round into one dispatch per shard); and
 4. **merges** the payloads back into the exact serial answer, as an
    :class:`~repro.core.queries.Answer` (id and score columns).  The
-   shards are a disjoint cover, so a merge only orders: the chained ids
-   for enumeration families, the shards' own group-maxes by image id
-   for categorical, the shards' tf-idf scores (each computed with the
-   coordinator's global idf) canonically for text, two-phase
-   candidate/fallback top-k for visual, distance-level merges for
-   ranked families, and :func:`~repro.core.queries.combine_hybrid` for
-   general hybrids.
+   shards are a disjoint cover, so a merge only orders: the shards' id
+   columns joined and sorted once for enumeration families, their own
+   group-maxes by image id for categorical, their (id, tf-idf score)
+   columns (each scored with the coordinator's global idf) joined and
+   ranked once for text, two-phase candidate/fallback top-k for visual,
+   distance-level merges for ranked families, and
+   :func:`~repro.core.queries.combine_hybrid` for general hybrids.
 
 Failed shards (after retries) degrade the answer to ``partial=True``
 instead of raising — on the answer, per query in the info dict, and on
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import chain
 
 import numpy as np
 
@@ -357,24 +356,29 @@ class ShardRouter:
         # Disjoint cover: an image lives in one shard, so payloads never
         # overlap and each shard's own per-image work is final.
         if kind == "ids":
-            return Answer(sorted(chain.from_iterable(prep["unit"].ordered_payloads())))
+            # Each payload is a shard's ascending int64 id column: one
+            # is in order already, more are joined and sorted once.
+            payloads = prep["unit"].ordered_payloads()
+            ids = _joined(payloads)
+            return Answer((ids if len(payloads) == 1 else np.sort(ids)).tolist())
         if kind == "categorical":
             # Each payload is a shard's (ids, best confidences) columns.
             payloads = prep["unit"].ordered_payloads()
-            if not payloads:
-                return Answer([], [])
-            ids = np.concatenate([ids for ids, _ in payloads])
-            best = np.concatenate([best for _, best in payloads])
+            ids = _joined([ids for ids, _ in payloads])
+            best = _joined([best for _, best in payloads], np.float64)
             order = np.argsort(ids)
             return Answer(ids[order].tolist(), best[order].tolist())
         if kind == "textual":
             # A document lives in one shard and was scored there with
-            # the global idf: the union is the serial score table, and
-            # the one canonical sort happens here.
-            scores: dict = {}
-            for payload in prep["unit"].ordered_payloads():
-                scores.update(payload)
-            return Answer(*by_score(scores))
+            # the global idf: the shards' (ids, scores) columns joined
+            # are the serial ones, and the one canonical sort is here.
+            payloads = prep["unit"].ordered_payloads()
+            return Answer(
+                *by_score(
+                    _joined([ids for ids, _ in payloads]),
+                    _joined([scores for _, scores in payloads], np.float64),
+                )
+            )
         if kind in ("ranked_pairs", "two_phase_topk"):
             pairs = self._merge_pairs(prep["unit"].ordered_payloads(), prep["k"])
             if prep["max_distance"] is not None:
@@ -391,6 +395,13 @@ class ShardRouter:
         merged = [pair for payload in payloads for pair in payload]
         merged.sort(key=lambda pair: (pair[1], tie_key(pair[0])))
         return merged[:k]
+
+
+def _joined(columns: list, dtype=np.int64) -> np.ndarray:
+    """The shards' columns end to end (none: an empty ``dtype`` one)."""
+    if len(columns) == 1:
+        return columns[0]
+    return np.concatenate(columns) if columns else np.empty(0, dtype=dtype)
 
 
 def _leaves(prep: dict) -> list:

@@ -191,7 +191,7 @@ class TestExplain:
             TemporalQuery(start=0.0, field="timestamp_uploading"),
             analyze=True,
         )
-        assert plan.access_path == "images.ordered_index[timestamp_uploading]"
+        assert plan.access_path == "images.ordered_columns[timestamp_uploading]"
         assert "log n" in plan.cost["cost"]
         # The index touches the rows it returns and no others.
         assert plan.charges["rows_scanned"] == plan.rows == 20

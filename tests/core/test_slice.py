@@ -49,6 +49,7 @@ from repro.imaging.augment import Augmentation, flip_vertical
 from repro.db import Database
 from repro.shard import partition_catalog
 from repro.index import OrientedRTree, VisualRTree
+from repro.index.ordering import by_score
 from tests.racing import read_while_writing, run_together
 from tests.shard.test_equivalence import (
     LABELS,
@@ -80,23 +81,23 @@ def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
     out = {
         "spatial_ids.region": catalog_slice.spatial_ids(
             SpatialQuery(region=box, mode=params["mode"], direction_deg=90.0)
-        ),
+        ).tolist(),
         "spatial_ids.point": catalog_slice.spatial_ids(
             SpatialQuery(
                 point=GeoPoint(lat_lo, lng_lo),
                 radius_m=params["radius_m"],
                 mode=params["mode"],
             )
-        ),
+        ).tolist(),
         "spatial_ids.camera_facing": catalog_slice.spatial_ids(
             SpatialQuery(region=box, mode="camera", direction_deg=90.0)
-        ),
+        ).tolist(),
         "temporal_ids": catalog_slice.temporal_ids(
             TemporalQuery(start=float(t_lo), end=float(t_hi))
-        ),
+        ).tolist(),
         "temporal_ids.uploading": catalog_slice.temporal_ids(
             TemporalQuery(end=float(t_hi), field="timestamp_uploading")
-        ),
+        ).tolist(),
         "best_confidence": [
             column.tolist()
             for column in catalog_slice.best_confidence(
@@ -112,8 +113,10 @@ def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
         "annotation_count": [catalog_slice.annotation_count(t) for t in type_ids],
         "search_range": sorted(catalog_slice.spatial.search_range(box)),
         "search_point": sorted(catalog_slice.spatial.search_point(lat_lo, lng_lo)),
-        "text.scores.any": catalog_slice.text.scores(sorted(VOCAB)),
-        "text.scores.all": catalog_slice.text.scores(sorted(VOCAB)[:2], "all"),
+        "text.scores.any": by_score(*catalog_slice.text.scores(sorted(VOCAB))),
+        "text.scores.all": by_score(
+            *catalog_slice.text.scores(sorted(VOCAB)[:2], "all")
+        ),
         "extractors": sorted(catalog_slice.visual_indexes()),
     }
     if EXTRACTOR in catalog_slice.visual_indexes():
@@ -239,7 +242,7 @@ class TestSidecarUnderConcurrentWrites:
             # Counted off the columns — asking for a tree would have the
             # reader do the writer's work inside the race.
             before = self.vectors_listed(built)
-            ids = built.spatial_ids(camera)
+            ids = built.spatial_ids(camera).tolist()
             ranked = built.spatial_visual_topk("race", self.EVERYWHERE, probe, self.K)
             return before, built.fov_count(), ids, ranked
 

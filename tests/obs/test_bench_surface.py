@@ -166,15 +166,16 @@ def _counted(call) -> dict:
     return counts
 
 
-#: Plain-lock acquisitions of one search by family, serial and 4-shard:
-#: request id, span ids, the store's lock, one per counter moved (a
-#: 4-shard search moves the shard counters too).  This PR takes none
-#: away (serial mean 15.8; PR 21 measured 16.0 over a workload's mix).
+#: Plain-lock acquisitions of one search by family, serial and 4-shard.
+#: The search counted is its body's fourth, so the answer cache serves
+#: it: the request id, the answer cache's lock and the record store's
+#: lock, whatever the family or the shard count (these were 12-22 while
+#: a search still reached the indexes and moved the counters).
 _LOCKS = {
-    1: {"spatial": 15, "visual": 17, "categorical": 17, "textual": 15, "temporal": 12,
-        "hybrid": 19},
-    4: {"spatial": 18, "visual": 21, "categorical": 20, "textual": 18, "temporal": 15,
-        "hybrid": 22},
+    1: {"spatial": 3, "visual": 3, "categorical": 3, "textual": 3, "temporal": 3,
+        "hybrid": 3},
+    4: {"spatial": 3, "visual": 3, "categorical": 3, "textual": 3, "temporal": 3,
+        "hybrid": 3},
 }
 
 

@@ -233,7 +233,7 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
             )
         elif op["op"] == "camera":
             for query in camera_forms(op):
-                scan = platform.slice.spatial_ids(query)
+                scan = platform.slice.spatial_ids(query).tolist()
                 assert scan == tree_camera(platform, query), query
                 assert scan == brute_camera(platform, query), query
                 assert set(scan) <= set(stored)  # augmented images have no FOV
@@ -422,7 +422,7 @@ def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, ever
                     SpatialQuery(point=picked.camera, radius_m=0.0, **direction),
                 ]
             for query in queries:
-                scan = built.spatial_ids(query)
+                scan = built.spatial_ids(query).tolist()
                 assert scan == walk(eager, query), query
                 assert all(type(image_id) is int for image_id in scan)
         elif op["op"] == "hybrid" and every:

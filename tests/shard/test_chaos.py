@@ -168,7 +168,7 @@ class TestExecutorDirect:
         assert gathered.failed == ()
         want = {r.image_id for r in platform.execute(QUERIES[0])}
         (payload,) = gathered.results[1].payloads
-        assert payload and set(payload) <= want
+        assert len(payload) and set(payload.tolist()) <= want
         retries = obs.metrics().counter("resilience.retries", {"site": "shard.dispatch"})
         assert retries.value == 0
 

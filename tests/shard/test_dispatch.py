@@ -257,9 +257,11 @@ class TestMergesAgainstTheirOracles:
             unit.payloads = dict(enumerate(payloads))
             return router._merge({"kind": kind, "unit": unit})
 
-        id_payloads = [sorted(shard) for shard in shards]
+        # A shard's ids come as its slice's ascending int64 column.
+        id_payloads = [np.array(sorted(shard), dtype=np.int64) for shard in shards]
         answer = merged("ids", id_payloads)
         assert answer.ids == union_merge(id_payloads) and answer.scores is None
+        assert all(type(image_id) is int for image_id in answer.ids)
 
         column_payloads = [
             (

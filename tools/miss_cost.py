@@ -14,12 +14,16 @@ per family: the miss cost — the median over blocks of (cached −
 uncached) µs per query — its quartiles, and the uncached µs per query.
 
     python3 tools/miss_cost.py [--blocks 40] [--block 50] [--passes 3] [--seed 0]
+                               [--shape select|broad]
 
-Specs come from the benchmark's own ``select_spec``.  Families with a
-small parameter space are made unique without changing their access
-path: a distinct ``min_confidence`` below every stored confidence, a
-vector nudged by far less than any distance between two images, the
-letters of a text in another case.
+Specs come from the benchmark's own ``select_spec`` (``serial_select``'s
+queries), or with ``--shape broad`` from its ``broad_spec`` (about a
+quarter of the corpus per query, ``serial_broad``'s), so each family's
+broad-query cost — the uncached µs per query — is measured in process
+too.  Families with a small parameter space are made unique without
+changing their access path: a distinct ``min_confidence`` below every
+stored confidence, a vector nudged by far less than any distance
+between two images, the letters of a text in another case.
 """
 
 from __future__ import annotations
@@ -41,11 +45,18 @@ from repro.core import CategoricalQuery, TextualQuery, VisualQuery  # noqa: E402
 from repro.core.answercache import answer_key  # noqa: E402
 
 
-def fresh_queries(family: str, count: int, rng: random.Random, vectors: list) -> list:
-    """``count`` queries of ``family``, no two with the same cache key."""
+def fresh_queries(
+    family: str,
+    count: int,
+    rng: random.Random,
+    vectors: list,
+    spec=schedule.select_spec,
+) -> list:
+    """``count`` queries of ``family`` drawn by ``spec``, no two with the
+    same cache key."""
     out, keys = [], set()
     while len(out) < count:
-        query = build_query(schedule.select_spec(rng, family, vectors))
+        query = build_query(spec(rng, family, vectors))
         n = len(out) + 1
         if isinstance(query, CategoricalQuery):
             query = dataclasses.replace(query, min_confidence=n * 1e-9)
@@ -79,7 +90,9 @@ def main() -> int:
     parser.add_argument("--block", type=int, default=50)
     parser.add_argument("--passes", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--shape", choices=("select", "broad"), default="select")
     args = parser.parse_args()
+    spec = schedule.broad_spec if args.shape == "broad" else schedule.select_spec
 
     session = Session(sharded=False)
     for capture in corpus.captures(args.seed, 0, schedule.FULL.corpus):
@@ -97,7 +110,7 @@ def main() -> int:
     print(f"{'family':<12}{'miss +us':>10}{'q1':>8}{'q3':>8}{'query us':>10}")
     for family in schedule.FAMILIES:
         size = args.block
-        queries = fresh_queries(family, (args.blocks + 1) * size, rng, vectors)
+        queries = fresh_queries(family, (args.blocks + 1) * size, rng, vectors, spec)
         blocks = [queries[i:i + size] for i in range(0, len(queries), size)]
         per_query_us(cached, blocks.pop())  # warm the family's path
         diffs, plain = [], []
