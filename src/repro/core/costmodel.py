@@ -5,10 +5,11 @@ which per-item loops dominate, which probe counters measure them, and
 what the asymptotic shape of each family's execution is.  This module
 is that knowledge, written down as data:
 
-* :data:`COST_MODEL` maps each query family to its access path, a cost
-  class, the **dominant probe counters** that measure its hot loops at
-  runtime, and the **hot sites** — fully-qualified names of the
-  per-item loops static analysis found on that family's execution path.
+* :data:`COST_MODEL` maps each query family to a cost class, the
+  **dominant probe counters** that measure its hot loops at runtime,
+  and the **hot sites** — fully-qualified names of the per-item loops
+  static analysis found on that family's execution path (the access
+  path itself is the family's ``path`` in :mod:`repro.core.families`).
 * :func:`cost_annotation` serves the planner: ``explain()`` attaches
   the entry for a plan node's family so ``/debug/explain`` output can
   be cross-checked against the measured ``counter_deltas`` (an
@@ -31,7 +32,6 @@ from __future__ import annotations
 #: value a plain str/list/dict literal.
 COST_MODEL: dict = {
     "spatial": {
-        "access_path": "columns.scene_scan | columns.camera_scan",
         "cost": (
             "O(n) vectorised column predicate; scene mode: + O(c) sector "
             "refine of the c rows whose MBR overlaps the region"
@@ -54,7 +54,6 @@ COST_MODEL: dict = {
         ),
     },
     "visual": {
-        "access_path": "lsh.query_topk",
         "cost": (
             "O(T*P) hashing + O(c*d) over the gathered candidates; "
             "fallback: O(n*d) one dot product per row + exact re-rank of "
@@ -83,7 +82,6 @@ COST_MODEL: dict = {
         ),
     },
     "categorical": {
-        "access_path": "columns.label_scan",
         "cost": "O(a) vectorised mask + group-max over the requested labels' columns",
         "dominant_counters": [
             "index.columns.scans",
@@ -102,7 +100,6 @@ COST_MODEL: dict = {
         ),
     },
     "textual": {
-        "access_path": "inverted_index.postings_columns",
         "cost": (
             "any: O(n + sum df(t)) — each term's postings added into one "
             "score column over every document; all: O(min df(t) * q * "
@@ -125,7 +122,6 @@ COST_MODEL: dict = {
         ),
     },
     "temporal": {
-        "access_path": "images.ordered_columns[field]",
         "cost": (
             "O(log n + k) two bisects of the timestamp array + two of "
             "the unmerged tail (t <= 256 rows), then O(k log k) one sort "
@@ -142,7 +138,6 @@ COST_MODEL: dict = {
         ),
     },
     "hybrid": {
-        "access_path": "columns.filter_then_rank",
         "cost": (
             "O(n) column filter + O(m*d) over the gathered rows: one dot "
             "product per row + exact re-rank of the band"
@@ -152,7 +147,6 @@ COST_MODEL: dict = {
             "index.columns.rows_examined",
         ],
         "hot_sites": [
-            "repro.core.platform.TVDP._run_hybrid",
             "repro.index.lsh.LSHIndex.nearest_rows",
             "repro.index.lsh._row_dots",
             "repro.index.ordering.nearest",
@@ -167,7 +161,6 @@ COST_MODEL: dict = {
         ),
     },
     "shard_partition": {
-        "access_path": "shard.partition.partition_catalog",
         "cost": "O(n) slice + per-shard index rebuild, once per catalog version",
         "dominant_counters": [],
         "hot_sites": [
@@ -186,7 +179,6 @@ COST_MODEL: dict = {
         ),
     },
     "shard_scatter_gather": {
-        "access_path": "shard.router.ShardRouter.answer_many",
         "cost": "O(s) dispatches + O(sum payload) coordinator merge per query",
         "dominant_counters": [
             "shard.fanouts",

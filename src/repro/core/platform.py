@@ -15,7 +15,6 @@ store:
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -27,7 +26,7 @@ if TYPE_CHECKING:
 
 from repro import obs
 from repro.obs.accounting import LOCAL_PRINCIPAL, charge, maybe_ledger_scope
-from repro.errors import MalformedQueryError, TVDPError
+from repro.errors import TVDPError
 from repro.db.database import Database
 from repro.features.base import FeatureExtractor
 from repro.features.registry import FeatureRegistry
@@ -38,27 +37,14 @@ from repro.imaging.augment import Augmentation
 from repro.imaging.image import Image
 from repro.imaging.phash import NearDuplicateIndex
 from repro.imaging.quality import assess_quality
-from repro.index.lsh import LSHIndex, squared_norm
 from repro.index.hybrid import VisualRTree
-from repro.index.inverted import tokenize
-from repro.index.ordering import by_score
+from repro.index.lsh import LSHIndex
 from repro.core.annotations import AnnotationService
 from repro.core.answercache import AnswerCache
+from repro.core.families import Leaf, leaf_class, prepare
 from repro.core.catalog import ClassificationCatalog
 from repro.core.slice import CatalogSlice
-from repro.core.queries import (
-    Answer,
-    CategoricalQuery,
-    HybridQuery,
-    QueryResult,
-    SpatialQuery,
-    TemporalQuery,
-    TextualQuery,
-    VisualQuery,
-    combine_hybrid,
-    query_family,
-    query_shape,
-)
+from repro.core.queries import Answer, QueryResult, query_family, query_shape
 
 _log = obs.get_logger("core.platform")
 
@@ -455,14 +441,10 @@ class TVDP:
     def answer(self, query: object) -> Answer:
         """Run any of the five query families or a hybrid — the one
         execution path; the answer is ids and scores as two columns.
-
-        With ``shards > 1`` the query scatter-gathers across the
-        geo-tile shards; the merged answer is exactly the serial one
-        (the property harness in ``tests/shard`` proves it).
-
-        A repeat asked with no write since is answered from the
-        version-stamped answer cache (:mod:`repro.core.answercache`);
-        the returned answer may be shared, so it is read-only."""
+        With ``shards > 1`` it scatter-gathers across the geo-tile
+        shards, to exactly the serial answer.  A repeat with no write
+        since comes from the answer cache (:mod:`repro.core.answercache`)
+        and may be shared, so it is read-only."""
         return self._answer(query, self._answers)
 
     def execute(self, query: object) -> list[QueryResult]:
@@ -470,19 +452,13 @@ class TVDP:
         return self.answer(query).results()
 
     def execute_serial(self, query: object) -> list[QueryResult]:
-        """Serial bypass of the scatter-gather path and of the answer
-        cache — the oracle the equivalence harness compares sharded
-        answers against.  On a serial platform its results are those of
-        :meth:`execute`."""
+        """:meth:`execute` past the scatter-gather and the answer cache:
+        the oracle the equivalence harness holds sharded answers to."""
         return self._answer(query, None, self._run).results()
 
     def execute_many(self, queries: list[object]) -> list[list[QueryResult]]:
-        """Execute a batch of queries.
-
-        Sharded platforms fan the *whole batch* out in one scatter
-        round per shard, so each shard is visited once per batch;
-        serial platforms just loop.
-        """
+        """Execute a batch of queries: a sharded platform visits each
+        shard once for the whole batch; a serial one just loops."""
         if self.shards > 1 and queries:
             router = self._shard_router()
             with maybe_ledger_scope(
@@ -500,8 +476,7 @@ class TVDP:
         return [self.execute(query) for query in queries]
 
     def _run_sharded(self, query: object) -> Answer:
-        # The router has put what the dispatch did on the query's span
-        # already; how far the query was pruned goes beside it.
+        # Beside what the router put on the query's span: the pruning.
         ((answer, info),) = self._shard_router().answer_many([query])
         span = obs.current_span()
         if span is not None:
@@ -516,11 +491,7 @@ class TVDP:
                 # lazy import is the one sanctioned downward reference.
                 from repro.shard.router import ShardRouter  # devtools: allow[layer-boundary]
 
-                self._router = ShardRouter(
-                    self,
-                    n_shards=self.shards,
-                    grid=self.shard_grid,
-                )
+                self._router = ShardRouter(self, self.shards, self.shard_grid)
             return self._router
 
     def set_shards(self, shards: int) -> None:
@@ -573,6 +544,7 @@ class TVDP:
                 if cache is not None:
                     answer, ticket = cache.lookup(query, self.db.version)
                 if answer is None:
+                    sp.set("path", leaf_class(query).path(query))
                     answer = run(query)
                     if ticket is not None:
                         cache.admit(ticket, answer, self.db.version)
@@ -583,103 +555,27 @@ class TVDP:
             obs.note_query(shape, family, sp.duration_ms)
         return answer
 
-    def _run_part(self, query: object) -> Answer:
-        """One part of a general hybrid: its own ``query.<family>``
-        child span, billed to the hybrid's ledger — and not counted, so
-        a hybrid is one query in ``platform.queries`` and one shape in
-        the hot-query view, as it is on a sharded platform."""
-        with obs.span(f"query.{query_family(query)}") as sp:
-            answer = self._run(query)
-            sp.set("results", len(answer))
-        return answer
-
     def _run(self, query: object) -> Answer:
-        """The serial runner of ``query``'s family, on the whole catalog."""
-        return self._RUNNERS[type(query)](self, query)
+        """``query`` on the whole catalog; a general hybrid's parts each in
+        an uncounted ``query.<family>`` child span, as one query."""
+        leaf = prepare(query, self)
+        if not leaf.parts:
+            return self._run_leaf(leaf)
+        answers = []
+        for part in leaf.parts:
+            with obs.span(f"query.{query_family(part.query)}") as sp:
+                sp.set("path", part.path(part.query))
+                answers.append(self._run_leaf(part))
+                sp.set("results", len(answers[-1]))
+        return leaf.merge(answers)
 
-    def _run_spatial(self, query: SpatialQuery) -> Answer:
-        return Answer(self.slice.spatial_ids(query).tolist())
-
-    def prepare_visual(self, query: VisualQuery) -> np.ndarray:
-        """The one visual-query preparation, serial and sharded alike:
-        the extractor must have been indexed (else :class:`QueryError`),
-        an example image is run through it, the vector must have the
-        index's dimension and a finite squared norm (else
-        :class:`MalformedQueryError`), and its ``feature_bytes`` are
-        charged.  Returns the float64 vector.  A query's own vector was
-        flattened and its squared norm taken when the query was built;
-        both are read here, not worked out again."""
-        dimension = self.slice.lsh(query.extractor_name).dimension
-        vector, sq_norm = query.vector, query.sq_norm
-        if vector is None:
-            extracted = self.features.get(query.extractor_name).extract(query.example)
-            vector = np.asarray(extracted, dtype=np.float64).ravel()
-            sq_norm = squared_norm(vector)
-        if vector.shape[0] != dimension:
-            raise MalformedQueryError(
-                f"{query.extractor_name!r} vectors are {dimension}-D, "
-                f"got {vector.shape[0]}-D"
-            )
-        # A NaN component makes every distance NaN; an infinite one, or
-        # finite ones whose squares overflow, make every distance
-        # infinite: a ranking of nothing.  All three show in |q|^2.
-        if not math.isfinite(sq_norm):
-            raise MalformedQueryError(
-                "query vector must be finite, and its squared norm too"
-            )
-        charge("feature_bytes", vector.nbytes)
-        return vector
-
-    def _run_visual(self, query: VisualQuery) -> Answer:
-        vector = self.prepare_visual(query)
-        lsh = self.slice.lsh(query.extractor_name)
-        if query.max_distance is not None:
-            pairs = lsh.query_radius(vector, query.max_distance)[: query.k]
-        else:
-            pairs = lsh.query_topk(vector, query.k)
-        return Answer.nearest_first(pairs)
-
-    def _run_categorical(self, query: CategoricalQuery) -> Answer:
-        ids, best = self.annotations.best_confidence(
-            query.classification, query.labels, query.min_confidence, query.source
-        )
-        return Answer(ids.tolist(), best.tolist())
-
-    def _run_textual(self, query: TextualQuery) -> Answer:
-        terms = tokenize(query.text)
-        return Answer(*by_score(*self.slice.text.scores(terms, query.match)))
-
-    def _run_temporal(self, query: TemporalQuery) -> Answer:
-        return Answer(self.slice.temporal_ids(query).tolist())
-
-    def _run_hybrid(self, query: HybridQuery) -> Answer:
-        # Spatial-visual pairs get the dedicated filter-then-rank path.
-        fused = query.fused_pair()
-        if fused is not None:
-            return self._run_spatial_visual(*fused)
-        # Parts run serially even on a sharded platform: the router
-        # decomposes hybrids *itself* so each part scatters once, and
-        # this serial path stays the oracle the harness compares to.
-        return combine_hybrid([self._run_part(sub) for sub in query.queries])
-
-    def _run_spatial_visual(self, spatial: SpatialQuery, visual: VisualQuery) -> Answer:
-        vector = self.prepare_visual(visual)
-        pairs = self.slice.spatial_visual_topk(
-            visual.extractor_name, spatial.bounding_region(), vector, visual.k
-        )
-        if visual.max_distance is not None:
-            pairs = [(i, d) for i, d in pairs if d <= visual.max_distance]
-        return Answer.nearest_first(pairs)
-
-    #: Query class -> its serial runner.
-    _RUNNERS = {
-        SpatialQuery: _run_spatial,
-        VisualQuery: _run_visual,
-        CategoricalQuery: _run_categorical,
-        TextualQuery: _run_textual,
-        TemporalQuery: _run_temporal,
-        HybridQuery: _run_hybrid,
-    }
+    def _run_leaf(self, leaf: Leaf) -> Answer:
+        """The leaf's task (or its fallback's) on the whole catalog, merged."""
+        payloads = [leaf.task(self.slice)]
+        rearmed = leaf.fallback(payloads)
+        if rearmed is not None:
+            payloads = [rearmed(self.slice)]
+        return leaf.merge(payloads)
 
     # -- stats ---------------------------------------------------------------------
 

@@ -176,7 +176,7 @@ class VisualQuery:
     max_distance: float | None = None
     #: ``|vector|^2``, taken once, when the query is built, whoever
     #: builds it: the API's schema refuses a query whose is not finite,
-    #: and so does ``TVDP.prepare_visual`` when the query is run — a NaN,
+    #: and so does ``families.prepare_visual`` when the query is run — a NaN,
     #: an infinity and an overflow all show there, and no distance to
     #: such a vector is a number.  ``vector`` is held flat and float64.
     sq_norm: float | None = field(default=None, init=False, repr=False, compare=False)

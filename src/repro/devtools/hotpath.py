@@ -44,12 +44,15 @@ from repro.devtools.findings import Finding, SourceModule
 RULE = "hot-path"
 
 #: Qualname patterns whose reachable closure is "the data plane".
-#: ``execute`` dispatches the six families through a table of runner
-#: functions — an indirect call the callgraph cannot follow — so the
-#: family runners are roots in their own right.
+#: A query runs through its family's leaf, picked from a table and
+#: called through the ``run`` a caller hands ``TVDP._answer`` — indirect
+#: calls the callgraph cannot follow — so the serial and sharded runners
+#: and every function of the family module are roots in their own right.
 DEFAULT_DATA_PLANE_ROOTS: tuple[str, ...] = (
     "*.core.platform.TVDP.execute",
-    "*.core.platform.TVDP._run_*",
+    "*.core.platform.TVDP._run",
+    "*.core.platform.TVDP._run_sharded",
+    "*.core.families.*",
 )
 
 #: Where the cost model literal lives in a scanned tree.

@@ -61,7 +61,9 @@ DEFAULT_CONCURRENT_ROOTS: tuple[str, ...] = (
     "*.api.service.TVDPService.handle",
     "*.core.platform.TVDP.execute",
     "*.core.platform.TVDP.execute_many",
-    "*.core.platform.TVDP._run_*",
+    "*.core.platform.TVDP._run",
+    "*.core.platform.TVDP._run_sharded",
+    "*.core.families.*",
     "*.shard.router.ShardRouter.execute",
     "*.shard.router.ShardRouter.execute_many",
     "*.shard.executor._run_batch",

@@ -183,28 +183,20 @@ class LSHIndex:
         charge_probes("lsh", len(found))
         return found
 
-    def query_topk(
-        self, vector: np.ndarray, k: int, exhaustive_fallback: bool = True
-    ) -> list[tuple[object, float]]:
+    def query_topk(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         """Top-``k`` nearest items by true L2 distance among hash
         candidates, ``(item, distance)`` sorted ascending.
 
-        When the candidate set is smaller than ``k`` and
-        ``exhaustive_fallback`` is set, falls back to a linear scan so
-        recall never silently collapses (the platform prefers a slower
-        exact answer over a wrong one).
+        When the candidate set is smaller than ``k`` (:func:`falls_back`)
+        the answer is :meth:`scan_topk`'s instead, so recall never
+        silently collapses (the platform prefers a slower exact answer
+        over a wrong one).
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
         vector = self._check_vector(vector)
-        candidates = self._candidates(self._keys(vector))
-        if exhaustive_fallback and len(candidates) < k:
-            _FALLBACK_SCANS.inc()
-            with self._lock:
-                n_indexed = len(self._items)
-            charge_probes("lsh", n_indexed)
-            return self.linear_topk(vector, k)
-        return self._rank(list(candidates), vector, k)
+        pairs, candidates = self.topk_unless_short(self._keys(vector), vector, k)
+        return self.scan_topk(vector, k) if falls_back(candidates, k) else pairs
 
     def topk_with_stats(
         self, vector: np.ndarray, k: int
@@ -228,6 +220,20 @@ class LSHIndex:
             raise IndexError_(f"k must be >= 1, got {k}")
         vector = self._check_vector(vector)
         candidates = self._candidates(keys)
+        return self._rank(list(candidates), vector, k), len(candidates)
+
+    def topk_unless_short(
+        self, keys: list[tuple], vector: np.ndarray, k: int
+    ) -> tuple[list[tuple[object, float]], int]:
+        """:meth:`topk_in_buckets` on an index that holds every candidate
+        of the query: when they are :func:`short_of` ``k`` the exhaustive
+        scan answers instead, so none is ranked (the pairs are empty)."""
+        if k < 1:
+            raise IndexError_(f"k must be >= 1, got {k}")
+        vector = self._check_vector(vector)
+        candidates = self._candidates(keys)
+        if short_of(len(candidates), k):
+            return [], len(candidates)
         return self._rank(list(candidates), vector, k), len(candidates)
 
     def _rank(
@@ -254,6 +260,12 @@ class LSHIndex:
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
         return self.nearest_rows(vector, k)
+
+    def scan_topk(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
+        """:meth:`linear_topk` as the exhaustive fallback runs it: one
+        ``probes.lsh`` charged per indexed row."""
+        charge_probes("lsh", len(self))
+        return self.linear_topk(vector, k)
 
     def nearest_rows(
         self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None
@@ -322,6 +334,22 @@ class LSHIndex:
         """The live rows as a view (no copy); not to be written through."""
         with self._lock:
             return self._buffer[: len(self._items)]
+
+
+def short_of(candidates: int, k: int) -> bool:
+    """The exhaustive-fallback rule of a top-``k`` query: fewer hash
+    candidates than ``k`` — summed over every index the query probed —
+    and they give way to an exact scan."""
+    return candidates < k
+
+
+def falls_back(candidates: int, k: int) -> bool:
+    """:func:`short_of`, asked once per query and counted in
+    ``index.lsh.fallback_scans`` — queries, not indexes."""
+    if short_of(candidates, k):
+        _FALLBACK_SCANS.inc()
+        return True
+    return False
 
 
 @np.errstate(over="ignore")  # the decorator form: no object built per call

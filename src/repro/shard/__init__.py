@@ -5,7 +5,7 @@ partitions the catalog by geo-tile into N shards, each one a
 :class:`~repro.core.slice.CatalogSlice` — the platform's own database +
 index suite pairing, over the shard's rows
 (:mod:`repro.shard.partition`) — prunes shards per query with the
-planner's :class:`~repro.core.planner.ShardStats` predicates, runs the
+leaves' :class:`~repro.core.families.ShardStats` predicates, runs the
 same per-slice scans and index probes on the survivors in the
 coordinator (:mod:`repro.shard.executor`), and merges them there
 (:mod:`repro.shard.router`) — with merged results **exactly equal** to

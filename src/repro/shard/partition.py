@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.planner import ShardStats
+from repro.core.families import ShardStats
 from repro.core.platform import TVDP
 from repro.core.slice import CatalogSlice
 from repro.db.database import Database
@@ -157,7 +157,7 @@ def _slice_databases(platform: TVDP, assignment: dict[int, list[int]]) -> list[D
 
 def _shard_stats(shard_id: int, shard: CatalogSlice) -> ShardStats:
     """Pruning statistics over one shard's slice (see
-    :class:`repro.core.planner.ShardStats` for the soundness notes)."""
+    :class:`repro.core.families.ShardStats` for the soundness notes)."""
     # FOV extents plus every camera point: augmented images have no FOV
     # row but still carry a camera point, and camera-mode spatial
     # queries (plus the hybrid index) match on camera points.

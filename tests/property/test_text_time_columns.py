@@ -36,7 +36,7 @@ from repro.geo import FieldOfView, GeoPoint
 from repro.imaging import Image
 from repro.index import InvertedIndex, tie_key, tokenize
 from repro.index.ordering import by_score
-from repro.shard.router import _global_idf
+from repro.core.families import global_idf
 from tests.shard.test_equivalence import LATS, LNGS
 
 # -- textual: the column scorer against the dict scorer -------------------------------
@@ -163,7 +163,7 @@ def test_four_shards_scored_with_the_global_idf_rank_like_one(docs, queries):
         shards[shard_of(doc_id)].add(doc_id, text)
     stats = [SimpleNamespace(text_docs=s.doc_count(), term_dfs=s.term_dfs()) for s in shards]
     for terms, match in queries:
-        idf = _global_idf(tokenize(" ".join(terms)), stats)
+        idf = global_idf(tokenize(" ".join(terms)), stats)
         payloads = [shard.scores(terms, match, idf) for shard in shards]
         joined = (
             np.concatenate([ids for ids, _ in payloads]),

@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import TVDP, TemporalQuery, load_platform, save_platform
+from repro.core.families import Categorical, Temporal
 from repro.core.slice import best_per_image
 from repro.errors import ShardError
 from repro.obs import accounting
 from repro.resilience import FaultPlan, ManualClock
-from repro.shard import ScatterGatherExecutor, ShardRouter, partition_catalog
-from repro.shard.router import _Unit
+from repro.shard import ScatterGatherExecutor, partition_catalog
 from tests.shard.test_equivalence import (
     LATS,
     LNGS,
@@ -250,16 +250,9 @@ class TestMergesAgainstTheirOracles:
     @settings(max_examples=60, deadline=None)
     @given(shards=shard_columns)
     def test_disjoint_payloads_merge_like_the_union_and_the_group_max(self, shards):
-        router = ShardRouter(TVDP(), 2)
-
-        def merged(kind: str, payloads: list):
-            unit = _Unit(None, [])
-            unit.payloads = dict(enumerate(payloads))
-            return router._merge({"kind": kind, "unit": unit})
-
         # A shard's ids come as its slice's ascending int64 column.
         id_payloads = [np.array(sorted(shard), dtype=np.int64) for shard in shards]
-        answer = merged("ids", id_payloads)
+        answer = Temporal.merge(id_payloads)
         assert answer.ids == union_merge(id_payloads) and answer.scores is None
         assert all(type(image_id) is int for image_id in answer.ids)
 
@@ -270,5 +263,5 @@ class TestMergesAgainstTheirOracles:
             )
             for shard in shards
         ]
-        answer = merged("categorical", column_payloads)
+        answer = Categorical.merge(column_payloads)
         assert (answer.ids, answer.scores) == group_max_merge(column_payloads)

@@ -378,7 +378,7 @@ class TestPlanAnnotations:
 class TestBatchFeedsHotQueries:
     def test_serial_and_sharded_batches_record_the_same_shapes(self, fixed_platform):
         # The last query is a general hybrid: one shape on either side,
-        # its parts are run uncounted (TVDP._run_part).
+        # its parts are run uncounted (in TVDP._run).
         queries = [TemporalQuery(start=3.0, end=6.0)] * 3 + make_queries(FIXED_PARAMS)
         recorded = {}
         for n_shards in (1, 4):
