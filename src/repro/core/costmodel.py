@@ -67,18 +67,21 @@ COST_MODEL: dict = {
         "hot_sites": [
             "repro.index.lsh.LSHIndex._candidates",
             "repro.index.lsh.LSHIndex._rank",
-            "repro.index.lsh.LSHIndex.nearest_rows",
+            "repro.index.lsh.LSHIndex.nearest_columns",
             "repro.index.lsh._row_dots",
-            "repro.index.ordering.nearest",
+            "repro.index.ordering.by_distance",
         ],
         "note": (
-            "c = distinct bucket candidates; n = indexed vectors, scanned "
-            "when c < k (index.lsh.fallback_scans).  LSHIndex.nearest_rows "
-            "is the one exact ranking: with more rows than k, |x|^2 - 2x.q "
-            "from the norm column and one matrix-vector product (in "
-            "2,048-row blocks: _row_dots' loop is per block, not per row) "
-            "selects the rows within a guard band of the k-th, and only "
-            "those get the exact norm and the canonical order"
+            "c = distinct bucket candidates (buffer rows); n = indexed "
+            "vectors, scanned when c < k (index.lsh.fallback_scans).  "
+            "LSHIndex.nearest_columns is the one exact ranking: with more "
+            "rows than k and than 128, |x|^2 - 2x.q from the norm column "
+            "and one matrix-vector product (in 2,048-row blocks: "
+            "_row_dots' loop is per block, not per row) selects the rows "
+            "within a guard band of the k-th, and only those get the "
+            "exact norm; the answer is (ids, distances) arrays in the "
+            "canonical order (one lexsort), joined and lexsorted once "
+            "more when several shards answer — no object per candidate"
         ),
     },
     "categorical": {
@@ -147,16 +150,17 @@ COST_MODEL: dict = {
             "index.columns.rows_examined",
         ],
         "hot_sites": [
-            "repro.index.lsh.LSHIndex.nearest_rows",
+            "repro.index.lsh.LSHIndex.nearest_columns",
             "repro.index.lsh._row_dots",
-            "repro.index.ordering.nearest",
+            "repro.index.ordering.by_distance",
         ],
         "note": (
             "n = the extractor's indexed vectors, all of them examined "
             "by the region predicate (index.columns.rows_examined); m = "
             "those inside the region, gathered from the LSH buffer and "
-            "ranked by LSHIndex.nearest_rows — the visual family's "
-            "routine, never a product over the whole buffer.  Non-fused "
+            "ranked by LSHIndex.nearest_columns — the visual family's "
+            "routine, never a product over the whole buffer, answering "
+            "(ids, distances) arrays.  Non-fused "
             "hybrids intersect their parts' own paths"
         ),
     },

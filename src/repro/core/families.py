@@ -40,7 +40,7 @@ from repro.errors import MalformedQueryError, QueryError
 from repro.geo.point import BoundingBox
 from repro.index.inverted import tokenize
 from repro.index.lsh import LSHIndex, falls_back, squared_norm
-from repro.index.ordering import by_score, tie_key
+from repro.index.ordering import by_distance, by_score
 from repro.obs.accounting import charge
 
 if TYPE_CHECKING:
@@ -234,9 +234,10 @@ class Visual(Leaf):
             details["radius"] = query.max_distance
         return details
 
-    def task(self, s: CatalogSlice) -> tuple[list, int]:
-        """The ``k`` nearest candidates (the radius cut at ``k``: the
-        ``k`` nearest cut at it) and their count; none if a scan must."""
+    def task(self, s: CatalogSlice) -> tuple[tuple, int]:
+        """The ``k`` nearest candidates as ``(ids, distances)`` columns
+        (the radius cut at ``k``: the ``k`` nearest cut at it) and their
+        count; none if a scan must."""
         lsh: LSHIndex = s.lsh(self.query.extractor_name)
         if self.whole:
             return lsh.topk_unless_short(self.keys, self.vector, self.query.k)
@@ -256,13 +257,13 @@ class Visual(Leaf):
             span.set("lsh_fallback", fell or span.attrs.get("lsh_fallback", False))
         return self.scan if fell else None
 
-    def scan(self, s: CatalogSlice) -> tuple[list, int]:
+    def scan(self, s: CatalogSlice) -> tuple[tuple, int]:
         lsh: LSHIndex = s.lsh(self.query.extractor_name)
         return lsh.scan_topk(self.vector, self.query.k), 0
 
     def merge(self, payloads: list) -> Answer:
         query = self.query
-        return _nearest([pairs for pairs, _ in payloads], query.k, query.max_distance)
+        return _nearest([columns for columns, _ in payloads], query.k, query.max_distance)
 
 
 class SpatialVisual(Leaf):
@@ -286,9 +287,9 @@ class SpatialVisual(Leaf):
 
     children = staticmethod(HybridQuery.fused_pair)
 
-    def task(self, s: CatalogSlice) -> list:
+    def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
         name, k = self.visual.query.extractor_name, self.visual.query.k
-        return s.spatial_visual_topk(name, self.spatial.region, self.vector, k)
+        return s.spatial_visual_nearest(name, self.spatial.region, self.vector, k)
 
     def survives(self, stats: ShardStats) -> bool:
         return self.spatial.survives(stats) and self.visual.survives(stats)
@@ -389,13 +390,13 @@ def _columns(payloads: list) -> tuple:
 
 
 def _nearest(payloads: list, k: int, radius: float | None) -> Answer:
-    """The ``k`` best of ranked ``(item, distance)`` payloads, cut at ``radius``."""
+    """The ``k`` best of ranked ``(ids, distances)`` payloads, cut at
+    ``radius``: more than one are joined and ordered once."""
     if len(payloads) == 1:
-        pairs = payloads[0]  # ranked, and at most k, where it was made
+        ids, distances = payloads[0]  # ranked, and at most k, where it was made
     else:
-        pairs = [pair for payload in payloads for pair in payload]
-        pairs.sort(key=lambda pair: (pair[1], tie_key(pair[0])))
-        del pairs[k:]
+        ids, distances = by_distance(*_columns(payloads), k)
     if radius is not None:
-        pairs = [(item, d) for item, d in pairs if d <= radius]
-    return Answer.nearest_first(pairs)
+        within = distances <= radius
+        ids, distances = ids[within], distances[within]
+    return Answer.from_distances(ids, distances)

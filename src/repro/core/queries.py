@@ -20,7 +20,7 @@ from repro.errors import QueryError
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.imaging.image import Image
 from repro.index.lsh import squared_norm
-from repro.index.ordering import by_score
+from repro.index.ordering import by_score, id_column
 
 
 def _require_number(name: str, value: object) -> None:
@@ -95,12 +95,18 @@ class Answer:
         return len(self.ids)
 
     @classmethod
+    def from_distances(cls, ids: np.ndarray, distances: np.ndarray) -> "Answer":
+        """Ranked ``(image id, distance)`` columns, in the given order.
+        Similarity score: inverse distance, monotone for ranking (IEEE
+        arithmetic: float for float what Python computes per pair)."""
+        return cls(ids.tolist(), (1.0 / (1.0 + distances)).tolist())
+
+    @classmethod
     def nearest_first(cls, pairs: list[tuple[int, float]]) -> "Answer":
-        """Ranked ``(image id, distance)`` pairs, in the given order.
-        Similarity score: inverse distance, monotone for ranking."""
-        return cls(
-            [item for item, _ in pairs],
-            [1.0 / (1.0 + distance) for _, distance in pairs],
+        """:meth:`from_distances` of ranked ``(image id, distance)`` pairs."""
+        return cls.from_distances(
+            id_column([item for item, _ in pairs]),
+            np.array([distance for _, distance in pairs], dtype=np.float64),
         )
 
     def pairs(self) -> Iterator[tuple[int, float]]:

@@ -53,6 +53,7 @@ from repro.index.columns import Columns, PointColumns, count_scan
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
+from repro.index.ordering import pairs
 from repro.index.oriented_rtree import OrientedRTree
 
 #: The ``source`` column of an annotation, as the float its column holds.
@@ -310,16 +311,23 @@ class CatalogSlice:
     def spatial_visual_topk(
         self, name: str, region: BoundingBox, vector: np.ndarray, k: int
     ) -> list[tuple[int, float]]:
-        """``(image id, feature distance)`` of the ``k`` images most
-        similar to ``vector`` under extractor ``name`` among those whose
-        camera lies inside ``region``, nearest first in canonical order
-        — ``VisualRTree.spatial_visual_knn``'s answer, by filtering the
-        point columns and ranking only the survivors' vectors."""
+        """:meth:`spatial_visual_nearest` as ``(image id, distance)`` pairs."""
+        return pairs(*self.spatial_visual_nearest(name, region, vector, k))
+
+    def spatial_visual_nearest(
+        self, name: str, region: BoundingBox, vector: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The image ids and feature distances (two columns) of the
+        ``k`` images most similar to ``vector`` under extractor ``name``
+        among those whose camera lies inside ``region``, nearest first
+        in canonical order — ``VisualRTree.spatial_visual_knn``'s
+        answer, by filtering the point columns and ranking only the
+        survivors' vectors (:meth:`LSHIndex.nearest_columns`)."""
         lsh = self.lsh(name)
         with self._lock:
             points = self._vector_points[name].view()
         vector_rows = points.extra[0][points.rows_in(region)].astype(np.intp)
-        return lsh.nearest_rows(vector, k, vector_rows)
+        return lsh.nearest_columns(vector, k, vector_rows)
 
     def temporal_ids(self, query: TemporalQuery) -> np.ndarray:
         """Ascending ids (an int64 column) of this slice's images inside

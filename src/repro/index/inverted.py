@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.index.ordering import by_score
+from repro.index.ordering import by_score, fits
 from repro.obs import metrics as _metrics
 from repro.obs.accounting import charge_probes
 
@@ -149,7 +149,7 @@ class InvertedIndex:
             position = self._position.get(doc_id)
             if position is None:
                 position = self._rows
-                if self._ids.dtype != object and not _fits(doc_id):
+                if self._ids.dtype != object and not fits(doc_id):
                     self._ids = self._ids.astype(object)
                 self._ids = _grown(self._ids, position)
                 self._lengths = _grown(self._lengths, position)
@@ -289,8 +289,3 @@ class InvertedIndex:
         """
         with self._lock:
             return {term: postings.count for term, postings in self._postings.items()}
-
-
-def _fits(doc_id: object) -> bool:
-    """Whether ``doc_id`` can live in an int64 id column."""
-    return type(doc_id) is int and -(2**63) <= doc_id < 2**63

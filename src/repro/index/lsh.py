@@ -17,7 +17,7 @@ import threading
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.index.ordering import nearest
+from repro.index.ordering import by_distance, fits, pairs
 from repro.obs import metrics as _metrics
 from repro.obs.accounting import charge_probes
 
@@ -41,9 +41,21 @@ _BLOCK_ROWS = 2048
 
 #: Half-width of the prefilter's guard band, relative to ``max|x|^2 +
 #: |q|^2`` — about 10^5 times the rounding bound it has to cover at
-#: d = 50 (see :meth:`LSHIndex.nearest_rows`), and above it for any
+#: d = 50 (see :meth:`LSHIndex.nearest_columns`), and above it for any
 #: dimension under ~10^6.
 _BAND = 1e-9
+
+#: Rows at or under which a top-k skips the prefilter and computes
+#: every row's exact distance: there the partition, the band mask and
+#: the gathers cost more than the distances they save.  Table in
+#: DESIGN.md section 6.
+_EXACT_ROWS = 128
+
+#: The bucket ids saturate to these before the cast to int64: the
+#: largest and the smallest double an int64 holds.  A finite vector can
+#: project past them, and the cast of such a float is undefined.
+_KEY_MIN = float(-(2**63))
+_KEY_MAX = float(2**63 - 1024)
 
 
 class LSHIndex:
@@ -70,24 +82,30 @@ class LSHIndex:
         rng = np.random.default_rng(seed)
         self._projections = rng.normal(0.0, 1.0, (n_tables, n_projections, dimension))
         self._offsets = rng.uniform(0.0, bucket_width, (n_tables, n_projections))
-        self._tables: list[dict[tuple, list[object]]] = [{} for _ in range(n_tables)]
+        # Each table's buckets list buffer rows, in insertion order.
+        self._tables: list[dict[tuple, list[int]]] = [{} for _ in range(n_tables)]
         # The vector store, held once: row ``_row_of[item]`` of
-        # ``_buffer`` is the item's vector and the same row of
-        # ``_sq_norms`` its squared norm; the first ``len(_items)`` rows
-        # are live.  Both double when full, so an insert is an amortised
-        # O(dimension) row write and never invalidates what queries rank
-        # against.
-        self._items: list[object] = []
+        # ``_buffer`` is the item's vector, the same row of ``_sq_norms``
+        # its squared norm and of ``_ids`` the item; the first
+        # ``len(_row_of)`` rows are live.  All three double when full, so
+        # an insert is an amortised O(dimension) row write and never
+        # invalidates what queries rank against.  ``_ids`` is int64
+        # while every item is a plain ``int`` that fits, and object dtype
+        # from the first one that is not.  ``_max_sq_norm`` is the
+        # largest squared norm ever inserted: at least that of any rows
+        # a query ranks, which is all the guard band asks of it.
         self._row_of: dict[object, int] = {}
+        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
         self._buffer = np.empty((_INITIAL_ROWS, dimension))
         self._sq_norms = np.empty(_INITIAL_ROWS)
+        self._max_sq_norm = 0.0
         # One lock covers inserts and taking the live-rows view: a query
-        # racing an insert must see items and rows from the same moment.
+        # racing an insert must see ids and rows from the same moment.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            return len(self._row_of)
 
     def clone_empty(self) -> "LSHIndex":
         """An empty index sharing this one's exact hash functions.
@@ -114,11 +132,13 @@ class LSHIndex:
         return vector
 
     def _keys(self, vector: np.ndarray) -> list[tuple]:
-        # (tables, projections) bucket ids in one shot.
+        # (tables, projections) bucket ids in one shot, saturated in
+        # float, so that the cast is the same on every CPU.
         buckets = np.floor(
             (self._projections @ vector + self._offsets) / self.bucket_width
-        ).astype(np.int64)
-        return [tuple(row) for row in buckets.tolist()]
+        )
+        np.minimum(np.maximum(buckets, _KEY_MIN, out=buckets), _KEY_MAX, out=buckets)
+        return [tuple(row) for row in buckets.astype(np.int64).tolist()]
 
     def bucket_keys(self, vector: np.ndarray) -> list[tuple]:
         """The bucket ``vector`` falls in, one key per table.
@@ -149,28 +169,30 @@ class LSHIndex:
         with self._lock:
             if item in self._row_of:
                 raise IndexError_(f"item {item!r} already indexed")
-            row = len(self._items)
+            row = len(self._row_of)
+            if not fits(item) and self._ids.dtype != object:
+                self._ids = self._ids.astype(object)
             if row == len(self._buffer):
                 # Views handed out earlier keep the old blocks alive and
                 # stay valid: live rows are never rewritten.
-                grown = np.empty((2 * row, self.dimension))
-                grown[:row] = self._buffer
-                self._buffer = grown
-                grown_norms = np.empty(2 * row)
-                grown_norms[:row] = self._sq_norms
-                self._sq_norms = grown_norms
+                self._buffer = _doubled(self._buffer)
+                self._sq_norms = _doubled(self._sq_norms)
+                self._ids = _doubled(self._ids)
             self._buffer[row] = vector
             self._sq_norms[row] = sq_norm
+            self._ids[row] = item
+            if sq_norm > self._max_sq_norm:
+                self._max_sq_norm = sq_norm
             self._row_of[item] = row
-            self._items.append(item)
             for table, key in zip(self._tables, keys):
-                table.setdefault(key, []).append(item)
+                table.setdefault(key, []).append(row)
         return row
 
     # -- queries ------------------------------------------------------------
 
-    def _candidates(self, keys: list[tuple]) -> set[object]:
-        found: set[object] = set()
+    def _candidates(self, keys: list[tuple]) -> set[int]:
+        """The buffer rows in the buckets ``keys``, counted."""
+        found: set[int] = set()
         bucket_hits = 0
         for table, key in zip(self._tables, keys):
             bucket = table.get(key)
@@ -192,138 +214,144 @@ class LSHIndex:
         silently collapses (the platform prefers a slower exact answer
         over a wrong one).
         """
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
         vector = self._check_vector(vector)
-        pairs, candidates = self.topk_unless_short(self._keys(vector), vector, k)
-        return self.scan_topk(vector, k) if falls_back(candidates, k) else pairs
+        columns, candidates = self.topk_unless_short(self._keys(vector), vector, k)
+        return pairs(*(self.scan_topk(vector, k) if falls_back(candidates, k) else columns))
 
     def topk_with_stats(
         self, vector: np.ndarray, k: int
     ) -> tuple[list[tuple[object, float]], int]:
-        """:meth:`topk_in_buckets` of ``vector``'s own buckets."""
-        return self.topk_in_buckets(self.bucket_keys(vector), vector, k)
+        """:meth:`topk_in_buckets` of ``vector``'s own buckets, as pairs."""
+        columns, candidates = self.topk_in_buckets(self.bucket_keys(vector), vector, k)
+        return pairs(*columns), candidates
 
     def topk_in_buckets(
         self, keys: list[tuple], vector: np.ndarray, k: int
-    ) -> tuple[list[tuple[object, float]], int]:
-        """Phase-1 scatter probe: ranked top-``k`` among the items in
-        the buckets ``keys`` (:meth:`bucket_keys` of ``vector``, from
-        this index or any index it is a clone of) plus the candidate-set
-        size, *without* the exhaustive fallback.
+    ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+        """Phase-1 scatter probe: the ranked top-``k`` columns
+        (:meth:`nearest_columns`) among the items in the buckets
+        ``keys`` (:meth:`bucket_keys` of ``vector``, from this index or
+        any index it is a clone of) plus the candidate-set size,
+        *without* the exhaustive fallback.
 
         The scatter-gather coordinator sums the per-shard candidate
         counts and triggers the exact fallback globally iff the total is
         below ``k`` — reproducing the serial fallback decision exactly.
         """
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
+        _check_k(k)
         vector = self._check_vector(vector)
         candidates = self._candidates(keys)
-        return self._rank(list(candidates), vector, k), len(candidates)
+        return self._rank(candidates, vector, k), len(candidates)
 
     def topk_unless_short(
         self, keys: list[tuple], vector: np.ndarray, k: int
-    ) -> tuple[list[tuple[object, float]], int]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
         """:meth:`topk_in_buckets` on an index that holds every candidate
         of the query: when they are :func:`short_of` ``k`` the exhaustive
-        scan answers instead, so none is ranked (the pairs are empty)."""
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
+        scan answers instead, so none is ranked (the columns are empty)."""
+        _check_k(k)
         vector = self._check_vector(vector)
         candidates = self._candidates(keys)
         if short_of(len(candidates), k):
-            return [], len(candidates)
-        return self._rank(list(candidates), vector, k), len(candidates)
+            return (np.empty(0, dtype=np.int64), np.empty(0)), len(candidates)
+        return self._rank(candidates, vector, k), len(candidates)
 
     def _rank(
-        self, items: list[object], vector: np.ndarray, k: int | None
-    ) -> list[tuple[object, float]]:
-        """Exact ranking of the indexed ``items`` by distance to
-        ``vector`` (:meth:`nearest_rows` of their rows)."""
-        if not items:
-            return []
-        rows = np.array([self._row_of[item] for item in items])
-        return self._nearest(vector, k, rows)
+        self, rows: set[int], vector: np.ndarray, k: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`nearest_columns` of the buffer ``rows``, for a vector
+        its caller has checked."""
+        return self._nearest(vector, k, np.fromiter(rows, dtype=np.intp, count=len(rows)))
 
     def query_radius(self, vector: np.ndarray, radius: float) -> list[tuple[object, float]]:
         """All hash candidates within true distance ``radius``."""
         if radius < 0:
             raise IndexError_(f"radius must be >= 0, got {radius}")
         vector = self._check_vector(vector)
-        ranked = self._rank(list(self._candidates(self._keys(vector))), vector, k=None)
-        return [(item, d) for item, d in ranked if d <= radius]
+        ids, distances = self._rank(self._candidates(self._keys(vector)), vector, None)
+        within = distances <= radius
+        return pairs(ids[within], distances[within])
 
     def linear_topk(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         """Exact brute-force top-k — the baseline the LSH ablation bench
         compares against."""
-        if k < 1:
-            raise IndexError_(f"k must be >= 1, got {k}")
+        _check_k(k)
         return self.nearest_rows(vector, k)
 
-    def scan_topk(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
-        """:meth:`linear_topk` as the exhaustive fallback runs it: one
-        ``probes.lsh`` charged per indexed row."""
+    def scan_topk(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`linear_topk`'s columns as the exhaustive fallback runs
+        it: one ``probes.lsh`` charged per indexed row."""
+        _check_k(k)
         charge_probes("lsh", len(self))
-        return self.linear_topk(vector, k)
+        return self.nearest_columns(vector, k)
 
     def nearest_rows(
         self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None
     ) -> list[tuple[object, float]]:
+        """:meth:`nearest_columns` as ``(item, distance)`` pairs."""
+        return pairs(*self.nearest_columns(vector, k, rows))
+
+    def nearest_columns(
+        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest (all, for ``k=None``) to ``vector`` of the
         vectors in the buffer ``rows`` — as :meth:`insert` returned
-        them; every live row when ``None`` — as ``(item, true L2
-        distance)`` in canonical order (:mod:`repro.index.ordering`).
-        The one exact ranking: the fallback scan, the hash candidates
-        and a caller that keeps rows beside its own columns all end
-        here.
+        them; every live row when ``None`` — as two columns, the items
+        and their true L2 distances, in canonical order
+        (:func:`repro.index.ordering.by_distance`).  The one exact
+        ranking: the fallback scan, the hash candidates and a caller
+        that keeps rows beside its own columns all end here.
 
-        With more rows than ``k``, one dot product per row selects and
-        the exact ``norm(x - q)`` is computed only for the rows that can
-        matter: ``a = |x|^2 - 2 x.q`` (the norm column and one
-        matrix-vector product; ``+ |q|^2`` is the same for every row)
-        orders rows as the squared distance does, up to rounding.  With
-        ``e`` the largest ``|a + |q|^2 - exact^2|`` over the rows, the
-        ``k`` rows of smallest ``a`` have ``exact^2 <= kth + e``, so the
-        k-th exact distance does too, and every row at or under it —
-        the exact top-k with its ties — has ``a <= kth + 2e``.  Dot
-        products and norms of ``d`` terms give ``e <= c d u (max|x|^2 +
-        |q|^2)`` for a small ``c`` and ``u`` = 1.1e-16; the band kept
-        is ``_BAND`` of that sum on each side, far above ``2e``.  The
-        survivors are then ranked exactly as all rows would have been,
-        so distances, ties and order are those of the full computation.
+        With more rows than ``k`` and than ``_EXACT_ROWS``, one dot
+        product per row selects and the exact ``norm(x - q)`` is
+        computed only for the rows that can matter: ``a = |x|^2 - 2
+        x.q`` (the norm column and one matrix-vector product; ``+ |q|^2``
+        is the same for every row) orders rows as the squared distance
+        does, up to rounding.  With ``e`` the largest ``|a + |q|^2 -
+        exact^2|`` over the rows, the ``k`` rows of smallest ``a`` have
+        ``exact^2 <= kth + e``, so the k-th exact distance does too, and
+        every row at or under it — the exact top-k with its ties — has
+        ``a <= kth + 2e``.  Dot products and norms of ``d`` terms give
+        ``e <= c d u (max|x|^2 + |q|^2)`` for a small ``c`` and ``u`` =
+        1.1e-16; the band kept is ``_BAND`` of that sum on each side, far
+        above ``2e``, with ``max|x|^2`` the index's running maximum (at
+        least the rows', so the band is only wider).  The survivors are
+        then ranked exactly as all rows would have been, so distances,
+        ties and order are those of the full computation.
 
-        When ``k`` covers the rows, or the band is no use — not finite
-        (the sum overflows), below the normal range (underflow breaks
-        the relative bound), or as wide as the rows' spread (huge
-        near-identical vectors) — every row is ranked exactly."""
+        When ``k`` covers the rows, they are few, or the band is no use
+        — not finite (the sum overflows), below the normal range
+        (underflow breaks the relative bound), or as wide as the rows'
+        spread (huge near-identical vectors) — every row is ranked
+        exactly."""
         return self._nearest(self._check_vector(vector), k, rows)
 
     def _nearest(
         self, vector: np.ndarray, k: int | None, rows: np.ndarray | None
-    ) -> list[tuple[object, float]]:
-        """:meth:`nearest_rows` of a vector its caller has checked."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`nearest_columns` of a vector its caller has checked."""
         with self._lock:
-            items = self._items
-            live = len(items)
-            matrix, sq_norms = self._buffer[:live], self._sq_norms[:live]
+            live = len(self._row_of)
+            ids, matrix = self._ids[:live], self._buffer[:live]
+            sq_norms, max_sq_norm = self._sq_norms[:live], self._max_sq_norm
         if rows is not None:
             # Rank a subset from a gather: the product below must cost
-            # what the subset costs, never what the buffer does.
-            matrix, sq_norms = matrix[rows], sq_norms[rows]
-        if k is not None and k < len(matrix):
-            band = _BAND * float(sq_norms.max() + vector @ vector)
+            # what the subset costs, never what the buffer does.  (take
+            # gathers rows faster than fancy indexing does.)
+            ids, matrix = ids.take(rows), matrix.take(rows, axis=0)
+        if k is not None and max(k, _EXACT_ROWS) < len(matrix):
+            band = _BAND * (max_sq_norm + float(vector @ vector))
             if sys.float_info.min <= band < math.inf:
+                if rows is not None:
+                    sq_norms = sq_norms.take(rows)
                 approx = sq_norms - 2.0 * _row_dots(matrix, vector)
                 kth = np.partition(approx, k - 1)[k - 1]
                 near = np.flatnonzero(approx <= kth + band)
                 if len(near) < len(matrix):
-                    matrix = matrix[near]
-                    rows = near if rows is None else rows[near]
-        distances = np.linalg.norm(matrix - vector, axis=1)
-        if rows is None:
-            return nearest(items[:live], distances, k)
-        return nearest([items[row] for row in rows.tolist()], distances, k)
+                    ids, matrix = ids.take(near), matrix.take(near, axis=0)
+        # np.linalg.norm(diff, axis=1), float for float, without its wrapper.
+        diff = matrix - vector
+        return by_distance(ids, np.sqrt(np.add.reduce(diff * diff, axis=1)), k)
 
     def vectors_at(self, rows: np.ndarray) -> np.ndarray:
         """A copy of the vectors in the buffer ``rows`` (as
@@ -333,7 +361,19 @@ class LSHIndex:
     def _dense_matrix(self) -> np.ndarray:
         """The live rows as a view (no copy); not to be written through."""
         with self._lock:
-            return self._buffer[: len(self._items)]
+            return self._buffer[: len(self._row_of)]
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise IndexError_(f"k must be >= 1, got {k}")
+
+
+def _doubled(column: np.ndarray) -> np.ndarray:
+    """A copy of ``column`` with twice its rows, the new ones unset."""
+    grown = np.empty((2 * len(column), *column.shape[1:]), dtype=column.dtype)
+    grown[: len(column)] = column
+    return grown
 
 
 def short_of(candidates: int, k: int) -> bool:

@@ -48,6 +48,34 @@ class TestLSH:
         assert len(index) == 20
         assert index.linear_topk(vectors[3], k=5) == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bucket_ids_past_int64_saturate_by_sign(self):
+        """A finite vector can project past +-2**63 buckets.  Its bucket
+        ids saturate in float, keeping the sign, instead of taking an
+        invalid int64 cast (INT64_MIN everywhere on x86): two such
+        vectors pointing apart share no bucket, and a query near one
+        finds only that one."""
+        index = LSHIndex(dimension=4)
+        far = np.array([1e150, 0.0, 0.0, 0.0])
+        apart = np.array([-3e140, 5e139, 0.0, 1e141])
+        projections = index._projections @ far + index._offsets
+        top, bottom = float(2**63 - 1024), float(-(2**63))
+        assert index.bucket_keys(far) == [
+            tuple(int(top) if p > 0 else int(bottom) for p in row) for row in projections
+        ]
+        assert all(a != b for a, b in zip(index.bucket_keys(far), index.bucket_keys(apart)))
+        index.insert("far", far)
+        index.insert("apart", apart)
+        assert index.topk_with_stats(np.array([7e100, 1.0, 1.0, 1.0]), 1) == ([("far", 1e150)], 1)
+
+    def test_bucket_ids_that_fit_are_the_plain_cast(self):
+        index, vectors = self.make_index(n=50)
+        for vector in vectors:
+            buckets = np.floor(
+                (index._projections @ vector + index._offsets) / index.bucket_width
+            ).astype(np.int64)
+            assert index.bucket_keys(vector) == [tuple(row) for row in buckets.tolist()]
+
     def test_exact_match_found_first(self):
         index, vectors = self.make_index()
         results = index.query_topk(vectors[17], k=5)

@@ -27,6 +27,7 @@ from repro.core import TVDP, TemporalQuery, load_platform, save_platform
 from repro.core.families import Categorical, Temporal
 from repro.core.slice import best_per_image
 from repro.errors import ShardError
+from repro.index.ordering import pairs
 from repro.obs import accounting
 from repro.resilience import FaultPlan, ManualClock
 from repro.shard import ScatterGatherExecutor, partition_catalog
@@ -66,13 +67,14 @@ class TestCoordinatorHashesOnce:
                 for handle in partition_catalog(platform, n_shards, grid=(3, 3))
             ]
             everything = len(parent) + 1
-            serial, serial_count = parent.topk_in_buckets(keys, vector, everything)
+            serial_columns, serial_count = parent.topk_in_buckets(keys, vector, everything)
+            serial = pairs(*serial_columns)
             found: list = []
             for shard in shards:
                 assert shard.bucket_keys(vector) == keys
-                pairs, count = shard.topk_in_buckets(keys, vector, everything)
-                assert count == len(pairs)
-                found.extend(pairs)
+                columns, count = shard.topk_in_buckets(keys, vector, everything)
+                assert count == len(columns[0]) == len(columns[1])
+                found.extend(pairs(*columns))
             # Same candidates, none twice, each at the distance serial gave it.
             assert len(found) == serial_count
             assert sorted(found) == sorted(serial)
