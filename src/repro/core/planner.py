@@ -110,23 +110,24 @@ def _measured_execute(
     The counter deltas are whole-registry increments during the run, in
     a unit of work of its own (``obs.Unit``) so what its record implies
     is among them; concurrent traffic can only over-attribute.  The
-    charges come from a ledger scoped to this one execution, exact
-    under any traffic, and are replayed into an enclosing ledger (an
-    API request's principal pays); with none they are billed ``local``,
-    as a bare ``platform.execute`` would be — the analyze run *is* load.
+    charges are that unit's bill, exact under any traffic.  Inside
+    billed work (an API request) the run is that work's: its record
+    carries no bill and its charges are added to the open sheet, so the
+    request's principal pays; outside, the run is billed ``local``, as a
+    bare ``platform.execute`` would be — the analyze run *is* load.
     """
     registry = obs.metrics()
-    outer = accounting.active_ledger()
+    outer = obs.current_unit()
+    billed_above = outer is not None and outer.sheet is not None
     before = registry.counter_values()
     # analyze=True reports the real execution time; elapsed_ms is
     # display metadata, not result data.
     start = time.perf_counter()  # devtools: allow[determinism] — see above
-    with obs.Unit(obs.records()) as unit, accounting.ledger_scope(
-        table=obs.usage() if outer is None else None,
-        operation=f"execute.{query_family(query)}",
-    ) as measured:
+    with obs.Unit(obs.records()) as unit:
         # Past the answer cache: what is measured is the query's work.
         answer = platform._answer(query, None)
+        if billed_above:
+            unit.principal = None
     elapsed_ms = (time.perf_counter() - start) * 1000.0  # devtools: allow[determinism] — see above
     after = registry.counter_values()
     deltas = {
@@ -134,10 +135,10 @@ def _measured_execute(
         for name, value in after.items()
         if value - before.get(name, 0.0)
     }
-    charges = dict(measured.charges)
-    if outer is not None:
+    charges = dict(unit.charges)
+    if billed_above:
         for kind, amount in charges.items():
-            outer.add(kind, amount)
+            accounting.charge(kind, amount)
     # The query's own span closed last; what execution decided is on it.
     fallback = unit.spans[-1].attrs.get("lsh_fallback")
     return len(answer), elapsed_ms, deltas, charges, fallback

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.shard.router import ShardRouter  # devtools: allow[layer-boundary]
 
 from repro import obs
-from repro.obs.accounting import LOCAL_PRINCIPAL, charge, maybe_ledger_scope
+from repro.obs.accounting import LOCAL_PRINCIPAL, charge, ledger_scope
 from repro.errors import TVDPError
 from repro.db.database import Database
 from repro.features.base import FeatureExtractor
@@ -461,7 +461,7 @@ class TVDP:
         shard once for the whole batch; a serial one just loops."""
         if self.shards > 1 and queries:
             router = self._shard_router()
-            with maybe_ledger_scope(
+            with ledger_scope(
                 obs.usage(), principal=LOCAL_PRINCIPAL, operation="execute.batch"
             ):
                 with obs.span("query.batch", queries=len(queries)) as sp:
@@ -534,9 +534,9 @@ class TVDP:
             run = self._run_sharded if self.shards > 1 else self._run
         family = query_family(query)
         shape = query_shape(query)
-        # maybe_ledger_scope bills to the enclosing ledger (the API
-        # request's when there is one, a fresh local ledger otherwise).
-        with maybe_ledger_scope(
+        # Billed to the open unit of work (the API request's when there
+        # is one, a fresh local one otherwise).
+        with ledger_scope(
             obs.usage(), principal=LOCAL_PRINCIPAL, operation=f"execute.{family}"
         ):
             with obs.span(f"query.{family}") as sp:

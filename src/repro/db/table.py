@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.errors import IntegrityError, SchemaError
 from repro.db.schema import ColumnType, TableSchema
-from repro.obs.accounting import active_ledger, charge
+from repro.obs.accounting import charge
+from repro.obs.record import current_unit
 
 
 class Table:
@@ -268,17 +269,18 @@ class Table:
 
     def scan(self, predicate: Callable[[dict], bool] | None = None) -> Iterator[dict]:
         """Iterate rows (copies) in primary-key order, optionally filtered."""
-        # One ledger lookup per scan, not per row; the generator is
-        # consumed in the context that opened it.  The row snapshot is
-        # taken under the lock so concurrent inserts never tear the
-        # iteration; update() replaces row dicts wholesale, so the
-        # snapshotted dicts themselves are stable.
-        ledger = active_ledger()
+        # One look at the open unit's charge sheet per scan, not per
+        # row; the generator is consumed in the context that opened it.
+        # The row snapshot is taken under the lock so concurrent inserts
+        # never tear the iteration; update() replaces row dicts
+        # wholesale, so the snapshotted dicts themselves are stable.
+        unit = current_unit()
+        sheet = None if unit is None else unit.sheet
         with self._lock:
             snapshot = [self._rows[pk] for pk in sorted(self._rows)]
         for row in snapshot:
-            if ledger is not None:
-                ledger.add("rows_scanned", 1)
+            if sheet is not None:
+                sheet["rows_scanned"] = sheet.get("rows_scanned", 0.0) + 1
             if predicate is None or predicate(row):
                 yield dict(row)
 

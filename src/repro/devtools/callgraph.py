@@ -103,7 +103,7 @@ class ModuleInfo:
     imports: dict[str, str] = field(default_factory=dict)
     #: names defined at module top level (functions/classes/assignments)
     local_names: set[str] = field(default_factory=set)
-    #: module-level variable -> inferred class qualname (``_tracer = Tracer()``)
+    #: module-level variable -> inferred class qualname (``_store = RecordStore()``)
     var_types: dict[str, str] = field(default_factory=dict)
 
 

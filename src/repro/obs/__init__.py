@@ -1,8 +1,9 @@
 """Platform observability: metrics, tracing spans, structured logs.
 
 One process-wide :class:`MetricsRegistry` and :class:`RecordStore`
-back every instrumented code path.  A unit of work
-(an API request, a bare platform call) yields one
+back every instrumented code path.  A unit of work (an API request, a
+bare platform call) is one :class:`Unit`, the only per-context state
+here — ``span`` and ``ledger_scope`` open or join it — and yields one
 :class:`RequestRecord`, folded once into the store; ``/stats``,
 ``/health`` and every ``/debug/*`` view read that store (see
 ``repro.obs.record``).  The API layer serves the registry at
@@ -34,15 +35,7 @@ import os
 import threading
 
 from repro.obs import slo
-from repro.obs.accounting import (
-    Budget,
-    ResourceLedger,
-    active_ledger,
-    charge,
-    charge_probes,
-    ledger_scope,
-    maybe_ledger_scope,
-)
+from repro.obs.accounting import Budget, charge, charge_probes, ledger_scope
 from repro.obs.logs import SpanContextFilter, configure_logging, console, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -57,7 +50,6 @@ from repro.obs.tracing import (
     JsonlExporter,
     Span,
     TraceContext,
-    Tracer,
     _OpenSpan,
     current_span,
     current_traceparent,
@@ -76,13 +68,10 @@ __all__ = [
     "MetricsRegistry",
     "RecordStore",
     "RequestRecord",
-    "ResourceLedger",
     "Span",
     "SpanContextFilter",
     "TraceContext",
-    "Tracer",
     "Unit",
-    "active_ledger",
     "charge",
     "charge_probes",
     "configure_logging",
@@ -97,7 +86,6 @@ __all__ = [
     "health",
     "hot_queries",
     "ledger_scope",
-    "maybe_ledger_scope",
     "metrics",
     "note_query",
     "note_request",
@@ -156,10 +144,9 @@ def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
     (context manager).
 
     ``remote_parent`` (an extracted ``traceparent`` header's
-    :class:`TraceContext`) joins a trace started in another process —
-    see :meth:`Tracer.span`.  Built here rather than through a
-    ``Tracer``: one opens per span of every request, and handing
-    ``attrs`` on would repack them.
+    :class:`TraceContext`) joins a trace started in another process
+    when no span is open.  Inside ``with Unit(store):`` the span closes
+    into that unit instead (tests read a store of their own that way).
     """
     return _OpenSpan(_store, name, remote_parent, attrs)
 
@@ -167,9 +154,9 @@ def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
 def note_query(shape: str, family: str, duration_ms: float) -> None:
     """One executed query, noted on the open unit of work: it counts in
     ``platform.queries{family}`` and under its shape when the unit
-    folds (at once, when no unit is open)."""
+    folds (at once, when no unit of work is open)."""
     unit = current_unit()
-    if unit is not None:
+    if unit is not None and unit.store is not None:
         unit.queries.append((shape, family, duration_ms))
     else:
         _store.record(shape, duration_ms, family)

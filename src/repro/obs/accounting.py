@@ -1,27 +1,26 @@
-"""Per-request resource accounting: the cost ledger a unit of work is
-billed on.
+"""Per-request resource accounting: who spent what in a unit of work.
 
 Latency histograms say *how long*; this module says *who spent what*.
-A :class:`ResourceLedger` is opened per unit of work (one API request
-in ``Router.dispatch``, or one bare ``TVDP.execute`` when no request is
-active) and meters the resources the work touches:
+Instrumented code calls the module-level :func:`charge` helpers, which
+add to the charge sheet of the open unit of work
+(:class:`~repro.obs.record.Unit`) — a near-no-op when no
+:class:`ledger_scope` is open — metering the resources the work touches:
 
 * ``rows_scanned``      — rows materialised by ``repro.db`` reads
 * ``probes.<family>``   — index probe work per index family (lsh,
   oriented, inverted, rtree, visual_rtree)
 * ``feature_bytes``     — feature-vector bytes touched
 * ``catalog_lookups``   — classification-catalog resolutions
-* ``mem_peak_kb``       — tracemalloc peak delta (only metered while
+* ``mem_peak_kb``       — tracemalloc peak delta over the block of a
+  private meter or of the scope that named the bill (only metered while
   tracemalloc is already tracing, so the hot path stays cheap)
 
-The ledger rides a ``contextvars`` variable — instrumented code calls
-the module-level :func:`charge` helpers, which are a near-no-op when no
-ledger is active.  A ledger opened with a ``table`` is *billable*: it
-becomes the bill of its unit of work's record (``repro.obs.record``),
-and when the unit folds the charges roll up under three aggregation
-keys: **principal** (the API key's label), **query shape**
-(``repro.core.queries.query_shape``), and **operation** (route or
-platform entry point).
+A ``ledger_scope`` opened with a ``table`` is *billable*: it bills its
+block to the unit of work (one API request in ``Router.dispatch``, or
+one bare ``TVDP.answer``), and when the unit folds the charges roll up
+under three aggregation keys: **principal** (the API key's label),
+**query shape** (``repro.core.queries.query_shape``), and **operation**
+(route or platform entry point).
 
 A configurable :class:`Budget` turns per-principal rolling spend into
 *would-shed* dry-run flags — the admission-control signal the serving
@@ -31,127 +30,54 @@ shedding anything yet.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.record import RecordStore, Unit, current_unit
-
-#: The name the store goes by where it is handed to ``ledger_scope``.
-UsageTable = RecordStore
-
-#: Weight of one unit of each charge kind in the scalar cost used for
-#: budgets and "top consumer" ranking.  ``probes.<family>`` keys share
-#: the ``probes`` weight; memory is observability, not admission cost.
-COST_WEIGHTS = {
-    "rows_scanned": 1.0,
-    "probes": 1.0,
-    "feature_bytes": 1.0 / 1024.0,
-    "catalog_lookups": 1.0,
-    "mem_peak_kb": 0.0,
-}
+# COST_WEIGHTS and cost_of are the fold's, named here where the charges are.
+from repro.obs.record import COST_WEIGHTS, RecordStore, Unit, cost_of, current_unit
 
 #: Principal recorded for work that did not come through the API.
 LOCAL_PRINCIPAL = "local"
 
-#: The ledger of the current execution context (mirrors the tracer's
-#: ``_current_span``: per-context, never a cross-worker merge target).
-_ledger: contextvars.ContextVar["ResourceLedger | None"] = contextvars.ContextVar(
-    "tvdp_ledger", default=None
-)
-
-
-def cost_of(charges: dict[str, float]) -> float:
-    """Scalar cost of a charge dict under :data:`COST_WEIGHTS`."""
-    total = 0.0
-    for kind, amount in charges.items():
-        key = "probes" if kind.startswith("probes.") else kind
-        total += COST_WEIGHTS.get(key, 0.0) * amount
-    return total
-
-
-@dataclass(slots=True)
-class ResourceLedger:
-    """Mutable charge sheet for one unit of work.
-
-    Owned by the single execution context that opened it (like an open
-    :class:`~repro.obs.tracing.Span`), so ``add`` needs no lock; the
-    thread-safety boundary is :meth:`RecordStore.fold`.  Slotted: one
-    ledger is created per request, on the serving hot path.
-    """
-
-    principal: str = LOCAL_PRINCIPAL
-    operation: str | None = None
-    shape: str | None = None
-    charges: dict[str, float] = field(default_factory=dict)
-    _mem_baseline: float | None = None
-
-    def add(self, kind: str, amount: float = 1.0) -> None:
-        """Charge ``amount`` units of ``kind`` to this ledger."""
-        # Owned by one context until closed, like Span.set.
-        self.charges[kind] = (
-            self.charges.get(kind, 0.0) + amount
-        )
-
-    def cost(self) -> float:
-        """Scalar cost of everything charged so far."""
-        return cost_of(self.charges)
-
-    # -- memory metering ----------------------------------------------------
-
-    def _open_mem(self) -> None:
-        if tracemalloc.is_tracing():
-            self._mem_baseline = float(tracemalloc.get_traced_memory()[0])
-
-    def _close_mem(self) -> None:
-        if self._mem_baseline is not None and tracemalloc.is_tracing():
-            peak = float(tracemalloc.get_traced_memory()[1])
-            delta_kb = max(0.0, peak - self._mem_baseline) / 1024.0
-            if delta_kb:
-                self.add("mem_peak_kb", delta_kb)
-
-
-#: ``active_ledger()``: the open ledger of the current execution
-#: context, or ``None`` — the variable's own getter.
-active_ledger = _ledger.get
-
 
 def charge(kind: str, amount: float = 1.0) -> None:
-    """Charge the active ledger; a near-no-op when none is open (and
-    zero-amount charges never materialise an entry)."""
+    """Charge the open unit's sheet; a near-no-op when no scope is open
+    (and zero-amount charges never materialise an entry)."""
     if amount:
-        ledger = _ledger.get()
-        if ledger is not None:
-            ledger.add(kind, amount)
+        unit = current_unit()
+        if unit is not None:
+            sheet = unit.sheet
+            if sheet is not None:
+                sheet[kind] = sheet.get(kind, 0.0) + amount
 
 
 def charge_probes(family: str, count: float) -> None:
     """Charge index-probe work for one index family."""
     if count:
-        ledger = _ledger.get()
-        if ledger is not None:
-            ledger.add(f"probes.{family}", count)
+        charge(f"probes.{family}", count)
 
 
 class ledger_scope:
-    """Open a fresh ledger for the block.  With a ``table`` the ledger
-    is billable: it is the bill of the enclosing unit of work — or, when
-    it is the outermost thing open, the unit of work itself, folded into
-    ``table`` on exit (exceptions included — failed work still cost
-    something).  A second billable ledger in one unit adds its charges
-    to the first.  Without a ``table`` it is a private meter whose
-    charges the caller reads off.
+    """``with ledger_scope(...) as scope``: the block is billed to
+    ``scope.charges``.
+
+    With a ``table`` the scope is billable: it bills its block to the
+    open unit of work — or, when none is open, to one it opens on
+    ``table`` and folds on exit (exceptions included — failed work still
+    cost something) — and names the unit's bill if nothing named it
+    yet, so a second billable scope in one unit adds to the first.
+    ``charges`` is the unit's whole bill.  Without a ``table`` it is a
+    private meter: the charges of its block go to a fresh ``charges``
+    the caller reads off, and to nothing else.
 
     A plain class-based context manager rather than
     ``@contextlib.contextmanager``: one of these opens per serving
-    request, and skipping the generator machinery keeps the fixed
-    accounting cost a small fraction of request handling (gated by
-    ``benchmarks/bench_obs_overhead.py``).
+    request and per query, and skipping the generator machinery keeps
+    the fixed accounting cost a small fraction of request handling.
     """
 
-    __slots__ = ("ledger", "_table", "_token", "_unit", "_root")
+    __slots__ = ("charges", "_table", "_bill", "_unit", "_root", "_outer", "_mem")
 
     def __init__(
         self,
@@ -161,48 +87,41 @@ class ledger_scope:
         shape: str | None = None,
     ) -> None:
         self._table = table
-        self.ledger = ResourceLedger(principal, operation, shape)
+        self._bill = (principal, operation, shape)
 
-    def __enter__(self) -> ResourceLedger:
-        if self._table is not None:
-            unit = current_unit()
+    def __enter__(self) -> "ledger_scope":
+        unit, table = current_unit(), self._table
+        metered = True  # a private meter, or the scope that names the bill
+        if table is None:
             self._root = unit is None
             if self._root:
-                unit = Unit(self._table)
-            if unit.ledger is None:
-                unit.ledger = self.ledger
-            self._unit = unit
-        self.ledger._open_mem()
-        self._token = _ledger.set(self.ledger)
-        return self.ledger
+                unit = Unit(None)
+            self.charges: dict[str, float] = {}
+        else:
+            self._root = unit is None or unit.store is None
+            if self._root:
+                unit = Unit(table)
+            metered = unit.principal is None
+            if metered:
+                unit.principal, unit.operation, unit.shape = self._bill
+            self.charges = unit.charges
+        self._unit, self._outer = unit, unit.sheet
+        unit.sheet = self.charges
+        self._mem = (
+            float(tracemalloc.get_traced_memory()[0])
+            if metered and tracemalloc.is_tracing() else None
+        )
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _ledger.reset(self._token)
-        self.ledger._close_mem()
-        if self._table is not None:
-            bill = self._unit.ledger
-            if bill is not self.ledger:
-                for kind, amount in self.ledger.charges.items():
-                    bill.add(kind, amount)
-            if self._root:
-                self._unit.close()
+        if self._mem is not None and tracemalloc.is_tracing():
+            peak = float(tracemalloc.get_traced_memory()[1])
+            charge("mem_peak_kb", max(0.0, peak - self._mem) / 1024.0)
+        unit = self._unit
+        unit.sheet = self._outer
+        if self._root:
+            unit.close()
         return False
-
-
-def maybe_ledger_scope(
-    table: "UsageTable | None" = None,
-    principal: str = LOCAL_PRINCIPAL,
-    operation: str | None = None,
-) -> "contextlib.AbstractContextManager[ResourceLedger]":
-    """``with maybe_ledger_scope(...) as ledger``: the active ledger, or
-    one opened for the block when none is active (which of the two is
-    settled here, at the call).  Nested units of work (hybrid
-    sub-queries, platform calls under an API request) charge their
-    enclosing ledger instead of fragmenting the bill."""
-    current = _ledger.get()
-    if current is not None:
-        return contextlib.nullcontext(current)
-    return ledger_scope(table=table, principal=principal, operation=operation)
 
 
 @dataclass(frozen=True)

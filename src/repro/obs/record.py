@@ -1,11 +1,12 @@
 """One record per unit of work, one fold into one keyed table.
 
 A *unit of work* is whatever opens the outermost span or billable
-ledger of an execution context (``Router.dispatch``, a bare
+``ledger_scope`` of an execution context (``Router.dispatch``, a bare
 ``TVDP.answer``, a span-less ``ledger_scope(table=obs.usage())``).
-While it runs its :class:`Unit` rides a ``contextvars`` variable and
-what finishes inside closes *into* it without a lock.  When it ends, one
-:class:`RequestRecord` is folded **once, under one lock**, by
+While it runs its :class:`Unit` is the one ``contextvars`` variable of
+``repro.obs``: it holds the innermost open span and the charge sheet,
+and what finishes inside closes *into* it without a lock.  When it
+ends, one :class:`RequestRecord` is folded **once, under one lock**, by
 :meth:`RecordStore.fold` — the only writer of
 
 (a) a :class:`Rollup` per key space (span name, query shape, principal,
@@ -45,6 +46,26 @@ _open: contextvars.ContextVar["Unit | None"] = contextvars.ContextVar(
 #: ``current_unit()``: the open unit of work of the current execution
 #: context, or ``None`` — the variable's own getter, no frame of ours.
 current_unit = _open.get
+
+#: Weight of one unit of each charge kind in the scalar cost used for
+#: budgets and "top consumer" ranking.  ``probes.<family>`` keys share
+#: the ``probes`` weight; memory is observability, not admission cost.
+COST_WEIGHTS = {
+    "rows_scanned": 1.0,
+    "probes": 1.0,
+    "feature_bytes": 1.0 / 1024.0,
+    "catalog_lookups": 1.0,
+    "mem_peak_kb": 0.0,
+}
+
+
+def cost_of(charges: dict[str, float]) -> float:
+    """Scalar cost of a charge dict under :data:`COST_WEIGHTS`."""
+    total = 0.0
+    for kind, amount in charges.items():
+        key = "probes" if kind.startswith("probes.") else kind
+        total += COST_WEIGHTS.get(key, 0.0) * amount
+    return total
 
 
 @dataclass(slots=True)
@@ -98,28 +119,47 @@ class RequestRecord:
 
 
 class Unit:
-    """A unit of work while it is open: what closes into it, lock-free
-    (one execution context owns it, like an open span), until
-    :meth:`close` builds the :class:`RequestRecord` and folds it.
+    """A unit of work while it is open — the one thing instrumented code
+    reaches through the execution context (``current_unit()``).  One
+    context owns it, so nothing on it is locked.  It holds:
 
+    * what closes into it: finished spans, noted queries, the router's
+      facts about the request;
+    * ``span``, the innermost open span, the parent of the next one;
+    * ``sheet``, the charges dict the open ``ledger_scope`` bills to
+      (``None`` while none is open: a charge then goes nowhere);
+    * the bill — ``principal``, ``operation``, ``shape`` and its
+      ``charges`` — named by the first billable ``ledger_scope``
+      (``principal`` is ``None`` until then).
+
+    :meth:`close` builds the :class:`RequestRecord` and folds it.
     ``with Unit(store):`` runs a block as a unit of its own, folded when
     the block ends and not when an enclosing unit does (EXPLAIN ANALYZE
-    reads the counters its execution moved); spans inside keep their
-    parents, so the trace tree is unbroken."""
+    reads the counters its execution moved).  It starts from the
+    enclosing unit's span and sheet, so the trace tree is unbroken and a
+    scope open around it keeps taking the charges.  A unit on no store
+    is a bare meter's (a ``ledger_scope()`` opened outside any unit of
+    work): it folds nothing, and a span or a billable scope opened in it
+    opens a unit of work of its own."""
 
-    __slots__ = ("spans", "queries", "ledger", "request", "counters", "store",
-                 "_token", "_t0")
+    __slots__ = ("spans", "queries", "request", "counters", "store", "span", "sheet",
+                 "principal", "operation", "shape", "charges", "_token", "_t0")
 
-    def __init__(self, store: "RecordStore") -> None:
+    def __init__(self, store: "RecordStore | None") -> None:
+        outer = _open.get()
         self.spans: list = []
         self.queries: list[tuple] = []
-        self.ledger = None  # the bill: the first billable ResourceLedger
         #: ``(request_id, method, route, status, http.request span)``.
         self.request: tuple | None = None
-        #: Counter snapshot the tracer takes when the unit's first span
-        #: opens: deltas say why a span was slow, so they bracket spans.
+        #: Counter snapshot taken when the unit's first span opens:
+        #: deltas say why a span was slow, so they bracket spans.
         self.counters = None
         self.store = store
+        self.span = self.sheet = None
+        if outer is not None:
+            self.span, self.sheet = outer.span, outer.sheet
+        self.principal = self.operation = self.shape = None
+        self.charges: dict[str, float] = {}
         self._t0 = time.perf_counter()
         self._token = _open.set(self)
 
@@ -133,19 +173,23 @@ class Unit:
         """End the unit: settle the bill, take the closing counter
         snapshot, fold into the store that opened it."""
         _open.reset(self._token)
-        store, spans, queries, ledger = self.store, self.spans, self.queries, self.ledger
+        store, spans, queries = self.store, self.spans, self.queries
+        if store is None:
+            return
         duration_ms = (time.perf_counter() - self._t0) * 1e3
-        request_id = method = route = status = error = operation = principal = None
+        request_id = method = route = status = error = operation = None
         request_ms, cost, charges, counters = 0.0, 0.0, {}, None
         if self.request is not None:
             request_id, method, route, status, span = self.request
             error, request_ms = span.error, span.duration_ms
             operation = f"{method} {route}"
-        if ledger is not None:
-            principal, charges, cost = ledger.principal, ledger.charges, ledger.cost()
-            operation = operation or ledger.operation
-            if ledger.shape and not queries:
-                queries = [(ledger.shape, None, duration_ms)]
+        principal = self.principal
+        if principal is not None:
+            charges = self.charges
+            cost = cost_of(charges)
+            operation = operation or self.operation
+            if self.shape and not queries:
+                queries = [(self.shape, None, duration_ms)]
         if self.counters is not None:
             registry = store.registry
             counters = (registry, self.counters, registry.counter_snapshot())
@@ -442,9 +486,9 @@ class RecordStore:
     rows (:meth:`series`) and holds the rows' latency histograms;
     ``budget`` turns rolling spend into *would-shed* dry-run flags;
     ``clock`` (seconds, monotone) is injectable for deterministic
-    window and budget tests.  ``ledger_scope(table=store)`` and
-    ``Tracer(store)`` open units that fold here; ``obs.records()`` is
-    the process-wide one.
+    window and budget tests.  ``Unit(store)`` and
+    ``ledger_scope(table=store)`` open units that fold here;
+    ``obs.records()`` is the process-wide one.
     """
 
     #: The recent tail of records, whatever they were.  Kept records

@@ -1,4 +1,4 @@
-"""Span-based tracing with ``contextvars`` parent/child propagation.
+"""Span-based tracing: parent/child propagation through the unit of work.
 
 ``span("query.spatial", attrs...)`` opens a timed operation; spans
 started inside it become children, so one API request produces a tree
@@ -6,10 +6,11 @@ started inside it become children, so one API request produces a tree
 ``<service>.<operation>`` convention documented in
 ``docs/observability.md``.
 
-A finished span is appended — no lock, no fan-out — to the open
-:class:`~repro.obs.record.Unit` of work of its execution context; a
-span that opens with no unit open *is* the unit of work, and closing
-it folds the unit's record (see ``repro.obs.record``).  The fold is what
+The open span lives on the open :class:`~repro.obs.record.Unit` of
+work of its execution context, and a finished one is appended to it —
+no lock, no fan-out; a span that opens with no unit open *is* the unit
+of work, and closing it folds the unit's record (see
+``repro.obs.record``).  The fold is what
 records ``span.duration_ms{span=<name>}`` (from which ``spans.total`` /
 ``spans.errors`` are read), the rolling windows and the slow-span
 exemplars, and streams the record's spans to the JSON-lines exporter
@@ -18,9 +19,9 @@ when one is on.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -31,20 +32,17 @@ from repro.obs.record import RecordStore, Unit, current_unit
 #: no other thread can interleave with, so it needs no lock.
 _ids = itertools.count(1)
 
-#: The innermost open span of the current execution context.
-_current_span: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
-    "tvdp_current_span", default=None
-)
-
 
 def _next_id(prefix: str) -> str:
     return f"{prefix}{next(_ids):08x}"
 
 
-#: ``current_span()``: the active span of the current execution context,
-#: or ``None`` (the structured logger, the shard router and the
-#: resilience policies annotate it) — the variable's own getter.
-current_span = _current_span.get
+def current_span() -> "Span | None":
+    """The innermost open span of the current execution context, or
+    ``None`` (the structured logger, the shard router and the resilience
+    policies annotate it)."""
+    unit = current_unit()
+    return None if unit is None else unit.span
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,11 @@ class TraceContext:
 #: their native ``t…``/``s…`` shape (no dashes, so parsing is exact).
 _TRACEPARENT_VERSION = "00"
 _TRACEPARENT_FLAGS = "01"
+#: An id a ``traceparent`` may carry: ours and W3C hex ids both fit.
+#: Anything else — a space, a control character, an uppercase letter,
+#: a 33rd character — would be stamped on every log line and record of
+#: the request it rode in on.
+_TRACE_ID = re.compile("[0-9a-z]{1,32}")
 
 
 def format_traceparent(context: TraceContext) -> str:
@@ -83,14 +86,18 @@ def parse_traceparent(header: object) -> TraceContext | None:
     if len(parts) != 4:
         return None
     version, trace_id, span_id, _flags = parts
-    if version != _TRACEPARENT_VERSION or not trace_id or not span_id:
+    if (
+        version != _TRACEPARENT_VERSION
+        or not _TRACE_ID.fullmatch(trace_id)
+        or not _TRACE_ID.fullmatch(span_id)
+    ):
         return None
     return TraceContext(trace_id=trace_id, span_id=span_id)
 
 
 def current_traceparent() -> str | None:
     """``traceparent`` header for the active span, if one is open."""
-    span = _current_span.get()
+    span = current_span()
     if span is None:
         return None
     return format_traceparent(TraceContext(span.trace_id, span.span_id))
@@ -179,56 +186,37 @@ class JsonlExporter:
                 self._file.close()
 
 
-class Tracer:
-    """Opens spans, propagates parentage, closes them into the unit of
-    work.  A span that opens outside any unit opens one on ``store`` (a
-    tracer without a store only times and links its spans)."""
-
-    def __init__(self, store: RecordStore | None = None) -> None:
-        self.store = store
-
-    def span(
-        self,
-        name: str,
-        remote_parent: TraceContext | None = None,
-        **attrs: object,
-    ) -> "_OpenSpan":
-        """Open a child of the current span (or a new trace root):
-        ``with tracer.span(...) as span``.
-
-        ``remote_parent`` joins this span to a trace started elsewhere
-        (an extracted ``traceparent`` header): with no local parent the
-        span continues the remote trace instead of minting a new root.
-        A live local parent wins — in-process nesting is already exact,
-        and in the in-process client/server case both name the same
-        parent span anyway.
-        """
-        return _OpenSpan(self.store, name, remote_parent, attrs)
-
-
 class _OpenSpan:
-    """The ``with`` block of one span; nothing opens before it is
-    entered.  An ``Exception`` leaving the block marks the span
-    ``status="error"`` with ``"<Type>: <message>"`` (a
+    """The ``with`` block of one span (``obs.span``); nothing opens
+    before it is entered.  The span's parent is the open unit's
+    innermost span; with none, ``remote_parent`` (an extracted
+    ``traceparent``: the span continues a trace started elsewhere), or
+    else the span roots a new trace.  An ``Exception`` leaving the block
+    marks the span ``status="error"`` with ``"<Type>: <message>"`` (a
     ``KeyboardInterrupt`` or ``GeneratorExit`` passes unmarked); either
-    way the span gets its duration, the enclosing span is current again
-    and the span closes into its unit — folding it, if it opened it.
-    A plain slotted class, as ``ledger_scope`` is and for its reason;
-    owned by the one execution context that entered it.
+    way the span gets its duration, its parent is the unit's innermost
+    again and the span closes into its unit — folding it, if it opened
+    it (on ``store``, when no unit of work was open).  A plain slotted
+    class, as ``ledger_scope`` is and for its reason; owned by the one
+    execution context that entered it.
     """
 
     __slots__ = ("_store", "_name", "_remote", "_attrs",
-                 "_span", "_unit", "_root", "_token", "_t0")
+                 "_span", "_parent", "_unit", "_root", "_t0")
 
     def __init__(
-        self, store: RecordStore | None, name: str,
+        self, store: RecordStore, name: str,
         remote_parent: TraceContext | None, attrs: dict,
     ) -> None:
         self._store, self._name = store, name
         self._remote, self._attrs = remote_parent, attrs
 
     def __enter__(self) -> Span:
-        parent, remote_parent = _current_span.get(), self._remote
+        unit = current_unit()
+        self._root = unit is None or unit.store is None
+        if self._root:
+            unit = Unit(self._store)
+        parent, remote_parent = unit.span, self._remote
         if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
             ancestry: tuple[str, ...] = (*parent.ancestry, parent.name)
@@ -237,20 +225,16 @@ class _OpenSpan:
             ancestry = ()
         else:
             trace_id, parent_id, ancestry = _next_id("t"), None, ()
-        unit = current_unit()
-        self._root = unit is None and self._store is not None
-        if self._root:
-            unit = Unit(self._store)
-        if unit is not None and unit.counters is None:
+        if unit.counters is None:
             registry = unit.store.registry
             if registry is not None:
                 unit.counters = registry.counter_snapshot()
-        self._unit = unit
+        self._unit, self._parent = unit, parent
         span = self._span = Span(  # positionally, in field order: half the cost
             self._name, trace_id, _next_id("s"), parent_id, self._attrs,
             time.time(), 0.0, "ok", None, ancestry,
         )
-        self._token = _current_span.set(span)
+        unit.span = span
         self._t0 = time.perf_counter()
         return span
 
@@ -260,10 +244,9 @@ class _OpenSpan:
             span.status = "error"
             span.error = f"{type(exc).__name__}: {exc}"
         span.duration_ms = (time.perf_counter() - self._t0) * 1e3
-        _current_span.reset(self._token)
         unit = self._unit
-        if unit is not None:
-            unit.spans.append(span)
-            if self._root:
-                unit.close()
+        unit.span = self._parent
+        unit.spans.append(span)
+        if self._root:
+            unit.close()
         return False

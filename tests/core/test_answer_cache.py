@@ -36,7 +36,6 @@ from repro.core.answercache import answer_digest, answer_key
 from repro.core.planner import explain
 from repro.db import Database
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
-from repro.obs import accounting
 from tests.shard.test_equivalence import (
     LATS,
     LNGS,
@@ -94,10 +93,10 @@ def admit(platform, query) -> object:
 def traced(platform, query):
     """``platform.answer(query)``, its ``query.*`` span and its bill."""
     obs.ring_buffer().reset()
-    with accounting.ledger_scope() as ledger:
+    with obs.Unit(obs.records()) as unit:
         answer = platform.answer(query)
     (span,) = [s for s in obs.ring_buffer().spans() if s.name.startswith("query.")]
-    return answer, span, dict(ledger.charges)
+    return answer, span, dict(unit.charges)
 
 
 class TestWriteVersion:

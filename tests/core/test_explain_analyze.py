@@ -300,10 +300,11 @@ class TestAnalyzeBilling:
         assert [r["key"] for r in report["by_operation"]] == ["execute.spatial"]
 
     def test_analyze_under_a_ledger_bills_the_enclosing_principal(self, populated):
-        from repro.obs.accounting import UsageTable, ledger_scope
+        from repro.obs.accounting import ledger_scope
+        from repro.obs.record import RecordStore
 
         platform, _ = populated
-        table = UsageTable()
+        table = RecordStore()
         region = BoundingBox(34.0, -118.3, 34.1, -118.2)
         with ledger_scope(table=table, principal="key:abcd1234") as outer:
             explain(platform, SpatialQuery(region=region), analyze=True)

@@ -157,11 +157,12 @@ class TestOrderedIndex:
             self.stamped().create_ordered_index("nope")
 
     def test_charges_rows_returned_not_rows_stored(self):
-        from repro.obs.accounting import ledger_scope, UsageTable
+        from repro.obs.accounting import ledger_scope
+        from repro.obs.record import RecordStore
 
         table = self.stamped()
         table.create_ordered_index("at")
-        with ledger_scope(table=UsageTable(), principal="t") as ledger:
+        with ledger_scope(table=RecordStore(), principal="t") as ledger:
             table.keys_in_range("at", 0.0, 1.0)
         assert ledger.charges["rows_scanned"] == 1
 

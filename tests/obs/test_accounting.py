@@ -1,14 +1,14 @@
-"""Resource accounting: ledgers, charge helpers, and the usage view.
+"""Resource accounting: the bill, the charge helpers, and the usage view.
 
-The table half is the ``UsageTable`` suite ported case by case: a
-billable ledger is the bill of its unit of work's record now, and the
-usage report is ``RecordStore.report`` over the principal / shape /
-operation rollups and the time ring's spend.
+A billable ``ledger_scope`` names the bill of its unit of work's
+record, and the usage report is ``RecordStore.report`` over the
+principal / shape / operation rollups and the time ring's spend.
 
 The concurrency tests here are exactness proofs, not smoke: N threads
 charging under M principals must produce *bit-exact* integer totals in
-the table (the ledger is contextvar-scoped so threads never share one,
-and ``RecordStore.fold`` is the single locked boundary).  The CI
+the table (the charge sheet rides the unit of work, which is
+contextvar-scoped so threads never share one, and ``RecordStore.fold``
+is the single locked boundary).  The CI
 sanitize job reruns this file under ``REPRO_SANITIZE=1`` so the same
 schedule also proves lock-order cleanliness.
 """
@@ -24,16 +24,13 @@ from repro.obs.accounting import (
     COST_WEIGHTS,
     LOCAL_PRINCIPAL,
     Budget,
-    ResourceLedger,
-    active_ledger,
     charge,
     charge_probes,
     cost_of,
     ledger_scope,
-    maybe_ledger_scope,
 )
 from repro.obs.record import RecordStore as UsageTable
-from repro.obs.tracing import Tracer
+from repro.obs.record import Unit
 
 
 @pytest.fixture(autouse=True)
@@ -44,48 +41,56 @@ def clean_metrics():
 
 
 class TestResourceLedger:
+    """The charge sheet of a scope and the bill of its unit of work."""
+
     def test_charges_accumulate_by_kind(self):
-        ledger = ResourceLedger()
-        ledger.add("rows_scanned", 3)
-        ledger.add("rows_scanned", 2)
-        ledger.add("probes.rtree", 7)
-        assert ledger.charges == {"rows_scanned": 5.0, "probes.rtree": 7.0}
+        with ledger_scope() as meter:
+            charge("rows_scanned", 3)
+            charge("rows_scanned", 2)
+            charge_probes("rtree", 7)
+        assert meter.charges == {"rows_scanned": 5.0, "probes.rtree": 7.0}
 
     def test_cost_uses_weights_with_probe_prefix(self):
-        ledger = ResourceLedger()
-        ledger.add("rows_scanned", 10)
-        ledger.add("probes.lsh", 4)
-        ledger.add("probes.rtree", 6)
-        ledger.add("feature_bytes", 2048)
+        table = UsageTable()
+        with ledger_scope(table=table) as bill:
+            charge("rows_scanned", 10)
+            charge_probes("lsh", 4)
+            charge_probes("rtree", 6)
+            charge("feature_bytes", 2048)
         expected = (
             10 * COST_WEIGHTS["rows_scanned"]
             + 10 * COST_WEIGHTS["probes"]
             + 2048 * COST_WEIGHTS["feature_bytes"]
         )
-        assert ledger.cost() == pytest.approx(expected)
-        assert cost_of(ledger.charges) == pytest.approx(expected)
+        assert cost_of(bill.charges) == pytest.approx(expected)
+        [row] = table.report()["by_principal"]
+        assert row["cost"] == pytest.approx(expected)
 
     def test_unknown_kinds_cost_nothing(self):
         assert cost_of({"martian_units": 1e9}) == 0.0
 
     def test_aggregation_keys_default_to_local_work(self):
-        ledger = ResourceLedger()
-        assert ledger.principal == LOCAL_PRINCIPAL
-        assert ledger.operation is None and ledger.shape is None
+        with ledger_scope(table=UsageTable()):
+            unit = obs.current_unit()
+            assert unit.principal == LOCAL_PRINCIPAL
+            assert unit.operation is None and unit.shape is None
 
 
 class TestChargeHelpers:
     def test_no_ledger_is_a_noop(self):
-        assert active_ledger() is None
+        assert obs.current_unit() is None
         charge("rows_scanned", 5)  # must not raise or leak anywhere
         charge_probes("rtree", 5)
+        with Unit(UsageTable()) as unit:  # a unit with no scope open
+            charge("rows_scanned", 5)
+        assert unit.charges == {}
 
     def test_charges_land_on_the_active_ledger(self):
         with ledger_scope() as ledger:
-            assert active_ledger() is ledger
+            assert obs.current_unit().sheet is ledger.charges
             charge("rows_scanned", 5)
             charge_probes("lsh", 3)
-        assert active_ledger() is None
+        assert obs.current_unit() is None
         assert ledger.charges == {"rows_scanned": 5.0, "probes.lsh": 3.0}
 
     def test_zero_amounts_never_materialise(self):
@@ -123,17 +128,20 @@ class TestChargeHelpers:
         assert row["charges"] == {"rows_scanned": 4.0}
 
     def test_maybe_scope_reuses_the_enclosing_ledger(self):
+        """A billable scope inside another bills the same unit: the
+        principal that named the bill pays, and nothing fragments."""
         table = UsageTable()
         with ledger_scope(table=table, principal="key:abcd") as outer:
-            with maybe_ledger_scope(table, principal="other") as inner:
-                assert inner is outer
+            with ledger_scope(table, principal="other") as inner:
+                assert inner.charges is outer.charges
                 charge("rows_scanned", 2)
         [row] = table.report()["by_principal"]
         assert row["key"] == "key:abcd"  # no bill fragmentation
+        assert row["charges"] == {"rows_scanned": 2.0}
 
     def test_maybe_scope_opens_one_when_none_active(self):
         table = UsageTable()
-        with maybe_ledger_scope(table, principal="local", operation="execute.x"):
+        with ledger_scope(table, principal="local", operation="execute.x"):
             charge("rows_scanned", 1)
         [row] = table.report()["by_operation"]
         assert row["key"] == "execute.x"
@@ -167,11 +175,10 @@ class TestUsageTable:
 
     def test_exemplar_keeps_the_worst_trace(self):
         table = UsageTable()
-        tracer = Tracer(table)
         traces = {}
         for rows in (1, 50, 10):
             with ledger_scope(table=table, principal="a"):
-                with tracer.span("work") as span:
+                with obs.span("work") as span:
                     traces[rows] = span.trace_id
                     charge("rows_scanned", rows)
         [row] = table.report()["by_principal"]
@@ -182,7 +189,7 @@ class TestUsageTable:
         the first closed (two bare platform calls under one span) adds
         its charges to the first's, and the unit counts once."""
         table = UsageTable()
-        with Tracer(table).span("outer"):
+        with Unit(table), obs.span("outer"):
             with ledger_scope(table=table, principal="a", operation="first"):
                 charge("rows_scanned", 2)
             with ledger_scope(table=table, principal="b", operation="second"):
@@ -344,7 +351,7 @@ class TestConcurrencyExactness:
             )
 
     def test_threads_never_share_a_ledger(self):
-        seen: dict[int, ResourceLedger] = {}
+        seen: dict[int, ledger_scope] = {}
         barrier = threading.Barrier(4)
 
         def worker(index: int) -> None:

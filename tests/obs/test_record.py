@@ -11,21 +11,22 @@ from repro import obs
 from repro.obs.accounting import charge, ledger_scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import RecordStore, RequestRecord, Unit, current_unit
-from repro.obs.tracing import Tracer
 from tests.api import route_table
 
 
 @pytest.fixture()
 def store():
-    return RecordStore(registry=MetricsRegistry())
+    """The process-wide store, where ``obs.span`` folds."""
+    obs.reset()
+    yield obs.records()
+    obs.reset()
 
 
 class TestUnitsOfWork:
     def test_the_outermost_span_is_the_unit_and_inner_spans_close_into_it(self, store):
-        tracer = Tracer(store)
-        with tracer.span("outer"):
+        with obs.span("outer"):
             unit = current_unit()
-            with tracer.span("inner"):
+            with obs.span("inner"):
                 assert current_unit() is unit
             assert store.records() == []  # nothing folds before the root closes
         assert current_unit() is None
@@ -34,7 +35,7 @@ class TestUnitsOfWork:
         assert record.principal is None and record.queries == ()
 
     def test_a_billable_ledger_inside_a_span_is_the_units_bill(self, store):
-        with Tracer(store).span("client.request") as root:
+        with obs.span("client.request") as root:
             with ledger_scope(table=store, principal="key:abcd", operation="op"):
                 charge("rows_scanned", 3)
         [record] = store.records()
@@ -43,7 +44,7 @@ class TestUnitsOfWork:
         assert record.trace_id == root.trace_id
 
     def test_a_private_ledger_is_nobodys_bill(self, store):
-        with Tracer(store).span("work"):
+        with obs.span("work"):
             with ledger_scope() as private:
                 charge("rows_scanned", 3)
         assert private.charges == {"rows_scanned": 3.0}
@@ -51,10 +52,9 @@ class TestUnitsOfWork:
         assert store.report()["by_principal"] == []
 
     def test_a_unit_of_its_own_folds_first_and_keeps_the_trace(self, store):
-        tracer = Tracer(store)
-        with tracer.span("http.request") as outer:
+        with obs.span("http.request") as outer:
             with Unit(store):
-                with tracer.span("query.spatial") as inner:
+                with obs.span("query.spatial") as inner:
                     pass
             assert [r.spans[0].name for r in store.records()] == ["query.spatial"]
         assert inner.trace_id == outer.trace_id and inner.parent_id == outer.span_id
@@ -103,11 +103,10 @@ class TestTheFold:
 
     def test_reset_zeroes_every_view_and_cached_handles_survive(self, store):
         cached = store.registry.counter("spans.total", {"span": "http.request"})
-        tracer = Tracer(store)
 
         def one_request() -> None:
             with ledger_scope(table=store, principal="p", operation="GET /x", shape="s"):
-                with tracer.span("http.request"):
+                with obs.span("http.request"):
                     charge("rows_scanned", 1)
 
         one_request()
@@ -130,7 +129,7 @@ class TestTheFold:
         import json
 
         with ledger_scope(table=store, principal="p"):
-            with Tracer(store).span("work", k=5):
+            with obs.span("work", k=5):
                 store.registry.counter("index.probes").inc(2)
                 obs.note_query("shape", "temporal", 0.5)
         body = store.records()[0].to_dict()

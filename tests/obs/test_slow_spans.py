@@ -8,9 +8,10 @@ read by ``RecordStore.slowest``.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.record import RecordStore, RequestRecord, Rollup
-from repro.obs.tracing import Span, Tracer
+from repro.obs.record import RecordStore, RequestRecord, Rollup, Unit
+from repro.obs.tracing import Span
 
 
 def make_span(name, span_id, duration_ms, ancestry=()):
@@ -64,12 +65,11 @@ class TestSlowSpanLog:
     def test_counter_deltas_exclude_tracer_bookkeeping(self):
         registry = MetricsRegistry()
         log = RecordStore(registry=registry)
-        tracer = Tracer(log)
-        with tracer.span("query.spatial"):  # an earlier one: spans.* are registered
+        with Unit(log), obs.span("query.spatial"):  # an earlier one: spans.* are registered
             pass
         log.reset()
-        with tracer.span("query.spatial"):
-            with tracer.span("index.probe"):
+        with Unit(log), obs.span("query.spatial"):
+            with obs.span("index.probe"):
                 registry.counter("index.rtree.node_visits").inc(7)
         record = log.slowest("query.spatial")[0]
         assert record["counter_deltas"] == {"index.rtree.node_visits": 7.0}
@@ -77,9 +77,8 @@ class TestSlowSpanLog:
     def test_deltas_count_only_work_inside_the_span(self):
         registry = MetricsRegistry()
         log = RecordStore(registry=registry)
-        tracer = Tracer(log)
         registry.counter("index.probes").inc(100)  # before the span opens
-        with tracer.span("query.visual"):
+        with Unit(log), obs.span("query.visual"):
             registry.counter("index.probes").inc(3)
         registry.counter("index.probes").inc(50)  # after it closed
         record = log.slowest("query.visual")[0]
@@ -90,10 +89,9 @@ class TestSlowSpanLog:
         a record carries what moved while the *unit* was open."""
         registry = MetricsRegistry()
         log = RecordStore(registry=registry)
-        tracer = Tracer(log)
-        with tracer.span("http.request"):
+        with Unit(log), obs.span("http.request"):
             registry.counter("auth.lookups").inc()
-            with tracer.span("query.spatial"):
+            with obs.span("query.spatial"):
                 registry.counter("index.probes").inc(4)
         deltas = {"auth.lookups": 1.0, "index.probes": 4.0}
         assert log.slowest("query.spatial")[0]["counter_deltas"] == deltas

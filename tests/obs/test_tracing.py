@@ -5,23 +5,23 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.record import RecordStore
-from repro.obs.tracing import JsonlExporter, Tracer, current_span, span_tree
+from repro.obs.record import RecordStore, Unit
+from repro.obs.tracing import JsonlExporter, current_span, span_tree
 
 
 @pytest.fixture()
-def tracer():
-    """A tracer on a store of its own: its ring of records is where the
-    finished spans are read back from."""
-    ring = RecordStore(registry=MetricsRegistry())
-    return Tracer(ring), ring
+def ring():
+    """The process-wide store, where a span that opens with no unit of
+    work open folds: its ring of records is where the finished spans
+    are read back from."""
+    obs.reset()
+    yield obs.records()
+    obs.reset()
 
 
 class TestSpanLifecycle:
-    def test_times_and_exports(self, tracer):
-        t, ring = tracer
-        with t.span("query.spatial", k=5) as sp:
+    def test_times_and_exports(self, ring):
+        with obs.span("query.spatial", k=5) as sp:
             assert current_span() is sp
             assert sp.attrs == {"k": 5}
         assert current_span() is None
@@ -30,39 +30,35 @@ class TestSpanLifecycle:
         assert finished.duration_ms >= 0.0
         assert finished.status == "ok"
 
-    def test_parent_child_propagation(self, tracer):
-        t, ring = tracer
-        with t.span("parent") as p:
-            with t.span("child") as c:
+    def test_parent_child_propagation(self, ring):
+        with obs.span("parent") as p:
+            with obs.span("child") as c:
                 assert c.trace_id == p.trace_id
                 assert c.parent_id == p.span_id
             # Back to the parent after the child closes.
             assert current_span() is p
         assert ring.spans("child")[0].parent_id == p.span_id
 
-    def test_siblings_share_trace_not_parenthood(self, tracer):
-        t, _ = tracer
-        with t.span("root") as root:
-            with t.span("a") as a:
+    def test_siblings_share_trace_not_parenthood(self, ring):
+        with obs.span("root") as root:
+            with obs.span("a") as a:
                 pass
-            with t.span("b") as b:
+            with obs.span("b") as b:
                 pass
         assert a.trace_id == b.trace_id == root.trace_id
         assert a.parent_id == b.parent_id == root.span_id
         assert a.span_id != b.span_id
 
-    def test_separate_roots_get_separate_traces(self, tracer):
-        t, _ = tracer
-        with t.span("one") as s1:
+    def test_separate_roots_get_separate_traces(self, ring):
+        with obs.span("one") as s1:
             pass
-        with t.span("two") as s2:
+        with obs.span("two") as s2:
             pass
         assert s1.trace_id != s2.trace_id
 
-    def test_error_marks_span_and_reraises(self, tracer):
-        t, ring = tracer
+    def test_error_marks_span_and_reraises(self, ring):
         with pytest.raises(ValueError, match="boom"):
-            with t.span("fails"):
+            with obs.span("fails"):
                 raise ValueError("boom")
         [finished] = ring.spans()
         assert finished.status == "error"
@@ -70,42 +66,46 @@ class TestSpanLifecycle:
         # The context is clean even after the failure.
         assert current_span() is None
 
-    def test_registry_wiring(self, tracer):
-        t, _ = tracer
+    def test_registry_wiring(self, ring):
         with pytest.raises(RuntimeError):
-            with t.span("op"):
+            with obs.span("op"):
                 raise RuntimeError
-        with t.span("op"):
+        with obs.span("op"):
             pass
-        snap = t.store.registry.snapshot()
+        snap = ring.registry.snapshot()
         assert snap["counters"]['spans.total{span="op"}'] == 2.0
         assert snap["counters"]['spans.errors{span="op"}'] == 1.0
         assert snap["histograms"]['span.duration_ms{span="op"}']["count"] == 2
 
 
 class TestHowASpanCloses:
-    """What the ``try / except Exception / finally`` of the generator
-    ``Tracer.span`` was did, case by case, of the class that replaced
-    it: nested and root, on a tracer with a store and without."""
+    """How a span's ``with`` block closes, case by case: nested and
+    root, as the unit of work (``stored``: it folds on the process
+    store) and inside a unit someone else opened (``bare``: nothing
+    folds until that unit closes, after the test)."""
 
     @pytest.fixture(params=["stored", "bare"])
-    def any_tracer(self, request, tracer):
-        return tracer[0] if request.param == "stored" else Tracer()
+    def any_store(self, request, ring):
+        if request.param == "stored":
+            yield ring
+        else:
+            with Unit(RecordStore()):
+                yield None
 
     @staticmethod
-    def _finished(t, name):
-        """The closed span called ``name``: from the store when there
-        is one (it landed in the unit, the unit folded), else ``None``."""
-        return t.store.spans(name)[0] if t.store is not None else None
+    def _finished(store, name):
+        """The closed span called ``name``, from the store it folded
+        into."""
+        return store.spans(name)[0]
 
     @pytest.mark.parametrize("nested", [False, True])
-    def test_an_exception_marks_it_with_type_and_message(self, any_tracer, nested):
-        t = any_tracer
-        outer = t.span("outer") if nested else None
+    def test_an_exception_marks_it_with_type_and_message(self, any_store, nested):
+        store = any_store
+        outer = obs.span("outer") if nested else None
         parent = outer.__enter__() if nested else None
         try:
             with pytest.raises(KeyError):
-                with t.span("fails") as sp:
+                with obs.span("fails") as sp:
                     raise KeyError("gone")
             assert (sp.status, sp.error) == ("error", "KeyError: 'gone'")
             assert sp.duration_ms > 0.0
@@ -114,53 +114,50 @@ class TestHowASpanCloses:
             if nested:
                 outer.__exit__(None, None, None)
         assert current_span() is None
-        if t.store is not None:
-            assert self._finished(t, "fails") is sp
+        if store is not None:
+            assert self._finished(store, "fails") is sp
             if nested:  # the enclosing span did not fail: the error was caught inside it
-                assert self._finished(t, "outer").status == "ok"
+                assert self._finished(store, "outer").status == "ok"
 
     @pytest.mark.parametrize("nested", [False, True])
     @pytest.mark.parametrize("leaving", [KeyboardInterrupt, GeneratorExit, SystemExit])
     def test_what_is_not_an_exception_passes_through_unmarked(
-        self, any_tracer, nested, leaving
+        self, any_store, nested, leaving
     ):
-        t = any_tracer
+        store = any_store
         spans = {}
         with pytest.raises(leaving):
             if nested:
-                with t.span("outer") as spans["outer"]:
-                    with t.span("leaves") as spans["leaves"]:
+                with obs.span("outer") as spans["outer"]:
+                    with obs.span("leaves") as spans["leaves"]:
                         raise leaving()
             else:
-                with t.span("leaves") as spans["leaves"]:
+                with obs.span("leaves") as spans["leaves"]:
                     raise leaving()
         assert current_span() is None
         for sp in spans.values():
             assert (sp.status, sp.error) == ("ok", None)
             assert sp.duration_ms > 0.0
-            if t.store is not None:
-                assert self._finished(t, sp.name) is sp
+            if store is not None:
+                assert self._finished(store, sp.name) is sp
 
-    def test_nothing_opens_before_the_block_is_entered(self, tracer):
-        t, ring = tracer
-        pending = t.span("later")
+    def test_nothing_opens_before_the_block_is_entered(self, ring):
+        pending = obs.span("later")
         assert current_span() is None and obs.current_unit() is None
         with pending as sp:
             assert current_span() is sp and obs.current_unit() is not None
         assert ring.spans("later") == [sp] and obs.current_unit() is None
 
-    def test_the_root_span_folds_the_unit_and_a_nested_one_does_not(self, tracer):
-        t, ring = tracer
-        with t.span("root"):
-            with t.span("inner"):
+    def test_the_root_span_folds_the_unit_and_a_nested_one_does_not(self, ring):
+        with obs.span("root"):
+            with obs.span("inner"):
                 pass
             assert ring.records() == []  # closed into the unit, not folded yet
         [record] = ring.records()
         assert [s.name for s in record.spans] == ["inner", "root"]
 
-    def test_a_span_is_slotted(self, tracer):
-        t, _ = tracer
-        with t.span("slotted") as sp:
+    def test_a_span_is_slotted(self, ring):
+        with obs.span("slotted") as sp:
             pass
         assert not hasattr(sp, "__dict__")
         with pytest.raises(AttributeError):
@@ -168,13 +165,12 @@ class TestHowASpanCloses:
 
 
 class TestSpanTree:
-    def test_nested_tree_reassembly(self, tracer):
-        t, ring = tracer
-        with t.span("request"):
-            with t.span("platform"):
-                with t.span("index"):
+    def test_nested_tree_reassembly(self, ring):
+        with obs.span("request"):
+            with obs.span("platform"):
+                with obs.span("index"):
                     pass
-            with t.span("render"):
+            with obs.span("render"):
                 pass
         [root] = span_tree(ring.spans())
         assert root["name"] == "request"
@@ -182,19 +178,17 @@ class TestSpanTree:
         assert names == ["platform", "render"]
         assert root["children"][0]["children"][0]["name"] == "index"
 
-    def test_tree_filtered_by_trace(self, tracer):
-        t, ring = tracer
-        with t.span("first") as s1:
+    def test_tree_filtered_by_trace(self, ring):
+        with obs.span("first") as s1:
             pass
-        with t.span("second"):
+        with obs.span("second"):
             pass
         roots = span_tree(ring.spans(trace_id=s1.trace_id))
         assert [r["name"] for r in roots] == ["first"]
 
-    def test_orphan_spans_become_roots(self, tracer):
-        t, ring = tracer
-        with t.span("parent"):
-            with t.span("child"):
+    def test_orphan_spans_become_roots(self, ring):
+        with obs.span("parent"):
+            with obs.span("child"):
                 pass
         # Reassembling with the parent missing promotes the child to a root.
         child = ring.spans("child")[0]
@@ -207,18 +201,16 @@ class TestRingBuffer:
         class TwoRecords(RecordStore):
             RECORDS = 2
 
-        t = Tracer(TwoRecords())
-        ring = t.store
+        ring = TwoRecords()
         for name in ("a", "b", "c"):
-            with t.span(name):
+            with Unit(ring), obs.span(name):
                 pass
         assert [s.name for s in ring.spans()] == ["b", "c"]
 
-    def test_name_filter_and_clear(self, tracer):
-        t, ring = tracer
-        with t.span("x"):
+    def test_name_filter_and_clear(self, ring):
+        with obs.span("x"):
             pass
-        with t.span("y"):
+        with obs.span("y"):
             pass
         assert len(ring.spans("x")) == 1
         ring.reset()
@@ -226,14 +218,16 @@ class TestRingBuffer:
 
 
 class TestJsonlExporter:
-    def test_writes_one_json_object_per_span(self, tmp_path, tracer):
-        t, ring = tracer
+    def test_writes_one_json_object_per_span(self, tmp_path, ring):
         path = tmp_path / "spans.jsonl"
         exporter = JsonlExporter(str(path))
         ring.add_exporter(exporter)
-        with t.span("a", size=3):
-            with t.span("b"):
-                pass
+        try:
+            with obs.span("a", size=3):
+                with obs.span("b"):
+                    pass
+        finally:
+            ring.remove_exporter(exporter)
         exporter.close()
         lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]

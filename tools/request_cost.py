@@ -3,10 +3,11 @@
 Walks one request the way ``TVDPService.handle`` and ``Router.dispatch``
 run it, stopping the clock between the nine steps of the step table in
 ``docs/observability.md``: (1) request id and route resolution, (2) the
-key check, (3) the bill and the ``http.request`` span opening, (4) the
+key check, (3) the unit opening (its billable scope and the
+``http.request`` span), (4) the
 declaration check, (5) the query (its span, the answer — a cache hit:
 the same spatial query every time — and ``note_query``), (6) the
-response body, (7) the span closing and ``note_request``, (8) the bill
+response body, (7) the span closing and ``note_request``, (8) the unit
 closing — ``Unit.close`` without its fold — and (9) the fold.  The fold
 is timed by wrapping the store's ``fold``, so step 8 carries that one
 extra call.  ``handle`` is a whole ``TVDPService.handle`` of the same
@@ -105,8 +106,8 @@ def walk(side: SimpleNamespace, reps: int) -> dict[str, float]:
         t1 = clock()
         request.user_id = service.keys.validate(request.api_key)
         t2 = clock()
-        bill = obs.ledger_scope(table=obs.usage(), principal=side.principal_label(request.api_key))
-        bill.__enter__()
+        unit = obs.ledger_scope(table=obs.usage(), principal=side.principal_label(request.api_key))
+        unit.__enter__()
         opened = obs.span(
             "http.request", remote_parent=None, method="POST", path=request.path,
             request_id=request.request_id,
@@ -128,7 +129,7 @@ def walk(side: SimpleNamespace, reps: int) -> dict[str, float]:
         opened.__exit__(None, None, None)
         obs.note_request(request.request_id, "POST", template, 200, span)
         t7 = clock()
-        bill.__exit__(None, None, None)
+        unit.__exit__(None, None, None)
         t8 = clock()
         for step, (start, end) in zip(STEPS, [
             (t0, t1), (t1, t2), (t2, t3), (t3, t4), (t4, t5), (t5, t6), (t6, t7), (t7, t8),
