@@ -91,20 +91,6 @@ class ClassificationCatalog:
                 self._labels = (stamp, labels)
         return labels
 
-    def replicate_into(self, db: Database) -> None:
-        """Copy every classification and its label rows into ``db`` with
-        primary keys preserved.
-
-        Shard databases replicate the catalog (it is tiny and read-only
-        at query time) so a shard resolves exactly the same type ids as
-        the coordinator — categorical tasks ship resolved type ids, and
-        annotation rows sliced into the shard keep their FK targets.
-        """
-        for row in self._db.table("image_content_classification").all_rows():
-            db.insert("image_content_classification", dict(row))
-        for row in self._db.table("image_content_classification_types").all_rows():
-            db.insert("image_content_classification_types", dict(row))
-
     def names(self) -> list[str]:
         """All classification names, sorted."""
         return sorted(

@@ -66,7 +66,7 @@ COST_MODEL: dict = {
         ],
         "hot_sites": [
             "repro.index.lsh.LSHIndex._candidates",
-            "repro.index.lsh.LSHIndex._rank",
+            "repro.index.lsh.LSHIndex._nearest",
             "repro.index.lsh.LSHIndex.nearest_columns",
             "repro.index.lsh._row_dots",
             "repro.index.ordering.by_distance",
@@ -165,21 +165,27 @@ COST_MODEL: dict = {
         ),
     },
     "shard_partition": {
-        "cost": "O(n) slice + per-shard index rebuild, once per catalog version",
+        "cost": (
+            "O(n) one read of the images rows + O(n) tile assignment + "
+            "O(s * (n + p + a + v)) stats gathered through the code column, "
+            "once per catalog version"
+        ),
         "dominant_counters": [],
         "hot_sites": [
-            "repro.core.catalog.ClassificationCatalog.replicate_into",
             "repro.db.table.Table.all_rows",
-            "repro.shard.partition._data_region",
+            "repro.shard.partition._image_columns",
             "repro.shard.partition._assign_shards",
-            "repro.shard.partition._slice_databases",
-            "repro.core.slice.CatalogSlice.rebuild",
             "repro.shard.partition._shard_stats",
+            "repro.core.slice.CatalogSlice.owned_counts",
+            "repro.index.inverted.InvertedIndex.term_dfs",
         ],
         "note": (
-            "build-time full scans by design: partitioning slices every "
-            "table and rebuilds every index, amortised across queries by "
-            "the router's catalog-version fingerprint (no per-query cost)"
+            "n = images, s = shards, p = postings, a = annotations, v = "
+            "vectors.  Build-time full scans by design: a partition copies "
+            "no row, column or index — it gives every image id a shard code "
+            "and reads each shard's pruning statistics off the "
+            "coordinator's columns through it; amortised across queries by "
+            "the router's catalog-version check (no per-query cost)"
         ),
     },
     "shard_scatter_gather": {

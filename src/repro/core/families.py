@@ -4,14 +4,17 @@ One class per family is its whole access path.  Its static
 ``path(query)`` and ``details(query)`` are what plain EXPLAIN prints.  An
 instance — a leaf, built by :func:`prepare` with the serial validation
 and charges in their one order — is a prepared query:
-``task(slice) -> payload`` is its scan or probe on one
-:class:`~repro.core.slice.CatalogSlice` (the platform's, or a shard's);
-``merge(payloads) -> Answer`` orders the payloads (shards are a disjoint
-cover, and one payload is left as it is); ``survives(ShardStats)``
-prunes soundly; ``fallback(payloads)`` is the visual top-k's exhaustive
-fallback, a task to run instead or ``None``.  Serial execution runs the
-task on the platform's slice, the shard router on every shard the leaf
-survives on.  A general hybrid is its parts' leaves and
+``task(s) -> payload`` is its scan or probe on the platform's
+:class:`~repro.core.slice.CatalogSlice` or on a shard — a
+:class:`~repro.shard.partition.ShardHandle`, which answers the same
+scans over the rows it owns; ``merge(payloads) -> Answer`` orders the
+payloads (shards are a disjoint cover, and one payload is left as it
+is); ``survives(ShardStats)`` prunes soundly.  Everything a query needs
+from the whole catalog — a visual query's hash candidates and its
+exhaustive-fallback decision included — is worked out when the leaf is
+prepared, once, so serial execution runs the task on the platform's
+slice and the shard router on every shard the leaf survives on, in one
+round.  A general hybrid is its parts' leaves and
 :func:`~repro.core.queries.combine_hybrid`; the fused spatial-visual
 pair is one leaf.
 """
@@ -39,7 +42,7 @@ from repro.core.slice import CatalogSlice
 from repro.errors import MalformedQueryError, QueryError
 from repro.geo.point import BoundingBox
 from repro.index.inverted import tokenize
-from repro.index.lsh import LSHIndex, falls_back, squared_norm
+from repro.index.lsh import falls_back, squared_norm
 from repro.index.ordering import by_distance, by_score
 from repro.obs.accounting import charge
 
@@ -51,13 +54,11 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class ShardStats:
     """What a geo-tile shard publishes for pruning, at partition time
-    (:mod:`repro.shard.partition`); summed over **all** shards, pruned
-    ones too, ``term_dfs`` and ``text_docs`` give the serial idf."""
+    (:mod:`repro.shard.partition`)."""
 
     shard_id: int
     n_images: int
     bounds: BoundingBox | None  # every FOV and camera point; None: empty
-    text_docs: int
     term_dfs: dict  # term -> document frequency
     time_ranges: dict  # temporal field -> (min, max)
     annotation_types: dict  # type_id -> annotation count
@@ -71,13 +72,10 @@ class Leaf:
     __slots__ = ("query",)
     parts: tuple = ()  # a general hybrid's leaves: merge takes their answers
 
-    def __init__(self, query, platform: TVDP | None = None, stats: list | None = None) -> None:
+    def __init__(self, query, platform: TVDP | None = None) -> None:
         self.query = query
 
     children = staticmethod(lambda query: ())  # what EXPLAIN nests under the node
-
-    def fallback(self, payloads: list):
-        return None
 
 
 class _Ids(Leaf):
@@ -94,7 +92,7 @@ class _Ids(Leaf):
 class Spatial(_Ids):
     __slots__ = ("region",)
 
-    def __init__(self, query: SpatialQuery, platform=None, stats=None) -> None:
+    def __init__(self, query: SpatialQuery, platform=None) -> None:
         self.query, self.region = query, query.bounding_region()
 
     @staticmethod
@@ -144,7 +142,7 @@ class Temporal(_Ids):
 class Categorical(Leaf):
     __slots__ = ("type_ids",)
 
-    def __init__(self, query: CategoricalQuery, platform: TVDP | None = None, stats=None) -> None:
+    def __init__(self, query: CategoricalQuery, platform: TVDP | None = None) -> None:
         self.query = query
         # Labels resolve in label order: the first unknown one raises.
         self.type_ids = None if platform is None else tuple(
@@ -179,12 +177,10 @@ class Categorical(Leaf):
 
 
 class Textual(Leaf):
-    __slots__ = ("terms", "idf")
+    __slots__ = ("terms",)
 
-    def __init__(self, query: TextualQuery, platform=None, stats=None) -> None:
+    def __init__(self, query: TextualQuery, platform=None) -> None:
         self.query, self.terms = query, tokenize(query.text)
-        # One slice scores with its own idf; shards with the catalog's.
-        self.idf = None if stats is None else global_idf(self.terms, stats)
 
     @staticmethod
     def path(query: TextualQuery) -> str:
@@ -195,7 +191,7 @@ class Textual(Leaf):
         return {"terms": query.text}
 
     def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
-        return s.text.scores(self.terms, self.query.match, self.idf)
+        return s.text_scores(self.terms, self.query.match)
 
     def survives(self, stats: ShardStats) -> bool:
         every, dfs = all if self.query.match == "all" else any, stats.term_dfs
@@ -208,18 +204,19 @@ class Textual(Leaf):
 
 
 class Visual(Leaf):
-    __slots__ = ("vector", "keys", "whole")
+    __slots__ = ("vector", "rows")
 
-    def __init__(self, query: VisualQuery, platform: TVDP | None = None, stats=None) -> None:
+    def __init__(self, query: VisualQuery, platform: TVDP | None = None) -> None:
         self.query = query
-        # A top-k on one slice: its candidates are all of them.
-        self.whole = stats is None and query.max_distance is None
         if platform is not None:
             self.vector = prepare_visual(query, platform)
-            # Every shard's index is a clone_empty of the platform's: its
-            # keys are theirs, so a query is hashed once, not per slice.
-            lsh: LSHIndex = platform.slice.lsh(query.extractor_name)
-            self.keys = lsh.bucket_keys(self.vector)
+            # The one LSH index hashes the query and gathers its
+            # candidates once, for every slice that ranks them; a top-k
+            # they fall short of scans instead (rows None), decided here,
+            # on all of them, before anything is dispatched.
+            rows = platform.slice.lsh(query.extractor_name).candidates(self.vector)
+            short = query.max_distance is None and falls_back(len(rows), query.k)
+            self.rows = None if short else rows
 
     @staticmethod
     def path(query: VisualQuery) -> str:
@@ -234,36 +231,24 @@ class Visual(Leaf):
             details["radius"] = query.max_distance
         return details
 
-    def task(self, s: CatalogSlice) -> tuple[tuple, int]:
-        """The ``k`` nearest candidates as ``(ids, distances)`` columns
-        (the radius cut at ``k``: the ``k`` nearest cut at it) and their
-        count; none if a scan must."""
-        lsh: LSHIndex = s.lsh(self.query.extractor_name)
-        if self.whole:
-            return lsh.topk_unless_short(self.keys, self.vector, self.query.k)
-        return lsh.topk_in_buckets(self.keys, self.vector, self.query.k)
+    def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest of the candidates (of every row, when the
+        top-k fell back) as ``(ids, distances)`` columns; the radius is
+        cut at ``k`` — the ``k`` nearest cut at it."""
+        query = self.query
+        return s.visual_nearest(query.extractor_name, self.vector, query.k, self.rows)
 
     def survives(self, stats: ShardStats) -> bool:
         return self.query.extractor_name in stats.extractors
 
-    def fallback(self, payloads: list):
-        """:meth:`scan` instead if a top-k's candidates over all slices
-        fall short — ``lsh_fallback`` on the span (any, over several)."""
-        if self.query.max_distance is not None:
-            return None
-        fell = falls_back(sum(count for _, count in payloads), self.query.k)
-        span = obs.current_span()
-        if span is not None:
-            span.set("lsh_fallback", fell or span.attrs.get("lsh_fallback", False))
-        return self.scan if fell else None
-
-    def scan(self, s: CatalogSlice) -> tuple[tuple, int]:
-        lsh: LSHIndex = s.lsh(self.query.extractor_name)
-        return lsh.scan_topk(self.vector, self.query.k), 0
-
     def merge(self, payloads: list) -> Answer:
+        """The payloads' ``k`` best; a top-k says on the span merging it
+        whether it fell back (any, over several)."""
         query = self.query
-        return _nearest([columns for columns, _ in payloads], query.k, query.max_distance)
+        span = obs.current_span()
+        if query.max_distance is None and span is not None:
+            span.set("lsh_fallback", self.rows is None or span.attrs.get("lsh_fallback", False))
+        return _nearest(payloads, query.k, query.max_distance)
 
 
 class SpatialVisual(Leaf):
@@ -272,7 +257,7 @@ class SpatialVisual(Leaf):
 
     __slots__ = ("spatial", "visual", "vector")
 
-    def __init__(self, query: HybridQuery, platform: TVDP | None = None, stats=None) -> None:
+    def __init__(self, query: HybridQuery, platform: TVDP | None = None) -> None:
         spatial, visual = query.fused_pair()
         self.query, self.spatial, self.visual = query, Spatial(spatial), Visual(visual)
         if platform is not None:
@@ -305,9 +290,9 @@ class Conjunction(Leaf):
 
     __slots__ = ("parts",)
 
-    def __init__(self, query: HybridQuery, platform=None, stats=None) -> None:
+    def __init__(self, query: HybridQuery, platform=None) -> None:
         self.query = query
-        self.parts = tuple(prepare(part, platform, stats) for part in query.queries)
+        self.parts = tuple(prepare(part, platform) for part in query.queries)
 
     path = staticmethod(lambda query: "intersect(sub-results)")
     details = staticmethod(lambda query: {"parts": len(query.queries)})
@@ -344,10 +329,10 @@ def leaf_class(query: object) -> type:
     return cls
 
 
-def prepare(query: object, platform: TVDP | None = None, stats: list | None = None) -> Leaf:
-    """``query``'s leaf, prepared on ``platform`` — given ``stats``, to
-    run on those shards; given no platform, the plan alone."""
-    return leaf_class(query)(query, platform, stats)
+def prepare(query: object, platform: TVDP | None = None) -> Leaf:
+    """``query``'s leaf, prepared on ``platform`` to run on its slice or
+    on any of its shards; given no platform, the plan alone."""
+    return leaf_class(query)(query, platform)
 
 
 def prepare_visual(query: VisualQuery, platform: TVDP) -> np.ndarray:
@@ -369,16 +354,6 @@ def prepare_visual(query: VisualQuery, platform: TVDP) -> np.ndarray:
         raise MalformedQueryError("query vector must be finite, and its squared norm too")
     charge("feature_bytes", vector.nbytes)
     return vector
-
-
-def global_idf(terms: list, stats: list) -> dict:
-    """Term -> idf over the whole catalog, for the terms any shard
-    lists: ``N`` and each document frequency summed over every shard's
-    stats, so each shard scores (in sorted-term order, as the serial
-    index does) to the serial floats, whatever was pruned."""
-    total_docs = sum(s.text_docs for s in stats)
-    dfs = {term: sum(s.term_dfs.get(term, 0) for s in stats) for term in terms}
-    return {term: math.log(1.0 + total_docs / df) for term, df in dfs.items() if df}
 
 
 def _columns(payloads: list) -> tuple:

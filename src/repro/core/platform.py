@@ -570,12 +570,8 @@ class TVDP:
         return leaf.merge(answers)
 
     def _run_leaf(self, leaf: Leaf) -> Answer:
-        """The leaf's task (or its fallback's) on the whole catalog, merged."""
-        payloads = [leaf.task(self.slice)]
-        rearmed = leaf.fallback(payloads)
-        if rearmed is not None:
-            payloads = [rearmed(self.slice)]
-        return leaf.merge(payloads)
+        """The leaf's task on the whole catalog, merged."""
+        return leaf.merge([leaf.task(self.slice)])
 
     # -- stats ---------------------------------------------------------------------
 

@@ -3,10 +3,13 @@
 The paper's Access service is one data model (the Fig. 2 schema) plus
 one index suite — Oriented R-tree, inverted index, LSH, Visual R*-tree.
 :class:`CatalogSlice` is that pairing, and the only owner of it: the
-platform holds one over the whole catalog, and every geo-tile shard
-(:mod:`repro.shard`) *is* one over its rows.  The same three unscored
-scans therefore answer a query on the platform and on any partition of
-it, which is what keeps sharded answers equal to serial ones.
+platform holds one over the whole catalog.  A geo-tile shard
+(:mod:`repro.shard`) is a row set over it, not a copy: every scan a
+query family runs takes an optional ``owns`` — a map from an id column
+to a mask, the shard's — and then examines, charges and ranks only the
+rows it keeps, before any per-row work.  The same scans therefore
+answer a query on the platform and on any partition of it, which is
+what keeps sharded answers equal to serial ones.
 
 A slice is filled two ways, by the same two methods:
 
@@ -14,8 +17,7 @@ A slice is filled two ways, by the same two methods:
   and ``extract_features`` calls :meth:`CatalogSlice.index_vector`;
 * from rows — :meth:`CatalogSlice.rebuild` replays a database in
   ascending image id (the platform's upload order, so tree shapes are a
-  deterministic function of the rows), optionally cloning LSH hash
-  functions and node capacity from a parent slice.
+  deterministic function of the rows).
 
 Neither touches a tree.  A write fills columns only: camera point,
 viewing direction and FOV MBR of every image (the ``FieldOfView`` kept
@@ -49,7 +51,7 @@ from repro.db.database import Database
 from repro.errors import QueryError
 from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
-from repro.index.columns import Columns, PointColumns, count_scan
+from repro.index.columns import Columns, PointColumns, owned_rows
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
@@ -120,28 +122,14 @@ class CatalogSlice:
             labelled.append(image_id, confidence, _SOURCE_CODES[source])
         self.db.bump()
 
-    def add_extractor(
-        self, name: str, dimension: int, like: "CatalogSlice | None" = None
-    ) -> None:
-        """Give ``name`` its LSH + Visual R-tree pair unless it has one.
-        With ``like``, the pair clones that slice's hash functions and
-        node capacity, so this slice's candidates partition ``like``'s."""
-        # The registry entry, not hybrid(): a clone costs like no catch-up.
-        source = None if like is None else (
-            like.lsh(name), like._registered(like._hybrid, name).max_entries
-        )
+    def add_extractor(self, name: str, dimension: int) -> None:
+        """Give ``name`` its LSH + Visual R-tree pair unless it has one."""
         with self._lock:
             if name in self._lsh:
                 return
             self._vector_points[name] = PointColumns(extra=1)
-            if source is None:
-                self._lsh[name] = LSHIndex(dimension=dimension)
-                self._hybrid[name] = VisualRTree(dimension=dimension)
-            else:
-                self._lsh[name] = source[0].clone_empty()
-                self._hybrid[name] = VisualRTree(
-                    dimension=dimension, max_entries=source[1]
-                )
+            self._lsh[name] = LSHIndex(dimension=dimension)
+            self._hybrid[name] = VisualRTree(dimension=dimension)
         self.db.bump()
 
     def index_vector(self, name: str, image_id: int, vector: np.ndarray) -> None:
@@ -158,11 +146,10 @@ class CatalogSlice:
         self.db.bump()
 
     @classmethod
-    def rebuild(cls, db: Database, parent: "CatalogSlice | None" = None) -> "CatalogSlice":
+    def rebuild(cls, db: Database) -> "CatalogSlice":
         """The slice over ``db``, every index rebuilt from its rows in
-        ascending image id.  ``parent`` (the slice ``db`` was cut from)
-        lends every one of its extractors' hash functions; without one,
-        extractors are those the stored vectors name."""
+        ascending image id; its extractors are those the stored vectors
+        name."""
         built: CatalogSlice = cls(db)
         fov_rows = {row["image_id"]: row for row in db.table("image_fov").all_rows()}
         keywords: dict[int, list[str]] = {}
@@ -183,9 +170,6 @@ class CatalogSlice:
             built.index_annotation(
                 row["image_id"], row["type_id"], row["confidence"], row["source"]
             )
-        if parent is not None:
-            for name, source in sorted(parent.visual_indexes().items()):
-                built.add_extractor(name, source.dimension, like=parent)
         feature_rows = db.table("image_visual_features").all_rows()
         for row in sorted(feature_rows, key=lambda row: row["image_id"]):
             vector = np.array(row["vector"], dtype=np.float64)
@@ -258,24 +242,36 @@ class CatalogSlice:
         with self._lock:
             return len(self._cameras)
 
-    def fov_bounds(self) -> BoundingBox | None:
-        """Union MBR of every indexed FOV (``None`` without one) — the
-        extent the shard planner prunes against, from the MBR columns."""
+    def fov_bounds(self, owns) -> BoundingBox | None:
+        """Union MBR of every indexed FOV ``owns`` keeps (``None``
+        without one) — the extent the shard planner prunes against, from
+        the MBR columns."""
         with self._lock:
             cameras = self._cameras.view()
-        if not len(cameras.ids):
+        mbrs = np.array(cameras.extra[1:])[:, owns(cameras.ids)]
+        if not mbrs.shape[1]:
             return None
-        _, min_lat, min_lng, max_lat, max_lng = cameras.extra
-        return BoundingBox(
-            float(min_lat.min()), float(min_lng.min()),
-            float(max_lat.max()), float(max_lng.max()),
+        return BoundingBox(*mbrs[:2].min(axis=1).tolist(), *mbrs[2:].max(axis=1).tolist())
+
+    def owned_counts(self, owns) -> tuple[dict, dict]:
+        """``({type id: annotations}, {extractor: vectors})`` among the
+        rows ``owns`` keeps, for labels and extractors with any."""
+        with self._lock:
+            blocks = [
+                {key: columns.live()[0] for key, columns in registry.items()}
+                for registry in (self._labels, self._vector_points)
+            ]
+        labels, vectors = (
+            {key: n for key, ids in block.items() if (n := int(np.count_nonzero(owns(ids))))}
+            for block in blocks
         )
+        return labels, vectors
 
     # -- unscored scans -------------------------------------------------------
 
-    def spatial_ids(self, query: SpatialQuery) -> np.ndarray:
-        """Ascending ids (an int64 column) of this slice's images
-        matching ``query``:
+    def spatial_ids(self, query: SpatialQuery, owns=None) -> np.ndarray:
+        """Ascending ids (an int64 column) of this slice's images — those
+        ``owns`` keeps, if given — matching ``query``:
         camera-point-inside in camera mode, FOV-depicts in scene mode —
         one scan of the camera columns either way, then in scene mode
         the exact FOV predicate on the rows the scan let through."""
@@ -283,17 +279,18 @@ class CatalogSlice:
         with self._lock:
             cameras, fovs = self._cameras.view(), self._fovs
         if query.mode == "camera":
-            rows = cameras.rows_in(region)
+            rows = cameras.rows_in(region, owns)
         else:
-            count_scan(len(cameras.ids))
+            mine = owned_rows(cameras.ids, owns)
             _, min_lat, min_lng, max_lat, max_lng = cameras.extra
             # BoundingBox.intersects(MBR, region), on columns.
-            rows = np.flatnonzero(
+            hit = (
                 (min_lat <= region.max_lat)
                 & (max_lat >= region.min_lat)
                 & (min_lng <= region.max_lng)
                 & (max_lng >= region.min_lng)
             )
+            rows = np.flatnonzero(hit if mine is None else hit & mine)
         if query.direction_deg is not None:
             # geodesy.angular_difference_deg, on a column.
             off = np.abs(cameras.extra[0][rows] - query.direction_deg) % 360.0
@@ -315,34 +312,60 @@ class CatalogSlice:
         return pairs(*self.spatial_visual_nearest(name, region, vector, k))
 
     def spatial_visual_nearest(
-        self, name: str, region: BoundingBox, vector: np.ndarray, k: int
+        self, name: str, region: BoundingBox, vector: np.ndarray, k: int, owns=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The image ids and feature distances (two columns) of the
         ``k`` images most similar to ``vector`` under extractor ``name``
-        among those whose camera lies inside ``region``, nearest first
+        among those whose camera lies inside ``region`` (and that
+        ``owns`` keeps, if given), nearest first
         in canonical order — ``VisualRTree.spatial_visual_knn``'s
         answer, by filtering the point columns and ranking only the
         survivors' vectors (:meth:`LSHIndex.nearest_columns`)."""
         lsh = self.lsh(name)
         with self._lock:
             points = self._vector_points[name].view()
-        vector_rows = points.extra[0][points.rows_in(region)].astype(np.intp)
+        vector_rows = points.extra[0][points.rows_in(region, owns)].astype(np.intp)
         return lsh.nearest_columns(vector, k, vector_rows)
 
-    def temporal_ids(self, query: TemporalQuery) -> np.ndarray:
-        """Ascending ids (an int64 column) of this slice's images inside
-        the time window, from the ordered index on ``query.field``."""
+    def visual_nearest(
+        self, name: str, vector: np.ndarray, k: int, rows: np.ndarray | None, owns=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest to ``vector`` under extractor ``name`` as
+        ``(ids, distances)`` columns in canonical order: among the LSH
+        buffer ``rows`` (a query's hash candidates), or — ``None`` — by
+        the exhaustive scan; either way over the rows ``owns`` keeps."""
+        lsh = self.lsh(name)
+        if rows is None:
+            return lsh.scan_topk(vector, k, owns)
+        return lsh.nearest_columns(vector, k, rows, owns)
+
+    def text_scores(
+        self, terms: list[str], match: str, owns=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``InvertedIndex.scores`` of the keyword index: the documents
+        ``owns`` keeps, scored with the whole catalog's idf."""
+        return self.text.scores(terms, match, owns)
+
+    def temporal_ids(self, query: TemporalQuery, owns=None) -> np.ndarray:
+        """Ascending ids (an int64 column) of this slice's images (those
+        ``owns`` keeps) inside the time window, from the ordered index on
+        ``query.field``."""
         return self.db.table("images").sorted_keys_in_range(
-            query.field, query.start, query.end
+            query.field, query.start, query.end, owns
         )
 
     def best_confidence(
-        self, type_ids: tuple | list, min_confidence: float = 0.0, source: str | None = None
+        self,
+        type_ids: tuple | list,
+        min_confidence: float = 0.0,
+        source: str | None = None,
+        owns=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(image ids ascending, best confidence of each)`` over this
-        slice's annotations of any of the resolved ``type_ids`` (labels
-        are resolved by whoever holds the catalog; a slice never looks a
-        name up), from the label columns: no row is read."""
+        slice's annotations (those ``owns`` keeps) of any of the resolved
+        ``type_ids`` (labels are resolved by whoever holds the catalog; a
+        slice never looks a name up), from the label columns: no row is
+        read."""
         # The empty block first, so that no label at all still concatenates.
         blocks = [_NO_ANNOTATIONS.live()]
         with self._lock:
@@ -353,8 +376,10 @@ class CatalogSlice:
             ]
         ids = np.concatenate([ids for ids, _ in blocks])
         confidence, source_code = np.concatenate([values for _, values in blocks], axis=1)
-        count_scan(len(ids))
+        mine = owned_rows(ids, owns)
         keep = confidence >= min_confidence
+        if mine is not None:
+            keep &= mine
         if source is not None:
             # NaN equals nothing: an unknown source matches no annotation.
             keep &= source_code == _SOURCE_CODES.get(source, np.nan)

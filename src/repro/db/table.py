@@ -249,14 +249,17 @@ class Table:
         return pks.tolist()
 
     def sorted_keys_in_range(
-        self, column: str, low: Any = None, high: Any = None
+        self, column: str, low: Any = None, high: Any = None, owns=None
     ) -> np.ndarray:
         """The keys :meth:`keys_in_range` finds, ascending, as an int64
-        column: the window's bisections, then one sort of the hits."""
+        column: the window's bisections, then one sort of the hits —
+        only those ``owns`` (a key column to a mask) keeps, if given."""
         with self._lock:
             _, pks, _, tail_pks = self._ordered_index(column).window(low, high)
         # A new array either way: the arrays' run is a view of the index.
         keys = np.concatenate((pks, tail_pks)) if tail_pks else pks.copy()
+        if owns is not None:
+            keys = keys[owns(keys)]
         keys.sort()
         charge("rows_scanned", len(keys))
         return keys

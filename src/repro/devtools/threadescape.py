@@ -330,7 +330,7 @@ def _analyze_escape(table: SymbolTable, graph: CallGraph) -> EscapeAnalysis:
         class_context = function.cls
         # Locals that alias shared state (``campaign = self._x``);
         # writes to freshly-constructed locals (``function.fresh``) are
-        # pre-publication (the clone_empty pattern).
+        # pre-publication (built, then handed out).
         aliases: dict[str, tuple[str, str]] = {}
         if class_context is not None:
             for stmt, _held in function.nodes:

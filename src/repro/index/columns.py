@@ -34,6 +34,18 @@ def count_scan(rows: int) -> None:
     charge_probes("columns", rows)
 
 
+def owned_rows(ids: np.ndarray, owns=None) -> np.ndarray | None:
+    """Book one column scan of ``ids``: over every row, or — given
+    ``owns``, which maps an id column to a mask — over the rows it keeps,
+    whose mask is returned (``None``: every row is kept)."""
+    if owns is None:
+        count_scan(len(ids))
+        return None
+    mine = owns(ids)
+    count_scan(int(np.count_nonzero(mine)))
+    return mine
+
+
 class Columns:
     """A growable struct-of-arrays block, in insertion order: one int64
     id column and ``width`` float columns of equal length.
@@ -84,17 +96,19 @@ class ColumnView:
         self.ids = ids
         self.lat, self.lng, *self.extra = values
 
-    def rows_in(self, box: BoundingBox) -> np.ndarray:
+    def rows_in(self, box: BoundingBox, owns=None) -> np.ndarray:
         """Positions of the rows whose point lies inside ``box`` (border
-        included, as :meth:`BoundingBox.contains_point`) — one scan."""
-        count_scan(len(self.ids))
+        included, as :meth:`BoundingBox.contains_point`) — one scan, of
+        the rows ``owns`` keeps if given (:func:`owned_rows`)."""
+        mine = owned_rows(self.ids, owns)
         lat, lng = self.lat, self.lng
-        return np.flatnonzero(
+        inside = (
             (lat >= box.min_lat)
             & (lat <= box.max_lat)
             & (lng >= box.min_lng)
             & (lng <= box.max_lng)
         )
+        return np.flatnonzero(inside if mine is None else inside & mine)
 
 
 class PointColumns(Columns):

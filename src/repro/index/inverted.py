@@ -114,6 +114,16 @@ class _Postings:
         self.count = kept
 
 
+def _owned(live: tuple, ids: np.ndarray, owns) -> tuple[np.ndarray, np.ndarray]:
+    """A posting list's live ``(positions, tfs)``, cut to the documents
+    ``owns`` keeps (all of them without it)."""
+    if owns is None:
+        return live
+    positions, tfs = live
+    mine = owns(ids[positions])
+    return positions[mine], tfs[mine]
+
+
 class InvertedIndex:
     """Document index: per-term postings as columns, tf-idf ranked.
 
@@ -181,48 +191,50 @@ class InvertedIndex:
     # -- queries ------------------------------------------------------------
 
     def scores(
-        self, terms: list[str], match: str = "any", idf: dict | None = None
+        self, terms: list[str], match: str = "any", owns=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, scores)`` — two parallel columns, unranked — of the
         documents holding *any* of ``terms``, or only those holding them
-        *all*, each scored tf-idf.
+        *all*, each scored tf-idf; given ``owns`` (an id column to a
+        mask), only the documents it keeps, as if they were the index.
 
         The one scoring function: :func:`~repro.index.ordering.by_score`
-        ranks its columns for ``search_any`` / ``search_all`` and the
-        platform's textual runner, and — scored with the coordinator's
-        global ``idf`` (term -> weight) in place of this index's own —
-        for every shard of a scatter.  A document's score is summed term
-        by term in sorted-term order, ``tf / length * idf`` each time,
-        whatever the match mode and whichever slice holds it, so it is
+        ranks its columns for ``search_any`` / ``search_all``, the
+        platform's textual runner and every shard of a scatter.  A
+        document's score is summed term by term in sorted-term order,
+        ``tf / length * idf`` each time with the whole index's idf,
+        whatever the match mode and whichever shard owns it, so it is
         the same float everywhere.
 
         ``any`` adds each term's postings into a score column over every
         position; ``all`` scores only the rarest term's positions, each
         other term's frequency there read by one bisection per term, and
-        keeps those every term lists.
+        keeps those every term lists.  Given ``owns``, each term's
+        postings are cut to the documents it keeps before any is scored,
+        and the rarest term and the postings charged are those of the
+        cut lists.
         """
         terms = sorted(set(terms))
         # One lock hold: document frequencies, postings and lengths must
         # come from one index state, not a half-applied add().
         with self._lock:
             documents = len(self._position)
-            # (postings, idf weight) of each term the index lists.
-            weighted = [
-                (
-                    self._postings[term],
-                    math.log(1.0 + documents / self._postings[term].count)
-                    if idf is None
-                    else idf[term],
-                )
-                for term in terms
-                if term in self._postings
-            ]
+            # (postings, its live (positions, tfs) cut to owns, idf
+            # weight) of each term the index lists among those documents.
+            weighted = []
+            for term in terms:
+                postings = self._postings.get(term)
+                if postings is None:
+                    continue
+                live = _owned(postings.live(), self._ids, owns)
+                if len(live[0]):
+                    weight = math.log(1.0 + documents / postings.count)
+                    weighted.append((postings, live, weight))
             if match == "all" and len(weighted) < len(terms):
                 weighted = []  # a term nothing holds: no document has them all
             lengths = self._lengths
             if match == "all" and weighted:
-                rarest = min((postings for postings, _ in weighted), key=len)
-                rows, tfs = rarest.live()
+                rarest, (rows, tfs), _ = min(weighted, key=lambda entry: len(entry[1][0]))
                 length = lengths[rows]
                 # Every position the rarest term lists is scored, then
                 # kept if every other term lists it too.  Another term's
@@ -232,7 +244,7 @@ class InvertedIndex:
                 # tf read there is a neighbour's, or the zero past its
                 # last row, and the row is dropped.
                 held = out = None
-                for postings, weight in weighted:
+                for postings, _, weight in weighted:
                     if postings is not rarest:
                         at = postings.positions.searchsorted(rows)
                         listed = postings.positions[at] == rows
@@ -242,17 +254,16 @@ class InvertedIndex:
                     out = share if out is None else out + share  # 0.0 + x is x
                 if held is not None:
                     rows, out = rows[held], out[held]
-                scanned = rarest.count + (len(weighted) - 1) * len(rows)
+                scanned = len(tfs) + (len(weighted) - 1) * len(rows)
             else:
                 out = np.zeros(self._rows)
                 held = np.zeros(self._rows, dtype=bool)
-                for postings, weight in weighted:
-                    positions, tfs = postings.live()
+                for _, (positions, tfs), weight in weighted:
                     out[positions] += tfs / lengths[positions] * weight
                     held[positions] = True
                 rows = np.flatnonzero(held)
                 out = out[rows]
-                scanned = sum(postings.count for postings, _ in weighted)
+                scanned = sum(len(positions) for _, (positions, _), _ in weighted)
             ids = self._ids[rows]
         _QUERIES.inc()
         _POSTINGS_SCANNED.inc(scanned)
@@ -272,20 +283,14 @@ class InvertedIndex:
         with self._lock:
             return sorted(self._postings)
 
-    # -- scatter-gather exports ---------------------------------------------
-
-    def doc_count(self) -> int:
-        """Documents indexed — the ``N`` of the idf formula."""
+    def term_dfs(self, owns=None) -> dict[str, int]:
+        """Term -> document frequency for every indexed term — among the
+        documents ``owns`` (an id column to a mask) keeps, if given, and
+        then only the terms they hold: a shard's vocabulary, which the
+        planner prunes textual queries by."""
         with self._lock:
-            return len(self._position)
-
-    def term_dfs(self) -> dict[str, int]:
-        """Term -> document frequency for every indexed term.
-
-        Shard statistics for the scale-out planner: pruning a shard must
-        not change ranking, so the coordinator computes *global* idf
-        from the per-shard dfs of **all** shards — including ones the
-        match itself prunes.
-        """
-        with self._lock:
-            return {term: postings.count for term, postings in self._postings.items()}
+            counts = {
+                term: len(_owned(postings.live(), self._ids, owns)[0])
+                for term, postings in self._postings.items()
+            }
+        return {term: count for term, count in counts.items() if count}

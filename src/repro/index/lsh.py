@@ -107,22 +107,6 @@ class LSHIndex:
         with self._lock:
             return len(self._row_of)
 
-    def clone_empty(self) -> "LSHIndex":
-        """An empty index sharing this one's exact hash functions.
-
-        Shard slices built from clones produce candidate sets that
-        *partition* the parent's: a vector hashes to the same buckets in
-        every clone, so the union of per-shard candidates equals the
-        serial candidate set — the invariant the scatter-gather
-        equivalence proof rests on.
-        """
-        clone = LSHIndex(
-            self.dimension, self.n_tables, self.n_projections, self.bucket_width
-        )
-        clone._projections = self._projections.copy()
-        clone._offsets = self._offsets.copy()
-        return clone
-
     def _check_vector(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64).ravel()
         if vector.shape[0] != self.dimension:
@@ -141,13 +125,7 @@ class LSHIndex:
         return [tuple(row) for row in buckets.astype(np.int64).tolist()]
 
     def bucket_keys(self, vector: np.ndarray) -> list[tuple]:
-        """The bucket ``vector`` falls in, one key per table.
-
-        A function of the hash functions alone, so this index and every
-        :meth:`clone_empty` of it return the same keys: a coordinator
-        hashes a query once and hands the keys to each clone's
-        :meth:`topk_in_buckets`.
-        """
+        """The bucket ``vector`` falls in, one key per table."""
         return self._keys(self._check_vector(vector))
 
     # -- mutations ----------------------------------------------------------
@@ -190,8 +168,8 @@ class LSHIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def _candidates(self, keys: list[tuple]) -> set[int]:
-        """The buffer rows in the buckets ``keys``, counted."""
+    def _candidates(self, keys: list[tuple]) -> np.ndarray:
+        """The buffer rows in the buckets ``keys``, each once, counted."""
         found: set[int] = set()
         bucket_hits = 0
         for table, key in zip(self._tables, keys):
@@ -203,7 +181,13 @@ class LSHIndex:
         _BUCKET_HITS.inc(bucket_hits)
         _CANDIDATES.inc(len(found))
         charge_probes("lsh", len(found))
-        return found
+        return np.fromiter(found, dtype=np.intp, count=len(found))
+
+    def candidates(self, vector: np.ndarray) -> np.ndarray:
+        """The buffer rows in ``vector``'s buckets — its hash candidates,
+        gathered and counted once per query, for whoever ranks them
+        (:meth:`nearest_columns`; a shard, the rows of them it owns)."""
+        return self._candidates(self.bucket_keys(vector))
 
     def query_topk(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         """Top-``k`` nearest items by true L2 distance among hash
@@ -214,9 +198,12 @@ class LSHIndex:
         silently collapses (the platform prefers a slower exact answer
         over a wrong one).
         """
+        _check_k(k)
         vector = self._check_vector(vector)
-        columns, candidates = self.topk_unless_short(self._keys(vector), vector, k)
-        return pairs(*(self.scan_topk(vector, k) if falls_back(candidates, k) else columns))
+        rows = self._candidates(self._keys(vector))
+        if falls_back(len(rows), k):
+            return pairs(*self.scan_topk(vector, k))
+        return pairs(*self._nearest(vector, k, rows))
 
     def topk_with_stats(
         self, vector: np.ndarray, k: int
@@ -228,47 +215,21 @@ class LSHIndex:
     def topk_in_buckets(
         self, keys: list[tuple], vector: np.ndarray, k: int
     ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-        """Phase-1 scatter probe: the ranked top-``k`` columns
-        (:meth:`nearest_columns`) among the items in the buckets
-        ``keys`` (:meth:`bucket_keys` of ``vector``, from this index or
-        any index it is a clone of) plus the candidate-set size,
-        *without* the exhaustive fallback.
-
-        The scatter-gather coordinator sums the per-shard candidate
-        counts and triggers the exact fallback globally iff the total is
-        below ``k`` — reproducing the serial fallback decision exactly.
-        """
+        """The ranked top-``k`` columns (:meth:`nearest_columns`) among
+        the items in the buckets ``keys`` (:meth:`bucket_keys` of
+        ``vector``) plus the candidate-set size, *without* the
+        exhaustive fallback."""
         _check_k(k)
         vector = self._check_vector(vector)
-        candidates = self._candidates(keys)
-        return self._rank(candidates, vector, k), len(candidates)
-
-    def topk_unless_short(
-        self, keys: list[tuple], vector: np.ndarray, k: int
-    ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-        """:meth:`topk_in_buckets` on an index that holds every candidate
-        of the query: when they are :func:`short_of` ``k`` the exhaustive
-        scan answers instead, so none is ranked (the columns are empty)."""
-        _check_k(k)
-        vector = self._check_vector(vector)
-        candidates = self._candidates(keys)
-        if short_of(len(candidates), k):
-            return (np.empty(0, dtype=np.int64), np.empty(0)), len(candidates)
-        return self._rank(candidates, vector, k), len(candidates)
-
-    def _rank(
-        self, rows: set[int], vector: np.ndarray, k: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`nearest_columns` of the buffer ``rows``, for a vector
-        its caller has checked."""
-        return self._nearest(vector, k, np.fromiter(rows, dtype=np.intp, count=len(rows)))
+        rows = self._candidates(keys)
+        return self._nearest(vector, k, rows), len(rows)
 
     def query_radius(self, vector: np.ndarray, radius: float) -> list[tuple[object, float]]:
         """All hash candidates within true distance ``radius``."""
         if radius < 0:
             raise IndexError_(f"radius must be >= 0, got {radius}")
         vector = self._check_vector(vector)
-        ids, distances = self._rank(self._candidates(self._keys(vector)), vector, None)
+        ids, distances = self._nearest(vector, None, self._candidates(self._keys(vector)))
         within = distances <= radius
         return pairs(ids[within], distances[within])
 
@@ -278,12 +239,18 @@ class LSHIndex:
         _check_k(k)
         return self.nearest_rows(vector, k)
 
-    def scan_topk(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def scan_topk(
+        self, vector: np.ndarray, k: int, owns=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`linear_topk`'s columns as the exhaustive fallback runs
-        it: one ``probes.lsh`` charged per indexed row."""
+        it, over every row — or only those whose items ``owns`` maps to
+        true — with one ``probes.lsh`` charged per row it ranks."""
         _check_k(k)
-        charge_probes("lsh", len(self))
-        return self.nearest_columns(vector, k)
+        with self._lock:
+            ids = self._ids[: len(self._row_of)]
+        rows = None if owns is None else np.flatnonzero(owns(ids))
+        charge_probes("lsh", len(ids) if rows is None else len(rows))
+        return self.nearest_columns(vector, k, rows)
 
     def nearest_rows(
         self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None
@@ -292,7 +259,7 @@ class LSHIndex:
         return pairs(*self.nearest_columns(vector, k, rows))
 
     def nearest_columns(
-        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None
+        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None = None, owns=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest (all, for ``k=None``) to ``vector`` of the
         vectors in the buffer ``rows`` — as :meth:`insert` returned
@@ -324,10 +291,10 @@ class LSHIndex:
         (underflow breaks the relative bound), or as wide as the rows'
         spread (huge near-identical vectors) — every row is ranked
         exactly."""
-        return self._nearest(self._check_vector(vector), k, rows)
+        return self._nearest(self._check_vector(vector), k, rows, owns)
 
     def _nearest(
-        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None
+        self, vector: np.ndarray, k: int | None, rows: np.ndarray | None, owns=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`nearest_columns` of a vector its caller has checked."""
         with self._lock:
@@ -338,7 +305,11 @@ class LSHIndex:
             # Rank a subset from a gather: the product below must cost
             # what the subset costs, never what the buffer does.  (take
             # gathers rows faster than fancy indexing does.)
-            ids, matrix = ids.take(rows), matrix.take(rows, axis=0)
+            ids = ids.take(rows)
+            if owns is not None:
+                mine = owns(ids)
+                rows, ids = rows[mine], ids[mine]
+            matrix = matrix.take(rows, axis=0)
         if k is not None and max(k, _EXACT_ROWS) < len(matrix):
             band = _BAND * (max_sq_norm + float(vector @ vector))
             if sys.float_info.min <= band < math.inf:
@@ -376,17 +347,11 @@ def _doubled(column: np.ndarray) -> np.ndarray:
     return grown
 
 
-def short_of(candidates: int, k: int) -> bool:
-    """The exhaustive-fallback rule of a top-``k`` query: fewer hash
-    candidates than ``k`` — summed over every index the query probed —
-    and they give way to an exact scan."""
-    return candidates < k
-
-
 def falls_back(candidates: int, k: int) -> bool:
-    """:func:`short_of`, asked once per query and counted in
-    ``index.lsh.fallback_scans`` — queries, not indexes."""
-    if short_of(candidates, k):
+    """The exhaustive-fallback rule of a top-``k`` query: fewer hash
+    candidates than ``k``, and they give way to an exact scan.  Asked
+    once per query and counted in ``index.lsh.fallback_scans``."""
+    if candidates < k:
         _FALLBACK_SCANS.inc()
         return True
     return False

@@ -1,9 +1,9 @@
 """Scale-out query execution: geo-tile sharded catalog, scatter-gather.
 
 The paper pitches TVDP as a city-scale platform.  This package
-partitions the catalog by geo-tile into N shards, each one a
-:class:`~repro.core.slice.CatalogSlice` — the platform's own database +
-index suite pairing, over the shard's rows
+partitions the catalog by geo-tile into N shards, each one a row set
+over the platform's own :class:`~repro.core.slice.CatalogSlice` — a
+shard code per image, no copy of any table or index
 (:mod:`repro.shard.partition`) — prunes shards per query with the
 leaves' :class:`~repro.core.families.ShardStats` predicates, runs the
 same per-slice scans and index probes on the survivors in the

@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from repro import obs
-from repro.core.slice import CatalogSlice
 from repro.errors import RetryBudgetExceeded, ShardError
 from repro.obs import accounting
 from repro.resilience import Retry
@@ -52,15 +51,15 @@ class GatherResult(NamedTuple):
 
 
 def _run_batch(
-    handle: ShardHandle, tasks: list[Callable[[CatalogSlice], object]]
+    handle: ShardHandle, tasks: list[Callable[[ShardHandle], object]]
 ) -> tuple[list, dict]:
     """Run one shard's batch under a fresh ledger; ``(payloads,
     charges)``.  A task is a plain callable on the shard's
-    :class:`~repro.core.slice.CatalogSlice`; its return value is the
-    payload."""
+    :class:`~repro.shard.partition.ShardHandle` (the slice's scans over
+    the shard's rows); its return value is the payload."""
     _faults.inject("shard.worker")
     with accounting.ledger_scope() as ledger:
-        payloads = [task(handle.slice) for task in tasks]
+        payloads = [task(handle) for task in tasks]
     return payloads, ledger.charges
 
 

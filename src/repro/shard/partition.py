@@ -1,64 +1,81 @@
 """Geo-tile catalog partitioning.
 
-A shard *is* a catalog slice — the same
-:class:`~repro.core.slice.CatalogSlice` the platform holds over the
-whole catalog, here over a relational database holding exactly the rows
-for the shard's images, its index suite rebuilt from those rows.
-Shards are assigned by geo-tile — the uniform lattice of
-:class:`repro.index.grid.GridIndex` over camera points — so spatial
-queries tend to touch few shards and the planner can prune the rest.
+A shard is a row set over the platform's own
+:class:`~repro.core.slice.CatalogSlice`, not a copy of it: one shard
+code per image id, taken at the cut, says which shard owns each image —
+and with it the image's FOV, keywords, annotations and feature vectors.
+A :class:`ShardHandle` answers the slice's scans over its own rows, each
+scan masking through the code column before any per-row work, and holds
+no table, column or index of its own; partitioning is assigning tiles
+and computing each shard's :class:`~repro.core.families.ShardStats` from
+the coordinator's columns.  Shards are assigned by geo-tile — the
+uniform lattice of :class:`repro.index.grid.GridIndex` over camera
+points — so spatial queries tend to touch few shards and the planner can
+prune the rest.
 
 Invariants the equivalence proof (``docs/sharding.md``) rests on:
 
-* **Disjoint cover** — every image lands in exactly one shard
-  (out-of-region cameras go to shard 0 via the grid's overflow bucket),
-  so enumeration merges are disjoint unions.
-* **Preserved ids** — shard tables keep the coordinator's primary keys,
-  so a shard's answer rows are the coordinator's answer rows.
-* **Identical hash functions** — per-shard LSH indexes are
-  :meth:`~repro.index.lsh.LSHIndex.clone_empty` clones of the parent,
-  so per-shard candidate sets *partition* the serial candidate set.
-* **Insertion-order parity** — indexes are rebuilt in ascending image
-  id, the platform's upload order, so tree shapes are deterministic.
-
-The last two are :meth:`CatalogSlice.rebuild`'s contract when given the
-platform's slice as ``parent``.
+* **Disjoint cover** — every image has exactly one code (out-of-region
+  cameras go to shard 0 via the grid's overflow bucket), so enumeration
+  merges are disjoint unions.
+* **One index suite** — every shard reads the coordinator's columns,
+  postings and LSH buffer, so its answer rows are the coordinator's
+  rows, its scores use the catalog's idf and its visual candidates are
+  its share of the query's one candidate set: no hash function, tree or
+  insertion order has to agree with another copy's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.families import ShardStats
 from repro.core.platform import TVDP
 from repro.core.slice import CatalogSlice
-from repro.db.database import Database
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.index.grid import GridIndex
 
-#: Tables replicated whole into every shard (tiny, read-mostly, FK
-#: targets of the sliced tables).
-_REPLICATED_TABLES = ("users", "videos")
-
-#: Tables sliced by ``image_id`` into the owning shard, in FK order.
-_SLICED_TABLES = (
-    "images",
-    "image_fov",
-    "image_scene_location",
-    "image_visual_features",
-    "image_manual_keywords",
-    "image_content_annotation",
-)
+#: The ``images`` columns a partition reads, one pass over the rows.
+_TIME_FIELDS = ("timestamp_capturing", "timestamp_uploading")
+_IMAGE_COLUMNS = ("image_id", "lat", "lng", *_TIME_FIELDS)
 
 
 @dataclass
 class ShardHandle:
-    """One shard: its catalog slice (the rows and index suite scatter
-    units run against) and the statistics the planner prunes it by."""
+    """One shard: the platform's slice, the code column that says which
+    images it owns, and the statistics the planner prunes it by.  Its
+    methods are the slice's scans — what a family's ``task`` calls —
+    over the rows of those images only."""
 
     shard_id: int
     slice: CatalogSlice
-    stats: ShardStats
+    codes: np.ndarray  # image id -> owning shard at the cut; -1: none
+    stats: ShardStats | None = None
+
+    def owns(self, ids: np.ndarray) -> np.ndarray:
+        """Which of ``ids`` this shard owns: one gather through the code
+        column (an id past the cut clips to its last code, which is -1)."""
+        return self.codes.take(ids, mode="clip") == self.shard_id
+
+    def spatial_ids(self, query) -> np.ndarray:
+        return self.slice.spatial_ids(query, self.owns)
+
+    def temporal_ids(self, query) -> np.ndarray:
+        return self.slice.temporal_ids(query, self.owns)
+
+    def best_confidence(self, type_ids, min_confidence=0.0, source=None) -> tuple:
+        return self.slice.best_confidence(type_ids, min_confidence, source, self.owns)
+
+    def text_scores(self, terms, match) -> tuple:
+        return self.slice.text_scores(terms, match, self.owns)
+
+    def visual_nearest(self, name, vector, k, rows) -> tuple:
+        return self.slice.visual_nearest(name, vector, k, rows, self.owns)
+
+    def spatial_visual_nearest(self, name, region, vector, k) -> tuple:
+        return self.slice.spatial_visual_nearest(name, region, vector, k, self.owns)
 
 
 #: Degenerate-extent pad: a catalog whose cameras all share one
@@ -66,15 +83,21 @@ class ShardHandle:
 _MIN_EXTENT_DEG = 1e-6
 
 
-def _data_region(platform: TVDP) -> BoundingBox | None:
+def _image_columns(platform: TVDP) -> dict[str, np.ndarray]:
+    """Every image's id, camera point and timestamps, as columns."""
+    rows = platform.db.table("images").all_rows()
+    return {
+        name: np.array([row[name] for row in rows], dtype=np.int64 if name == "image_id" else None)
+        for name in _IMAGE_COLUMNS
+    }
+
+
+def _data_region(images: dict) -> BoundingBox | None:
     """Tightest box around every camera point, ``None`` when empty."""
-    points = [
-        GeoPoint(row["lat"], row["lng"])
-        for row in platform.db.table("images").all_rows()
-    ]
-    if not points:
+    lat, lng = images["lat"], images["lng"]
+    if not len(lat):
         return None
-    box = BoundingBox.from_points(points)
+    box = BoundingBox(float(lat.min()), float(lng.min()), float(lat.max()), float(lng.max()))
     if box.max_lat - box.min_lat < _MIN_EXTENT_DEG:
         box = BoundingBox(
             box.min_lat - _MIN_EXTENT_DEG,
@@ -92,10 +115,9 @@ def _data_region(platform: TVDP) -> BoundingBox | None:
     return box
 
 
-def _assign_shards(
-    platform: TVDP, n_shards: int, grid: tuple[int, int]
-) -> dict[int, list[int]]:
-    """image ids per shard (ascending), via contiguous geo-tile runs.
+def _assign_shards(images: dict, n_shards: int, grid: tuple[int, int]) -> np.ndarray:
+    """The shard code of every image id (-1: no image), via contiguous
+    geo-tile runs.
 
     Occupied cells are walked in row-major order and chunked into
     ``n_shards`` runs balanced by cumulative image count.  Whole cells
@@ -108,14 +130,16 @@ def _assign_shards(
     shards, making ``ShardStats`` ranges vacuous.
     Out-of-region cameras join shard 0 — data never silently drops.
     """
-    region = _data_region(platform)
-    rows, cols = grid
-    assignment: dict[int, list[int]] = {s: [] for s in range(n_shards)}
+    ids = images["image_id"]
+    # One past the largest id, so that the last code is always -1.
+    codes = np.full(int(ids.max(initial=0)) + 2, -1, dtype=np.min_scalar_type(-n_shards))
+    region = _data_region(images)
     if region is None:
-        return assignment
+        return codes
+    rows, cols = grid
     tile_index = GridIndex(region, rows=rows, cols=cols)
-    for row in platform.db.table("images").all_rows():
-        tile_index.insert(row["image_id"], GeoPoint(row["lat"], row["lng"]))
+    for image_id, lat, lng in zip(ids.tolist(), images["lat"].tolist(), images["lng"].tolist()):
+        tile_index.insert(image_id, GeoPoint(lat, lng))
     cells = sorted(tile_index.cell_items().items())
     total = sum(len(bucket) for _, bucket in cells)
     assigned = 0
@@ -123,73 +147,39 @@ def _assign_shards(
     for _, bucket in cells:
         while shard < n_shards - 1 and assigned >= (shard + 1) * total / n_shards:
             shard += 1
-        assignment[shard].extend(image_id for image_id, _ in bucket)
+        codes[[image_id for image_id, _ in bucket]] = shard
         assigned += len(bucket)
-    assignment[0].extend(image_id for image_id, _ in tile_index.overflow_items())
-    return {shard: sorted(ids) for shard, ids in assignment.items()}
+    codes[[image_id for image_id, _ in tile_index.overflow_items()]] = 0
+    return codes
 
 
-def _slice_databases(platform: TVDP, assignment: dict[int, list[int]]) -> list[Database]:
-    """One fresh TVDP database per shard: the replicated tables whole,
-    plus every per-image row dealt to the shard that owns its image —
-    one pass per table, primary keys preserved, each shard's rows in the
-    catalog's order."""
-    owner = {
-        image_id: shard_id
-        for shard_id, image_ids in assignment.items()
-        for image_id in image_ids
-    }
-    dbs = [Database.tvdp() for _ in assignment]
-    for db in dbs:
-        for table_name in _REPLICATED_TABLES:
-            for row in platform.db.table(table_name).all_rows():
-                db.insert(table_name, row)
-        platform.catalog.replicate_into(db)
-    for table_name in _SLICED_TABLES:
-        for row in platform.db.table(table_name).all_rows():
-            # An image uploaded since the assignment is in no shard yet;
-            # the write version has moved and the router repartitions.
-            shard_id = owner.get(row["image_id"])
-            if shard_id is not None:
-                dbs[shard_id].insert(table_name, row)
-    return dbs
-
-
-def _shard_stats(shard_id: int, shard: CatalogSlice) -> ShardStats:
-    """Pruning statistics over one shard's slice (see
+def _shard_stats(shard: ShardHandle, images: dict) -> ShardStats:
+    """Pruning statistics over one shard's rows (see
     :class:`repro.core.families.ShardStats` for the soundness notes)."""
+    mine = shard.owns(images["image_id"])
+    lat, lng = images["lat"][mine], images["lng"][mine]
     # FOV extents plus every camera point: augmented images have no FOV
-    # row but still carry a camera point, and camera-mode spatial
-    # queries (plus the hybrid index) match on camera points.
-    bounds = shard.fov_bounds()
-    time_mins: dict[str, float] = {}
-    time_maxs: dict[str, float] = {}
-    images = shard.db.table("images").all_rows()
-    for row in images:
-        point_box = BoundingBox(row["lat"], row["lng"], row["lat"], row["lng"])
-        bounds = point_box if bounds is None else bounds.union(point_box)
-        for field in ("timestamp_capturing", "timestamp_uploading"):
-            value = row[field]
-            if field not in time_mins or value < time_mins[field]:
-                time_mins[field] = value
-            if field not in time_maxs or value > time_maxs[field]:
-                time_maxs[field] = value
-    annotation_types: dict[int, int] = {}
-    for row in shard.db.table("image_content_annotation").all_rows():
-        annotation_types[row["type_id"]] = annotation_types.get(row["type_id"], 0) + 1
+    # but still carry a camera point, and camera-mode spatial queries
+    # (plus the hybrid index) match on camera points.
+    bounds = shard.slice.fov_bounds(shard.owns)
+    time_ranges = {}
+    if len(lat):
+        points = BoundingBox(float(lat.min()), float(lng.min()), float(lat.max()), float(lng.max()))
+        bounds = points if bounds is None else bounds.union(points)
+        time_ranges = {
+            field: (float(np.fmin.reduce(times)), float(np.fmax.reduce(times)))
+            for field in _TIME_FIELDS
+            if len(times := images[field][mine])
+        }
+    annotation_types, vectors = shard.slice.owned_counts(shard.owns)
     return ShardStats(
-        shard_id=shard_id,
-        n_images=len(images),
+        shard_id=shard.shard_id,
+        n_images=len(lat),
         bounds=bounds,
-        text_docs=shard.text.doc_count(),
-        term_dfs=shard.text.term_dfs(),
-        time_ranges={
-            field: (time_mins[field], time_maxs[field]) for field in time_mins
-        },
+        term_dfs=shard.slice.text.term_dfs(shard.owns),
+        time_ranges=time_ranges,
         annotation_types=annotation_types,
-        extractors=tuple(
-            sorted(name for name, index in shard.visual_indexes().items() if len(index))
-        ),
+        extractors=tuple(sorted(vectors)),
     )
 
 
@@ -202,9 +192,9 @@ def partition_catalog(
     tile is populated ground, not empty city).  Empty shards are still
     returned — the planner prunes them for free via ``n_images == 0``.
     """
-    assignment = _assign_shards(platform, n_shards, grid)
-    handles: list[ShardHandle] = []
-    for shard_id, db in enumerate(_slice_databases(platform, assignment)):
-        shard = CatalogSlice.rebuild(db, parent=platform.slice)
-        handles.append(ShardHandle(shard_id, shard, _shard_stats(shard_id, shard)))
+    images = _image_columns(platform)
+    codes = _assign_shards(images, n_shards, grid)
+    handles = [ShardHandle(shard_id, platform.slice, codes) for shard_id in range(n_shards)]
+    for handle in handles:
+        handle.stats = _shard_stats(handle, images)
     return handles

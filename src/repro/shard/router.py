@@ -3,11 +3,11 @@
 The router owns the partition — the shard handles, their
 :class:`~repro.core.families.ShardStats` and the executor that runs
 tasks on them.  For a batch of queries it prepares each query's leaf
-(:func:`repro.core.families.prepare`, with the global idf from the
-stats), scatters each leaf's task to the shards the leaf survives on —
-one dispatch per shard for the whole batch, through a
-:class:`~repro.shard.executor.ScatterGatherExecutor`, and one more round
-for the visual top-ks whose fallback rule fired — and merges the
+(:func:`repro.core.families.prepare`, on the whole catalog: a visual
+query's candidates and fallback decision are settled there), scatters
+each leaf's task to the shards the leaf survives on — one round, one
+dispatch per shard for the whole batch, through a
+:class:`~repro.shard.executor.ScatterGatherExecutor` — and merges the
 payloads with the leaf's own ``merge``.  A shard that fails every retry
 degrades the answer to ``partial=True`` instead of raising: on the
 answer, in the info dict, and on the query span beside what the
@@ -36,29 +36,18 @@ _PARTIAL = obs.metrics().counter("shard.partial_results")
 
 class _Unit:
     """One leaf's task fanned out to the shards the leaf survives on,
-    with its gathered payloads (``lost`` records shards that failed
-    every attempt)."""
+    with the payloads of those that answered."""
 
-    __slots__ = ("leaf", "task", "shard_ids", "payloads", "lost")
+    __slots__ = ("leaf", "shard_ids", "payloads")
 
     def __init__(self, leaf: Leaf, stats: list) -> None:
-        self.leaf, self.task = leaf, leaf.task
+        self.leaf = leaf
         self.shard_ids = _survivors(leaf, stats)
         self.payloads: dict = {}
-        self.lost: list = []
 
-    def ordered_payloads(self) -> list:
-        """Payloads in ascending shard order (merge determinism)."""
-        return [self.payloads[s] for s in sorted(self.payloads)]
-
-    def rearm(self) -> bool:
-        """Re-arm with the task the leaf's fallback rule hands back for
-        the first round's payloads, if any (what was lost stays lost)."""
-        task = self.leaf.fallback(list(self.payloads.values()))
-        if task is None or not self.shard_ids:
-            return False
-        self.task, self.payloads = task, {}
-        return True
+    def answer(self) -> Answer:
+        """The leaf's merge of the payloads, in ascending shard order."""
+        return self.leaf.merge([self.payloads[s] for s in sorted(self.payloads)])
 
 
 class ShardRouter:
@@ -94,9 +83,8 @@ class ShardRouter:
         the catalog's write version (``db.version``) is not the one the
         partition was cut at; both are replaced wholesale, so a snapshot
         stays consistent.  The partition is built with the lock
-        released (it is slow and takes the platform's lock); a racing
-        rebuild is settled at install time — the newer version wins (the
-        first installed, at equal versions).
+        released; a racing rebuild is settled at install time — the
+        newer version wins (the first installed, at equal versions).
         """
         version = self._platform.db.version
         with self._lock:
@@ -146,27 +134,34 @@ class ShardRouter:
         return [(answer.results(), info) for answer, info in self.answer_many(queries)]
 
     def answer_many(self, queries: list) -> list[tuple[Answer, dict]]:
-        """``[(answer, info), ...]``: one scatter round per shard, and
-        one more for the visual top-ks that fell back."""
+        """``[(answer, info), ...]``: one scatter round, one dispatch per
+        surviving shard for the whole batch."""
         stats, executor = self._ensure()
-        leaves = [prepare(query, self._platform, stats) for query in queries]
+        leaves = [prepare(query, self._platform) for query in queries]
         groups = [[_Unit(part, stats) for part in leaf.parts or (leaf,)] for leaf in leaves]
         units = [unit for group in groups for unit in group]
-        rounds = [self._scatter_units(units, executor)]
-        rearmed = [unit for unit in units if unit.rearm()]
-        if rearmed:
-            rounds.append(self._scatter_units(rearmed, executor))
-        _describe_dispatch(rounds, len(units) + len(rearmed))
+        batches: dict[int, list] = {}
+        for unit in units:
+            for shard_id in unit.shard_ids:
+                batches.setdefault(shard_id, []).append(unit)
+        gathered = executor.scatter(
+            {shard_id: [unit.leaf.task for unit in placed] for shard_id, placed in batches.items()}
+        )
+        _FANOUTS.inc(len(batches))
+        for shard_id, result in gathered.results.items():
+            for unit, payload in zip(batches[shard_id], result.payloads):
+                unit.payloads[shard_id] = payload
+        _describe_dispatch(gathered, len(units))
         out = []
         for leaf, group in zip(leaves, groups):
-            answers = [unit.leaf.merge(unit.ordered_payloads()) for unit in group]
+            answers = [unit.answer() for unit in group]
             answer = leaf.merge(answers) if leaf.parts else answers[0]
-            lost = sorted({s for unit in group for s in unit.lost})
+            considered = set().union(*(unit.shard_ids for unit in group))
+            lost = sorted(considered.intersection(gathered.failed))
             answer.failed_shards = tuple(lost)
-            considered = len(set().union(*(unit.shard_ids for unit in group)))
             info = {
-                "shards_considered": considered,
-                "shards_pruned": self.n_shards - considered,
+                "shards_considered": len(considered),
+                "shards_pruned": self.n_shards - len(considered),
                 "partial": bool(lost),
                 "failed_shards": lost,
             }
@@ -177,50 +172,21 @@ class ShardRouter:
             out.append((answer, info))
         return out
 
-    def _scatter_units(
-        self, units: list, executor: ScatterGatherExecutor
-    ) -> GatherResult:
-        """One scatter round: every unit's task to each of its shards,
-        the payloads (or the loss) booked back on the unit."""
-        batches: dict[int, list] = {}
-        placements: dict[int, list] = {}
-        for unit in units:
-            for shard_id in unit.shard_ids:
-                batches.setdefault(shard_id, []).append(unit.task)
-                placements.setdefault(shard_id, []).append(unit)
-        gathered = executor.scatter(batches)
-        _FANOUTS.inc(len(batches))
-        for shard_id, placed in placements.items():
-            result = gathered.results.get(shard_id)
-            if result is None:
-                for unit in placed:
-                    unit.lost.append(shard_id)
-                continue
-            for unit, payload in zip(placed, result.payloads):
-                unit.payloads[shard_id] = payload
-        return gathered
-
 
 def _survivors(leaf: Leaf, stats: list) -> list:
     """Ids of the non-empty shards ``leaf`` survives on, ascending."""
     return sorted(s.shard_id for s in stats if s.n_images and leaf.survives(s))
 
 
-def _describe_dispatch(rounds: list[GatherResult], tasks: int) -> None:
-    """What one request's scatter rounds did, on the request's own span
+def _describe_dispatch(gathered: GatherResult, tasks: int) -> None:
+    """What one request's scatter round did, on the request's own span
     (``query.<family>`` / ``query.batch``) — where ``Retry.call`` and
     the fault plan have already put ``retries`` and ``fault``."""
     span = obs.current_span()
     if span is None:
         return
-    wall_ms: dict[int, float] = {}
-    lost: set[int] = set()
-    for gathered in rounds:
-        lost.update(gathered.failed)
-        for shard_id, result in gathered.results.items():
-            wall_ms[shard_id] = wall_ms.get(shard_id, 0.0) + result.wall_ms
-    span.set("shards_dispatched", sum(len(g.results) + len(g.failed) for g in rounds))
+    span.set("shards_dispatched", len(gathered.results) + len(gathered.failed))
     span.set("shard_tasks", tasks)
-    span.set("shard_wall_ms", wall_ms)
-    span.set("partial", bool(lost))
-    span.set("failed_shards", sorted(lost))
+    span.set("shard_wall_ms", {s: result.wall_ms for s, result in gathered.results.items()})
+    span.set("partial", bool(gathered.failed))
+    span.set("failed_shards", sorted(gathered.failed))

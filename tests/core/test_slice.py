@@ -1,15 +1,14 @@
 """One builder: a catalog slice rebuilt from rows answers exactly like
 the slice that uploads and ``extract_features`` filled incrementally.
 
-``CatalogSlice.rebuild`` has two callers — ``load_platform`` (no parent)
-and ``partition_catalog`` (the platform's slice as parent) — and the
-platform's own slice is the third way the same indexes get filled.
-Hypothesis draws a catalog and an interleaving of uploads, annotations,
-on-demand feature requests (out of id order) and augmentations; at a
-checkpoint mid-stream and again at the end, every per-slice scan and
-every index probe the serial runners and the shard router use — the
-column scans of the sidecar included — must give the same answer on all
-three.
+``CatalogSlice.rebuild`` has one caller — ``load_platform`` — and the
+platform's own slice is the other way the same indexes get filled
+(shards are row sets over it and build nothing).  Hypothesis draws a
+catalog and an interleaving of uploads, annotations, on-demand feature
+requests (out of id order) and augmentations; at a checkpoint
+mid-stream and again at the end, every per-slice scan and every index
+probe the serial runners and the shard router use — the column scans of
+the sidecar included — must give the same answer on both.
 
 The sidecar has a second contract, pinned by races at the bottom: a
 query that overlaps writes sees ids and columns from one moment, and
@@ -47,7 +46,6 @@ from repro.features import ColorHistogramExtractor
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
 from repro.db import Database
-from repro.shard import partition_catalog
 from repro.index import OrientedRTree, VisualRTree
 from repro.index.ordering import by_score
 from tests.racing import read_while_writing, run_together
@@ -64,10 +62,9 @@ EXTRACTOR = PixelProbeExtractor.name
 
 
 def rebuilt_slices(platform: TVDP, directory) -> dict[str, CatalogSlice]:
-    """The platform's rows through both callers of the one builder."""
+    """The platform's rows through the one builder's caller."""
     save_platform(platform, directory)
-    (shard,) = partition_catalog(platform, 1)
-    return {"load_platform": load_platform(directory).slice, "partition": shard.slice}
+    return {"load_platform": load_platform(directory).slice}
 
 
 def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
@@ -448,12 +445,11 @@ class TestWritesBuildNoTree:
         save_platform(platform, tmp_path)
         reloaded = load_platform(tmp_path)
         reloaded.register_extractor(ColorHistogramExtractor())
-        shards = partition_catalog(platform, 4)
         for one in (platform, reloaded):
             want = [one.execute(query) for query in served]
             one.set_shards(4)
             assert [one.execute(query) for query in served] == want
-        slices = [platform.slice, reloaded.slice, *(shard.slice for shard in shards)]
+        slices = [platform.slice, reloaded.slice]
         assert inserted == []
         assert all(len(s._spatial) == 0 for s in slices)
         assert all(len(tree) == 0 for s in slices for tree in s._hybrid.values())
@@ -464,4 +460,3 @@ class TestWritesBuildNoTree:
         assert sorted(inserted) == ["OrientedRTree"] * len(records) + [
             "VisualRTree"
         ] * len(records)
-        assert sum(len(shard.slice.spatial) for shard in shards) == len(records)

@@ -6,8 +6,9 @@ operations per term; the dict-of-dicts scorer it replaced is kept here
 as the oracle.  Scores and order must be its own bit for bit — the same
 floats in the same ranked order — under re-adds that extend a document,
 both match modes, unknown terms, stopword-only text and ids that are not
-ints; and a 4-way partition scored with the coordinator's global idf,
-its columns joined and ranked once, must give the serial answer.
+ints; and one index scored as four row sets, their columns joined and
+ranked once, must give the serial answer, each row set charging the
+postings a separate index over its documents would.
 
 The time order is two arrays (values, primary keys) plus a short tail of
 recent inserts; every window must equal a linear scan of the rows,
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from repro.geo import FieldOfView, GeoPoint
 from repro.imaging import Image
 from repro.index import InvertedIndex, tie_key, tokenize
 from repro.index.ordering import by_score
-from repro.core.families import global_idf
+from repro.obs import accounting
 from tests.shard.test_equivalence import LATS, LNGS
 
 # -- textual: the column scorer against the dict scorer -------------------------------
@@ -154,17 +154,27 @@ def shard_of(doc_id: object) -> int:
     st.lists(st.tuples(doc_ids, texts), min_size=1, max_size=30),
     st.lists(st.tuples(term_lists, st.sampled_from(["any", "all"])), min_size=1, max_size=6),
 )
-def test_four_shards_scored_with_the_global_idf_rank_like_one(docs, queries):
+def test_four_row_sets_of_one_index_rank_like_it(docs, queries):
     serial, oracle = InvertedIndex(), DictScorer()
     shards = [InvertedIndex() for _ in range(4)]
     for doc_id, text in docs:
         serial.add(doc_id, text)
         oracle.add(doc_id, text)
         shards[shard_of(doc_id)].add(doc_id, text)
-    stats = [SimpleNamespace(text_docs=s.doc_count(), term_dfs=s.term_dfs()) for s in shards]
+    owners = [
+        lambda ids, n=n: np.array([shard_of(doc_id) == n for doc_id in ids], dtype=bool)
+        for n in range(4)
+    ]
+    for n, owns in enumerate(owners):
+        assert serial.term_dfs(owns) == shards[n].term_dfs()
     for terms, match in queries:
-        idf = global_idf(tokenize(" ".join(terms)), stats)
-        payloads = [shard.scores(terms, match, idf) for shard in shards]
+        payloads = []
+        for shard, owns in zip(shards, owners):
+            with accounting.ledger_scope() as restricted:
+                payloads.append(serial.scores(terms, match, owns))
+            with accounting.ledger_scope() as alone:
+                shard.scores(terms, match)
+            assert restricted.charges == alone.charges, (terms, match)
         joined = (
             np.concatenate([ids for ids, _ in payloads]),
             np.concatenate([scores for _, scores in payloads]),

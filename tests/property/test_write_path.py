@@ -20,9 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TVDP
-from repro.core import ClassificationCatalog
 from repro.core.persistence import load_platform, save_platform
-from repro.db import Database
 from repro.db.schema import ColumnType, tvdp_schema
 from repro.errors import QueryError, SchemaError
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
@@ -474,7 +472,7 @@ class TestLabelMap:
                         scanned_type_id, db, name, label
                     )
 
-    def test_a_restored_platform_and_a_shard_replica_resolve_alike(self, tmp_path):
+    def test_a_restored_platform_resolves_alike(self, tmp_path):
         platform = TVDP()
         with pytest.raises(QueryError):
             platform.catalog.type_id("street", "clean")  # a lookup before the definition
@@ -483,9 +481,6 @@ class TestLabelMap:
         save_platform(platform, tmp_path)
         restored = load_platform(tmp_path)
         assert restored.catalog.type_id("street", "dirty") == expected
-        replica = Database.tvdp()
-        platform.catalog.replicate_into(replica)
-        assert ClassificationCatalog(replica).type_id("street", "dirty") == expected
         restored.catalog.define("graffiti", ["tag"])
         assert restored.catalog.type_id("graffiti", "tag") == resolved(
             scanned_type_id, restored.db, "graffiti", "tag"

@@ -1,12 +1,13 @@
 """What the coordinator assumes about a dispatch, pinned.
 
-* It hashes a visual query once: every ``clone_empty`` of an LSH index —
-  and every clone the partition of a *reloaded* platform builds — puts a
-  vector in the parent's buckets, so per-shard candidates partition the
-  serial candidate set.
+* It gathers a visual query's candidates once, from the one LSH index:
+  each shard ranks the candidates it owns, so per-shard candidates
+  partition the serial candidate set — on a live platform and on a
+  *reloaded* one, whose index hashes like the live one.
 * One dispatch passes each fault site once, opens no span of its own and
   leaves what it did on the query's span; a retried attempt bills
-  nothing.
+  nothing; a top-k that falls back to the exhaustive scan is still one
+  round.
 * A cached answer dispatches nothing, and a partial answer is never
   cached.
 * Merges only order: shards are a disjoint cover.  The set-union and
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import TVDP, TemporalQuery, load_platform, save_platform
+from repro.core import TVDP, TemporalQuery, VisualQuery, load_platform, save_platform
 from repro.core.families import Categorical, Temporal
 from repro.core.slice import best_per_image
 from repro.errors import ShardError
@@ -44,40 +45,33 @@ EXTRACTOR = PixelProbeExtractor.name
 SITES = ("shard.dispatch", "shard.worker")
 
 
-class TestCoordinatorHashesOnce:
+class TestCandidatesPartition:
     @settings(max_examples=20, deadline=None)
     @given(
         specs=image_specs,
         probe=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
         n_shards=st.sampled_from(SHARD_COUNTS),
     )
-    def test_clones_share_keys_and_candidates_partition(self, specs, probe, n_shards):
+    def test_per_shard_candidates_partition_the_serial_candidates(self, specs, probe, n_shards):
         vector = np.asarray(probe)
         live = build_platform(specs)
         with tempfile.TemporaryDirectory() as directory:
             save_platform(live, directory)
             reloaded = load_platform(directory)
         for platform in (live, reloaded):
-            parent = platform.slice.lsh(EXTRACTOR)
-            keys = parent.bucket_keys(vector)
+            lsh = platform.slice.lsh(EXTRACTOR)
+            keys = lsh.bucket_keys(vector)
             assert keys == live.slice.lsh(EXTRACTOR).bucket_keys(vector)
-            assert parent.clone_empty().clone_empty().bucket_keys(vector) == keys
-            shards = [
-                handle.slice.lsh(EXTRACTOR)
-                for handle in partition_catalog(platform, n_shards, grid=(3, 3))
-            ]
-            everything = len(parent) + 1
-            serial_columns, serial_count = parent.topk_in_buckets(keys, vector, everything)
-            serial = pairs(*serial_columns)
+            everything = len(lsh) + 1
+            serial_columns, serial_count = lsh.topk_in_buckets(keys, vector, everything)
+            rows = lsh.candidates(vector)
+            assert len(rows) == serial_count
             found: list = []
-            for shard in shards:
-                assert shard.bucket_keys(vector) == keys
-                columns, count = shard.topk_in_buckets(keys, vector, everything)
-                assert count == len(columns[0]) == len(columns[1])
-                found.extend(pairs(*columns))
+            for handle in partition_catalog(platform, n_shards, grid=(3, 3)):
+                found.extend(pairs(*handle.visual_nearest(EXTRACTOR, vector, everything, rows)))
             # Same candidates, none twice, each at the distance serial gave it.
             assert len(found) == serial_count
-            assert sorted(found) == sorted(serial)
+            assert sorted(found) == sorted(pairs(*serial_columns))
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +160,16 @@ class TestOneDispatch:
         assert span.attrs["failed_shards"] == list(answer.failed_shards)
         assert span.attrs["shards_dispatched"] == 1
         assert span.attrs["shard_wall_ms"] == {}
+
+    def test_a_topk_that_falls_back_is_one_round(self, fresh):
+        # Twenty images: a top-25 is short of candidates whatever they are.
+        query = VisualQuery(EXTRACTOR, vector=np.array([0.5, 0.5, 0.5]), k=25)
+        fresh.shard_plan_preview(query)  # the partition, cut outside the trace
+        answer, (span,) = run_traced(fresh, query)
+        assert answer.results() == fresh.execute_serial(query)
+        attrs = span.attrs
+        assert attrs["lsh_fallback"] is True and attrs["shard_tasks"] == 1
+        assert attrs["shards_dispatched"] == attrs["shards_considered"] <= 4
 
     def test_a_retried_attempt_bills_nothing(self, platform):
         shards = partition_catalog(platform, 2, grid=(3, 3))
