@@ -604,11 +604,6 @@ class TVDP:
                 out[labels["span"]] = hist.summary()
         return dict(sorted(out.items()))
 
-    def reset_metrics(self) -> None:
-        """Zero all observability state (metrics + buffered spans) so a
-        benchmark phase starts from a clean slate."""
-        obs.reset()
-
     def metrics_snapshot(self) -> dict[str, dict]:
         """Current values of every metric (see
         :meth:`repro.obs.MetricsRegistry.snapshot`)."""

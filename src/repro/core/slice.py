@@ -29,10 +29,10 @@ the fused spatial-visual hybrid — is one vectorised predicate over
 those columns, scene mode followed by the exact FOV refine of the few
 survivors (DESIGN.md §6 has the scan-vs-tree table).  The paper's two
 trees are *caught up on read*: :attr:`CatalogSlice.spatial` and
-:meth:`CatalogSlice.hybrid` insert the rows written since the tree was
-last asked for, in write order, and return it — so a tree costs the
-reader that wants it (localisation, panorama selection, the figure
-benchmarks, the tests' oracles), never the upload.
+:meth:`CatalogSlice.hybrid_indexes` insert the rows written since the
+tree was last asked for, in write order, and return it — so a tree
+costs the reader that wants it (localisation, panorama selection, the
+figure benchmarks, the tests' oracles), never the upload.
 
 Each of the four index writes bumps the database's write version
 (:attr:`Database.version <repro.db.database.Database.version>`) once it
@@ -194,13 +194,6 @@ class CatalogSlice:
             for item, fov in zip(ids[first:].tolist(), self._fovs[first:]):
                 self._spatial.insert(item, fov)
         return self._spatial
-
-    def hybrid(self, name: str) -> VisualRTree:
-        """The Visual R-tree of extractor ``name``, caught up likewise."""
-        tree = self._registered(self._hybrid, name)
-        with self._lock:
-            self._catch_up(name, tree)
-        return tree
 
     def _catch_up(self, name: str, tree: VisualRTree) -> None:
         """Insert the vectors listed since ``len(tree)``, each at its

@@ -12,13 +12,15 @@ from repro.db.table import Table
 class Database:
     """Multi-table store enforcing referential integrity.
 
-    Inserts check that referenced rows exist; deletes are *restricted*
-    (refused while referencing rows remain), which is the safe default
-    for an archival platform where images anchor satellite records.
+    Inserts check that referenced rows exist.  The catalog only grows:
+    nothing deletes a row, and no update moves a key or foreign-key
+    column (:meth:`Table.update <repro.db.table.Table.update>` refuses
+    one), so a reference an insert checked holds for good — images
+    anchor their satellite records for the archive's lifetime.
 
     ``version`` is the write version: an ``int`` that only grows, moved
-    by :meth:`bump` after every committed row write (insert, update,
-    delete, through whichever door) and after every index write a
+    by :meth:`bump` after every committed row write (insert or update,
+    through whichever door) and after every index write a
     catalog slice applies over these rows.  A version read once a write
     has returned is therefore newer than any answer computed while that
     write was in flight; the shard router and the answer cache read it
@@ -113,39 +115,6 @@ class Database:
                     f"{target}.{target_column}"
                 )
         return table._store(normalized)
-
-    def delete(self, table_name: str, pk: int) -> None:
-        """Delete with restrict semantics: fails if referenced."""
-        self.table(table_name).get(pk)  # existence check
-        for other_name, other in self._tables.items():
-            for column in other.schema.columns:
-                fk = column.foreign_key
-                if fk is None or fk.table != table_name:
-                    continue
-                if other.find(column.name, pk):
-                    raise IntegrityError(
-                        f"cannot delete {table_name}[{pk}]: referenced by "
-                        f"{other_name}.{column.name}"
-                    )
-        self.table(table_name).delete(pk)
-
-    def delete_cascade(self, table_name: str, pk: int) -> int:
-        """Delete a row and, recursively, every row referencing it.
-        Returns the number of rows removed."""
-        self.table(table_name).get(pk)
-        removed = 0
-        for other_name, other in list(self._tables.items()):
-            for column in other.schema.columns:
-                fk = column.foreign_key
-                if fk is None or fk.table != table_name:
-                    continue
-                for row in other.find(column.name, pk):
-                    child_pk = row[other.schema.primary_key.name]
-                    if other_name == table_name and child_pk == pk:
-                        continue
-                    removed += self.delete_cascade(other_name, child_pk)
-        self.table(table_name).delete(pk)
-        return removed + 1
 
     def row_counts(self) -> dict[str, int]:
         """Table name -> row count (for stats endpoints and tests)."""

@@ -47,7 +47,8 @@ class ColumnType(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ForeignKey:
-    """Reference to ``table.column`` enforced on insert and delete."""
+    """Reference to ``table.column``, checked on insert (no update may
+    move it)."""
 
     table: str
     column: str

@@ -20,8 +20,12 @@ class Table:
 
     Rows are plain dicts keyed by column name; the table owns a copy of
     every stored row, so callers can't mutate storage from outside.
-    ``on_write`` is called after every committed insert, update and
-    delete (its database's version bump); ``writes`` counts them.
+    The table only grows: a row, once inserted, is never deleted, and
+    its key columns — the primary key, unique, indexed and foreign-key
+    columns — never change (:meth:`update` replaces plain columns
+    only), so an index entry is written once, by the insert.
+    ``on_write`` is called after every committed insert and update (its
+    database's version bump); ``writes`` counts them.
     """
 
     def __init__(
@@ -67,18 +71,10 @@ class Table:
         for column, index in self._indexes.items():
             index.setdefault(row[column], set()).add(pk)
 
-    def _index_remove(self, pk: int, row: dict) -> None:
-        for column, index in self._indexes.items():
-            bucket = index.get(row[column])
-            if bucket is not None:
-                bucket.discard(pk)
-                if not bucket:
-                    del index[row[column]]
-
     def create_ordered_index(self, column: str) -> None:
         """Build (or rebuild) an ordered index on the REAL ``column``
-        for :meth:`keys_in_range`.  Rows whose value is ``None`` or NaN
-        are left out: no range contains them."""
+        for :meth:`sorted_keys_in_range`.  Rows whose value is ``None``
+        or NaN are left out: no range contains them."""
         if self.schema.column(column).type is not ColumnType.REAL:
             raise SchemaError(
                 f"an ordered index needs a REAL column, not {self.schema.name}.{column}"
@@ -95,11 +91,6 @@ class Table:
         for column, index in self._ordered.items():
             if _orderable(row[column]):
                 index.add(row[column], pk)
-
-    def _ordered_remove(self, pk: int, row: dict) -> None:
-        for column, index in self._ordered.items():
-            if _orderable(row[column]):
-                index.remove(row[column], pk)
 
     # -- mutations ----------------------------------------------------------
 
@@ -142,53 +133,30 @@ class Table:
         return pk
 
     def update(self, pk: int, changes: dict) -> None:
-        """Update columns of an existing row."""
-        pk_name = self.schema.primary_key.name
-        if pk_name in changes:
-            raise SchemaError("primary keys are immutable")
-        with self._lock:
-            if pk not in self._rows:
-                raise IntegrityError(f"no row {pk} in {self.schema.name!r}")
-            current = dict(self._rows[pk])
-            current.update(changes)
-            normalized = self.schema.validate_row(current)
-            normalized[pk_name] = pk
-            for column, seen in self._unique.items():
-                value = normalized.get(column)
-                if value is not None and seen.get(value, pk) != pk:
-                    raise IntegrityError(
-                        f"unique violation on {self.schema.name}.{column}: {value!r}"
-                    )
-            old = self._rows[pk]
-            self._index_remove(pk, old)
-            for column, seen in self._unique.items():
-                if old.get(column) is not None:
-                    seen.pop(old[column], None)
-                if normalized.get(column) is not None:
-                    seen[normalized[column]] = pk
-            self._rows[pk] = normalized
-            self._index_add(pk, normalized)
-            for column, index in self._ordered.items():
-                before, after = old[column], normalized[column]
-                if before != after:  # an index moves only what changed
-                    if _orderable(before):
-                        index.remove(before, pk)
-                    if _orderable(after):
-                        index.add(after, pk)
-            self.writes += 1
-        self._on_write()
+        """Replace plain columns of an existing row.
 
-    def delete(self, pk: int) -> None:
-        """Remove a row by primary key."""
+        The catalog only grows: no row is deleted and no key column
+        moves.  ``changes`` may not name the primary key, a unique,
+        hash-indexed or ordered-indexed column, or a foreign key
+        (:class:`SchemaError`), so every index and every reference
+        stays as the insert left it, and an update only replaces the
+        row."""
         with self._lock:
+            for column in changes:
+                spec = self.schema.column(column)
+                if (
+                    spec.primary_key
+                    or spec.unique
+                    or spec.foreign_key is not None
+                    or column in self._indexes
+                    or column in self._ordered
+                ):
+                    raise SchemaError(
+                        f"{self.schema.name}.{column} is a key column: it never moves"
+                    )
             if pk not in self._rows:
                 raise IntegrityError(f"no row {pk} in {self.schema.name!r}")
-            row = self._rows.pop(pk)
-            self._index_remove(pk, row)
-            self._ordered_remove(pk, row)
-            for column, seen in self._unique.items():
-                if row.get(column) is not None:
-                    seen.pop(row[column], None)
+            self._rows[pk] = self.schema.validate_row({**self._rows[pk], **changes})
             self.writes += 1
         self._on_write()
 
@@ -227,35 +195,20 @@ class Table:
                 dict(row) for row in self._rows.values() if row[column] == value
             ]
 
-    def keys_in_range(
-        self, column: str, low: Any = None, high: Any = None
-    ) -> list[int]:
-        """Primary keys of the rows with ``low <= row[column] <= high``
-        in ``(value, pk)`` order, from the column's ordered index.
+    def sorted_keys_in_range(
+        self, column: str, low: Any = None, high: Any = None, owns=None
+    ) -> np.ndarray:
+        """Primary keys of the rows with ``low <= row[column] <= high``,
+        ascending, as an int64 column, from the column's ordered index:
+        the window's bisections, then one sort of the hits — only those
+        ``owns`` (a key column to a mask) keeps, if given.
 
         ``None`` leaves that end open.  The bounds must be numbers (NaN
         is not: callers reject it).  The rows themselves are not read;
         ``rows_scanned`` is charged one per key returned.
         """
         with self._lock:
-            values, pks, tail_values, tail_pks = self._ordered_index(column).window(
-                low, high
-            )
-        if tail_pks:
-            values = np.concatenate((values, tail_values))
-            pks = np.concatenate((pks, tail_pks))
-            pks = pks[np.lexsort((pks, values))]
-        charge("rows_scanned", len(pks))
-        return pks.tolist()
-
-    def sorted_keys_in_range(
-        self, column: str, low: Any = None, high: Any = None, owns=None
-    ) -> np.ndarray:
-        """The keys :meth:`keys_in_range` finds, ascending, as an int64
-        column: the window's bisections, then one sort of the hits —
-        only those ``owns`` (a key column to a mask) keeps, if given."""
-        with self._lock:
-            _, pks, _, tail_pks = self._ordered_index(column).window(low, high)
+            pks, tail_pks = self._ordered_index(column).window(low, high)
         # A new array either way: the arrays' run is a view of the index.
         keys = np.concatenate((pks, tail_pks)) if tail_pks else pks.copy()
         if owns is not None:
@@ -291,54 +244,6 @@ class Table:
         """Every row, PK-ordered."""
         return list(self.scan())
 
-    def select(
-        self,
-        where: dict | None = None,
-        order_by: str | None = None,
-        descending: bool = False,
-        limit: int | None = None,
-    ) -> list[dict]:
-        """Declarative read: equality filters, ordering, and a limit.
-
-        ``where`` maps column names to required values (conjunctive);
-        the most selective indexed/unique column drives the scan.  Rows
-        with ``None`` in the ``order_by`` column sort first (ascending).
-        """
-        if limit is not None and limit < 0:
-            raise SchemaError(f"limit must be >= 0, got {limit}")
-        where = where or {}
-        for column in where:
-            self.schema.column(column)
-        if order_by is not None:
-            self.schema.column(order_by)
-
-        # Drive from an indexed equality predicate when one exists.
-        driver = next(
-            (
-                column
-                for column in where
-                if column in self._indexes or column in self._unique
-            ),
-            None,
-        )
-        if driver is not None:
-            candidates = self.find(driver, where[driver])
-        else:
-            candidates = self.all_rows()
-        rows = [
-            row
-            for row in candidates
-            if all(row[column] == value for column, value in where.items())
-        ]
-        if order_by is not None:
-            rows.sort(
-                key=lambda row: (row[order_by] is not None, row[order_by]),
-                reverse=descending,
-            )
-        if limit is not None:
-            rows = rows[:limit]
-        return rows
-
 
 def _unversioned() -> None:
     """The write hook of a table outside any database: nothing to move."""
@@ -368,10 +273,10 @@ class OrderedIndex:
     by a read that finds it as the read before it left it — so a
     catalog that is only read reads arrays alone, and one that is
     written between reads merges once per :data:`_TAIL_ROWS` inserts.
-    A removal rewrites the arrays, or the tail.  The arrays are
-    replaced, never written in place, so a slice of them stays what it
-    was after the table's lock is let go.  Not locked: the table's lock
-    serialises everything.
+    Nothing is removed: the table's rows and their ordered values only
+    grow.  The arrays are replaced, never written in place, so a slice
+    of them stays what it was after the table's lock is let go.  Not
+    locked: the table's lock serialises everything.
     """
 
     def __init__(self, entries: list[tuple[float, int]]) -> None:
@@ -391,21 +296,10 @@ class OrderedIndex:
         if len(self._tail_pks) == _TAIL_ROWS:
             self._merge()
 
-    def remove(self, value: float, pk: int) -> None:
-        at = _tail_place(self._tail_values, self._tail_pks, value, pk)
-        if at < len(self._tail_pks) and self._tail_pks[at] == pk:
-            del self._tail_values[at], self._tail_pks[at]
-            self._written = True
-            return
-        at = self._places(np.array([value]), np.array([pk]))
-        self._values = np.delete(self._values, at)
-        self._pks = np.delete(self._pks, at)
-
-    def window(self, low: Any, high: Any) -> tuple[np.ndarray, np.ndarray, list, list]:
-        """The entries with ``low <= value <= high`` (``None``: that end
-        open): ``(values, pks)`` of the arrays' run, as views, and
-        ``(values, pks)`` of the tail's, as lists — each in ``(value,
-        pk)`` order."""
+    def window(self, low: Any, high: Any) -> tuple[np.ndarray, list]:
+        """The pks of the entries with ``low <= value <= high`` (``None``:
+        that end open): the arrays' run, as a view, and the tail's, as a
+        list — each in ``(value, pk)`` order."""
         if self._tail_pks and not self._written:
             self._merge()
         self._written = False
@@ -414,12 +308,7 @@ class OrderedIndex:
         last = len(values) if high is None else values.searchsorted(high, "right")
         tail_first = 0 if low is None else bisect.bisect_left(tail, low)
         tail_last = len(tail) if high is None else bisect.bisect_right(tail, high)
-        return (
-            values[first:last],
-            self._pks[first:last],
-            tail[tail_first:tail_last],
-            self._tail_pks[tail_first:tail_last],
-        )
+        return self._pks[first:last], self._tail_pks[tail_first:tail_last]
 
     def _merge(self) -> None:
         """Place the tail into the arrays and empty it: one pass over

@@ -1,7 +1,7 @@
 """Index structures: R-tree, Oriented R-tree, LSH, inverted, hybrid."""
 
 from repro.index.ordering import tie_key
-from repro.index.rtree import RTree, box_point_distance_deg
+from repro.index.rtree import RTree
 from repro.index.oriented_rtree import SECTORS, OrientedRTree, direction_mask
 from repro.index.lsh import LSHIndex
 from repro.index.inverted import STOPWORDS, InvertedIndex, tokenize
@@ -10,7 +10,6 @@ from repro.index.grid import GridIndex
 
 __all__ = [
     "RTree",
-    "box_point_distance_deg",
     "OrientedRTree",
     "direction_mask",
     "SECTORS",

@@ -51,10 +51,6 @@ class GridIndex:
                 results.append(item)
         return results
 
-    def cell_counts(self) -> dict[tuple[int, int], int]:
-        """Occupancy per non-empty cell (coverage heat map input)."""
-        return {key: len(bucket) for key, bucket in self._cells.items()}
-
     def cell_items(self) -> dict[tuple[int, int], list[tuple[object, GeoPoint]]]:
         """Bucket contents per non-empty cell — the geo-tile partitioner
         assigns whole cells to shards."""

@@ -78,40 +78,11 @@ class _Postings:
         """List a new document, which has the highest position yet."""
         n = self.count
         if n + 1 == len(self.positions):
-            self._grow()
+            self.positions = _grown(self.positions, n + 1, _PAST)
+            self.tfs = _grown(self.tfs, n + 1)
         self.positions[n] = position
         self.tfs[n] = tf
         self.count = n + 1
-
-    def add(self, position: int, tf: int) -> None:
-        """Count ``tf`` more occurrences at an extended document's
-        ``position``: its frequency raised in place, or — a term new to
-        it — a row shifted into its place."""
-        n = self.count
-        at = int(self.positions[:n].searchsorted(position))
-        if self.positions[at] == position:
-            self.tfs[at] += tf
-            return
-        if n + 1 == len(self.positions):
-            self._grow()
-        # One row on, the row past the last included.
-        self.positions[at + 1 : n + 2] = self.positions[at : n + 1]
-        self.tfs[at + 1 : n + 1] = self.tfs[at:n]
-        self.positions[at], self.tfs[at] = position, tf
-        self.count = n + 1
-
-    def _grow(self) -> None:
-        self.positions = _grown(self.positions, self.count + 1, _PAST)
-        self.tfs = _grown(self.tfs, self.count + 1)
-
-    def drop(self, position: int) -> None:
-        """Forget ``position`` if it is listed."""
-        positions, tfs = self.live()
-        keep = positions != position
-        kept = int(keep.sum())
-        self.positions[:kept], self.tfs[:kept] = positions[keep], tfs[keep]
-        self.positions[kept : self.count], self.tfs[kept : self.count] = _PAST, 0.0
-        self.count = kept
 
 
 def _owned(live: tuple, ids: np.ndarray, owns) -> tuple[np.ndarray, np.ndarray]:
@@ -127,20 +98,18 @@ def _owned(live: tuple, ids: np.ndarray, owns) -> tuple[np.ndarray, np.ndarray]:
 class InvertedIndex:
     """Document index: per-term postings as columns, tf-idf ranked.
 
-    A document is given a position on its first :meth:`add`: the id
+    A document is given the next position when it is added: the id
     column holds its id there and the length column its token count.
     Each term's postings are two growable columns in ascending position
-    (:class:`_Postings`).  A write appends to them, or — extending a
-    document — updates it in place; nothing is rebuilt.  The id column
-    is int64 while every id is a plain ``int`` that fits, and object
-    dtype from the first one that is not.
+    (:class:`_Postings`).  A write appends to them; nothing is rebuilt
+    or rewritten.  The id column is int64 while every id is a plain
+    ``int`` that fits, and object dtype from the first one that is not.
     """
 
     def __init__(self) -> None:
         self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
         self._lengths = np.empty(_INITIAL_ROWS)
-        self._rows = 0  # positions handed out, removed documents included
-        self._position: dict[object, int] = {}  # live document -> position
+        self._position: dict[object, int] = {}  # document -> position
         self._postings: dict[str, _Postings] = {}
         self._lock = threading.Lock()
 
@@ -153,40 +122,24 @@ class InvertedIndex:
             return doc_id in self._position
 
     def add(self, doc_id: object, text: str) -> None:
-        """Index a document; adding the same id again extends it."""
+        """Index a new document; an id already indexed is refused
+        (:class:`IndexError_`): a document, once listed, stays as it is."""
         tokens = tokenize(text)
         with self._lock:
-            position = self._position.get(doc_id)
-            if position is None:
-                position = self._rows
-                if self._ids.dtype != object and not fits(doc_id):
-                    self._ids = self._ids.astype(object)
-                self._ids = _grown(self._ids, position)
-                self._lengths = _grown(self._lengths, position)
-                self._ids[position], self._lengths[position] = doc_id, len(tokens)
-                self._position[doc_id] = position
-                self._rows = position + 1
-                place = _Postings.append
-            else:
-                self._lengths[position] += len(tokens)
-                place = _Postings.add
+            if doc_id in self._position:
+                raise IndexError_(f"document {doc_id!r} already indexed")
+            position = len(self._position)
+            if self._ids.dtype != object and not fits(doc_id):
+                self._ids = self._ids.astype(object)
+            self._ids = _grown(self._ids, position)
+            self._lengths = _grown(self._lengths, position)
+            self._ids[position], self._lengths[position] = doc_id, len(tokens)
+            self._position[doc_id] = position
             for term, count in Counter(tokens).items():
                 postings = self._postings.get(term)
                 if postings is None:
                     postings = self._postings[term] = _Postings()
-                place(postings, position, count)
-
-    def remove(self, doc_id: object) -> None:
-        """Drop a document from every posting list (its position stays
-        unused)."""
-        with self._lock:
-            if doc_id not in self._position:
-                raise IndexError_(f"document {doc_id!r} not indexed")
-            position = self._position.pop(doc_id)
-            for term, postings in list(self._postings.items()):
-                postings.drop(position)
-                if not postings.count:
-                    del self._postings[term]
+                postings.append(position, count)
 
     # -- queries ------------------------------------------------------------
 
@@ -256,8 +209,8 @@ class InvertedIndex:
                     rows, out = rows[held], out[held]
                 scanned = len(tfs) + (len(weighted) - 1) * len(rows)
             else:
-                out = np.zeros(self._rows)
-                held = np.zeros(self._rows, dtype=bool)
+                out = np.zeros(documents)
+                held = np.zeros(documents, dtype=bool)
                 for _, (positions, tfs), weight in weighted:
                     out[positions] += tfs / lengths[positions] * weight
                     held[positions] = True
@@ -277,11 +230,6 @@ class InvertedIndex:
     def search_all(self, query: str) -> list[tuple[object, float]]:
         """Documents matching *every* query term (conjunctive), ranked."""
         return list(zip(*by_score(*self.scores(tokenize(query), "all"))))
-
-    def vocabulary(self) -> list[str]:
-        """Sorted indexed terms."""
-        with self._lock:
-            return sorted(self._postings)
 
     def term_dfs(self, owns=None) -> dict[str, int]:
         """Term -> document frequency for every indexed term — among the

@@ -205,13 +205,6 @@ class LSHIndex:
             return pairs(*self.scan_topk(vector, k))
         return pairs(*self._nearest(vector, k, rows))
 
-    def topk_with_stats(
-        self, vector: np.ndarray, k: int
-    ) -> tuple[list[tuple[object, float]], int]:
-        """:meth:`topk_in_buckets` of ``vector``'s own buckets, as pairs."""
-        columns, candidates = self.topk_in_buckets(self.bucket_keys(vector), vector, k)
-        return pairs(*columns), candidates
-
     def topk_in_buckets(
         self, keys: list[tuple], vector: np.ndarray, k: int
     ) -> tuple[tuple[np.ndarray, np.ndarray], int]:

@@ -69,17 +69,6 @@ class OrientedRTree:
             self._fovs[item] = fov
             self._tree.insert((item, direction_mask(fov.direction_deg)), fov.mbr())
 
-    def fov_of(self, item: object) -> FieldOfView:
-        """The FOV an item was indexed with."""
-        if item not in self._fovs:
-            raise IndexError_(f"item {item!r} not in index")
-        return self._fovs[item]
-
-    def bounds(self) -> BoundingBox | None:
-        """Union MBR of every indexed FOV (``None`` when empty) — the
-        spatial extent the shard planner prunes against."""
-        return self._tree.bounds()
-
     # -- queries ------------------------------------------------------------
 
     def search_range(

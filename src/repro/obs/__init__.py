@@ -8,7 +8,7 @@ here — ``span`` and ``ledger_scope`` open or join it — and yields one
 ``/health`` and every ``/debug/*`` view read that store (see
 ``repro.obs.record``).  The API layer serves the registry at
 ``GET /metrics``; benchmarks snapshot/diff it around measured phases;
-``TVDP.reset_metrics()`` zeroes it between phases.
+:func:`reset` zeroes it between phases.
 
 Typical use::
 

@@ -122,7 +122,7 @@ class TestWriteVersion:
         before = db.version
         catalog_slice.add_extractor("probe", 3)  # has one: nothing applied
         assert len(catalog_slice.spatial) == 1
-        assert len(catalog_slice.hybrid("probe")) == 1
+        assert len(catalog_slice.hybrid_indexes()["probe"]) == 1
         catalog_slice.hybrid_indexes()
         assert db.version == before
 

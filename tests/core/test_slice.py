@@ -120,12 +120,12 @@ def answers(catalog_slice: CatalogSlice, platform: TVDP, params: dict) -> dict:
         out["spatial_visual_topk"] = catalog_slice.spatial_visual_topk(
             EXTRACTOR, box, vector, params["k"]
         )
-        out["topk_with_stats"] = catalog_slice.lsh(EXTRACTOR).topk_with_stats(
-            vector, params["k"]
-        )
-        out["spatial_visual_knn"] = catalog_slice.hybrid(EXTRACTOR).spatial_visual_knn(
-            box, vector, params["k"]
-        )
+        lsh = catalog_slice.lsh(EXTRACTOR)
+        columns, candidates = lsh.topk_in_buckets(lsh.bucket_keys(vector), vector, params["k"])
+        out["topk_in_buckets"] = ([column.tolist() for column in columns], candidates)
+        out["spatial_visual_knn"] = catalog_slice.hybrid_indexes()[
+            EXTRACTOR
+        ].spatial_visual_knn(box, vector, params["k"])
     return out
 
 
@@ -269,25 +269,27 @@ class TestSidecarUnderConcurrentWrites:
             while not seen or seen[-1][0] < self.N:
                 vectored, fovs = self.vectors_listed(built), built.fov_count()
                 seen.append(
-                    (vectored, len(built.hybrid("race")), fovs, len(built.spatial))
+                    (vectored, len(built.hybrid_indexes()["race"]), fovs, len(built.spatial))
                 )
 
         run_together([write_all, catch_up, catch_up])
         assert all(v <= in_visual and f <= in_spatial for v, in_visual, f, in_spatial in seen)
         everything = range(1, self.N + 1)
-        assert len(built.spatial) == len(built.hybrid("race")) == self.N
+        assert len(built.spatial) == len(built.hybrid_indexes()["race"]) == self.N
         assert sorted(built.spatial.search_range(self.EVERYWHERE)) == list(everything)
-        ranked = built.hybrid("race").linear_spatial_visual_knn(
+        ranked = built.hybrid_indexes()["race"].linear_spatial_visual_knn(
             self.EVERYWHERE, vectors[0], 2 * self.N
         )
         assert sorted(item for item, _ in ranked) == list(everything)
         # Write order: the trees a single thread filling eagerly builds.
         eager, eager_visual = OrientedRTree(), VisualRTree(dimension=self.DIM)
         for i in everything:
-            eager.insert(i, built.spatial.fov_of(i))
-            eager_visual.insert(i, built.spatial.fov_of(i).camera, vectors[i - 1])
+            camera = GeoPoint(34.0 + (i - 1) / self.N, -118.0 - (i - 1) / self.N)
+            fov = FieldOfView(camera, 0.0, 60.0, 100.0)  # what the writer indexed
+            eager.insert(i, fov)
+            eager_visual.insert(i, fov.camera, vectors[i - 1])
         assert built.spatial.search_range(self.EVERYWHERE) == eager.search_range(self.EVERYWHERE)
-        assert built.hybrid("race").spatial_visual_knn(
+        assert built.hybrid_indexes()["race"].spatial_visual_knn(
             self.EVERYWHERE, vectors[0], self.N
         ) == eager_visual.spatial_visual_knn(self.EVERYWHERE, vectors[0], self.N)
 
@@ -336,7 +338,7 @@ class TestSidecarUnderConcurrentWrites:
         ranked = built.spatial_visual_topk("race", self.EVERYWHERE, probe, self.N)
         distances = np.linalg.norm(vectors - probe, axis=1)
         assert dict(ranked) == {i + 1: float(distances[i]) for i in range(self.N)}
-        assert ranked == built.hybrid("race").linear_spatial_visual_knn(
+        assert ranked == built.hybrid_indexes()["race"].linear_spatial_visual_knn(
             self.EVERYWHERE, probe, self.N
         )
 

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.api.auth import ApiKeyManager
+from repro.core import TVDP
 from repro.db import Column, ColumnType, Database, ForeignKey, Table, TableSchema
-from repro.errors import IntegrityError, SchemaError
+from repro.errors import AuthenticationError, IntegrityError, SchemaError
+from repro.geo import FieldOfView, GeoPoint
+from repro.imaging import solid_color
 
 I, R, T, B = ColumnType.INTEGER, ColumnType.REAL, ColumnType.TEXT, ColumnType.BOOLEAN
 
@@ -72,19 +76,14 @@ class TestTable:
         assert self.table.get(pk)["tag"] == "t"
 
     def test_update_unique_collision_raises(self):
+        """A unique column is a key column: an update may not name it,
+        colliding or not."""
         self.table.insert({"name": "a", "tag": "x"})
         pk = self.table.insert({"name": "b", "tag": "y"})
-        with pytest.raises(IntegrityError):
-            self.table.update(pk, {"tag": "x"})
-
-    def test_delete_frees_unique_value(self):
-        pk = self.table.insert({"name": "a", "tag": "x"})
-        self.table.delete(pk)
-        self.table.insert({"name": "b", "tag": "x"})
-
-    def test_delete_missing_raises(self):
-        with pytest.raises(IntegrityError):
-            self.table.delete(42)
+        for tag in ("x", "z"):
+            with pytest.raises(SchemaError):
+                self.table.update(pk, {"tag": tag})
+        assert self.table.get(pk)["tag"] == "y"
 
     def test_find_without_index(self):
         self.table.insert({"name": "a"})
@@ -101,14 +100,16 @@ class TestTable:
         assert without == with_index
 
     def test_index_maintained_across_mutations(self):
+        """An update of a plain column leaves the hash index as the
+        insert wrote it; an update of the indexed column is refused."""
         self.table.create_index("name")
         pk = self.table.insert({"name": "a"})
-        assert len(self.table.find("name", "a")) == 1
-        self.table.update(pk, {"name": "b"})
-        assert self.table.find("name", "a") == []
-        assert len(self.table.find("name", "b")) == 1
-        self.table.delete(pk)
+        self.table.update(pk, {"size": 2.0})
+        assert self.table.find("name", "a") == [{"id": pk, "name": "a", "tag": None, "size": 2.0}]
+        with pytest.raises(SchemaError):
+            self.table.update(pk, {"name": "b"})
         assert self.table.find("name", "b") == []
+        assert len(self.table.find("name", "a")) == 1
 
     def test_scan_with_predicate(self):
         for size in (1.0, 2.0, 3.0):
@@ -132,27 +133,23 @@ class TestOrderedIndex:
             table.insert({"at": at})
         return table
 
-    def test_range_is_inclusive_and_ordered_by_value_then_pk(self):
+    def test_range_is_inclusive_and_ascending_by_pk(self):
         table = self.stamped()
         table.create_ordered_index("at")
-        assert table.keys_in_range("at", 3.0, 5.0) == [4, 6, 1]
-        assert table.keys_in_range("at", 3.5, 4.5) == []
+        assert table.sorted_keys_in_range("at", 3.0, 5.0).tolist() == [1, 4, 6]
+        assert table.sorted_keys_in_range("at", 3.5, 4.5).tolist() == []
 
     def test_open_ends_and_unplaceable_values(self):
         """None and NaN lie in no window, open or not."""
         table = self.stamped()
         table.create_ordered_index("at")
-        assert table.keys_in_range("at") == [2, 4, 6, 1]
-        assert table.keys_in_range("at", None, 3.0) == [2, 4, 6]
-        assert table.keys_in_range("at", 3.0, None) == [4, 6, 1]
-        table.update(3, {"at": 2.0})  # None -> a value
-        table.update(1, {"at": None})  # a value -> None
-        table.delete(5)  # the NaN row was never in the index
-        assert table.keys_in_range("at") == [2, 3, 4, 6]
+        assert table.sorted_keys_in_range("at").tolist() == [1, 2, 4, 6]
+        assert table.sorted_keys_in_range("at", None, 3.0).tolist() == [2, 4, 6]
+        assert table.sorted_keys_in_range("at", 3.0, None).tolist() == [1, 4, 6]
 
     def test_range_needs_the_index(self):
         with pytest.raises(SchemaError):
-            self.stamped().keys_in_range("at", 0.0, 1.0)
+            self.stamped().sorted_keys_in_range("at", 0.0, 1.0)
         with pytest.raises(SchemaError):
             self.stamped().create_ordered_index("nope")
 
@@ -163,7 +160,7 @@ class TestOrderedIndex:
         table = self.stamped()
         table.create_ordered_index("at")
         with ledger_scope(table=RecordStore(), principal="t") as ledger:
-            table.keys_in_range("at", 0.0, 1.0)
+            table.sorted_keys_in_range("at", 0.0, 1.0)
         assert ledger.charges["rows_scanned"] == 1
 
 
@@ -238,30 +235,6 @@ class TestDatabase:
         root = db.insert("nodes", {"parent_id": None})
         db.insert("nodes", {"parent_id": root})
 
-    def test_delete_restricted(self):
-        db = self.make_db()
-        owner = db.insert("owners", {"name": "ann"})
-        db.insert("pets", {"name": "rex", "owner_id": owner})
-        with pytest.raises(IntegrityError):
-            db.delete("owners", owner)
-
-    def test_delete_after_children_removed(self):
-        db = self.make_db()
-        owner = db.insert("owners", {"name": "ann"})
-        pet = db.insert("pets", {"name": "rex", "owner_id": owner})
-        db.delete("pets", pet)
-        db.delete("owners", owner)
-        assert db.row_counts() == {"owners": 0, "pets": 0}
-
-    def test_delete_cascade(self):
-        db = self.make_db()
-        owner = db.insert("owners", {"name": "ann"})
-        db.insert("pets", {"name": "rex", "owner_id": owner})
-        db.insert("pets", {"name": "fido", "owner_id": owner})
-        removed = db.delete_cascade("owners", owner)
-        assert removed == 3
-        assert db.row_counts() == {"owners": 0, "pets": 0}
-
     def test_unknown_table_raises(self):
         with pytest.raises(SchemaError):
             Database().table("ghost")
@@ -306,8 +279,6 @@ class TestDatabase:
             "image_fov",
             {"image_id": image, "direction_deg": 90.0, "angle_deg": 60.0, "range_m": 100.0},
         )
-        with pytest.raises(IntegrityError):
-            db.delete("images", image)  # FOV references it
 
     def test_every_committed_row_write_moves_the_version_once(self):
         db = self.make_db()
@@ -316,20 +287,91 @@ class TestDatabase:
         pet = db.table("pets").insert({"name": "rex", "owner_id": owner})
         db.table("pets").update(pet, {"name": "tom"})
         assert db.version == 3
-        db.delete("pets", pet)
-        db.insert("pets", {"name": "fido", "owner_id": owner})
-        assert db.delete_cascade("owners", owner) == 2
-        assert db.version == 7
         # A write that is refused commits nothing and moves nothing.
         for refused in (
             lambda: db.insert("pets", {"name": "rex", "owner_id": 99}),
             lambda: db.table("pets").update(99, {"name": "x"}),
-            lambda: db.delete("owners", 99),
+            lambda: db.table("pets").update(pet, {"owner_id": owner}),
         ):
-            with pytest.raises(IntegrityError):
+            with pytest.raises(SchemaError):
                 refused()
         db.row_counts()
         db.table("pets").all_rows()
-        assert db.version == 7  # reads move nothing either
+        assert db.version == 3  # reads move nothing either
         db.bump()
-        assert db.version == 8
+        assert db.version == 4
+
+
+def grown_catalog():
+    """A platform with one user and API key, two images and one
+    annotation: a row in every table a key-column update could touch."""
+    platform = TVDP()
+    user = platform.db.insert("users", {"name": "ann", "role": "researcher"})
+    keys = ApiKeyManager(platform.db, deterministic_seed=0)
+    key = keys.issue(user)
+    fov = FieldOfView(GeoPoint(34.05, -118.25), 90.0, 60.0, 200.0)
+    images = [
+        platform.upload_image(solid_color(8, 8, (shade, shade, shade)), fov, at, 1.0).image_id
+        for shade, at in ((0.2, 5.0), (0.6, 3.0))
+    ]
+    platform.catalog.define("street", ["clean", "dirty"])
+    platform.annotations.annotate(images[0], "street", "clean")
+    return platform, keys, key, images
+
+
+class TestKeyColumnsNeverMove:
+    """The catalog only grows: an update may rewrite a plain column,
+    never a key column, and a refused one leaves the row, its lookups,
+    the ordered index and the table's write count as they were."""
+
+    @pytest.mark.parametrize(
+        "table_name, column, moved_to",
+        [
+            ("api_keys", "user_id", lambda platform: 999),  # foreign key
+            ("images", "content_hash", lambda platform: "another-hash"),  # unique
+            (  # hash-indexed
+                "image_content_annotation",
+                "type_id",
+                lambda platform: platform.catalog.type_id("street", "dirty"),
+            ),
+            ("images", "timestamp_capturing", lambda platform: 4.0),  # ordered
+        ],
+        ids=["foreign-key", "unique", "hash-indexed", "ordered"],
+    )
+    def test_a_key_column_update_is_refused_and_changes_nothing(
+        self, table_name, column, moved_to
+    ):
+        platform, _, _, _ = grown_catalog()
+        table = platform.db.table(table_name)
+        row = table.all_rows()[0]
+        pk = row[table.schema.primary_key.name]
+        images = platform.db.table("images")
+
+        def state():
+            return (
+                table.get(pk),
+                table.find(column, row[column]),
+                images.sorted_keys_in_range("timestamp_capturing", 0.0, 10.0).tolist(),
+                images.sorted_keys_in_range("timestamp_capturing", 4.0, 4.0).tolist(),
+                table.writes,
+                platform.db.version,
+            )
+
+        before = state()
+        with pytest.raises(SchemaError, match="key column"):
+            table.update(pk, {column: moved_to(platform)})
+        assert state() == before
+
+    def test_the_platform_s_plain_column_writes_still_land(self):
+        platform, keys, key, images = grown_catalog()
+        keys.revoke(key)
+        with pytest.raises(AuthenticationError):
+            keys.validate(key)
+        estimate = platform.localize_scene(images[0])
+        scene = platform.db.table("image_scene_location").find("image_id", images[0])[0]
+        assert (scene["min_lat"], scene["min_lng"], scene["max_lat"], scene["max_lng"]) == (
+            estimate.box.min_lat,
+            estimate.box.min_lng,
+            estimate.box.max_lat,
+            estimate.box.max_lng,
+        )

@@ -123,7 +123,6 @@ class TestIndexesUnderThreads:
 
         hammer(worker)
         assert len(tree) == THREADS * per_thread
-        assert len(tree.all_items()) == THREADS * per_thread
         everywhere = BoundingBox(-90.0, -180.0, 90.0, 180.0)
         assert len(tree.search_range(everywhere)) == THREADS * per_thread
 

@@ -103,11 +103,3 @@ class TestGridIndex:
         assert len(grid) == 1
         hits = grid.search_range(BoundingBox(39.0, -101.0, 41.0, -99.0))
         assert hits == ["far"]
-
-    def test_cell_counts(self):
-        grid = GridIndex(self.region(), rows=2, cols=2)
-        grid.insert("a", GeoPoint(33.95, -118.45))
-        grid.insert("b", GeoPoint(33.95, -118.45))
-        counts = grid.cell_counts()
-        assert sum(counts.values()) == 2
-        assert max(counts.values()) == 2

