@@ -189,20 +189,25 @@ COST_MODEL: dict = {
         ),
     },
     "shard_scatter_gather": {
-        "cost": "O(s) dispatches + O(sum payload) coordinator merge per query",
+        "cost": (
+            "O(s) retried dispatches per batch + one pass per query part over "
+            "the rows of its surviving shards that answered"
+        ),
         "dominant_counters": [
             "shard.fanouts",
             "shard.shards_pruned",
         ],
         "hot_sites": [
             "repro.shard.router.ShardRouter.answer_many",
-            "repro.shard.executor.ScatterGatherExecutor.scatter",
+            "repro.shard.executor.ScatterGatherExecutor.dispatch",
         ],
         "note": (
-            "s = surviving shards after pruning; per-shard merge loops "
-            "sort only that shard's payload slice (bounded by k for "
-            "ranked families), measured by shard.fanouts vs "
-            "shard.shards_pruned"
+            "s = surviving shards after pruning, dispatched once per batch "
+            "(shard.fanouts vs shard.shards_pruned); a dispatch runs no scan. "
+            "Each part's one pass is its family's scan under the owner mask "
+            "of its answering shards, so it books one index.columns.scans "
+            "and the rows those shards own, and its payload is ordered once "
+            "— no per-shard payload is merged"
         ),
     },
 }

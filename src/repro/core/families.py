@@ -4,17 +4,18 @@ One class per family is its whole access path.  Its static
 ``path(query)`` and ``details(query)`` are what plain EXPLAIN prints.  An
 instance — a leaf, built by :func:`prepare` with the serial validation
 and charges in their one order — is a prepared query:
-``task(s) -> payload`` is its scan or probe on the platform's
-:class:`~repro.core.slice.CatalogSlice` or on a shard — a
-:class:`~repro.shard.partition.ShardHandle`, which answers the same
-scans over the rows it owns; ``merge(payloads) -> Answer`` orders the
-payloads (shards are a disjoint cover, and one payload is left as it
-is); ``survives(ShardStats)`` prunes soundly.  Everything a query needs
-from the whole catalog — a visual query's hash candidates and its
+``task(s, owns=None) -> payload`` is its scan or probe on the platform's
+:class:`~repro.core.slice.CatalogSlice`, over every row or — given
+``owns``, a map from an id column to a mask — over the rows of the
+images it keeps; ``answer(payload) -> Answer`` orders the payload;
+``survives(ShardStats)`` prunes soundly.  Everything a query needs from
+the whole catalog — a visual query's hash candidates and its
 exhaustive-fallback decision included — is worked out when the leaf is
-prepared, once, so serial execution runs the task on the platform's
-slice and the shard router on every shard the leaf survives on, in one
-round.  A general hybrid is its parts' leaves and
+prepared, once, so serial execution runs the task on the whole slice
+and the shard router runs it once, over the rows of the shards that
+survived and answered (shards are disjoint row sets of the one catalog,
+so that one pass is what merging a pass per shard would give).  A
+general hybrid is its parts' leaves and
 :func:`~repro.core.queries.combine_hybrid`; the fused spatial-visual
 pair is one leaf.
 """
@@ -43,7 +44,7 @@ from repro.errors import MalformedQueryError, QueryError
 from repro.geo.point import BoundingBox
 from repro.index.inverted import tokenize
 from repro.index.lsh import falls_back, squared_norm
-from repro.index.ordering import by_distance, by_score
+from repro.index.ordering import by_score
 from repro.obs.accounting import charge
 
 if TYPE_CHECKING:
@@ -70,7 +71,9 @@ class Leaf:
     extracted, resolved or charged, and it prunes without those."""
 
     __slots__ = ("query",)
-    parts: tuple = ()  # a general hybrid's leaves: merge takes their answers
+    parts: tuple = ()  # a general hybrid's leaves: answer takes their answers
+    #: The payload of a pass over no row: ``(ids, values)``, both empty.
+    empty: object = (np.empty(0, np.int64), np.empty(0))
 
     def __init__(self, query, platform: TVDP | None = None) -> None:
         self.query = query
@@ -80,13 +83,12 @@ class Leaf:
 
 class _Ids(Leaf):
     __slots__ = ()
+    empty = np.empty(0, np.int64)
 
     @staticmethod
-    def merge(payloads: list) -> Answer:
-        """Ascending id columns: more than one are joined, sorted once."""
-        if len(payloads) == 1:
-            return Answer(payloads[0].tolist())
-        return Answer(np.sort(np.concatenate(payloads)).tolist() if payloads else [])
+    def answer(payload: np.ndarray) -> Answer:
+        """An ascending id column, unranked."""
+        return Answer(payload.tolist())
 
 
 class Spatial(_Ids):
@@ -109,8 +111,8 @@ class Spatial(_Ids):
         details["refine"] = "none" if query.mode == "camera" else "fov_sector"
         return details
 
-    def task(self, s: CatalogSlice) -> np.ndarray:
-        return s.spatial_ids(self.query)
+    def task(self, s: CatalogSlice, owns=None) -> np.ndarray:
+        return s.spatial_ids(self.query, owns)
 
     def survives(self, stats: ShardStats) -> bool:
         return stats.bounds is not None and stats.bounds.intersects(self.region)
@@ -127,8 +129,8 @@ class Temporal(_Ids):
     def details(query: TemporalQuery) -> dict:
         return {"field": query.field, "start": query.start, "end": query.end}
 
-    def task(self, s: CatalogSlice) -> np.ndarray:
-        return s.temporal_ids(self.query)
+    def task(self, s: CatalogSlice, owns=None) -> np.ndarray:
+        return s.temporal_ids(self.query, owns)
 
     def survives(self, stats: ShardStats) -> bool:
         query, window = self.query, stats.time_ranges.get(self.query.field)
@@ -159,20 +161,18 @@ class Categorical(Leaf):
             "min_confidence": query.min_confidence,
         }
 
-    def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
-        return s.best_confidence(self.type_ids, self.query.min_confidence, self.query.source)
+    def task(self, s: CatalogSlice, owns=None) -> tuple[np.ndarray, np.ndarray]:
+        query = self.query
+        return s.best_confidence(self.type_ids, query.min_confidence, query.source, owns)
 
     def survives(self, stats: ShardStats) -> bool:
         counts = stats.annotation_types
         return self.type_ids is None or any(counts.get(t, 0) > 0 for t in self.type_ids)
 
     @staticmethod
-    def merge(payloads: list) -> Answer:
-        """(ids ascending, best confidence of each) columns, by id."""
-        ids, best = _columns(payloads)
-        if len(payloads) > 1:
-            order = np.argsort(ids)
-            ids, best = ids[order], best[order]
+    def answer(payload: tuple) -> Answer:
+        """(ids ascending, best confidence of each) columns, as they are."""
+        ids, best = payload
         return Answer(ids.tolist(), best.tolist())
 
 
@@ -190,17 +190,17 @@ class Textual(Leaf):
     def details(query: TextualQuery) -> dict:
         return {"terms": query.text}
 
-    def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
-        return s.text_scores(self.terms, self.query.match)
+    def task(self, s: CatalogSlice, owns=None) -> tuple[np.ndarray, np.ndarray]:
+        return s.text_scores(self.terms, self.query.match, owns)
 
     def survives(self, stats: ShardStats) -> bool:
         every, dfs = all if self.query.match == "all" else any, stats.term_dfs
         return bool(self.terms) and every(dfs.get(term, 0) > 0 for term in self.terms)
 
     @staticmethod
-    def merge(payloads: list) -> Answer:
-        """(ids, tf-idf scores) columns, ranked once."""
-        return Answer(*by_score(*_columns(payloads)))
+    def answer(payload: tuple) -> Answer:
+        """(ids, tf-idf scores) columns, ranked."""
+        return Answer(*by_score(*payload))
 
 
 class Visual(Leaf):
@@ -211,7 +211,7 @@ class Visual(Leaf):
         if platform is not None:
             self.vector = prepare_visual(query, platform)
             # The one LSH index hashes the query and gathers its
-            # candidates once, for every slice that ranks them; a top-k
+            # candidates once, for whichever rows rank them; a top-k
             # they fall short of scans instead (rows None), decided here,
             # on all of them, before anything is dispatched.
             rows = platform.slice.lsh(query.extractor_name).candidates(self.vector)
@@ -231,29 +231,29 @@ class Visual(Leaf):
             details["radius"] = query.max_distance
         return details
 
-    def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
+    def task(self, s: CatalogSlice, owns=None) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest of the candidates (of every row, when the
         top-k fell back) as ``(ids, distances)`` columns; the radius is
         cut at ``k`` — the ``k`` nearest cut at it."""
         query = self.query
-        return s.visual_nearest(query.extractor_name, self.vector, query.k, self.rows)
+        return s.visual_nearest(query.extractor_name, self.vector, query.k, self.rows, owns)
 
     def survives(self, stats: ShardStats) -> bool:
         return self.query.extractor_name in stats.extractors
 
-    def merge(self, payloads: list) -> Answer:
-        """The payloads' ``k`` best; a top-k says on the span merging it
-        whether it fell back (any, over several)."""
+    def answer(self, payload: tuple) -> Answer:
+        """The ranked payload, cut at the radius; a top-k says on the
+        span answering it whether it fell back."""
         query = self.query
         span = obs.current_span()
         if query.max_distance is None and span is not None:
-            span.set("lsh_fallback", self.rows is None or span.attrs.get("lsh_fallback", False))
-        return _nearest(payloads, query.k, query.max_distance)
+            span.set("lsh_fallback", self.rows is None)
+        return _nearest(payload, query.max_distance)
 
 
 class SpatialVisual(Leaf):
     """The fused hybrid: the point columns filtered by the region, the
-    survivors' vectors ranked — one pass per slice."""
+    survivors' vectors ranked — in one pass."""
 
     __slots__ = ("spatial", "visual", "vector")
 
@@ -272,16 +272,15 @@ class SpatialVisual(Leaf):
 
     children = staticmethod(HybridQuery.fused_pair)
 
-    def task(self, s: CatalogSlice) -> tuple[np.ndarray, np.ndarray]:
+    def task(self, s: CatalogSlice, owns=None) -> tuple[np.ndarray, np.ndarray]:
         name, k = self.visual.query.extractor_name, self.visual.query.k
-        return s.spatial_visual_nearest(name, self.spatial.region, self.vector, k)
+        return s.spatial_visual_nearest(name, self.spatial.region, self.vector, k, owns)
 
     def survives(self, stats: ShardStats) -> bool:
         return self.spatial.survives(stats) and self.visual.survives(stats)
 
-    def merge(self, payloads: list) -> Answer:
-        visual = self.visual.query
-        return _nearest(payloads, visual.k, visual.max_distance)
+    def answer(self, payload: tuple) -> Answer:
+        return _nearest(payload, self.visual.query.max_distance)
 
 
 class Conjunction(Leaf):
@@ -303,7 +302,8 @@ class Conjunction(Leaf):
         return any(part.survives(stats) for part in self.parts)
 
     @staticmethod
-    def merge(answers: list) -> Answer:
+    def answer(answers: list) -> Answer:
+        """Its parts' answers, intersected."""
         return combine_hybrid(answers)
 
 
@@ -356,21 +356,10 @@ def prepare_visual(query: VisualQuery, platform: TVDP) -> np.ndarray:
     return vector
 
 
-def _columns(payloads: list) -> tuple:
-    """``(ids, values)`` payloads joined end to end (none: both empty)."""
-    if len(payloads) == 1:
-        return payloads[0]
-    ids, values = zip(*payloads) if payloads else ((np.empty(0, np.int64),), (np.empty(0),))
-    return np.concatenate(ids), np.concatenate(values)
-
-
-def _nearest(payloads: list, k: int, radius: float | None) -> Answer:
-    """The ``k`` best of ranked ``(ids, distances)`` payloads, cut at
-    ``radius``: more than one are joined and ordered once."""
-    if len(payloads) == 1:
-        ids, distances = payloads[0]  # ranked, and at most k, where it was made
-    else:
-        ids, distances = by_distance(*_columns(payloads), k)
+def _nearest(payload: tuple, radius: float | None) -> Answer:
+    """Ranked ``(ids, distances)`` columns, at most ``k`` where they were
+    made, cut at ``radius``."""
+    ids, distances = payload
     if radius is not None:
         within = distances <= radius
         ids, distances = ids[within], distances[within]

@@ -41,7 +41,7 @@ from repro.index.hybrid import VisualRTree
 from repro.index.lsh import LSHIndex
 from repro.core.annotations import AnnotationService
 from repro.core.answercache import AnswerCache
-from repro.core.families import Leaf, leaf_class, prepare
+from repro.core.families import leaf_class, prepare
 from repro.core.catalog import ClassificationCatalog
 from repro.core.slice import CatalogSlice
 from repro.core.queries import Answer, QueryResult, query_family, query_shape
@@ -560,18 +560,14 @@ class TVDP:
         an uncounted ``query.<family>`` child span, as one query."""
         leaf = prepare(query, self)
         if not leaf.parts:
-            return self._run_leaf(leaf)
+            return leaf.answer(leaf.task(self.slice))
         answers = []
         for part in leaf.parts:
             with obs.span(f"query.{query_family(part.query)}") as sp:
                 sp.set("path", part.path(part.query))
-                answers.append(self._run_leaf(part))
+                answers.append(part.answer(part.task(self.slice)))
                 sp.set("results", len(answers[-1]))
-        return leaf.merge(answers)
-
-    def _run_leaf(self, leaf: Leaf) -> Answer:
-        """The leaf's task on the whole catalog, merged."""
-        return leaf.merge([leaf.task(self.slice)])
+        return leaf.answer(answers)
 
     # -- stats ---------------------------------------------------------------------
 

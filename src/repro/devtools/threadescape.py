@@ -52,7 +52,7 @@ CONCURRENCY_MANIFEST_SCHEMA = 2
 
 #: Entry points that will run concurrently once the serving arc lands:
 #: the HTTP dispatch boundary, the platform's query executor, the shard
-#: scatter path (coordinator and worker sides), and edge dispatch.
+#: router, and edge dispatch.
 #: HTTP handlers are appended dynamically via :func:`discover_handlers`
 #: (the ``handler(request)`` call inside ``dispatch`` is a dynamic
 #: dispatch the call graph cannot resolve).
@@ -66,7 +66,6 @@ DEFAULT_CONCURRENT_ROOTS: tuple[str, ...] = (
     "*.core.families.*",
     "*.shard.router.ShardRouter.execute",
     "*.shard.router.ShardRouter.execute_many",
-    "*.shard.executor._run_batch",
     "*.edge.dispatch.dispatch_model",
     "*.edge.dispatch.dispatch_fleet",
     "*.edge.dispatch.dispatch_fleet_resilient",

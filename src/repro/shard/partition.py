@@ -4,30 +4,35 @@ A shard is a row set over the platform's own
 :class:`~repro.core.slice.CatalogSlice`, not a copy of it: one shard
 code per image id, taken at the cut, says which shard owns each image —
 and with it the image's FOV, keywords, annotations and feature vectors.
-A :class:`ShardHandle` answers the slice's scans over its own rows, each
-scan masking through the code column before any per-row work, and holds
-no table, column or index of its own; partitioning is assigning tiles
-and computing each shard's :class:`~repro.core.families.ShardStats` from
-the coordinator's columns.  Shards are assigned by geo-tile — the
-uniform lattice of :class:`repro.index.grid.GridIndex` over camera
-points — so spatial queries tend to touch few shards and the planner can
-prune the rest.
+A :class:`Partition` is one cut: the code column, a :class:`ShardHandle`
+per shard (its id, the code column and its
+:class:`~repro.core.families.ShardStats`) and the owner mask of each set
+of shards a query is answered over, which every scan of the slice
+applies before any per-row work.  Nothing holds a table, column or index
+of its own; partitioning is assigning tiles and computing each shard's
+statistics from the coordinator's columns.  Shards are assigned by
+geo-tile — the uniform lattice of :class:`repro.index.grid.GridIndex`
+over camera points — so spatial queries tend to touch few shards and
+the planner can prune the rest.
 
 Invariants the equivalence proof (``docs/sharding.md``) rests on:
 
 * **Disjoint cover** — every image has exactly one code (out-of-region
-  cameras go to shard 0 via the grid's overflow bucket), so enumeration
-  merges are disjoint unions.
-* **One index suite** — every shard reads the coordinator's columns,
+  cameras go to shard 0 via the grid's overflow bucket), so the rows of
+  a set of shards are the disjoint union of each one's rows.
+* **One index suite** — every pass reads the coordinator's columns,
   postings and LSH buffer, so its answer rows are the coordinator's
   rows, its scores use the catalog's idf and its visual candidates are
-  its share of the query's one candidate set: no hash function, tree or
-  insertion order has to agree with another copy's.
+  the shards' share of the query's one candidate set: no hash function,
+  tree or insertion order has to agree with another copy's.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -44,13 +49,10 @@ _IMAGE_COLUMNS = ("image_id", "lat", "lng", *_TIME_FIELDS)
 
 @dataclass
 class ShardHandle:
-    """One shard: the platform's slice, the code column that says which
-    images it owns, and the statistics the planner prunes it by.  Its
-    methods are the slice's scans — what a family's ``task`` calls —
-    over the rows of those images only."""
+    """One shard: the code column that says which images it owns, and
+    the statistics the planner prunes it by."""
 
     shard_id: int
-    slice: CatalogSlice
     codes: np.ndarray  # image id -> owning shard at the cut; -1: none
     stats: ShardStats | None = None
 
@@ -59,23 +61,37 @@ class ShardHandle:
         column (an id past the cut clips to its last code, which is -1)."""
         return self.codes.take(ids, mode="clip") == self.shard_id
 
-    def spatial_ids(self, query) -> np.ndarray:
-        return self.slice.spatial_ids(query, self.owns)
 
-    def temporal_ids(self, query) -> np.ndarray:
-        return self.slice.temporal_ids(query, self.owns)
+class Partition:
+    """One cut of the catalog: the write version it was cut at, a handle
+    per shard, and the owner mask of every set of shards asked for,
+    built once per cut (a cut never changes)."""
 
-    def best_confidence(self, type_ids, min_confidence=0.0, source=None) -> tuple:
-        return self.slice.best_confidence(type_ids, min_confidence, source, self.owns)
+    def __init__(self, version: int, codes: np.ndarray, shards: list[ShardHandle]) -> None:
+        self.version = version
+        self.shards = shards
+        self.stats = [shard.stats for shard in shards]
+        self._codes = codes
+        self._lock = threading.Lock()
+        self._owners: dict[tuple, Callable[[np.ndarray], np.ndarray]] = {}
 
-    def text_scores(self, terms, match) -> tuple:
-        return self.slice.text_scores(terms, match, self.owns)
-
-    def visual_nearest(self, name, vector, k, rows) -> tuple:
-        return self.slice.visual_nearest(name, vector, k, rows, self.owns)
-
-    def spatial_visual_nearest(self, name, region, vector, k) -> tuple:
-        return self.slice.spatial_visual_nearest(name, region, vector, k, self.owns)
+    def owns(self, shard_ids: tuple) -> Callable[[np.ndarray], np.ndarray]:
+        """The map from an id column to the mask of the ids ``shard_ids``
+        own: one gather through a bool column over image ids — the code
+        column compared with one shard, or looked up for several — made
+        on the set's first use (an id past the cut clips to the last
+        entry, which no shard owns)."""
+        with self._lock:
+            owns = self._owners.get(shard_ids)
+            if owns is None:
+                if len(shard_ids) == 1:
+                    mask = self._codes == shard_ids[0]
+                else:
+                    lookup = np.zeros(len(self.shards) + 1, dtype=bool)  # [-1]: no shard
+                    lookup[list(shard_ids)] = True
+                    mask = lookup[self._codes]
+                owns = self._owners[shard_ids] = partial(mask.take, mode="clip")
+        return owns
 
 
 #: Degenerate-extent pad: a catalog whose cameras all share one
@@ -153,7 +169,7 @@ def _assign_shards(images: dict, n_shards: int, grid: tuple[int, int]) -> np.nda
     return codes
 
 
-def _shard_stats(shard: ShardHandle, images: dict) -> ShardStats:
+def _shard_stats(shard: ShardHandle, images: dict, catalog: CatalogSlice) -> ShardStats:
     """Pruning statistics over one shard's rows (see
     :class:`repro.core.families.ShardStats` for the soundness notes)."""
     mine = shard.owns(images["image_id"])
@@ -161,7 +177,7 @@ def _shard_stats(shard: ShardHandle, images: dict) -> ShardStats:
     # FOV extents plus every camera point: augmented images have no FOV
     # but still carry a camera point, and camera-mode spatial queries
     # (plus the hybrid index) match on camera points.
-    bounds = shard.slice.fov_bounds(shard.owns)
+    bounds = catalog.fov_bounds(shard.owns)
     time_ranges = {}
     if len(lat):
         points = BoundingBox(float(lat.min()), float(lng.min()), float(lat.max()), float(lng.max()))
@@ -171,12 +187,12 @@ def _shard_stats(shard: ShardHandle, images: dict) -> ShardStats:
             for field in _TIME_FIELDS
             if len(times := images[field][mine])
         }
-    annotation_types, vectors = shard.slice.owned_counts(shard.owns)
+    annotation_types, vectors = catalog.owned_counts(shard.owns)
     return ShardStats(
         shard_id=shard.shard_id,
         n_images=len(lat),
         bounds=bounds,
-        term_dfs=shard.slice.text.term_dfs(shard.owns),
+        term_dfs=catalog.text.term_dfs(shard.owns),
         time_ranges=time_ranges,
         annotation_types=annotation_types,
         extractors=tuple(sorted(vectors)),
@@ -185,16 +201,18 @@ def _shard_stats(shard: ShardHandle, images: dict) -> ShardStats:
 
 def partition_catalog(
     platform: TVDP, n_shards: int, grid: tuple[int, int] = (8, 8)
-) -> list[ShardHandle]:
-    """Partition ``platform``'s catalog into ``n_shards`` shard handles.
+) -> Partition:
+    """Partition ``platform``'s catalog into ``n_shards`` shards, cut at
+    its current write version.
 
     Tiles are laid over the tight bounding box of the data (so every
     tile is populated ground, not empty city).  Empty shards are still
     returned — the planner prunes them for free via ``n_images == 0``.
     """
+    version = platform.db.version
     images = _image_columns(platform)
     codes = _assign_shards(images, n_shards, grid)
-    handles = [ShardHandle(shard_id, platform.slice, codes) for shard_id in range(n_shards)]
-    for handle in handles:
-        handle.stats = _shard_stats(handle, images)
-    return handles
+    shards = [ShardHandle(shard_id, codes) for shard_id in range(n_shards)]
+    for shard in shards:
+        shard.stats = _shard_stats(shard, images, platform.slice)
+    return Partition(version, codes, shards)

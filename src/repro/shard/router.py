@@ -1,17 +1,22 @@
 """Coordinator for sharded query execution.
 
-The router owns the partition — the shard handles, their
-:class:`~repro.core.families.ShardStats` and the executor that runs
-tasks on them.  For a batch of queries it prepares each query's leaf
-(:func:`repro.core.families.prepare`, on the whole catalog: a visual
-query's candidates and fallback decision are settled there), scatters
-each leaf's task to the shards the leaf survives on — one round, one
-dispatch per shard for the whole batch, through a
-:class:`~repro.shard.executor.ScatterGatherExecutor` — and merges the
-payloads with the leaf's own ``merge``.  A shard that fails every retry
-degrades the answer to ``partial=True`` instead of raising: on the
-answer, in the info dict, and on the query span beside what the
-dispatch did (there is no span per scatter or per shard).
+The router owns the partition — the current
+:class:`~repro.shard.partition.Partition`, whose shards' statistics
+prune and whose owner masks restrict a pass — and the executor that
+dispatches to the shards.  A batch of queries is answered in three
+steps: each query's leaf is prepared on the whole catalog
+(:func:`repro.core.families.prepare`: a visual query's candidates and
+fallback decision are settled there) and pruned to the shards it
+survives on; one dispatch round, through a
+:class:`~repro.shard.executor.ScatterGatherExecutor`, sends every
+surviving shard of the batch one retried dispatch; then each query part
+runs its task once, over the rows of its surviving shards that
+answered, and its ``answer`` orders the payload.  Shards are disjoint
+row sets of the one catalog, so that pass is exactly what merging a
+pass per shard would give.  A shard that fails every retry degrades the
+answer to ``partial=True`` instead of raising — on the answer, in the
+info dict, and on the query span beside what the dispatch did (there is
+no span per dispatch or per shard).
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from __future__ import annotations
 import threading
 
 from repro import obs
-from repro.core.families import Leaf, ShardStats, prepare
+from repro.core.families import Leaf, prepare
 from repro.core.platform import TVDP
 from repro.core.queries import Answer
 from repro.errors import TVDPError
 from repro.resilience.clock import Clock
 from repro.shard.executor import GatherResult, ScatterGatherExecutor
-from repro.shard.partition import partition_catalog
+from repro.shard.partition import Partition, partition_catalog
 
 _log = obs.get_logger("shard.router")
 
@@ -34,24 +39,8 @@ _PRUNED = obs.metrics().counter("shard.shards_pruned")
 _PARTIAL = obs.metrics().counter("shard.partial_results")
 
 
-class _Unit:
-    """One leaf's task fanned out to the shards the leaf survives on,
-    with the payloads of those that answered."""
-
-    __slots__ = ("leaf", "shard_ids", "payloads")
-
-    def __init__(self, leaf: Leaf, stats: list) -> None:
-        self.leaf = leaf
-        self.shard_ids = _survivors(leaf, stats)
-        self.payloads: dict = {}
-
-    def answer(self) -> Answer:
-        """The leaf's merge of the payloads, in ascending shard order."""
-        return self.leaf.merge([self.payloads[s] for s in sorted(self.payloads)])
-
-
 class ShardRouter:
-    """Scatter-gather coordinator bound to one :class:`TVDP` platform."""
+    """Sharded-query coordinator bound to one :class:`TVDP` platform."""
 
     def __init__(
         self,
@@ -68,54 +57,47 @@ class ShardRouter:
         self.grid = grid
         self.max_attempts = max_attempts
         self.clock = clock
-        # _ensure() rotates the stats and the executor under it; queries
-        # work on the snapshot it returns, never holding it.
+        # A dispatch reads nothing of a cut, so one executor serves every one.
+        self._executor = ScatterGatherExecutor(range(n_shards), max_attempts, clock)
+        # _ensure() replaces the partition under it; queries work on the
+        # cut it returns, never holding it.
         self._lock = threading.RLock()
-        self._stats: list[ShardStats] = []
-        self._executor: ScatterGatherExecutor | None = None
-        #: The catalog's write version the partition was cut at.
-        self._version: int | None = None
+        self._partition: Partition | None = None
 
     # -- shard lifecycle -----------------------------------------------------
 
-    def _ensure(self) -> tuple[list[ShardStats], ScatterGatherExecutor]:
-        """Current ``(stats, executor)`` snapshot, repartitioning when
-        the catalog's write version (``db.version``) is not the one the
-        partition was cut at; both are replaced wholesale, so a snapshot
-        stays consistent.  The partition is built with the lock
-        released; a racing rebuild is settled at install time — the
-        newer version wins (the first installed, at equal versions).
+    def _ensure(self) -> Partition:
+        """The current cut, repartitioning when the catalog's write
+        version (``db.version``) is newer than the one it was cut at.  A
+        cut is one object — the shards' statistics and the owner masks
+        made from its codes — replaced whole, so a query pairs one cut's
+        codes with that cut's statistics.  The partition is built with
+        the lock released; a racing rebuild is settled at install time —
+        the newer version wins (the first installed, at equal versions).
         """
         version = self._platform.db.version
         with self._lock:
-            if self._executor is not None and version <= self._version:
-                return self._stats, self._executor
+            cut = self._partition
+        if cut is not None and version <= cut.version:
+            return cut
         with obs.span("shard.partition", shards=self.n_shards):
-            shards = partition_catalog(self._platform, self.n_shards, grid=self.grid)
-        stats = [handle.stats for handle in shards]
-        executor = ScatterGatherExecutor(
-            shards, max_attempts=self.max_attempts, clock=self.clock
-        )
+            fresh = partition_catalog(self._platform, self.n_shards, grid=self.grid)
         with self._lock:
-            if self._executor is not None and version <= self._version:
-                # Lost the install race: keep the newer partition.
-                stats, executor = self._stats, self._executor
-            else:
-                self._stats = stats
-                self._executor = executor
-                self._version = version
-                _log.info(
-                    "partitioned %d images into %d shards",
-                    sum(s.n_images for s in stats),
-                    self.n_shards,
-                )
-        return stats, executor
+            cut = self._partition
+            if cut is not None and fresh.version <= cut.version:
+                return cut  # lost the install race: keep the newer cut
+            self._partition = fresh
+        _log.info(
+            "partitioned %d images into %d shards",
+            sum(s.n_images for s in fresh.stats),
+            self.n_shards,
+        )
+        return fresh
 
     def preview(self, query: object) -> dict:
         """Pruning annotation for EXPLAIN, without executing: the plan's
         leaf prunes without a resolved label or a query vector."""
-        stats, _ = self._ensure()
-        considered = len(_survivors(prepare(query), stats))
+        considered = len(_survivors(prepare(query), self._ensure().stats))
         return {
             "shards": self.n_shards,
             "shards_considered": considered,
@@ -134,42 +116,46 @@ class ShardRouter:
         return [(answer.results(), info) for answer, info in self.answer_many(queries)]
 
     def answer_many(self, queries: list) -> list[tuple[Answer, dict]]:
-        """``[(answer, info), ...]``: one scatter round, one dispatch per
-        surviving shard for the whole batch."""
-        stats, executor = self._ensure()
+        """``[(answer, info), ...]``: one dispatch round for the whole
+        batch, then one pass per query part over the rows of its
+        surviving shards that answered."""
+        cut = self._ensure()
         leaves = [prepare(query, self._platform) for query in queries]
-        groups = [[_Unit(part, stats) for part in leaf.parts or (leaf,)] for leaf in leaves]
-        units = [unit for group in groups for unit in group]
-        batches: dict[int, list] = {}
-        for unit in units:
-            for shard_id in unit.shard_ids:
-                batches.setdefault(shard_id, []).append(unit)
-        gathered = executor.scatter(
-            {shard_id: [unit.leaf.task for unit in placed] for shard_id, placed in batches.items()}
-        )
-        _FANOUTS.inc(len(batches))
-        for shard_id, result in gathered.results.items():
-            for unit, payload in zip(batches[shard_id], result.payloads):
-                unit.payloads[shard_id] = payload
-        _describe_dispatch(gathered, len(units))
-        out = []
+        groups = [
+            [(part, _survivors(part, cut.stats)) for part in leaf.parts or (leaf,)]
+            for leaf in leaves
+        ]
+        wanted = sorted({s for group in groups for _, survivors in group for s in survivors})
+        gathered = self._executor.dispatch(wanted)
+        _FANOUTS.inc(len(wanted))
+        lost = set(gathered.failed)
+        catalog = self._platform.slice
+        out, passes = [], 0
         for leaf, group in zip(leaves, groups):
-            answers = [unit.answer() for unit in group]
-            answer = leaf.merge(answers) if leaf.parts else answers[0]
-            considered = set().union(*(unit.shard_ids for unit in group))
-            lost = sorted(considered.intersection(gathered.failed))
-            answer.failed_shards = tuple(lost)
+            answers = []
+            for part, survivors in group:
+                answered = tuple(s for s in survivors if s not in lost)
+                payload = part.empty
+                if answered:
+                    payload = part.task(catalog, cut.owns(answered))
+                    passes += 1
+                answers.append(part.answer(payload))
+            answer = leaf.answer(answers) if leaf.parts else answers[0]
+            considered = set().union(*(survivors for _, survivors in group))
+            failed = sorted(considered & lost)
+            answer.failed_shards = tuple(failed)
             info = {
                 "shards_considered": len(considered),
                 "shards_pruned": self.n_shards - len(considered),
-                "partial": bool(lost),
-                "failed_shards": lost,
+                "partial": bool(failed),
+                "failed_shards": failed,
             }
             _PRUNED.inc(info["shards_pruned"])
-            if lost:
+            if failed:
                 _PARTIAL.inc()
-                _log.warning("query degraded to partial results; lost shards %s", lost)
+                _log.warning("query degraded to partial results; lost shards %s", failed)
             out.append((answer, info))
+        _describe_dispatch(gathered, passes)
         return out
 
 
@@ -178,15 +164,16 @@ def _survivors(leaf: Leaf, stats: list) -> list:
     return sorted(s.shard_id for s in stats if s.n_images and leaf.survives(s))
 
 
-def _describe_dispatch(gathered: GatherResult, tasks: int) -> None:
-    """What one request's scatter round did, on the request's own span
-    (``query.<family>`` / ``query.batch``) — where ``Retry.call`` and
-    the fault plan have already put ``retries`` and ``fault``."""
+def _describe_dispatch(gathered: GatherResult, passes: int) -> None:
+    """What one request's dispatch round and passes did, on the
+    request's own span (``query.<family>`` / ``query.batch``) — where
+    ``Retry.call`` and the fault plan have already put ``retries`` and
+    ``fault``."""
     span = obs.current_span()
     if span is None:
         return
-    span.set("shards_dispatched", len(gathered.results) + len(gathered.failed))
-    span.set("shard_tasks", tasks)
-    span.set("shard_wall_ms", {s: result.wall_ms for s, result in gathered.results.items()})
+    span.set("shards_dispatched", len(gathered.wall_ms) + len(gathered.failed))
+    span.set("shard_tasks", passes)
+    span.set("shard_wall_ms", gathered.wall_ms)
     span.set("partial", bool(gathered.failed))
     span.set("failed_shards", sorted(gathered.failed))

@@ -5,7 +5,8 @@ items and their distances — where it used to build an ``(item,
 distance)`` pair per candidate.  The pair path it replaced is kept here
 as the oracle: the exact distance to every row, sorted on ``(distance,
 tie_key)`` and cut (:func:`pair_nearest`), the shard merge that sorted
-the joined pairs again (:func:`pair_merge`) and the per-pair score
+the joined pairs again (:func:`pair_merge`, which the one ranking over
+the answering shards' rows replaced) and the per-pair score
 (:func:`pair_answer`).  Ids are compared with ``==`` and floats by
 ``repr``, so the columns must give the same objects in the same order
 and every float bit for bit:
@@ -15,8 +16,10 @@ and every float bit for bit:
   arriving mid-stream turns the column to object there — for k of 1,
   n - 1, n and n + 1, with and without a row subset, cut at a radius,
   and on an empty index;
-* the column merge (``families._nearest``) of 1, 2 and 4 payloads, one
-  of them empty;
+* the one ranking a sharded pass makes over the rows of the shards
+  that answered (one index, their owner mask), cut by
+  ``families._nearest``, against the pair merge of those shards' own
+  top-ks — of 1, 2 and 4 shards, one of them empty perhaps;
 * the canonical order itself, which no permutation of the input moves
   — ids past 2**53 included, where a float key would tie neighbours;
 * the distance formula, against ``np.linalg.norm(axis=1)`` across the
@@ -33,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.families import _nearest
+from repro.core.families import Leaf, _nearest
 from repro.core.queries import Answer
 from repro.index import LSHIndex, tie_key
 from repro.index import lsh as lsh_module
@@ -162,30 +165,47 @@ def test_the_column_routine_ranks_like_the_pair_path(case, exact_rows, picker):
     st.randoms(use_true_random=False),
 )
 def test_the_column_merge_merges_like_the_pair_merge(case, n_payloads, one_empty, picker):
-    """Each payload is a shard's top-k, made by its own index; they are
-    joined, ordered once, cut at k and at the radius."""
+    """The pair merge: each answering shard's top-k, made by its own
+    index, joined, ordered once and cut at k and at the radius.  The
+    columns merge nothing: one index holds every shard's rows, and one
+    ranking over the rows the answering shards own is cut at the radius
+    — the same answer, since the top-k of a union is the top-k of its
+    parts' top-ks."""
     vectors, ids, probe, k, radius = case
     matrix = np.asarray(vectors, dtype=np.float64)
     probe = np.asarray(probe, dtype=np.float64)
     owner = [picker.randrange(n_payloads) for _ in ids]
     if one_empty:
         owner = [0 if shard == n_payloads - 1 and n_payloads > 1 else shard for shard in owner]
-    columns, pairs = [], []
-    for shard in range(n_payloads):
+    answering = set(picker.sample(range(n_payloads), picker.randint(1, n_payloads)))
+    index = LSHIndex(dimension=3)
+    for row, item in enumerate(ids):
+        index.insert(item, matrix[row])
+    pairs = []
+    for shard in sorted(answering):
         rows = [row for row, at in enumerate(owner) if at == shard]
-        index = LSHIndex(dimension=3)
-        for row in rows:
-            index.insert(ids[row], matrix[row])
-        columns.append(index.scan_topk(probe, k))
         shard_ids = [ids[row] for row in rows]
         pairs.append(pair_nearest(shard_ids, np.linalg.norm(matrix[rows] - probe, axis=1), k))
-    same_answer(_nearest(columns, k, radius), pair_merge(pairs, k, radius))
+    shard_of = dict(zip(ids, owner))
+
+    def owns(column: np.ndarray) -> np.ndarray:
+        return np.array([shard_of[item] in answering for item in column.tolist()], dtype=bool)
+
+    same_answer(_nearest(index.scan_topk(probe, k, owns), radius), pair_merge(pairs, k, radius))
 
 
 def test_a_merge_of_nothing_is_empty():
-    empty = (np.empty(0, dtype=np.int64), np.empty(0))
-    for payloads in ([], [empty], [empty, empty]):
-        same_answer(_nearest(payloads, 3, None), Answer([], []))
+    """A pass over no row — no shard answered, or the answering shards
+    own none of the ranked rows — answers empty."""
+    index = LSHIndex(dimension=3)
+    index.insert(1, np.zeros(3))
+
+    def nobody(ids: np.ndarray) -> np.ndarray:
+        return np.zeros(len(ids), dtype=bool)
+
+    for payload in (Leaf.empty, index.scan_topk(np.zeros(3), 3, nobody)):
+        for radius in (None, 1.0):
+            same_answer(_nearest(payload, radius), Answer([], []))
 
 
 # -- the canonical order --------------------------------------------------------------

@@ -27,11 +27,7 @@ from repro.errors import FaultInjected
 from repro.geo import FieldOfView, GeoPoint
 from repro.imaging import solid_color
 from repro.resilience import FaultPlan, ManualClock, reset_breakers, seed_from_env
-from repro.shard import (
-    ScatterGatherExecutor,
-    ShardRouter,
-    partition_catalog,
-)
+from repro.shard import ScatterGatherExecutor, ShardRouter
 
 #: Three distinct seeds derived from the environment's base seed.
 SEEDS = [seed_from_env(default=0) + offset for offset in range(3)]
@@ -161,16 +157,19 @@ class TestWorkerFaults:
 
 
 class TestExecutorDirect:
-    def test_scatter_without_fault_returns_payloads_first_try(self, platform):
-        shards = partition_catalog(platform, N_SHARDS, grid=(4, 4))
-        executor = ScatterGatherExecutor(shards, clock=ManualClock())
-        gathered = executor.scatter({1: [lambda s: s.temporal_ids(QUERIES[0])]})
+    def test_dispatch_without_fault_answers_first_try(self):
+        executor = ScatterGatherExecutor(range(N_SHARDS), clock=ManualClock())
+        gathered = executor.dispatch([2, 0])
         assert gathered.failed == ()
-        want = {r.image_id for r in platform.execute(QUERIES[0])}
-        (payload,) = gathered.results[1].payloads
-        assert len(payload) and set(payload.tolist()) <= want
+        # The manual clock stands still unless a retry waits on it.
+        assert gathered.wall_ms == {0: 0.0, 2: 0.0}
         retries = obs.metrics().counter("resilience.retries", {"site": "shard.dispatch"})
         assert retries.value == 0
+
+    def test_an_unknown_shard_fails_every_attempt(self):
+        executor = ScatterGatherExecutor(range(N_SHARDS), clock=ManualClock())
+        gathered = executor.dispatch([1, N_SHARDS])
+        assert gathered.failed == (N_SHARDS,) and list(gathered.wall_ms) == [1]
 
 
 class TestSeededChaosMatrix:

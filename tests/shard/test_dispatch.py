@@ -1,87 +1,55 @@
 """What the coordinator assumes about a dispatch, pinned.
 
-* It gathers a visual query's candidates once, from the one LSH index:
-  each shard ranks the candidates it owns, so per-shard candidates
-  partition the serial candidate set — on a live platform and on a
-  *reloaded* one, whose index hashes like the live one.
-* One dispatch passes each fault site once, opens no span of its own and
-  leaves what it did on the query's span; a retried attempt bills
-  nothing; a top-k that falls back to the exhaustive scan is still one
-  round.
+* One dispatch round per batch passes each fault site once per
+  surviving shard, opens no span of its own and leaves what it did on
+  the query's span; each query part is then one pass (``shard_tasks``).
+* A dispatch does no billable work, so a retried one bills exactly what
+  an unretried one bills; a top-k that falls back to the exhaustive scan
+  is still one round and one pass.
 * A cached answer dispatches nothing, and a partial answer is never
   cached.
-* Merges only order: shards are a disjoint cover.  The set-union and
-  ``best_per_image`` merges they replaced stay here as the oracles.
+* A query pairs one cut's codes with that cut's statistics, even when
+  two partitions are installed out of order.
+
+That one pass over the answering shards' rows equals the serial answer
+minus the lost shards' images is ``test_row_sets.py``'s property.
 """
 
 from __future__ import annotations
 
-import tempfile
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import TVDP, TemporalQuery, VisualQuery, load_platform, save_platform
-from repro.core.families import Categorical, Temporal
-from repro.core.slice import best_per_image
-from repro.errors import ShardError
-from repro.index.ordering import pairs
+from repro.core import TVDP, TemporalQuery, VisualQuery
+from repro.geo import FieldOfView, GeoPoint
 from repro.obs import accounting
 from repro.resilience import FaultPlan, ManualClock
-from repro.shard import ScatterGatherExecutor, partition_catalog
+from repro.shard import ShardRouter
+from repro.shard import router as router_module
 from tests.shard.test_equivalence import (
     LATS,
     LNGS,
-    SHARD_COUNTS,
     PixelProbeExtractor,
     build_platform,
-    image_specs,
+    tie_prone_image,
 )
 
 EXTRACTOR = PixelProbeExtractor.name
 SITES = ("shard.dispatch", "shard.worker")
 
 
-class TestCandidatesPartition:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        specs=image_specs,
-        probe=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-        n_shards=st.sampled_from(SHARD_COUNTS),
-    )
-    def test_per_shard_candidates_partition_the_serial_candidates(self, specs, probe, n_shards):
-        vector = np.asarray(probe)
-        live = build_platform(specs)
-        with tempfile.TemporaryDirectory() as directory:
-            save_platform(live, directory)
-            reloaded = load_platform(directory)
-        for platform in (live, reloaded):
-            lsh = platform.slice.lsh(EXTRACTOR)
-            keys = lsh.bucket_keys(vector)
-            assert keys == live.slice.lsh(EXTRACTOR).bucket_keys(vector)
-            everything = len(lsh) + 1
-            serial_columns, serial_count = lsh.topk_in_buckets(keys, vector, everything)
-            rows = lsh.candidates(vector)
-            assert len(rows) == serial_count
-            found: list = []
-            for handle in partition_catalog(platform, n_shards, grid=(3, 3)):
-                found.extend(pairs(*handle.visual_nearest(EXTRACTOR, vector, everything, rows)))
-            # Same candidates, none twice, each at the distance serial gave it.
-            assert len(found) == serial_count
-            assert sorted(found) == sorted(pairs(*serial_columns))
-
-
 @pytest.fixture(scope="module")
 def platform():
-    """Twenty images, one per grid point and time step, on four shards,
-    partitioned already."""
+    """Twenty images, one per grid point and time step (their pixels
+    differ, so that no upload is a duplicate of another), on four
+    shards, partitioned already."""
     specs = [
         {
             "lat": lat, "lng": lng, "t": t, "direction": 0.0,
-            "levels": (0.5, 0.5, 0.5), "delta": 0.0, "keywords": [], "annotation": None,
+            "levels": (0.5, 0.5, 0.5), "delta": 0.01 * t, "keywords": [], "annotation": None,
         }
         for t, (lat, lng) in enumerate((lat, lng) for lat in LATS for lng in LNGS)
     ]
@@ -171,23 +139,34 @@ class TestOneDispatch:
         assert attrs["lsh_fallback"] is True and attrs["shard_tasks"] == 1
         assert attrs["shards_dispatched"] == attrs["shards_considered"] <= 4
 
-    def test_a_retried_attempt_bills_nothing(self, platform):
-        shards = partition_catalog(platform, 2, grid=(3, 3))
-        executor = ScatterGatherExecutor(shards, clock=ManualClock())
-        attempts = []
+    def test_a_batch_dispatches_each_shard_once_and_runs_a_pass_per_query(self, fresh):
+        # Three windows over overlapping runs of shards, four in all.
+        queries = [TemporalQuery(start=float(t), end=float(t + 5)) for t in (0, 5, 10)]
+        survivors = [fresh.shard_plan_preview(q)["shards_considered"] for q in queries]
+        assert survivors == [1, 3, 2]
+        plan = FaultPlan(seed=0)
+        for site in SITES:
+            plan.delay(site, latency_s=0.0)
+        obs.ring_buffer().reset()
+        with plan.activate():
+            results = fresh.execute_many(queries)
+        assert results == [fresh.execute_serial(q) for q in queries]
+        (span,) = [s for s in obs.ring_buffer().spans() if s.name == "query.batch"]
+        assert span.attrs["shards_dispatched"] == 4 and span.attrs["shard_tasks"] == 3
+        assert sorted(span.attrs["shard_wall_ms"]) == [0, 1, 2, 3]
+        assert plan.summary() == {site: {"latency": 4} for site in SITES}
 
-        def flaky(catalog_slice):
-            accounting.charge("rows_scanned", 5)
-            attempts.append(len(attempts))
-            if len(attempts) == 1:
-                raise ShardError("first attempt dies after charging")
-            return "payload"
-
-        with accounting.ledger_scope() as ledger:
-            gathered = executor.scatter({0: [flaky]})
-        assert len(attempts) == 2 and gathered.failed == ()
-        assert gathered.results[0].payloads == ["payload"]
-        assert ledger.charges == {"rows_scanned": 5}
+    def test_a_retried_dispatch_bills_what_an_unretried_one_bills(self, platform):
+        query = one_survivor_query(platform)
+        bills = []
+        for plan in (FaultPlan(seed=0), FaultPlan(seed=0).kill("shard.dispatch", at_calls={1})):
+            platform.add_user(f"bill{len(bills)}", role="researcher")  # a fresh cache
+            with plan.activate(), accounting.ledger_scope(obs.usage()) as scope:
+                answer = platform.answer(query)
+            assert answer.results() == platform.execute_serial(query) != []
+            bills.append(scope.charges)
+        assert plan.summary()["shard.dispatch"]["error"] == 1
+        assert bills[1] == bills[0] and bills[0]
 
 
 class TestCachedAndPartialAnswers:
@@ -219,55 +198,48 @@ class TestCachedAndPartialAnswers:
         assert answer.results() == fresh.execute_serial(query) != []
 
 
-def union_merge(payloads: list) -> list:
-    """The enumeration merge that was: a set union, sorted."""
-    ids: set = set()
-    for payload in payloads:
-        ids.update(payload)
-    return sorted(ids)
+class TestSnapshotPairing:
+    def test_a_cut_installed_late_loses_to_the_newer_one(self, monkeypatch):
+        platform = build_platform([
+            {
+                "lat": lat, "lng": LNGS[0], "t": t, "direction": 0.0,
+                "levels": (0.5, 0.5, 0.5), "delta": 0.01 * t, "keywords": [], "annotation": None,
+            }
+            for t, lat in enumerate(LATS)
+        ])
+        router = ShardRouter(platform, 2, grid=(3, 3), clock=ManualClock())
+        cut_at, resume = threading.Event(), threading.Event()
+        real = router_module.partition_catalog
 
+        def held_partition(*args, **kwargs):
+            partition = real(*args, **kwargs)
+            if not cut_at.is_set():  # the first cut waits to be installed
+                cut_at.set()
+                assert resume.wait(10)
+            return partition
 
-def group_max_merge(payloads: list) -> tuple[list, list]:
-    """The categorical merge that was: a second group-max over the
-    concatenated shard columns."""
-    if not payloads:
-        return [], []
-    ids, best = best_per_image(
-        np.concatenate([ids for ids, _ in payloads]),
-        np.concatenate([best for _, best in payloads]),
-    )
-    return ids.tolist(), best.tolist()
-
-
-#: 0-4 shards' worth of image id -> best confidence, ids dealt so that
-#: no two shards share one (the disjoint cover), empty shards included.
-shard_columns = st.lists(
-    st.dictionaries(st.integers(0, 40), st.sampled_from([0.0, 0.3, 0.6, 0.9]), max_size=6),
-    max_size=4,
-).map(
-    lambda shards: [
-        {image_id * len(shards) + n: best for image_id, best in shard.items()}
-        for n, shard in enumerate(shards)
-    ]
-)
-
-
-class TestMergesAgainstTheirOracles:
-    @settings(max_examples=60, deadline=None)
-    @given(shards=shard_columns)
-    def test_disjoint_payloads_merge_like_the_union_and_the_group_max(self, shards):
-        # A shard's ids come as its slice's ascending int64 column.
-        id_payloads = [np.array(sorted(shard), dtype=np.int64) for shard in shards]
-        answer = Temporal.merge(id_payloads)
-        assert answer.ids == union_merge(id_payloads) and answer.scores is None
-        assert all(type(image_id) is int for image_id in answer.ids)
-
-        column_payloads = [
-            (
-                np.array(sorted(shard), dtype=np.int64),
-                np.array([shard[i] for i in sorted(shard)], dtype=np.float64),
-            )
-            for shard in shards
-        ]
-        answer = Categorical.merge(column_payloads)
-        assert (answer.ids, answer.scores) == group_max_merge(column_payloads)
+        monkeypatch.setattr(router_module, "partition_catalog", held_partition)
+        # Captured after every other image: no cut before it knows it.
+        query = TemporalQuery(start=100.0)
+        late: list = []
+        worker = threading.Thread(target=lambda: late.extend(router.answer_many([query])))
+        worker.start()
+        assert cut_at.wait(10)
+        older = platform.db.version
+        new_id = platform.upload_image(
+            image=tie_prone_image((0.25, 0.25, 0.25), 0.0),
+            fov=FieldOfView(GeoPoint(LATS[0], LNGS[1]), 0.0, 60.0, 500.0),
+            captured_at=100.0, uploaded_at=101.0,
+        ).image_id
+        ((first, _),) = router.answer_many([query])  # cuts and installs the newer version
+        resume.set()
+        worker.join(10)
+        assert not worker.is_alive()
+        cut = router._ensure()
+        assert cut.version > older
+        # The late query was answered off the newer cut: its codes and stats.
+        ((second, info),) = late
+        assert first.ids == second.ids == [new_id] and info["shards_considered"] == 1
+        ids = np.array(platform.image_ids(), dtype=np.int64)
+        for shard, stats in zip(cut.shards, cut.stats):
+            assert stats.n_images == np.count_nonzero(shard.owns(ids))

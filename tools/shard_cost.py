@@ -1,0 +1,195 @@
+"""What each step of a sharded query costs, in process.
+
+Builds ``sharded_select``'s platform (the benchmark corpus on four
+shards, ingested through the API), then, per query family, walks blocks
+of ``serial_select``'s queries through the shard router's steps, each
+step over the whole block before the next starts: (1) prepare — each
+query's leaf, on the whole catalog; (2) prune — each part's surviving
+shards and their union; (3) dispatch — one retried dispatch per
+surviving shard; (4) pass — each part's task over the rows of its
+surviving shards; (5) answer — each part's answer, and a general
+hybrid's combination of them.  Beside the steps, on the same block:
+the whole sharded runner (``TVDP._run_sharded``: the steps plus the
+counters, the info dict and the span facts) and the serial runner
+(``TVDP._run``).  Nothing here reaches the answer cache.  Each figure is
+a block's fastest of ``--passes`` passes, median over ``--blocks``
+blocks; printed per family: µs per query.
+
+    python3 tools/shard_cost.py [OTHER_CHECKOUT] [--blocks 20] [--block 50]
+                                [--passes 5] [--seed 0]
+
+Given another checkout's directory (the parent's, say), its ``repro``
+and ``bench`` are loaded into this process beside this checkout's, both
+walk the same queries, every pass alternates which side goes first, and
+each family gets a row per side and one of speedups (other / this).  A
+checkout from before the one-pass router — a scatter of per-shard tasks,
+then a merge of their payloads — is walked with its scatter as the
+dispatch step (the shards' scans included), no pass step, and its merge
+as the answer step.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+STEPS = ("prepare", "prune", "dispatch", "pass", "answer")
+COLUMNS = (*STEPS, "sum", "sharded", "serial")
+
+
+def load(checkout: Path, seed: int) -> SimpleNamespace:
+    """``sharded_select``'s platform built by the ``repro`` and ``bench``
+    under ``checkout``, imported with any other checkout's set aside
+    meanwhile, and what walking it needs."""
+    packages = ("repro", "bench")
+    aside = {k: sys.modules.pop(k) for k in list(sys.modules) if k.split(".")[0] in packages}
+    paths = [str(checkout / "src"), str(checkout)]
+    sys.path[:0] = paths
+    try:
+        from bench import corpus, schedule
+        from bench.session import Session, build_query
+        from repro.core.families import prepare
+        from repro.shard import router as router_module
+
+        session = Session(sharded=True)
+        for capture in corpus.captures(seed, 0, schedule.FULL.corpus):
+            session.write(capture)
+        assert session.failed == 0, session.problems
+        platform = session.platform
+        router = platform._shard_router()
+        return SimpleNamespace(
+            platform=platform, router=router, cut=router._ensure(), prepare=prepare,
+            survivors=router_module._survivors, build_query=build_query,
+            one_pass=hasattr(router_module.ScatterGatherExecutor, "dispatch"),
+            select_spec=schedule.select_spec, families=schedule.FAMILIES,
+            vectors=schedule.example_vectors(seed, schedule.FULL.corpus),
+        )
+    finally:
+        del sys.path[:len(paths)]
+        for name in [k for k in sys.modules if k.split(".")[0] in packages]:
+            del sys.modules[name]
+        sys.modules.update(aside)
+
+
+def walk(side: SimpleNamespace, queries: list) -> dict[str, float]:
+    """The block's steps, each over every query: µs per query by step."""
+    platform, clock = side.platform, time.perf_counter
+    catalog = platform.slice
+    if side.one_pass:
+        stats, executor = side.cut.stats, side.router._executor
+    else:
+        stats, executor = side.cut
+    t0 = clock()
+    leaves = [side.prepare(query, platform) for query in queries]
+    t1 = clock()
+    groups = [
+        [(part, side.survivors(part, stats)) for part in leaf.parts or (leaf,)]
+        for leaf in leaves
+    ]
+    wanted = [sorted({s for _, survivors in group for s in survivors}) for group in groups]
+    t2 = clock()
+    if side.one_pass:
+        for shard_ids in wanted:
+            executor.dispatch(shard_ids)
+        t3 = clock()
+        payloads = [
+            [
+                part.task(catalog, side.cut.owns(tuple(survivors))) if survivors else part.empty
+                for part, survivors in group
+            ]
+            for group in groups
+        ]
+        t4 = clock()
+        for leaf, group, loads in zip(leaves, groups, payloads):
+            answers = [part.answer(load) for (part, _), load in zip(group, loads)]
+            leaf.answer(answers) if leaf.parts else answers[0]
+    else:
+        # The scatter: a batch of tasks per shard, their payloads back.
+        payloads = []
+        for group, shard_ids in zip(groups, wanted):
+            batches = {
+                s: [part.task for part, survivors in group if s in survivors] for s in shard_ids
+            }
+            results = executor.scatter(batches).results
+            payloads.append([
+                [results[s].payloads[batches[s].index(part.task)] for s in survivors]
+                for part, survivors in group
+            ])
+        t3 = t4 = clock()
+        for leaf, group, loads in zip(leaves, groups, payloads):
+            answers = [part.merge(load) for (part, _), load in zip(group, loads)]
+            leaf.merge(answers) if leaf.parts else answers[0]
+    t5 = clock()
+    spent = dict(zip(STEPS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)))
+    return {step: seconds / len(queries) * 1e6 for step, seconds in spent.items()}
+
+
+def per_query_us(run, queries: list) -> float:
+    start = time.perf_counter()
+    for query in queries:
+        run(query)
+    return (time.perf_counter() - start) / len(queries) * 1e6
+
+
+def measure(side: SimpleNamespace, queries: list) -> dict[str, float]:
+    """One pass over a block: the steps, the sharded and the serial runner."""
+    us = walk(side, queries)
+    us["sum"] = sum(us.values())
+    us["sharded"] = per_query_us(side.platform._run_sharded, queries)
+    us["serial"] = per_query_us(side.platform._run, queries)
+    return us
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", nargs="?", type=Path)
+    parser.add_argument("--blocks", type=int, default=20)
+    parser.add_argument("--block", type=int, default=50)
+    parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    sides = {"this": load(ROOT, args.seed)}
+    if args.other is not None:
+        sides["other"] = load(args.other.resolve(), args.seed)
+    this = sides["this"]
+    rng = random.Random(f"{args.seed}:shard_cost")
+    print(f"{'family':<12}{'side':<8}" + "".join(f"{c:>10}" for c in COLUMNS))
+    for family in this.families:
+        specs = [
+            this.select_spec(rng, family, this.vectors)
+            for _ in range(args.blocks * args.block)
+        ]
+        per_block: dict[str, list] = {name: [] for name in sides}
+        for start in range(0, len(specs), args.block):
+            block = specs[start:start + args.block]
+            queries = {name: [side.build_query(s) for s in block] for name, side in sides.items()}
+            best = {name: dict.fromkeys(COLUMNS, float("inf")) for name in sides}
+            for number in range(args.passes):
+                order = list(sides) if number % 2 == 0 else list(sides)[::-1]
+                for name in order:
+                    for column, us in measure(sides[name], queries[name]).items():
+                        best[name][column] = min(best[name][column], us)
+            for name in sides:
+                per_block[name].append(best[name])
+        medians = {
+            name: {c: statistics.median(b[c] for b in blocks) for c in COLUMNS}
+            for name, blocks in per_block.items()
+        }
+        for name, row in medians.items():
+            print(f"{family:<12}{name:<8}" + "".join(f"{row[c]:>10.2f}" for c in COLUMNS))
+        if "other" in medians:
+            ratios = [
+                medians["other"][c] / medians["this"][c] if medians["this"][c] else float("nan")
+                for c in COLUMNS
+            ]
+            print(f"{family:<12}{'speedup':<8}" + "".join(f"{r:>10.2f}" for r in ratios))
+
+
+if __name__ == "__main__":
+    main()
