@@ -204,10 +204,10 @@ COST_MODEL: dict = {
         "note": (
             "s = surviving shards after pruning, dispatched once per batch "
             "(shard.fanouts vs shard.shards_pruned); a dispatch runs no scan. "
-            "Each part's one pass is its family's scan under the owner mask "
-            "of its answering shards, so it books one index.columns.scans "
-            "and the rows those shards own, and its payload is ordered once "
-            "— no per-shard payload is merged"
+            "Each part's one pass is its family's serial scan — under the "
+            "owner mask of its answering shards only when one was lost — so "
+            "it books one index.columns.scans and the rows it examined, and "
+            "its payload is ordered once: no per-shard payload is merged"
         ),
     },
 }

@@ -12,9 +12,11 @@ images it keeps; ``answer(payload) -> Answer`` orders the payload;
 the whole catalog — a visual query's hash candidates and its
 exhaustive-fallback decision included — is worked out when the leaf is
 prepared, once, so serial execution runs the task on the whole slice
-and the shard router runs it once, over the rows of the shards that
-survived and answered (shards are disjoint row sets of the one catalog,
-so that one pass is what merging a pass per shard would give).  A
+and the shard router runs it once: on the whole slice too when no shard
+the leaf survives on was lost (sound pruning leaves nothing of a pruned
+shard to find), else over the rows of the survivors that answered
+(shards are disjoint row sets of the one catalog, so that one pass is
+what merging a pass per shard would give).  A
 general hybrid is its parts' leaves and
 :func:`~repro.core.queries.combine_hybrid`; the fused spatial-visual
 pair is one leaf.

@@ -8,11 +8,11 @@ shard code per image, no copy of any table or index
 leaves' :class:`~repro.core.families.ShardStats` predicates, dispatches
 each survivor once with retries in the coordinator
 (:mod:`repro.shard.executor`), and answers each query part in one pass
-over the rows of the shards that answered (:mod:`repro.shard.router`) —
-with answers **exactly equal** to serial execution, an invariant the
-property harness in ``tests/shard`` proves per query family.  See
-``docs/sharding.md`` for the partitioning scheme, why one pass equals
-the per-shard merge it replaced, and the equivalence argument.
+(:mod:`repro.shard.router`): the serial one, or over the shards that
+answered if one was lost — with answers **exactly equal** to serial
+execution, an invariant the property harness in ``tests/shard`` proves
+per query family.  See ``docs/sharding.md`` for the partitioning scheme,
+why one pass equals the per-shard merge it replaced, and the argument.
 """
 
 from repro.shard.executor import GatherResult, ScatterGatherExecutor

@@ -4,13 +4,13 @@ A shard is a row set over the platform's own
 :class:`~repro.core.slice.CatalogSlice`, not a copy of it: one shard
 code per image id, taken at the cut, says which shard owns each image —
 and with it the image's FOV, keywords, annotations and feature vectors.
-A :class:`Partition` is one cut: the code column, a :class:`ShardHandle`
-per shard (its id, the code column and its
-:class:`~repro.core.families.ShardStats`) and the owner mask of each set
-of shards a query is answered over, which every scan of the slice
-applies before any per-row work.  Nothing holds a table, column or index
-of its own; partitioning is assigning tiles and computing each shard's
-statistics from the coordinator's columns.  Shards are assigned by
+A :class:`Partition` is one cut: the code column and a
+:class:`ShardHandle` per shard (its id, the code column and its
+:class:`~repro.core.families.ShardStats`); for a query that lost a
+shard it makes the owner mask of the shards that answered, which every
+scan of the slice applies before any per-row work.  Nothing holds a
+table, column or index of its own; partitioning is assigning tiles and
+computing each shard's statistics from the coordinator's columns.  Shards are assigned by
 geo-tile — the uniform lattice of :class:`repro.index.grid.GridIndex`
 over camera points — so spatial queries tend to touch few shards and
 the planner can prune the rest.
@@ -29,7 +29,6 @@ Invariants the equivalence proof (``docs/sharding.md``) rests on:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -64,34 +63,22 @@ class ShardHandle:
 
 class Partition:
     """One cut of the catalog: the write version it was cut at, a handle
-    per shard, and the owner mask of every set of shards asked for,
-    built once per cut (a cut never changes)."""
+    per shard and their statistics, in shard order."""
 
     def __init__(self, version: int, codes: np.ndarray, shards: list[ShardHandle]) -> None:
         self.version = version
         self.shards = shards
         self.stats = [shard.stats for shard in shards]
         self._codes = codes
-        self._lock = threading.Lock()
-        self._owners: dict[tuple, Callable[[np.ndarray], np.ndarray]] = {}
 
-    def owns(self, shard_ids: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    def owns(self, shard_ids: list) -> Callable[[np.ndarray], np.ndarray]:
         """The map from an id column to the mask of the ids ``shard_ids``
-        own: one gather through a bool column over image ids — the code
-        column compared with one shard, or looked up for several — made
-        on the set's first use (an id past the cut clips to the last
-        entry, which no shard owns)."""
-        with self._lock:
-            owns = self._owners.get(shard_ids)
-            if owns is None:
-                if len(shard_ids) == 1:
-                    mask = self._codes == shard_ids[0]
-                else:
-                    lookup = np.zeros(len(self.shards) + 1, dtype=bool)  # [-1]: no shard
-                    lookup[list(shard_ids)] = True
-                    mask = lookup[self._codes]
-                owns = self._owners[shard_ids] = partial(mask.take, mode="clip")
-        return owns
+        own: one gather through a bool column over image ids, the code
+        column looked up in a per-shard table (an id past the cut clips
+        to the last entry, which no shard owns)."""
+        lookup = np.zeros(len(self.shards) + 1, dtype=bool)  # [-1]: no shard
+        lookup[shard_ids] = True
+        return partial(lookup[self._codes].take, mode="clip")
 
 
 #: Degenerate-extent pad: a catalog whose cameras all share one

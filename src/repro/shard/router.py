@@ -2,21 +2,22 @@
 
 The router owns the partition — the current
 :class:`~repro.shard.partition.Partition`, whose shards' statistics
-prune and whose owner masks restrict a pass — and the executor that
-dispatches to the shards.  A batch of queries is answered in three
+prune and whose codes mask out a lost shard's rows — and the executor
+that dispatches to the shards.  A batch of queries is answered in three
 steps: each query's leaf is prepared on the whole catalog
 (:func:`repro.core.families.prepare`: a visual query's candidates and
 fallback decision are settled there) and pruned to the shards it
 survives on; one dispatch round, through a
 :class:`~repro.shard.executor.ScatterGatherExecutor`, sends every
 surviving shard of the batch one retried dispatch; then each query part
-runs its task once, over the rows of its surviving shards that
-answered, and its ``answer`` orders the payload.  Shards are disjoint
-row sets of the one catalog, so that pass is exactly what merging a
-pass per shard would give.  A shard that fails every retry degrades the
-answer to ``partial=True`` instead of raising — on the answer, in the
-info dict, and on the query span beside what the dispatch did (there is
-no span per dispatch or per shard).
+runs its task once and its ``answer`` orders the payload.  Pruning is
+sound, so a part none of whose shards was lost runs the serial pass;
+one that lost a shard runs it over the rows of its surviving shards
+that answered (shards are disjoint row sets of the one catalog).  A
+shard that fails every retry degrades the answer to ``partial=True``
+instead of raising — on the answer, in the info dict, and on the query
+span beside what the dispatch did (there is no span per dispatch or per
+shard).
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class ShardRouter:
     def _ensure(self) -> Partition:
         """The current cut, repartitioning when the catalog's write
         version (``db.version``) is newer than the one it was cut at.  A
-        cut is one object — the shards' statistics and the owner masks
-        made from its codes — replaced whole, so a query pairs one cut's
-        codes with that cut's statistics.  The partition is built with
+        cut is one object — the shards' statistics and the codes a lost
+        shard's mask is made from — replaced whole, so a query pairs one
+        cut's codes with that cut's statistics.  The partition is built with
         the lock released; a racing rebuild is settled at install time —
         the newer version wins (the first installed, at equal versions).
         """
@@ -117,51 +118,54 @@ class ShardRouter:
 
     def answer_many(self, queries: list) -> list[tuple[Answer, dict]]:
         """``[(answer, info), ...]``: one dispatch round for the whole
-        batch, then one pass per query part over the rows of its
-        surviving shards that answered."""
+        batch, then one pass per query part — the serial pass, unless
+        one of its surviving shards was lost, when the pass covers the
+        rows of those that answered."""
         cut = self._ensure()
         leaves = [prepare(query, self._platform) for query in queries]
-        groups = [
-            [(part, _survivors(part, cut.stats)) for part in leaf.parts or (leaf,)]
-            for leaf in leaves
-        ]
-        wanted = sorted({s for group in groups for _, survivors in group for s in survivors})
+        considered = [_survivors(leaf, cut.stats) for leaf in leaves]
+        wanted = considered[0] if len(leaves) == 1 else sorted(set().union(*considered))
         gathered = self._executor.dispatch(wanted)
         _FANOUTS.inc(len(wanted))
-        lost = set(gathered.failed)
+        lost = gathered.failed
         catalog = self._platform.slice
-        out, passes = [], 0
-        for leaf, group in zip(leaves, groups):
+        out, passes, pruned = [], 0, 0
+        for leaf, survivors in zip(leaves, considered):
             answers = []
-            for part, survivors in group:
-                answered = tuple(s for s in survivors if s not in lost)
+            for part in leaf.parts or (leaf,):
+                mine = _survivors(part, cut.stats) if leaf.parts else survivors
+                answered = [s for s in mine if s not in lost] if lost else mine
                 payload = part.empty
                 if answered:
-                    payload = part.task(catalog, cut.owns(answered))
+                    # Pruning is sound: only a lost shard's rows need masking out.
+                    owns = cut.owns(answered) if len(answered) < len(mine) else None
+                    payload = part.task(catalog, owns)
                     passes += 1
                 answers.append(part.answer(payload))
             answer = leaf.answer(answers) if leaf.parts else answers[0]
-            considered = set().union(*(survivors for _, survivors in group))
-            failed = sorted(considered & lost)
-            answer.failed_shards = tuple(failed)
+            failed = [s for s in survivors if s in lost] if lost else []
             info = {
-                "shards_considered": len(considered),
-                "shards_pruned": self.n_shards - len(considered),
+                "shards_considered": len(survivors),
+                "shards_pruned": self.n_shards - len(survivors),
                 "partial": bool(failed),
                 "failed_shards": failed,
             }
-            _PRUNED.inc(info["shards_pruned"])
+            pruned += info["shards_pruned"]
             if failed:
+                answer.failed_shards = tuple(failed)
                 _PARTIAL.inc()
                 _log.warning("query degraded to partial results; lost shards %s", failed)
             out.append((answer, info))
+        _PRUNED.inc(pruned)
         _describe_dispatch(gathered, passes)
         return out
 
 
 def _survivors(leaf: Leaf, stats: list) -> list:
-    """Ids of the non-empty shards ``leaf`` survives on, ascending."""
-    return sorted(s.shard_id for s in stats if s.n_images and leaf.survives(s))
+    """Ids of the non-empty shards ``leaf`` survives on, ascending (one
+    pass over ``stats``, which are in shard order); a general hybrid
+    survives where any of its parts does."""
+    return [s.shard_id for s in stats if s.n_images and leaf.survives(s)]
 
 
 def _describe_dispatch(gathered: GatherResult, passes: int) -> None:

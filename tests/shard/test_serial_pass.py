@@ -1,0 +1,176 @@
+"""A sharded query that loses no shard runs the serial pass.
+
+The router masks a pass to its answering shards' rows only when one of
+the part's surviving shards was lost.  Otherwise the pass is the serial
+call, and that is exact because pruning is sound: a shard a query part
+does not survive on owns no row the part matches.  No-loss answers no
+longer exercise pruning, so this module pins it on its own:
+
+* for drawn catalogs and queries (``test_equivalence.py``'s), two to
+  four shards and every family, no id of a part's serial payload is
+  owned by a shard the part is pruned from, and
+  :meth:`TVDP.shard_plan_preview` considers the shards the router does
+  (a categorical preview, which resolves no label, a superset of them);
+* with no fault plan a sharded query bills exactly what the serial one
+  bills, and no owner mask is built for a batch that lost nothing;
+* a lost shard builds the mask, and the pass bills the rows the
+  answering shards own.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.core import CategoricalQuery, SpatialQuery, TemporalQuery
+from repro.core.families import prepare
+from repro.obs import accounting
+from repro.resilience import FaultPlan, ManualClock
+from repro.shard import Partition, ShardRouter, partition_catalog
+from tests.shard.test_equivalence import (
+    FIXED_PARAMS,
+    LABELS,
+    LATS,
+    LEVELS,
+    LNGS,
+    REGION,
+    VOCAB,
+    build_platform,
+    catalogs,
+    make_queries,
+    query_params,
+)
+from tests.shard.test_row_sets import losing
+
+GRID = (3, 3)
+QUERIES = make_queries(FIXED_PARAMS)
+
+
+def payload_ids(payload) -> np.ndarray:
+    """The id column of a task's payload (ids, or ``(ids, values)``)."""
+    return payload if isinstance(payload, np.ndarray) else payload[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(specs=catalogs, params=query_params, n_shards=st.integers(2, 4))
+def test_pruning_is_sound_and_the_preview_prunes_as_the_router_does(specs, params, n_shards):
+    platform = build_platform(specs)
+    platform.set_shards(n_shards)
+    queries = make_queries(params)
+    shards = partition_catalog(platform, n_shards, grid=GRID).shards
+    router = ShardRouter(platform, n_shards, grid=GRID, clock=ManualClock())
+    try:
+        for query, (_, info) in zip(queries, router.answer_many(queries)):
+            leaf = prepare(query, platform)
+            for part in leaf.parts or (leaf,):
+                ids = payload_ids(part.task(platform.slice))
+                for shard in shards:
+                    if not part.survives(shard.stats):
+                        owned = ids[shard.owns(ids)].tolist()
+                        assert owned == [], f"shard {shard.shard_id} pruned {query!r}"
+            preview = platform.shard_plan_preview(query)["shards_considered"]
+            if isinstance(query, CategoricalQuery):
+                assert preview >= info["shards_considered"], query
+            else:
+                assert preview == info["shards_considered"], query
+    finally:
+        platform.close()
+
+
+@pytest.fixture(scope="module")
+def platform():
+    """Twenty images, one per grid point and time step, with keywords,
+    annotations and vectors, on four shards."""
+    specs = [
+        {
+            "lat": lat, "lng": lng, "t": t, "direction": 0.0,
+            "levels": (LEVELS[t % 3], 0.5, LEVELS[t // 3 % 3]), "delta": 0.01 * t,
+            "keywords": [VOCAB[t % 4]],
+            "annotation": (LABELS[t % 2], (0.3, 0.6, 0.9)[t % 3], ("human", "machine")[t % 2]),
+        }
+        for t, (lat, lng) in enumerate((lat, lng) for lat in LATS for lng in LNGS)
+    ]
+    platform = build_platform(specs)
+    platform.set_shards(4)
+    yield platform
+    platform.close()
+
+
+def billed(platform, query, run=None) -> dict:
+    """What ``_answer(query, None, run)`` bills: ``run`` ``None`` is the
+    platform's sharded runner."""
+    platform.shard_plan_preview(query)  # the partition, cut outside the bill
+    with accounting.ledger_scope(obs.usage()) as scope:
+        platform._answer(query, None, run)
+    return scope.charges
+
+
+@pytest.fixture()
+def masks(monkeypatch) -> list:
+    """Every owner mask built from here on: the shard ids it was asked for."""
+    asked: list = []
+    real = Partition.owns
+
+    def owns(self, shard_ids):
+        asked.append(list(shard_ids))
+        return real(self, shard_ids)
+
+    monkeypatch.setattr(Partition, "owns", owns)
+    return asked
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=[type(q).__name__ for q in QUERIES])
+def test_with_no_fault_plan_a_sharded_query_bills_the_serial_pass(platform, query, masks):
+    bill = billed(platform, query)
+    assert bill == billed(platform, query, platform._run) and bill
+    assert masks == []
+
+
+def test_a_batch_that_loses_nothing_builds_no_mask(platform, masks):
+    assert platform.execute_many(QUERIES) == [platform.execute_serial(q) for q in QUERIES]
+    plan = FaultPlan(seed=0)
+    plan.delay("shard.worker", latency_s=0.0)  # a plan that fails nothing
+    with plan.activate():
+        platform.execute_many(QUERIES)
+    assert plan.summary()["shard.worker"]["latency"] > 0
+    assert masks == []
+
+
+def test_a_lost_shard_builds_the_mask_and_bills_the_answering_rows(platform, masks):
+    everything = SpatialQuery(region=REGION, mode="camera")
+    cut = platform._shard_router()._ensure()
+    order = [stats.shard_id for stats in cut.stats if stats.n_images]
+    assert len(order) > 1
+    lost = order[0]
+    with losing(order, {lost}, platform._shard_router().max_attempts).activate():
+        with accounting.ledger_scope(obs.usage()) as scope:
+            answer = platform._answer(everything, None)
+    answered = [s for s in order if s != lost]
+    assert answer.failed_shards == (lost,) and masks == [answered]
+    ids = np.array(platform.image_ids(), dtype=np.int64)
+    kept = ~cut.shards[lost].owns(ids)
+    assert answer.ids == ids[kept].tolist()
+    # The camera column has a row per image: the scan counts those kept.
+    assert scope.charges["probes.columns"] == np.count_nonzero(kept) < len(ids)
+    assert billed(platform, everything)["probes.columns"] == len(ids)
+
+
+def test_a_part_that_lost_none_of_its_shards_runs_unmasked(platform, masks):
+    # A window on the first shard alone, beside one over every shard:
+    # losing the last shard masks only the second.
+    cut = platform._shard_router()._ensure()
+    order = [stats.shard_id for stats in cut.stats if stats.n_images]
+    first = TemporalQuery(start=0.0, end=0.0)
+    assert platform.shard_plan_preview(first)["shards_considered"] == 1
+    router = platform._shard_router()
+    with losing(order, {order[-1]}, router.max_attempts).activate():
+        (one, one_info), (every, every_info) = router.answer_many(
+            [first, TemporalQuery(start=0.0)]
+        )
+    assert one_info["partial"] is False and one.ids == [
+        r.image_id for r in platform.execute_serial(first)
+    ]
+    assert every_info["failed_shards"] == [order[-1]] and masks == [order[:-1]]

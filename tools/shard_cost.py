@@ -2,18 +2,26 @@
 
 Builds ``sharded_select``'s platform (the benchmark corpus on four
 shards, ingested through the API), then, per query family, walks blocks
-of ``serial_select``'s queries through the shard router's steps, each
-step over the whole block before the next starts: (1) prepare — each
-query's leaf, on the whole catalog; (2) prune — each part's surviving
-shards and their union; (3) dispatch — one retried dispatch per
-surviving shard; (4) pass — each part's task over the rows of its
-surviving shards; (5) answer — each part's answer, and a general
-hybrid's combination of them.  Beside the steps, on the same block:
-the whole sharded runner (``TVDP._run_sharded``: the steps plus the
-counters, the info dict and the span facts) and the serial runner
-(``TVDP._run``).  Nothing here reaches the answer cache.  Each figure is
-a block's fastest of ``--passes`` passes, median over ``--blocks``
-blocks; printed per family: µs per query.
+of ``serial_select``'s queries through the shard router's steps: (1)
+prepare — each query's leaf, on the whole catalog; (2) prune — each
+part's surviving shards and their union; (3) dispatch — one retried
+dispatch per surviving shard; (4) pass — each part's task, over every
+row (or, in a checkout that masks every pass, over the rows of its
+surviving shards); (5) answer — each part's answer, and a general
+hybrid's combination of them.  Beside the steps: the whole sharded
+runner (``TVDP._run_sharded``: the steps plus the counters, the info
+dict and the span facts) and the serial runner (``TVDP._run``).
+Nothing here reaches the answer cache.
+
+Each block is timed two ways.  *Block*: each step over the whole block
+before the next starts, then each runner over the whole block — warm
+caches, each call after one just like it.  *Interleaved*: query by
+query, the steps, then the sharded runner, then the serial one — each
+call after other work, as a served query comes after a request's
+parsing and bookkeeping; its ``over`` column is sharded − serial and
+``book`` is sharded − the steps' sum (the router's bookkeeping).  Each
+figure is a block's fastest of ``--passes`` passes, median over
+``--blocks`` blocks; printed per family: µs per query.
 
     python3 tools/shard_cost.py [OTHER_CHECKOUT] [--blocks 20] [--block 50]
                                 [--passes 5] [--seed 0]
@@ -21,11 +29,13 @@ blocks; printed per family: µs per query.
 Given another checkout's directory (the parent's, say), its ``repro``
 and ``bench`` are loaded into this process beside this checkout's, both
 walk the same queries, every pass alternates which side goes first, and
-each family gets a row per side and one of speedups (other / this).  A
-checkout from before the one-pass router — a scatter of per-shard tasks,
-then a merge of their payloads — is walked with its scatter as the
-dispatch step (the shards' scans included), no pass step, and its merge
-as the answer step.
+each family gets a row per side, one of speedups (other / this) in the
+block table and one of µs saved (other − this) in the interleaved one:
+the saving split into mask (``pass``), prune, dispatch and bookkeeping
+(``book``).  A checkout from before the one-pass router — a scatter of
+per-shard tasks, then a merge of their payloads — is walked with its
+scatter as the dispatch step (the shards' scans included), no pass
+step, and its merge as the answer step.
 """
 
 from __future__ import annotations
@@ -41,6 +51,8 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 STEPS = ("prepare", "prune", "dispatch", "pass", "answer")
 COLUMNS = (*STEPS, "sum", "sharded", "serial")
+#: The interleaved table: the steps and runners, then what they imply.
+MIXED = (*COLUMNS, "over", "book")
 
 
 def load(checkout: Path, seed: int) -> SimpleNamespace:
@@ -63,10 +75,13 @@ def load(checkout: Path, seed: int) -> SimpleNamespace:
         assert session.failed == 0, session.problems
         platform = session.platform
         router = platform._shard_router()
+        cut = router._ensure()
+        one_pass = hasattr(router_module.ScatterGatherExecutor, "dispatch")
         return SimpleNamespace(
-            platform=platform, router=router, cut=router._ensure(), prepare=prepare,
+            platform=platform, router=router, cut=cut, prepare=prepare, one_pass=one_pass,
+            # A router whose cut caches owner masks masks every pass.
+            masks=not one_pass or hasattr(cut, "_owners"),
             survivors=router_module._survivors, build_query=build_query,
-            one_pass=hasattr(router_module.ScatterGatherExecutor, "dispatch"),
             select_spec=schedule.select_spec, families=schedule.FAMILIES,
             vectors=schedule.example_vectors(seed, schedule.FULL.corpus),
         )
@@ -92,7 +107,11 @@ def walk(side: SimpleNamespace, queries: list) -> dict[str, float]:
         [(part, side.survivors(part, stats)) for part in leaf.parts or (leaf,)]
         for leaf in leaves
     ]
-    wanted = [sorted({s for _, survivors in group for s in survivors}) for group in groups]
+    wanted = [
+        group[0][1] if len(group) == 1 and not side.masks
+        else sorted({s for _, survivors in group for s in survivors})
+        for group in groups
+    ]
     t2 = clock()
     if side.one_pass:
         for shard_ids in wanted:
@@ -100,7 +119,8 @@ def walk(side: SimpleNamespace, queries: list) -> dict[str, float]:
         t3 = clock()
         payloads = [
             [
-                part.task(catalog, side.cut.owns(tuple(survivors))) if survivors else part.empty
+                part.task(catalog, side.cut.owns(tuple(survivors)) if side.masks else None)
+                if survivors else part.empty
                 for part, survivors in group
             ]
             for group in groups
@@ -146,6 +166,34 @@ def measure(side: SimpleNamespace, queries: list) -> dict[str, float]:
     return us
 
 
+def interleave(side: SimpleNamespace, queries: list) -> dict[str, float]:
+    """One interleaved pass over a block: query by query, the steps, the
+    sharded runner and the serial one."""
+    us = dict.fromkeys(COLUMNS, 0.0)
+    for query in queries:
+        for step, spent in walk(side, [query]).items():
+            us[step] += spent
+        us["sharded"] += per_query_us(side.platform._run_sharded, [query])
+        us["serial"] += per_query_us(side.platform._run, [query])
+    us = {column: total / len(queries) for column, total in us.items()}
+    us["sum"] = sum(us[step] for step in STEPS)
+    return us
+
+
+def table(family: str, medians: dict, columns: tuple, compare: str) -> None:
+    """A family's rows: one per side, then (given another side) the
+    comparison — ``speedup`` (other / this) or ``saved`` (other − this)."""
+    for name, row in medians.items():
+        print(f"{family:<12}{name:<8}" + "".join(f"{row[c]:>10.2f}" for c in columns))
+    if "other" in medians:
+        other, this = medians["other"], medians["this"]
+        if compare == "speedup":
+            row = {c: other[c] / this[c] if this[c] else float("nan") for c in columns}
+        else:
+            row = {c: other[c] - this[c] for c in columns}
+        print(f"{family:<12}{compare:<8}" + "".join(f"{row[c]:>10.2f}" for c in columns))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", nargs="?", type=Path)
@@ -159,36 +207,45 @@ def main() -> None:
         sides["other"] = load(args.other.resolve(), args.seed)
     this = sides["this"]
     rng = random.Random(f"{args.seed}:shard_cost")
-    print(f"{'family':<12}{'side':<8}" + "".join(f"{c:>10}" for c in COLUMNS))
+    modes = {"block": measure, "interleaved": interleave}
+    found: dict[str, dict] = {mode: {} for mode in modes}
     for family in this.families:
         specs = [
             this.select_spec(rng, family, this.vectors)
             for _ in range(args.blocks * args.block)
         ]
-        per_block: dict[str, list] = {name: [] for name in sides}
+        per_block = {mode: {name: [] for name in sides} for mode in modes}
         for start in range(0, len(specs), args.block):
             block = specs[start:start + args.block]
             queries = {name: [side.build_query(s) for s in block] for name, side in sides.items()}
-            best = {name: dict.fromkeys(COLUMNS, float("inf")) for name in sides}
+            best = {
+                mode: {name: dict.fromkeys(COLUMNS, float("inf")) for name in sides}
+                for mode in modes
+            }
             for number in range(args.passes):
                 order = list(sides) if number % 2 == 0 else list(sides)[::-1]
-                for name in order:
-                    for column, us in measure(sides[name], queries[name]).items():
-                        best[name][column] = min(best[name][column], us)
-            for name in sides:
-                per_block[name].append(best[name])
-        medians = {
-            name: {c: statistics.median(b[c] for b in blocks) for c in COLUMNS}
-            for name, blocks in per_block.items()
-        }
-        for name, row in medians.items():
-            print(f"{family:<12}{name:<8}" + "".join(f"{row[c]:>10.2f}" for c in COLUMNS))
-        if "other" in medians:
-            ratios = [
-                medians["other"][c] / medians["this"][c] if medians["this"][c] else float("nan")
-                for c in COLUMNS
-            ]
-            print(f"{family:<12}{'speedup':<8}" + "".join(f"{r:>10.2f}" for r in ratios))
+                for mode, run in modes.items():
+                    for name in order:
+                        for column, us in run(sides[name], queries[name]).items():
+                            best[mode][name][column] = min(best[mode][name][column], us)
+            for mode in modes:
+                for name in sides:
+                    per_block[mode][name].append(best[mode][name])
+        for mode in modes:
+            found[mode][family] = {
+                name: {c: statistics.median(b[c] for b in blocks) for c in COLUMNS}
+                for name, blocks in per_block[mode].items()
+            }
+    print("block: each step, then each runner, over the whole block")
+    print(f"{'family':<12}{'side':<8}" + "".join(f"{c:>10}" for c in COLUMNS))
+    for family, medians in found["block"].items():
+        table(family, medians, COLUMNS, "speedup")
+    print("interleaved: query by query, the steps, the sharded runner, the serial one")
+    print(f"{'family':<12}{'side':<8}" + "".join(f"{c:>10}" for c in MIXED))
+    for family, medians in found["interleaved"].items():
+        for row in medians.values():
+            row["over"], row["book"] = row["sharded"] - row["serial"], row["sharded"] - row["sum"]
+        table(family, medians, MIXED, "saved")
 
 
 if __name__ == "__main__":
