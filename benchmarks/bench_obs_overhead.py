@@ -64,9 +64,12 @@ SPAN_CHUNKS = 5
 SPANS_PER_CHUNK = sized(5_000, 2_000)
 #: Hard ceilings on the two ratios.  Measured 28-36 % and 45-57 % when
 #: set (the eager slow-span log this gate was added against read
-#: 210 %): the ledger may cost half a query, a span one query.
+#: 210 %): the ledger may cost half a query.  Since a span is its own
+#: record and its samples are bucketed a row at a time, 20 smoke runs
+#: read 16-29 % for a span (the ledger 25-49 %), so its ceiling is the
+#: worst of them with a 1.5x margin.
 OVERHEAD_LIMIT_PCT = 50.0
-SPAN_LIMIT_PCT = 100.0
+SPAN_LIMIT_PCT = 43.0
 
 
 def build_index_workload(seed: int = 0):

@@ -128,6 +128,7 @@ def _measured_execute(
         answer = platform._answer(query, None)
         if billed_above:
             unit.principal = None
+        charges = dict(unit.charges)  # an unbilled unit's record bills nothing
     elapsed_ms = (time.perf_counter() - start) * 1000.0  # devtools: allow[determinism] — see above
     after = registry.counter_values()
     deltas = {
@@ -135,7 +136,6 @@ def _measured_execute(
         for name, value in after.items()
         if value - before.get(name, 0.0)
     }
-    charges = dict(unit.charges)
     if billed_above:
         for kind, amount in charges.items():
             accounting.charge(kind, amount)

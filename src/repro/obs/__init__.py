@@ -50,10 +50,10 @@ from repro.obs.tracing import (
     JsonlExporter,
     Span,
     TraceContext,
-    _OpenSpan,
     current_span,
     current_traceparent,
     format_traceparent,
+    open_span,
     parse_traceparent,
     span_tree,
 )
@@ -148,7 +148,7 @@ def span(name: str, remote_parent: TraceContext | None = None, **attrs: object):
     when no span is open.  Inside ``with Unit(store):`` the span closes
     into that unit instead (tests read a store of their own that way).
     """
-    return _OpenSpan(_store, name, remote_parent, attrs)
+    return open_span(_store, name, remote_parent, attrs)
 
 
 def note_query(shape: str, family: str, duration_ms: float) -> None:
@@ -170,7 +170,8 @@ def note_request(
     it — what ``api.requests`` / ``api.request_ms`` are folded from."""
     unit = current_unit()
     if unit is not None:
-        unit.request = (request_id, method, route, status, span)
+        unit.request_id, unit.method, unit.route, unit.status = request_id, method, route, status
+        unit.http = span
 
 
 def snapshot() -> dict[str, dict]:

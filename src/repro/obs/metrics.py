@@ -2,8 +2,8 @@
 
 The registry is the platform's single source of operational truth — the
 paper's ``GET /stats`` endpoint grows into a full ``GET /metrics`` API
-on top of it.  Everything here is dependency-free stdlib so the hot
-paths (index probes, query execution) can afford to report into it.
+on top of it.  Everything here is stdlib (and numpy, to bucket a batch
+of samples), cheap enough for the hot paths to report into.
 
 Design notes
 ------------
@@ -30,8 +30,9 @@ import math
 import threading
 import weakref
 from array import array
-from bisect import bisect_left
 from typing import Callable
+
+import numpy as np
 
 _LabelKey = tuple[tuple[str, str], ...]
 _MetricKey = tuple[str, _LabelKey]
@@ -143,17 +144,23 @@ class Histogram:
     """Fixed-bucket distribution with interpolated percentiles.
 
     ``buckets`` are inclusive upper bounds; one implicit overflow bucket
-    catches everything above the last bound.
+    catches everything above the last bound.  ``lock`` guards it (its
+    own, unless given: a registry's histograms share its ``samples``
+    lock, which a record store folds under).  ``feed``, called with the
+    lock held before every read, hands it the samples a store holds for
+    it (:meth:`repro.obs.record.RecordStore.settle`).
     """
 
-    __slots__ = ("name", "labels", "buckets", "bucket_counts", "count", "sum",
-                 "min", "max", "_lock")
+    __slots__ = ("name", "labels", "buckets", "bucket_counts", "_count", "sum",
+                 "min", "max", "_lock", "_feed")
 
     def __init__(
         self,
         name: str,
         labels: _LabelKey = (),
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS,
+        lock: threading.Lock | None = None,
+        feed: Callable[[], None] | None = None,
     ) -> None:
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError(f"buckets must be sorted and non-empty, got {buckets}")
@@ -161,30 +168,44 @@ class Histogram:
         self.labels = labels
         self.buckets = tuple(float(b) for b in buckets)
         self.bucket_counts = [0] * (len(self.buckets) + 1)  # +1 overflow
-        self.count = 0
+        self._count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        # RLock: summary() calls percentile() with the lock already held.
-        self._lock = threading.RLock()
+        self._lock = lock or threading.Lock()
+        self._feed = feed
 
     def observe(self, value: float) -> None:
         with self._lock:
-            self.add_sample(float(value))
+            self._fed()
+            self.absorb(array("d", [float(value)]))
 
-    def add_sample(self, value: float) -> None:
-        """:meth:`observe` without this histogram's lock, for one that a
-        lock of its owner confines (a time slot's, under its store's)."""
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        # The first bound at or above the value; past the last one — and
-        # for a NaN, which is at or under nothing — the overflow bucket.
-        at = bisect_left(self.buckets, value) if value == value else -1
-        self.bucket_counts[at] += 1
+    def _fed(self) -> None:
+        if self._feed is not None:
+            self._feed()
+
+    @property
+    def count(self) -> int:
+        """Samples counted, those a store still holds for it included."""
+        with self._lock:
+            self._fed()
+            return self._count
+
+    def absorb(self, samples: array) -> None:
+        """Count ``samples`` in arrival order, with the lock held: each in
+        the first bucket whose bound is at or above it (a NaN, at or
+        under nothing, in the overflow bucket and in neither extreme),
+        the sum added one value at a time — one ``searchsorted`` for
+        them all."""
+        values = np.frombuffer(samples)
+        self._count += len(values)
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+        seen = values[values == values]
+        if seen.size:
+            self.min = min(self.min, float(seen.min()))
+            self.max = max(self.max, float(seen.max()))
+        filed = np.bincount(np.searchsorted(self.buckets, values), minlength=len(self.bucket_counts))
+        self.bucket_counts = [a + b for a, b in zip(self.bucket_counts, filed.tolist())]
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]) from bucket counts.
@@ -203,34 +224,38 @@ class Histogram:
         if not (0.0 <= q <= 1.0):
             raise ValueError(f"q must be in [0, 1], got {q}")
         with self._lock:
-            if self.count == 0:
-                return 0.0
-            if q == 0.0:
-                return self.min
-            rank = q * self.count
-            cumulative = 0
-            for i, in_bucket in enumerate(self.bucket_counts):
-                if in_bucket == 0:
-                    continue
-                if cumulative + in_bucket >= rank:
-                    if i == len(self.buckets):  # overflow bucket: no upper bound
-                        return self.max
-                    lower = self.buckets[i - 1] if i > 0 else 0.0
-                    upper = self.buckets[i]
-                    fraction = (rank - cumulative) / in_bucket
-                    estimate = lower + fraction * (upper - lower)
-                    return min(max(estimate, self.min), self.max)
-                cumulative += in_bucket
-            return self.max
+            return self._percentile(q)
+
+    def _percentile(self, q: float) -> float:
+        """:meth:`percentile` with the lock held."""
+        self._fed()
+        if self._count == 0:
+            return 0.0
+        if q == 0.0:
+            return self.min
+        rank = q * self._count
+        cumulative = 0
+        for i, in_bucket in enumerate(self.bucket_counts):
+            if in_bucket == 0:
+                continue
+            if cumulative + in_bucket >= rank:
+                if i == len(self.buckets):  # overflow bucket: no upper bound
+                    return self.max
+                lower = self.buckets[i - 1] if i > 0 else 0.0
+                upper = self.buckets[i]
+                fraction = (rank - cumulative) / in_bucket
+                estimate = lower + fraction * (upper - lower)
+                return min(max(estimate, self.min), self.max)
+            cumulative += in_bucket
+        return self.max
 
     def merge(self, other: "Histogram") -> None:
-        """Add every sample of ``other`` (same buckets) to this one —
-        how a rolling window reads as one distribution: the live time
-        slots' histograms merged, then the one :meth:`percentile`."""
+        """Add every sample of ``other`` (same buckets, settled) to this
+        one: a rolling window is the live time slots' histograms merged."""
         with self._lock:
             for i, in_bucket in enumerate(other.bucket_counts):
                 self.bucket_counts[i] += in_bucket
-            self.count += other.count
+            self._count += other._count
             self.sum += other.sum
             self.min = min(self.min, other.min)
             self.max = max(self.max, other.max)
@@ -238,23 +263,25 @@ class Histogram:
     def summary(self) -> dict[str, float]:
         """Count, sum, extrema, and the operator percentiles."""
         with self._lock:
-            if self.count == 0:
+            self._fed()
+            if self._count == 0:
                 return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
                         "p50": 0.0, "p95": 0.0, "p99": 0.0}
             return {
-                "count": self.count,
+                "count": self._count,
                 "sum": self.sum,
                 "min": self.min,
                 "max": self.max,
-                "p50": self.percentile(0.50),
-                "p95": self.percentile(0.95),
-                "p99": self.percentile(0.99),
+                "p50": self._percentile(0.50),
+                "p95": self._percentile(0.95),
+                "p99": self._percentile(0.99),
             }
 
     def _reset(self) -> None:
         with self._lock:
+            self._fed()  # what is held was before the reset
             self.bucket_counts = [0] * (len(self.buckets) + 1)
-            self.count = 0
+            self._count = 0
             self.sum = 0.0
             self.min = math.inf
             self.max = -math.inf
@@ -282,6 +309,9 @@ class MetricsRegistry:
         #: Source of derived series -> the name prefixes it serves.
         self._sources: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
+        #: Every histogram's lock: one acquisition covers all a record
+        #: store folds (it folds under this lock, not one of its own).
+        self.samples = threading.Lock()
 
     # -- handles ------------------------------------------------------------
 
@@ -314,16 +344,30 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         with self._lock:
             if key not in self._histograms:
-                self._histograms[key] = Histogram(name, key[1], buckets)
+                self._histograms[key] = Histogram(
+                    name, key[1], buckets, self.samples, self._settle
+                )
             return self._histograms[key]
 
     def histograms(self, name: str | None = None) -> list[Histogram]:
         """All registered histograms, optionally filtered by name."""
+        with self.samples:
+            self._settle()
         with self._lock:
             candidates = list(self._histograms.values())
         return [h for h in candidates if name is None or h.name == name]
 
     # -- derived series -----------------------------------------------------
+
+    def _settle(self) -> None:
+        """Hand every histogram the samples its sources hold (a source
+        with a ``settle``: a record store); ``samples`` is held."""
+        with self._lock:
+            sources = list(self._sources)
+        for source in sources:
+            settle = getattr(source, "settle", None)
+            if settle is not None:
+                settle()
 
     def derive(self, names: tuple[str, ...], source: object) -> None:
         """Serve the counters and gauges whose names start with one of
@@ -453,8 +497,9 @@ class MetricsRegistry:
             name = _prom_name(hist.name)
             type_line(name, "histogram")
             with hist._lock:
+                hist._fed()
                 bucket_counts = list(hist.bucket_counts)
-                hist_sum, hist_count = hist.sum, hist.count
+                hist_sum, hist_count = hist.sum, hist._count
             cumulative = 0
             for bound, in_bucket in zip(hist.buckets, bucket_counts):
                 cumulative += in_bucket

@@ -4,23 +4,19 @@ A *unit of work* is whatever opens the outermost span or billable
 ``ledger_scope`` of an execution context (``Router.dispatch``, a bare
 ``TVDP.answer``, a span-less ``ledger_scope(table=obs.usage())``).
 While it runs its :class:`Unit` is the one ``contextvars`` variable of
-``repro.obs``: it holds the innermost open span and the charge sheet,
-and what finishes inside closes *into* it without a lock.  When it
-ends, one :class:`RequestRecord` is folded **once, under one lock**, by
-:meth:`RecordStore.fold` — the only writer of
-
-(a) a :class:`Rollup` per key space (span name, query shape, principal,
-    operation, route), the lifetime totals: each sample accumulated
-    once, a span's or a route's latency into the row's histogram — the
-    registry's ``span.duration_ms`` / ``api.request_ms``;
-(b) the :class:`TimeRing`: 5-second slots of the latency per span name
-    and the spend per principal, the rolling totals;
-(c) the records a lookup can reach: a recent tail, and per span name
-    the worst-N exemplars and the last N failures.
-
-The registry's ``spans.*``, ``platform.queries``, ``api.requests`` and
-``usage.*`` are read off the rows when the registry is read
-(:meth:`RecordStore.series`).  Every view reads (a)-(c) under the same
+``repro.obs``, and what finishes inside closes *into* it without a
+lock.  When it ends the unit is its own :class:`RequestRecord`, folded
+**once, under one lock**, by :meth:`RecordStore.fold` — the only writer
+of (a) a :class:`Rollup` per key space (span name, query shape,
+principal, operation — a routed request's operation row is its
+route's), the lifetime totals; (b) the :class:`TimeRing` of 5-second
+slots, the rolling totals; (c) the records a lookup can reach.  A
+latency sample is held on its row and bucketed, with its row's others,
+into the row's histogram (the registry's ``span.duration_ms`` /
+``api.request_ms``) and its slot's when the slot ends or anything reads
+them (:meth:`RecordStore.settle`).  The registry's ``spans.*``,
+``platform.queries``, ``api.requests`` and ``usage.*`` are read off the
+rows (:meth:`RecordStore.series`).  Every view reads under the same
 lock, which is why no two can disagree.
 """
 
@@ -30,6 +26,7 @@ import contextvars
 import itertools
 import threading
 import time
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -70,16 +67,16 @@ def cost_of(charges: dict[str, float]) -> float:
 
 @dataclass(slots=True)
 class RequestRecord:
-    """What one unit of work did; built when it closes, not changed after.
+    """What one unit of work did, not changed after it folded: a closed
+    :class:`Unit`, or one built by hand (a query noted outside any unit).
 
     ``spans`` are the finished :class:`~repro.obs.tracing.Span` objects
-    in completion order (attrs and ancestry included, so shard facts,
-    retries, fault annotations and the analyzed plan ride along);
-    ``queries`` are ``(shape, family, ms)``, one per query executed;
-    ``principal`` … ``cost`` are the bill (``principal`` is ``None`` when
-    nothing was billed); ``request_id`` … ``request_ms`` are the
-    router's — ``error`` the ``"<Type>: <message>"`` of a 5xx,
-    ``request_ms`` the ``http.request`` span's own time.
+    in completion order (attrs included: shard facts, retries, faults
+    and the analyzed plan ride along); ``queries`` are ``(shape,
+    family, ms)``; ``principal`` … ``cost`` are the bill (``principal``
+    is ``None`` when nothing was billed); ``request_id`` …
+    ``request_ms`` are the router's — ``error`` a 5xx's ``"<Type>:
+    <message>"``, ``request_ms`` the ``http.request`` span's own time.
     """
 
     request_id: str | None = None
@@ -98,6 +95,8 @@ class RequestRecord:
     duration_ms: float = 0.0
     #: ``(registry, snapshot before, after)``, named only when read.
     counters: tuple | None = field(default=None, repr=False)
+    #: Its place in the fold order of the store it was folded into.
+    seq: int = field(default=0, repr=False)
 
     @property
     def counter_deltas(self) -> dict[str, float]:
@@ -110,57 +109,51 @@ class RequestRecord:
 
     def to_dict(self) -> dict:
         """JSON-compatible form (the ``GET /debug/request/{id}`` body)."""
-        body = {name: getattr(self, name) for name in self.__slots__}
-        del body["counters"]
+        body = {name: getattr(self, name) for name in RequestRecord.__slots__}
+        del body["counters"], body["seq"]
         body["queries"] = [dict(zip(("shape", "family", "ms"), q)) for q in self.queries]
         body["spans"] = [span.to_dict() for span in self.spans]
         body["counter_deltas"] = self.counter_deltas
         return body
 
 
-class Unit:
-    """A unit of work while it is open — the one thing instrumented code
-    reaches through the execution context (``current_unit()``).  One
-    context owns it, so nothing on it is locked.  It holds:
+class Unit(RequestRecord):
+    """A unit of work: while open, what instrumented code reaches through
+    the execution context (``current_unit()``); once closed, its own
+    record.  One context owns it, so nothing on it is locked.  It holds
+    what closes into it (spans, noted queries, ``note_request``'s
+    request fields and ``http`` span); ``span``, the innermost open
+    span; ``sheet``, the charges dict the open ``ledger_scope`` bills to
+    (``None`` while none is); and the bill (``principal``,
+    ``operation``, ``shape``, ``charges``) the first billable scope
+    names.  :meth:`close` settles the record's fields in place and
+    folds the unit.
 
-    * what closes into it: finished spans, noted queries, the router's
-      facts about the request;
-    * ``span``, the innermost open span, the parent of the next one;
-    * ``sheet``, the charges dict the open ``ledger_scope`` bills to
-      (``None`` while none is open: a charge then goes nowhere);
-    * the bill — ``principal``, ``operation``, ``shape`` and its
-      ``charges`` — named by the first billable ``ledger_scope``
-      (``principal`` is ``None`` until then).
-
-    :meth:`close` builds the :class:`RequestRecord` and folds it.
     ``with Unit(store):`` runs a block as a unit of its own, folded when
-    the block ends and not when an enclosing unit does (EXPLAIN ANALYZE
-    reads the counters its execution moved).  It starts from the
-    enclosing unit's span and sheet, so the trace tree is unbroken and a
-    scope open around it keeps taking the charges.  A unit on no store
-    is a bare meter's (a ``ledger_scope()`` opened outside any unit of
-    work): it folds nothing, and a span or a billable scope opened in it
-    opens a unit of work of its own."""
+    the block ends (EXPLAIN ANALYZE reads the counters its execution
+    moved); it starts from the enclosing unit's span and sheet, so the
+    trace tree is unbroken and a scope open around it keeps taking the
+    charges.  A unit on no store is a bare meter's: it folds nothing,
+    and a span or billable scope opened in it opens a unit of its own."""
 
-    __slots__ = ("spans", "queries", "request", "counters", "store", "span", "sheet",
-                 "principal", "operation", "shape", "charges", "_token", "_t0")
+    __slots__ = ("store", "span", "sheet", "shape", "http", "after", "_token")
 
     def __init__(self, store: "RecordStore | None") -> None:
         outer = _open.get()
         self.spans: list = []
-        self.queries: list[tuple] = []
-        #: ``(request_id, method, route, status, http.request span)``.
-        self.request: tuple | None = None
-        #: Counter snapshot taken when the unit's first span opens:
-        #: deltas say why a span was slow, so they bracket spans.
-        self.counters = None
+        self.queries: list = []
+        self.request_id = self.method = self.route = self.status = self.error = None
+        self.principal = self.operation = self.shape = self.http = None
+        self.request_ms = self.cost = 0.0
+        #: Counter snapshots when the first span opens and when the
+        #: unit closes: deltas say why a span was slow, so they bracket spans.
+        self.counters = self.after = None
         self.store = store
         self.span = self.sheet = None
         if outer is not None:
             self.span, self.sheet = outer.span, outer.sheet
-        self.principal = self.operation = self.shape = None
         self.charges: dict[str, float] = {}
-        self._t0 = time.perf_counter()
+        self.duration_ms = time.perf_counter()  # the opening reading, until it closes
         self._token = _open.set(self)
 
     def __enter__(self) -> "Unit":
@@ -173,34 +166,41 @@ class Unit:
         """End the unit: settle the bill, take the closing counter
         snapshot, fold into the store that opened it."""
         _open.reset(self._token)
-        store, spans, queries = self.store, self.spans, self.queries
+        self._token = None
+        store = self.store
         if store is None:
             return
-        duration_ms = (time.perf_counter() - self._t0) * 1e3
-        request_id = method = route = status = error = operation = None
-        request_ms, cost, charges, counters = 0.0, 0.0, {}, None
-        if self.request is not None:
-            request_id, method, route, status, span = self.request
-            error, request_ms = span.error, span.duration_ms
-            operation = f"{method} {route}"
-        principal = self.principal
-        if principal is not None:
-            charges = self.charges
-            cost = cost_of(charges)
-            operation = operation or self.operation
-            if self.shape and not queries:
-                queries = [(self.shape, None, duration_ms)]
+        duration_ms = self.duration_ms = (time.perf_counter() - self.duration_ms) * 1e3
+        http = self.http
+        if http is not None:
+            self.error, self.request_ms = http.error, http.duration_ms
+            self.operation = f"{self.method} {self.route}"
+        elif self.principal is None:
+            self.operation = None
+        if self.principal is not None:
+            if self.charges:
+                self.cost = cost_of(self.charges)
+            if self.shape and not self.queries:
+                self.queries = [(self.shape, None, duration_ms)]
+        else:
+            self.charges = {}
+        self.queries = tuple(self.queries)
         if self.counters is not None:
-            registry = store.registry
-            counters = (registry, self.counters, registry.counter_snapshot())
-        # Positionally, in field order: fifteen keywords cost more to
-        # bind than the record costs to build.
-        store.fold(RequestRecord(
-            request_id, method, route, status, error, request_ms,
-            spans[0].trace_id if spans else None,
-            principal, operation, charges, cost,
-            tuple(queries), tuple(spans), duration_ms, counters,
-        ))
+            self.after = store.registry.counter_snapshot()
+        store.fold(self)
+
+    @property
+    def trace_id(self) -> str | None:
+        """The unit's trace: its first finished span's, read when asked."""
+        spans = self.spans
+        return spans[0].trace_id if spans else None
+
+    @property
+    def counter_deltas(self) -> dict[str, float]:
+        """As a record's, off the two snapshots the unit keeps."""
+        if self.after is None:
+            return {}
+        return self.store.registry.counter_deltas(self.counters, self.after)
 
 
 def _by_slowest(exemplar: tuple) -> float:
@@ -211,11 +211,11 @@ class _Row:
     """One key's aggregates (see :class:`Rollup`).  ``worst`` and
     ``failed`` hold ``(ms, fold number, span, record)``; ``tally``
     counts units by one more label (a span's errors, a shape's queries
-    per family, a route's requests per status, a principal's
+    per family, a routed operation's requests per status, a principal's
     would-shed count and last rolling spend)."""
 
     __slots__ = ("count", "total_ms", "max_ms", "last_ms", "cost", "charges",
-                 "exemplar", "worst", "failed", "tally", "hist")
+                 "exemplar", "worst", "failed", "tally", "hist", "samples")
 
     def __init__(self, hist: Histogram | None) -> None:
         self.count = 0
@@ -226,6 +226,9 @@ class _Row:
         self.failed: list[tuple] = []  # the last N failures
         self.tally: dict = {}
         self.hist = hist  # a latency key space's lifetime histogram
+        #: Latency samples the fold holds back from ``hist`` (and the
+        #: time slot's) until :meth:`RecordStore.settle`.
+        self.samples = None if hist is None else array("d")
 
 
 #: ``(kind, name, label key)`` -> value: one series read off the rows.
@@ -235,9 +238,8 @@ Series = dict[tuple[str, str, tuple], float]
 class Rollup:
     """Keyed aggregates over folded records: ``count, total_ms, max_ms,
     last_ms, cost, charges``, the worst unit by cost and the worst-N by
-    time — one row shape for every key space.  A latency key space
-    (``histogram``: key -> :class:`Histogram`) keeps a row's samples in
-    its histogram and counts them, nothing else.
+    time — one row shape for every key space; a latency key space
+    (``histogram``: key -> :class:`Histogram`) counts a row's samples.
 
     Bounded: the table grows to twice ``capacity`` and is then pruned
     back to ``capacity`` by (count, total time), ties broken on the key,
@@ -261,21 +263,17 @@ class Rollup:
         #: The series of every row pruned so far.
         self.rest: Series = {}
 
-    def observe(self, key, ms: float) -> _Row:
-        """Count one sample of ``ms`` under ``key`` into its row's
-        histogram (a latency key space); returns its row."""
-        row = self.rows.get(key) or self._new_row(key)
-        row.count += 1
-        row.hist.observe(ms)
-        return row
+    def row(self, key) -> _Row:
+        """``key``'s row, made if there is none."""
+        return self.rows.get(key) or self._new_row(key)
 
     def add(
         self, key: str, ms: float, cost: float = 0.0, charges: dict | None = None,
-        share: float = 1.0, trace_id: str | None = None,
+        share: float = 1.0, record: RequestRecord | None = None,
     ) -> _Row:
         """Count one unit of ``ms`` and its bill under ``key``; returns
         its row.  ``share`` scales ``charges`` (a batch bills each query
-        its share)."""
+        its share); ``record``'s trace is the exemplar of a costliest."""
         row = self.rows.get(key) or self._new_row(key)
         row.count += 1
         row.total_ms += ms
@@ -287,10 +285,10 @@ class Rollup:
             mine = row.charges
             for kind, amount in charges.items():
                 mine[kind] = mine.get(kind, 0.0) + amount * share
-        if trace_id is not None and (
-            row.exemplar is None or cost > row.exemplar["cost"]
-        ):
-            row.exemplar = {"cost": cost, "trace_id": trace_id}
+        if record is not None and (row.exemplar is None or cost > row.exemplar["cost"]):
+            trace_id = record.trace_id
+            if trace_id is not None:
+                row.exemplar = {"cost": cost, "trace_id": trace_id}
         return row
 
     def keep_worst(self, row: _Row, exemplar: tuple) -> None:
@@ -304,8 +302,7 @@ class Rollup:
         del worst[2 * self.worst:]
 
     def _new_row(self, key) -> _Row:
-        """A row for a key not seen (or pruned) before; the one moment
-        the table can outgrow its bound."""
+        """A row for a key not seen (or pruned) before."""
         if len(self.rows) >= self.capacity * 2:
             ranked = sorted(
                 self.rows.items(),
@@ -314,7 +311,7 @@ class Rollup:
             self.evicted += len(ranked) - self.capacity
             for gone, row in ranked[self.capacity:]:
                 self._series_into(self.rest, gone, row)
-            self.rows = dict(ranked[: self.capacity])
+                del self.rows[gone]  # in place: the fold holds the dict
         row = self.rows[key] = _Row(self.histogram(key) if self.histogram else None)
         return row
 
@@ -349,8 +346,9 @@ class Rollup:
         ]
 
     def costliest(self, top: int | None) -> list[dict]:
-        """Rows by cost, descending (ties on the key)."""
-        ranked = sorted(self.rows.items(), key=lambda item: (-item[1].cost, item[0]))
+        """Billed rows by cost, descending (ties on the key)."""
+        billed = [item for item in self.rows.items() if item[1].count]
+        ranked = sorted(billed, key=lambda item: (-item[1].cost, item[0]))
         return [
             {
                 "key": key,
@@ -385,8 +383,8 @@ class TimeRing:
     :data:`KEEP` slots (20 minutes) so a what-if budget with another
     ``window_s`` reads the same history.  A slot is made when the first
     record of its 5 seconds folds, which is also when slots past the
-    horizon are dropped — steady-state folds never scan.  Not locked:
-    the store calls it with its lock held.
+    horizon are dropped.  Not locked: the store calls it with its lock
+    held.
     """
 
     SLOT_S = 5.0
@@ -399,10 +397,12 @@ class TimeRing:
         self._now = clock or time.monotonic
         self._slots: dict[int, tuple[dict[str, Histogram], dict[str, float]]] = {}
 
-    def current(self) -> tuple[dict[str, Histogram], dict[str, float]]:
-        """``(latency by span name, spend by principal)`` of the slot
-        covering now."""
-        epoch = int(self._now() // self.SLOT_S)
+    def epoch(self) -> int:
+        """The number of the slot covering now."""
+        return int(self._now() // self.SLOT_S)
+
+    def slot(self, epoch: int) -> tuple[dict[str, Histogram], dict[str, float]]:
+        """``(latency by span name, spend by principal)`` of one slot."""
         slot = self._slots.get(epoch)
         if slot is None:
             slot = self._slots[epoch] = ({}, {})
@@ -446,11 +446,11 @@ def _shape_series(shape: str, row: _Row) -> Iterator[tuple]:
         yield "counter", "platform.queries", (("family", family),), queries
 
 
-def _route_series(key: tuple, row: _Row) -> Iterator[tuple]:
-    method, route = key
+def _operation_series(operation: str, row: _Row) -> Iterator[tuple]:
+    # A routed operation's row holds its route's histogram, labelled
+    # (method, route): the requests per status are labelled alike.
     for status, requests in row.tally.items():
-        labels = (("method", method), ("route", route), ("status", str(status)))
-        yield "counter", "api.requests", labels, requests
+        yield "counter", "api.requests", (*row.hist.labels, ("status", str(status))), requests
 
 
 def _principal_series(principal: str, row: _Row) -> Iterator[tuple]:
@@ -491,9 +491,8 @@ class RecordStore:
     ``obs.records()`` is the process-wide one.
     """
 
-    #: The recent tail of records, whatever they were.  Kept records
-    #: outlive the collector's young generations, so this also paces its
-    #: full passes (docs/observability.md, the retention rule).
+    #: The recent tail of records, whatever they were; it also paces the
+    #: collector's full passes (docs/observability.md, the retention rule).
     RECORDS = 1024
     #: Worst spans per operation name (``/debug/slow``), and failed ones
     #: (a 5xx fails its ``http.request`` span): their records are kept.
@@ -501,6 +500,8 @@ class RecordStore:
     #: The rolling latency window, and the one rolling spend is read
     #: over when no budget is configured.
     WINDOW_S = TimeRing.WINDOW_S
+    #: Latency samples held back at most (:meth:`settle`): 32 KiB.
+    HELD = 4096
 
     def __init__(
         self,
@@ -510,8 +511,13 @@ class RecordStore:
     ) -> None:
         self.registry = registry
         self._budget = budget
-        self._lock = threading.Lock()
-        hist = registry.histogram if registry else lambda name, labels: Histogram(name)
+        #: The registry's histograms are the rows': fold under their lock.
+        self._lock = threading.Lock() if registry is None else registry.samples
+        hist = registry.histogram if registry else (
+            lambda name, labels: Histogram(
+                name, tuple(sorted(labels.items())), lock=self._lock, feed=self.settle
+            )
+        )
         #: One rollup per key space.
         self._by: dict[str, Rollup] = {
             "span": Rollup(
@@ -520,18 +526,25 @@ class RecordStore:
             ),
             "shape": Rollup(capacity=64, derive=_shape_series),
             "principal": Rollup(capacity=4096, derive=_principal_series),
-            "operation": Rollup(capacity=512),
-            "route": Rollup(
-                capacity=512, derive=_route_series,
-                histogram=lambda key: hist("api.request_ms", {"method": key[0], "route": key[1]}),
-            ),
+            "operation": Rollup(capacity=512, derive=_operation_series),
         }
+        self._route_hist = lambda method, route: hist(
+            "api.request_ms", {"method": method, "route": route}
+        )
         self._ring = TimeRing(clock)
+        #: The slot the held samples fall in, and its spend.
+        self._epoch: int | None = None
+        self._spend: dict[str, float] = {}
+        #: ``(span name or None, row)`` of each row holding samples.
+        self._held: list[tuple[str | None, _Row]] = []
+        self._waiting = 0  # samples held
         self._folds = itertools.count(1)  # numbers the kept records in fold order
-        self._tail: deque[tuple[int, RequestRecord]] = deque()
-        #: Request id or trace id -> the tail's ``(seq, record)`` of it:
-        #: the entry, or a list of them once a second shares the id.
-        self._ids: dict[str, tuple | list] = {}
+        self._tail: deque[RequestRecord] = deque(maxlen=self.RECORDS)
+        #: Request id or trace id -> the tail's records of it, oldest
+        #: first — as of the last lookup (:meth:`_index`).
+        self._ids: dict[str, list] = {}
+        #: ``(seq, ids)`` of each record in ``_ids``, oldest first.
+        self._indexed: deque[tuple[int, set]] = deque()
         #: Finished spans are streamed here after the fold (JSONL).
         self.exporters: tuple = ()
         if registry is not None:
@@ -548,15 +561,24 @@ class RecordStore:
         write path of the rollups, the ring and the kept records."""
         by = self._by
         principal, cost, charges = record.principal, record.cost, record.charges
-        trace_id = record.trace_id
+        spans = record.spans
         with self._lock:
-            seq = next(self._folds)
-            latency, spend = self._ring.current()
+            seq = record.seq = next(self._folds)
+            epoch = self._ring.epoch()
+            if epoch != self._epoch:
+                self.settle()  # what is held fell in the slot that ended
+                self._epoch, self._spend = epoch, self._ring.slot(epoch)[1]
+            spend, held = self._spend, self._held
             by_span = by["span"]
-            keep = by_span.worst
-            for span in record.spans:
+            rows, keep = by_span.rows, by_span.worst
+            for span in spans:
                 name, ms = span.name, span.duration_ms
-                row = by_span.observe(name, ms)
+                row = rows.get(name) or by_span.row(name)
+                row.count += 1
+                samples = row.samples
+                if not samples:
+                    held.append((name, row))
+                samples.append(ms)
                 if span.status == "error":
                     row.tally["error"] = row.tally.get("error", 0) + 1
                     row.failed.append((ms, seq, span, record))
@@ -564,58 +586,60 @@ class RecordStore:
                 worst = row.worst
                 if len(worst) < keep or ms > worst[keep - 1][0]:
                     by_span.keep_worst(row, (ms, seq, span, record))
-                (latency.get(name) or latency.setdefault(name, Histogram(name))).add_sample(ms)
+            self._waiting += len(spans)
             # One query carries the whole bill; a batch splits it evenly.
             share = 1.0 / max(len(record.queries), 1)
             for shape, family, ms in record.queries:
-                row = by["shape"].add(shape, ms, cost * share, charges, share, trace_id)
+                row = by["shape"].add(shape, ms, cost * share, charges, share, record)
                 if family is not None:
                     row.tally[family] = row.tally.get(family, 0) + 1
+            operation, route, billed = record.operation, record.route, None
             if principal is not None:
                 ms = record.duration_ms
-                row = by["principal"].add(principal, ms, cost, charges, 1.0, trace_id)
-                if record.operation:
-                    by["operation"].add(record.operation, ms, cost, charges, 1.0, trace_id)
+                row = by["principal"].add(principal, ms, cost, charges, 1.0, record)
                 spend[principal] = spend.get(principal, 0.0) + cost
                 budget = self._budget
                 if budget is not None:
                     spent = row.tally["rolling"] = self._ring.spent(principal, budget.window_s)
                     if spent > budget.cost_per_window:
                         row.tally["shed"] = row.tally.get("shed", 0) + 1
-            if record.route is not None:
-                row = by["route"].observe((record.method, record.route), record.request_ms)
+                if operation:
+                    billed = by["operation"].add(operation, ms, cost, charges, 1.0, record)
+            if route is not None:
+                # A routed request's operation is its route: its latency
+                # and status go on the row its bill went to.
+                row = billed or by["operation"].row(operation or f"{record.method} {route}")
+                if row.hist is None:
+                    row.hist, row.samples = self._route_hist(record.method, route), array("d")
+                if not row.samples:
+                    held.append((None, row))
+                row.samples.append(record.request_ms)
+                self._waiting += 1
                 row.tally[record.status] = row.tally.get(record.status, 0) + 1
             # Kept: what /debug/trace and /debug/request can look up.
-            if record.spans or record.request_id is not None:
-                self._keep((seq, record))
+            if spans or record.request_id is not None:
+                self._tail.append(record)
+            if self._waiting >= self.HELD:
+                self.settle()
         for exporter in self.exporters:
-            for span in record.spans:
+            for span in spans:
                 exporter.export(span)
 
-    def _keep(self, entry: tuple) -> None:
-        """Append ``entry`` to the tail and index it by its ids, evicting
-        the oldest past :data:`RECORDS` (caller holds the lock)."""
-        if len(self._tail) >= self.RECORDS:
-            gone = self._tail.popleft()
-            for key in _ids_of(gone[1]):
-                held = self._ids.get(key)
-                if held is gone:
-                    del self._ids[key]
-                elif held is not None:
-                    held.remove(gone)
-                    if len(held) == 1:
-                        self._ids[key] = held[0]
-        self._tail.append(entry)
-        for key in _ids_of(entry[1]):
-            if key is None:
-                continue
-            held = self._ids.get(key)
-            if held is None:
-                self._ids[key] = entry
-            elif type(held) is list:
-                held.append(entry)
-            else:
-                self._ids[key] = [held, entry]
+    def settle(self) -> None:
+        """Bucket the latency samples the fold held back into their
+        rows' histograms and their slot's: one ``searchsorted`` per row
+        (caller holds the lock; a registry histogram's read calls it)."""
+        held = self._held
+        if held:
+            latency = self._ring.slot(self._epoch)[0]
+            for name, row in held:
+                samples = row.samples
+                row.hist.absorb(samples)
+                if name is not None:
+                    (latency.get(name) or latency.setdefault(name, Histogram(name))).absorb(samples)
+                del samples[:]
+            held.clear()
+        self._waiting = 0
 
     def set_budget(self, budget) -> None:
         """Install (or clear) the admission budget for would-shed flags."""
@@ -634,17 +658,19 @@ class RecordStore:
         """Drop every view's contents (benchmark isolation); the budget
         and the exporters survive."""
         with self._lock:
+            self.settle()  # the registry's histograms keep what was folded
             for rollup in self._by.values():
                 rollup.clear()
             self._ring.clear()
+            self._epoch = None
             self._tail.clear()
             self._ids.clear()
+            self._indexed.clear()
 
     # -- reading: each view is one locked read of what fold() wrote ------------
 
     def series(self) -> Series:
-        """The registry series (:data:`DERIVED`) read off the span,
-        shape, route and principal rows."""
+        """The registry series (:data:`DERIVED`) read off the rows."""
         with self._lock:
             out: Series = {}
             for rollup in self._by.values():
@@ -712,6 +738,7 @@ class RecordStore:
         """Span name -> its latency over the last :data:`WINDOW_S`
         seconds as one histogram (names with no samples left out)."""
         with self._lock:
+            self.settle()
             return self._ring.latency(key)
 
     def window_summaries(self) -> dict[str, dict]:
@@ -725,15 +752,36 @@ class RecordStore:
     def records(self) -> list[RequestRecord]:
         """The recent tail, oldest first."""
         with self._lock:
-            return [record for _, record in self._tail]
+            return list(self._tail)
+
+    def _index(self) -> None:
+        """Bring the id index up to the tail (caller holds the lock):
+        drop the entries that left it, index those that joined it since
+        the last lookup — the fold itself indexes nothing."""
+        tail, indexed, ids = self._tail, self._indexed, self._ids
+        oldest = tail[0].seq if tail else float("inf")
+        while indexed and indexed[0][0] < oldest:
+            for key in indexed.popleft()[1]:
+                held = ids[key]
+                del held[0]  # entries join in fold order, so leave in it
+                if not held:
+                    del ids[key]
+        last = indexed[-1][0] if indexed else 0
+        joined = list(itertools.takewhile(lambda record: record.seq > last, reversed(tail)))
+        for record in reversed(joined):
+            keys = set(_ids_of(record)) - {None}
+            indexed.append((record.seq, keys))
+            for key in keys:
+                ids.setdefault(key, []).append(record)
 
     def _kept(self, key: str) -> list[RequestRecord]:
         """Every kept record of one request id or trace id, oldest
         first: the tail's, by the index, and the worst-N and failure
-        slots' — a lookup costs the slots, not the tail."""
+        slots' — a lookup costs the records folded since the last one
+        and the slots, not the tail."""
         with self._lock:
-            held = self._ids.get(key)
-            kept = dict(held if type(held) is list else [held] if held else ())
+            self._index()
+            kept = {record.seq: record for record in self._ids.get(key, ())}
             for row in self._by["span"].rows.values():
                 for _, seq, span, record in (*row.worst, *row.failed):
                     if key in (record.request_id, record.trace_id, span.trace_id):

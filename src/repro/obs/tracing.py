@@ -6,15 +6,14 @@ started inside it become children, so one API request produces a tree
 ``<service>.<operation>`` convention documented in
 ``docs/observability.md``.
 
-The open span lives on the open :class:`~repro.obs.record.Unit` of
-work of its execution context, and a finished one is appended to it —
-no lock, no fan-out; a span that opens with no unit open *is* the unit
-of work, and closing it folds the unit's record (see
-``repro.obs.record``).  The fold is what
-records ``span.duration_ms{span=<name>}`` (from which ``spans.total`` /
-``spans.errors`` are read), the rolling windows and the slow-span
-exemplars, and streams the record's spans to the JSON-lines exporter
-when one is on.
+A :class:`Span` is its own ``with`` block and its own record: while
+open it is the innermost span of the open
+:class:`~repro.obs.record.Unit` of work, and when it closes it is
+appended to that unit — no lock, no copy; a span that opens with no
+unit open *is* the unit of work, and closing it folds the unit (see
+``repro.obs.record``).  A span keeps its parent, not its ancestry, and
+integer ids; the ``t…``/``s…`` strings and the ancestry are worked out
+when something reads them.
 """
 
 from __future__ import annotations
@@ -24,17 +23,15 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.record import RecordStore, Unit, current_unit
 
 #: Span and trace ids: ``next`` on an ``itertools.count`` is one C call
 #: no other thread can interleave with, so it needs no lock.
 _ids = itertools.count(1)
-
-
-def _next_id(prefix: str) -> str:
-    return f"{prefix}{next(_ids):08x}"
+_new = object.__new__
+_clock = time.perf_counter
 
 
 def current_span() -> "Span | None":
@@ -103,32 +100,65 @@ def current_traceparent() -> str | None:
     return format_traceparent(TraceContext(span.trace_id, span.span_id))
 
 
-@dataclass(slots=True)
 class Span:
-    """One timed operation; mutable while open, exported when closed.
-    Slotted: a request makes two and its record keeps them."""
+    """One timed operation: the ``with`` block :func:`open_span` returns
+    (``obs.span``; nothing opens before it is entered), and what its
+    unit keeps once it closed.  Its parent is the open unit's innermost
+    span; with none, ``remote_parent`` (an extracted ``traceparent``),
+    or else it roots a new trace.  An ``Exception`` leaving the block
+    marks it ``status="error"`` with ``"<Type>: <message>"`` (a
+    ``KeyboardInterrupt`` or ``GeneratorExit`` passes unmarked); either
+    way it gets its duration, its parent is the unit's innermost again
+    and it closes into its unit — folding it, if it opened it.  Owned by
+    the one execution context that entered it: nothing on it is locked.
+    ``Span(name, trace_id, span_id, parent_id, ...)`` is a finished span
+    as given.
+    """
 
-    name: str
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    attrs: dict = field(default_factory=dict)
-    start_time: float = 0.0  # epoch seconds
-    duration_ms: float = 0.0
-    status: str = "ok"
-    error: str | None = None
-    #: Names of the ancestors, root first (computed at open time, when
-    #: the parent chain is still alive — parents *finish* after their
-    #: children, so it cannot be rebuilt from finished spans alone).
-    ancestry: tuple[str, ...] = ()
+    __slots__ = ("name", "attrs", "start_time", "duration_ms", "status", "error",
+                 "_trace", "_id", "_parent", "_ancestry", "_unit", "_root", "_t0")
+
+    def __init__(
+        self, name: str, trace_id: str, span_id: str, parent_id: str | None,
+        attrs: dict | None = None, start_time: float = 0.0, duration_ms: float = 0.0,
+        status: str = "ok", error: str | None = None, ancestry: tuple = (),
+    ) -> None:
+        self.name, self._trace, self._id, self._parent = name, trace_id, span_id, parent_id
+        self.attrs = {} if attrs is None else attrs
+        self.start_time, self.duration_ms = start_time, duration_ms
+        self.status, self.error, self._ancestry = status, error, tuple(ancestry)
+
+    # Ids are integers from ``_ids`` (or a remote trace's string) and
+    # read as the strings they name; a trace id, which lookups compare
+    # on every kept span, is named once and kept.
+    @property
+    def trace_id(self) -> str:
+        trace = self._trace
+        if type(trace) is not str:
+            trace = self._trace = f"t{trace:08x}"
+        return trace
+
+    @property
+    def span_id(self) -> str:
+        own = self._id
+        return own if type(own) is str else f"s{own:08x}"
+
+    @property
+    def parent_id(self) -> str | None:
+        parent = self._parent
+        return parent if parent is None or type(parent) is str else parent.span_id
+
+    @property
+    def ancestry(self) -> tuple[str, ...]:
+        """Names of the ancestors, root first: walked up the parents
+        (which outlive their children), or as given."""
+        parent = self._parent
+        if type(parent) is Span:
+            return (*parent.ancestry, parent.name)
+        return self._ancestry
 
     def set(self, key: str, value: object) -> None:
-        """Attach/overwrite one attribute.
-
-        A span is owned by the single execution context that opened it
-        until its ``with`` block (:class:`_OpenSpan`) closes it, so
-        attribute writes need no lock.
-        """
+        """Attach/overwrite one attribute."""
         self.attrs[key] = value
 
     def to_dict(self) -> dict:
@@ -145,6 +175,53 @@ class Span:
             "attrs": dict(self.attrs),
             "ancestry": list(self.ancestry),
         }
+
+    def __enter__(self) -> "Span":
+        unit = current_unit()
+        root = self._root = unit is None or unit.store is None
+        if root:
+            unit = Unit(self._unit)
+        parent = unit.span
+        if parent is not None:
+            self._parent, self._trace = parent, parent._trace
+        elif self._parent is not None:
+            self._trace = self._parent.trace_id
+        else:
+            self._trace = next(_ids)
+        self._id = next(_ids)
+        if unit.counters is None:
+            registry = unit.store.registry
+            if registry is not None:
+                unit.counters = registry.counter_snapshot()
+        self._unit = unit
+        unit.span = self
+        self.start_time = time.time()
+        self._t0 = _clock()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.duration_ms = (_clock() - self._t0) * 1e3
+        if isinstance(exc, Exception):
+            self.status = "error"
+            self.error = f"{type(exc).__name__}: {exc}"
+        unit, self._unit = self._unit, None  # a kept span holds no unit: no cycle
+        parent = self._parent
+        unit.span = parent if type(parent) is Span else None
+        unit.spans.append(self)
+        if self._root:
+            unit.close()
+        return False
+
+
+def open_span(
+    store: RecordStore, name: str, remote_parent: TraceContext | None, attrs: dict
+) -> Span:
+    """A span to enter: it opens its unit of work on ``store`` if none
+    is open when it is entered."""
+    span = _new(Span)
+    span.name, span.attrs, span._parent, span._unit = name, attrs, remote_parent, store
+    span.duration_ms, span.status, span.error, span._ancestry = 0.0, "ok", None, ()
+    return span
 
 
 def span_tree(spans: list[Span]) -> list[dict]:
@@ -184,69 +261,3 @@ class JsonlExporter:
         with self._lock:
             if not self._file.closed:
                 self._file.close()
-
-
-class _OpenSpan:
-    """The ``with`` block of one span (``obs.span``); nothing opens
-    before it is entered.  The span's parent is the open unit's
-    innermost span; with none, ``remote_parent`` (an extracted
-    ``traceparent``: the span continues a trace started elsewhere), or
-    else the span roots a new trace.  An ``Exception`` leaving the block
-    marks the span ``status="error"`` with ``"<Type>: <message>"`` (a
-    ``KeyboardInterrupt`` or ``GeneratorExit`` passes unmarked); either
-    way the span gets its duration, its parent is the unit's innermost
-    again and the span closes into its unit — folding it, if it opened
-    it (on ``store``, when no unit of work was open).  A plain slotted
-    class, as ``ledger_scope`` is and for its reason; owned by the one
-    execution context that entered it.
-    """
-
-    __slots__ = ("_store", "_name", "_remote", "_attrs",
-                 "_span", "_parent", "_unit", "_root", "_t0")
-
-    def __init__(
-        self, store: RecordStore, name: str,
-        remote_parent: TraceContext | None, attrs: dict,
-    ) -> None:
-        self._store, self._name = store, name
-        self._remote, self._attrs = remote_parent, attrs
-
-    def __enter__(self) -> Span:
-        unit = current_unit()
-        self._root = unit is None or unit.store is None
-        if self._root:
-            unit = Unit(self._store)
-        parent, remote_parent = unit.span, self._remote
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-            ancestry: tuple[str, ...] = (*parent.ancestry, parent.name)
-        elif remote_parent is not None:
-            trace_id, parent_id = remote_parent.trace_id, remote_parent.span_id
-            ancestry = ()
-        else:
-            trace_id, parent_id, ancestry = _next_id("t"), None, ()
-        if unit.counters is None:
-            registry = unit.store.registry
-            if registry is not None:
-                unit.counters = registry.counter_snapshot()
-        self._unit, self._parent = unit, parent
-        span = self._span = Span(  # positionally, in field order: half the cost
-            self._name, trace_id, _next_id("s"), parent_id, self._attrs,
-            time.time(), 0.0, "ok", None, ancestry,
-        )
-        unit.span = span
-        self._t0 = time.perf_counter()
-        return span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self._span
-        if isinstance(exc, Exception):
-            span.status = "error"
-            span.error = f"{type(exc).__name__}: {exc}"
-        span.duration_ms = (time.perf_counter() - self._t0) * 1e3
-        unit = self._unit
-        unit.span = self._parent
-        unit.spans.append(span)
-        if self._root:
-            unit.close()
-        return False
