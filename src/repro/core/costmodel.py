@@ -166,26 +166,25 @@ COST_MODEL: dict = {
     },
     "shard_partition": {
         "cost": (
-            "O(n) one read of the images rows + O(n) tile assignment + "
-            "O(s * (n + p + a + v)) stats gathered through the code column, "
-            "once per catalog version"
+            "O(n + p + a + v) once per catalog version: one read of the "
+            "images rows, the tile assignment on columns, then one pass over "
+            "each source's id columns through the code column"
         ),
         "dominant_counters": [],
         "hot_sites": [
             "repro.db.table.Table.all_rows",
             "repro.shard.partition._image_columns",
             "repro.shard.partition._assign_shards",
-            "repro.shard.partition._shard_stats",
-            "repro.core.slice.CatalogSlice.owned_counts",
-            "repro.index.inverted.InvertedIndex.term_dfs",
+            "repro.shard.partition._shard_masks",
         ],
         "note": (
-            "n = images, s = shards, p = postings, a = annotations, v = "
-            "vectors.  Build-time full scans by design: a partition copies "
-            "no row, column or index — it gives every image id a shard code "
-            "and reads each shard's pruning statistics off the "
-            "coordinator's columns through it; amortised across queries by "
-            "the router's catalog-version check (no per-query cost)"
+            "n = images, p = postings, a = annotations, v = vectors.  "
+            "Build-time full scans by design: a partition copies no row, "
+            "column or index — it gives every image id a shard code and "
+            "reads the shards' bounds, time windows and per-key shard "
+            "bitmasks off the coordinator's columns through it; amortised "
+            "across queries by the router's catalog-version check (no "
+            "per-query cost)"
         ),
     },
     "shard_scatter_gather": {

@@ -8,8 +8,11 @@ and charges in their one order — is a prepared query:
 :class:`~repro.core.slice.CatalogSlice`, over every row or — given
 ``owns``, a map from an id column to a mask — over the rows of the
 images it keeps; ``answer(payload) -> Answer`` orders the payload;
-``survives(ShardStats)`` prunes soundly.  Everything a query needs from
-the whole catalog — a visual query's hash candidates and its
+``survivors(cut) -> int`` prunes soundly: one call per leaf, the
+bitmask (bit ``s``: shard ``s``) of the non-empty shards of a
+:class:`~repro.shard.partition.Partition` it cannot rule out, read off
+the cut's per-shard tuples and per-key masks.  Everything a query
+needs from the whole catalog — a visual query's hash candidates and its
 exhaustive-fallback decision included — is worked out when the leaf is
 prepared, once, so serial execution runs the task on the whole slice
 and the shard router runs it once: on the whole slice too when no shard
@@ -25,7 +28,9 @@ pair is one leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +48,6 @@ from repro.core.queries import (
 )
 from repro.core.slice import CatalogSlice
 from repro.errors import MalformedQueryError, QueryError
-from repro.geo.point import BoundingBox
 from repro.index.inverted import tokenize
 from repro.index.lsh import falls_back, squared_norm
 from repro.index.ordering import by_score
@@ -52,20 +56,6 @@ from repro.obs.accounting import charge
 if TYPE_CHECKING:
     from repro.core.platform import TVDP
     from repro.features.base import FeatureExtractor
-
-
-@dataclass(frozen=True)
-class ShardStats:
-    """What a geo-tile shard publishes for pruning, at partition time
-    (:mod:`repro.shard.partition`)."""
-
-    shard_id: int
-    n_images: int
-    bounds: BoundingBox | None  # every FOV and camera point; None: empty
-    term_dfs: dict  # term -> document frequency
-    time_ranges: dict  # temporal field -> (min, max)
-    annotation_types: dict  # type_id -> annotation count
-    extractors: tuple  # extractor names with vectors indexed here
 
 
 class Leaf:
@@ -116,8 +106,18 @@ class Spatial(_Ids):
     def task(self, s: CatalogSlice, owns=None) -> np.ndarray:
         return s.spatial_ids(self.query, owns)
 
-    def survives(self, stats: ShardStats) -> bool:
-        return stats.bounds is not None and stats.bounds.intersects(self.region)
+    def survivors(self, cut) -> int:
+        region, mask = self.region, 0
+        for shard, box in enumerate(cut.bounds):
+            # BoundingBox.intersects(box, region), on the bounds tuple.
+            if box is not None and not (
+                region.min_lat > box[2]
+                or region.max_lat < box[0]
+                or region.min_lng > box[3]
+                or region.max_lng < box[1]
+            ):
+                mask |= 1 << shard
+        return mask
 
 
 class Temporal(_Ids):
@@ -134,13 +134,16 @@ class Temporal(_Ids):
     def task(self, s: CatalogSlice, owns=None) -> np.ndarray:
         return s.temporal_ids(self.query, owns)
 
-    def survives(self, stats: ShardStats) -> bool:
-        query, window = self.query, stats.time_ranges.get(self.query.field)
-        return (
-            window is not None
-            and (query.end is None or window[0] <= query.end)
-            and (query.start is None or query.start <= window[1])
-        )
+    def survivors(self, cut) -> int:
+        start, end, mask = self.query.start, self.query.end, 0
+        for shard, window in enumerate(cut.windows[self.query.field]):
+            if (
+                window is not None
+                and (end is None or window[0] <= end)
+                and (start is None or start <= window[1])
+            ):
+                mask |= 1 << shard
+        return mask
 
 
 class Categorical(Leaf):
@@ -167,9 +170,13 @@ class Categorical(Leaf):
         query = self.query
         return s.best_confidence(self.type_ids, query.min_confidence, query.source, owns)
 
-    def survives(self, stats: ShardStats) -> bool:
-        counts = stats.annotation_types
-        return self.type_ids is None or any(counts.get(t, 0) > 0 for t in self.type_ids)
+    def survivors(self, cut) -> int:
+        if self.type_ids is None:
+            return cut.nonempty  # the plan alone resolves no label
+        mask = 0
+        for type_id in self.type_ids:
+            mask |= cut.labels.get(type_id, 0)
+        return mask
 
     @staticmethod
     def answer(payload: tuple) -> Answer:
@@ -195,9 +202,11 @@ class Textual(Leaf):
     def task(self, s: CatalogSlice, owns=None) -> tuple[np.ndarray, np.ndarray]:
         return s.text_scores(self.terms, self.query.match, owns)
 
-    def survives(self, stats: ShardStats) -> bool:
-        every, dfs = all if self.query.match == "all" else any, stats.term_dfs
-        return bool(self.terms) and every(dfs.get(term, 0) > 0 for term in self.terms)
+    def survivors(self, cut) -> int:
+        if not self.terms:
+            return 0
+        every = and_ if self.query.match == "all" else or_
+        return reduce(every, map(cut.terms.get, self.terms, repeat(0)))
 
     @staticmethod
     def answer(payload: tuple) -> Answer:
@@ -240,8 +249,8 @@ class Visual(Leaf):
         query = self.query
         return s.visual_nearest(query.extractor_name, self.vector, query.k, self.rows, owns)
 
-    def survives(self, stats: ShardStats) -> bool:
-        return self.query.extractor_name in stats.extractors
+    def survivors(self, cut) -> int:
+        return cut.extractors.get(self.query.extractor_name, 0)
 
     def answer(self, payload: tuple) -> Answer:
         """The ranked payload, cut at the radius; a top-k says on the
@@ -278,8 +287,8 @@ class SpatialVisual(Leaf):
         name, k = self.visual.query.extractor_name, self.visual.query.k
         return s.spatial_visual_nearest(name, self.spatial.region, self.vector, k, owns)
 
-    def survives(self, stats: ShardStats) -> bool:
-        return self.spatial.survives(stats) and self.visual.survives(stats)
+    def survivors(self, cut) -> int:
+        return self.spatial.survivors(cut) & self.visual.survivors(cut)
 
     def answer(self, payload: tuple) -> Answer:
         return _nearest(payload, self.visual.query.max_distance)
@@ -300,8 +309,8 @@ class Conjunction(Leaf):
 
     children = staticmethod(lambda query: tuple(query.queries))
 
-    def survives(self, stats: ShardStats) -> bool:
-        return any(part.survives(stats) for part in self.parts)
+    def survivors(self, cut) -> int:
+        return reduce(or_, [part.survivors(cut) for part in self.parts])
 
     @staticmethod
     def answer(answers: list) -> Answer:

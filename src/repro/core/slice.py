@@ -51,7 +51,7 @@ from repro.db.database import Database
 from repro.errors import QueryError
 from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
-from repro.index.columns import Columns, PointColumns, owned_rows
+from repro.index.columns import Columns, ColumnView, PointColumns, owned_rows
 from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
@@ -235,30 +235,19 @@ class CatalogSlice:
         with self._lock:
             return len(self._cameras)
 
-    def fov_bounds(self, owns) -> BoundingBox | None:
-        """Union MBR of every indexed FOV ``owns`` keeps (``None``
-        without one) — the extent the shard planner prunes against, from
-        the MBR columns."""
+    def id_columns(self) -> tuple[ColumnView, dict, dict, dict]:
+        """What a partition reads, as of now: the camera columns (the
+        FOV MBRs among them), and the image ids of each term's
+        documents, of each label's annotations and of each extractor's
+        vectors, as ``{key: id column}``."""
+        terms = self.text.term_ids()
         with self._lock:
-            cameras = self._cameras.view()
-        mbrs = np.array(cameras.extra[1:])[:, owns(cameras.ids)]
-        if not mbrs.shape[1]:
-            return None
-        return BoundingBox(*mbrs[:2].min(axis=1).tolist(), *mbrs[2:].max(axis=1).tolist())
-
-    def owned_counts(self, owns) -> tuple[dict, dict]:
-        """``({type id: annotations}, {extractor: vectors})`` among the
-        rows ``owns`` keeps, for labels and extractors with any."""
-        with self._lock:
-            blocks = [
-                {key: columns.live()[0] for key, columns in registry.items()}
-                for registry in (self._labels, self._vector_points)
-            ]
-        labels, vectors = (
-            {key: n for key, ids in block.items() if (n := int(np.count_nonzero(owns(ids))))}
-            for block in blocks
-        )
-        return labels, vectors
+            return (
+                self._cameras.view(),
+                terms,
+                {type_id: columns.live()[0] for type_id, columns in self._labels.items()},
+                {name: columns.live()[0] for name, columns in self._vector_points.items()},
+            )
 
     # -- unscored scans -------------------------------------------------------
 

@@ -50,15 +50,3 @@ class GridIndex:
             if box.contains_point(point):
                 results.append(item)
         return results
-
-    def cell_items(self) -> dict[tuple[int, int], list[tuple[object, GeoPoint]]]:
-        """Bucket contents per non-empty cell — the geo-tile partitioner
-        assigns whole cells to shards."""
-        with self._lock:
-            return {key: list(bucket) for key, bucket in self._cells.items()}
-
-    def overflow_items(self) -> list[tuple[object, GeoPoint]]:
-        """Out-of-region items (the partitioner pins them to shard 0 so
-        no data silently drops out of the sharded catalog)."""
-        with self._lock:
-            return list(self._overflow)

@@ -231,14 +231,15 @@ class InvertedIndex:
         """Documents matching *every* query term (conjunctive), ranked."""
         return list(zip(*by_score(*self.scores(tokenize(query), "all"))))
 
-    def term_dfs(self, owns=None) -> dict[str, int]:
-        """Term -> document frequency for every indexed term — among the
-        documents ``owns`` (an id column to a mask) keeps, if given, and
-        then only the terms they hold: a shard's vocabulary, which the
-        planner prunes textual queries by."""
+    def term_dfs(self) -> dict[str, int]:
+        """Term -> document frequency, for every indexed term."""
         with self._lock:
-            counts = {
-                term: len(_owned(postings.live(), self._ids, owns)[0])
-                for term, postings in self._postings.items()
+            return {term: len(postings) for term, postings in self._postings.items()}
+
+    def term_ids(self) -> dict[str, np.ndarray]:
+        """Term -> the ids of the documents holding it, in position
+        order: the vocabulary a partition reads per shard."""
+        with self._lock:
+            return {
+                term: self._ids[postings.live()[0]] for term, postings in self._postings.items()
             }
-        return {term: count for term, count in counts.items() if count}

@@ -4,8 +4,8 @@ The paper pitches TVDP as a city-scale platform.  This package
 partitions the catalog by geo-tile into N shards, each one a row set
 over the platform's own :class:`~repro.core.slice.CatalogSlice` — a
 shard code per image, no copy of any table or index
-(:mod:`repro.shard.partition`) — prunes shards per query with the
-leaves' :class:`~repro.core.families.ShardStats` predicates, dispatches
+(:mod:`repro.shard.partition`) — prunes shards per query with one
+bitmask per leaf off the cut's per-shard tuples and masks, dispatches
 each survivor once with retries in the coordinator
 (:mod:`repro.shard.executor`), and answers each query part in one pass
 (:mod:`repro.shard.router`): the serial one, or over the shards that
@@ -16,14 +16,13 @@ why one pass equals the per-shard merge it replaced, and the argument.
 """
 
 from repro.shard.executor import GatherResult, ScatterGatherExecutor
-from repro.shard.partition import Partition, ShardHandle, partition_catalog
+from repro.shard.partition import Partition, partition_catalog
 from repro.shard.router import ShardRouter
 
 __all__ = [
     "GatherResult",
     "Partition",
     "ScatterGatherExecutor",
-    "ShardHandle",
     "ShardRouter",
     "partition_catalog",
 ]

@@ -1,14 +1,14 @@
 """Coordinator for sharded query execution.
 
 The router owns the partition — the current
-:class:`~repro.shard.partition.Partition`, whose shards' statistics
-prune and whose codes mask out a lost shard's rows — and the executor
-that dispatches to the shards.  A batch of queries is answered in three
-steps: each query's leaf is prepared on the whole catalog
+:class:`~repro.shard.partition.Partition`, whose per-shard tuples and
+masks prune and whose codes mask out a lost shard's rows — and the
+executor that dispatches to the shards.  A batch of queries is answered
+in three steps: each query's leaf is prepared on the whole catalog
 (:func:`repro.core.families.prepare`: a visual query's candidates and
-fallback decision are settled there) and pruned to the shards it
-survives on; one dispatch round, through a
-:class:`~repro.shard.executor.ScatterGatherExecutor`, sends every
+fallback decision are settled there) and each part pruned by one
+``survivors(cut)`` call, a bitmask of shards; one dispatch round,
+through a :class:`~repro.shard.executor.ScatterGatherExecutor`, sends every
 surviving shard of the batch one retried dispatch; then each query part
 runs its task once and its ``answer`` orders the payload.  Pruning is
 sound, so a part none of whose shards was lost runs the serial pass;
@@ -23,9 +23,11 @@ shard).
 from __future__ import annotations
 
 import threading
+from functools import lru_cache, reduce
+from operator import or_
 
 from repro import obs
-from repro.core.families import Leaf, prepare
+from repro.core.families import prepare
 from repro.core.platform import TVDP
 from repro.core.queries import Answer
 from repro.errors import TVDPError
@@ -70,7 +72,7 @@ class ShardRouter:
     def _ensure(self) -> Partition:
         """The current cut, repartitioning when the catalog's write
         version (``db.version``) is newer than the one it was cut at.  A
-        cut is one object — the shards' statistics and the codes a lost
+        cut is one object — what the leaves prune by and the codes a lost
         shard's mask is made from — replaced whole, so a query pairs one
         cut's codes with that cut's statistics.  The partition is built with
         the lock released; a racing rebuild is settled at install time —
@@ -90,7 +92,7 @@ class ShardRouter:
             self._partition = fresh
         _log.info(
             "partitioned %d images into %d shards",
-            sum(s.n_images for s in fresh.stats),
+            sum(fresh.counts),
             self.n_shards,
         )
         return fresh
@@ -98,7 +100,7 @@ class ShardRouter:
     def preview(self, query: object) -> dict:
         """Pruning annotation for EXPLAIN, without executing: the plan's
         leaf prunes without a resolved label or a query vector."""
-        considered = len(_survivors(prepare(query), self._ensure().stats))
+        considered = prepare(query).survivors(self._ensure()).bit_count()
         return {
             "shards": self.n_shards,
             "shards_considered": considered,
@@ -120,33 +122,46 @@ class ShardRouter:
         """``[(answer, info), ...]``: one dispatch round for the whole
         batch, then one pass per query part — the serial pass, unless
         one of its surviving shards was lost, when the pass covers the
-        rows of those that answered."""
+        rows of those that answered.  Shard sets are bitmasks (bit
+        ``s``: shard ``s``), each part's taken once off the cut."""
         cut = self._ensure()
         leaves = [prepare(query, self._platform) for query in queries]
-        considered = [_survivors(leaf, cut.stats) for leaf in leaves]
-        wanted = considered[0] if len(leaves) == 1 else sorted(set().union(*considered))
+        masks, considered, union = [], [], 0
+        for leaf in leaves:
+            if leaf.parts:
+                parts = [part.survivors(cut) for part in leaf.parts]
+                mask = reduce(or_, parts)
+            else:
+                mask = leaf.survivors(cut)
+                parts = [mask]
+            masks.append(parts)
+            considered.append(mask)
+            union |= mask
+        wanted = _shard_ids(union)
         gathered = self._executor.dispatch(wanted)
         _FANOUTS.inc(len(wanted))
-        lost = gathered.failed
+        lost = 0
+        for shard in gathered.failed:
+            lost |= 1 << shard
         catalog = self._platform.slice
         out, passes, pruned = [], 0, 0
-        for leaf, survivors in zip(leaves, considered):
+        for leaf, parts, survivors in zip(leaves, masks, considered):
             answers = []
-            for part in leaf.parts or (leaf,):
-                mine = _survivors(part, cut.stats) if leaf.parts else survivors
-                answered = [s for s in mine if s not in lost] if lost else mine
+            for part, mine in zip(leaf.parts or (leaf,), parts):
+                answered = mine & ~lost
                 payload = part.empty
                 if answered:
                     # Pruning is sound: only a lost shard's rows need masking out.
-                    owns = cut.owns(answered) if len(answered) < len(mine) else None
+                    owns = cut.owns(list(_shard_ids(answered))) if answered != mine else None
                     payload = part.task(catalog, owns)
                     passes += 1
                 answers.append(part.answer(payload))
             answer = leaf.answer(answers) if leaf.parts else answers[0]
-            failed = [s for s in survivors if s in lost] if lost else []
+            count = survivors.bit_count()
+            failed = list(_shard_ids(survivors & lost)) if lost else []
             info = {
-                "shards_considered": len(survivors),
-                "shards_pruned": self.n_shards - len(survivors),
+                "shards_considered": count,
+                "shards_pruned": self.n_shards - count,
                 "partial": bool(failed),
                 "failed_shards": failed,
             }
@@ -161,11 +176,10 @@ class ShardRouter:
         return out
 
 
-def _survivors(leaf: Leaf, stats: list) -> list:
-    """Ids of the non-empty shards ``leaf`` survives on, ascending (one
-    pass over ``stats``, which are in shard order); a general hybrid
-    survives where any of its parts does."""
-    return [s.shard_id for s in stats if s.n_images and leaf.survives(s)]
+@lru_cache(maxsize=1024)
+def _shard_ids(mask: int) -> tuple:
+    """The shard ids of a bitmask, ascending."""
+    return tuple(shard for shard in range(mask.bit_length()) if mask >> shard & 1)
 
 
 def _describe_dispatch(gathered: GatherResult, passes: int) -> None:

@@ -241,5 +241,5 @@ class TestSnapshotPairing:
         ((second, info),) = late
         assert first.ids == second.ids == [new_id] and info["shards_considered"] == 1
         ids = np.array(platform.image_ids(), dtype=np.int64)
-        for shard, stats in zip(cut.shards, cut.stats):
-            assert stats.n_images == np.count_nonzero(shard.owns(ids))
+        for shard, n in enumerate(cut.counts):
+            assert n == np.count_nonzero(cut.owns([shard])(ids))

@@ -102,16 +102,12 @@ def test_a_partial_answer_is_the_serial_answer_without_the_lost_shards(specs, pa
     platform = build_platform(specs)
     queries = make_queries(params)
     router = ShardRouter(platform, n_shards, grid=GRID, clock=ManualClock())
-    shards = partition_catalog(platform, n_shards, grid=GRID).shards
-    order = [shard.shard_id for shard in shards if shard.stats.n_images]
+    cut = partition_catalog(platform, n_shards, grid=GRID)
+    order = [shard for shard, n in enumerate(cut.counts) if n]
     image_ids = np.array(platform.image_ids(), dtype=np.int64)
     for size in range(1, len(order) + 1):
         for lost_shards in map(set, combinations(order, size)):
-            lost = {
-                image_id
-                for shard in shards if shard.shard_id in lost_shards
-                for image_id in image_ids[shard.owns(image_ids)].tolist()
-            }
+            lost = set(image_ids[cut.owns(list(lost_shards))(image_ids)].tolist())
             with losing(order, lost_shards, router.max_attempts).activate():
                 (probe, _), *answered = router.answer_many([EVERYTHING, *queries])
             assert probe.failed_shards == tuple(sorted(lost_shards))

@@ -60,17 +60,17 @@ def test_pruning_is_sound_and_the_preview_prunes_as_the_router_does(specs, param
     platform = build_platform(specs)
     platform.set_shards(n_shards)
     queries = make_queries(params)
-    shards = partition_catalog(platform, n_shards, grid=GRID).shards
+    cut = partition_catalog(platform, n_shards, grid=GRID)
     router = ShardRouter(platform, n_shards, grid=GRID, clock=ManualClock())
     try:
         for query, (_, info) in zip(queries, router.answer_many(queries)):
             leaf = prepare(query, platform)
             for part in leaf.parts or (leaf,):
                 ids = payload_ids(part.task(platform.slice))
-                for shard in shards:
-                    if not part.survives(shard.stats):
-                        owned = ids[shard.owns(ids)].tolist()
-                        assert owned == [], f"shard {shard.shard_id} pruned {query!r}"
+                for shard in range(n_shards):
+                    if not part.survivors(cut) >> shard & 1:
+                        owned = ids[cut.owns([shard])(ids)].tolist()
+                        assert owned == [], f"shard {shard} pruned {query!r}"
             preview = platform.shard_plan_preview(query)["shards_considered"]
             if isinstance(query, CategoricalQuery):
                 assert preview >= info["shards_considered"], query
@@ -142,7 +142,7 @@ def test_a_batch_that_loses_nothing_builds_no_mask(platform, masks):
 def test_a_lost_shard_builds_the_mask_and_bills_the_answering_rows(platform, masks):
     everything = SpatialQuery(region=REGION, mode="camera")
     cut = platform._shard_router()._ensure()
-    order = [stats.shard_id for stats in cut.stats if stats.n_images]
+    order = [shard for shard, n in enumerate(cut.counts) if n]
     assert len(order) > 1
     lost = order[0]
     with losing(order, {lost}, platform._shard_router().max_attempts).activate():
@@ -151,7 +151,7 @@ def test_a_lost_shard_builds_the_mask_and_bills_the_answering_rows(platform, mas
     answered = [s for s in order if s != lost]
     assert answer.failed_shards == (lost,) and masks == [answered]
     ids = np.array(platform.image_ids(), dtype=np.int64)
-    kept = ~cut.shards[lost].owns(ids)
+    kept = ~cut.owns([lost])(ids)
     assert answer.ids == ids[kept].tolist()
     # The camera column has a row per image: the scan counts those kept.
     assert scope.charges["probes.columns"] == np.count_nonzero(kept) < len(ids)
@@ -162,7 +162,7 @@ def test_a_part_that_lost_none_of_its_shards_runs_unmasked(platform, masks):
     # A window on the first shard alone, beside one over every shard:
     # losing the last shard masks only the second.
     cut = platform._shard_router()._ensure()
-    order = [stats.shard_id for stats in cut.stats if stats.n_images]
+    order = [shard for shard, n in enumerate(cut.counts) if n]
     first = TemporalQuery(start=0.0, end=0.0)
     assert platform.shard_plan_preview(first)["shards_considered"] == 1
     router = platform._shard_router()

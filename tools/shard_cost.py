@@ -4,7 +4,8 @@ Builds ``sharded_select``'s platform (the benchmark corpus on four
 shards, ingested through the API), then, per query family, walks blocks
 of ``serial_select``'s queries through the shard router's steps: (1)
 prepare — each query's leaf, on the whole catalog; (2) prune — each
-part's surviving shards and their union; (3) dispatch — one retried
+part's surviving shards (one ``survivors(cut)`` call per part, a
+bitmask, where the cut is one table) and their union; (3) dispatch — one retried
 dispatch per surviving shard; (4) pass — each part's task, over every
 row (or, in a checkout that masks every pass, over the rows of its
 surviving shards); (5) answer — each part's answer, and a general
@@ -35,7 +36,9 @@ the saving split into mask (``pass``), prune, dispatch and bookkeeping
 (``book``).  A checkout from before the one-pass router — a scatter of
 per-shard tasks, then a merge of their payloads — is walked with its
 scatter as the dispatch step (the shards' scans included), no pass
-step, and its merge as the answer step.
+step, and its merge as the answer step; one whose cut holds a
+``ShardStats`` per shard is pruned by its router's ``_survivors``, a
+shard list per part.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ import random
 import statistics
 import sys
 import time
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -81,7 +86,9 @@ def load(checkout: Path, seed: int) -> SimpleNamespace:
             platform=platform, router=router, cut=cut, prepare=prepare, one_pass=one_pass,
             # A router whose cut caches owner masks masks every pass.
             masks=not one_pass or hasattr(cut, "_owners"),
-            survivors=router_module._survivors, build_query=build_query,
+            # None: the cut is one table, and a part prunes to a bitmask.
+            survivors=getattr(router_module, "_survivors", None),
+            shard_ids=getattr(router_module, "_shard_ids", None), build_query=build_query,
             select_spec=schedule.select_spec, families=schedule.FAMILIES,
             vectors=schedule.example_vectors(seed, schedule.FULL.corpus),
         )
@@ -97,21 +104,31 @@ def walk(side: SimpleNamespace, queries: list) -> dict[str, float]:
     platform, clock = side.platform, time.perf_counter
     catalog = platform.slice
     if side.one_pass:
-        stats, executor = side.cut.stats, side.router._executor
+        stats, executor = getattr(side.cut, "stats", None), side.router._executor
     else:
         stats, executor = side.cut
     t0 = clock()
     leaves = [side.prepare(query, platform) for query in queries]
     t1 = clock()
-    groups = [
-        [(part, side.survivors(part, stats)) for part in leaf.parts or (leaf,)]
-        for leaf in leaves
-    ]
-    wanted = [
-        group[0][1] if len(group) == 1 and not side.masks
-        else sorted({s for _, survivors in group for s in survivors})
-        for group in groups
-    ]
+    if side.survivors is None:
+        groups = [
+            [(part, part.survivors(side.cut)) for part in leaf.parts or (leaf,)]
+            for leaf in leaves
+        ]
+        wanted = [
+            side.shard_ids(group[0][1] if len(group) == 1 else reduce(or_, [m for _, m in group]))
+            for group in groups
+        ]
+    else:
+        groups = [
+            [(part, side.survivors(part, stats)) for part in leaf.parts or (leaf,)]
+            for leaf in leaves
+        ]
+        wanted = [
+            group[0][1] if len(group) == 1 and not side.masks
+            else sorted({s for _, survivors in group for s in survivors})
+            for group in groups
+        ]
     t2 = clock()
     if side.one_pass:
         for shard_ids in wanted:
