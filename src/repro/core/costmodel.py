@@ -189,7 +189,7 @@ COST_MODEL: dict = {
     },
     "shard_scatter_gather": {
         "cost": (
-            "O(s) retried dispatches per batch + one pass per query part over "
+            "O(s) retried dispatches per query + one pass per query part over "
             "the rows of its surviving shards that answered"
         ),
         "dominant_counters": [
@@ -197,11 +197,11 @@ COST_MODEL: dict = {
             "shard.shards_pruned",
         ],
         "hot_sites": [
-            "repro.shard.router.ShardRouter.answer_many",
+            "repro.shard.router.ShardRouter.answer",
             "repro.shard.executor.ScatterGatherExecutor.dispatch",
         ],
         "note": (
-            "s = surviving shards after pruning, dispatched once per batch "
+            "s = surviving shards after pruning, dispatched once per query "
             "(shard.fanouts vs shard.shards_pruned); a dispatch runs no scan. "
             "Each part's one pass is its family's serial scan — under the "
             "owner mask of its answering shards only when one was lost — so "

@@ -14,13 +14,13 @@ bitmask (bit ``s``: shard ``s``) of the non-empty shards of a
 the cut's per-shard tuples and per-key masks.  Everything a query
 needs from the whole catalog — a visual query's hash candidates and its
 exhaustive-fallback decision included — is worked out when the leaf is
-prepared, once, so serial execution runs the task on the whole slice
-and the shard router runs it once: on the whole slice too when no shard
-the leaf survives on was lost (sound pruning leaves nothing of a pruned
-shard to find), else over the rows of the survivors that answered
-(shards are disjoint row sets of the one catalog, so that one pass is
-what merging a pass per shard would give).  A
-general hybrid is its parts' leaves and
+prepared, once.  :func:`run_leaf` is the one runner: each part once,
+over the rows its owner mask keeps.  Serial execution gives no masks —
+the whole slice; the shard router gives a part one only when a shard it
+survives on was lost (sound pruning leaves nothing of a pruned shard to
+find): the rows of its survivors that answered (shards are disjoint row
+sets of the one catalog, so that one pass is what merging a pass per
+shard would give).  A general hybrid is its parts' leaves and
 :func:`~repro.core.queries.combine_hybrid`; the fused spatial-visual
 pair is one leaf.
 """
@@ -45,6 +45,7 @@ from repro.core.queries import (
     TextualQuery,
     VisualQuery,
     combine_hybrid,
+    query_family,
 )
 from repro.core.slice import CatalogSlice
 from repro.errors import MalformedQueryError, QueryError
@@ -344,6 +345,29 @@ def prepare(query: object, platform: TVDP | None = None) -> Leaf:
     """``query``'s leaf, prepared on ``platform`` to run on its slice or
     on any of its shards; given no platform, the plan alone."""
     return leaf_class(query)(query, platform)
+
+
+#: The owner mask of no row: a part given it runs no pass, and its
+#: payload is its leaf's ``empty``.
+NO_ROWS = False
+
+
+def run_leaf(leaf: Leaf, s: CatalogSlice, owners: list | None = None) -> Answer:
+    """``leaf``'s answer on ``s``: each part — a general hybrid's, else
+    the leaf itself — runs its task once over the rows its owner mask in
+    ``owners`` keeps (``None``, and no ``owners`` at all: every row;
+    :data:`NO_ROWS`: none) and orders its payload; a general hybrid's
+    parts each in an uncounted ``query.<family>`` child span."""
+    if not leaf.parts:
+        owns = owners[0] if owners else None
+        return leaf.answer(leaf.empty if owns is NO_ROWS else leaf.task(s, owns))
+    answers = []
+    for part, owns in zip(leaf.parts, owners or repeat(None)):
+        with obs.span(f"query.{query_family(part.query)}") as sp:
+            sp.set("path", part.path(part.query))
+            answers.append(part.answer(part.empty if owns is NO_ROWS else part.task(s, owns)))
+            sp.set("results", len(answers[-1]))
+    return leaf.answer(answers)
 
 
 def prepare_visual(query: VisualQuery, platform: TVDP) -> np.ndarray:

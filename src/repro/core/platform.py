@@ -41,7 +41,7 @@ from repro.index.hybrid import VisualRTree
 from repro.index.lsh import LSHIndex
 from repro.core.annotations import AnnotationService
 from repro.core.answercache import AnswerCache
-from repro.core.families import leaf_class, prepare
+from repro.core.families import leaf_class, prepare, run_leaf
 from repro.core.catalog import ClassificationCatalog
 from repro.core.slice import CatalogSlice
 from repro.core.queries import Answer, QueryResult, query_family, query_shape
@@ -456,33 +456,10 @@ class TVDP:
         the oracle the equivalence harness holds sharded answers to."""
         return self._answer(query, None, self._run).results()
 
-    def execute_many(self, queries: list[object]) -> list[list[QueryResult]]:
-        """Execute a batch of queries: a sharded platform visits each
-        shard once for the whole batch; a serial one just loops."""
-        if self.shards > 1 and queries:
-            router = self._shard_router()
-            with ledger_scope(
-                obs.usage(), principal=LOCAL_PRINCIPAL, operation="execute.batch"
-            ):
-                with obs.span("query.batch", queries=len(queries)) as sp:
-                    routed = router.answer_many(list(queries))
-                # The batch runs as one scatter round, so a query has no
-                # wall time (or bill) of its own: each is booked an
-                # equal share.
-                share_ms = sp.duration_ms / len(queries)
-                for query in queries:
-                    obs.note_query(query_shape(query), query_family(query), share_ms)
-            return [answer.results() for answer, _ in routed]
-        return [self.execute(query) for query in queries]
-
     def _run_sharded(self, query: object) -> Answer:
-        # Beside what the router put on the query's span: the pruning.
-        ((answer, info),) = self._shard_router().answer_many([query])
-        span = obs.current_span()
-        if span is not None:
-            span.set("shards_considered", info["shards_considered"])
-            span.set("shards_pruned", info["shards_pruned"])
-        return answer
+        """``query`` through the shard router, which writes what it
+        pruned and dispatched on the query's span."""
+        return self._shard_router().answer(query)[0]
 
     def _shard_router(self) -> "ShardRouter":
         with self._lock:
@@ -558,16 +535,7 @@ class TVDP:
     def _run(self, query: object) -> Answer:
         """``query`` on the whole catalog; a general hybrid's parts each in
         an uncounted ``query.<family>`` child span, as one query."""
-        leaf = prepare(query, self)
-        if not leaf.parts:
-            return leaf.answer(leaf.task(self.slice))
-        answers = []
-        for part in leaf.parts:
-            with obs.span(f"query.{query_family(part.query)}") as sp:
-                sp.set("path", part.path(part.query))
-                answers.append(part.answer(part.task(self.slice)))
-                sp.set("results", len(answers[-1]))
-        return leaf.answer(answers)
+        return run_leaf(prepare(query, self), self.slice)
 
     # -- stats ---------------------------------------------------------------------
 

@@ -955,8 +955,8 @@ def _callable_arg_target(
     locals_map: dict[str, str] | None,
 ) -> str | None:
     """A function/method qualname an *argument expression* references
-    without calling — ``self._execute(query, self._run_sharded)`` passes
-    the bound method ``_run_sharded`` to be invoked by the callee (and
+    without calling — ``self._answer(query, None, self._run)`` passes
+    the bound method ``_run`` to be invoked by the callee (and
     ``functools.partial(fn, ...)`` binds ``fn`` to be called later), so
     the address-taken reference belongs in the graph as a may-call edge."""
     if isinstance(arg, ast.Attribute):

@@ -46,13 +46,15 @@ RULE = "hot-path"
 #: Qualname patterns whose reachable closure is "the data plane".
 #: A query runs through its family's leaf, picked from a table and
 #: called through the ``run`` a caller hands ``TVDP._answer`` — indirect
-#: calls the callgraph cannot follow — so the serial and sharded runners
-#: and every function of the family module are roots in their own right.
+#: calls the callgraph cannot follow — so the serial and sharded runners,
+#: the shard router's entry and every function of the family module are
+#: roots in their own right.
 DEFAULT_DATA_PLANE_ROOTS: tuple[str, ...] = (
     "*.core.platform.TVDP.execute",
     "*.core.platform.TVDP._run",
     "*.core.platform.TVDP._run_sharded",
     "*.core.families.*",
+    "*.shard.router.ShardRouter.answer",
 )
 
 #: Where the cost model literal lives in a scanned tree.

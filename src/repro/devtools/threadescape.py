@@ -60,12 +60,10 @@ DEFAULT_CONCURRENT_ROOTS: tuple[str, ...] = (
     "*.api.http.Router.dispatch",
     "*.api.service.TVDPService.handle",
     "*.core.platform.TVDP.execute",
-    "*.core.platform.TVDP.execute_many",
     "*.core.platform.TVDP._run",
     "*.core.platform.TVDP._run_sharded",
     "*.core.families.*",
-    "*.shard.router.ShardRouter.execute",
-    "*.shard.router.ShardRouter.execute_many",
+    "*.shard.router.ShardRouter.answer",
     "*.edge.dispatch.dispatch_model",
     "*.edge.dispatch.dispatch_fleet",
     "*.edge.dispatch.dispatch_fleet_resilient",

@@ -231,11 +231,6 @@ class InvertedIndex:
         """Documents matching *every* query term (conjunctive), ranked."""
         return list(zip(*by_score(*self.scores(tokenize(query), "all"))))
 
-    def term_dfs(self) -> dict[str, int]:
-        """Term -> document frequency, for every indexed term."""
-        with self._lock:
-            return {term: len(postings) for term, postings in self._postings.items()}
-
     def term_ids(self) -> dict[str, np.ndarray]:
         """Term -> the ids of the documents holding it, in position
         order: the vocabulary a partition reads per shard."""

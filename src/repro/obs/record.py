@@ -272,8 +272,9 @@ class Rollup:
         share: float = 1.0, record: RequestRecord | None = None,
     ) -> _Row:
         """Count one unit of ``ms`` and its bill under ``key``; returns
-        its row.  ``share`` scales ``charges`` (a batch bills each query
-        its share); ``record``'s trace is the exemplar of a costliest."""
+        its row.  ``share`` scales ``charges`` (a unit of several queries
+        bills each its share); ``record``'s trace is the exemplar of a
+        costliest."""
         row = self.rows.get(key) or self._new_row(key)
         row.count += 1
         row.total_ms += ms
@@ -587,7 +588,7 @@ class RecordStore:
                 if len(worst) < keep or ms > worst[keep - 1][0]:
                     by_span.keep_worst(row, (ms, seq, span, record))
             self._waiting += len(spans)
-            # One query carries the whole bill; a batch splits it evenly.
+            # One query carries the whole bill; several split it evenly.
             share = 1.0 / max(len(record.queries), 1)
             for shape, family, ms in record.queries:
                 row = by["shape"].add(shape, ms, cost * share, charges, share, record)

@@ -7,9 +7,10 @@ shard code per image, no copy of any table or index
 (:mod:`repro.shard.partition`) — prunes shards per query with one
 bitmask per leaf off the cut's per-shard tuples and masks, dispatches
 each survivor once with retries in the coordinator
-(:mod:`repro.shard.executor`), and answers each query part in one pass
-(:mod:`repro.shard.router`): the serial one, or over the shards that
-answered if one was lost — with answers **exactly equal** to serial
+(:mod:`repro.shard.executor`), and answers each query with the serial
+runner (:mod:`repro.shard.router`), one pass per query part: the serial
+one, or over the shards that answered if one was lost — with answers
+**exactly equal** to serial
 execution, an invariant the property harness in ``tests/shard`` proves
 per query family.  See ``docs/sharding.md`` for the partitioning scheme,
 why one pass equals the per-shard merge it replaced, and the argument.

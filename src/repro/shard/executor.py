@@ -2,7 +2,7 @@
 
 Sharding here is a *pruning* structure: the router cuts fan-out with
 the planner statistics, and :class:`ScatterGatherExecutor` dispatches
-each surviving shard once per batch, in ascending shard order.  A
+each surviving shard once per query, in ascending shard order.  A
 dispatch is retried (``repro.resilience.Retry`` at site
 ``shard.dispatch``) and passes the ``shard.worker`` fault site; a shard
 that fails every attempt is reported in :attr:`GatherResult.failed` so
@@ -33,7 +33,7 @@ DISPATCH_RETRYABLE: tuple[type[BaseException], ...] = DEFAULT_TRANSIENT + (Shard
 
 
 class GatherResult(NamedTuple):
-    """Outcome of one dispatch round: what each shard that answered took
+    """Outcome of one dispatch: what each shard that answered took
     on the executor's clock (ms, retries and backoff included), and the
     shards that failed every attempt."""
 

@@ -3,21 +3,21 @@
 The router owns the partition — the current
 :class:`~repro.shard.partition.Partition`, whose per-shard tuples and
 masks prune and whose codes mask out a lost shard's rows — and the
-executor that dispatches to the shards.  A batch of queries is answered
-in three steps: each query's leaf is prepared on the whole catalog
-(:func:`repro.core.families.prepare`: a visual query's candidates and
-fallback decision are settled there) and each part pruned by one
-``survivors(cut)`` call, a bitmask of shards; one dispatch round,
-through a :class:`~repro.shard.executor.ScatterGatherExecutor`, sends every
-surviving shard of the batch one retried dispatch; then each query part
-runs its task once and its ``answer`` orders the payload.  Pruning is
-sound, so a part none of whose shards was lost runs the serial pass;
-one that lost a shard runs it over the rows of its surviving shards
-that answered (shards are disjoint row sets of the one catalog).  A
-shard that fails every retry degrades the answer to ``partial=True``
-instead of raising — on the answer, in the info dict, and on the query
-span beside what the dispatch did (there is no span per dispatch or per
-shard).
+executor that dispatches to the shards.  :meth:`ShardRouter.answer`
+answers one query in three steps: its leaf is prepared on the whole
+catalog (:func:`repro.core.families.prepare`: a visual query's
+candidates and fallback decision are settled there) and each part pruned
+by one ``survivors(cut)`` call, a bitmask of shards; one dispatch,
+through a :class:`~repro.shard.executor.ScatterGatherExecutor`, sends
+every surviving shard one retried dispatch; then
+:func:`~repro.core.families.run_leaf` — the serial runner — runs each
+part once, given its owner mask.  Pruning is sound, so a part none of
+whose shards was lost gets none and runs the serial pass; one that lost
+a shard runs over the rows of its surviving shards that answered
+(shards are disjoint row sets of the one catalog).  A shard that fails
+every retry degrades the answer to ``partial=True`` instead of raising —
+on the answer, in the info dict, and on the query span beside what the
+dispatch did (there is no span per dispatch or per shard).
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from repro import obs
-from repro.core.families import prepare
+from repro.core.families import NO_ROWS, prepare, run_leaf
 from repro.core.platform import TVDP
 from repro.core.queries import Answer
 from repro.errors import TVDPError
 from repro.resilience.clock import Clock
-from repro.shard.executor import GatherResult, ScatterGatherExecutor
+from repro.shard.executor import ScatterGatherExecutor
 from repro.shard.partition import Partition, partition_catalog
 
 _log = obs.get_logger("shard.router")
@@ -109,71 +109,45 @@ class ShardRouter:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, query: object):
-        """One query; returns ``(results, info)``."""
-        return self.execute_many([query])[0]
-
-    def execute_many(self, queries: list):
-        """:meth:`answer_many` with each answer as its
-        ``list[QueryResult]``: ``[(results, info), ...]``."""
-        return [(answer.results(), info) for answer, info in self.answer_many(queries)]
-
-    def answer_many(self, queries: list) -> list[tuple[Answer, dict]]:
-        """``[(answer, info), ...]``: one dispatch round for the whole
-        batch, then one pass per query part — the serial pass, unless
+    def answer(self, query: object) -> tuple[Answer, dict]:
+        """``(answer, info)``: one dispatch of the shards ``query``
+        survives on, then each part's one pass — the serial pass, unless
         one of its surviving shards was lost, when the pass covers the
-        rows of those that answered.  Shard sets are bitmasks (bit
-        ``s``: shard ``s``), each part's taken once off the cut."""
+        rows of those that answered (none: no pass).  Shard sets are
+        bitmasks (bit ``s``: shard ``s``), each part's taken once off
+        the cut; what was pruned and dispatched is written on the
+        query's span."""
         cut = self._ensure()
-        leaves = [prepare(query, self._platform) for query in queries]
-        masks, considered, union = [], [], 0
-        for leaf in leaves:
-            if leaf.parts:
-                parts = [part.survivors(cut) for part in leaf.parts]
-                mask = reduce(or_, parts)
-            else:
-                mask = leaf.survivors(cut)
-                parts = [mask]
-            masks.append(parts)
-            considered.append(mask)
-            union |= mask
-        wanted = _shard_ids(union)
+        leaf = prepare(query, self._platform)
+        survivors = [part.survivors(cut) for part in leaf.parts or (leaf,)]
+        wanted = _shard_ids(reduce(or_, survivors))
         gathered = self._executor.dispatch(wanted)
+        failed = list(gathered.failed)  # ascending, as dispatched
+        lost = reduce(or_, [1 << shard for shard in failed], 0)
+        owners = [_owner(cut, mine, mine & ~lost) for mine in survivors]
+        answer = run_leaf(leaf, self._platform.slice, owners)
+        info = {
+            "shards_considered": len(wanted),
+            "shards_pruned": self.n_shards - len(wanted),
+            "partial": bool(failed),
+            "failed_shards": failed,
+        }
         _FANOUTS.inc(len(wanted))
-        lost = 0
-        for shard in gathered.failed:
-            lost |= 1 << shard
-        catalog = self._platform.slice
-        out, passes, pruned = [], 0, 0
-        for leaf, parts, survivors in zip(leaves, masks, considered):
-            answers = []
-            for part, mine in zip(leaf.parts or (leaf,), parts):
-                answered = mine & ~lost
-                payload = part.empty
-                if answered:
-                    # Pruning is sound: only a lost shard's rows need masking out.
-                    owns = cut.owns(list(_shard_ids(answered))) if answered != mine else None
-                    payload = part.task(catalog, owns)
-                    passes += 1
-                answers.append(part.answer(payload))
-            answer = leaf.answer(answers) if leaf.parts else answers[0]
-            count = survivors.bit_count()
-            failed = list(_shard_ids(survivors & lost)) if lost else []
-            info = {
-                "shards_considered": count,
-                "shards_pruned": self.n_shards - count,
-                "partial": bool(failed),
-                "failed_shards": failed,
-            }
-            pruned += info["shards_pruned"]
-            if failed:
-                answer.failed_shards = tuple(failed)
-                _PARTIAL.inc()
-                _log.warning("query degraded to partial results; lost shards %s", failed)
-            out.append((answer, info))
-        _PRUNED.inc(pruned)
-        _describe_dispatch(gathered, passes)
-        return out
+        _PRUNED.inc(info["shards_pruned"])
+        if failed:
+            answer.failed_shards = tuple(failed)
+            _PARTIAL.inc()
+            _log.warning("query degraded to partial results; lost shards %s", failed)
+        # Beside what Retry.call and the fault plan put on the query's
+        # span (``retries``, ``fault``): every shard fact, here.
+        span = obs.current_span()
+        if span is not None:
+            for key, value in info.items():
+                span.set(key, value)
+            span.set("shards_dispatched", len(wanted))
+            span.set("shard_tasks", sum(owns is not NO_ROWS for owns in owners))
+            span.set("shard_wall_ms", gathered.wall_ms)
+        return answer, info
 
 
 @lru_cache(maxsize=1024)
@@ -182,16 +156,12 @@ def _shard_ids(mask: int) -> tuple:
     return tuple(shard for shard in range(mask.bit_length()) if mask >> shard & 1)
 
 
-def _describe_dispatch(gathered: GatherResult, passes: int) -> None:
-    """What one request's dispatch round and passes did, on the
-    request's own span (``query.<family>`` / ``query.batch``) — where
-    ``Retry.call`` and the fault plan have already put ``retries`` and
-    ``fault``."""
-    span = obs.current_span()
-    if span is None:
-        return
-    span.set("shards_dispatched", len(gathered.wall_ms) + len(gathered.failed))
-    span.set("shard_tasks", passes)
-    span.set("shard_wall_ms", gathered.wall_ms)
-    span.set("partial", bool(gathered.failed))
-    span.set("failed_shards", sorted(gathered.failed))
+def _owner(cut: Partition, mine: int, answered: int):
+    """A part's owner mask, given the shards it survives on and those of
+    them that answered: no row when none did (a part pruned everywhere
+    included), else every row (``None``) when none was lost — pruning is
+    sound, so only a lost shard's rows need masking out — else the rows
+    of those that answered."""
+    if not answered:
+        return NO_ROWS
+    return None if answered == mine else cut.owns(list(_shard_ids(answered)))

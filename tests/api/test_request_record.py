@@ -139,7 +139,7 @@ class TestWindowNeedsItsBudget:
         assert alone.body["budget"]["window_s"] == 60.0
 
 
-class TestABatchReadsTheSameSerialAndSharded:
+class TestQueriesReadTheSameSerialAndSharded:
     QUERIES = [
         TemporalQuery(start=0.0),
         TextualQuery(text="street"),
@@ -151,13 +151,14 @@ class TestABatchReadsTheSameSerialAndSharded:
         h = route_table.harness(shards=shards)
         h.service.platform.execute(self.QUERIES[0])  # builds the partition, if any
         obs.reset()
-        h.service.platform.execute_many(list(self.QUERIES))
+        for query in self.QUERIES:
+            h.service.platform.execute(query)
         store = obs.records()
         hot = {row["shape"]: row["count"] for row in store.top(64)}
         by_shape = {row["key"]: row for row in store.report(top=None)["by_shape"]}
         return hot, by_shape, store.report(top=None)
 
-    def test_same_shape_keys_and_counts_in_both_views(self):
+    def test_same_shape_keys_counts_and_bills_in_both_views(self):
         serial_hot, serial_by_shape, _ = self._views(1)
         sharded_hot, sharded_by_shape, report = self._views(4)
         assert serial_hot == sharded_hot == {
@@ -167,14 +168,17 @@ class TestABatchReadsTheSameSerialAndSharded:
         }
         for by_shape, hot in ((serial_by_shape, serial_hot), (sharded_by_shape, sharded_hot)):
             assert {key: row["count"] for key, row in by_shape.items()} == hot
-        # The batch is one unit of work with one bill: each shape is
-        # billed its queries' equal share, and the shares add up to it.
-        [batch] = report["by_operation"]
-        assert batch["key"] == "execute.batch" and batch["count"] == 1
+        # Each query is a unit of work with its own bill: a shape is
+        # billed what its queries cost, the serial pass's bill.
+        for key, row in sharded_by_shape.items():
+            assert row["cost"] == pytest.approx(serial_by_shape[key]["cost"]) and row["cost"] > 0
+        operations = {row["key"]: row for row in report["by_operation"]}
+        assert {key: row["count"] for key, row in operations.items()} == {
+            "execute.temporal": 2, "execute.textual": 1, "execute.spatial": 1,
+        }
         assert sum(row["cost"] for row in sharded_by_shape.values()) == pytest.approx(
-            batch["cost"], abs=1e-5
+            sum(row["cost"] for row in operations.values()), abs=1e-5
         )
-        assert batch["cost"] > 0.0
 
 
 class TestRacedRequestsLoseNoCountInAnyView:

@@ -321,3 +321,20 @@ class TestInferenceBlindSpots:
         )
         assert table.attr_elem_types["pkg.m.Platform"]["_lsh"] == "pkg.m.LSH"
         assert "pkg.m.LSH.query" in graph.callees("pkg.m.Platform.run")
+
+
+def test_every_root_pattern_names_a_function_of_the_tree():
+    # expand_roots drops a pattern that matches nothing without a word:
+    # a renamed entry point would leave its closure quietly unchecked.
+    from pathlib import Path
+
+    from repro.devtools.callgraph import expand_roots
+    from repro.devtools.findings import collect_modules
+    from repro.devtools.hotpath import DEFAULT_DATA_PLANE_ROOTS
+    from repro.devtools.threadescape import DEFAULT_CONCURRENT_ROOTS
+
+    repo = Path(__file__).resolve().parents[2]
+    src_root = repo / "src" / "repro"
+    table = build_symbol_table(collect_modules(src_root, repo_root=repo), src_root)
+    for pattern in (*DEFAULT_DATA_PLANE_ROOTS, *DEFAULT_CONCURRENT_ROOTS):
+        assert expand_roots(table, [pattern]), f"root {pattern!r} names nothing"

@@ -10,8 +10,8 @@
 * The visual top-k's exhaustive fallback is one rule: it is counted
   once and charged the same on one shard and on four.
 * EXPLAIN ANALYZE reports what the request's spans recorded: the
-  access path of the query and of a serial hybrid's parts, and whether
-  a visual top-k fell back.
+  access path of the query and of a general hybrid's parts, serial and
+  sharded, and whether a visual top-k fell back.
 """
 
 from __future__ import annotations
@@ -144,21 +144,20 @@ def test_explain_analyze_reports_what_the_spans_recorded(specs, params, k):
                 (plan,) = plan.children
             own, parts = spans[-1], [s for s in spans[:-1] if s.name.startswith("query.")]
             assert own.name == f"query.{plan.query_type}"
-            # The query's own span, and a serial general hybrid's one
-            # child span per part, against the nodes EXPLAIN gives them.
+            # The query's own span, and a general hybrid's one child span
+            # per part at any shard count, against the nodes EXPLAIN gives them.
             general = isinstance(query, HybridQuery) and query.fused_pair() is None
-            assert bool(parts) == (general and shards == 1)
+            assert bool(parts) == general
             pairs = [(own, plan)] + (list(zip(parts, plan.children, strict=True)) if parts else [])
             for span, node in pairs:
                 assert span.attrs["path"] == node.access_path
                 assert span.attrs.get("lsh_fallback") == node.details.get("lsh_fallback")
-            # Who decides: a visual top-k, in its own span, and a sharded
-            # general hybrid holding one, whose parts run in its span.
+            # Who decides: a visual top-k, in its own span — a general
+            # hybrid's in its part's span, never in the hybrid's.
             children = () if not isinstance(query, HybridQuery) else (
                 query.fused_pair() or tuple(query.queries)
             )
-            decides = topk(query) or (general and shards > 1 and any(map(topk, children)))
-            assert ("lsh_fallback" in own.attrs) == decides, (shards, query)
+            assert ("lsh_fallback" in own.attrs) == topk(query), (shards, query)
             for child, sub in zip(plan.children, children):
                 assert ("lsh_fallback" in child.details) == topk(sub)
 

@@ -5,7 +5,7 @@ The degradation contract under fault injection, in order of severity:
 * a transient dispatch fault is retried away — results are full and
   byte-identical to serial, ``partial`` stays ``False``;
 * a shard that exhausts every attempt is *dropped*, never fabricated:
-  the batch completes, ``partial`` flips ``True``, ``failed_shards``
+  every query completes, ``partial`` flips ``True``, ``failed_shards``
   names the loss, and what remains is a subset of the serial answer;
 * a slow shard costs virtual time only — the coordinator never takes a
   real ``time.sleep`` (the autouse fixture turns one into a failure).
@@ -84,12 +84,18 @@ def serial_answers(platform):
     return [platform.execute(q) for q in QUERIES]
 
 
+def answer_each(router):
+    """``[(results, info), ...]`` of every query of ``QUERIES``, one
+    ``router.answer`` each."""
+    return [(answer.results(), info) for answer, info in map(router.answer, QUERIES)]
+
+
 class TestDispatchFaults:
     def test_transient_kill_is_retried_to_full_results(self, platform, router):
         plan = FaultPlan(seed=1)
         plan.kill("shard.dispatch", at_calls={1})
         with plan.activate():
-            out = router.execute_many(QUERIES)
+            out = answer_each(router)
         assert plan.summary()["shard.dispatch"]["error"] == 1
         for (results, info), serial in zip(out, serial_answers(platform)):
             assert results == serial
@@ -98,11 +104,11 @@ class TestDispatchFaults:
 
     def test_exhausted_shard_degrades_to_flagged_partial(self, platform, router):
         # max_attempts faults back-to-back sink exactly the first shard
-        # dispatched (ascending order); the rest of the batch survives.
+        # the first query dispatches (ascending order); the rest survive.
         plan = FaultPlan(seed=1)
         plan.kill("shard.dispatch", max_faults=router.max_attempts)
         with plan.activate():
-            out = router.execute_many(QUERIES)
+            out = answer_each(router)
         serial = serial_answers(platform)
         partial_flags = [info["partial"] for _, info in out]
         assert any(partial_flags), "a lost shard must be surfaced"
@@ -120,7 +126,7 @@ class TestDispatchFaults:
         plan = FaultPlan(seed=1)
         plan.kill("shard.dispatch", max_faults=router.max_attempts)
         with plan.activate():
-            router.execute(QUERIES[0])
+            router.answer(QUERIES[0])
         assert obs.metrics().counter("shard.partial_results").value > before
 
     def test_slow_shard_costs_virtual_time_only(self, platform, router):
@@ -128,7 +134,7 @@ class TestDispatchFaults:
         plan.delay("shard.dispatch", latency_s=7.5, max_faults=2)
         t0 = time.perf_counter()
         with plan.activate():
-            out = router.execute_many(QUERIES)
+            out = answer_each(router)
         wall = time.perf_counter() - t0
         assert router.clock.now() >= 7.5, "latency must land on the manual clock"
         assert wall < 2.0, "injected latency leaked into real time"
@@ -142,18 +148,18 @@ class TestWorkerFaults:
         plan = FaultPlan(seed=1)
         plan.kill("shard.worker")  # rate 1.0, unbounded: nothing survives
         with plan.activate():
-            results, info = router.execute(QUERIES[0])
+            answer, info = router.answer(QUERIES[0])
         assert info["partial"] is True
-        assert results == []
+        assert answer.ids == []
         assert len(info["failed_shards"]) == info["shards_considered"]
 
     def test_worker_kill_recovers_when_faults_run_out(self, platform, router):
         plan = FaultPlan(seed=1)
         plan.kill("shard.worker", max_faults=1)
         with plan.activate():
-            results, info = router.execute(QUERIES[0])
+            answer, info = router.answer(QUERIES[0])
         assert info["partial"] is False
-        assert results == platform.execute(QUERIES[0])
+        assert answer.results() == platform.execute(QUERIES[0])
 
 
 class TestExecutorDirect:
@@ -186,7 +192,7 @@ class TestSeededChaosMatrix:
         plan.delay("shard.dispatch", latency_s=1.5, rate=0.3, max_faults=3)
         with plan.activate():
             for _ in range(3):  # several rounds drain the schedule
-                out = router.execute_many(QUERIES)
+                out = answer_each(router)
                 for (results, info), full in zip(out, serial):
                     if info["partial"]:
                         got = {r.image_id for r in results}
@@ -199,5 +205,5 @@ class TestSeededChaosMatrix:
         plan.kill("shard.dispatch", error=lambda site, n: FaultInjected(site, n))
         router = ShardRouter(platform, N_SHARDS, grid=(4, 4), clock=ManualClock())
         with plan.activate():
-            results, info = router.execute(QUERIES[1])
-        assert info["partial"] is True or results  # no exception escaped
+            answer, info = router.answer(QUERIES[1])
+        assert info["partial"] is True or answer.ids  # no exception escaped

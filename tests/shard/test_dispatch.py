@@ -1,8 +1,8 @@
 """What the coordinator assumes about a dispatch, pinned.
 
-* One dispatch round per batch passes each fault site once per
-  surviving shard, opens no span of its own and leaves what it did on
-  the query's span; each query part is then one pass (``shard_tasks``).
+* A query's one dispatch passes each fault site once per surviving
+  shard, opens no span of its own and leaves what it did on the query's
+  span; each query part is then one pass (``shard_tasks``).
 * A dispatch does no billable work, so a retried one bills exactly what
   an unretried one bills; a top-k that falls back to the exhaustive scan
   is still one round and one pass.
@@ -139,7 +139,7 @@ class TestOneDispatch:
         assert attrs["lsh_fallback"] is True and attrs["shard_tasks"] == 1
         assert attrs["shards_dispatched"] == attrs["shards_considered"] <= 4
 
-    def test_a_batch_dispatches_each_shard_once_and_runs_a_pass_per_query(self, fresh):
+    def test_each_query_dispatches_its_surviving_shards_once_and_runs_one_pass(self, fresh):
         # Three windows over overlapping runs of shards, four in all.
         queries = [TemporalQuery(start=float(t), end=float(t + 5)) for t in (0, 5, 10)]
         survivors = [fresh.shard_plan_preview(q)["shards_considered"] for q in queries]
@@ -149,12 +149,13 @@ class TestOneDispatch:
             plan.delay(site, latency_s=0.0)
         obs.ring_buffer().reset()
         with plan.activate():
-            results = fresh.execute_many(queries)
-        assert results == [fresh.execute_serial(q) for q in queries]
-        (span,) = [s for s in obs.ring_buffer().spans() if s.name == "query.batch"]
-        assert span.attrs["shards_dispatched"] == 4 and span.attrs["shard_tasks"] == 3
-        assert sorted(span.attrs["shard_wall_ms"]) == [0, 1, 2, 3]
-        assert plan.summary() == {site: {"latency": 4} for site in SITES}
+            answers = [fresh.answer(q) for q in queries]
+        spans = [s for s in obs.ring_buffer().spans() if s.name == "query.temporal"]
+        assert [a.results() for a in answers] == [fresh.execute_serial(q) for q in queries]
+        assert [s.attrs["shards_dispatched"] for s in spans] == survivors
+        assert [s.attrs["shard_tasks"] for s in spans] == [1, 1, 1]
+        assert [len(s.attrs["shard_wall_ms"]) for s in spans] == survivors
+        assert plan.summary() == {site: {"latency": sum(survivors)} for site in SITES}
 
     def test_a_retried_dispatch_bills_what_an_unretried_one_bills(self, platform):
         query = one_survivor_query(platform)
@@ -222,7 +223,7 @@ class TestSnapshotPairing:
         # Captured after every other image: no cut before it knows it.
         query = TemporalQuery(start=100.0)
         late: list = []
-        worker = threading.Thread(target=lambda: late.extend(router.answer_many([query])))
+        worker = threading.Thread(target=lambda: late.append(router.answer(query)))
         worker.start()
         assert cut_at.wait(10)
         older = platform.db.version
@@ -231,7 +232,7 @@ class TestSnapshotPairing:
             fov=FieldOfView(GeoPoint(LATS[0], LNGS[1]), 0.0, 60.0, 500.0),
             captured_at=100.0, uploaded_at=101.0,
         ).image_id
-        ((first, _),) = router.answer_many([query])  # cuts and installs the newer version
+        first, _ = router.answer(query)  # cuts and installs the newer version
         resume.set()
         worker.join(10)
         assert not worker.is_alive()

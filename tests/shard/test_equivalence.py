@@ -39,6 +39,7 @@ from repro.core import (
     VisualQuery,
 )
 from repro.core.planner import explain
+from repro.core.queries import query_shape
 from repro.db import Table
 from repro.errors import TVDPError
 from repro.geo import BoundingBox, FieldOfView, GeoPoint
@@ -227,9 +228,6 @@ class TestDrawnCatalogs:
             for n_shards in SHARD_COUNTS:
                 platform.set_shards(n_shards)
                 assert_equivalent(platform, queries, n_shards)
-            batch = platform.execute_many(queries)
-            serial = [platform.execute_serial(q) for q in queries]
-            assert batch == serial
         finally:
             platform.close()
 
@@ -374,22 +372,77 @@ class TestPlanAnnotations:
         plan = explain(fixed_platform, TemporalQuery(start=3.0, end=6.0))
         assert plan.query_type != "scatter_gather"
 
+    def test_a_general_hybrid_flags_the_fallback_on_its_visual_node_alone(self, fixed_platform):
+        query = visual_and_temporal(k=500)  # more than the catalog: the top-k falls back
+        nodes = {}
+        for n_shards in (1, 4):
+            fixed_platform.set_shards(n_shards)
+            plan = explain(fixed_platform, query, analyze=True)
+            hybrid = plan.children[0] if n_shards > 1 else plan
+            nodes[n_shards] = [hybrid.details, *(child.details for child in hybrid.children)]
+        assert nodes[4] == nodes[1]
+        hybrid, visual, temporal = nodes[4]
+        assert visual["lsh_fallback"] is True
+        assert "lsh_fallback" not in hybrid and "lsh_fallback" not in temporal
 
-class TestBatchFeedsHotQueries:
-    def test_serial_and_sharded_batches_record_the_same_shapes(self, fixed_platform):
-        # The last query is a general hybrid: one shape on either side,
-        # its parts are run uncounted (in TVDP._run).
+
+#: What only a sharded query's span carries.
+SHARD_ATTRS = frozenset({
+    "shards_considered", "shards_pruned", "shards_dispatched", "shard_tasks",
+    "shard_wall_ms", "partial", "failed_shards",
+})
+
+
+def visual_and_temporal(k: int) -> HybridQuery:
+    """A general hybrid with a visual top-k part."""
+    vector = np.asarray(FIXED_PARAMS["probe_levels"], dtype=np.float64)
+    return HybridQuery(queries=(
+        VisualQuery("pixel_probe", vector=vector, k=k), TemporalQuery(start=0.0),
+    ))
+
+
+def records_of(platform: TVDP, queries: list) -> tuple[list, dict]:
+    """Each query's record — its spans' names, parents' names and attrs
+    but the shard facts, in completion order, and its noted (shape,
+    family) — and the shape counts, for ``queries`` answered one by one."""
+    platform.shard_plan_preview(queries[0])  # the partition, cut outside the records
+    obs.reset()
+    for query in queries:
+        platform.answer(query)
+    store = obs.records()
+    records = []
+    for record in store.records():
+        names = {span.span_id: span.name for span in record.spans}
+        spans = [
+            (span.name, names.get(span.parent_id),
+             {key: value for key, value in span.attrs.items() if key not in SHARD_ATTRS})
+            for span in record.spans
+        ]
+        records.append((spans, [query[:2] for query in record.queries]))
+    return records, {row["shape"]: row["count"] for row in store.top(64)}
+
+
+class TestOneRecordAtAnyShardCount:
+    def test_serial_and_sharded_queries_record_the_same(self, fixed_platform):
+        # Two general hybrids last: each one shape, its parts each in an
+        # uncounted query.<family> child span, serial and sharded alike.
         queries = [TemporalQuery(start=3.0, end=6.0)] * 3 + make_queries(FIXED_PARAMS)
+        queries.append(visual_and_temporal(k=500))
         recorded = {}
         for n_shards in (1, 4):
             fixed_platform.set_shards(n_shards)
-            obs.hot_queries().reset()
-            fixed_platform.execute_many(queries)
-            recorded[n_shards] = {
-                row["shape"]: row["count"] for row in obs.hot_queries().top(64)
-            }
+            recorded[n_shards] = records_of(fixed_platform, queries)
         assert recorded[4] == recorded[1]
-        assert max(recorded[4].values()) >= 3
+        records, shapes = recorded[4]
+        assert max(shapes.values()) >= 3 and len(records) == len(queries)
+        spans, noted = records[-1]
+        assert [(name, parent) for name, parent, _ in spans] == [
+            ("query.visual", "query.hybrid"),
+            ("query.temporal", "query.hybrid"),
+            ("query.hybrid", None),
+        ]
+        assert spans[0][2]["lsh_fallback"] is True
+        assert noted == [(query_shape(queries[-1]), "hybrid")]
 
 
 class TestShardGridValidation:

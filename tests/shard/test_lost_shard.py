@@ -39,8 +39,7 @@ def killing_shard_zero(router: ShardRouter, query: object):
     shard dispatched — shard 0 — dying."""
     plan = FaultPlan(seed=0).kill("shard.worker", max_faults=router.max_attempts)
     with plan.activate():
-        ((answer, info),) = router.answer_many([query])
-    return answer, info
+        return router.answer(query)
 
 
 def test_a_lost_shard_takes_only_its_own_images_out_of_a_topk():

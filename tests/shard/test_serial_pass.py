@@ -12,9 +12,11 @@ longer exercise pruning, so this module pins it on its own:
   :meth:`TVDP.shard_plan_preview` considers the shards the router does
   (a categorical preview, which resolves no label, a superset of them);
 * with no fault plan a sharded query bills exactly what the serial one
-  bills, and no owner mask is built for a batch that lost nothing;
+  bills, and no owner mask is built for a query that lost nothing;
 * a lost shard builds the mask, and the pass bills the rows the
-  answering shards own.
+  answering shards own; a part that lost every shard it survives on
+  runs no pass, since a scan under a mask that keeps no row still books
+  the scan.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import CategoricalQuery, SpatialQuery, TemporalQuery
 from repro.core.families import prepare
+from repro.geo import BoundingBox
 from repro.obs import accounting
 from repro.resilience import FaultPlan, ManualClock
 from repro.shard import Partition, ShardRouter, partition_catalog
@@ -43,7 +46,7 @@ from tests.shard.test_equivalence import (
     make_queries,
     query_params,
 )
-from tests.shard.test_row_sets import losing
+from tests.shard.test_row_sets import answer_losing, losing
 
 GRID = (3, 3)
 QUERIES = make_queries(FIXED_PARAMS)
@@ -63,7 +66,8 @@ def test_pruning_is_sound_and_the_preview_prunes_as_the_router_does(specs, param
     cut = partition_catalog(platform, n_shards, grid=GRID)
     router = ShardRouter(platform, n_shards, grid=GRID, clock=ManualClock())
     try:
-        for query, (_, info) in zip(queries, router.answer_many(queries)):
+        for query in queries:
+            _, info = router.answer(query)
             leaf = prepare(query, platform)
             for part in leaf.parts or (leaf,):
                 ids = payload_ids(part.task(platform.slice))
@@ -129,12 +133,14 @@ def test_with_no_fault_plan_a_sharded_query_bills_the_serial_pass(platform, quer
     assert masks == []
 
 
-def test_a_batch_that_loses_nothing_builds_no_mask(platform, masks):
-    assert platform.execute_many(QUERIES) == [platform.execute_serial(q) for q in QUERIES]
+def test_queries_that_lose_nothing_build_no_mask(platform, masks):
+    sharded = [platform._answer(q, None).results() for q in QUERIES]
+    assert sharded == [platform.execute_serial(q) for q in QUERIES]
     plan = FaultPlan(seed=0)
     plan.delay("shard.worker", latency_s=0.0)  # a plan that fails nothing
     with plan.activate():
-        platform.execute_many(QUERIES)
+        for query in QUERIES:
+            platform._answer(query, None)
     assert plan.summary()["shard.worker"]["latency"] > 0
     assert masks == []
 
@@ -166,11 +172,32 @@ def test_a_part_that_lost_none_of_its_shards_runs_unmasked(platform, masks):
     first = TemporalQuery(start=0.0, end=0.0)
     assert platform.shard_plan_preview(first)["shards_considered"] == 1
     router = platform._shard_router()
-    with losing(order, {order[-1]}, router.max_attempts).activate():
-        (one, one_info), (every, every_info) = router.answer_many(
-            [first, TemporalQuery(start=0.0)]
-        )
+    one, one_info = answer_losing(router, first, {order[-1]})
+    every, every_info = answer_losing(router, TemporalQuery(start=0.0), {order[-1]})
     assert one_info["partial"] is False and one.ids == [
         r.image_id for r in platform.execute_serial(first)
     ]
     assert every_info["failed_shards"] == [order[-1]] and masks == [order[:-1]]
+
+
+def test_a_part_that_lost_every_shard_it_survives_on_runs_no_pass(platform, masks):
+    # A scan over an owner mask that keeps no row still books the scan,
+    # so a part none of whose surviving shards answered runs none.
+    corner = SpatialQuery(region=BoundingBox(34.01, -118.39, 34.03, -118.37), mode="camera")
+    router = platform._shard_router()
+    cut = router._ensure()
+    (only,) = [shard for shard in range(4) if prepare(corner).survivors(cut) >> shard & 1]
+    scans = obs.metrics().counter("index.columns.scans")
+    before = scans.value
+    assert prepare(corner, platform).task(platform.slice, cut.owns([])).tolist() == []
+    assert scans.value == before + 1
+    masks.clear()
+    before = obs.metrics().counter_values()
+    with accounting.ledger_scope(obs.usage()) as scope:
+        answer, info = answer_losing(router, corner, {only})
+    moved = {
+        name for name, value in obs.metrics().counter_values().items()
+        if name.startswith(("index.", "db.")) and value != before.get(name, 0.0)
+    }
+    assert answer.ids == [] and info["failed_shards"] == [only]
+    assert scope.charges == {} and moved == set() and masks == []

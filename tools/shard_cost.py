@@ -9,10 +9,13 @@ bitmask, where the cut is one table) and their union; (3) dispatch — one retri
 dispatch per surviving shard; (4) pass — each part's task, over every
 row (or, in a checkout that masks every pass, over the rows of its
 surviving shards); (5) answer — each part's answer, and a general
-hybrid's combination of them.  Beside the steps: the whole sharded
-runner (``TVDP._run_sharded``: the steps plus the counters, the info
-dict and the span facts) and the serial runner (``TVDP._run``).
-Nothing here reaches the answer cache.
+hybrid's combination of them.  Steps 4 and 5 are what the one runner,
+``repro.core.families.run_leaf``, does (a general hybrid's part spans
+aside).  Beside the steps: the whole sharded runner
+(``TVDP._run_sharded``, which is the router's one query entry,
+``ShardRouter.answer``: the steps plus the counters, the info dict and
+the span facts) and the serial runner (``TVDP._run``).  Nothing here
+reaches the answer cache.
 
 Each block is timed two ways.  *Block*: each step over the whole block
 before the next starts, then each runner over the whole block — warm
