@@ -4,7 +4,8 @@ Kim et al.'s W2GIS 2014 work selects, from crowdsourced geo-tagged
 video, a minimal set of frames whose FOVs jointly cover the full circle
 of directions around a point of interest — the inputs a panorama
 stitcher needs.  We reproduce the selection stage: a greedy set cover
-over direction buckets using the platform's Oriented R-tree.
+over direction buckets, the candidates being the images whose FOV
+depicts the point (one point query over the catalog's FOV columns).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.errors import TVDPError
 from repro.geo.geodesy import angular_difference_deg, initial_bearing_deg, haversine_m
 from repro.geo.point import GeoPoint
 from repro.core.platform import TVDP
+from repro.core.queries import SpatialQuery
 
 #: Angular resolution of coverage buckets (degrees).
 BUCKET_DEG = 30.0
@@ -69,7 +71,8 @@ def select_panorama_frames(
     most uncovered direction buckets around ``point``."""
     if max_frames < 1:
         raise TVDPError(f"max_frames must be >= 1, got {max_frames}")
-    candidates = platform.slice.spatial.search_point(point.lat, point.lng)
+    depicting = SpatialQuery(point=point, radius_m=0.0)
+    candidates = platform.slice.spatial_ids(depicting).tolist()
     total = int(360.0 / BUCKET_DEG)
     coverage = {
         image_id: _buckets_covered(platform, image_id, point)

@@ -49,8 +49,7 @@ COST_MODEL: dict = {
             "masks MBR-overlaps-region and direction on the columns, then "
             "runs the exact FOV geometry on the survivors only; camera "
             "mode masks camera-in-region and needs no refine.  The "
-            "Oriented R-tree is not on this path: CatalogSlice.spatial "
-            "builds it for the reader that asks (DESIGN.md section 6)"
+            "slice holds no Oriented R-tree (DESIGN.md section 6)"
         ),
     },
     "visual": {

@@ -6,7 +6,8 @@ store:
 * **Acquisition** — image/video upload with FOV metadata, deduplication
   by content hash, augmentation;
 * **Access** — the Fig. 2 relational schema plus the index suite
-  (Oriented R-tree, LSH, inverted index, Visual R*-tree) answering the
+  (LSH, inverted index, and the FOV and vector columns that answer the
+  Oriented R-tree's and the Visual R*-tree's questions) answering the
   five query families and hybrids;
 * **Analysis** — pluggable feature extractors and the annotation
   machinery that stores model outputs back as shared knowledge;
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +40,6 @@ from repro.imaging.augment import Augmentation
 from repro.imaging.image import Image
 from repro.imaging.phash import NearDuplicateIndex
 from repro.imaging.quality import assess_quality
-from repro.index.hybrid import VisualRTree
 from repro.index.lsh import LSHIndex
 from repro.core.annotations import AnnotationService
 from repro.core.answercache import AnswerCache
@@ -353,16 +355,18 @@ class TVDP:
         """Refined scene location for one image using other overlapping
         views (the data-centric localisation of paper ref. [23]).
 
-        The Oriented R-tree finds stored images whose FOVs overlap this
-        image's; intersecting their sectors shrinks the scene estimate
-        and raises its confidence.  The refined box replaces the image's
+        One scan of the slice's FOV columns finds the stored images
+        whose FOVs overlap this image's; intersecting their sectors
+        shrinks the scene estimate and raises its confidence.  Of more
+        than ``max_views - 1`` such views, the lowest image ids are
+        used.  The refined box replaces the image's
         ``image_scene_location`` row.
         """
         with obs.span("platform.localize_scene", image_id=image_id) as sp:
             fov = self.fov(image_id)
             overlapping = [
                 other
-                for other in self.slice.spatial.search_overlapping(fov)
+                for other in self.slice.overlapping_ids(fov).tolist()
                 if other != image_id
             ][: max_views - 1]
             fovs = [fov] + [self.fov(other) for other in overlapping]
@@ -497,9 +501,17 @@ class TVDP:
         """Live LSH indexes by extractor name (a read-only view)."""
         return self.slice.visual_indexes()
 
-    def hybrid_indexes(self) -> dict[str, VisualRTree]:
-        """Live Visual R-trees by extractor name (a read-only view)."""
-        return self.slice.hybrid_indexes()
+    def hybrid_indexes(self) -> dict[str, SimpleNamespace]:
+        """Per extractor name, an object whose ``spatial_visual_knn(region,
+        vector, k)`` is the slice's fused column path
+        (:meth:`CatalogSlice.spatial_visual_topk`).  Only the
+        benchmark's shadow trace reads it; it goes when that replay does."""
+        return {
+            name: SimpleNamespace(
+                spatial_visual_knn=partial(self.slice.spatial_visual_topk, name)
+            )
+            for name in self.slice.visual_indexes()
+        }
 
     def _answer(self, query: object, cache: AnswerCache | None, run=None) -> Answer:
         """``run(query)`` — by default the platform's own runner, serial

@@ -1,9 +1,10 @@
 """One catalog slice: a relational database plus the index suite over it.
 
 The paper's Access service is one data model (the Fig. 2 schema) plus
-one index suite — Oriented R-tree, inverted index, LSH, Visual R*-tree.
-:class:`CatalogSlice` is that pairing, and the only owner of it: the
-platform holds one over the whole catalog.  A geo-tile shard
+one index suite answering every query family.  :class:`CatalogSlice`
+is that pairing — an inverted index, an LSH index per extractor and the
+columns that stand in for the paper's two trees — and the only owner of
+it: the platform holds one over the whole catalog.  A geo-tile shard
 (:mod:`repro.shard`) is a row set over it, not a copy: every scan a
 query family runs takes an optional ``owns`` — a map from an id column
 to a mask, the shard's — and then examines, charges and ranks only the
@@ -16,28 +17,23 @@ A slice is filled two ways, by the same two methods:
 * incrementally — ``upload_image`` calls :meth:`CatalogSlice.index_image`
   and ``extract_features`` calls :meth:`CatalogSlice.index_vector`;
 * from rows — :meth:`CatalogSlice.rebuild` replays a database in
-  ascending image id (the platform's upload order, so tree shapes are a
-  deterministic function of the rows).
+  ascending image id (the platform's upload order).
 
-Neither touches a tree.  A write fills columns only: camera point,
-viewing direction and FOV MBR of every image (the ``FieldOfView`` kept
-beside its row), camera point and LSH row of every vector, and per
-label the columns a categorical query masks and groups
-(:meth:`CatalogSlice.index_annotation`, called by ``annotate`` and by
-the rebuild).  Every served spatial query — camera mode, scene mode,
-the fused spatial-visual hybrid — is one vectorised predicate over
-those columns, scene mode followed by the exact FOV refine of the few
-survivors (DESIGN.md §6 has the scan-vs-tree table).  The paper's two
-trees are *caught up on read*: :attr:`CatalogSlice.spatial` and
-:meth:`CatalogSlice.hybrid_indexes` insert the rows written since the
-tree was last asked for, in write order, and return it — so a tree
-costs the reader that wants it (localisation, panorama selection, the
-figure benchmarks, the tests' oracles), never the upload.
+A write fills columns only: camera point, viewing direction and FOV MBR
+of every image (the ``FieldOfView`` kept beside its row), camera point
+and LSH row of every vector, and per label the columns a categorical
+query masks and groups (:meth:`CatalogSlice.index_annotation`, called
+by ``annotate`` and by the rebuild).  Every spatial read — camera mode,
+scene mode, the fused spatial-visual hybrid, and the overlapping views
+scene localisation asks for — is one vectorised predicate over those
+columns, an FOV predicate followed by the exact refine of the few
+survivors (DESIGN.md §6 has the scan-vs-tree table).  The slice holds
+none of the paper's trees: :mod:`repro.index` keeps them for the
+figures, the ablation and the tests' oracles.
 
 Each of the four index writes bumps the database's write version
 (:attr:`Database.version <repro.db.database.Database.version>`) once it
-is applied, on top of the bump of the row write before it; a tree's
-catch-up is a read and bumps nothing.
+is applied, on top of the bump of the row write before it.
 """
 
 from __future__ import annotations
@@ -52,11 +48,9 @@ from repro.errors import QueryError
 from repro.geo.fov import FieldOfView
 from repro.geo.point import BoundingBox, GeoPoint
 from repro.index.columns import Columns, ColumnView, PointColumns, owned_rows
-from repro.index.hybrid import VisualRTree
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
 from repro.index.ordering import pairs
-from repro.index.oriented_rtree import OrientedRTree
 
 #: The ``source`` column of an annotation, as the float its column holds.
 _SOURCE_CODES = {"human": 0.0, "machine": 1.0}
@@ -66,19 +60,15 @@ class CatalogSlice:
     """A :class:`~repro.db.database.Database` and the indexes derived
     from its rows: ``text`` over keywords, an LSH index per feature
     extractor, and the columns (:mod:`repro.index.columns`) every
-    spatial query scans — with ``spatial`` over FOVs and a Visual
-    R-tree per extractor built from those columns when asked for."""
+    spatial query scans."""
 
     def __init__(self, db: Database) -> None:
         self.db = db
         self.text = InvertedIndex()
-        # Guards the per-extractor registries, the columns and the
-        # trees' catch-up; each index carries its own lock for its
-        # contents (taken inside this one, never the other way round).
+        # Guards the per-extractor registries and the columns; each
+        # index carries its own lock for its contents.
         self._lock = threading.Lock()
-        self._spatial = OrientedRTree()
         self._lsh: dict[str, LSHIndex] = {}
-        self._hybrid: dict[str, VisualRTree] = {}
         # Camera point, viewing direction and FOV MBR (min_lat, min_lng,
         # max_lat, max_lng) of every image with an FOV; the FOV itself
         # at the same row, for the refine.
@@ -123,13 +113,12 @@ class CatalogSlice:
         self.db.bump()
 
     def add_extractor(self, name: str, dimension: int) -> None:
-        """Give ``name`` its LSH + Visual R-tree pair unless it has one."""
+        """Give ``name`` its LSH index and point columns unless it has them."""
         with self._lock:
             if name in self._lsh:
                 return
             self._vector_points[name] = PointColumns(extra=1)
             self._lsh[name] = LSHIndex(dimension=dimension)
-            self._hybrid[name] = VisualRTree(dimension=dimension)
         self.db.bump()
 
     def index_vector(self, name: str, image_id: int, vector: np.ndarray) -> None:
@@ -183,32 +172,6 @@ class CatalogSlice:
         """The LSH index of extractor ``name``."""
         return self._registered(self._lsh, name)
 
-    @property
-    def spatial(self) -> OrientedRTree:
-        """The Oriented R-tree over every indexed FOV, caught up with
-        the columns: the rows written since it was last asked for are
-        inserted now, in write order, by whoever asks."""
-        with self._lock:
-            ids, _ = self._cameras.live()
-            first = len(self._spatial)
-            for item, fov in zip(ids[first:].tolist(), self._fovs[first:]):
-                self._spatial.insert(item, fov)
-        return self._spatial
-
-    def _catch_up(self, name: str, tree: VisualRTree) -> None:
-        """Insert the vectors listed since ``len(tree)``, each at its
-        camera point, from the LSH buffer rows the point columns name.
-        The caller holds ``_lock``, so every row is inserted once."""
-        ids, values = self._vector_points[name].live()
-        first = len(tree)
-        if first < len(ids):
-            lat, lng, vector_row = values[:, first:]
-            vectors = self._lsh[name].vectors_at(vector_row.astype(np.intp))
-            for item, at_lat, at_lng, vector in zip(
-                ids[first:].tolist(), lat.tolist(), lng.tolist(), vectors
-            ):
-                tree.insert(item, GeoPoint(at_lat, at_lng), vector)
-
     def _registered(self, registry: dict, name: str):
         with self._lock:
             index = registry.get(name)
@@ -222,13 +185,6 @@ class CatalogSlice:
         """Live LSH indexes by extractor name (a snapshot of the registry)."""
         with self._lock:
             return dict(self._lsh)
-
-    def hybrid_indexes(self) -> dict[str, VisualRTree]:
-        """Visual R-trees by extractor name, each caught up."""
-        with self._lock:
-            for name, tree in self._hybrid.items():
-                self._catch_up(name, tree)
-            return dict(self._hybrid)
 
     def fov_count(self) -> int:
         """Images indexed with an FOV."""
@@ -263,16 +219,7 @@ class CatalogSlice:
         if query.mode == "camera":
             rows = cameras.rows_in(region, owns)
         else:
-            mine = owned_rows(cameras.ids, owns)
-            _, min_lat, min_lng, max_lat, max_lng = cameras.extra
-            # BoundingBox.intersects(MBR, region), on columns.
-            hit = (
-                (min_lat <= region.max_lat)
-                & (max_lat >= region.min_lat)
-                & (min_lng <= region.max_lng)
-                & (max_lng >= region.min_lng)
-            )
-            rows = np.flatnonzero(hit if mine is None else hit & mine)
+            rows = _mbr_rows(cameras, region, owns)
         if query.direction_deg is not None:
             # geodesy.angular_difference_deg, on a column.
             off = np.abs(cameras.extra[0][rows] - query.direction_deg) % 360.0
@@ -286,6 +233,17 @@ class CatalogSlice:
                 kept = [r for r in rows.tolist() if fovs[r].intersects_box(region)]
             rows = np.array(kept, dtype=np.intp)
         return np.sort(cameras.ids[rows])
+
+    def overlapping_ids(self, fov: FieldOfView) -> np.ndarray:
+        """Ascending ids (an int64 column) of the images whose FOV
+        overlaps ``fov`` (:meth:`FieldOfView.overlaps_fov`): one scan of
+        the MBR columns against ``fov.mbr()``, then that refine on the
+        rows the scan let through."""
+        with self._lock:
+            cameras, fovs = self._cameras.view(), self._fovs
+        rows = _mbr_rows(cameras, fov.mbr())
+        kept = [r for r in rows.tolist() if fovs[r].overlaps_fov(fov)]
+        return np.sort(cameras.ids[np.array(kept, dtype=np.intp)])
 
     def spatial_visual_topk(
         self, name: str, region: BoundingBox, vector: np.ndarray, k: int
@@ -374,6 +332,21 @@ class CatalogSlice:
 
 
 _NO_ANNOTATIONS = Columns(2)
+
+
+def _mbr_rows(cameras: ColumnView, box: BoundingBox, owns=None) -> np.ndarray:
+    """Positions of the camera rows whose FOV MBR intersects ``box``
+    (:meth:`BoundingBox.intersects`, on columns) — one scan, of the rows
+    ``owns`` keeps if given."""
+    mine = owned_rows(cameras.ids, owns)
+    _, min_lat, min_lng, max_lat, max_lng = cameras.extra
+    hit = (
+        (min_lat <= box.max_lat)
+        & (max_lat >= box.min_lat)
+        & (min_lng <= box.max_lng)
+        & (max_lng >= box.min_lng)
+    )
+    return np.flatnonzero(hit if mine is None else hit & mine)
 
 
 def best_per_image(

@@ -317,16 +317,6 @@ class LSHIndex:
         diff = matrix - vector
         return by_distance(ids, np.sqrt(np.add.reduce(diff * diff, axis=1)), k)
 
-    def vectors_at(self, rows: np.ndarray) -> np.ndarray:
-        """A copy of the vectors in the buffer ``rows`` (as
-        :meth:`insert` returned them), one per row of the result."""
-        return self._dense_matrix()[rows]
-
-    def _dense_matrix(self) -> np.ndarray:
-        """The live rows as a view (no copy); not to be written through."""
-        with self._lock:
-            return self._buffer[: len(self._row_of)]
-
 
 def _check_k(k: int) -> None:
     if k < 1:

@@ -137,18 +137,3 @@ class OrientedRTree:
         charge_probes("oriented", len(candidates))
         _REFINED_HITS.inc(len(results))
         return results
-
-    def search_overlapping(self, fov: FieldOfView) -> list[object]:
-        """Items whose FOV overlaps the query FOV (used to find other
-        images of the same scene for multi-view localisation)."""
-        results = []
-        candidates = self._tree.search_range(fov.mbr())
-        for payload in candidates:
-            item, _ = payload
-            if self._fovs[item].overlaps_fov(fov):
-                results.append(item)
-        _QUERIES.inc()
-        _CANDIDATES.inc(len(candidates))
-        charge_probes("oriented", len(candidates))
-        _REFINED_HITS.inc(len(results))
-        return results

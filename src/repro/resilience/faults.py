@@ -83,7 +83,8 @@ class FaultRule:
     site: str
     kind: str  # "error" | "latency" | "corrupt"
     rate: float = 1.0  # per-call probability when at_calls is None
-    at_calls: frozenset[int] = frozenset()  # explicit 1-based call indexes
+    # Explicit 1-based call indexes (empty: never); None: rate decides.
+    at_calls: frozenset[int] | None = None
     max_faults: int | None = None  # stop firing after this many injections
     error: Callable[[str, int], BaseException] | None = None  # error kind only
     latency_s: float = 0.0  # latency kind only
@@ -100,8 +101,13 @@ class FaultRule:
             raise ResilienceError(f"latency_s must be >= 0, got {self.latency_s}")
         if self.max_faults is not None and self.max_faults < 1:
             raise ResilienceError(f"max_faults must be >= 1, got {self.max_faults}")
-        if any(index < 1 for index in self.at_calls):
+        if self.at_calls is not None and any(index < 1 for index in self.at_calls):
             raise ResilienceError("at_calls indexes are 1-based; got an index < 1")
+
+
+def _frozen(at_calls: frozenset[int] | set[int] | None) -> frozenset[int] | None:
+    """``at_calls`` as a rule holds it: an empty set stays one (never)."""
+    return None if at_calls is None else frozenset(at_calls)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +158,7 @@ class FaultPlan:
         self,
         site: str,
         rate: float = 1.0,
-        at_calls: frozenset[int] | set[int] = frozenset(),
+        at_calls: frozenset[int] | set[int] | None = None,
         max_faults: int | None = None,
         error: Callable[[str, int], BaseException] | None = None,
     ) -> "FaultPlan":
@@ -162,7 +168,7 @@ class FaultPlan:
                 site=site,
                 kind="error",
                 rate=rate,
-                at_calls=frozenset(at_calls),
+                at_calls=_frozen(at_calls),
                 max_faults=max_faults,
                 error=error,
             )
@@ -173,7 +179,7 @@ class FaultPlan:
         site: str,
         latency_s: float,
         rate: float = 1.0,
-        at_calls: frozenset[int] | set[int] = frozenset(),
+        at_calls: frozenset[int] | set[int] | None = None,
         max_faults: int | None = None,
     ) -> "FaultPlan":
         """Script latency faults (spent through :attr:`clock`)."""
@@ -182,7 +188,7 @@ class FaultPlan:
                 site=site,
                 kind="latency",
                 rate=rate,
-                at_calls=frozenset(at_calls),
+                at_calls=_frozen(at_calls),
                 max_faults=max_faults,
                 latency_s=latency_s,
             )
@@ -192,7 +198,7 @@ class FaultPlan:
         self,
         site: str,
         rate: float = 1.0,
-        at_calls: frozenset[int] | set[int] = frozenset(),
+        at_calls: frozenset[int] | set[int] | None = None,
         max_faults: int | None = None,
         corruption: Callable[[object], object] | None = None,
     ) -> "FaultPlan":
@@ -203,7 +209,7 @@ class FaultPlan:
                 site=site,
                 kind="corrupt",
                 rate=rate,
-                at_calls=frozenset(at_calls),
+                at_calls=_frozen(at_calls),
                 max_faults=max_faults,
                 corruption=corruption,
             )
@@ -235,7 +241,7 @@ class FaultPlan:
         aligned with call counts regardless of earlier rule outcomes."""
         rule = self._rules[rule_index]
         fired = self._fired.get(rule_index, 0)
-        if rule.at_calls:
+        if rule.at_calls is not None:
             triggered = call_index in rule.at_calls
         else:
             draw = self._rngs[rule_index].random()

@@ -1,7 +1,8 @@
 """The answer cache and the write version it is stamped with.
 
 * Every index write a slice applies moves ``db.version`` once more, on
-  top of its row write; a tree's catch-up moves nothing.
+  top of its row write; a read — panorama selection, the hybrid probe
+  of ``hybrid_indexes()`` — moves nothing.
 * A key's answer is admitted on its second sighting at one version and
   served from the third: the same shared ``Answer``, on the same
   ``query.<family>`` span (``cache="hit"``), counted and shaped like any
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis import select_panorama_frames
 from repro.core import (
     CatalogSlice,
     CategoricalQuery,
@@ -100,7 +102,7 @@ def traced(platform, query):
 
 
 class TestWriteVersion:
-    def test_each_index_write_moves_it_and_a_catch_up_does_not(self):
+    def test_each_index_write_moves_it_and_a_read_does_not(self, platform):
         db = Database.tvdp()
         catalog_slice = CatalogSlice(db)
         image_id = db.insert("images", {
@@ -121,10 +123,12 @@ class TestWriteVersion:
             assert db.version == before + 1
         before = db.version
         catalog_slice.add_extractor("probe", 3)  # has one: nothing applied
-        assert len(catalog_slice.spatial) == 1
-        assert len(catalog_slice.hybrid_indexes()["probe"]) == 1
-        catalog_slice.hybrid_indexes()
         assert db.version == before
+        before = platform.db.version
+        assert select_panorama_frames(platform, GeoPoint(LATS[0], LNGS[0])).image_ids
+        probe = platform.hybrid_indexes()[PixelProbeExtractor.name]
+        assert probe.spatial_visual_knn(BoundingBox(34.0, -118.4, 34.2, -118.2), VECTOR, 3)
+        assert platform.db.version == before
 
     def test_an_upload_moves_it_past_its_last_index_write(self, platform):
         before = platform.db.version

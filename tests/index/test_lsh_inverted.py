@@ -180,12 +180,12 @@ class TestLSHConcurrentInsert:
         index = LSHIndex(dimension=4)
         for i in range(10):
             index.insert(i, vectors[i])
-        early = index._dense_matrix()
+        early = index._buffer[:10]
         early_norms = index._sq_norms[:10]
         for i in range(10, 200):  # several doublings past the first block
             index.insert(i, vectors[i])
         assert np.array_equal(early, vectors[:10])
-        assert np.array_equal(index._dense_matrix(), vectors)
+        assert np.array_equal(index._buffer[:200], vectors)
         assert index.linear_topk(vectors[150], 1)[0] == (150, 0.0)
         # The norm column doubles with the buffer, under the same lock.
         norms = [float(vector @ vector) for vector in vectors]

@@ -102,14 +102,3 @@ class TestOrientedRTree:
             "north_facing"
         ]
         assert index.search_point(scene.lat, scene.lng, direction_deg=180.0) == []
-
-    def test_search_overlapping(self):
-        index = OrientedRTree()
-        base = GeoPoint(34.0, -118.4)
-        a = FieldOfView(base, 0.0, 60.0, 200.0)
-        far_camera = destination_point(base, 90.0, 5_000.0)
-        b = FieldOfView(far_camera, 0.0, 60.0, 200.0)
-        index.insert("a", a)
-        index.insert("b", b)
-        hits = index.search_overlapping(FieldOfView(base, 0.0, 90.0, 150.0))
-        assert "a" in hits and "b" not in hits

@@ -10,9 +10,9 @@ uploads, augmentations, feature extraction and queries.
 Scene-mode spatial queries are answered from the same columns (an
 MBR-overlaps-region mask, then the exact FOV predicate on the
 survivors); the walk of the Oriented R-tree they replaced is kept here
-as the oracle, on a tree filled eagerly beside the slice.  The slice's
-own trees are filled by whoever reads them: caught up after every k-th
-write or once at the end, they must be node for node the eager ones.
+as the oracle, on a tree filled eagerly beside the slice, and so is
+the Visual R-tree's best-first search.  The overlap scan scene
+localisation reads is held against a brute force over every FOV.
 
 The top-k in canonical order (``repro.index.ordering.nearest``) is held
 against the full sort it replaced, on vectors drawn from a handful of
@@ -132,10 +132,7 @@ operations = st.lists(
 
 
 def fovs_by_id(platform: TVDP) -> dict[int, FieldOfView]:
-    cameras = {
-        row["image_id"]: GeoPoint(row["lat"], row["lng"])
-        for row in platform.db.table("images").all_rows()
-    }
+    cameras = cameras_by_id(platform)
     return {
         row["image_id"]: FieldOfView(
             cameras[row["image_id"]], row["direction_deg"], row["angle_deg"], row["range_m"]
@@ -144,12 +141,33 @@ def fovs_by_id(platform: TVDP) -> dict[int, FieldOfView]:
     }
 
 
+def cameras_by_id(platform: TVDP) -> dict[int, GeoPoint]:
+    return {
+        row["image_id"]: GeoPoint(row["lat"], row["lng"])
+        for row in platform.db.table("images").all_rows()
+    }
+
+
+def visual_tree(platform: TVDP) -> VisualRTree:
+    """A Visual R-tree over the stored vectors, each at its image's
+    camera point, filled in image id order."""
+    cameras = cameras_by_id(platform)
+    tree = VisualRTree(dimension=3)
+    rows = platform.db.table("image_visual_features").all_rows()
+    for row in sorted(rows, key=lambda row: row["image_id"]):
+        tree.insert(row["image_id"], cameras[row["image_id"]], np.array(row["vector"]))
+    return tree
+
+
 def tree_camera(platform: TVDP, query: SpatialQuery) -> list[int]:
     """Camera mode the way the slice answered it before the columns:
-    walk the Oriented R-tree, fetch each hit's row, keep the cameras
-    inside."""
+    walk an Oriented R-tree over the FOVs, fetch each hit's row, keep
+    the cameras inside."""
     region = query.bounding_region()
-    hits = platform.slice.spatial.search_range(
+    tree = OrientedRTree()
+    for image_id, fov in sorted(fovs_by_id(platform).items()):
+        tree.insert(image_id, fov)
+    hits = tree.search_range(
         region,
         direction_deg=query.direction_deg,
         tolerance_deg=query.direction_tolerance_deg,
@@ -180,10 +198,7 @@ def brute_camera(platform: TVDP, query: SpatialQuery) -> list[int]:
 
 def brute_hybrid(platform: TVDP, box: BoundingBox, vector: np.ndarray, k: int) -> list:
     """Filter the stored vectors' images by camera point, full sort."""
-    cameras = {
-        row["image_id"]: GeoPoint(row["lat"], row["lng"])
-        for row in platform.db.table("images").all_rows()
-    }
+    cameras = cameras_by_id(platform)
     pairs = [
         (row["image_id"], float(np.linalg.norm(np.array(row["vector"]) - vector)))
         for row in platform.db.table("image_visual_features").all_rows()
@@ -233,8 +248,7 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
                 stored[op["pick"] % len(stored)], [Augmentation("flip_v", flip_vertical)]
             )
         elif op["op"] == "localize" and stored:
-            # A row update (the scene box) and a catch-up of the
-            # Oriented R-tree, between the queries.
+            # A row update (the scene box), between the queries.
             platform.localize_scene(stored[op["pick"] % len(stored)])
         elif op["op"] == "camera":
             for query in camera_forms(op):
@@ -247,7 +261,7 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
             box, k = op["box"], op["k"]
             vector = np.asarray(op["probe"], dtype=np.float64)
             scan = platform.slice.spatial_visual_topk(EXTRACTOR, box, vector, k)
-            index = platform.slice.hybrid_indexes()[EXTRACTOR]
+            index = visual_tree(platform)
             tree = index.spatial_visual_knn(box, vector, k)
             assert scan == tree == index.linear_spatial_visual_knn(box, vector, k)
             assert scan == brute_hybrid(platform, box, vector, k)
@@ -264,7 +278,7 @@ def test_camera_and_hybrid_answers_equal_their_oracles(ops):
             assert repr(platform.execute(query)) == repr(scored_pairs(want))
 
 
-# -- scene mode on the FOV columns; the trees caught up by their readers -------------
+# -- scene mode, the overlap scan and the fused hybrid on the columns ----------------
 
 NAME = "probe"
 fov_writes = st.fixed_dictionaries(
@@ -340,32 +354,15 @@ def walk(tree: OrientedRTree, query: SpatialQuery) -> list[int]:
     return sorted(tree.search_range(query.bounding_region(), **direction))
 
 
-def rtree_shape(node) -> list:
-    if node.leaf:
-        return [(entry.item, entry.box) for entry in node.entries]
-    return [(child.box, rtree_shape(child)) for child in node.entries]
-
-
-def visual_shape(node) -> tuple:
-    summary = (node.box, node.count, node.radius, node.centroid.tobytes())
-    if node.leaf:
-        return summary, [(box, v.tobytes(), item) for box, v, item in node.entries]
-    return summary, [visual_shape(child) for child in node.entries]
-
-
 @settings(max_examples=80, deadline=None)
-@given(tree_ops, st.sampled_from([0, 1, 3, 7]))
-def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, every):
-    """``every``: the slice's trees are asked for after every that-many
-    writes (and probed wherever a hybrid query falls), or — 0 — only
-    once, at the end."""
+@given(tree_ops)
+def test_column_scans_equal_the_trees_filled_eagerly(ops):
     built = CatalogSlice(Database.tvdp())
     built.add_extractor(NAME, 3)
     eager, eager_visual = OrientedRTree(), VisualRTree(dimension=3)
     fovs: dict[int, FieldOfView] = {}
     points: dict[int, GeoPoint] = {}
     vectored: set[int] = set()
-    writes = 0
 
     def store(lat: float, lng: float, fov: FieldOfView | None) -> None:
         image_id = built.db.insert(
@@ -383,7 +380,6 @@ def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, ever
             eager.insert(image_id, fov)
 
     for op in ops:
-        wrote = True
         if op["op"] == "image":
             camera = GeoPoint(op["lat"], op["lng"])
             store(
@@ -400,13 +396,7 @@ def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, ever
             built.index_vector(NAME, image_id, vector)
             eager_visual.insert(image_id, points[image_id], vector)
             vectored.add(image_id)
-        else:
-            wrote = False
-        writes += wrote
-        if wrote and every and writes % every == 0:
-            assert len(built.spatial) == len(eager)
-            assert len(built.hybrid_indexes()[NAME]) == len(eager_visual)
-        if op["op"] == "scene":
+        elif op["op"] == "scene":
             direction = {}
             if op["direction"] is not None:
                 direction = {
@@ -430,25 +420,19 @@ def test_scene_scan_and_caught_up_trees_equal_the_trees_filled_eagerly(ops, ever
                 scan = built.spatial_ids(query).tolist()
                 assert scan == walk(eager, query), query
                 assert all(type(image_id) is int for image_id in scan)
-        elif op["op"] == "hybrid" and every:
+        elif op["op"] == "hybrid":
             box, k = op["box"], op["k"]
             vector = np.asarray(op["probe"], dtype=np.float64)
-            assert repr(built.hybrid_indexes()[NAME].spatial_visual_knn(box, vector, k)) == repr(
+            assert repr(built.spatial_visual_topk(NAME, box, vector, k)) == repr(
                 eager_visual.spatial_visual_knn(box, vector, k)
             )
-            assert built.spatial.search_range(box) == eager.search_range(box)
-    # Node for node the trees an eager fill builds, hence every answer.
-    assert rtree_shape(built.spatial._tree._root) == rtree_shape(eager._tree._root)
-    assert built.spatial._fovs == fovs
-    caught_up = built.hybrid_indexes()[NAME]
-    assert len(caught_up) == len(eager_visual) == len(vectored)
-    if vectored:
-        assert visual_shape(caught_up._root) == visual_shape(eager_visual._root)
-    for image_id, fov in fovs.items():
-        camera = fov.camera
-        assert built.spatial.search_overlapping(fov) == eager.search_overlapping(fov)
-        assert built.spatial.search_point(camera.lat, camera.lng) == eager.search_point(
-            camera.lat, camera.lng
+    assert len(eager_visual) == len(vectored)
+    for fov in fovs.values():
+        overlapping = built.overlapping_ids(fov).tolist()
+        assert overlapping == sorted(i for i, f in fovs.items() if f.overlaps_fov(fov))
+        depicting = SpatialQuery(point=fov.camera, radius_m=0.0)
+        assert built.spatial_ids(depicting).tolist() == sorted(
+            eager.search_point(fov.camera.lat, fov.camera.lng)
         )
 
 

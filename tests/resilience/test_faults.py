@@ -47,6 +47,26 @@ class TestScheduling:
                     outcomes.append("fault")
         assert outcomes == ["ok", "fault", "ok", "fault", "ok"]
 
+    def test_an_empty_at_calls_never_fires(self):
+        plan = FaultPlan(seed=1).kill("s", at_calls=set())
+        with plan.activate():
+            for _ in range(20):
+                inject("s")
+        assert plan.events == ()
+
+    def test_without_at_calls_the_rate_decides(self):
+        def faults(rate):
+            plan = FaultPlan(seed=1).kill("s", rate=rate)
+            with plan.activate():
+                for _ in range(20):
+                    try:
+                        inject("s")
+                    except FaultInjected:
+                        pass
+            return len(plan.events)
+
+        assert (faults(0.0), faults(1.0)) == (0, 20)
+
     def test_max_faults_caps_injections(self):
         plan = FaultPlan(seed=1).kill("s", rate=1.0, max_faults=2)
         with plan.activate():

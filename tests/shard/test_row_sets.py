@@ -56,8 +56,6 @@ def answer_losing(router: ShardRouter, query: object, lost: set):
     ``lost`` that it dispatches dying."""
     survivors = prepare(query, router._platform).survivors(router._ensure())
     order = [shard for shard in range(router.n_shards) if survivors >> shard & 1]
-    if lost.isdisjoint(order):
-        return router.answer(query)  # a plan killing at no call would kill at every one
     with losing(order, lost, router.max_attempts).activate():
         return router.answer(query)
 
