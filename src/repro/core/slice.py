@@ -19,17 +19,17 @@ A slice is filled two ways, by the same two methods:
 * from rows — :meth:`CatalogSlice.rebuild` replays a database in
   ascending image id (the platform's upload order).
 
-A write fills columns only: camera point, viewing direction and FOV MBR
-of every image (the ``FieldOfView`` kept beside its row), camera point
+A write fills columns only: the five numbers of every image's FOV
+sector (camera point, direction, angle, range) and its MBR, camera point
 and LSH row of every vector, and per label the columns a categorical
 query masks and groups (:meth:`CatalogSlice.index_annotation`, called
 by ``annotate`` and by the rebuild).  Every spatial read — camera mode,
 scene mode, the fused spatial-visual hybrid, and the overlapping views
 scene localisation asks for — is one vectorised predicate over those
-columns, an FOV predicate followed by the exact refine of the few
-survivors (DESIGN.md §6 has the scan-vs-tree table).  The slice holds
-none of the paper's trees: :mod:`repro.index` keeps them for the
-figures, the ablation and the tests' oracles.
+columns, then the exact sector predicate of :mod:`repro.geo.fov` on
+the few survivors' numbers (DESIGN.md §6 has the scan-vs-tree table).
+The slice holds none of the paper's trees: :mod:`repro.index` keeps
+them for the figures, the ablation and the tests' oracles.
 
 Each of the four index writes bumps the database's write version
 (:attr:`Database.version <repro.db.database.Database.version>`) once it
@@ -45,8 +45,8 @@ import numpy as np
 from repro.core.queries import SpatialQuery, TemporalQuery
 from repro.db.database import Database
 from repro.errors import QueryError
-from repro.geo.fov import FieldOfView
-from repro.geo.point import BoundingBox, GeoPoint
+from repro.geo.fov import FieldOfView, sector_contains, sector_meets_box, sectors_overlap
+from repro.geo.point import BoundingBox
 from repro.index.columns import Columns, ColumnView, PointColumns, owned_rows
 from repro.index.inverted import InvertedIndex
 from repro.index.lsh import LSHIndex
@@ -69,11 +69,10 @@ class CatalogSlice:
         # index carries its own lock for its contents.
         self._lock = threading.Lock()
         self._lsh: dict[str, LSHIndex] = {}
-        # Camera point, viewing direction and FOV MBR (min_lat, min_lng,
-        # max_lat, max_lng) of every image with an FOV; the FOV itself
-        # at the same row, for the refine.
-        self._cameras = PointColumns(extra=5)
-        self._fovs: list[FieldOfView] = []
+        # Camera point, viewing direction, angle and range (the sector's
+        # five numbers), then FOV MBR (min_lat, min_lng, max_lat,
+        # max_lng) of every image with an FOV.
+        self._cameras = PointColumns(extra=7)
         # Per extractor, the camera point of every indexed vector and
         # the row the LSH index gave that vector (exact in a float
         # column), so the vectors themselves are held once.
@@ -92,13 +91,11 @@ class CatalogSlice:
         if keywords:
             self.text.add(image_id, " ".join(keywords))
         if fov is not None:
-            camera, box = fov.camera, fov.mbr()
+            box = fov.mbr()
             with self._lock:
                 self._cameras.append(
-                    image_id, camera.lat, camera.lng, fov.direction_deg,
-                    box.min_lat, box.min_lng, box.max_lat, box.max_lng,
+                    image_id, *fov.sector, box.min_lat, box.min_lng, box.max_lat, box.max_lng
                 )
-                self._fovs.append(fov)
         self.db.bump()
 
     def index_annotation(
@@ -146,14 +143,7 @@ class CatalogSlice:
             keywords.setdefault(row["image_id"], []).append(row["keyword"])
         for row in db.table("images").all_rows():
             fov_row = fov_rows.get(row["image_id"])
-            fov = None
-            if fov_row is not None:
-                fov = FieldOfView(
-                    camera=GeoPoint(row["lat"], row["lng"]),
-                    direction_deg=fov_row["direction_deg"],
-                    angle_deg=fov_row["angle_deg"],
-                    range_m=fov_row["range_m"],
-                )
+            fov = None if fov_row is None else FieldOfView.from_dict({**fov_row, **row})
             built.index_image(row["image_id"], fov, keywords.get(row["image_id"], ()))
         for row in db.table("image_content_annotation").all_rows():
             built.index_annotation(
@@ -170,11 +160,8 @@ class CatalogSlice:
 
     def lsh(self, name: str) -> LSHIndex:
         """The LSH index of extractor ``name``."""
-        return self._registered(self._lsh, name)
-
-    def _registered(self, registry: dict, name: str):
         with self._lock:
-            index = registry.get(name)
+            index = self._lsh.get(name)
         if index is None:
             raise QueryError(
                 f"no features extracted yet for {name!r}; call extract_features first"
@@ -212,10 +199,10 @@ class CatalogSlice:
         ``owns`` keeps, if given — matching ``query``:
         camera-point-inside in camera mode, FOV-depicts in scene mode —
         one scan of the camera columns either way, then in scene mode
-        the exact FOV predicate on the rows the scan let through."""
+        the exact sector predicate on the rows the scan let through."""
         region = query.bounding_region()
         with self._lock:
-            cameras, fovs = self._cameras.view(), self._fovs
+            cameras = self._cameras.view()
         if query.mode == "camera":
             rows = cameras.rows_in(region, owns)
         else:
@@ -227,11 +214,12 @@ class CatalogSlice:
         if query.mode == "scene":
             # A camera inside the region already makes intersects_box
             # true, so camera mode has no refine; scene mode does.
-            if query.point is not None and query.radius_m == 0.0:
-                kept = [r for r in rows.tolist() if fovs[r].contains_point(query.point)]
-            else:
-                kept = [r for r in rows.tolist() if fovs[r].intersects_box(region)]
-            rows = np.array(kept, dtype=np.intp)
+            at = query.point if query.radius_m == 0.0 else None
+            kept = [
+                sector_contains(*five, at.lat, at.lng) if at else sector_meets_box(*five, region)
+                for five in _sectors(cameras, rows)
+            ]
+            rows = rows[np.array(kept, dtype=bool)]
         return np.sort(cameras.ids[rows])
 
     def overlapping_ids(self, fov: FieldOfView) -> np.ndarray:
@@ -240,10 +228,10 @@ class CatalogSlice:
         the MBR columns against ``fov.mbr()``, then that refine on the
         rows the scan let through."""
         with self._lock:
-            cameras, fovs = self._cameras.view(), self._fovs
+            cameras = self._cameras.view()
         rows = _mbr_rows(cameras, fov.mbr())
-        kept = [r for r in rows.tolist() if fovs[r].overlaps_fov(fov)]
-        return np.sort(cameras.ids[np.array(kept, dtype=np.intp)])
+        kept = [sectors_overlap(sector, fov.sector) for sector in _sectors(cameras, rows)]
+        return np.sort(cameras.ids[rows[np.array(kept, dtype=bool)]])
 
     def spatial_visual_topk(
         self, name: str, region: BoundingBox, vector: np.ndarray, k: int
@@ -339,14 +327,16 @@ def _mbr_rows(cameras: ColumnView, box: BoundingBox, owns=None) -> np.ndarray:
     (:meth:`BoundingBox.intersects`, on columns) — one scan, of the rows
     ``owns`` keeps if given."""
     mine = owned_rows(cameras.ids, owns)
-    _, min_lat, min_lng, max_lat, max_lng = cameras.extra
-    hit = (
-        (min_lat <= box.max_lat)
-        & (max_lat >= box.min_lat)
-        & (min_lng <= box.max_lng)
-        & (max_lng >= box.min_lng)
-    )
+    min_lat, min_lng, max_lat, max_lng = cameras.extra[3:]
+    hit = (min_lat <= box.max_lat) & (max_lat >= box.min_lat)
+    hit &= (min_lng <= box.max_lng) & (max_lng >= box.min_lng)
     return np.flatnonzero(hit if mine is None else hit & mine)
+
+
+def _sectors(cameras: ColumnView, rows: np.ndarray) -> list:
+    """The five numbers (:attr:`FieldOfView.sector`) of each of a handful of ``rows``."""
+    items = [column.item for column in (cameras.lat, cameras.lng, *cameras.extra[:3])]
+    return [[item(r) for item in items] for r in rows.tolist()]
 
 
 def best_per_image(

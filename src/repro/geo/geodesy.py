@@ -9,17 +9,20 @@ consumer GPS, the paper's sensing modality.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
-from repro.errors import GeoError
 from repro.geo.point import EARTH_RADIUS_M, GeoPoint
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in meters."""
-    lat1, lat2 = math.radians(a.lat), math.radians(b.lat)
+    return haversine_coords_m(a.lat, a.lng, b.lat, b.lng)
+
+
+def haversine_coords_m(lat_a: float, lng_a: float, lat_b: float, lng_b: float) -> float:
+    """:func:`haversine_m` of two ``(lat, lng)`` pairs in degrees."""
+    lat1, lat2 = math.radians(lat_a), math.radians(lat_b)
     dlat = lat2 - lat1
-    dlng = math.radians(b.lng - a.lng)
+    dlng = math.radians(lng_b - lng_a)
     h = (
         math.sin(dlat / 2.0) ** 2
         + math.cos(lat1) * math.cos(lat2) * math.sin(dlng / 2.0) ** 2
@@ -33,46 +36,33 @@ def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
     0 is true north, 90 east — the convention of the paper's viewing
     direction θ captured from the digital compass.
     """
-    lat1, lat2 = math.radians(a.lat), math.radians(b.lat)
-    dlng = math.radians(b.lng - a.lng)
+    return bearing_coords_deg(a.lat, a.lng, b.lat, b.lng)
+
+
+def bearing_coords_deg(lat_a: float, lng_a: float, lat_b: float, lng_b: float) -> float:
+    """:func:`initial_bearing_deg` of two ``(lat, lng)`` pairs in degrees."""
+    lat1, lat2 = math.radians(lat_a), math.radians(lat_b)
+    dlng = math.radians(lng_b - lng_a)
     x = math.sin(dlng) * math.cos(lat2)
     y = math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlng)
     return math.degrees(math.atan2(x, y)) % 360.0
 
 
-def destination_coords(
-    origin: GeoPoint, bearings_deg: Iterable[float], distance_m: float
-) -> list[tuple[float, float]]:
-    """``(lat, lng)`` in degrees reached travelling ``distance_m`` meters
-    from ``origin`` on each initial bearing (spherical direct geodesic
-    problem).  The origin's and the distance's trigonometry is computed
-    once for all bearings, and no point object is built; every pair is
-    held to :class:`GeoPoint`'s ranges all the same."""
+def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
+    """Point reached travelling ``distance_m`` meters from ``origin`` on
+    the given initial bearing (spherical direct geodesic problem)."""
     delta = distance_m / EARTH_RADIUS_M
     lat1 = math.radians(origin.lat)
     lng1 = math.radians(origin.lng)
-    sin_lat1, cos_lat1 = math.sin(lat1), math.cos(lat1)
-    sin_delta, cos_delta = math.sin(delta), math.cos(delta)
-    coords = []
-    for bearing_deg in bearings_deg:
-        theta = math.radians(bearing_deg)
-        lat2 = math.asin(sin_lat1 * cos_delta + cos_lat1 * sin_delta * math.cos(theta))
-        lng2 = lng1 + math.atan2(
-            math.sin(theta) * sin_delta * cos_lat1,
-            cos_delta - sin_lat1 * math.sin(lat2),
-        )
-        lat = math.degrees(lat2)
-        lng = (math.degrees(lng2) + 540.0) % 360.0 - 180.0
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
-            raise GeoError(f"destination off the globe: ({lat}, {lng})")
-        coords.append((lat, lng))
-    return coords
-
-
-def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
-    """Point reached travelling ``distance_m`` meters from ``origin`` on
-    the given initial bearing."""
-    return GeoPoint(*destination_coords(origin, (bearing_deg,), distance_m)[0])
+    theta = math.radians(bearing_deg)
+    lat2 = math.asin(
+        math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(theta)
+    )
+    lng2 = lng1 + math.atan2(
+        math.sin(theta) * math.sin(delta) * math.cos(lat1),
+        math.cos(delta) - math.sin(lat1) * math.sin(lat2),
+    )
+    return GeoPoint(math.degrees(lat2), (math.degrees(lng2) + 540.0) % 360.0 - 180.0)
 
 
 def angular_difference_deg(a: float, b: float) -> float:

@@ -173,7 +173,7 @@ def partition_catalog(
     # FOV MBRs plus every camera point: augmented images have no FOV
     # but still carry a camera point, and camera-mode spatial queries
     # (plus the hybrid index) match on camera points.
-    _, min_lat, min_lng, max_lat, max_lng = cameras.extra
+    min_lat, min_lng, max_lat, max_lng = cameras.extra[3:]
     lat, lng = images["lat"], images["lng"]
     bounds = _per_shard(np.concatenate([owner, codes.take(cameras.ids, mode="clip")]), counts, [
         (np.fmin, np.concatenate([lat, min_lat])),

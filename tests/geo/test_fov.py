@@ -96,7 +96,9 @@ class TestMBR:
     def test_mbr_contains_camera_and_boundary(self, fov):
         box = fov.mbr()
         assert box.contains_point(fov.camera)
-        for p in fov.boundary_points(12):
+        half = fov.angle_deg / 2.0
+        for i in range(12):
+            p = destination_point(fov.camera, fov.direction_deg - half + 2 * half * i / 11, fov.range_m)
             assert box.min_lat - 1e-9 <= p.lat <= box.max_lat + 1e-9
             assert box.min_lng - 1e-9 <= p.lng <= box.max_lng + 1e-9
 
@@ -182,8 +184,3 @@ class TestMisc:
         assert restored.direction_deg == pytest.approx(fov.direction_deg)
         assert restored.angle_deg == fov.angle_deg
         assert restored.range_m == fov.range_m
-
-    def test_boundary_points_count(self):
-        assert len(make_fov().boundary_points(10)) == 10
-        with pytest.raises(GeoError):
-            make_fov().boundary_points(1)

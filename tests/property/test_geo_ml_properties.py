@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geo import (
@@ -46,6 +46,9 @@ class TestGeoProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(fovs, camera, st.floats(1.0, 500.0))
+    # The camera 1.1 m south of the box centre, 0.1 m outside the box:
+    # only the radial edges crossing its south side witness the hit.
+    @example(FieldOfView(GeoPoint(-1e-05, 0.0), 0.0, 20.0, 20.0), GeoPoint(0.0, 0.0), 1.0)
     def test_intersects_box_consistent_with_contains(self, fov, center, radius):
         box = BoundingBox.around(center, radius)
         # If the box centre is visible, the box must intersect the FOV.

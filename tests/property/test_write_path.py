@@ -1,12 +1,13 @@
 """Property tests: each step of a write cycle against the code it replaced.
 
-An upload's histogram, its FOV rectangle and its place in the Visual
-R*-tree are computed incrementally or in one pass; the from-scratch
-code each of them replaced is kept here as the oracle.  The histogram
-and the rectangle must be the same floats; the tree must have the shape
-and boxes a full recompute gives at every node, and spheres within
-rounding of it (an inner node's radius now comes from one row-wise norm
-where the old code took a dot product per child).
+An upload's histogram and its place in the Visual R*-tree are computed
+incrementally or in one pass; the from-scratch code each of them
+replaced is kept here as the oracle.  The histogram must be the same
+floats; the FOV rectangle, now in closed form, must hold the points the
+sampled one was made of and a dense sample of the sector; the tree must
+have the shape and boxes a full recompute gives at every node, and
+spheres within rounding of it (an inner node's radius now comes from
+one row-wise norm where the old code took a dot product per child).
 """
 
 from __future__ import annotations
@@ -180,45 +181,19 @@ class TestIncrementalSummaries:
             )
 
 
-# -- (c) FOV rectangle without throw-away points -----------------------------------------
+# -- (c) FOV rectangle in closed form ----------------------------------------------------
 
 
-def destination_point(origin, bearing_deg, distance_m):
-    """``geodesy.destination_point`` as it was: every sine and cosine
-    per call, a validated point out."""
-    delta = distance_m / EARTH_RADIUS_M
-    theta = math.radians(bearing_deg)
-    lat1 = math.radians(origin.lat)
-    lng1 = math.radians(origin.lng)
-    lat2 = math.asin(
-        math.sin(lat1) * math.cos(delta)
-        + math.cos(lat1) * math.sin(delta) * math.cos(theta)
-    )
-    lng2 = lng1 + math.atan2(
-        math.sin(theta) * math.sin(delta) * math.cos(lat1),
-        math.cos(delta) - math.sin(lat1) * math.sin(lat2),
-    )
-    lng2 = (math.degrees(lng2) + 540.0) % 360.0 - 180.0
-    return GeoPoint(math.degrees(lat2), lng2)
-
-
-def arc_points(fov, samples):
+def sampled_bearings(fov):
+    """The bearings ``FieldOfView.mbr`` used to sample: 16 across the
+    arc, plus each cardinal direction the sector spans."""
     half = fov.angle_deg / 2.0
-    bearings = [
-        fov.direction_deg - half + fov.angle_deg * i / (samples - 1)
-        for i in range(samples)
+    arc = [fov.direction_deg - half + fov.angle_deg * i / 15 for i in range(16)]
+    return arc + [
+        cardinal
+        for cardinal in (0.0, 90.0, 180.0, 270.0)
+        if angular_difference_deg(cardinal, fov.direction_deg) <= half
     ]
-    return [destination_point(fov.camera, b, fov.range_m) for b in bearings]
-
-
-def rectangle_from_points(fov):
-    """``FieldOfView.mbr`` as it was."""
-    points = [fov.camera, *arc_points(fov, 16)]
-    half = fov.angle_deg / 2.0
-    for cardinal in (0.0, 90.0, 180.0, 270.0):
-        if angular_difference_deg(cardinal, fov.direction_deg) <= half:
-            points.append(destination_point(fov.camera, cardinal, fov.range_m))
-    return BoundingBox.from_points(points)
 
 
 cameras = st.builds(
@@ -248,16 +223,47 @@ class TestRectangleFromFloats:
     @settings(max_examples=400, deadline=None)
     @given(sectors)
     def test_mbr_and_arc_are_the_points_they_were(self, fov):
-        try:
-            expected = rectangle_from_points(fov)
-        except ValueError as error:
-            # asin of 1 + an ulp, a destination on the pole: both raise.
-            with pytest.raises(type(error)):
-                fov.mbr()
-            return
-        assert fov.mbr() == expected
-        assert fov.boundary_points(16) == arc_points(fov, 16)
-        assert fov.boundary_points(2) == arc_points(fov, 2)
+        """The points the sampled rectangle was made of — the camera and
+        the sampled arc — are inside the closed-form one, to rounding."""
+        bearings = sampled_bearings(fov)
+        lats, lngs = sector_points(fov, bearings, np.full(len(bearings), fov.range_m))
+        assert_inside(fov.mbr(), [fov.camera.lat, *lats], [fov.camera.lng, *lngs])
+
+    @settings(max_examples=300, deadline=None)
+    @given(sectors)
+    def test_mbr_holds_a_dense_arc_and_both_radii(self, fov):
+        """4,001 arc points and 500 points along each radial edge are
+        inside the rectangle: the arc's bulges and a radial edge's
+        mid-edge vertex included."""
+        ends = fov.direction_deg - fov.angle_deg / 2.0, fov.direction_deg + fov.angle_deg / 2.0
+        arc = np.linspace(*ends, 4001), np.full(4001, fov.range_m)
+        radii = np.repeat(ends, 500), np.tile(np.linspace(0.0, fov.range_m, 500), 2)
+        lats, lngs = sector_points(fov, *(np.concatenate(pair) for pair in zip(arc, radii)))
+        assert_inside(fov.mbr(), lats, lngs)
+
+
+def sector_points(fov, bearings, distances):
+    """``(lats, lngs)`` reached from the camera on each bearing (degrees)
+    after each distance (meters), as unit vectors: no ``asin`` near ±1,
+    so as exact near a pole as anywhere."""
+    lat, lng = math.radians(fov.camera.lat), math.radians(fov.camera.lng)
+    camera = np.array([math.cos(lat) * math.cos(lng), math.cos(lat) * math.sin(lng), math.sin(lat)])
+    north = np.array([-math.sin(lat) * math.cos(lng), -math.sin(lat) * math.sin(lng), math.cos(lat)])
+    east = np.array([-math.sin(lng), math.cos(lng), 0.0])
+    theta, delta = np.radians(bearings), np.asarray(distances) / EARTH_RADIUS_M
+    p = np.outer(camera, np.cos(delta)) + (
+        np.outer(north, np.cos(theta)) + np.outer(east, np.sin(theta))
+    ) * np.sin(delta)
+    return np.degrees(np.arctan2(p[2], np.hypot(p[0], p[1]))), np.degrees(np.arctan2(p[1], p[0]))
+
+
+def assert_inside(box, lats, lngs, slack_deg=1e-11):
+    """Every ``(lat, lng)`` is in ``box`` to rounding: ``slack_deg``
+    (about 1 µm) of latitude, and as many meters of longitude."""
+    lats, lngs = np.asarray(lats), np.asarray(lngs)
+    lng_slack = slack_deg / np.maximum(np.cos(np.radians(lats)), 1e-300)
+    assert (lats >= box.min_lat - slack_deg).all() and (lats <= box.max_lat + slack_deg).all()
+    assert (lngs >= box.min_lng - lng_slack).all() and (lngs <= box.max_lng + lng_slack).all()
 
 
 # -- (d) an upload held as its bytes -------------------------------------------------------

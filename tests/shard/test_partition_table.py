@@ -78,7 +78,7 @@ def shard_stats(platform, codes: np.ndarray, shard_id: int) -> ShardStats:
     mine = owns(images["image_id"])
     lat, lng = images["lat"][mine], images["lng"][mine]
     cameras = catalog._cameras.view()
-    mbrs = np.array(cameras.extra[1:])[:, owns(cameras.ids)]
+    mbrs = np.array(cameras.extra[3:])[:, owns(cameras.ids)]
     bounds = None
     if mbrs.shape[1]:
         bounds = BoundingBox(*mbrs[:2].min(axis=1).tolist(), *mbrs[2:].max(axis=1).tolist())

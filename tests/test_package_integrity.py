@@ -5,8 +5,8 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.errors import GeoError, MLError
-from repro.geo import BoundingBox, FieldOfView, GeoPoint
+from repro.errors import MLError
+from repro.geo import BoundingBox, GeoPoint
 from repro.ml.base import check_fitted, check_X, check_X_y, unique_labels
 from repro.ml.knn import pairwise_sq_distances
 
@@ -87,17 +87,6 @@ class TestPairwiseDistances:
 
 
 class TestGeoUtilities:
-    def test_interior_points_inside_sector(self):
-        fov = FieldOfView(GeoPoint(34.0, -118.0), 45.0, 80.0, 300.0)
-        points = fov.interior_points(samples=6)
-        assert len(points) == 18  # 3 rings x 6 samples
-        assert all(fov.contains_point(p) for p in points)
-
-    def test_interior_points_validation(self):
-        fov = FieldOfView(GeoPoint(34.0, -118.0), 0.0, 60.0, 100.0)
-        with pytest.raises(GeoError):
-            fov.interior_points(samples=1)
-
     def test_bounding_region_for_point_query(self):
         from repro.core import SpatialQuery
 
