@@ -17,6 +17,9 @@ from repro.index import OrientedRTree
 REGION = (33.9, -118.5, 34.1, -118.3)
 SIZES = sized((200, 800, 2_000), (200, 800))
 N_QUERIES = 40
+#: Each side is timed as its fastest of this many runs of the queries: at
+#: N=200 the tree answers 40 queries in 1-2 ms, so one run is mostly noise.
+REPEATS = 5
 
 
 def make_fovs(n, seed=0):
@@ -47,6 +50,16 @@ def make_queries(seed=1):
     return out
 
 
+def fastest(run):
+    """``run()``'s result and its fastest time of ``REPEATS`` runs."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = run()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
 def test_fig3_oriented_queries_vs_scan(benchmark, capsys):
     queries = make_queries()
 
@@ -59,31 +72,26 @@ def test_fig3_oriented_queries_vs_scan(benchmark, capsys):
                 index.insert(i, fov)
 
             probes: dict = {}
-            t0 = time.perf_counter()
             with probe_counters(probes):
-                indexed_hits = [
+                indexed_hits, indexed_s = fastest(lambda: [
                     index.search_range(box, direction_deg=direction, tolerance_deg=30.0)
                     for box, direction in queries
-                ]
-            indexed_s = time.perf_counter() - t0
+                ])
 
-            t0 = time.perf_counter()
-            scan_hits = []
-            for box, direction in queries:
-                scan_hits.append(
-                    [
-                        i
-                        for i, fov in enumerate(fovs)
-                        if fov.direction_matches(direction, 30.0)
-                        and fov.intersects_box(box)
-                    ]
-                )
-            scan_s = time.perf_counter() - t0
+            scan_hits, scan_s = fastest(lambda: [
+                [
+                    i
+                    for i, fov in enumerate(fovs)
+                    if fov.direction_matches(direction, 30.0)
+                    and fov.intersects_box(box)
+                ]
+                for box, direction in queries
+            ])
 
             for a, b in zip(indexed_hits, scan_hits):
                 assert set(a) == set(b)
-            cand_per_q = probes.get("index.oriented.candidates", 0) / N_QUERIES
-            pruned_per_q = probes.get("index.oriented.mask_pruned", 0) / N_QUERIES
+            cand_per_q = probes.get("index.oriented.candidates", 0) / (N_QUERIES * REPEATS)
+            pruned_per_q = probes.get("index.oriented.mask_pruned", 0) / (N_QUERIES * REPEATS)
             table.append((n, indexed_s, scan_s, cand_per_q, pruned_per_q))
         return table
 
