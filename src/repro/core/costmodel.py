@@ -9,7 +9,9 @@ is that knowledge, written down as data:
   **dominant probe counters** that measure its hot loops at runtime,
   and the **hot sites** — fully-qualified names of the per-item loops
   static analysis found on that family's execution path (the access
-  path itself is the family's ``path`` in :mod:`repro.core.families`).
+  path itself is the family's ``path`` in :mod:`repro.core.families`;
+  what each cost string abbreviates is written out in DESIGN.md §6,
+  "What each family's cost string means").
 * :func:`cost_annotation` serves the planner: ``explain()`` attaches
   the entry for a plan node's family so ``/debug/explain`` output can
   be cross-checked against the measured ``counter_deltas`` (an
@@ -43,14 +45,6 @@ COST_MODEL: dict = {
         "hot_sites": [
             "repro.core.slice.CatalogSlice.spatial_ids",
         ],
-        "note": (
-            "n = the slice's FOV rows, all of them examined "
-            "(index.columns.rows_examined), none fetched.  Scene mode "
-            "masks MBR-overlaps-region and direction on the columns, then "
-            "runs the exact FOV geometry on the survivors only; camera "
-            "mode masks camera-in-region and needs no refine.  The "
-            "slice holds no Oriented R-tree (DESIGN.md section 6)"
-        ),
     },
     "visual": {
         "cost": (
@@ -70,18 +64,6 @@ COST_MODEL: dict = {
             "repro.index.lsh._row_dots",
             "repro.index.ordering.by_distance",
         ],
-        "note": (
-            "c = distinct bucket candidates (buffer rows); n = indexed "
-            "vectors, scanned when c < k (index.lsh.fallback_scans).  "
-            "LSHIndex.nearest_columns is the one exact ranking: with more "
-            "rows than k and than 128, |x|^2 - 2x.q from the norm column "
-            "and one matrix-vector product (in 2,048-row blocks: "
-            "_row_dots' loop is per block, not per row) selects the rows "
-            "within a guard band of the k-th, and only those get the "
-            "exact norm; the answer is (ids, distances) arrays in the "
-            "canonical order (one lexsort), joined and lexsorted once "
-            "more when several shards answer — no object per candidate"
-        ),
     },
     "categorical": {
         "cost": "O(a) vectorised mask + group-max over the requested labels' columns",
@@ -92,14 +74,6 @@ COST_MODEL: dict = {
         "hot_sites": [
             "repro.core.catalog.ClassificationCatalog._label_map",
         ],
-        "note": (
-            "a = annotations carrying any requested label, all of them "
-            "examined (index.columns.rows_examined) by the min_confidence / "
-            "source mask and one lexsort; no annotation row is fetched.  "
-            "A label resolves by one map lookup; the map is rebuilt from "
-            "both catalog tables' rows (charged rows_scanned) only by the "
-            "first lookup after either table was written"
-        ),
     },
     "textual": {
         "cost": (
@@ -115,13 +89,6 @@ COST_MODEL: dict = {
         "hot_sites": [
             "repro.index.inverted.InvertedIndex.scores",
         ],
-        "note": (
-            "n = documents, q = query terms; a loop runs per term, never "
-            "per posting or per hit.  postings_scanned counts every "
-            "posting of the query's terms for any; for all, the rarest "
-            "term's postings plus one read per other term per document "
-            "that holds them all"
-        ),
     },
     "temporal": {
         "cost": (
@@ -131,13 +98,6 @@ COST_MODEL: dict = {
         ),
         "dominant_counters": [],
         "hot_sites": [],
-        "note": (
-            "k = rows in the window; two bisects find its ends and only "
-            "those k keys are touched (rows_scanned is charged k), on "
-            "the platform and on every shard slice alike.  Inserts land "
-            "in the tail, merged into the arrays every 256, or by a "
-            "read that finds the tail as the last read left it"
-        ),
     },
     "hybrid": {
         "cost": (
@@ -153,15 +113,6 @@ COST_MODEL: dict = {
             "repro.index.lsh._row_dots",
             "repro.index.ordering.by_distance",
         ],
-        "note": (
-            "n = the extractor's indexed vectors, all of them examined "
-            "by the region predicate (index.columns.rows_examined); m = "
-            "those inside the region, gathered from the LSH buffer and "
-            "ranked by LSHIndex.nearest_columns — the visual family's "
-            "routine, never a product over the whole buffer, answering "
-            "(ids, distances) arrays.  Non-fused "
-            "hybrids intersect their parts' own paths"
-        ),
     },
     "shard_partition": {
         "cost": (
@@ -176,15 +127,6 @@ COST_MODEL: dict = {
             "repro.shard.partition._assign_shards",
             "repro.shard.partition._shard_masks",
         ],
-        "note": (
-            "n = images, p = postings, a = annotations, v = vectors.  "
-            "Build-time full scans by design: a partition copies no row, "
-            "column or index — it gives every image id a shard code and "
-            "reads the shards' bounds, time windows and per-key shard "
-            "bitmasks off the coordinator's columns through it; amortised "
-            "across queries by the router's catalog-version check (no "
-            "per-query cost)"
-        ),
     },
     "shard_scatter_gather": {
         "cost": (
@@ -199,27 +141,18 @@ COST_MODEL: dict = {
             "repro.shard.router.ShardRouter.answer",
             "repro.shard.executor.ScatterGatherExecutor.dispatch",
         ],
-        "note": (
-            "s = surviving shards after pruning, dispatched once per query "
-            "(shard.fanouts vs shard.shards_pruned); a dispatch runs no scan. "
-            "Each part's one pass is its family's serial scan — under the "
-            "owner mask of its answering shards only when one was lost — so "
-            "it books one index.columns.scans and the rows it examined, and "
-            "its payload is ordered once: no per-shard payload is merged"
-        ),
     },
 }
 
 
 def cost_annotation(family: str) -> dict | None:
     """The static cost annotation for one query family, shaped for a
-    plan node: ``{cost, dominant_counters, note}`` (``None`` for
-    families the model does not cover)."""
+    plan node: ``{cost, dominant_counters}`` (``None`` for families the
+    model does not cover)."""
     entry = COST_MODEL.get(family)
     if entry is None:
         return None
     return {
         "cost": entry["cost"],
         "dominant_counters": list(entry["dominant_counters"]),
-        "note": entry["note"],
     }

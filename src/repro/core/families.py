@@ -20,7 +20,9 @@ the whole slice; the shard router gives a part one only when a shard it
 survives on was lost (sound pruning leaves nothing of a pruned shard to
 find): the rows of its survivors that answered (shards are disjoint row
 sets of the one catalog, so that one pass is what merging a pass per
-shard would give).  A general hybrid is its parts' leaves and
+shard would give); a part that no answering shard holds, a mask that
+keeps no row, under which a pass moves no counter and bills nothing.  A
+general hybrid is its parts' leaves and
 :func:`~repro.core.queries.combine_hybrid`; the fused spatial-visual
 pair is one leaf.
 """
@@ -65,18 +67,13 @@ class Leaf:
 
     __slots__ = ("query",)
     parts: tuple = ()  # a general hybrid's leaves: answer takes their answers
-    #: The payload of a pass over no row: ``(ids, values)``, both empty.
-    empty: object = (np.empty(0, np.int64), np.empty(0))
 
     def __init__(self, query, platform: TVDP | None = None) -> None:
         self.query = query
 
-    children = staticmethod(lambda query: ())  # what EXPLAIN nests under the node
-
 
 class _Ids(Leaf):
     __slots__ = ()
-    empty = np.empty(0, np.int64)
 
     @staticmethod
     def answer(payload: np.ndarray) -> Answer:
@@ -280,9 +277,7 @@ class SpatialVisual(Leaf):
     @staticmethod
     def details(query: HybridQuery) -> dict:
         _, visual = query.fused_pair()
-        return {"extractor": visual.extractor_name, "k": visual.k}
-
-    children = staticmethod(HybridQuery.fused_pair)
+        return {"extractor": visual.extractor_name, "k": visual.k, "filter": "camera_in_region"}
 
     def task(self, s: CatalogSlice, owns=None) -> tuple[np.ndarray, np.ndarray]:
         name, k = self.visual.query.extractor_name, self.visual.query.k
@@ -307,8 +302,6 @@ class Conjunction(Leaf):
 
     path = staticmethod(lambda query: "intersect(sub-results)")
     details = staticmethod(lambda query: {"parts": len(query.queries)})
-
-    children = staticmethod(lambda query: tuple(query.queries))
 
     def survivors(self, cut) -> int:
         return reduce(or_, [part.survivors(cut) for part in self.parts])
@@ -347,25 +340,19 @@ def prepare(query: object, platform: TVDP | None = None) -> Leaf:
     return leaf_class(query)(query, platform)
 
 
-#: The owner mask of no row: a part given it runs no pass, and its
-#: payload is its leaf's ``empty``.
-NO_ROWS = False
-
-
 def run_leaf(leaf: Leaf, s: CatalogSlice, owners: list | None = None) -> Answer:
     """``leaf``'s answer on ``s``: each part — a general hybrid's, else
     the leaf itself — runs its task once over the rows its owner mask in
-    ``owners`` keeps (``None``, and no ``owners`` at all: every row;
-    :data:`NO_ROWS`: none) and orders its payload; a general hybrid's
-    parts each in an uncounted ``query.<family>`` child span."""
+    ``owners`` keeps (``None``, and no ``owners`` at all: every row) and
+    orders its payload; a general hybrid's parts each in an uncounted
+    ``query.<family>`` child span."""
     if not leaf.parts:
-        owns = owners[0] if owners else None
-        return leaf.answer(leaf.empty if owns is NO_ROWS else leaf.task(s, owns))
+        return leaf.answer(leaf.task(s, owners[0] if owners else None))
     answers = []
     for part, owns in zip(leaf.parts, owners or repeat(None)):
         with obs.span(f"query.{query_family(part.query)}") as sp:
             sp.set("path", part.path(part.query))
-            answers.append(part.answer(part.empty if owns is NO_ROWS else part.task(s, owns)))
+            answers.append(part.answer(part.task(s, owns)))
             sp.set("results", len(answers[-1]))
     return leaf.answer(answers)
 

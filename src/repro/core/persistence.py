@@ -13,6 +13,8 @@ Layout on disk (a directory):
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,25 +30,36 @@ _BLOBS_FILE = "blobs.npz"
 
 
 def save_platform(platform: TVDP, directory: str | Path) -> None:
-    """Persist database rows and image blobs under ``directory``."""
+    """Persist image blobs, then database rows, under ``directory``.
+
+    Each file is written beside itself and renamed over the old one, so
+    a save that dies part-way leaves every file whole.  The blobs go
+    first: the catalog only grows, so whatever ``db.json`` is on disk,
+    the blobs there cover each of its rows (a load drops the rest)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    dump_database(platform.db, directory / _DB_FILE)
     arrays = {
         str(image_id): image.to_uint8() for image_id, image in platform.blobs().items()
     }
-    np.savez_compressed(directory / _BLOBS_FILE, **arrays)
+    blobs = directory / _BLOBS_FILE
+    tmp = blobs.with_name(blobs.name + ".tmp")
+    with open(tmp, "wb") as file:  # a file object: numpy adds no suffix
+        np.savez_compressed(file, **arrays)
+    tmp.replace(blobs)
+    dump_database(platform.db, directory / _DB_FILE)
 
 
 def load_platform(directory: str | Path) -> TVDP:
     """Rebuild a platform from :func:`save_platform` output.
 
-    Relational state and blobs are restored exactly; the index suite is
-    rebuilt from the rows by :meth:`repro.core.slice.CatalogSlice.rebuild`
-    (indexes are derived state, so rebuilding keeps the on-disk format
-    simple and forward-compatible).  Feature *extractors* are code, not
-    data — re-register them after loading before issuing visual queries
-    that pass raw example images.
+    Relational state and blobs are restored exactly — the blobs of the
+    images whose rows came back; the index suite is rebuilt from the
+    rows by :meth:`repro.core.slice.CatalogSlice.rebuild` (indexes are
+    derived state, so rebuilding keeps the on-disk format simple and
+    forward-compatible).  Feature *extractors* are code, not data —
+    re-register them after loading before issuing visual queries that
+    pass raw example images.  A snapshot without ``db.json``, or whose
+    blobs do not read, raises :class:`TVDPError`.
     """
     directory = Path(directory)
     if not (directory / _DB_FILE).exists():
@@ -56,8 +69,16 @@ def load_platform(directory: str | Path) -> TVDP:
     # them; like every platform index they are derived from rows.
     for column in TEMPORAL_FIELDS:
         db.table("images").create_ordered_index(column)
-    with np.load(directory / _BLOBS_FILE) as archive:
-        blobs = {int(key): Image.from_uint8(archive[key]) for key in archive.files}
+    images = db.table("images")
+    try:
+        with np.load(directory / _BLOBS_FILE) as archive:
+            blobs = {
+                int(key): Image.from_uint8(archive[key])
+                for key in archive.files
+                if int(key) in images
+            }
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise TVDPError(f"unreadable image blobs in {directory}: {exc}") from exc
     platform = TVDP()
     platform.restore(db, blobs)
     return platform

@@ -37,12 +37,15 @@ def count_scan(rows: int) -> None:
 def owned_rows(ids: np.ndarray, owns=None) -> np.ndarray | None:
     """Book one column scan of ``ids``: over every row, or — given
     ``owns``, which maps an id column to a mask — over the rows it keeps,
-    whose mask is returned (``None``: every row is kept)."""
+    whose mask is returned (``None``: every row is kept).  A mask that
+    keeps none of them books nothing: no row is scanned."""
     if owns is None:
         count_scan(len(ids))
         return None
     mine = owns(ids)
-    count_scan(int(np.count_nonzero(mine)))
+    kept = int(np.count_nonzero(mine))
+    if kept:
+        count_scan(kept)
     return mine
 
 

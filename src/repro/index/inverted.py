@@ -165,7 +165,7 @@ class InvertedIndex:
         keeps those every term lists.  Given ``owns``, each term's
         postings are cut to the documents it keeps before any is scored,
         and the rarest term and the postings charged are those of the
-        cut lists.
+        cut lists; when no posting is left to read, nothing is booked.
         """
         terms = sorted(set(terms))
         # One lock hold: document frequencies, postings and lengths must
@@ -218,9 +218,10 @@ class InvertedIndex:
                 out = out[rows]
                 scanned = sum(len(positions) for _, (positions, _), _ in weighted)
             ids = self._ids[rows]
-        _QUERIES.inc()
-        _POSTINGS_SCANNED.inc(scanned)
-        charge_probes("inverted", scanned)
+        if scanned or owns is None:  # a mask that keeps no posting: nothing read
+            _QUERIES.inc()
+            _POSTINGS_SCANNED.inc(scanned)
+            charge_probes("inverted", scanned)
         return ids, out
 
     def search_any(self, query: str) -> list[tuple[object, float]]:

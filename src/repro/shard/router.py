@@ -11,10 +11,12 @@ by one ``survivors(cut)`` call, a bitmask of shards; one dispatch,
 through a :class:`~repro.shard.executor.ScatterGatherExecutor`, sends
 every surviving shard one retried dispatch; then
 :func:`~repro.core.families.run_leaf` — the serial runner — runs each
-part once, given its owner mask.  Pruning is sound, so a part none of
-whose shards was lost gets none and runs the serial pass; one that lost
-a shard runs over the rows of its surviving shards that answered
-(shards are disjoint row sets of the one catalog).  A shard that fails
+part once, given its owner mask.  Pruning is sound, so a part that
+survives on some shard and lost none of them gets none and runs the
+serial pass; any other runs over the rows of its surviving shards that
+answered (shards are disjoint row sets of the one catalog) — none, for
+a part pruned everywhere, and a pass under a mask that keeps no row
+costs nothing.  A shard that fails
 every retry degrades the answer to ``partial=True`` instead of raising —
 on the answer, in the info dict, and on the query span beside what the
 dispatch did (there is no span per dispatch or per shard).
@@ -27,7 +29,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from repro import obs
-from repro.core.families import NO_ROWS, prepare, run_leaf
+from repro.core.families import prepare, run_leaf
 from repro.core.platform import TVDP
 from repro.core.queries import Answer
 from repro.errors import TVDPError
@@ -112,8 +114,8 @@ class ShardRouter:
     def answer(self, query: object) -> tuple[Answer, dict]:
         """``(answer, info)``: one dispatch of the shards ``query``
         survives on, then each part's one pass — the serial pass, unless
-        one of its surviving shards was lost, when the pass covers the
-        rows of those that answered (none: no pass).  Shard sets are
+        one of its surviving shards was lost or it survives on none, when
+        the pass covers the rows of those that answered.  Shard sets are
         bitmasks (bit ``s``: shard ``s``), each part's taken once off
         the cut; what was pruned and dispatched is written on the
         query's span."""
@@ -145,7 +147,7 @@ class ShardRouter:
             for key, value in info.items():
                 span.set(key, value)
             span.set("shards_dispatched", len(wanted))
-            span.set("shard_tasks", sum(owns is not NO_ROWS for owns in owners))
+            span.set("shard_tasks", sum(bool(mine & ~lost) for mine in survivors))
             span.set("shard_wall_ms", gathered.wall_ms)
         return answer, info
 
@@ -158,10 +160,10 @@ def _shard_ids(mask: int) -> tuple:
 
 def _owner(cut: Partition, mine: int, answered: int):
     """A part's owner mask, given the shards it survives on and those of
-    them that answered: no row when none did (a part pruned everywhere
-    included), else every row (``None``) when none was lost — pruning is
-    sound, so only a lost shard's rows need masking out — else the rows
-    of those that answered."""
-    if not answered:
-        return NO_ROWS
-    return None if answered == mine else cut.owns(list(_shard_ids(answered)))
+    them that answered: every row (``None``) when some survive and none
+    was lost — pruning is sound, so only a lost shard's rows need masking
+    out — else the rows of those that answered (none, for a part pruned
+    everywhere or that lost every shard it survives on)."""
+    if answered and answered == mine:
+        return None
+    return cut.owns(list(_shard_ids(answered)))

@@ -134,23 +134,51 @@ class TestDebugExplain:
         assert report["plan"]["counter_deltas"] == {}
 
     def test_hybrid_children_analyzed(self, client):
+        spec = {"type": "hybrid", "queries": [SPATIAL_SPEC, {"type": "textual", "text": "trash"}]}
+        plan = client.explain(spec)["plan"]
+        assert plan["query_type"] == "hybrid"
+        assert [child["query_type"] for child in plan["children"]] == ["spatial", "textual"]
+        for child in plan["children"]:
+            assert child["rows"] is not None
+        visual = {"type": "visual", "extractor": "color_hsv_20_20_10", "vector": [0.0] * 50, "k": 3}
+        fused = client.explain({"type": "hybrid", "queries": [SPATIAL_SPEC, visual]})["plan"]
+        assert fused["query_type"] == "hybrid" and fused["children"] == []
+        assert fused["rows"] is not None
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_analyze_executes_the_query_once(self, service, client, shards):
+        """One ANALYZE of a three-part conjunction is one query: one
+        ``platform.queries`` (the hybrid's), one probe of each index its
+        parts read, and one shape on ``/debug/hot``."""
+        service.platform.set_shards(shards)
         spec = {
             "type": "hybrid",
             "queries": [
-                SPATIAL_SPEC,
-                {
-                    "type": "visual",
-                    "extractor": "color_hsv_20_20_10",
-                    "vector": [0.0] * 50,
-                    "k": 3,
-                },
+                {"type": "temporal", "start": 0.0},
+                {"type": "categorical", "classification": "street_cleanliness", "labels": ["clean"]},
+                {"type": "textual", "text": "street"},
             ],
         }
-        plan = client.explain(spec)["plan"]
-        assert plan["query_type"] == "hybrid"
-        assert len(plan["children"]) == 2
-        for child in plan["children"]:
-            assert child["rows"] is not None
+        client.explain(spec)  # builds the partition, when sharded
+        obs.reset()
+        before = obs.metrics().counter_values()
+        client.explain(spec)
+        after = obs.metrics().counter_values()
+        moved = {
+            name: value - before.get(name, 0.0)
+            for name, value in after.items()
+            if name.startswith(("platform.queries", "index.inverted.queries", "index.columns.scans"))
+            and value != before.get(name, 0.0)
+        }
+        assert moved == {
+            'platform.queries{family="hybrid"}': 1.0,
+            "index.inverted.queries": 1.0,
+            "index.columns.scans": 1.0,
+        }
+        assert [row["shape"] for row in client.hot_queries()["hot"]] == [
+            "hybrid(temporal(field=timestamp_capturing,start)"
+            "+categorical(classification=street_cleanliness,labels=1)+textual(match=any,terms=1))"
+        ]
 
     def test_bad_spec_is_400(self, service, client):
         response = service.handle(

@@ -130,14 +130,32 @@ class TestAnalyzeNodes:
         assert plan.shape is None
 
     def test_hybrid_children_each_get_rows_and_time(self, populated):
+        """A general hybrid's children are its parts, each filled from the
+        span it ran in inside the one execution; the probes are the
+        query's, on its own node.  The fused spatial-visual pair is one
+        pass, so one node."""
         platform, records = populated
-        plan = explain(
+        conjunction = HybridQuery(
+            queries=(
+                TemporalQuery(start=0.0),
+                CategoricalQuery("street_cleanliness", labels=("clean",)),
+                TextualQuery(text="trash encampment"),
+            )
+        )
+        plan = explain(platform, conjunction, analyze=True)
+        assert [child.query_type for child in plan.children] == [
+            "temporal", "categorical", "textual",
+        ]
+        assert plan.children[0].shape == "temporal(field=timestamp_capturing,start)"
+        for child, part in zip(plan.children, conjunction.queries):
+            assert child.rows == len(platform.answer(part))
+            assert child.elapsed_ms is not None and child.elapsed_ms >= 0.0
+            assert child.counter_deltas == {} and child.charges == {}
+        assert plan.counter_deltas and plan.charges
+        fused = explain(
             platform,
             HybridQuery(
                 queries=(
-                    # Deliberately (visual, spatial): the fused plan
-                    # normalizes children to (spatial, visual) and the
-                    # analyzer must attribute each sub-query correctly.
                     VisualQuery(
                         extractor_name="color_hsv_20_20_10",
                         example=records[0].image,
@@ -148,15 +166,9 @@ class TestAnalyzeNodes:
             ),
             analyze=True,
         )
-        assert len(plan.children) == 2
-        spatial_child, visual_child = plan.children
-        assert spatial_child.query_type == "spatial"
-        assert spatial_child.shape == "spatial(mode=scene,region)"
-        assert visual_child.query_type == "visual"
-        assert visual_child.shape == "visual(extractor=color_hsv_20_20_10,k=5)"
-        for child in plan.children:
-            assert child.rows is not None
-            assert child.elapsed_ms is not None and child.elapsed_ms >= 0.0
+        assert fused.query_type == "hybrid" and fused.children == ()
+        assert fused.details["filter"] == "camera_in_region"
+        assert fused.rows is not None and fused.elapsed_ms >= 0.0
 
     def test_to_dict_round_trips_nested_structure(self, populated):
         platform, _ = populated

@@ -1,10 +1,14 @@
 """Tests for whole-platform persistence and query EXPLAIN."""
 
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import persistence
 from repro.core import (
     CategoricalQuery,
     HybridQuery,
@@ -119,6 +123,67 @@ class TestPlatformPersistence:
         with pytest.raises(TVDPError):
             load_platform(tmp_path / "nothing")
 
+    @staticmethod
+    def grown_after_a_save(platform, snap) -> tuple[dict, dict]:
+        """Save ``platform`` to ``snap``, then upload one more image: the
+        saved row counts and blobs, by image id."""
+        save_platform(platform, snap)
+        saved = platform.db.row_counts(), {i: platform.image(i) for i in platform.image_ids()}
+        fresh = generate_lasan_dataset(n_per_class=1, image_size=32, seed=99)[0]
+        platform.upload_image(fresh.image, fresh.fov, 0.0, 1.0)
+        return saved
+
+    def test_a_save_that_dies_writing_the_blobs_keeps_the_last_snapshot(
+        self, populated, tmp_path, monkeypatch
+    ):
+        platform, _ = populated
+        snap = tmp_path / "snap"
+        rows, blobs = self.grown_after_a_save(platform, snap)
+        real = np.savez_compressed
+
+        def dies_half_way(file, **arrays):
+            whole = io.BytesIO()
+            real(whole, **arrays)
+            torn = whole.getvalue()[: len(whole.getvalue()) // 2]
+            if isinstance(file, (str, os.PathLike)):
+                Path(file).write_bytes(torn)
+            else:
+                file.write(torn)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", dies_half_way)
+        with pytest.raises(OSError):
+            save_platform(platform, snap)
+        monkeypatch.undo()
+        restored = load_platform(snap)
+        assert restored.db.row_counts() == rows
+        assert {i: restored.image(i) for i in restored.image_ids()} == blobs
+
+    def test_blobs_saved_past_the_rows_are_dropped_on_load(self, populated, tmp_path, monkeypatch):
+        # A save that dies after the blobs, before the rows: the new
+        # blobs beside the old rows load as the old platform.
+        platform, _ = populated
+        snap = tmp_path / "snap"
+        rows, blobs = self.grown_after_a_save(platform, snap)
+
+        def dies(*args, **kwargs):
+            raise OSError("killed")
+
+        monkeypatch.setattr(persistence, "dump_database", dies)
+        with pytest.raises(OSError):
+            save_platform(platform, snap)
+        restored = load_platform(snap)
+        assert restored.db.row_counts() == rows
+        assert {i: restored.image(i) for i in restored.image_ids()} == blobs
+        assert restored.stats()["blobs"] == len(blobs)
+
+    def test_unreadable_blobs_raise(self, populated, tmp_path):
+        platform, _ = populated
+        save_platform(platform, tmp_path / "snap")
+        (tmp_path / "snap" / "blobs.npz").write_bytes(b"PK\x03\x04 not a zip")
+        with pytest.raises(TVDPError):
+            load_platform(tmp_path / "snap")
+
 
 class TestExplain:
     def test_spatial_plan(self, populated):
@@ -166,9 +231,23 @@ class TestExplain:
             ),
         )
         # One fused node over the extractor's point columns (the Visual
-        # R-tree's answer, by filter-then-rank), not an intersection.
+        # R-tree's answer, by filter-then-rank), not an intersection:
+        # one pass, so no child.
         assert "columns.filter_then_rank" in plan.access_path
-        assert len(plan.children) == 2
+        assert plan.children == ()
+        # A general conjunction's children are its parts, each analyzed.
+        conjunction = explain(
+            platform,
+            HybridQuery(
+                queries=(
+                    SpatialQuery(region=BoundingBox(34.0, -118.3, 34.1, -118.2)),
+                    TemporalQuery(start=0.0),
+                )
+            ),
+            analyze=True,
+        )
+        assert [child.query_type for child in conjunction.children] == ["spatial", "temporal"]
+        assert all(child.rows is not None for child in conjunction.children)
 
     def test_generic_hybrid_intersection(self, populated):
         platform, _ = populated

@@ -11,7 +11,8 @@
   once and charged the same on one shard and on four.
 * EXPLAIN ANALYZE reports what the request's spans recorded: the
   access path of the query and of a general hybrid's parts, serial and
-  sharded, and whether a visual top-k fell back.
+  sharded, whether a visual top-k fell back, and each part's rows —
+  those of the part's own answer.
 """
 
 from __future__ import annotations
@@ -160,6 +161,25 @@ def test_explain_analyze_reports_what_the_spans_recorded(specs, params, k):
             assert ("lsh_fallback" in own.attrs) == topk(query), (shards, query)
             for child, sub in zip(plan.children, children):
                 assert ("lsh_fallback" in child.details) == topk(sub)
+
+
+@settings(max_examples=25, deadline=None)
+@given(specs=catalogs, params=query_params, k=st.integers(1, 20))
+def test_each_analyzed_part_reads_the_rows_of_its_own_answer(specs, params, k):
+    platform = build_platform(specs)
+    queries = [
+        query for query in drawn_queries(params, k)
+        if isinstance(query, HybridQuery) and query.fused_pair() is None
+    ]
+    assert queries
+    for shards in serial_and_four_shards(platform):
+        for query in queries:
+            plan = explain(platform, query, analyze=True)
+            if shards > 1:
+                (plan,) = plan.children
+            assert [node.rows for node in plan.children] == [
+                len(platform.answer(part)) for part in query.queries
+            ], (shards, query)
 
 
 def topk(query) -> bool:

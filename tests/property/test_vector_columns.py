@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.families import Leaf, _nearest
+from repro.core.families import _nearest
 from repro.core.queries import Answer
 from repro.index import LSHIndex, tie_key
 from repro.index import lsh as lsh_module
@@ -203,7 +203,11 @@ def test_a_merge_of_nothing_is_empty():
     def nobody(ids: np.ndarray) -> np.ndarray:
         return np.zeros(len(ids), dtype=bool)
 
-    for payload in (Leaf.empty, index.scan_topk(np.zeros(3), 3, nobody)):
+    everyone = np.arange(len(index))
+    for payload in (
+        index.nearest_columns(np.zeros(3), 3, everyone, nobody),
+        index.scan_topk(np.zeros(3), 3, nobody),
+    ):
         for radius in (None, 1.0):
             same_answer(_nearest(payload, radius), Answer([], []))
 

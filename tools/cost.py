@@ -50,7 +50,8 @@ times one pass over a block of work on it.
     steps: (1) prepare, each query's leaf; (2) prune, each part's
     ``survivors(cut)`` bitmask and the shard ids of their union; (3)
     dispatch, one retried dispatch of those shards; (4) pass, each
-    part's task over every row; (5) answer, each part's answer and a
+    part's task over every row (a part pruned everywhere: under the
+    owner mask of no shard, as the router runs it); (5) answer, each part's answer and a
     general hybrid's combination of them (4 and 5 are ``run_leaf``, a
     general hybrid's part spans aside).  Then their ``sum``, the sharded
     runner ``TVDP._run_sharded`` (the router's ``answer``: the steps,
@@ -437,7 +438,7 @@ def walk_shard(side: SimpleNamespace, queries: list) -> dict[str, float]:
     for shard_ids in wanted:
         side.router._executor.dispatch(shard_ids)
     t3 = clock()
-    payloads = [[part.task(platform.slice, None) if mask else part.empty for part, mask in group]
+    payloads = [[part.task(platform.slice, None if mask else cut.owns([])) for part, mask in group]
                 for group in groups]
     t4 = clock()
     for leaf, group, loads in zip(leaves, groups, payloads):
