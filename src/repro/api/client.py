@@ -21,7 +21,7 @@ from repro.api.schema import image_to_payload
 from repro.api.service import TVDPService
 from repro.geo.fov import FieldOfView
 from repro.imaging.image import Image
-from repro.resilience import Clock, Retry, current_clock, get_breaker, inject
+from repro.resilience import Retry, current_clock, get_breaker, inject
 
 #: Fault-injection site for client request dispatch.
 REQUEST_SITE = "api.request"
@@ -44,23 +44,18 @@ def _error_message(response: Response) -> str:
 
 
 class TVDPClient:
-    """Typed convenience wrapper over the service routes."""
+    """Typed convenience wrapper over the service routes.
+
+    A request gets three attempts, on the active fault plan's clock when
+    one is active (the real clock otherwise); ``seed`` seeds the backoff.
+    """
 
     def __init__(
-        self,
-        service: TVDPService,
-        api_key: str | None = None,
-        clock: Clock | None = None,
-        max_attempts: int = 3,
-        seed: int = 0,
-        breaker_name: str = "api.client",
+        self, service: TVDPService, api_key: str | None = None, seed: int = 0
     ) -> None:
         self._service = service
         self.api_key = api_key
-        self._clock = clock
-        self._max_attempts = max_attempts
         self._seed = seed
-        self._breaker_name = breaker_name
 
     # -- transport --------------------------------------------------------------
 
@@ -79,10 +74,8 @@ class TVDPClient:
         through the client's circuit breaker; 4xx responses raise
         without a retry — repeating a bad request cannot fix it.
         """
-        clock = current_clock(self._clock)
-        breaker = get_breaker(
-            self._breaker_name, failure_on=(TVDPError,), clock=self._clock
-        )
+        clock = current_clock()
+        breaker = get_breaker("api.client", failure_on=(TVDPError,))
 
         sent = {k: v for k, v in (params or {}).items() if v is not None}
 
@@ -109,7 +102,7 @@ class TVDPClient:
             return response
 
         retry = Retry(
-            max_attempts=self._max_attempts,
+            max_attempts=3,
             base_delay_s=0.05,
             retry_on=_CLIENT_TRANSIENT,
             seed=self._seed,

@@ -107,6 +107,15 @@ Handler = Callable[[Request], Response]
 UNMATCHED = "<unmatched>"
 
 
+def count_error(route: str, exc: Exception) -> None:
+    """Count one refused or failed request on ``api.errors``, labelled
+    by its route template (or :data:`UNMATCHED`), never its raw path: a
+    hostile client must not mint one metric series per distinct path."""
+    obs.metrics().counter(
+        "api.errors", {"route": route, "exception": type(exc).__name__}
+    ).inc()
+
+
 def _segments(path: str) -> list[str]:
     """The non-empty ``/``-separated parts of a path or template."""
     return [part for part in path.split("/") if part]
@@ -282,10 +291,10 @@ class Router:
                     )
                 return handler(request)
             except APIError as exc:
-                self._count_error(template, exc)
+                count_error(template, exc)
                 status, kind, message = exc.status, type(exc).__name__, exc.message
             except Exception as exc:  # noqa: BLE001 - boundary translation
-                self._count_error(template, exc)
+                count_error(template, exc)
                 _log.exception(
                     "unhandled error on %s %s (%s)", method, template, request.request_id
                 )
@@ -297,8 +306,3 @@ class Router:
             ),
         )
 
-    @staticmethod
-    def _count_error(route: str, exc: Exception) -> None:
-        obs.metrics().counter(
-            "api.errors", {"route": route, "exception": type(exc).__name__}
-        ).inc()

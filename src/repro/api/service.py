@@ -62,7 +62,14 @@ import numpy as np
 from repro import obs
 from repro.errors import APIError, MalformedQueryError, QueryError, TVDPError
 from repro.api.auth import ApiKeyManager
-from repro.api.http import Request, Response, Router, error_body, new_request_id
+from repro.api.http import (
+    Request,
+    Response,
+    Router,
+    count_error,
+    error_body,
+    new_request_id,
+)
 from repro.api.modelstore import (
     CLASSIFIER_FACTORIES,
     ModelRecord,
@@ -121,10 +128,7 @@ class TVDPService:
             try:
                 request.user_id = self.keys.validate(request.api_key)
             except APIError as exc:
-                obs.metrics().counter(
-                    "api.errors",
-                    {"route": request.path, "exception": type(exc).__name__},
-                ).inc()
+                count_error(resolved[0], exc)
                 return Response(
                     status=exc.status,
                     body=error_body(

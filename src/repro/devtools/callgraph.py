@@ -1093,10 +1093,8 @@ _SOCKET_ATTRS = frozenset({"accept", "makefile", "recv_into", "recvfrom"})
 #: Resilience-policy entry points: they run a callable handed to them,
 #: re-raise what it throws, and may retry/back off for seconds.
 POLICY_CALL_SUFFIXES = (
-    ".resilience.policies.execute",
     ".resilience.policies.Retry.call",
     ".resilience.policies.CircuitBreaker.call",
-    ".resilience.policies.Fallback.call",
 )
 #: Project symbols whose call blocks.
 _BLOCKING_SYMBOL_SUFFIXES = (*POLICY_CALL_SUFFIXES, ".resilience.clock.SystemClock.sleep")
@@ -1119,17 +1117,6 @@ def _is_string_op(node: ast.Call) -> bool:
     )
 
 
-def _names_timeout(node: ast.Call) -> bool:
-    """True when any argument of a resilience ``execute(...)`` call
-    names a Timeout policy."""
-    return any(
-        "timeout" in dotted_name(sub).lower()
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]
-        for sub in ast.walk(arg)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
-
-
 def blocking_reason(site: CallSite) -> str:
     """Why the call at ``site`` can block its thread for an unbounded
     time ("" when it cannot) — the one classification ``lock-order``
@@ -1147,8 +1134,6 @@ def blocking_reason(site: CallSite) -> str:
         return "socket operation"
     callee = site.callee or ""
     if callee.endswith(_BLOCKING_SYMBOL_SUFFIXES):
-        if callee.endswith(".resilience.policies.execute") and _names_timeout(node):
-            return ""
         return "resilience policy that can sleep"
     return ""
 

@@ -15,9 +15,9 @@ Detected at acquire time, appended to :attr:`LockOrderSanitizer.violations`:
 
 * **inversion** — acquiring B while holding A when some earlier
   acquisition (any thread, any instances) took A while holding B;
-* **held-across-blocking** — a patched blocking entry point
-  (``SystemClock.sleep``, ``resilience.execute``) runs while this
-  thread holds any sanitized lock.
+* **held-across-blocking** — the patched blocking entry point
+  (``SystemClock.sleep``) runs while this thread holds any sanitized
+  lock.
 
 The autouse fixture in ``tests/conftest.py`` fails the test that
 introduced a violation, with both witness stacks in the message.
@@ -301,34 +301,27 @@ class LockOrderSanitizer:
         _set_current(None)
 
     def _patch_blocking(self) -> None:
-        """Wrap the blocking entry points the static pass knows about.
+        """Wrap the blocking entry point the static pass knows about:
+        ``SystemClock.sleep``, through which every real backoff sleeps.
 
         Imported lazily by dotted string: ``repro.devtools`` must not
         depend on the platform at import time (layer DAG), and the
         sanitizer must work even when only parts of it are loaded.
         """
+        try:
+            module = importlib.import_module("repro.resilience.clock")
+        except ImportError:  # platform not importable in this env
+            return
+        owner: Any = module.SystemClock
+        original = owner.sleep
         sanitizer = self
-        targets = (
-            ("repro.resilience.clock", "SystemClock", "sleep"),
-            ("repro.resilience.policies", None, "execute"),
-        )
-        for module_name, class_name, attr in targets:
-            try:
-                module = importlib.import_module(module_name)
-            except ImportError:  # platform not importable in this env
-                continue
-            owner: Any = getattr(module, class_name) if class_name else module
-            original = getattr(owner, attr, None)
-            if original is None:
-                continue
-            label = f"{module_name}.{class_name + '.' if class_name else ''}{attr}"
 
-            def wrapped(*args: Any, _orig: Any = original, _label: str = label, **kwargs: Any) -> Any:
-                sanitizer.note_blocking(_label)
-                return _orig(*args, **kwargs)
+        def wrapped(*args: Any, **kwargs: Any) -> Any:
+            sanitizer.note_blocking("repro.resilience.clock.SystemClock.sleep")
+            return original(*args, **kwargs)
 
-            setattr(owner, attr, wrapped)
-            self._saved_blocking.append((owner, attr, original))
+        owner.sleep = wrapped
+        self._saved_blocking.append((owner, "sleep", original))
 
 
 # -- lock-coverage sanitizer -------------------------------------------------

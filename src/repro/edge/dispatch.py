@@ -155,17 +155,16 @@ def dispatch_fleet_resilient(
     candidates: list[ModelVariant],
     latency_budget_ms: float = float("inf"),
     clock: Clock | None = None,
-    max_attempts: int = 3,
     seed: int = 0,
-    **dispatch_kwargs: float,
 ) -> FleetDispatchReport:
     """Dispatch a fleet where individual devices may be unreachable.
 
     Each device's dispatch runs through the :data:`DISPATCH_SITE` fault
-    hook and a seeded retry; a device that stays unreachable (or is
-    genuinely infeasible) is recorded in ``failed`` and the round
-    continues — the paper's heterogeneous crowd fleets lose members
-    routinely, and one dead phone must not void everyone else's model.
+    hook and a seeded retry of three attempts; a device that stays
+    unreachable (or is genuinely infeasible) is recorded in ``failed``
+    and the round continues — the paper's heterogeneous crowd fleets
+    lose members routinely, and one dead phone must not void everyone
+    else's model.
     """
     resolved = current_clock(clock)
     report = FleetDispatchReport()
@@ -189,12 +188,10 @@ def dispatch_fleet_resilient(
                     device=device.name,
                     traceparent=wire_traceparent,
                 ):
-                    return dispatch_model(
-                        device, candidates, latency_budget_ms, **dispatch_kwargs
-                    )
+                    return dispatch_model(device, candidates, latency_budget_ms)
 
             retry = Retry(
-                max_attempts=max_attempts,
+                max_attempts=3,
                 base_delay_s=0.05,
                 seed=seed + offset,
                 clock=resolved,

@@ -144,27 +144,24 @@ def _simulation_clock(clock: Clock | None) -> Clock:
 
 
 def execute_upload(
-    plan: UploadPlan,
-    clock: Clock | None = None,
-    max_attempts: int = 4,
-    breaker_threshold: int = 3,
-    breaker_recovery_s: float = 60.0,
-    seed: int = 0,
+    plan: UploadPlan, clock: Clock | None = None, seed: int = 0
 ) -> TransferReceipt:
     """Run one upload batch with retry + a per-device circuit breaker.
 
-    Each attempt spends the plan's ``transfer_time_s`` on the injected
-    clock and passes through the :data:`TRANSFER_SITE` fault hook.  A
-    device whose breaker is open fast-fails with
-    :class:`~repro.errors.CircuitOpenError` — callers doing fleet rounds
-    treat that as "skip this device for now", not as a reason to wait.
+    A batch gets four attempts; three consecutive failures open the
+    device's breaker for 60 s of clock time.  Each attempt spends the
+    plan's ``transfer_time_s`` on the injected clock and passes through
+    the :data:`TRANSFER_SITE` fault hook.  A device whose breaker is
+    open fast-fails with :class:`~repro.errors.CircuitOpenError` —
+    callers doing fleet rounds treat that as "skip this device for
+    now", not as a reason to wait.
     """
     clock = _simulation_clock(clock)
     device = plan.device
     breaker = get_breaker(
         f"edge.device.{device.name}",
-        failure_threshold=breaker_threshold,
-        recovery_time_s=breaker_recovery_s,
+        failure_threshold=3,
+        recovery_time_s=60.0,
         failure_on=(TVDPError,),
         clock=clock,
     )
@@ -180,9 +177,8 @@ def execute_upload(
             clock.sleep(plan.transfer_time_s)
 
     retry = Retry(
-        max_attempts=max_attempts,
+        max_attempts=4,
         base_delay_s=0.1,
-        budget_s=30.0,
         seed=seed,
         clock=clock,
         site=TRANSFER_SITE,
@@ -212,12 +208,7 @@ def execute_upload(
 
 
 def upload_fleet(
-    plans: dict[str, UploadPlan],
-    clock: Clock | None = None,
-    max_attempts: int = 4,
-    breaker_threshold: int = 3,
-    breaker_recovery_s: float = 60.0,
-    seed: int = 0,
+    plans: dict[str, UploadPlan], clock: Clock | None = None, seed: int = 0
 ) -> FleetTransferReport:
     """Push one batch per device; isolate failures per device.
 
@@ -231,14 +222,7 @@ def upload_fleet(
     with obs.span("edge.upload_fleet", devices=len(plans)):
         for offset, (name, plan) in enumerate(sorted(plans.items())):
             try:
-                delivered[name] = execute_upload(
-                    plan,
-                    clock=clock,
-                    max_attempts=max_attempts,
-                    breaker_threshold=breaker_threshold,
-                    breaker_recovery_s=breaker_recovery_s,
-                    seed=seed + offset,
-                )
+                delivered[name] = execute_upload(plan, clock=clock, seed=seed + offset)
             except CircuitOpenError as exc:
                 failed[name] = f"breaker open: {exc}"
             except TVDPError as exc:

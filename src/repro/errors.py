@@ -68,19 +68,7 @@ class ShardError(TVDPError):
 
 
 class ResilienceError(TVDPError):
-    """Resilience-policy failure (retry budget spent, breaker open...)."""
-
-
-class RetryBudgetExceeded(ResilienceError):
-    """A retry policy ran out of attempts or backoff budget.
-
-    ``last_error`` carries the exception the final attempt raised, so
-    callers can still see *why* the operation kept failing.
-    """
-
-    def __init__(self, message: str, last_error: BaseException | None = None) -> None:
-        super().__init__(message)
-        self.last_error = last_error
+    """Resilience-policy failure (breaker open, injected fault...)."""
 
 
 class CircuitOpenError(ResilienceError):
@@ -92,17 +80,6 @@ class CircuitOpenError(ResilienceError):
         )
         self.breaker = breaker
         self.retry_after_s = retry_after_s
-
-
-class CallTimeoutError(ResilienceError):
-    """A call exceeded its timeout policy's limit."""
-
-    def __init__(self, limit_s: float, elapsed_s: float) -> None:
-        super().__init__(
-            f"call exceeded its {limit_s:.3f}s timeout (took {elapsed_s:.3f}s)"
-        )
-        self.limit_s = limit_s
-        self.elapsed_s = elapsed_s
 
 
 class FaultInjected(ResilienceError):

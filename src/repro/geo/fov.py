@@ -163,11 +163,26 @@ def sector_mbr(lat, lng, direction, angle, range_m) -> tuple[float, float, float
     box = [max(min(lats) - pad, -90.0), lng + min(offsets) - pad,
            min(max(lats) + pad, 90.0), lng + max(offsets) + pad]
     for side, pole in ((2, 90.0), (0, -90.0)):
-        if sector_contains(lat, lng, direction, angle, range_m, pole, lng):
+        if _holds_pole(lat, lng, direction, angle, range_m, pole):
             box[side], box[1], box[3] = pole, -180.0, 180.0
     if box[1] <= -180.0 or box[3] >= 180.0:  # -180 and 180 are one meridian
         box[1], box[3] = -180.0, 180.0
     return box[0], box[1], box[2], box[3]
+
+
+def _holds_pole(lat, lng, direction, angle, range_m, pole) -> bool:
+    """True if the pole is in the sector within :data:`TOLERANCE_RAD`.
+
+    Not exactly: a sector whose gap holds the pole but is narrower than
+    the tolerance still wraps the pole, and the two ends of its arc,
+    past the pole, round to one longitude, so only the full width
+    bounds it."""
+    slack_m = TOLERANCE_RAD * EARTH_RADIUS_M
+    dist = haversine_coords_m(lat, lng, pole, lng)
+    if dist > range_m + slack_m or dist <= slack_m:
+        return dist <= slack_m
+    off = angular_difference_deg(bearing_coords_deg(lat, lng, pole, lng), direction)
+    return off <= angle / 2.0 + math.degrees(slack_m / dist)
 
 
 def sector_meets_box(lat, lng, direction, angle, range_m, box: BoundingBox) -> bool:

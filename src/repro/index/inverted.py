@@ -165,7 +165,8 @@ class InvertedIndex:
         keeps those every term lists.  Given ``owns``, each term's
         postings are cut to the documents it keeps before any is scored,
         and the rarest term and the postings charged are those of the
-        cut lists; when no posting is left to read, nothing is booked.
+        cut lists.  A scan that reads no posting, masked or not, books
+        nothing: the counters do not depend on the shard count.
         """
         terms = sorted(set(terms))
         # One lock hold: document frequencies, postings and lengths must
@@ -218,7 +219,7 @@ class InvertedIndex:
                 out = out[rows]
                 scanned = sum(len(positions) for _, (positions, _), _ in weighted)
             ids = self._ids[rows]
-        if scanned or owns is None:  # a mask that keeps no posting: nothing read
+        if scanned:
             _QUERIES.inc()
             _POSTINGS_SCANNED.inc(scanned)
             charge_probes("inverted", scanned)

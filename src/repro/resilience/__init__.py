@@ -1,14 +1,13 @@
-"""Resilience layer: composable failure policies + deterministic chaos.
+"""Resilience layer: retry and circuit-breaker policies + deterministic chaos.
 
 TVDP's production posture treats partial failure as the normal case —
 dead Raspberry Pis mid-campaign, flaky uplinks, interrupted persistence
 writes.  This package provides the two halves of surviving that:
 
 * **Policies** (:mod:`repro.resilience.policies`) — :class:`Retry` with
-  seeded exponential backoff, post-hoc :class:`Timeout`,
-  :class:`CircuitBreaker` with closed/open/half-open isolation,
-  :class:`Fallback` degradation, stacked via :func:`resilient` /
-  :func:`execute`.  Per-name breakers live in a process registry
+  seeded exponential backoff and :class:`CircuitBreaker` with
+  closed/open/half-open isolation, which a caller nests, the retry
+  outermost.  Per-name breakers live in a process registry
   (:func:`get_breaker`, surfaced at ``GET /health``).
 * **Faults** (:mod:`repro.resilience.faults`) — :class:`FaultPlan`
   scripts error/latency/corruption faults per call-site on a seeded,
@@ -40,15 +39,11 @@ from repro.resilience.faults import (
 from repro.resilience.policies import (
     DEFAULT_TRANSIENT,
     CircuitBreaker,
-    Fallback,
     Retry,
-    Timeout,
     backoff_delays,
     breaker_states,
-    execute,
     get_breaker,
     reset_breakers,
-    resilient,
 )
 
 __all__ = [
@@ -56,23 +51,19 @@ __all__ = [
     "SEED_ENV_VAR",
     "CircuitBreaker",
     "Clock",
-    "Fallback",
     "FaultEvent",
     "FaultPlan",
     "FaultRule",
     "ManualClock",
     "Retry",
     "SystemClock",
-    "Timeout",
     "active_plan",
     "backoff_delays",
     "breaker_states",
     "corrupt",
     "current_clock",
-    "execute",
     "get_breaker",
     "inject",
     "reset_breakers",
-    "resilient",
     "seed_from_env",
 ]

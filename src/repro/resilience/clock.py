@@ -1,10 +1,10 @@
 """Injectable time for every resilience code path.
 
-Backoff delays, breaker recovery windows, timeout measurement, and
-injected latency faults all go through a :class:`Clock`, never through
-``time`` directly.  That single seam is what makes the whole resilience
-layer testable in zero wall-clock time: tests (and ``python -m repro
---chaos``) install a :class:`ManualClock` whose ``sleep`` merely
+Backoff delays, breaker recovery windows and injected latency faults
+all go through a :class:`Clock`, never through ``time`` directly.
+That single seam is what makes the whole resilience layer testable
+in zero wall-clock time: tests (and ``python -m repro --chaos``)
+install a :class:`ManualClock` whose ``sleep`` merely
 advances a virtual timestamp, so a thousand retries with exponential
 backoff "take" minutes of simulated time and microseconds of real time.
 The ``no-sleep`` devtools lint enforces the seam — :class:`SystemClock`

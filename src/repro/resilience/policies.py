@@ -1,53 +1,41 @@
-"""Composable resilience policies: Retry, Timeout, CircuitBreaker, Fallback.
+"""Resilience policies: Retry and CircuitBreaker.
 
-Each policy wraps one callable-of-no-args via ``policy.call(fn)``;
-:func:`resilient` stacks several into a decorator, outermost first::
+Each policy wraps one callable-of-no-args via ``policy.call(fn)``; a
+caller that wants both nests them, the retry outermost, so each attempt
+passes the breaker::
 
-    @resilient(Fallback([]), Retry(max_attempts=4, site="db.load"))
-    def load():
-        ...
+    retry.call(lambda: breaker.call(one_attempt))
 
-    # or ad hoc, without decorating:
-    result = execute(lambda: client.search(spec), Retry(site="api.request"))
-
-Everything time-shaped — backoff sleeps, breaker recovery windows,
-timeout measurement — goes through the injectable :class:`Clock`
-resolved by :func:`repro.resilience.faults.current_clock`, so chaos
-tests run whole retry storms in zero wall-clock time.  All policies
-report into ``repro.obs``: ``resilience.retries{site=}``,
+Everything time-shaped — backoff sleeps and breaker recovery windows —
+goes through the injectable :class:`Clock` resolved by
+:func:`repro.resilience.faults.current_clock`, so chaos tests run whole
+retry storms in zero wall-clock time.  Both policies report into
+``repro.obs``: ``resilience.retries{site=}``,
 ``resilience.breaker_open{breaker=}`` and
-``resilience.breaker_rejected{breaker=}`` counters, a
+``resilience.breaker_rejected{breaker=}`` counters and a
 ``resilience.breaker_state{breaker=}`` gauge (0 closed / 1 half-open /
-2 open), ``resilience.timeouts{site=}``, ``resilience.fallbacks{site=}``
-— and annotate the active span with retry/fault metadata so slow-span
-exemplars show *why* an operation took many attempts.
+2 open) — and a retry annotates the active span with its attempt count
+and last error, so slow-span exemplars show *why* an operation took
+many attempts.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import threading
 from typing import Callable, TypeVar
 
 from repro import obs
-from repro.errors import (
-    CallTimeoutError,
-    CircuitOpenError,
-    FaultInjected,
-    ResilienceError,
-    RetryBudgetExceeded,
-)
+from repro.errors import CircuitOpenError, FaultInjected, ResilienceError
 from repro.resilience.clock import Clock
 from repro.resilience.faults import current_clock
 
 T = TypeVar("T")
 
 #: What a retry treats as transient when the caller doesn't say:
-#: injected faults, post-hoc timeouts, and OS-level connectivity errors.
+#: injected faults and OS-level connectivity errors.
 DEFAULT_TRANSIENT: tuple[type[BaseException], ...] = (
     FaultInjected,
-    CallTimeoutError,
     ConnectionError,
     TimeoutError,
 )
@@ -102,41 +90,27 @@ def backoff_delays(
 class Retry:
     """Retry transient failures with seeded exponential backoff.
 
-    ``max_attempts`` caps total tries; the backoff *budget* caps total
-    simulated sleep, whichever bites first.  Non-retryable exceptions
-    propagate untouched; when the schedule is exhausted the last error
-    re-raises as-is (``reraise=True``, the default — callers keep their
-    exception contract) or wrapped in :class:`RetryBudgetExceeded`.
+    ``max_attempts`` caps total tries; the schedule is
+    :func:`backoff_delays`' at its default factor, cap, jitter and
+    budget.  An exception outside ``retry_on`` propagates untouched;
+    when the schedule is exhausted the last error re-raises as-is, so
+    callers keep their exception contract.
     """
 
     def __init__(
         self,
         max_attempts: int = 3,
         base_delay_s: float = 0.05,
-        factor: float = 2.0,
-        max_delay_s: float = 5.0,
-        budget_s: float = 30.0,
-        jitter: float = 0.25,
         seed: int = 0,
         retry_on: tuple[type[BaseException], ...] = DEFAULT_TRANSIENT,
-        retryable: Callable[[BaseException], bool] | None = None,
-        reraise: bool = True,
         clock: Clock | None = None,
         site: str = "call",
     ) -> None:
         self.site = site
         self.retry_on = retry_on
-        self.retryable = retryable
-        self.reraise = reraise
         self.clock = clock
         self.delays = backoff_delays(
-            max_attempts=max_attempts,
-            base_delay_s=base_delay_s,
-            factor=factor,
-            max_delay_s=max_delay_s,
-            budget_s=budget_s,
-            jitter=jitter,
-            seed=seed,
+            max_attempts=max_attempts, base_delay_s=base_delay_s, seed=seed
         )
 
     def call(self, fn: Callable[[], T]) -> T:
@@ -145,20 +119,12 @@ class Retry:
             try:
                 result = fn()
             except self.retry_on as exc:
-                if self.retryable is not None and not self.retryable(exc):
-                    raise
                 if attempt >= len(self.delays):
                     _log.warning(
                         "%s: giving up after %d attempt(s): %s",
                         self.site, attempt + 1, exc,
                     )
-                    if self.reraise:
-                        raise
-                    raise RetryBudgetExceeded(
-                        f"{self.site}: retry schedule exhausted after "
-                        f"{attempt + 1} attempt(s)",
-                        last_error=exc,
-                    ) from exc
+                    raise
                 delay = self.delays[attempt]
                 attempt += 1
                 obs.metrics().counter("resilience.retries", {"site": self.site}).inc()
@@ -183,41 +149,6 @@ class Retry:
                 return result
 
 
-class Timeout:
-    """Post-hoc timeout: measure the call through the clock, fail it if
-    the limit was exceeded.
-
-    In-process synchronous calls cannot be preempted portably, so this
-    policy cannot *shorten* a slow call — it converts one into a typed,
-    retryable :class:`CallTimeoutError` after the fact, which is exactly
-    the contract retries and breakers need.  Under a fault plan's
-    :class:`ManualClock`, injected latency advances the clock and trips
-    this deterministically.
-    """
-
-    def __init__(
-        self, limit_s: float, clock: Clock | None = None, site: str = "call"
-    ) -> None:
-        if limit_s <= 0:
-            raise ResilienceError(f"timeout limit must be positive, got {limit_s}")
-        self.limit_s = limit_s
-        self.clock = clock
-        self.site = site
-
-    def call(self, fn: Callable[[], T]) -> T:
-        clock = current_clock(self.clock)
-        started = clock.now()
-        result = fn()
-        elapsed = clock.now() - started
-        if elapsed > self.limit_s:
-            obs.metrics().counter("resilience.timeouts", {"site": self.site}).inc()
-            span = obs.current_span()
-            if span is not None:
-                span.set("timeout_s", self.limit_s)
-            raise CallTimeoutError(self.limit_s, elapsed)
-        return result
-
-
 #: Gauge encoding of breaker states.
 _STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
@@ -228,8 +159,8 @@ class CircuitBreaker:
     ``failure_threshold`` consecutive failures trip the breaker open;
     open calls fast-fail with :class:`CircuitOpenError` (no load on the
     struggling dependency) until ``recovery_time_s`` has elapsed on the
-    clock, after which up to ``half_open_max_probes`` probe calls run —
-    one probe success closes the circuit, one probe failure re-opens it.
+    clock, after which one probe call runs at a time — its success
+    closes the circuit, its failure re-opens it.
     The machine can *only* reach closed from half-open, never straight
     from open; :attr:`transitions` records every edge so tests can check
     that invariant.
@@ -240,7 +171,6 @@ class CircuitBreaker:
         name: str,
         failure_threshold: int = 5,
         recovery_time_s: float = 30.0,
-        half_open_max_probes: int = 1,
         failure_on: tuple[type[BaseException], ...] = (Exception,),
         clock: Clock | None = None,
     ) -> None:
@@ -252,20 +182,15 @@ class CircuitBreaker:
             raise ResilienceError(
                 f"recovery_time_s must be >= 0, got {recovery_time_s}"
             )
-        if half_open_max_probes < 1:
-            raise ResilienceError(
-                f"half_open_max_probes must be >= 1, got {half_open_max_probes}"
-            )
         self.name = name
         self.failure_threshold = failure_threshold
         self.recovery_time_s = recovery_time_s
-        self.half_open_max_probes = half_open_max_probes
         self.failure_on = failure_on
         self.clock = clock
         self.state = "closed"
         self.failures = 0  # consecutive, while closed
         self.opened_at = 0.0
-        self.probes_in_flight = 0
+        self.probe_running = False
         self.transitions: list[tuple[str, str, float]] = []  # (from, to, at)
         self._lock = threading.Lock()
         self._gauge = obs.metrics().gauge(
@@ -287,13 +212,13 @@ class CircuitBreaker:
             self.opened_at = now
             self._opened.inc()
         elif to == "half_open":
-            self.probes_in_flight = 0
+            self.probe_running = False
         elif to == "closed":
             self.failures = 0
 
     def _admit(self, now: float) -> None:
         """Gatekeeper: raise :class:`CircuitOpenError` or admit the call
-        (counting half-open probes).  Caller holds the lock."""
+        (as the half-open probe).  Caller holds the lock."""
         if self.state == "open":
             waited = now - self.opened_at
             if waited < self.recovery_time_s:
@@ -301,10 +226,10 @@ class CircuitBreaker:
                 raise CircuitOpenError(self.name, self.recovery_time_s - waited)
             self._transition("half_open", now)
         if self.state == "half_open":
-            if self.probes_in_flight >= self.half_open_max_probes:
+            if self.probe_running:
                 self._rejected.inc()
                 raise CircuitOpenError(self.name, 0.0)
-            self.probes_in_flight += 1
+            self.probe_running = True
 
     def call(self, fn: Callable[[], T]) -> T:
         clock = current_clock(self.clock)
@@ -345,67 +270,6 @@ class CircuitBreaker:
             }
 
 
-class Fallback:
-    """Degrade gracefully: swallow a failure, return a substitute.
-
-    ``fallback`` is either a plain value or a one-argument callable
-    receiving the exception; ``catch`` bounds what gets absorbed (never
-    swallow programming errors by default — only platform failures).
-    """
-
-    def __init__(
-        self,
-        fallback: object,
-        catch: tuple[type[BaseException], ...] = (ResilienceError,),
-        site: str = "call",
-    ) -> None:
-        self.fallback = fallback
-        self.catch = catch
-        self.site = site
-
-    def call(self, fn: Callable[[], T]) -> object:
-        try:
-            return fn()
-        except self.catch as exc:
-            obs.metrics().counter("resilience.fallbacks", {"site": self.site}).inc()
-            span = obs.current_span()
-            if span is not None:
-                span.set("fallback", type(exc).__name__)
-            _log.info("%s: degraded to fallback after %s", self.site, exc)
-            if callable(self.fallback):
-                return self.fallback(exc)
-            return self.fallback
-
-
-def resilient(*policies: object) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Stack policies around a function, outermost first.
-
-    ``resilient(Fallback(x), Retry(), Timeout(1.0))`` means: the timeout
-    judges each individual attempt, the retry re-runs timed-out/failed
-    attempts, and the fallback absorbs whatever survives the retries.
-    """
-
-    def decorate(fn: Callable[..., T]) -> Callable[..., T]:
-        @functools.wraps(fn)
-        def wrapper(*args: object, **kwargs: object) -> T:
-            def run(index: int) -> T:
-                if index == len(policies):
-                    return fn(*args, **kwargs)
-                policy = policies[index]
-                return policy.call(lambda: run(index + 1))  # type: ignore[attr-defined]
-
-            return run(0)
-
-        return wrapper
-
-    return decorate
-
-
-def execute(fn: Callable[[], T], *policies: object) -> T:
-    """Run one thunk under a policy stack (ad-hoc :func:`resilient`)."""
-    return resilient(*policies)(fn)()
-
-
 # -- breaker registry (what GET /health surfaces) ----------------------------
 
 _breakers: dict[str, CircuitBreaker] = {}
@@ -416,7 +280,6 @@ def get_breaker(
     name: str,
     failure_threshold: int = 5,
     recovery_time_s: float = 30.0,
-    half_open_max_probes: int = 1,
     failure_on: tuple[type[BaseException], ...] = (Exception,),
     clock: Clock | None = None,
 ) -> CircuitBreaker:
@@ -433,7 +296,6 @@ def get_breaker(
                 name,
                 failure_threshold=failure_threshold,
                 recovery_time_s=recovery_time_s,
-                half_open_max_probes=half_open_max_probes,
                 failure_on=failure_on,
                 clock=clock,
             )

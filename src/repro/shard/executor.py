@@ -19,7 +19,7 @@ from functools import partial
 from typing import Iterable, NamedTuple
 
 from repro import obs
-from repro.errors import RetryBudgetExceeded, ShardError
+from repro.errors import ShardError
 from repro.resilience import Retry
 from repro.resilience import faults as _faults
 from repro.resilience.clock import Clock
@@ -89,7 +89,7 @@ class ScatterGatherExecutor:
                 # backoff is budget-bounded, so a handler can wait at
                 # most the dispatch budget, never indefinitely.
                 self._retry.call(partial(self._attempt, shard_id))
-            except DISPATCH_RETRYABLE + (RetryBudgetExceeded,) as exc:
+            except DISPATCH_RETRYABLE as exc:
                 _log.warning("shard %d failed all attempts: %s", shard_id, exc)
                 failed.append(shard_id)
                 continue

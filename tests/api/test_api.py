@@ -21,7 +21,7 @@ from repro.errors import APIError, AuthenticationError
 from repro.features import ColorHistogramExtractor
 from repro.imaging import CLEANLINESS_CLASSES, solid_color
 from repro.api.http import Response
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, ManualClock
 from tests.api import route_table
 
 
@@ -131,6 +131,25 @@ class TestAuth:
         )
         assert response.status == 404
 
+    def test_refusals_are_labelled_by_route_template_not_raw_path(self, service):
+        """Bad-key requests to ``/nope/0`` ... ``/nope/4`` must not mint
+        one ``api.errors`` series per path: a path no route takes counts
+        as ``<unmatched>``, one a template fits as that template."""
+        obs.reset()
+        for n in range(5):
+            assert service.handle(Request("GET", f"/nope/{n}", api_key="bad")).status == 401
+        for n in range(2):
+            assert service.handle(Request("GET", f"/images/{n}", api_key="bad")).status == 401
+        refused = {
+            name: value
+            for name, value in obs.metrics().counter_values().items()
+            if name.startswith("api.errors") and value
+        }
+        assert refused == {
+            'api.errors{exception="AuthenticationError",route="<unmatched>"}': 5.0,
+            'api.errors{exception="AuthenticationError",route="/images/{image_id}"}': 2.0,
+        }
+
 
 class TestRouter:
     def test_404_and_405(self):
@@ -171,6 +190,52 @@ class TestRouter:
         router.add("GET", "/crash", failing_stub(RuntimeError("oops")))
         assert router.dispatch(Request("GET", "/boom")).status == 418
         assert router.dispatch(Request("GET", "/crash")).status == 500
+
+
+class TestClientRetries:
+    """The client retries a server failure (5xx) and never a client
+    error (4xx): repeating a bad request cannot fix it."""
+
+    @staticmethod
+    def count_handled(service, monkeypatch) -> list:
+        handled: list = []
+        handle = service.handle
+
+        def counting(request):
+            handled.append(request.path)
+            return handle(request)
+
+        monkeypatch.setattr(service, "handle", counting)
+        return handled
+
+    def test_a_4xx_is_one_attempt(self, service, client, monkeypatch):
+        handled = self.count_handled(service, monkeypatch)
+        obs.reset()
+        with pytest.raises(APIError) as err:
+            client.get_image(999)
+        assert err.value.status == 404
+        assert handled == ["/images/999"]
+        assert len(obs.records().spans("client.request")) == 1
+
+    def test_a_5xx_is_retried_until_the_route_answers(self, service, client, monkeypatch):
+        stats = service.platform.stats
+        failures = [RuntimeError("disk on fire"), RuntimeError("still on fire")]
+
+        def flaky_stats():
+            if failures:
+                raise failures.pop(0)
+            return stats()
+
+        monkeypatch.setattr(service.platform, "stats", flaky_stats)
+        handled = self.count_handled(service, monkeypatch)
+        obs.reset()
+        # An active plan's manual clock takes the backoff: no real sleep.
+        with FaultPlan(seed=0, clock=ManualClock()).activate():
+            body = client.stats()
+        assert "rows" in body
+        assert handled == ["/stats"] * 3
+        statuses = [span.attrs["status"] for span in obs.records().spans("client.request")]
+        assert statuses == [500, 500, 200]
 
 
 class TestImagePayload:

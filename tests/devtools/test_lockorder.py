@@ -199,6 +199,53 @@ class TestBlockingUnderLock:
         assert len(findings) == 1
         assert "flush_to_disk" in findings[0].message
 
+    def test_policy_calls_under_lock_flagged(self, analyze):
+        """A retry or breaker call may back off for seconds: held under a
+        lock it is reported by the policy's name alone, whatever the
+        callable it runs."""
+        _, findings = analyze(
+            {
+                "resilience/policies.py": """
+                    class Retry:
+                        def __init__(self, max_attempts=3):
+                            self.max_attempts = max_attempts
+
+                        def call(self, fn):
+                            return fn()
+
+                    class CircuitBreaker:
+                        def __init__(self, name):
+                            self.name = name
+
+                        def call(self, fn):
+                            return fn()
+                """,
+                "m.py": """
+                    import threading
+
+                    from pkg.resilience.policies import CircuitBreaker, Retry
+
+                    _lock = threading.Lock()
+
+                    def work():
+                        return 1
+
+                    def retried():
+                        with _lock:
+                            return Retry(max_attempts=3).call(work)
+
+                    def guarded():
+                        breaker = CircuitBreaker("m")
+                        with _lock:
+                            return breaker.call(work)
+                """,
+            }
+        )
+        assert [finding.message.split(" — ")[0] for finding in findings] == [
+            "m.retried holds pkg.m._lock across blocking call Retry().call",
+            "m.guarded holds pkg.m._lock across blocking call breaker.call",
+        ]
+
     def test_allow_comment_suppresses(self, analyze):
         _, findings = analyze(
             {

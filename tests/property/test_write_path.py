@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import TVDP
@@ -222,6 +222,9 @@ sectors = st.builds(
 class TestRectangleFromFloats:
     @settings(max_examples=400, deadline=None)
     @given(sectors)
+    # The gap of a sector that wraps the pole, narrower than rounding:
+    # its arc's ends, past the pole, round to one longitude.
+    @example(FieldOfView(GeoPoint(-89.984375, 23.873635557681695), 0.0, 359.99999999999994, 4232.0))
     def test_mbr_and_arc_are_the_points_they_were(self, fov):
         """The points the sampled rectangle was made of — the camera and
         the sampled arc — are inside the closed-form one, to rounding."""

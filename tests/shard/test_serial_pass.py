@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import CategoricalQuery, SpatialQuery, TemporalQuery
+from repro.core import CategoricalQuery, SpatialQuery, TemporalQuery, TextualQuery
 from repro.core.families import prepare
 from repro.geo import BoundingBox
 from repro.obs import accounting
@@ -201,3 +201,19 @@ def test_a_part_that_lost_every_shard_it_survives_on_runs_no_pass(platform, mask
     }
     assert answer.ids == [] and info["failed_shards"] == [only]
     assert scope.charges == {} and moved == set() and masks == [[]]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("text, books", [("trashzzq", 0), (VOCAB[0], 1)])
+def test_a_textual_query_is_booked_when_it_reads_a_posting(platform, shards, text, books):
+    # The textual counter reads the same at every shard count: a term
+    # nothing indexes reads no posting, serial or pruned everywhere.
+    platform.set_shards(shards)
+    query = TextualQuery(text)
+    platform.shard_plan_preview(query)  # the partition, built outside the count
+    queries = obs.metrics().counter("index.inverted.queries")
+    before = queries.value
+    answer = platform._answer(query, None)
+    assert queries.value - before == books
+    assert answer.results() == platform.execute_serial(query)
+    assert bool(answer.ids) == bool(books)
