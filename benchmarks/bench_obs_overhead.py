@@ -12,7 +12,13 @@ same run:
 1. **Plain query** — a seeded R-tree range-query batch with no ledger
    active (``charge_probes`` takes the contextvar fast path).  This is
    the yardstick: work the platform does for the caller, untouched by
-   anything measured here.
+   anything measured here.  It is timed as ``tools/cost.py`` times a
+   step: a sweep of the batch in short blocks of :data:`BLOCK` queries,
+   each block its fastest of :data:`PASSES` passes, one sweep after
+   every pair below; the figure is the median sweep.  (The fastest of
+   the pairs' plain chunks read 26-47 µs across 20 smoke runs: a
+   chunk-long minimum is one lucky moment of the host, which the
+   median pair difference it divides is not.)
 2. **Marginal metering cost** — the same batch in alternating *plain*
    and *ledgered* chunks (each query wrapped in its own registry-backed
    ``ledger_scope``: a billed unit of work — ledger, record, one fold
@@ -26,7 +32,7 @@ same run:
    span — two counter snapshots, the record, one fold.
 
 ``overhead_pct`` = marginal metering cost (the median pair difference)
-as a percentage of one plain query (the fastest plain chunk);
+as a percentage of one plain query (the median sweep);
 ``span_pct`` = one span likewise.  The bench fails any run where either
 exceeds its ceiling (:data:`OVERHEAD_LIMIT_PCT`, :data:`SPAN_LIMIT_PCT`),
 smoke mode included — numerator and yardstick come from the same run
@@ -36,6 +42,7 @@ let slower serving pass and made faster serving fail.  The wall time
 of a real ``POST /search`` is still printed (``request_us``), ungated.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -58,6 +65,10 @@ QUERIES_PER_CHUNK = sized(400, 250)
 #: pair cancels machine drift; the median over pairs rejects outlier
 #: pairs that caught a scheduler hiccup on one side.
 PAIRS = 25
+#: The yardstick's sweeps: blocks of this many queries, each timed as
+#: its fastest of this many passes.
+BLOCK = 25
+PASSES = 5
 REQUEST_CHUNKS = 4
 REQUESTS_PER_CHUNK = sized(200, 80)
 SPAN_CHUNKS = 5
@@ -106,6 +117,22 @@ def run_index_chunk(rtree, queries, *, ledgered, table):
     for query in queries:
         rtree.search_range(query)
     return time.perf_counter() - t0
+
+
+def sweep_us(rtree, queries) -> float:
+    """µs per plain query over one sweep of ``queries``: each block of
+    :data:`BLOCK` timed as its fastest of :data:`PASSES` passes."""
+    total = 0.0
+    for start in range(0, len(queries), BLOCK):
+        block = queries[start:start + BLOCK]
+        passes = []
+        for _ in range(PASSES):
+            t0 = time.perf_counter()
+            for query in block:
+                rtree.search_range(query)
+            passes.append(time.perf_counter() - t0)
+        total += min(passes)
+    return total / len(queries) * 1e6
 
 
 def build_service():
@@ -158,22 +185,24 @@ def test_accounting_overhead(benchmark, capsys):
         run_index_chunk(rtree, queries, ledgered=True, table=table)
         run_request_chunk(service, api_key, spec)
         run_span_chunk()
-        pairs = []
+        pairs, sweeps = [], []
         for _ in range(PAIRS):
             plain = run_index_chunk(rtree, queries, ledgered=False, table=table)
             ledgered = run_index_chunk(rtree, queries, ledgered=True, table=table)
             pairs.append((plain, ledgered))
+            sweeps.append(sweep_us(rtree, queries))
         requests = [
             run_request_chunk(service, api_key, spec)
             for _ in range(REQUEST_CHUNKS)
         ]
         spans = [run_span_chunk() for _ in range(SPAN_CHUNKS)]
-        return pairs, min(requests), min(spans), table
+        return pairs, statistics.median(sweeps), min(requests), min(spans), table
 
-    pairs, request_s, span_s, table = benchmark.pedantic(run, rounds=1, iterations=1)
+    pairs, plain_query_us, request_s, span_s, table = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
     diffs = sorted(ledgered - plain for plain, ledgered in pairs)
     marginal_us = diffs[len(diffs) // 2] / QUERIES_PER_CHUNK * 1e6
-    plain_query_us = min(plain for plain, _ in pairs) / QUERIES_PER_CHUNK * 1e6
     request_us = request_s / REQUESTS_PER_CHUNK * 1e6
     span_us = span_s / SPANS_PER_CHUNK * 1e6
     overhead_pct = marginal_us / plain_query_us * 100.0

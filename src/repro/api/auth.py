@@ -14,17 +14,21 @@ from repro.errors import AuthenticationError, QueryError
 from repro.db.database import Database
 
 
+#: The principal of unauthenticated traffic, and of a refused key.
+ANONYMOUS = "anonymous"
+
+
 def principal_label(api_key: object) -> str:
     """Stable, non-secret label identifying the caller for accounting.
 
     Uses a key prefix rather than the full key so usage reports and
     ``usage.*`` metric labels never carry a whole credential;
     unauthenticated traffic (open routes) is pooled under
-    ``"anonymous"`` — and so is whatever was sent in place of a key
+    :data:`ANONYMOUS` — and so is whatever was sent in place of a key
     that is not a string: it names nobody.
     """
     if not api_key or not isinstance(api_key, str):
-        return "anonymous"
+        return ANONYMOUS
     return f"key:{api_key[:8]}"
 
 
@@ -33,6 +37,7 @@ class ApiKeyManager:
 
     def __init__(self, db: Database, deterministic_seed: int | None = None) -> None:
         self._db = db
+        self._keys = db.table("api_keys")
         self._lock = threading.Lock()
         self._counter = 0
         self._seed = deterministic_seed
@@ -71,22 +76,22 @@ class ApiKeyManager:
             raise AuthenticationError("missing API key")
         if not isinstance(key, str):  # a list or dict would not even hash
             raise AuthenticationError("invalid or revoked API key")
-        rows = self._db.table("api_keys").find("key", key)
-        if not rows or not rows[0]["active"]:
+        found = self._keys.peek("key", key, "active", "user_id")  # no copy, no charge
+        if found is None or not found[0]:
             raise AuthenticationError("invalid or revoked API key")
-        return rows[0]["user_id"]
+        return found[1]
 
     def revoke(self, key: str) -> None:
         """Deactivate a key."""
-        rows = self._db.table("api_keys").find("key", key)
+        rows = self._keys.find("key", key)
         if not rows:
             raise QueryError("cannot revoke unknown key")
-        self._db.table("api_keys").update(rows[0]["key_id"], {"active": False})
+        self._keys.update(rows[0]["key_id"], {"active": False})
 
     def keys_of(self, user_id: int) -> list[str]:
         """Active keys belonging to a user."""
         return [
             row["key"]
-            for row in self._db.table("api_keys").all_rows()
+            for row in self._keys.all_rows()
             if row["user_id"] == user_id and row["active"]
         ]

@@ -19,12 +19,11 @@ structured error bodies (see :func:`error_body`).
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
-from repro.api.auth import principal_label
+from repro.api.auth import ANONYMOUS, principal_label
 from repro.errors import APIError
 
 if TYPE_CHECKING:
@@ -32,14 +31,12 @@ if TYPE_CHECKING:
 
 _log = obs.get_logger("api.http")
 
-_request_ids = itertools.count(1)
-_request_id_lock = threading.Lock()
+_request_ids = itertools.count(1)  # ``next`` is one C call: no lock, as for span ids
 
 
 def new_request_id() -> str:
     """Process-unique request id attached to every dispatched request."""
-    with _request_id_lock:
-        return f"req-{next(_request_ids):06d}"
+    return f"req-{next(_request_ids):06d}"
 
 
 def error_body(
@@ -153,7 +150,8 @@ class Router:
     status code; anything else becomes a 500 (surfacing the message —
     acceptable for an in-process reproduction, not for production).
 
-    Routes resolve by lookup: each is filed under its template's
+    Routes resolve by lookup: a template without parameters by one
+    dict read of its path; else each is filed under its template's
     *shape* (its segments, every ``{param}`` blanked), a path reads the
     bucket of each shape it could have (one or two per segment count),
     and :func:`_match` runs only in there — to the same end as a scan
@@ -169,6 +167,9 @@ class Router:
         self._by_shape: dict[tuple, list[int]] = {}
         #: segment count -> the sets of parameter positions in use.
         self._blanks: dict[int, list[tuple[int, ...]]] = {}
+        #: (method, path) -> (template, handler, declaration) of each
+        #: template without parameters that wins its path, spelt plainly.
+        self._static: dict[tuple[str, str], tuple] = {}
 
     def add(
         self, method: str, template: str, handler: Handler,
@@ -184,17 +185,11 @@ class Router:
             known.append(blanks)
         self._by_shape.setdefault(_shape(segments, blanks), []).append(len(self._routes))
         self._routes.append((method.upper(), template, segments, handler, declaration))
-
-    def route(
-        self, method: str, template: str, declaration: Declaration | None = None
-    ) -> Callable[[Handler], Handler]:
-        """Decorator form of :meth:`add`."""
-
-        def decorator(handler: Handler) -> Handler:
-            self.add(method, template, handler, declaration)
-            return handler
-
-        return decorator
+        if not blanks:  # a later route never wins over this one: file it now
+            key = (method.upper(), "/" + "/".join(segments))
+            *found, params = self._fit(*key)
+            if not params:
+                self._static.setdefault(key, tuple(found))
 
     def routes(self) -> list[str]:
         """``"METHOD /template"`` strings for every registered route."""
@@ -209,6 +204,13 @@ class Router:
         registered route that fits ``method path``; the last three are
         ``None`` when none does, and the label is then the first
         template the path fits (a 405) or ``UNMATCHED`` (a 404)."""
+        static = self._static.get((method, path))
+        if static is not None:  # a dict of its own: ``_invoke`` hands it on
+            return (*static, {})
+        return self._fit(method, path)
+
+    def _fit(self, method: str, path: str) -> tuple:
+        """:meth:`resolve` by the shapes ``path`` could have."""
         segments = _segments(path)
         fitting: list[int] = []
         for blanks in self._blanks.get(len(segments), ()):
@@ -227,31 +229,39 @@ class Router:
                 path_template = template
         return path_template, None, None, None
 
-    def dispatch(self, request: Request, resolved: tuple | None = None) -> Response:
+    def dispatch(
+        self, request: Request, authenticate: Callable[[object], int] | None = None
+    ) -> Response:
         """Invoke the handler ``request`` resolves to (with the
-        middleware); ``resolved`` is :meth:`resolve` of it, for a caller
-        that already asked."""
+        middleware).  Unless the route is declared open, ``authenticate``
+        (an API key -> its user id, or an :class:`APIError`) is asked
+        first; a refusal is answered in the request's unit like any
+        error, billed to ``anonymous``: a bad key names nobody."""
         if request.request_id is None:
             request.request_id = new_request_id()
         method = request.method.upper()
-        if resolved is None:
-            resolved = self.resolve(method, request.path)
+        resolved = self.resolve(method, request.path)
+        principal, refused = principal_label(request.api_key), None
+        declaration = resolved[2]
+        if authenticate is not None and (declaration is None or not declaration.open):
+            try:
+                request.user_id = authenticate(request.api_key)
+            except APIError as exc:
+                principal, refused = ANONYMOUS, exc
         # An inbound ``traceparent`` header joins this request to the
         # caller's trace; the ledger bills the whole dispatch (handler,
         # platform work, index probes) to the presented API key.
         remote_parent = obs.parse_traceparent(request.headers.get("traceparent"))
-        with obs.ledger_scope(
-            table=obs.usage(), principal=principal_label(request.api_key)
-        ):
+        with obs.ledger_scope(table=obs.usage(), principal=principal):
             with obs.span(
                 "http.request",
                 remote_parent=remote_parent,
                 method=method,
                 path=request.path,
                 request_id=request.request_id,
+                route=resolved[0],
             ) as sp:
-                response = self._invoke(request, method, resolved, sp)
-                sp.set("route", resolved[0])
+                response = self._invoke(request, method, resolved, sp, refused)
                 sp.set("status", response.status)
                 if response.status >= 500:
                     # The handler's exception became this response in
@@ -268,12 +278,16 @@ class Router:
         return response
 
     def _invoke(
-        self, request: Request, method: str, resolved: tuple, sp: obs.Span
+        self, request: Request, method: str, resolved: tuple, sp: obs.Span,
+        refused: APIError | None,
     ) -> Response:
-        """Check the request against its declaration and run the handler;
-        no route, the wrong method and every exception become envelopes."""
+        """Check the request against its declaration and run the handler; a
+        refused key, no route, the wrong method and every exception become envelopes."""
         template, handler, declaration, params = resolved
-        if handler is None:
+        if refused is not None:
+            count_error(template, refused)
+            status, kind, message = refused.status, type(refused).__name__, refused.message
+        elif handler is None:
             if template is UNMATCHED:
                 status, kind = 404, "NotFound"
                 message = f"no route for {request.path}"

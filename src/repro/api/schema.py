@@ -98,6 +98,8 @@ def _plain_bytes(rows: object) -> np.ndarray | None:
 
 def number(value: object) -> float:
     """A finite number, or a string spelling one; never a bool."""
+    if type(value) is float and value - value == 0.0:  # finite: typed already
+        return value
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             typed = float(value)
@@ -117,6 +119,8 @@ class Ranged:
         self.low, self.high = low, high
 
     def __call__(self, value: object) -> float:
+        if type(value) is float and self.low <= value <= self.high:
+            return value  # in range, so neither NaN nor infinite
         typed = number(value)
         if not self.low <= typed <= self.high:
             raise Malformed(f"a number in [{self.low:g}, {self.high:g}]", value)
@@ -133,18 +137,19 @@ class Whole:
 
     def __call__(self, value: object) -> int:
         typed = value
-        if isinstance(typed, str):
-            try:
-                typed = int(typed)  # exact however long; "5.0" is left to float
-            except ValueError:
+        if type(typed) is not int:  # else typed already: only the bounds are left
+            if isinstance(typed, str):
                 try:
-                    typed = float(typed)
+                    typed = int(typed)  # exact however long; "5.0" is left to float
                 except ValueError:
-                    typed = None
-        if isinstance(typed, float):
-            typed = int(typed) if typed.is_integer() else None
-        if isinstance(typed, bool) or not isinstance(typed, int):
-            raise Malformed("an integer", value)
+                    try:
+                        typed = float(typed)
+                    except ValueError:
+                        typed = None
+            if isinstance(typed, float):
+                typed = int(typed) if typed.is_integer() else None
+            if isinstance(typed, bool) or not isinstance(typed, int):
+                raise Malformed("an integer", value)
         if self.at_least is not None and typed < self.at_least:
             raise Malformed(f">= {self.at_least}", value)
         if self.at_most is not None and typed > self.at_most:

@@ -62,14 +62,7 @@ import numpy as np
 from repro import obs
 from repro.errors import APIError, MalformedQueryError, QueryError, TVDPError
 from repro.api.auth import ApiKeyManager
-from repro.api.http import (
-    Request,
-    Response,
-    Router,
-    count_error,
-    error_body,
-    new_request_id,
-)
+from repro.api.http import Request, Response, Router
 from repro.api.modelstore import (
     CLASSIFIER_FACTORIES,
     ModelRecord,
@@ -116,34 +109,16 @@ class TVDPService:
     # -- plumbing ---------------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
-        """Entry point: resolve the route, authenticate unless its
-        declaration says it is open, dispatch.  Openness is the matched
-        template's (``GET /health/`` is as open as ``GET /health``); a
-        path no route takes is asked for a key first (401 before 404)."""
-        if request.request_id is None:
-            request.request_id = new_request_id()
-        resolved = self.router.resolve(request.method.upper(), request.path)
-        declaration = resolved[2]
-        if declaration is None or not declaration.open:
-            try:
-                request.user_id = self.keys.validate(request.api_key)
-            except APIError as exc:
-                count_error(resolved[0], exc)
-                return Response(
-                    status=exc.status,
-                    body=error_body(
-                        exc.message,
-                        type(exc).__name__,
-                        exc.status,
-                        request.request_id,
-                    ),
-                )
-        return self.router.dispatch(request, resolved)
+        """Entry point: the router resolves the route and, unless its
+        declaration says it is open (``GET /health/`` as ``GET /health``),
+        asks for the API key — a path no route takes too (401 before 404)."""
+        return self.router.dispatch(request, self.keys.validate)
 
     def _register_routes(self) -> None:
         def route(method: str, template: str):
             # A route without a declaration cannot be registered.
-            return self.router.route(method, template, ROUTES[f"{method} {template}"])
+            declaration = ROUTES[f"{method} {template}"]
+            return lambda handler: self.router.add(method, template, handler, declaration)
 
         route("POST", "/users")(self._create_user)
         route("POST", "/keys")(self._create_key)

@@ -17,6 +17,7 @@ store:
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -523,9 +524,12 @@ class TVDP:
             run = self._run_sharded if self.shards > 1 else self._run
         family = query_family(query)
         shape = query_shape(query)
-        # Billed to the open unit of work (the API request's when there
-        # is one, a fresh local one otherwise).
-        with ledger_scope(
+        # Billed to the open unit of work: where its bill is named and
+        # takes the charges (an API request's), the query joins it as it
+        # is; otherwise a billable scope names it, or opens a local one.
+        unit = obs.current_unit()
+        joined = unit is not None and unit.principal is not None and unit.sheet is unit.charges
+        with nullcontext() if joined else ledger_scope(
             obs.usage(), principal=LOCAL_PRINCIPAL, operation=f"execute.{family}"
         ):
             with obs.span(f"query.{family}") as sp:

@@ -43,10 +43,10 @@ def _require_finite(name: str, value: object) -> None:
     """:func:`_require_number`, and not infinite either: a vectorised
     mask answers an infinite bearing or bound with a quietly empty
     result where a scalar walk at least had a chance to raise."""
-    if type(value) is float and math.isfinite(value):
+    if value is None or type(value) is float and value - value == 0.0:
         return  # what nearly every value is; the rest is told what is wrong
     _require_number(name, value)
-    if value is not None and math.isinf(value):
+    if math.isinf(value):
         raise QueryError(f"{name} must be finite, got {value!r}")
 
 
@@ -143,8 +143,10 @@ class SpatialQuery:
             raise QueryError(
                 "SpatialQuery needs either a region or a point+radius, not both"
             )
-        for name in ("radius_m", "direction_deg", "direction_tolerance_deg"):
-            _require_finite(name, getattr(self, name))
+        # Each check spelt out, in the order they report: no loop, no name built.
+        _require_finite("radius_m", self.radius_m)
+        _require_finite("direction_deg", self.direction_deg)
+        _require_finite("direction_tolerance_deg", self.direction_tolerance_deg)
         if self.radius_m is not None and self.radius_m < 0:
             raise QueryError(f"radius must be >= 0, got {self.radius_m}")
         if self.direction_tolerance_deg is None or self.direction_tolerance_deg < 0:
@@ -154,8 +156,10 @@ class SpatialQuery:
             )
         region = self.region
         if region is not None:
-            for name in ("min_lat", "min_lng", "max_lat", "max_lng"):
-                _require_finite(f"region {name}", getattr(region, name))
+            _require_finite("region min_lat", region.min_lat)
+            _require_finite("region min_lng", region.min_lng)
+            _require_finite("region max_lat", region.max_lat)
+            _require_finite("region max_lng", region.max_lng)
         if self.mode not in ("camera", "scene"):
             raise QueryError(f"mode must be 'camera' or 'scene', got {self.mode!r}")
 
@@ -257,8 +261,8 @@ class TemporalQuery:
     def __post_init__(self) -> None:
         if self.start is None and self.end is None:
             raise QueryError("TemporalQuery needs start and/or end")
-        for name in ("start", "end"):
-            _require_number(name, getattr(self, name))
+        _require_number("start", self.start)
+        _require_number("end", self.end)
         if self.start is not None and self.end is not None and self.start > self.end:
             raise QueryError(f"start {self.start} is after end {self.end}")
         if self.field not in TEMPORAL_FIELDS:
@@ -334,26 +338,19 @@ def query_shape(query: object) -> str:
     merely move it around do not.
     """
     if isinstance(query, SpatialQuery):
-        parts = [f"mode={query.mode}"]
-        parts.append("region" if query.region is not None else "point+radius")
-        if query.direction_deg is not None:
-            parts.append("direction")
-        return f"spatial({','.join(parts)})"
+        where = "region" if query.region is not None else "point+radius"
+        direction = ",direction" if query.direction_deg is not None else ""
+        return f"spatial(mode={query.mode},{where}{direction})"
     if isinstance(query, VisualQuery):
-        parts = [f"extractor={query.extractor_name}", f"k={query.k}"]
-        if query.max_distance is not None:
-            parts.append("radius")
-        return f"visual({','.join(parts)})"
+        radius = ",radius" if query.max_distance is not None else ""
+        return f"visual(extractor={query.extractor_name},k={query.k}{radius})"
     if isinstance(query, CategoricalQuery):
-        parts = [
-            f"classification={query.classification}",
-            f"labels={len(query.labels)}",
-        ]
-        if query.min_confidence > 0.0:
-            parts.append("min_confidence")
-        if query.source is not None:
-            parts.append(f"source={query.source}")
-        return f"categorical({','.join(parts)})"
+        floor = ",min_confidence" if query.min_confidence > 0.0 else ""
+        source = f",source={query.source}" if query.source is not None else ""
+        return (
+            f"categorical(classification={query.classification},"
+            f"labels={len(query.labels)}{floor}{source})"
+        )
     if isinstance(query, TextualQuery):
         return f"textual(match={query.match},terms={len(query.text.split())})"
     if isinstance(query, TemporalQuery):

@@ -195,6 +195,17 @@ class Table:
                 dict(row) for row in self._rows.values() if row[column] == value
             ]
 
+    def peek(self, column: str, value: object, *columns: str) -> tuple | None:
+        """``columns`` of the row whose unique ``column`` is ``value``,
+        read in place, or ``None`` when no row has it.  Nothing is copied
+        and nothing charged: a lookup of the access layer's own (an API
+        key's), not a read a query bills."""
+        with self._lock:
+            pk = self._unique[column].get(value)
+            if pk is None:
+                return None
+            return tuple(map(self._rows[pk].__getitem__, columns))
+
     def sorted_keys_in_range(
         self, column: str, low: Any = None, high: Any = None, owns=None
     ) -> np.ndarray:

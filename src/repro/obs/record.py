@@ -5,9 +5,10 @@ A *unit of work* is whatever opens the outermost span or billable
 ``TVDP.answer``, a span-less ``ledger_scope(table=obs.usage())``).
 While it runs its :class:`Unit` is the one ``contextvars`` variable of
 ``repro.obs``, and what finishes inside closes *into* it without a
-lock.  When it ends the unit is its own :class:`RequestRecord`, folded
-**once, under one lock**, by :meth:`RecordStore.fold` — the only writer
-of (a) a :class:`Rollup` per key space (span name, query shape,
+lock.  When it ends the unit is its own :class:`RequestRecord`, taken
+by :meth:`RecordStore.fold` and folded **once, under one lock**, with
+the others waiting beside it, before anything reads — the one writer of
+(a) a :class:`Rollup` per key space (span name, query shape,
 principal, operation — a routed request's operation row is its
 route's), the lifetime totals; (b) the :class:`TimeRing` of 5-second
 slots, the rolling totals; (c) the records a lookup can reach.  A
@@ -136,7 +137,7 @@ class Unit(RequestRecord):
     charges.  A unit on no store is a bare meter's: it folds nothing,
     and a span or billable scope opened in it opens a unit of its own."""
 
-    __slots__ = ("store", "span", "sheet", "shape", "http", "after", "_token")
+    __slots__ = ("store", "span", "sheet", "shape", "http", "_token")
 
     def __init__(self, store: "RecordStore | None") -> None:
         outer = _open.get()
@@ -145,9 +146,10 @@ class Unit(RequestRecord):
         self.request_id = self.method = self.route = self.status = self.error = None
         self.principal = self.operation = self.shape = self.http = None
         self.request_ms = self.cost = 0.0
-        #: Counter snapshots when the first span opens and when the
-        #: unit closes: deltas say why a span was slow, so they bracket spans.
-        self.counters = self.after = None
+        #: The counter snapshot when the first span opens; at the close,
+        #: the record's ``counters``: deltas say why a span was slow, so
+        #: they bracket spans.
+        self.counters = None
         self.store = store
         self.span = self.sheet = None
         if outer is not None:
@@ -186,7 +188,8 @@ class Unit(RequestRecord):
             self.charges = {}
         self.queries = tuple(self.queries)
         if self.counters is not None:
-            self.after = store.registry.counter_snapshot()
+            registry = store.registry
+            self.counters = (registry, self.counters, registry.counter_snapshot())
         store.fold(self)
 
     @property
@@ -194,13 +197,6 @@ class Unit(RequestRecord):
         """The unit's trace: its first finished span's, read when asked."""
         spans = self.spans
         return spans[0].trace_id if spans else None
-
-    @property
-    def counter_deltas(self) -> dict[str, float]:
-        """As a record's, off the two snapshots the unit keeps."""
-        if self.after is None:
-            return {}
-        return self.store.registry.counter_deltas(self.counters, self.after)
 
 
 def _by_slowest(exemplar: tuple) -> float:
@@ -411,8 +407,8 @@ class TimeRing:
                 del self._slots[stale]
         return slot
 
-    def _live(self, window_s: float) -> list[tuple[dict, dict]]:
-        floor = int(self._now() // self.SLOT_S) - max(1, round(window_s / self.SLOT_S))
+    def _live(self, window_s: float, at: int | None = None) -> list[tuple[dict, dict]]:
+        floor = (self.epoch() if at is None else at) - max(1, round(window_s / self.SLOT_S))
         return [slot for epoch, slot in self._slots.items() if epoch > floor]
 
     def latency(self, key: str | None = None) -> dict[str, Histogram]:
@@ -425,9 +421,10 @@ class TimeRing:
                     merged.setdefault(name, Histogram(name)).merge(histogram)
         return merged
 
-    def spent(self, principal: str, window_s: float) -> float:
-        """Spend of ``principal`` over the trailing ``window_s`` seconds."""
-        return sum(spend.get(principal, 0.0) for _, spend in self._live(window_s))
+    def spent(self, principal: str, window_s: float, at: int | None = None) -> float:
+        """Spend of ``principal`` over the ``window_s`` seconds up to now
+        (or to the end of slot ``at``)."""
+        return sum(spend.get(principal, 0.0) for _, spend in self._live(window_s, at))
 
     def clear(self) -> None:
         self._slots.clear()
@@ -481,7 +478,7 @@ def _ids_of(record: RequestRecord) -> tuple:
 
 
 class RecordStore:
-    """The keyed table every view reads; :meth:`fold` is its one writer.
+    """The keyed table every view reads; :meth:`fold` takes what it folds.
 
     ``registry`` (optional) reads the series a record implies off the
     rows (:meth:`series`) and holds the rows' latency histograms;
@@ -503,6 +500,11 @@ class RecordStore:
     WINDOW_S = TimeRing.WINDOW_S
     #: Latency samples held back at most (:meth:`settle`): 32 KiB.
     HELD = 4096
+    #: Records waiting to be folded at most (:meth:`fold`): one request
+    #: in 127 drains them, under 1 % of any traffic, and a prime, so that
+    #: traffic in short cycles (a write cycle is four requests) does not
+    #: pay every drain on the same request of its cycle.
+    BATCH = 127
 
     def __init__(
         self,
@@ -540,6 +542,8 @@ class RecordStore:
         self._held: list[tuple[str | None, _Row]] = []
         self._waiting = 0  # samples held
         self._folds = itertools.count(1)  # numbers the kept records in fold order
+        #: ``(slot, record)`` of each record taken and not folded yet.
+        self._queue: list[tuple[int, RequestRecord]] = []
         self._tail: deque[RequestRecord] = deque(maxlen=self.RECORDS)
         #: Request id or trace id -> the tail's records of it, oldest
         #: first — as of the last lookup (:meth:`_index`).
@@ -558,20 +562,37 @@ class RecordStore:
         self.fold(RequestRecord(queries=((shape, family, float(duration_ms)),)))
 
     def fold(self, record: RequestRecord) -> None:
-        """Fold one finished unit of work into every view — the one
-        write path of the rollups, the ring and the kept records."""
-        by = self._by
-        principal, cost, charges = record.principal, record.cost, record.charges
-        spans = record.spans
+        """Take one finished unit of work: it waits, with up to :data:`BATCH`
+        others, to be folded (:meth:`_drain`) when one more comes or anything
+        reads — a fold among folds costs half what it does among a
+        request's other work.  Its spans export now."""
         with self._lock:
-            seq = record.seq = next(self._folds)
-            epoch = self._ring.epoch()
+            if len(self._queue) >= self.BATCH:
+                self._drain()
+            record.seq = next(self._folds)
+            self._queue.append((self._ring.epoch(), record))
+            # Kept now, so the record it pushes out is freed now: a batch
+            # of frees would wake the collector.
+            if record.spans or record.request_id is not None:
+                self._tail.append(record)
+        for exporter in self.exporters:
+            for span in record.spans:
+                exporter.export(span)
+
+    def _drain(self) -> None:
+        """Fold what waits, in the order it came, into every view — the
+        one write path of the rollups, the ring and the kept records
+        (caller holds the lock; every read does this first)."""
+        queue, self._queue = self._queue, []
+        by = self._by
+        by_span, by_shape, by_operation = by["span"], by["shape"], by["operation"]
+        rows, keep, held, budget = by_span.rows, by_span.worst, self._held, self._budget
+        for epoch, record in queue:
+            principal, cost, charges = record.principal, record.cost, record.charges
+            spans, seq = record.spans, record.seq
             if epoch != self._epoch:
                 self.settle()  # what is held fell in the slot that ended
                 self._epoch, self._spend = epoch, self._ring.slot(epoch)[1]
-            spend, held = self._spend, self._held
-            by_span = by["span"]
-            rows, keep = by_span.rows, by_span.worst
             for span in spans:
                 name, ms = span.name, span.duration_ms
                 row = rows.get(name) or by_span.row(name)
@@ -591,25 +612,27 @@ class RecordStore:
             # One query carries the whole bill; several split it evenly.
             share = 1.0 / max(len(record.queries), 1)
             for shape, family, ms in record.queries:
-                row = by["shape"].add(shape, ms, cost * share, charges, share, record)
+                row = by_shape.add(shape, ms, cost * share, charges, share, record)
                 if family is not None:
                     row.tally[family] = row.tally.get(family, 0) + 1
             operation, route, billed = record.operation, record.route, None
             if principal is not None:
                 ms = record.duration_ms
                 row = by["principal"].add(principal, ms, cost, charges, 1.0, record)
+                spend = self._spend
                 spend[principal] = spend.get(principal, 0.0) + cost
-                budget = self._budget
                 if budget is not None:
-                    spent = row.tally["rolling"] = self._ring.spent(principal, budget.window_s)
+                    spent = row.tally["rolling"] = self._ring.spent(
+                        principal, budget.window_s, epoch
+                    )
                     if spent > budget.cost_per_window:
                         row.tally["shed"] = row.tally.get("shed", 0) + 1
                 if operation:
-                    billed = by["operation"].add(operation, ms, cost, charges, 1.0, record)
+                    billed = by_operation.add(operation, ms, cost, charges, 1.0, record)
             if route is not None:
                 # A routed request's operation is its route: its latency
                 # and status go on the row its bill went to.
-                row = billed or by["operation"].row(operation or f"{record.method} {route}")
+                row = billed or by_operation.row(operation or f"{record.method} {route}")
                 if row.hist is None:
                     row.hist, row.samples = self._route_hist(record.method, route), array("d")
                 if not row.samples:
@@ -617,19 +640,15 @@ class RecordStore:
                 row.samples.append(record.request_ms)
                 self._waiting += 1
                 row.tally[record.status] = row.tally.get(record.status, 0) + 1
-            # Kept: what /debug/trace and /debug/request can look up.
-            if spans or record.request_id is not None:
-                self._tail.append(record)
             if self._waiting >= self.HELD:
                 self.settle()
-        for exporter in self.exporters:
-            for span in spans:
-                exporter.export(span)
 
     def settle(self) -> None:
-        """Bucket the latency samples the fold held back into their
-        rows' histograms and their slot's: one ``searchsorted`` per row
-        (caller holds the lock; a registry histogram's read calls it)."""
+        """Fold what waits, then bucket the latency samples the fold held
+        back into their rows' histograms and their slot's: one
+        ``searchsorted`` per row (caller holds the lock; a registry
+        histogram's read calls it)."""
+        self._drain()
         held = self._held
         if held:
             latency = self._ring.slot(self._epoch)[0]
@@ -645,6 +664,7 @@ class RecordStore:
     def set_budget(self, budget) -> None:
         """Install (or clear) the admission budget for would-shed flags."""
         with self._lock:
+            self._drain()  # what waits is judged by the budget it was taken under
             self._budget = budget
 
     def add_exporter(self, exporter: object) -> None:
@@ -670,13 +690,19 @@ class RecordStore:
 
     # -- reading: each view is one locked read of what fold() wrote ------------
 
+    def _read(self, view: Callable[[], object]):
+        """``view()`` under the lock, once what waits is folded: every
+        view reads through here, so none sees a record another does not."""
+        with self._lock:
+            self._drain()
+            return view()
+
     def series(self) -> Series:
         """The registry series (:data:`DERIVED`) read off the rows."""
-        with self._lock:
-            out: Series = {}
-            for rollup in self._by.values():
-                out.update(rollup.series())
-            return out
+        return self._read(lambda: {
+            series: value for rollup in self._by.values()
+            for series, value in rollup.series().items()
+        })
 
     def report(self, top: int | None = 10, budget=None) -> dict:
         """Top consumers by principal/shape/operation plus budget and
@@ -684,6 +710,7 @@ class RecordStore:
         ``budget`` overrides the configured one for what-if evaluation —
         nothing is ever actually shed."""
         with self._lock:
+            self._drain()
             effective = budget or self._budget
             window_s = effective.window_s if effective else self.WINDOW_S
             rolling = {
@@ -711,29 +738,25 @@ class RecordStore:
         count, total_ms, mean_ms, max_ms, last_ms}`` (``GET /debug/hot``)."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        with self._lock:
-            return self._by["shape"].hottest(k)
+        return self._read(lambda: self._by["shape"].hottest(k))
 
     def tracked(self) -> tuple[int, int]:
         """``(shapes tracked, shapes pruned so far)`` — the coverage
         caveat of ``/debug/hot``."""
-        with self._lock:
-            return len(self._by["shape"].rows), self._by["shape"].evicted
+        return self._read(lambda: (len(self._by["shape"].rows), self._by["shape"].evicted))
 
     def slowest(self, name: str | None = None, limit: int | None = None) -> list[dict]:
         """Worst-span exemplars, slowest first; one operation or all
         merged.  Each is the span's ``to_dict`` plus its record's
         ``counter_deltas`` (``GET /debug/slow``)."""
-        with self._lock:
-            return [
-                {**span.to_dict(), "counter_deltas": record.counter_deltas}
-                for _, _, span, record in self._by["span"].slowest(name)[:limit]
-            ]
+        return self._read(lambda: [
+            {**span.to_dict(), "counter_deltas": record.counter_deltas}
+            for _, _, span, record in self._by["span"].slowest(name)[:limit]
+        ])
 
     def operations(self) -> list[str]:
         """Every span name with at least one exemplar."""
-        with self._lock:
-            return sorted(self._by["span"].rows)
+        return self._read(lambda: sorted(self._by["span"].rows))
 
     def window(self, key: str | None = None) -> dict[str, Histogram]:
         """Span name -> its latency over the last :data:`WINDOW_S`
@@ -752,7 +775,7 @@ class RecordStore:
 
     def records(self) -> list[RequestRecord]:
         """The recent tail, oldest first."""
-        with self._lock:
+        with self._lock:  # filled as records come: nothing to fold first
             return list(self._tail)
 
     def _index(self) -> None:
@@ -781,6 +804,7 @@ class RecordStore:
         slots' — a lookup costs the records folded since the last one
         and the slots, not the tail."""
         with self._lock:
+            self._drain()
             self._index()
             kept = {record.seq: record for record in self._ids.get(key, ())}
             for row in self._by["span"].rows.values():

@@ -248,6 +248,14 @@ class CircuitBreaker:
                     if self.failures >= self.failure_threshold:
                         self._transition("open", now)
             raise
+        except BaseException:
+            # Not the dependency failing: a probe that raised it says
+            # nothing of the dependency, so it lets the next call probe.
+            if probing:
+                with self._lock:
+                    if self.state == "half_open":
+                        self.probe_running = False
+            raise
         with self._lock:
             if self.state == "half_open":
                 self._transition("closed", clock.now())

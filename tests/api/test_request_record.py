@@ -123,6 +123,28 @@ class TestDebugRequest:
         response = table.service.handle(Request("GET", "/debug/request/req-000001"))
         assert response.status == 401
 
+    @pytest.mark.parametrize("key", [None, "bad-key-0123456789", ["k"]])
+    def test_a_refused_key_is_a_request_of_its_own_billed_to_nobody(self, table, key):
+        """The key check is answered inside the request's unit: a 401's
+        ids resolve to its record, it counts on ``api.requests`` under
+        its route, and its bill — empty — is ``anonymous``'s, never the
+        bad key's prefix (a hostile client would mint one series each)."""
+        for path, route in (("/stats", "/stats"), ("/nope/7", "<unmatched>")):
+            response = table.call("GET", path, api_key=key)
+            assert response.status == 401
+            error = response.body["error"]
+            assert error["trace_id"] is not None
+            record = table.call("GET", f"/debug/request/{error['request_id']}").body
+            assert record["trace_id"] == error["trace_id"]
+            assert (record["method"], record["route"], record["status"]) == ("GET", route, 401)
+            assert (record["principal"], record["charges"], record["cost"]) == ("anonymous", {}, 0.0)
+            assert [span["name"] for span in record["spans"]] == ["http.request"]
+        counters = obs.metrics().counter_values()
+        assert counters['api.requests{method="GET",route="/stats",status="401"}'] == 1.0
+        assert counters['api.requests{method="GET",route="<unmatched>",status="401"}'] == 1.0
+        assert counters['usage.requests{principal="anonymous"}'] == 2.0
+        assert not any("key:bad" in name for name in counters)
+
 
 class TestWindowNeedsItsBudget:
     def test_window_s_alone_is_400_naming_both_fields(self, table):

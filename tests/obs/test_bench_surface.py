@@ -168,14 +168,15 @@ def _counted(call) -> dict:
 
 #: Plain-lock acquisitions of one search by family, serial and 4-shard.
 #: The search counted is its body's fourth, so the answer cache serves
-#: it: the request id, the answer cache's lock and the record store's
-#: lock, whatever the family or the shard count (these were 12-22 while
-#: a search still reached the indexes and moved the counters).
+#: it: the answer cache's lock and the record store's lock, whatever the
+#: family or the shard count (these were 12-22 while a search still
+#: reached the indexes and moved the counters, and 3 while the request
+#: id was drawn under a lock).
 _LOCKS = {
-    1: {"spatial": 3, "visual": 3, "categorical": 3, "textual": 3, "temporal": 3,
-        "hybrid": 3},
-    4: {"spatial": 3, "visual": 3, "categorical": 3, "textual": 3, "temporal": 3,
-        "hybrid": 3},
+    1: {"spatial": 2, "visual": 2, "categorical": 2, "textual": 2, "temporal": 2,
+        "hybrid": 2},
+    4: {"spatial": 2, "visual": 2, "categorical": 2, "textual": 2, "temporal": 2,
+        "hybrid": 2},
 }
 
 
@@ -201,18 +202,22 @@ def test_what_one_search_makes_the_interpreter_do_is_pinned(shards):
         body = route_table.query_body(family)
         counts = _counted(lambda: h.call("POST", "/search", body))
         assert counts["generator_cms"] == 0, family
-        assert counts["matches"] <= 2, family  # was 5: the scan reached /search fifth
+        # A route without parameters is one read: no template is matched
+        # (was 5 while a scan reached /search fifth, then 1 by its shape).
+        assert counts["matches"] == 0, family
         # A query vector's squared norm is taken once, where the query is
         # built (``VisualQuery.sq_norm``); the schema and
         # ``prepare_visual`` both read it.  It was taken twice.
         assert counts["errstates"] <= (1 if family in ("visual", "hybrid") else 0), family
         assert counts["locks"] <= _LOCKS[shards][family], (family, counts)
-    # A write cycle is four envelopes: the same two hold of each.
+    # A write cycle is four envelopes: the same two hold of each, and a
+    # route with parameters matches its one template.
     upload = route_table.example(route_table.schema.ROUTES["POST /images"].body, "")
-    for path, body in (
-        ("/images", upload | {"image": route_table._image(9, 9, 9)}),
-        ("/images/1/annotations", {"classification": "street_cleanliness", "label": "clean"}),
-        (f"/features/{route_table.EXTRACTOR}", {"image_id": 1}),
+    for path, body, matches in (
+        ("/images", upload | {"image": route_table._image(9, 9, 9)}, 0),
+        ("/images/1/annotations",
+         {"classification": "street_cleanliness", "label": "clean"}, 1),
+        (f"/features/{route_table.EXTRACTOR}", {"image_id": 1}, 1),
     ):
         counts = _counted(lambda: h.call("POST", path, body))
-        assert (counts["generator_cms"], counts["matches"]) == (0, 1), path
+        assert (counts["generator_cms"], counts["matches"]) == (0, matches), path

@@ -14,6 +14,7 @@ from repro.resilience import (
     get_breaker,
 )
 from tests.racing import read_while_writing
+from tests.resilience.conftest import failing_stub
 
 
 class TestBackoffDelays:
@@ -137,6 +138,24 @@ class TestCircuitBreaker:
             with pytest.raises(KeyError):
                 breaker.call(failing := (lambda: (_ for _ in ()).throw(KeyError("x"))))
         assert breaker.state == "closed"  # KeyError is a bug, not weather
+
+    def test_a_probe_raising_what_is_no_failure_lets_the_next_call_probe(
+        self, manual_clock, flaky_call
+    ):
+        """A ``KeyError`` from the probe is a bug, not weather: it neither
+        re-opens nor closes the circuit, and it must not hold the one
+        probe slot either (every later call used to be refused, forever,
+        with ``retry in 0.000s``)."""
+        breaker = self.make(manual_clock, failure_threshold=1, failure_on=(ConnectionError,))
+        self.trip(breaker, flaky_call(99))
+        manual_clock.advance(31.0)
+        with pytest.raises(KeyError):
+            breaker.call(failing_stub(KeyError("x")))
+        assert breaker.state == "half_open" and not breaker.probe_running
+        assert breaker.call(lambda: "probe") == "probe"
+        assert breaker.state == "closed"
+        states = [(frm, to) for frm, to, _ in breaker.transitions]
+        assert states == [("closed", "open"), ("open", "half_open"), ("half_open", "closed")]
 
     def test_registry_snapshot(self, manual_clock, flaky_call):
         breaker = get_breaker("snap", failure_threshold=1, clock=manual_clock)

@@ -13,11 +13,10 @@ MINIMAL = ["--passes", "1", "--reps", "2", "--blocks", "2", "--block", "3"]
 FAMILIES = ("spatial", "visual", "categorical", "textual", "temporal", "hybrid")
 MISS = {family: ("miss", "q1", "q3", "query") for family in FAMILIES}
 SHARD = ("prepare", "prune", "dispatch", "pass", "answer", "sum", "sharded", "serial")
+STEPS = ("resolve", "authenticate", "open", "check", "query", "body", "close_spans",
+         "unit_close", "fold", "handle")
 EXPECTED = {
-    "request": {"per_request": (
-        "resolve", "authenticate", "open", "check", "query", "body", "close_spans",
-        "unit_close", "fold", "handle", "obs",
-    )},
+    "request": {"per_request": (*STEPS, "obs")} | {family: STEPS for family in FAMILIES},
     "write": {"per_call": (
         "decode_8x8", "hash_8x8", "histogram_8x8", "decode_640x480", "hash_640x480",
         "histogram_640x480", "images_validate_row", "annotation_insert", "label_lookup",

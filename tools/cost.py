@@ -17,9 +17,15 @@ times one pass over a block of work on it.
     step 8 carries that one extra call).  ``handle``: a whole
     ``TVDPService.handle`` of it.  ``obs``: the bare instrumentation of
     one routed search with nothing inside — the router's billable scope
-    and ``http.request`` span, the query's scope and ``query.<family>``
-    span, their attributes, ``note_query``, ``note_request``, the unit's
-    close and the store's own fold.  Row ``per_request``, µs per request.
+    and ``http.request`` span, a query's scope (which a routed search no
+    longer opens; kept so that the row times the same calls on either
+    side) and ``query.<family>`` span, their attributes, ``note_query``,
+    ``note_request``, the unit's close and the store's own fold.  Row
+    ``per_request``, µs per request.  Then one row per family: a cached
+    ``serial_select`` search of the family (drawn from the side's own
+    schedule) on ``serial_select``'s platform, built as ``miss`` builds
+    it, through the same nine steps and a whole ``handle``; the
+    categorical one answers about 250 rows at the full corpus.
 ``write``
     The write handlers' steps, each alone: the upload's decode
     (``image_from_payload``), its content hash, a feature request's HSV
@@ -150,7 +156,9 @@ SPEC = {
 
 
 def served(seed: int) -> SimpleNamespace:
-    """A served platform with a fold-timing store, its search cached."""
+    """A served platform with a fold-timing store, its search cached;
+    and the benchmark's platform with one ``serial_select`` search per
+    family, each cached too."""
     from repro import TVDP, obs
     from repro.api import Request, TVDPService
     from repro.api.auth import principal_label
@@ -165,11 +173,16 @@ def served(seed: int) -> SimpleNamespace:
             record.image, record.fov, record.captured_at, record.uploaded_at,
             keywords=record.keywords,
         )
+    bench = bench_platform(seed, sharded=False)
+    rng = random.Random(f"{seed}:request_cost")
     store = obs.records()
     side = SimpleNamespace(
-        obs=obs, service=service, key=key, Request=Request, Response=Response,
-        principal_label=principal_label, new_request_id=new_request_id,
-        fold_s=0.0, store=store,
+        obs=obs, Request=Request, Response=Response, principal_label=principal_label,
+        new_request_id=new_request_id, fold_s=0.0, store=store,
+        searches={"per_request": (service, key, SPEC)} | {
+            family: (bench.service, bench.key, bench.schedule.select_spec(rng, family, bench.vectors))
+            for family in bench.schedule.FAMILIES
+        },
     )
     fold = store.fold
 
@@ -179,22 +192,23 @@ def served(seed: int) -> SimpleNamespace:
         side.fold_s += time.perf_counter() - start
 
     store.fold = side.timed_fold = timed_fold
-    for _ in range(3):  # the third asking is answered by the cache
-        assert handle(side).status == 200
+    for search in side.searches.values():
+        for _ in range(3):  # the third asking is answered by the cache
+            assert handle(side, *search).status == 200
     return side
 
 
-def handle(side: SimpleNamespace):
-    return side.service.handle(side.Request("POST", "/search", body=dict(SPEC), api_key=side.key))
+def handle(side: SimpleNamespace, service, key: str, spec: dict):
+    return service.handle(side.Request("POST", "/search", body=dict(spec), api_key=key))
 
 
-def walk_request(side: SimpleNamespace, reps: int) -> dict[str, float]:
+def walk_request(side: SimpleNamespace, service, key: str, spec: dict, reps: int) -> dict:
     """``reps`` requests walked step by step: µs per request by step."""
-    obs, service, clock = side.obs, side.service, time.perf_counter
+    obs, clock = side.obs, time.perf_counter
     totals = dict.fromkeys(STEPS, 0.0)
     side.fold_s = 0.0
     for _ in range(reps):
-        request = side.Request("POST", "/search", body=dict(SPEC), api_key=side.key)
+        request = side.Request("POST", "/search", body=dict(spec), api_key=key)
         t0 = clock()
         request.request_id = side.new_request_id()
         template, _, declaration, params = service.router.resolve("POST", request.path)
@@ -261,9 +275,13 @@ def bare(side: SimpleNamespace, reps: int) -> float:
 
 
 def request_pass(side: SimpleNamespace, reps: int) -> dict:
-    return {"per_request": {**walk_request(side, reps),
-                            "handle": per_query_us(lambda _: handle(side), range(reps)),
-                            "obs": bare(side, reps)}}
+    """Each search's steps and whole ``handle``; ``obs`` on the first row."""
+    rows = {}
+    for row, search in side.searches.items():
+        rows[row] = walk_request(side, *search, reps)
+        rows[row]["handle"] = per_query_us(lambda _: handle(side, *search), range(reps))
+    rows["per_request"]["obs"] = bare(side, reps)
+    return rows
 
 
 # -- write ---------------------------------------------------------------------
@@ -337,7 +355,8 @@ def bench_platform(seed: int, sharded: bool) -> SimpleNamespace:
         session.write(capture)
     assert session.failed == 0, session.problems
     side = SimpleNamespace(
-        platform=session.platform, schedule=schedule, build_query=build_query,
+        platform=session.platform, service=session.service, key=session.key,
+        schedule=schedule, build_query=build_query,
         vectors=schedule.example_vectors(seed, size), answer_key=answer_key,
         prepare=prepare, Categorical=CategoricalQuery, Textual=TextualQuery,
         Visual=VisualQuery, warm={}, turns=itertools.count(),
